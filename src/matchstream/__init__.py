@@ -18,7 +18,7 @@ from .multipass import (GuaranteeCertificate, MultipassResult, Schedule,
                         certified_gamma, gamma_recurrence_step, multipass_run,
                         schedule_beta, worst_case_gamma)
 from .objectives import (CoverageOracle, DirectedCutOracle, ModularOracle,
-                         SubmodularOracle, TableOracle,
+                         RunningValue, SubmodularOracle, TableOracle,
                          brute_force_check_submodular)
 from .randomized import (BufferState, GuessGrid, LambdaCopyResult,
                          RandomizedPassRunner, RandomizedRunResult,

@@ -27,6 +27,17 @@ class Matroid:
     def _independent(self, restricted):
         raise NotImplementedError
 
+    def swap_candidates(self, s_l, x):
+        """Elements y of the independent set ``s_l`` with s_l - y + x
+        independent, or None when s_l + x is already independent.
+
+        This generic form makes one independence test per member; kinds
+        that can name the circuit directly override it.
+        """
+        if self.independent(s_l | {x}):
+            return None
+        return {y for y in s_l if self.independent((s_l - {y}) | {x})}
+
 
 class UniformMatroid(Matroid):
     kind = "uniform"
@@ -39,6 +50,13 @@ class UniformMatroid(Matroid):
 
     def _independent(self, restricted):
         return len(restricted) <= self.capacity
+
+    def swap_candidates(self, s_l, x):
+        """Every member of s_l in the ground subset, once they fill it."""
+        if x not in self.ground_subset or x in s_l:
+            return None
+        inside = s_l & self.ground_subset
+        return inside if len(inside) >= self.capacity else None
 
 
 class PartitionMatroid(Matroid):
@@ -62,12 +80,22 @@ class PartitionMatroid(Matroid):
             seen |= part
         if any(c < 0 for c in self.capacities):
             raise PreconditionError("capacities must be non-negative")
+        self._part_of = {e: j for j, part in enumerate(self.parts) for e in part}
 
     def _independent(self, restricted):
         return all(
             len(restricted & part) <= cap
             for part, cap in zip(self.parts, self.capacities)
         )
+
+    def swap_candidates(self, s_l, x):
+        """s_l's members in x's part, once that part is full; elements
+        outside every part never conflict."""
+        j = self._part_of.get(x)
+        if j is None or x in s_l:
+            return None
+        in_part = s_l & self.parts[j]
+        return in_part if len(in_part) >= self.capacities[j] else None
 
 
 class GraphicMatroid(Matroid):
@@ -216,10 +244,10 @@ def exchange_set(mp, x, state):
     for matroid in mp.matroids:
         if x not in matroid.ground_subset:
             continue
-        s_l = state.members & matroid.ground_subset
-        if matroid.independent(s_l | {x}):
+        candidates = matroid.swap_candidates(
+            state.members & matroid.ground_subset, x)
+        if candidates is None:
             continue
-        candidates = [y for y in s_l if matroid.independent((s_l - {y}) | {x})]
         if not candidates:
             raise InfeasibilityError(
                 f"no single swap restores independence for element {x}"

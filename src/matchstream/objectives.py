@@ -7,8 +7,23 @@ memoization layer answers from cache. ``marginal`` costs at most two
 counted evaluations. ``peek`` evaluates without counting and exists only
 for diagnostics and invariant checks, so that debug runs report the same
 oracle-call totals as plain runs.
+
+A running evaluator follows f over a growing set A without re-evaluating
+it from scratch. ``oracle.running(subset)`` returns one holding
+``total = f(A)``; ``value_with(x)`` gives f(A + x) and leaves A as it is,
+and ``add(x)`` puts x into A and returns the new f(A). The metering is
+that of the ``value`` calls they stand for: ``running`` counts one call
+(``value(A)``), ``value_with`` one (``value(A | {x})``) and ``add`` one
+(``value`` of the grown set); ``add(x, meter=False)`` counts none, for a
+caller that has already paid for f(A + x). Cache hits are not counted on
+this path. The base evaluator re-evaluates through ``_evaluate``, so
+every subclass supports it unchanged; a subclass with cheaper per-set
+statistics overrides ``_running(members)`` to return its own
+``RunningValue`` subclass, implementing ``_start``, ``_with``, ``_grow``
+and ``copy``.
 """
 
+import math
 import threading
 
 from .errors import DomainError, SizeError
@@ -47,6 +62,10 @@ class SubmodularOracle:
             self._calls = 0
             self._cache_hits = 0
 
+    def _count(self):
+        with self._lock:
+            self._calls += 1
+
     def _check_subset(self, subset):
         a = frozenset(subset)
         if not a <= self.ground:
@@ -58,8 +77,7 @@ class SubmodularOracle:
     def value(self, subset):
         """f(subset); one counted oracle call."""
         a = self._check_subset(subset)
-        with self._lock:
-            self._calls += 1
+        self._count()
         if self._cache is not None:
             hit = self._cache.get(a)
             if hit is not None:
@@ -84,8 +102,84 @@ class SubmodularOracle:
         """Uncounted evaluation, for assertions and debug traces only."""
         return self._evaluate(self._check_subset(subset))
 
+    def running(self, subset=(), *, meter=True):
+        """Running evaluator over ``subset``; one counted call unless
+        ``meter`` is false."""
+        a = self._check_subset(subset)
+        if meter:
+            self._count()
+        return self._running(a)
+
+    def _running(self, members):
+        return RunningValue(self, members)
+
     def _evaluate(self, subset):
         raise NotImplementedError
+
+
+def _finite(values, what):
+    """The values as floats. Rejects negative and non-finite entries: a NaN
+    makes the sum NaN and an infinity makes it infinite, as does a total
+    too large for a float, which no evaluation of f could hold either."""
+    out = [float(v) for v in values]
+    if out and not (min(out) >= 0.0 and math.isfinite(sum(out))):
+        raise DomainError(f"{what} must be non-negative with a finite sum")
+    return out
+
+
+class RunningValue:
+    """f over a growing set A, metered like the ``value`` calls it replaces.
+
+    This base form re-evaluates from scratch through the oracle's
+    ``_evaluate``. Subclasses keep per-set statistics instead and override
+    ``_start`` (f(A) for the initial members), ``_with`` (f(A + x) for x
+    outside A), ``_grow`` (the same, also updating the statistics) and
+    ``copy``.
+    """
+
+    __slots__ = ("oracle", "members", "total")
+
+    def __init__(self, oracle, members):
+        self.oracle = oracle
+        self.members = set(members)
+        self.total = self._start()
+
+    def value_with(self, x):
+        """f(A + x) without changing A; one counted call."""
+        self._admit(x)
+        self.oracle._count()
+        return self.total if x in self.members else self._with(x)
+
+    def add(self, x, meter=True):
+        """A <- A + x; returns the new f(A). One counted call unless
+        ``meter`` is false."""
+        self._admit(x)
+        if meter:
+            self.oracle._count()
+        if x not in self.members:
+            self.total = self._grow(x)
+            self.members.add(x)
+        return self.total
+
+    def copy(self):
+        twin = object.__new__(type(self))
+        twin.oracle = self.oracle
+        twin.members = set(self.members)
+        twin.total = self.total
+        return twin
+
+    def _admit(self, x):
+        if x not in self.oracle.ground:
+            raise DomainError(f"element {x} is outside the ground set")
+
+    def _start(self):
+        return self.oracle._evaluate(frozenset(self.members))
+
+    def _with(self, x):
+        return self.oracle._evaluate(frozenset(self.members) | {x})
+
+    def _grow(self, x):
+        return self._with(x)
 
 
 class CoverageOracle(SubmodularOracle):
@@ -95,9 +189,7 @@ class CoverageOracle(SubmodularOracle):
 
     def __init__(self, sets, item_weights, monotone=True, memoize=False):
         self._sets = [frozenset(int(i) for i in s) for s in sets]
-        self._weights = [float(w) for w in item_weights]
-        if any(w < 0 for w in self._weights):
-            raise DomainError("item weights must be non-negative")
+        self._weights = _finite(item_weights, "item weights")
         if any(i < 0 for s in self._sets for i in s):
             raise DomainError("item ids must be non-negative")
         top = max((i for s in self._sets for i in s), default=-1)
@@ -110,6 +202,41 @@ class CoverageOracle(SubmodularOracle):
         for e in subset:
             covered |= self._sets[e]
         return float(sum(self._weights[i] for i in covered))
+
+    def _running(self, members):
+        return _CoverageRunning(self, members)
+
+
+class _CoverageRunning(RunningValue):
+    """Keeps the covered items; f(A + x) adds the weight x newly covers."""
+
+    __slots__ = ("covered",)
+
+    def _start(self):
+        self.covered = set()
+        self.total = 0.0
+        for e in self.members:
+            self.total = self._grow(e)
+        return self.total
+
+    def _with(self, x):
+        return self._plus(self.oracle._sets[x] - self.covered)
+
+    def _grow(self, x):
+        fresh = self.oracle._sets[x] - self.covered
+        self.covered |= fresh
+        return self._plus(fresh)
+
+    def _plus(self, items):
+        total, weights = self.total, self.oracle._weights
+        for i in items:
+            total += weights[i]
+        return total
+
+    def copy(self):
+        twin = RunningValue.copy(self)
+        twin.covered = set(self.covered)
+        return twin
 
 
 class DirectedCutOracle(SubmodularOracle):
@@ -127,8 +254,8 @@ class DirectedCutOracle(SubmodularOracle):
                 raise DomainError(f"arc ({u},{v}) endpoint outside 0..{n - 1}")
             if u == v:
                 raise DomainError("self-loop arcs do not contribute to any cut")
-            if w < 0:
-                raise DomainError("arc weights must be non-negative")
+            if not 0.0 <= w < math.inf:
+                raise DomainError("arc weights must be finite and non-negative")
             self._out[u].append((v, w))
         super().__init__(range(n), monotone=monotone, memoize=memoize)
 
@@ -140,6 +267,50 @@ class DirectedCutOracle(SubmodularOracle):
                     total += w
         return total
 
+    def _running(self, members):
+        return _CutRunning(self, members)
+
+
+class _CutRunning(RunningValue):
+    """Keeps, per vertex, the arc weight into it from A:
+    f(A + x) = f(A) + weight from x to the outside of A + x - weight into x."""
+
+    __slots__ = ("into",)
+
+    def _start(self):
+        self.into = {}
+        out = self.oracle._out
+        total = 0.0
+        for u in self.members:
+            for v, w in out[u]:
+                if v not in self.members:
+                    total += w
+            self._enter(u)
+        return total
+
+    def _with(self, x):
+        members = self.members
+        total = self.total - self.into.get(x, 0.0)
+        for v, w in self.oracle._out[x]:
+            if v not in members:
+                total += w
+        return total
+
+    def _grow(self, x):
+        total = self._with(x)
+        self._enter(x)
+        return total
+
+    def _enter(self, u):
+        into = self.into
+        for v, w in self.oracle._out[u]:
+            into[v] = into.get(v, 0.0) + w
+
+    def copy(self):
+        twin = RunningValue.copy(self)
+        twin.into = dict(self.into)
+        return twin
+
 
 class ModularOracle(SubmodularOracle):
     """Additive weights: f(A) = sum of per-element weights."""
@@ -147,13 +318,23 @@ class ModularOracle(SubmodularOracle):
     kind = "modular"
 
     def __init__(self, weights, monotone=True, memoize=False):
-        self._weights = [float(w) for w in weights]
-        if any(w < 0 for w in self._weights):
-            raise DomainError("modular weights must be non-negative")
+        self._weights = _finite(weights, "modular weights")
         super().__init__(range(len(self._weights)), monotone=monotone, memoize=memoize)
 
     def _evaluate(self, subset):
         return float(sum(self._weights[e] for e in subset))
+
+    def _running(self, members):
+        return _ModularRunning(self, members)
+
+
+class _ModularRunning(RunningValue):
+    """A running sum of the member weights."""
+
+    __slots__ = ()
+
+    def _with(self, x):
+        return self.total + self.oracle._weights[x]
 
 
 class TableOracle(SubmodularOracle):
@@ -172,9 +353,7 @@ class TableOracle(SubmodularOracle):
             raise SizeError(f"table oracles are capped at n={self.MAX_N}")
         if len(table) != 1 << n:
             raise DomainError(f"table must have {1 << n} entries, got {len(table)}")
-        self._table = [float(v) for v in table]
-        if any(v < 0 for v in self._table):
-            raise DomainError("table values must be non-negative")
+        self._table = _finite(table, "table values")
         super().__init__(range(n), monotone=monotone, memoize=memoize)
 
     def _evaluate(self, subset):

@@ -141,7 +141,7 @@ class RandomizedPassRunner:
 
     def _threshold(self, x):
         cx = exchange_set(self.mp, x, self.state)
-        gain = self.oracle.value(self.state.members | {x}) - self.state.f_s
+        gain = self.state.running(self.oracle).value_with(x) - self.state.f_s
         bar = self.alpha + (1.0 + self.beta) * math.fsum(self.state.nu[c] for c in cx)
         return gain >= bar, gain, frozenset(cx)
 

@@ -33,13 +33,16 @@ class SolutionState:
     ``order`` lists members by arrival, ``index`` maps each member to its
     arrival counter (monotone over the whole run), ``nu`` caches the
     incremental values, and ``f_s``/``f_empty`` track f(S) and f(empty).
+    ``evaluator`` is the oracle's running evaluator of S (see
+    ``objectives``); ``running`` builds it, unmetered, for a state made
+    without one.
     """
 
     __slots__ = ("order", "index", "nu", "f_s", "f_empty", "alpha", "beta",
-                 "next_index", "members")
+                 "next_index", "members", "evaluator")
 
     def __init__(self, order, index, nu, f_s, f_empty, alpha=0.0, beta=1.0,
-                 next_index=0):
+                 next_index=0, evaluator=None):
         self.order = list(order)
         self.index = dict(index)
         self.nu = dict(nu)
@@ -49,15 +52,28 @@ class SolutionState:
         self.beta = float(beta)
         self.next_index = int(next_index)
         self.members = set(self.order)
+        self.evaluator = evaluator
 
     @classmethod
     def empty(cls, oracle, alpha=0.0, beta=1.0):
-        f0 = oracle.value(())
-        return cls([], {}, {}, f0, f0, alpha, beta, 0)
+        evaluator = oracle.running(())
+        f0 = evaluator.total
+        return cls([], {}, {}, f0, f0, alpha, beta, 0, evaluator)
 
     def copy_for_pass(self, alpha, beta):
+        evaluator = None if self.evaluator is None else self.evaluator.copy()
         return SolutionState(self.order, self.index, self.nu, self.f_s,
-                             self.f_empty, alpha, beta, self.next_index)
+                             self.f_empty, alpha, beta, self.next_index,
+                             evaluator)
+
+    def running(self, oracle):
+        """S's running evaluator on ``oracle``. One is built without
+        metering when the state has none for this oracle, since no metered
+        evaluation of S stands behind it."""
+        evaluator = self.evaluator
+        if evaluator is None or evaluator.oracle is not oracle:
+            evaluator = self.evaluator = oracle.running(self.order, meter=False)
+        return evaluator
 
     def accept(self, x, evict, oracle, gain_hint=None):
         """Apply S <- S \\ evict + x and refresh the nu cache.
@@ -77,9 +93,12 @@ class SolutionState:
             self._append(x)
             recompute_nu(self, oracle, cut)
         else:
-            gain = gain_hint
-            if gain is None:
-                gain = oracle.value(self.members | {x}) - self.f_s
+            evaluator = self.running(oracle)
+            if gain_hint is None:
+                gain = evaluator.add(x) - self.f_s
+            else:
+                gain = gain_hint
+                evaluator.add(x, meter=False)
             self._append(x)
             self.nu[x] = gain
             self.f_s += gain
@@ -96,17 +115,18 @@ def recompute_nu(state, oracle, start_pos=0):
     """Recompute cached incremental values from ``start_pos`` onward.
 
     After an exchange, only members at or after the first eviction
-    position have a changed prefix; one metered evaluation per walked
-    prefix refreshes them and f(S) together.
+    position have a changed prefix. A running evaluator of the unchanged
+    prefix walks the suffix, one metered call per walked prefix, and then
+    serves as S's evaluator.
     """
-    prefix = set(state.order[:start_pos])
-    running = oracle.value(prefix)
+    evaluator = oracle.running(state.order[:start_pos])
+    running = evaluator.total
     for e in state.order[start_pos:]:
-        prefix.add(e)
-        nxt = oracle.value(prefix)
+        nxt = evaluator.add(e)
         state.nu[e] = nxt - running
         running = nxt
     state.f_s = running
+    state.evaluator = evaluator
     return state
 
 
@@ -207,7 +227,7 @@ def streaming_pass(oracle, mp, stream, s_init=None, alpha=0.0, beta=1.0, *,
                 _check_element(state, oracle, mp)
             continue
         cx = exchange_set(mp, x, state)
-        gain = oracle.value(state.members | {x}) - state.f_s
+        gain = state.running(oracle).value_with(x) - state.f_s
         threshold = alpha + (1.0 + beta) * math.fsum(state.nu[c] for c in cx)
         if gain >= threshold:
             nu_before = dict(state.nu) if debug else None
@@ -255,6 +275,9 @@ def _check_element(state, oracle, mp, tol=NU_TOL):
     debug_stats["element_checks"] += 1
     if not mp.feasible(state.members):
         raise AssertionError("solution left the feasible region")
+    held, exact = state.running(oracle).total, oracle.peek(state.members)
+    if abs(held - exact) > tol:
+        raise AssertionError(f"running evaluator holds {held}, f(S) is {exact}")
     total = math.fsum(state.nu.values())
     if abs(total - (state.f_s - state.f_empty)) > tol:
         raise AssertionError(

@@ -113,6 +113,45 @@ def test_exchange_rejects_member_element():
         ms.exchange_set(mp, 0, state)
 
 
+def _swaps_by_definition(matroid, s_l, x):
+    if matroid.independent(s_l | {x}):
+        return None
+    return {y for y in s_l if matroid.independent((s_l - {y}) | {x})}
+
+
+def _uniform_or_partition(rng):
+    ground = {e for e in range(12) if rng.random() < 0.7}
+    if rng.random() < 0.5:
+        return ms.UniformMatroid(ground, rng.randint(0, 4))
+    pool = sorted(ground)
+    rng.shuffle(pool)
+    parts = []
+    while pool and len(parts) < 4:
+        size = rng.randint(1, len(pool))
+        parts.append(pool[:size])
+        pool = pool[size:]
+    return ms.PartitionMatroid(ground, parts,
+                               [rng.randint(0, 3) for _ in parts])
+
+
+def test_swap_candidates_match_the_definition():
+    rng = Random(5)
+    outcomes = {"none": 0, "swap": 0, "stuck": 0}
+    for _ in range(600):
+        matroid = _uniform_or_partition(rng)
+        order = list(range(12))
+        rng.shuffle(order)
+        s_l = set()
+        for e in order[:rng.randint(0, 12)]:
+            if matroid.independent(s_l | {e}):
+                s_l.add(e)
+        x = rng.randrange(12)
+        got = matroid.swap_candidates(s_l, x)
+        assert got == _swaps_by_definition(matroid, s_l, x), (matroid.kind, s_l, x)
+        outcomes["none" if got is None else "swap" if got else "stuck"] += 1
+    assert min(outcomes.values()) > 0, outcomes
+
+
 class _BrokenMatroid(ms.Matroid):
     """Not a matroid: {0} independent but {1} is not (no exchange)."""
 

@@ -1,5 +1,6 @@
 """Objective oracles: values, marginals, counting, and submodularity."""
 
+import math
 import threading
 from random import Random
 
@@ -52,6 +53,25 @@ def test_table_oracle_lookup():
     oracle = ms.TableOracle(2, [0.0, 0.0, 0.0, 1.0])
     assert oracle.value(()) == 0.0
     assert oracle.value({0, 1}) == 1.0
+
+
+NON_FINITE_ORACLES = {
+    "coverage": lambda w: ms.CoverageOracle([[0], [1]], [1.0, w]),
+    "directed-cut": lambda w: ms.DirectedCutOracle(2, [(0, 1, 1.0), (1, 0, w)]),
+    "modular": lambda w: ms.ModularOracle([1.0, w]),
+    "table": lambda w: ms.TableOracle(1, [0.0, w]),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("kind", sorted(NON_FINITE_ORACLES))
+def test_non_finite_weights_rejected(kind, bad):
+    build = NON_FINITE_ORACLES[kind]
+    finite = build(2.0)
+    assert finite.peek(finite.ground) >= 0.0
+    with pytest.raises(ms.DomainError):
+        build(bad)
 
 
 def test_value_outside_ground_raises():
