@@ -7,13 +7,13 @@ from .baselines import (ExactResult, brute_force_opt, enumerate_opt_unpruned,
                         max_feasible_subset, offline_greedy)
 from .errors import (ConfigError, DomainError, InfeasibilityError,
                      MatchstreamError, PreconditionError, SizeError)
-from .experiments import (ExperimentConfig, build_schedule, default_passes,
-                          report_rows, run_experiment, write_trace)
+from .experiments import (ExperimentConfig, build_schedule, report_rows,
+                          run_experiment, write_trace)
 from .instances import (FAMILIES, Instance, generate_instance, load_instance,
                         save_instance, stream_order)
 from .matchoids import (GraphicMatroid, Matroid, PartitionMatroid, PMatchoid,
                         TransversalMatroid, UniformMatroid, compute_rank,
-                        exchange_set, matchoid_feasible)
+                        exchange_set)
 from .multipass import (GuaranteeCertificate, MultipassResult, Schedule,
                         certified_gamma, gamma_recurrence_step, multipass_run,
                         schedule_beta, worst_case_gamma)

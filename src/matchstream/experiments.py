@@ -2,11 +2,9 @@
 
 Traces are CSV with a schema_version column; summaries are JSON. Given
 the same config (seed included), reruns produce byte-identical trace
-files whether replicates run serially or on a worker pool (the pool size
-is capped by the MATCHOID_STREAM_THREADS environment variable, and all
-randomness is derived as master seed XOR replicate index XOR guess-copy
-index, so scheduling never changes results). Wall-clock time appears only
-in summaries, never in traces.
+files: replicates run one after another, and all randomness is derived
+as master seed XOR replicate index XOR guess-copy index. Wall-clock time
+appears only in summaries, never in traces.
 """
 
 import csv
@@ -15,7 +13,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from .baselines import brute_force_opt, offline_greedy
 from .errors import ConfigError, SizeError
@@ -24,7 +21,6 @@ from .multipass import Schedule, multipass_run
 from .randomized import multipass_randomized
 
 SCHEMA_VERSION = 1
-THREADS_ENV = "MATCHOID_STREAM_THREADS"
 
 ALGORITHMS = ("monotone-multipass", "nonmonotone-randomized", "greedy", "exact")
 
@@ -85,16 +81,6 @@ class ExperimentConfig:
         return cls.from_dict(json.loads(text))
 
 
-def thread_count():
-    raw = os.environ.get(THREADS_ENV, "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError as exc:
-        raise ConfigError(f"{THREADS_ENV} must be an integer, got {raw!r}") from exc
-
-
 def build_schedule(name, p):
     """Map a CLI schedule token to a Schedule."""
     if name in (None, "matchoid"):
@@ -107,16 +93,6 @@ def build_schedule(name, p):
         except ValueError as exc:
             raise ConfigError(f"bad fixed schedule: {name!r}") from exc
     raise ConfigError(f"unknown schedule: {name!r} (matroid, matchoid, or fixed:B)")
-
-
-def default_passes(schedule, p, epsilon):
-    """Pass budgets hitting the schedules' convergence targets: 2/eps for
-    the harmonic schedule, 4p/eps for the recurrence."""
-    if epsilon is None or epsilon <= 0:
-        raise ConfigError("an epsilon > 0 is needed to choose a pass count")
-    if schedule.kind == "matroid-harmonic":
-        return math.ceil(2.0 / epsilon)
-    return math.ceil(4.0 * p / epsilon)
 
 
 def _fmt(value):
@@ -184,7 +160,7 @@ def run_experiment(config):
         oracle = inst.build_oracle()
         mp = inst.build_matchoid()
         schedule = build_schedule(config.schedule, mp.p)
-        passes = config.passes or default_passes(schedule, mp.p, config.epsilon)
+        passes = config.passes or schedule.default_passes(config.epsilon)
         result = multipass_run(oracle, mp, stream, schedule, passes,
                                config.alpha, target_gamma=config.target_gamma)
         for res, cert in zip(result.pass_results, result.certificates):
@@ -205,7 +181,6 @@ def run_experiment(config):
             "gamma_certified_final": result.certificates[-1].gamma_certified,
             "passes": result.passes_run,
             "oracle_calls": oracle.calls,
-            "cache_hits": oracle.cache_hits,
             "peak_storage": result.stored_peak,
         })
 
@@ -213,29 +188,17 @@ def run_experiment(config):
         if config.epsilon is None:
             raise ConfigError("the randomized driver needs an epsilon")
         columns = RANDOMIZED_TRACE_COLUMNS
-
-        def one_replicate(rep):
-            oracle = inst.build_oracle()
-            mp = inst.build_matchoid()
-            run = multipass_randomized(
-                oracle, mp, stream, config.epsilon, config.passes,
-                seed=config.seed ^ rep, offline_mode=config.offline)
-            return run, oracle.calls, oracle.cache_hits
-
-        workers = min(thread_count(), config.replicates)
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(one_replicate, range(config.replicates)))
-        else:
-            outcomes = [one_replicate(rep) for rep in range(config.replicates)]
-
         f_bars = []
-        total_calls = total_hits = 0
+        total_calls = 0
         peak_storage = 0
-        for run, calls, hits in outcomes:
+        for rep in range(config.replicates):
+            oracle = inst.build_oracle()
+            run = multipass_randomized(
+                oracle, inst.build_matchoid(), stream, config.epsilon,
+                config.passes, seed=config.seed ^ rep,
+                offline_mode=config.offline)
             f_bars.append(run.f_solution)
-            total_calls += calls
-            total_hits += hits
+            total_calls += oracle.calls
             peak_storage = max(peak_storage, run.space_peak)
             for copy in run.copies:
                 for row in copy.pass_rows:
@@ -243,7 +206,7 @@ def run_experiment(config):
                     out.update(row)
                     rows.append(out)
         mean = sum(f_bars) / len(f_bars)
-        last = outcomes[-1][0]
+        last = run
         summary.update({
             "f_final": f_bars[0],
             "f_bar_mean": mean,
@@ -258,7 +221,6 @@ def run_experiment(config):
             "gamma_off": last.gamma_off,
             "space_bound": last.space_bound,
             "oracle_calls": total_calls,
-            "cache_hits": total_hits,
             "peak_storage": peak_storage,
         })
 
@@ -271,7 +233,6 @@ def run_experiment(config):
             "solution": sorted(chosen),
             "gamma_certified_final": None,
             "oracle_calls": oracle.calls,
-            "cache_hits": oracle.cache_hits,
             "peak_storage": len(chosen),
         })
 
@@ -284,7 +245,6 @@ def run_experiment(config):
             "solution": sorted(exact.opt_set),
             "gamma_certified_final": 1.0,
             "oracle_calls": oracle.calls,
-            "cache_hits": oracle.cache_hits,
             "peak_storage": len(exact.opt_set),
             "subsets_examined": exact.subsets_examined,
         })

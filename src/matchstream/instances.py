@@ -62,22 +62,20 @@ class Instance:
         except KeyError as exc:
             raise ConfigError(f"{path or 'instance'}: missing field {exc}") from exc
 
-    def build_oracle(self, memoize=False):
+    def build_oracle(self):
         """Fresh oracle (own call counters) for this instance."""
         obj = self.objective
         kind = obj.get("kind")
         if kind == "weighted-coverage":
             oracle = CoverageOracle(obj["sets"], obj["item_weights"],
-                                    monotone=self.monotone, memoize=memoize)
+                                    monotone=self.monotone)
         elif kind == "directed-cut":
             oracle = DirectedCutOracle(self.n, obj["arcs"],
-                                       monotone=self.monotone, memoize=memoize)
+                                       monotone=self.monotone)
         elif kind == "modular":
-            oracle = ModularOracle(obj["weights"], monotone=self.monotone,
-                                   memoize=memoize)
+            oracle = ModularOracle(obj["weights"], monotone=self.monotone)
         elif kind == "custom-table":
-            oracle = TableOracle(self.n, obj["table"], monotone=self.monotone,
-                                 memoize=memoize)
+            oracle = TableOracle(self.n, obj["table"], monotone=self.monotone)
         else:
             raise ConfigError(f"{self.path or 'instance'}: unknown objective kind {kind!r}")
         if len(oracle.ground) != self.n:

@@ -196,11 +196,6 @@ class PMatchoid:
         return all(m.independent(a) for m in self.matroids)
 
 
-def matchoid_feasible(mp, subset):
-    """True iff the subset is independent in every constituent matroid."""
-    return mp.feasible(subset)
-
-
 def compute_rank(mp):
     """Exact maximum feasible-set size by branch and bound.
 

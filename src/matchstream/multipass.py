@@ -22,20 +22,22 @@ early once it reaches a target.
 """
 
 import math
+from itertools import count
 from random import Random
 
-from .errors import PreconditionError
+from .errors import ConfigError, PreconditionError
 from .streaming import SolutionState, streaming_pass
 
-# Substitute step when the recurrence would go non-positive (only possible
-# when the incoming factor is already below p + 1); extra passes can then
-# only improve the solution, so the factor is frozen.
+# Substitute step when the recurrence would go non-positive, which needs a
+# previous factor at or below p + 1; extra passes can then only improve
+# the solution. Schedule.steps never reaches it.
 BETA_MIN = 1e-3
 
 
 class Schedule:
     """Per-pass beta assignment; ``p`` must match the constraint for the
-    recurrence kind."""
+    recurrence kind. ``steps`` is the one place that steps a schedule
+    from pass to pass."""
 
     __slots__ = ("kind", "p", "beta", "betas")
 
@@ -66,6 +68,27 @@ class Schedule:
     @staticmethod
     def custom(betas, p=1):
         return Schedule("custom", p=p, betas=betas)
+
+    def steps(self):
+        """Yield (beta_i, worst_case_gamma(self, i)) for passes i = 1, 2, ...
+
+        The recurrence's factor starts at g_1 = 4p. The map
+        g -> 4p g(g - 1) / (g - 1 + p)^2 is increasing and fixes p + 1, so
+        g stays above p + 1 and beta_i stays positive.
+        """
+        gamma = None
+        for i in count(1):
+            yield schedule_beta(self, i, gamma), worst_case_gamma(self, i)
+            gamma = 4.0 * self.p if i == 1 else gamma_recurrence_step(self.p, gamma)
+
+    def default_passes(self, epsilon):
+        """Pass budget reaching the convergence target: ceil(2/eps) for the
+        harmonic schedule, ceil(4p/eps) otherwise."""
+        if epsilon is None or epsilon <= 0:
+            raise ConfigError("an epsilon > 0 is needed to choose a pass count")
+        if self.kind == "matroid-harmonic":
+            return math.ceil(2.0 / epsilon)
+        return math.ceil(4.0 * self.p / epsilon)
 
 
 def gamma_recurrence_step(p, gamma_prev):
@@ -180,14 +203,12 @@ def multipass_run(oracle, mp, stream, schedule, passes, alpha=0.0, *,
     state = SolutionState.empty(oracle, alpha, 1.0)
     slack = mp.rank_k * alpha
     p = mp.p
-    gamma_theory = None
     gamma_cert = math.inf
     pass_results = []
     certificates = []
     stored_peak = 0
 
-    for i in range(1, passes + 1):
-        beta_i = schedule_beta(schedule, i, gamma_theory)
+    for i, (beta_i, _) in zip(range(1, passes + 1), schedule.steps()):
         if rng is not None:
             rng.shuffle(order)
         res = streaming_pass(oracle, mp, order, state, alpha, beta_i,
@@ -203,11 +224,6 @@ def multipass_run(oracle, mp, stream, schedule, passes, alpha=0.0, *,
         certificates.append(
             GuaranteeCertificate(i, beta_i, delta, gamma_cert, slack))
         pass_results.append(res)
-        if i == 1:
-            gamma_theory = 4.0 * p
-        elif gamma_theory > p + 1.0:
-            gamma_theory = gamma_recurrence_step(p, gamma_theory)
-        # at or below p+1 the factor is frozen (the clamp case)
         if target_gamma is not None and gamma_cert <= target_gamma:
             break
 

@@ -2,8 +2,7 @@
 
 Every objective evaluates f over subsets of a fixed ground set of integer
 element ids. ``value`` is the metered entry point: it increments the call
-counter by exactly one per invocation, whether or not an optional
-memoization layer answers from cache. ``marginal`` costs at most two
+counter by exactly one per invocation. ``marginal`` costs at most two
 counted evaluations. ``peek`` evaluates without counting and exists only
 for diagnostics and invariant checks, so that debug runs report the same
 oracle-call totals as plain runs.
@@ -15,12 +14,11 @@ and ``add(x)`` puts x into A and returns the new f(A). The metering is
 that of the ``value`` calls they stand for: ``running`` counts one call
 (``value(A)``), ``value_with`` one (``value(A | {x})``) and ``add`` one
 (``value`` of the grown set); ``add(x, meter=False)`` counts none, for a
-caller that has already paid for f(A + x). Cache hits are not counted on
-this path. The base evaluator re-evaluates through ``_evaluate``, so
-every subclass supports it unchanged; a subclass with cheaper per-set
-statistics overrides ``_running(members)`` to return its own
-``RunningValue`` subclass, implementing ``_start``, ``_with``, ``_grow``
-and ``copy``.
+caller that has already paid for f(A + x). The base evaluator
+re-evaluates through ``_evaluate``, so every subclass supports it
+unchanged; a subclass with cheaper per-set statistics overrides
+``_running(members)`` to return its own ``RunningValue`` subclass,
+implementing ``_start``, ``_with``, ``_grow`` and ``copy``.
 """
 
 import math
@@ -38,29 +36,22 @@ class SubmodularOracle:
 
     kind = "custom"
 
-    def __init__(self, ground, monotone=False, memoize=False):
+    def __init__(self, ground, monotone=False):
         self.ground = frozenset(int(e) for e in ground)
         if any(e < 0 for e in self.ground):
             raise DomainError("element ids must be non-negative integers")
         self.monotone = bool(monotone)
         self._lock = threading.Lock()
         self._calls = 0
-        self._cache_hits = 0
-        self._cache = {} if memoize else None
 
     @property
     def calls(self):
-        """Count of metered evaluations (cache hits included)."""
+        """Count of metered evaluations."""
         return self._calls
-
-    @property
-    def cache_hits(self):
-        return self._cache_hits
 
     def reset_counters(self):
         with self._lock:
             self._calls = 0
-            self._cache_hits = 0
 
     def _count(self):
         with self._lock:
@@ -78,15 +69,6 @@ class SubmodularOracle:
         """f(subset); one counted oracle call."""
         a = self._check_subset(subset)
         self._count()
-        if self._cache is not None:
-            hit = self._cache.get(a)
-            if hit is not None:
-                with self._lock:
-                    self._cache_hits += 1
-                return hit
-            out = self._evaluate(a)
-            self._cache[a] = out
-            return out
         return self._evaluate(a)
 
     def marginal(self, e, subset):
@@ -187,7 +169,7 @@ class CoverageOracle(SubmodularOracle):
 
     kind = "weighted-coverage"
 
-    def __init__(self, sets, item_weights, monotone=True, memoize=False):
+    def __init__(self, sets, item_weights, monotone=True):
         self._sets = [frozenset(int(i) for i in s) for s in sets]
         self._weights = _finite(item_weights, "item weights")
         if any(i < 0 for s in self._sets for i in s):
@@ -195,7 +177,7 @@ class CoverageOracle(SubmodularOracle):
         top = max((i for s in self._sets for i in s), default=-1)
         if top >= len(self._weights):
             raise DomainError(f"item {top} has no weight entry")
-        super().__init__(range(len(self._sets)), monotone=monotone, memoize=memoize)
+        super().__init__(range(len(self._sets)), monotone=monotone)
 
     def _evaluate(self, subset):
         covered = set()
@@ -245,7 +227,7 @@ class DirectedCutOracle(SubmodularOracle):
 
     kind = "directed-cut"
 
-    def __init__(self, n, arcs, monotone=False, memoize=False):
+    def __init__(self, n, arcs, monotone=False):
         n = int(n)
         self._out = {u: [] for u in range(n)}
         for u, v, w in arcs:
@@ -257,7 +239,7 @@ class DirectedCutOracle(SubmodularOracle):
             if not 0.0 <= w < math.inf:
                 raise DomainError("arc weights must be finite and non-negative")
             self._out[u].append((v, w))
-        super().__init__(range(n), monotone=monotone, memoize=memoize)
+        super().__init__(range(n), monotone=monotone)
 
     def _evaluate(self, subset):
         total = 0.0
@@ -317,9 +299,9 @@ class ModularOracle(SubmodularOracle):
 
     kind = "modular"
 
-    def __init__(self, weights, monotone=True, memoize=False):
+    def __init__(self, weights, monotone=True):
         self._weights = _finite(weights, "modular weights")
-        super().__init__(range(len(self._weights)), monotone=monotone, memoize=memoize)
+        super().__init__(range(len(self._weights)), monotone=monotone)
 
     def _evaluate(self, subset):
         return float(sum(self._weights[e] for e in subset))
@@ -347,14 +329,14 @@ class TableOracle(SubmodularOracle):
     kind = "custom-table"
     MAX_N = 20
 
-    def __init__(self, n, table, monotone=False, memoize=False):
+    def __init__(self, n, table, monotone=False):
         n = int(n)
         if n > self.MAX_N:
             raise SizeError(f"table oracles are capped at n={self.MAX_N}")
         if len(table) != 1 << n:
             raise DomainError(f"table must have {1 << n} entries, got {len(table)}")
         self._table = _finite(table, "table values")
-        super().__init__(range(n), monotone=monotone, memoize=memoize)
+        super().__init__(range(n), monotone=monotone)
 
     def _evaluate(self, subset):
         mask = 0

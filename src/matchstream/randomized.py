@@ -1,11 +1,13 @@
 """Randomized buffered local search for non-negative objectives.
 
-Arrivals that clear the exchange threshold wait in a bounded buffer
-instead of entering the solution directly. When the buffer fills, one
-element is drawn uniformly at random, exchanged into the solution, and
-the remaining buffered elements are re-screened against the updated
-solution. Whatever survives in the buffer at the end of the pass feeds an
-offline solver, whose best output so far is tracked as a second candidate
+A pass is the streaming pass (``streaming.PassRunner``) with the
+buffered selection policy. Arrivals that clear the exchange threshold
+wait in a bounded buffer instead of entering the solution directly. When
+the buffer fills, one element is drawn uniformly at random, exchanged
+into the solution, and the remaining buffered elements are re-screened
+against the updated solution; a buffer of one is the immediate policy.
+Whatever survives in the buffer at the end of the pass feeds an offline
+solver, whose best output so far is tracked as a second candidate
 solution; the run returns the better of the streaming and offline
 solutions.
 
@@ -22,10 +24,8 @@ from random import Random
 from .baselines import max_feasible_subset
 from .errors import ConfigError, PreconditionError, SizeError
 from .matchoids import exchange_set
-from .multipass import (Schedule, gamma_recurrence_step, schedule_beta,
-                        worst_case_gamma)
-from .streaming import (PassResult, SolutionState, streaming_pass,
-                        validate_stream, _check_accept, _check_element)
+from .multipass import Schedule
+from .streaming import PassRunner, streaming_pass, validate_stream
 
 OFFLINE_EXACT_LIMIT = 22
 
@@ -83,25 +83,17 @@ def guess_grid(oracle, stream, rank_k):
     return GuessGrid(tau, lambdas)
 
 
-class _BufferEntry:
-    """Cached threshold data for a buffered element, stamped with the
-    solution version it was computed against."""
-
-    __slots__ = ("gain", "cx", "version")
-
-    def __init__(self, gain, cx, version):
-        self.gain = gain
-        self.cx = cx
-        self.version = version
-
-
-class RandomizedPassRunner:
-    """Element-at-a-time driver for one randomized buffered pass.
+class RandomizedPassRunner(PassRunner):
+    """One randomized buffered pass, fed one element at a time.
 
     Feeding elements one by one lets several guess copies share a single
-    physical pass over the stream. The solution is only mutated on a
-    buffer selection, and every selection immediately re-screens the
-    buffer, so cached threshold data is always current at selection time.
+    physical pass over the stream. Only the selection policy differs from
+    ``PassRunner``: an arrival that clears the threshold waits in a
+    bounded buffer with its gain and eviction set. When the buffer fills,
+    one member is drawn uniformly at random and exchanged in, and every
+    other member is re-screened against the new solution. The solution
+    changes only at a draw, so the cached threshold data is current at
+    every draw. ``finish`` solves offline over what is left in the buffer.
     """
 
     def __init__(self, oracle, mp, s_init, alpha, beta, m, rng, *, debug=False):
@@ -109,90 +101,37 @@ class RandomizedPassRunner:
             raise ConfigError("a seeded random generator is required")
         if m < 1:
             raise PreconditionError("buffer capacity must be at least 1")
-        if alpha < 0 or beta < 0:
-            raise PreconditionError("alpha and beta must be non-negative")
-        self.oracle = oracle
-        self.mp = mp
-        self._calls_before = oracle.calls
-        if s_init is None:
-            self.state = SolutionState.empty(oracle, alpha, beta)
-        else:
-            if not mp.feasible(s_init.members):
-                raise PreconditionError("initial solution is infeasible")
-            self.state = s_init.copy_for_pass(alpha, beta)
-        self.alpha = alpha
-        self.beta = beta
+        calls_before = oracle.calls
+        super().__init__(oracle, mp, s_init, alpha, beta, debug=debug)
+        # the pass's call count includes building its empty start
+        self.calls_before = calls_before
         self.m = m
         self.rng = rng
-        self.debug = debug
-        self.init_ids = frozenset(self.state.members)
         self.buffer = BufferState([], m)
         self._entries = {}
-        self.accepted = set(self.init_ids)
-        self.evicted = {}
-        self.f_init = self.state.f_s
-        self.accept_count = 0
-        self.reject_count = 0
-        self.discard_count = 0
         self.buffer_drops = 0
-        self.stored_current = len(self.init_ids)
-        self.stored_peak = self.stored_current
-        self._finished = False
 
-    def _threshold(self, x):
-        cx = exchange_set(self.mp, x, self.state)
-        gain = self.state.running(self.oracle).value_with(x) - self.state.f_s
-        bar = self.alpha + (1.0 + self.beta) * math.fsum(self.state.nu[c] for c in cx)
-        return gain >= bar, gain, frozenset(cx)
+    @property
+    def waiting(self):
+        return self.buffer.members
 
-    def _threshold_peek(self, x):
-        cx = exchange_set(self.mp, x, self.state)
-        gain = self.oracle.peek(self.state.members | {x}) - self.state.f_s
-        bar = self.alpha + (1.0 + self.beta) * math.fsum(self.state.nu[c] for c in cx)
-        return gain >= bar
-
-    def _note_storage(self, extra=None):
-        live = self.init_ids | self.state.members | set(self.buffer.members)
-        size = len(live) + (1 if extra is not None and extra not in live else 0)
-        self.stored_current = size
-        self.stored_peak = max(self.stored_peak, size)
-
-    def process(self, x):
-        if self._finished:
-            raise PreconditionError("runner already finished")
-        self._note_storage(x)
-        if x in self.init_ids:
-            self.discard_count += 1
-            return
-        ok, gain, cx = self._threshold(x)
-        if not ok:
-            self.reject_count += 1
-            return
+    def _admit(self, x, gain, cx):
         self.buffer.members.append(x)
-        self._entries[x] = _BufferEntry(gain, cx, self.accept_count)
+        self._entries[x] = (gain, cx)
         self.buffer.peak = max(self.buffer.peak, len(self.buffer.members))
         if len(self.buffer.members) == self.m:
             self._select_and_sweep()
-        self._note_storage()
+        self._note_storage(False)
 
     def _select_and_sweep(self):
         x = self.buffer.draw(self.rng)
-        entry = self._entries.pop(x)
-        nu_before = dict(self.state.nu) if self.debug else None
-        chi = self.state.accept(x, set(entry.cx), self.oracle,
-                                gain_hint=entry.gain)
-        self.evicted.update(chi)
-        self.accepted.add(x)
-        self.accept_count += 1
-        if self.debug:
-            _check_accept(self.state, self.oracle, nu_before, entry.cx)
-            _check_element(self.state, self.oracle, self.mp)
-        before_sweep = list(self.buffer.members)
+        self._accept(x, *self._entries.pop(x))
+        before_sweep = self.buffer.members
         survivors = []
         for y in before_sweep:
             ok, gain, cx = self._threshold(y)
             if ok:
-                self._entries[y] = _BufferEntry(gain, cx, self.accept_count)
+                self._entries[y] = (gain, cx)
                 survivors.append(y)
             else:
                 del self._entries[y]
@@ -204,26 +143,23 @@ class RandomizedPassRunner:
             if replay != set(survivors):
                 raise AssertionError("sweep outcome depended on iteration order")
 
-    def finish(self, offline_mode="exact", offline_passes=None):
+    def _threshold_peek(self, x):
+        """The threshold test again, with f(x | S) evaluated from scratch."""
+        cx = exchange_set(self.mp, x, self.state)
+        gain = self.oracle.peek(self.state.members | {x}) - self.state.f_s
+        return gain >= self._bar(cx)
+
+    def finish(self, offline_mode="exact"):
         """Close the pass: solve offline over the residual buffer and
         package the usual pass accounting."""
         if self._finished:
             raise PreconditionError("runner already finished")
-        self._finished = True
         s_prime = offline_solve(self.oracle, self.mp, self.buffer.members,
-                                mode=offline_mode, passes=offline_passes)
+                                mode=offline_mode)
         f_s_prime = self.oracle.value(s_prime)
-        self._note_storage()
-        result = PassResult(
-            state=self.state, accepted=self.accepted, evicted=self.evicted,
-            f_final=self.state.f_s, f_init=self.f_init,
-            accept_count=self.accept_count, reject_count=self.reject_count,
-            discard_count=self.discard_count,
-            oracle_calls=self.oracle.calls - self._calls_before,
-            stored_peak=self.stored_peak, alpha=self.alpha, beta=self.beta,
-        )
         return RandomizedPassResult(self.state, frozenset(s_prime), f_s_prime,
-                                    result, self.buffer, self.buffer_drops)
+                                    super().finish(), self.buffer,
+                                    self.buffer_drops)
 
 
 class RandomizedPassResult:
@@ -240,21 +176,21 @@ class RandomizedPassResult:
 
 
 def randomized_pass(oracle, mp, stream, s_init, alpha, beta, m, rng, *,
-                    offline_mode="exact", offline_passes=None, debug=False):
+                    offline_mode="exact", debug=False):
     """Run one randomized buffered pass over a full stream."""
     order = validate_stream(stream, oracle.ground, require_full=True)
     runner = RandomizedPassRunner(oracle, mp, s_init, alpha, beta, m, rng,
                                   debug=debug)
     for x in order:
         runner.process(x)
-    return runner.finish(offline_mode, offline_passes)
+    return runner.finish(offline_mode)
 
 
-def offline_solve(oracle, mp, candidates, mode="exact", *, passes=None):
+def offline_solve(oracle, mp, candidates, mode="exact"):
     """Best feasible subset of the candidate pool.
 
     ``exact`` enumerates with branch-and-bound (pool capped at 22
-    elements). ``heuristic`` chains streaming passes over the pool in
+    elements). ``heuristic`` chains 2p streaming passes over the pool in
     ascending-id order with the harmonic step sizes; the objective value
     never decreases across those passes, so the last solution is the best
     one found.
@@ -267,9 +203,8 @@ def offline_solve(oracle, mp, candidates, mode="exact", *, passes=None):
             )
         return max_feasible_subset(oracle, mp, pool).opt_set
     if mode == "heuristic":
-        rounds = passes if passes is not None else 2 * mp.p
         state = None
-        for i in range(1, max(1, rounds) + 1):
+        for i in range(1, 2 * mp.p + 1):
             res = streaming_pass(oracle, mp, pool, state, 0.0, 1.0 / i,
                                  require_full_stream=False)
             state = res.state
@@ -340,8 +275,8 @@ class RandomizedRunResult:
 
 
 def multipass_randomized(oracle, mp, stream, epsilon, passes=None, seed=0, *,
-                         offline_mode="exact", offline_passes=None,
-                         heuristic_gamma_off=None, schedule=None, debug=False):
+                         offline_mode="exact", heuristic_gamma_off=None,
+                         debug=False):
     """Full randomized driver for a non-negative objective.
 
     One copy runs per guess lambda with alpha = eps' * lambda / (2k) and
@@ -362,14 +297,9 @@ def multipass_randomized(oracle, mp, stream, epsilon, passes=None, seed=0, *,
     p = mp.p
     k = mp.rank_k
     eps_prime = epsilon / p
-    if schedule is None:
-        schedule = (Schedule.matroid_harmonic() if len(mp.matroids) <= 1
-                    else Schedule.matchoid_recurrence(p))
-    if passes is None:
-        d = (math.ceil(2.0 / epsilon) if schedule.kind == "matroid-harmonic"
-             else math.ceil(4.0 * p / epsilon))
-    else:
-        d = int(passes)
+    schedule = (Schedule.matroid_harmonic() if len(mp.matroids) <= 1
+                else Schedule.matchoid_recurrence(p))
+    d = schedule.default_passes(epsilon) if passes is None else int(passes)
     if d < 1:
         raise PreconditionError("at least one pass is required")
     m = max(1, math.ceil(4.0 * d * k / eps_prime ** 2))
@@ -380,10 +310,8 @@ def multipass_randomized(oracle, mp, stream, epsilon, passes=None, seed=0, *,
         alpha = eps_prime * lam / (2.0 * k) if (lam > 0.0 and k > 0) else 0.0
         copies.append(_GuessCopy(lam, alpha, seed ^ idx))
 
-    gamma_theory = None
     space_peak = 0
-    for i in range(1, d + 1):
-        beta_i = schedule_beta(schedule, i, gamma_theory)
+    for i, (beta_i, gamma_i) in zip(range(1, d + 1), schedule.steps()):
         runners = []
         for copy in copies:
             before = oracle.calls
@@ -402,7 +330,7 @@ def multipass_randomized(oracle, mp, stream, epsilon, passes=None, seed=0, *,
             space_peak = max(space_peak, total_stored)
         for copy, runner in zip(copies, runners):
             before = oracle.calls
-            fin = runner.finish(offline_mode, offline_passes)
+            fin = runner.finish(offline_mode)
             copy.calls += oracle.calls - before
             copy.state = fin.state
             copy.pass_results.append(fin.result)
@@ -419,7 +347,7 @@ def multipass_randomized(oracle, mp, stream, epsilon, passes=None, seed=0, *,
                 "beta": beta_i,
                 "f_S": f_final,
                 "delta": delta,
-                "gamma_certified": worst_case_gamma(schedule, i),
+                "gamma_certified": gamma_i,
                 "accepts": fin.result.accept_count,
                 "evictions": len(fin.result.evicted),
                 "oracle_calls": copy.calls - pass_calls_start[id(copy)],
@@ -432,8 +360,6 @@ def multipass_randomized(oracle, mp, stream, epsilon, passes=None, seed=0, *,
                 "seed": copy.seed,
             })
             pass_calls_start[id(copy)] = copy.calls
-        gamma_theory = (4.0 * p if i == 1
-                        else gamma_recurrence_step(p, gamma_theory))
 
     copy_results = []
     best = None

@@ -7,12 +7,18 @@ the whole multi-pass run: elements kept from the initial solution keep
 their old positions and precede everything newly accepted, so the cached
 nu values stay exact across passes.
 
-A non-initial arrival x is exchanged into S whenever
+A non-initial arrival x clears the threshold whenever
 
     f(x | S) >= alpha + (1 + beta) * sum of nu over its eviction set,
 
 with the comparison made exactly (no tolerance). Evicted elements record
 their incremental value at the moment of removal.
+
+One runner, ``PassRunner``, drives every pass element by element; only
+its selection policy varies. Under the immediate policy (this module's
+``streaming_pass``) an arrival that clears the threshold is exchanged in
+at once. Under the buffered policy (``randomized.RandomizedPassRunner``)
+it waits in a bounded buffer until a random draw selects it.
 """
 
 import json
@@ -190,68 +196,133 @@ def validate_stream(stream, ground, require_full=True):
     return order
 
 
+class PassRunner:
+    """Element-at-a-time driver for one pass, with the immediate policy.
+
+    The runner owns what every pass does per arrival: arrivals that are
+    already in the initial solution are discarded, every other arrival x
+    meets the exchange threshold, and the runner keeps the storage count,
+    the pass counters, the trace records and the debug checks. Only the
+    selection policy for an arrival that clears the threshold varies.
+    This class exchanges it in at once: a buffer of one whose only member
+    is drawn as soon as it arrives. ``randomized.RandomizedPassRunner``
+    holds it in a bounded buffer and draws at random instead.
+
+    ``trace`` collects one record per processed element. With ``debug``
+    the solution invariants are re-derived from the oracle after every
+    processed element (uncounted evaluations).
+    """
+
+    # admitted arrivals still waiting for selection
+    waiting = ()
+
+    def __init__(self, oracle, mp, s_init, alpha, beta, *, debug=False,
+                 trace=None):
+        if alpha < 0 or beta < 0:
+            raise PreconditionError("alpha and beta must be non-negative")
+        if s_init is None:
+            self.state = SolutionState.empty(oracle, alpha, beta)
+        else:
+            if not mp.feasible(s_init.members):
+                raise PreconditionError("initial solution is infeasible")
+            self.state = s_init.copy_for_pass(alpha, beta)
+        self.oracle = oracle
+        self.mp = mp
+        self.alpha = alpha
+        self.beta = beta
+        self.debug = debug
+        self.trace = trace
+        self.calls_before = oracle.calls
+        self.init_ids = frozenset(self.state.members)
+        self.accepted = set(self.init_ids)
+        self.evicted = {}
+        self.f_init = self.state.f_s
+        self.accept_count = self.reject_count = self.discard_count = 0
+        self.stored_current = self.stored_peak = len(self.init_ids)
+        self._finished = False
+
+    def process(self, x):
+        """Discard, reject or admit one arrival."""
+        if self._finished:
+            raise PreconditionError("runner already finished")
+        state = self.state
+        self._note_storage(x not in self.init_ids)
+        if x in self.init_ids:
+            self.discard_count += 1
+            _trace_write(self.trace, x, "discard", (), state)
+        else:
+            ok, gain, cx = self._threshold(x)
+            if ok:
+                self._admit(x, gain, cx)
+            else:
+                self.reject_count += 1
+                _trace_write(self.trace, x, "reject", cx, state)
+        if self.debug:
+            _check_element(state, self.oracle, self.mp)
+
+    def finish(self):
+        """Close the pass and package its accounting."""
+        if self._finished:
+            raise PreconditionError("runner already finished")
+        self._finished = True
+        return PassResult(
+            state=self.state, accepted=self.accepted, evicted=self.evicted,
+            f_final=self.state.f_s, f_init=self.f_init,
+            accept_count=self.accept_count, reject_count=self.reject_count,
+            discard_count=self.discard_count,
+            oracle_calls=self.oracle.calls - self.calls_before,
+            stored_peak=self.stored_peak, alpha=self.alpha, beta=self.beta,
+        )
+
+    def _threshold(self, x):
+        """(cleared, f(x | S), C_x) for x against the current solution."""
+        state = self.state
+        cx = exchange_set(self.mp, x, state)
+        gain = state.running(self.oracle).value_with(x) - state.f_s
+        return gain >= self._bar(cx), gain, cx
+
+    def _bar(self, cx):
+        """The bar f(x | S) must reach: alpha + (1 + beta) * sum of nu
+        over C_x."""
+        return self.alpha + (1.0 + self.beta) * math.fsum(self.state.nu[c] for c in cx)
+
+    def _admit(self, x, gain, cx):
+        """Selection policy for an arrival that cleared the threshold."""
+        self._accept(x, gain, cx)
+
+    def _accept(self, x, gain, cx):
+        """S <- S - C_x + x, where ``gain`` is the current f(x | S)."""
+        state = self.state
+        nu_before = dict(state.nu) if self.debug else None
+        self.evicted.update(state.accept(x, cx, self.oracle, gain_hint=gain))
+        self.accepted.add(x)
+        self.accept_count += 1
+        _trace_write(self.trace, x, "accept", cx, state)
+        if self.debug:
+            _check_accept(state, self.oracle, nu_before, cx)
+
+    def _note_storage(self, arriving):
+        """Count the elements held: the initial solution and S, the waiting
+        arrivals, and the arrival in hand when ``arriving``. A validated
+        stream never repeats an element, so the last two lie outside the
+        first."""
+        size = (len(self.init_ids | self.state.members) + len(self.waiting)
+                + arriving)
+        self.stored_current = size
+        if size > self.stored_peak:
+            self.stored_peak = size
+
+
 def streaming_pass(oracle, mp, stream, s_init=None, alpha=0.0, beta=1.0, *,
                    debug=False, trace=None, require_full_stream=True):
-    """Process one pass of the stream against an optional initial solution.
-
-    Arrivals already in the initial solution are discarded. Every other
-    arrival is tested against the exchange threshold; accepted elements
-    displace their eviction set. With ``debug`` the solution invariants
-    are re-derived from the oracle after every processed element (uncounted
-    evaluations). ``trace`` collects one record per processed element.
-    """
-    if alpha < 0 or beta < 0:
-        raise PreconditionError("alpha and beta must be non-negative")
+    """Process one pass of the stream against an optional initial solution
+    with the immediate policy (see ``PassRunner``)."""
     order = validate_stream(stream, oracle.ground, require_full_stream)
-    if s_init is None:
-        state = SolutionState.empty(oracle, alpha, beta)
-    else:
-        if not mp.feasible(s_init.members):
-            raise PreconditionError("initial solution is infeasible")
-        state = s_init.copy_for_pass(alpha, beta)
-    init_ids = frozenset(state.members)
-    accepted = set(init_ids)
-    evicted = {}
-    f_init = state.f_s
-    calls_before = oracle.calls
-    accept_count = reject_count = discard_count = 0
-    stored_peak = len(init_ids | state.members)
-
+    runner = PassRunner(oracle, mp, s_init, alpha, beta, debug=debug,
+                        trace=trace)
     for x in order:
-        live = init_ids | state.members
-        stored_peak = max(stored_peak, len(live) + (0 if x in live else 1))
-        if x in init_ids:
-            discard_count += 1
-            _trace_write(trace, x, "discard", (), state)
-            if debug:
-                _check_element(state, oracle, mp)
-            continue
-        cx = exchange_set(mp, x, state)
-        gain = state.running(oracle).value_with(x) - state.f_s
-        threshold = alpha + (1.0 + beta) * math.fsum(state.nu[c] for c in cx)
-        if gain >= threshold:
-            nu_before = dict(state.nu) if debug else None
-            chi = state.accept(x, cx, oracle, gain_hint=gain)
-            evicted.update(chi)
-            accepted.add(x)
-            accept_count += 1
-            _trace_write(trace, x, "accept", cx, state)
-            if debug:
-                _check_accept(state, oracle, nu_before, cx)
-                _check_element(state, oracle, mp)
-        else:
-            reject_count += 1
-            _trace_write(trace, x, "reject", cx, state)
-            if debug:
-                _check_element(state, oracle, mp)
-
-    return PassResult(
-        state=state, accepted=accepted, evicted=evicted,
-        f_final=state.f_s, f_init=f_init,
-        accept_count=accept_count, reject_count=reject_count,
-        discard_count=discard_count, oracle_calls=oracle.calls - calls_before,
-        stored_peak=stored_peak, alpha=alpha, beta=beta,
-    )
+        runner.process(x)
+    return runner.finish()
 
 
 def _trace_write(sink, elem, action, cx, state):

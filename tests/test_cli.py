@@ -58,6 +58,7 @@ def test_run_nonmonotone_cli(tmp_path, capsys):
     printed = json.loads(capsys.readouterr().out)
     assert printed["replicates"] == 2
     assert printed["f_bar_mean"] > 0
+    assert printed["f_bar_stddev"] >= 0
 
 
 def test_report_prints_table(tmp_path, capsys):

@@ -32,11 +32,11 @@ def test_config_round_trip():
 
 def test_default_pass_budgets():
     harmonic = ms.Schedule.matroid_harmonic()
-    assert ms.default_passes(harmonic, 1, 0.5) == 4
+    assert harmonic.default_passes(0.5) == 4
     recurrence = ms.Schedule.matchoid_recurrence(2)
-    assert ms.default_passes(recurrence, 2, 0.5) == 16
+    assert recurrence.default_passes(0.5) == 16
     with pytest.raises(ms.ConfigError):
-        ms.default_passes(harmonic, 1, None)
+        harmonic.default_passes(None)
 
 
 def test_build_schedule_tokens():
@@ -87,24 +87,6 @@ def test_trace_is_deterministic_across_reruns(tmp_path):
         ms.run_experiment(config)
         digests.append(_digest(trace))
     assert digests[0] == digests[1]
-
-
-def test_randomized_traces_identical_serial_vs_pool(tmp_path, monkeypatch):
-    instance = _write_instance(tmp_path, family="directed-cut+matroid",
-                               seed=2, n=8, capacity=3)
-    digests = {}
-    for label, threads in (("serial", "1"), ("pool", "4")):
-        monkeypatch.setenv(ms.experiments.THREADS_ENV, threads)
-        trace = str(tmp_path / f"{label}.csv")
-        config = ms.ExperimentConfig(instance=instance,
-                                     algorithm="nonmonotone-randomized",
-                                     epsilon=0.25, passes=2, seed=3,
-                                     replicates=3, trace=trace)
-        summary = ms.run_experiment(config)
-        digests[label] = _digest(trace)
-        assert summary["replicates"] == 3
-        assert "f_bar_mean" in summary and "f_bar_stddev" in summary
-    assert digests["serial"] == digests["pool"]
 
 
 def test_randomized_trace_columns(tmp_path):
@@ -161,12 +143,3 @@ def test_report_aggregates_summaries(tmp_path):
     assert rows[-1]["ratio"] == pytest.approx(
         json.loads(open(summary_path).read())["ratio"])
 
-
-def test_thread_env_validation(monkeypatch):
-    monkeypatch.setenv(ms.experiments.THREADS_ENV, "three")
-    with pytest.raises(ms.ConfigError):
-        ms.experiments.thread_count()
-    monkeypatch.setenv(ms.experiments.THREADS_ENV, "3")
-    assert ms.experiments.thread_count() == 3
-    monkeypatch.delenv(ms.experiments.THREADS_ENV)
-    assert ms.experiments.thread_count() == 1

@@ -60,8 +60,8 @@ def _bipartite_matchoid():
 
 def test_matchoid_feasibility_is_matching_feasibility():
     mp = _bipartite_matchoid()
-    assert ms.matchoid_feasible(mp, {0, 3})        # a perfect matching
-    assert not ms.matchoid_feasible(mp, {0, 1})    # shares u0
+    assert mp.feasible({0, 3})        # a perfect matching
+    assert not mp.feasible({0, 1})    # shares u0
     assert mp.rank_k == 2
 
 

@@ -61,6 +61,64 @@ def test_beta_clamp_when_factor_already_past_target():
     assert ms.schedule_beta(sched, 5, gamma_prev=2.5) == BETA_MIN
 
 
+# (beta_i, worst-case gamma_i) for passes 1..16, recorded from the pass
+# loops of both drivers before the stepping moved into Schedule.steps
+_RECORDED_STEPS = {
+    "harmonic": (
+        [1.0, 0.5, 0.3333333333333333, 0.25, 0.2, 0.16666666666666666,
+         0.14285714285714285, 0.125, 0.1111111111111111, 0.1,
+         0.09090909090909091, 0.08333333333333333, 0.07692307692307693,
+         0.07142857142857142, 0.06666666666666667, 0.0625],
+        [4.0, 3.0, 2.6666666666666665, 2.5, 2.4, 2.3333333333333335,
+         2.2857142857142856, 2.25, 2.2222222222222223, 2.2,
+         2.1818181818181817, 2.1666666666666665, 2.1538461538461537,
+         2.142857142857143, 2.1333333333333333, 2.125],
+    ),
+    "recurrence-p2": (
+        [1.0, 0.5555555555555556, 0.387523629489603, 0.2982787403717098,
+         0.24272330482359708, 0.20474098781563882, 0.17710421226739667,
+         0.1560794639596203, 0.13954043784538261, 0.12618601123996578,
+         0.1151748093025539, 0.10593836331786458, 0.09807862586720878,
+         0.09130848567839032, 0.08541559441968666, 0.08023949306584803],
+        [11.0, 7.0, 5.666666666666666, 5.0, 4.6, 4.333333333333333,
+         4.142857142857142, 4.0, 3.888888888888889, 3.8, 3.7272727272727275,
+         3.6666666666666665, 3.6153846153846154, 3.571428571428571,
+         3.533333333333333, 3.5],
+    ),
+    "recurrence-p3": (
+        [1.0, 0.5714285714285714, 0.40485829959514164, 0.31483152208500076,
+         0.25808932172690163, 0.21892860156985025, 0.19022122756810955,
+         0.1682487956486116, 0.15087627800675277, 0.1367881432955293,
+         0.12512860544722196, 0.11531643392899843, 0.10694276493730284,
+         0.09971147097252879, 0.09340272527412857, 0.08784986232479751],
+        [16.0, 10.0, 8.0, 7.0, 6.4, 6.0, 5.714285714285714, 5.5,
+         5.333333333333333, 5.2, 5.090909090909091, 5.0, 4.923076923076923,
+         4.857142857142857, 4.8, 4.75],
+    ),
+    "fixed:0.25": ([0.25] * 16, [math.inf] * 16),
+    "custom": ([1.0, 0.5, 0.25, 0.125] * 4, [math.inf] * 16),
+}
+
+
+def test_schedule_steps_are_pinned():
+    schedules = {
+        "harmonic": ms.Schedule.matroid_harmonic(),
+        "recurrence-p2": ms.Schedule.matchoid_recurrence(2),
+        "recurrence-p3": ms.Schedule.matchoid_recurrence(3),
+        "fixed:0.25": ms.build_schedule("fixed:0.25", 1),
+        "custom": ms.Schedule.custom([1.0, 0.5, 0.25, 0.125] * 4),
+    }
+    for name, sched in schedules.items():
+        got = list(zip(range(16), sched.steps()))
+        betas, gammas = _RECORDED_STEPS[name]
+        assert [step for _, step in got] == list(zip(betas, gammas)), name
+    # a custom list runs out one pass after its last beta
+    steps = ms.Schedule.custom([1.0, 0.5]).steps()
+    assert [next(steps), next(steps)] == [(1.0, math.inf), (0.5, math.inf)]
+    with pytest.raises(ms.PreconditionError):
+        next(steps)
+
+
 def test_gamma_recurrence_against_rational_oracle():
     for p in (1, 2, 3):
         expected = _fraction_gamma_chain(p, 16)
@@ -90,13 +148,15 @@ def test_worst_case_gamma_closed_forms():
 
 
 def test_recurrence_is_nonincreasing_and_bounded_below():
+    # staying strictly above p + 1 keeps the recurrence's beta positive,
+    # so Schedule.steps needs no clamp on the factor
     for p in range(1, 9):
         g = 4.0 * p
         prev = g
         for i in range(2, 10001):
             g = ms.gamma_recurrence_step(p, g)
             assert g <= prev + 1e-12
-            assert g >= p + 1
+            assert g > p + 1
             prev = g
 
 

@@ -180,17 +180,6 @@ def test_call_counting_contract():
     assert oracle.calls == 0
 
 
-def test_memoization_keeps_raw_counts():
-    plain = _coverage_abc()
-    memo = ms.CoverageOracle([[0, 1], [1, 2], [2]], [1, 1, 1], memoize=True)
-    for oracle in (plain, memo):
-        for _ in range(3):
-            oracle.value({0, 1})
-    assert plain.calls == memo.calls == 3
-    assert plain.cache_hits == 0
-    assert memo.cache_hits == 2
-
-
 def test_counter_tolerates_concurrent_use():
     oracle = _coverage_abc()
 
