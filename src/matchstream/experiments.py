@@ -160,7 +160,8 @@ def run_experiment(config):
         oracle = inst.build_oracle()
         mp = inst.build_matchoid()
         schedule = build_schedule(config.schedule, mp.p)
-        passes = config.passes or schedule.default_passes(config.epsilon)
+        passes = (config.passes if config.passes is not None
+                  else schedule.default_passes(config.epsilon))
         result = multipass_run(oracle, mp, stream, schedule, passes,
                                config.alpha, target_gamma=config.target_gamma)
         for res, cert in zip(result.pass_results, result.certificates):
@@ -187,6 +188,8 @@ def run_experiment(config):
     elif config.algorithm == "nonmonotone-randomized":
         if config.epsilon is None:
             raise ConfigError("the randomized driver needs an epsilon")
+        if config.replicates < 1:
+            raise ConfigError("at least one replicate is required")
         columns = RANDOMIZED_TRACE_COLUMNS
         f_bars = []
         total_calls = 0

@@ -26,7 +26,7 @@ from itertools import count
 from random import Random
 
 from .errors import ConfigError, PreconditionError
-from .streaming import SolutionState, streaming_pass
+from .streaming import streaming_pass
 
 # Substitute step when the recurrence would go non-positive, which needs a
 # previous factor at or below p + 1; extra passes can then only improve
@@ -200,7 +200,7 @@ def multipass_run(oracle, mp, stream, schedule, passes, alpha=0.0, *,
         )
     order = list(stream)
     rng = Random(per_pass_shuffle_seed) if per_pass_shuffle_seed is not None else None
-    state = SolutionState.empty(oracle, alpha, 1.0)
+    state = None  # the first pass starts from the empty solution
     slack = mp.rank_k * alpha
     p = mp.p
     gamma_cert = math.inf

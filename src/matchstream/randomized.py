@@ -15,7 +15,10 @@ The additive threshold alpha needs a bracket on the unknown optimum
 value. A dedicated first pass finds the best singleton tau, and one copy
 of the algorithm runs for every power of two in [tau, k*tau]; some copy's
 guess is within a factor two of the optimum. The copies share each
-physical pass over the stream.
+physical pass over the stream. Each copy keeps one record, a
+``LambdaCopyResult``, that the driver fills pass by pass; each pass's
+runner meters its own oracle calls, so a copy's counts are its own even
+though the copies share one oracle.
 """
 
 import math
@@ -33,11 +36,10 @@ OFFLINE_EXACT_LIMIT = 22
 class BufferState:
     """Bounded candidate pool; members stay in stream-arrival order."""
 
-    __slots__ = ("members", "m", "peak")
+    __slots__ = ("members", "peak")
 
-    def __init__(self, members, m, peak=0):
+    def __init__(self, members, peak=0):
         self.members = list(members)
-        self.m = int(m)
         self.peak = max(peak, len(self.members))
 
     def draw(self, rng):
@@ -101,13 +103,10 @@ class RandomizedPassRunner(PassRunner):
             raise ConfigError("a seeded random generator is required")
         if m < 1:
             raise PreconditionError("buffer capacity must be at least 1")
-        calls_before = oracle.calls
         super().__init__(oracle, mp, s_init, alpha, beta, debug=debug)
-        # the pass's call count includes building its empty start
-        self.calls_before = calls_before
         self.m = m
         self.rng = rng
-        self.buffer = BufferState([], m)
+        self.buffer = BufferState([])
         self._entries = {}
         self.buffer_drops = 0
 
@@ -151,12 +150,15 @@ class RandomizedPassRunner(PassRunner):
 
     def finish(self, offline_mode="exact"):
         """Close the pass: solve offline over the residual buffer and
-        package the usual pass accounting."""
+        package the usual pass accounting, whose call count includes the
+        offline solve and the evaluation of its solution."""
         if self._finished:
             raise PreconditionError("runner already finished")
+        calls = self.oracle.calls
         s_prime = offline_solve(self.oracle, self.mp, self.buffer.members,
                                 mode=offline_mode)
         f_s_prime = self.oracle.value(s_prime)
+        self.calls += self.oracle.calls - calls
         return RandomizedPassResult(self.state, frozenset(s_prime), f_s_prime,
                                     super().finish(), self.buffer,
                                     self.buffer_drops)
@@ -212,45 +214,73 @@ def offline_solve(oracle, mp, candidates, mode="exact"):
     raise ConfigError(f"unknown offline mode: {mode}")
 
 
-class _GuessCopy:
-    __slots__ = ("lam", "alpha", "seed", "rng", "state", "best_prime_set",
-                 "best_prime_val", "calls", "pass_rows", "pass_results",
-                 "buffer_peak")
-
-    def __init__(self, lam, alpha, seed):
-        self.lam = lam
-        self.alpha = alpha
-        self.seed = seed
-        self.rng = Random(seed)
-        self.state = None
-        self.best_prime_set = frozenset()
-        self.best_prime_val = None
-        self.calls = 0
-        self.pass_rows = []
-        self.pass_results = []
-        self.buffer_peak = 0
-
-
 class LambdaCopyResult:
-    __slots__ = ("lam", "alpha", "m", "seed", "f_s", "f_s_prime", "f_best",
-                 "solution", "s_prime", "pass_rows", "pass_results",
-                 "oracle_calls", "buffer_peak")
+    """One guess copy of the randomized driver: its guess ``lam``, threshold
+    ``alpha``, buffer capacity ``m`` and draw seed, the streaming solution
+    it chains across passes (``state``), its best offline solution
+    (``s_prime``, worth ``f_s_prime``), its largest buffer, and one trace
+    row and one ``PassResult`` per pass. The copy's answer is the better of
+    its two solutions, the streaming one on ties."""
 
-    def __init__(self, lam, alpha, m, seed, f_s, f_s_prime, f_best, solution,
-                 s_prime, pass_rows, pass_results, oracle_calls, buffer_peak):
+    __slots__ = ("lam", "alpha", "m", "seed", "rng", "state", "s_prime",
+                 "f_s_prime", "pass_rows", "pass_results", "buffer_peak")
+
+    def __init__(self, lam, alpha, m, seed):
         self.lam = lam
         self.alpha = alpha
         self.m = m
         self.seed = seed
-        self.f_s = f_s
-        self.f_s_prime = f_s_prime
-        self.f_best = f_best
-        self.solution = solution
-        self.s_prime = s_prime
-        self.pass_rows = pass_rows
-        self.pass_results = pass_results
-        self.oracle_calls = oracle_calls
-        self.buffer_peak = buffer_peak
+        self.rng = Random(seed)
+        self.state = None
+        self.s_prime = frozenset()
+        self.f_s_prime = None
+        self.pass_rows = []
+        self.pass_results = []
+        self.buffer_peak = 0
+
+    @property
+    def f_s(self):
+        return self.state.f_s
+
+    @property
+    def f_best(self):
+        return max(self.f_s, self.f_s_prime)
+
+    @property
+    def solution(self):
+        if self.f_s >= self.f_s_prime:
+            return frozenset(self.state.members)
+        return self.s_prime
+
+    def add_pass(self, i, beta, gamma, fin):
+        """Record finished pass ``i`` (a ``RandomizedPassResult``): chain its
+        solution, keep the better offline solution and append its row."""
+        res = fin.result
+        self.state = fin.state
+        self.pass_results.append(res)
+        self.buffer_peak = max(self.buffer_peak, fin.buffer.peak)
+        if self.f_s_prime is None:
+            self.f_s_prime = fin.state.f_empty
+        if fin.f_s_prime > self.f_s_prime:
+            self.f_s_prime, self.s_prime = fin.f_s_prime, fin.s_prime
+        f_final = res.f_final
+        self.pass_rows.append({
+            "pass": i,
+            "beta": beta,
+            "f_S": f_final,
+            "delta": res.f_init / f_final if f_final > 0.0 else 1.0,
+            "gamma_certified": gamma,
+            "accepts": res.accept_count,
+            "evictions": len(res.evicted),
+            "oracle_calls": res.oracle_calls,
+            "stored_elements": res.stored_peak,
+            "lambda": self.lam,
+            "m": self.m,
+            "buffer_peak": fin.buffer.peak,
+            "f_S_prime": self.f_s_prime,
+            "f_S_bar": max(f_final, self.f_s_prime),
+            "seed": self.seed,
+        })
 
 
 class RandomizedRunResult:
@@ -275,8 +305,7 @@ class RandomizedRunResult:
 
 
 def multipass_randomized(oracle, mp, stream, epsilon, passes=None, seed=0, *,
-                         offline_mode="exact", heuristic_gamma_off=None,
-                         debug=False):
+                         offline_mode="exact", debug=False):
     """Full randomized driver for a non-negative objective.
 
     One copy runs per guess lambda with alpha = eps' * lambda / (2k) and
@@ -284,12 +313,12 @@ def multipass_randomized(oracle, mp, stream, epsilon, passes=None, seed=0, *,
     consume the same physical passes (one element fanned out to each) and
     each chains its streaming solution across passes while keeping its
     best offline solution; the overall answer is the best solution of any
-    copy, streaming solutions preferred on ties.
+    copy (the first such copy), streaming solutions preferred on ties.
 
     The reported ``gamma_off`` is the offline solver's factor: 1 for the
-    exact solver, otherwise the configured ``heuristic_gamma_off`` (by
-    default p + 3, the recurrence schedule's closed form at 2p passes).
-    It is reporting only; nothing in the run depends on it.
+    exact solver and p + 3 for the heuristic, the recurrence schedule's
+    closed form at 2p passes. It is reporting only; nothing in the run
+    depends on it.
     """
     if not 0.0 < epsilon <= 0.5:
         raise PreconditionError("epsilon must lie in (0, 1/2]")
@@ -308,86 +337,26 @@ def multipass_randomized(oracle, mp, stream, epsilon, passes=None, seed=0, *,
     copies = []
     for idx, lam in enumerate(grid.lambdas):
         alpha = eps_prime * lam / (2.0 * k) if (lam > 0.0 and k > 0) else 0.0
-        copies.append(_GuessCopy(lam, alpha, seed ^ idx))
+        copies.append(LambdaCopyResult(lam, alpha, m, seed ^ idx))
 
     space_peak = 0
     for i, (beta_i, gamma_i) in zip(range(1, d + 1), schedule.steps()):
-        runners = []
-        for copy in copies:
-            before = oracle.calls
-            runners.append(RandomizedPassRunner(
-                oracle, mp, copy.state, copy.alpha, beta_i, m, copy.rng,
-                debug=debug))
-            copy.calls += oracle.calls - before
-        pass_calls_start = {id(copy): copy.calls for copy in copies}
+        runners = [RandomizedPassRunner(oracle, mp, copy.state, copy.alpha,
+                                        beta_i, m, copy.rng, debug=debug)
+                   for copy in copies]
         for x in order:
             total_stored = 0
             for copy, runner in zip(copies, runners):
-                before = oracle.calls
                 runner.process(x)
-                copy.calls += oracle.calls - before
-                total_stored += runner.stored_current + len(copy.best_prime_set)
+                total_stored += runner.stored_current + len(copy.s_prime)
             space_peak = max(space_peak, total_stored)
         for copy, runner in zip(copies, runners):
-            before = oracle.calls
-            fin = runner.finish(offline_mode)
-            copy.calls += oracle.calls - before
-            copy.state = fin.state
-            copy.pass_results.append(fin.result)
-            copy.buffer_peak = max(copy.buffer_peak, fin.buffer.peak)
-            if copy.best_prime_val is None:
-                copy.best_prime_val = fin.state.f_empty
-            if fin.f_s_prime > copy.best_prime_val:
-                copy.best_prime_val = fin.f_s_prime
-                copy.best_prime_set = fin.s_prime
-            f_final = fin.result.f_final
-            delta = fin.result.f_init / f_final if f_final > 0.0 else 1.0
-            copy.pass_rows.append({
-                "pass": i,
-                "beta": beta_i,
-                "f_S": f_final,
-                "delta": delta,
-                "gamma_certified": gamma_i,
-                "accepts": fin.result.accept_count,
-                "evictions": len(fin.result.evicted),
-                "oracle_calls": copy.calls - pass_calls_start[id(copy)],
-                "stored_elements": fin.result.stored_peak,
-                "lambda": copy.lam,
-                "m": m,
-                "buffer_peak": fin.buffer.peak,
-                "f_S_prime": copy.best_prime_val,
-                "f_S_bar": max(f_final, copy.best_prime_val),
-                "seed": copy.seed,
-            })
-            pass_calls_start[id(copy)] = copy.calls
+            copy.add_pass(i, beta_i, gamma_i, runner.finish(offline_mode))
 
-    copy_results = []
-    best = None
-    for copy in copies:
-        f_s = copy.state.f_s
-        if f_s >= copy.best_prime_val:
-            f_best, solution = f_s, frozenset(copy.state.members)
-        else:
-            f_best, solution = copy.best_prime_val, copy.best_prime_set
-        out = LambdaCopyResult(
-            lam=copy.lam, alpha=copy.alpha, m=m, seed=copy.seed, f_s=f_s,
-            f_s_prime=copy.best_prime_val, f_best=f_best, solution=solution,
-            s_prime=copy.best_prime_set, pass_rows=copy.pass_rows,
-            pass_results=copy.pass_results, oracle_calls=copy.calls,
-            buffer_peak=copy.buffer_peak,
-        )
-        copy_results.append(out)
-        if best is None or out.f_best > best.f_best:
-            best = out
-
-    if offline_mode == "exact":
-        gamma_off = 1.0
-    else:
-        gamma_off = (heuristic_gamma_off if heuristic_gamma_off is not None
-                     else p + 3.0)
+    best = max(copies, key=lambda copy: copy.f_best)
     return RandomizedRunResult(
-        solution=best.solution, f_solution=best.f_best, copies=copy_results,
+        solution=best.solution, f_solution=best.f_best, copies=copies,
         grid=grid, passes_used=d + 1, space_peak=space_peak,
         space_bound=len(grid.lambdas) * (m + 3 * k), epsilon=epsilon, d=d,
-        m=m, seed=seed, gamma_off=gamma_off,
+        m=m, seed=seed, gamma_off=1.0 if offline_mode == "exact" else p + 3.0,
     )

@@ -18,7 +18,9 @@ One runner, ``PassRunner``, drives every pass element by element; only
 its selection policy varies. Under the immediate policy (this module's
 ``streaming_pass``) an arrival that clears the threshold is exchanged in
 at once. Under the buffered policy (``randomized.RandomizedPassRunner``)
-it waits in a bounded buffer until a random draw selects it.
+it waits in a bounded buffer until a random draw selects it. Each runner
+meters its own oracle calls and debug checks and reports them on its
+``PassResult``.
 """
 
 import json
@@ -28,9 +30,6 @@ from .errors import DomainError, PreconditionError
 from .matchoids import exchange_set
 
 NU_TOL = 1e-9
-
-# counts of invariant checks executed in debug mode, for reporting
-debug_stats = {"element_checks": 0, "accept_checks": 0}
 
 
 class SolutionState:
@@ -44,33 +43,30 @@ class SolutionState:
     without one.
     """
 
-    __slots__ = ("order", "index", "nu", "f_s", "f_empty", "alpha", "beta",
-                 "next_index", "members", "evaluator")
+    __slots__ = ("order", "index", "nu", "f_s", "f_empty", "next_index",
+                 "members", "evaluator")
 
-    def __init__(self, order, index, nu, f_s, f_empty, alpha=0.0, beta=1.0,
-                 next_index=0, evaluator=None):
+    def __init__(self, order, index, nu, f_s, f_empty, next_index=0,
+                 evaluator=None):
         self.order = list(order)
         self.index = dict(index)
         self.nu = dict(nu)
         self.f_s = float(f_s)
         self.f_empty = float(f_empty)
-        self.alpha = float(alpha)
-        self.beta = float(beta)
         self.next_index = int(next_index)
         self.members = set(self.order)
         self.evaluator = evaluator
 
     @classmethod
-    def empty(cls, oracle, alpha=0.0, beta=1.0):
+    def empty(cls, oracle):
         evaluator = oracle.running(())
         f0 = evaluator.total
-        return cls([], {}, {}, f0, f0, alpha, beta, 0, evaluator)
+        return cls([], {}, {}, f0, f0, 0, evaluator)
 
-    def copy_for_pass(self, alpha, beta):
+    def copy_for_pass(self):
         evaluator = None if self.evaluator is None else self.evaluator.copy()
         return SolutionState(self.order, self.index, self.nu, self.f_s,
-                             self.f_empty, alpha, beta, self.next_index,
-                             evaluator)
+                             self.f_empty, self.next_index, evaluator)
 
     def running(self, oracle):
         """S's running evaluator on ``oracle``. One is built without
@@ -151,15 +147,23 @@ def nu_by_definition(state, oracle):
 
 class PassResult:
     """Outcome of one pass: final state, acceptance set (initial solution
-    included), eviction values, objective endpoints, and meters."""
+    included), eviction values, objective endpoints, and meters.
+
+    ``oracle_calls`` counts the metered calls the pass's arrivals and its
+    finish made, not the building of its starting solution; under an
+    oracle shared by several runners each counts only its own.
+    ``element_checks`` and ``accept_checks`` count the debug invariant
+    checks the pass ran (zero without debug).
+    """
 
     __slots__ = ("state", "accepted", "evicted", "f_final", "f_init",
                  "accept_count", "reject_count", "discard_count",
-                 "oracle_calls", "stored_peak", "alpha", "beta")
+                 "oracle_calls", "stored_peak", "alpha", "beta",
+                 "element_checks", "accept_checks")
 
     def __init__(self, state, accepted, evicted, f_final, f_init,
                  accept_count, reject_count, discard_count, oracle_calls,
-                 stored_peak, alpha, beta):
+                 stored_peak, alpha, beta, element_checks, accept_checks):
         self.state = state
         self.accepted = frozenset(accepted)
         self.evicted = dict(evicted)
@@ -172,6 +176,8 @@ class PassResult:
         self.stored_peak = stored_peak
         self.alpha = alpha
         self.beta = beta
+        self.element_checks = element_checks
+        self.accept_checks = accept_checks
 
     @property
     def solution(self):
@@ -202,7 +208,9 @@ class PassRunner:
     The runner owns what every pass does per arrival: arrivals that are
     already in the initial solution are discarded, every other arrival x
     meets the exchange threshold, and the runner keeps the storage count,
-    the pass counters, the trace records and the debug checks. Only the
+    the pass counters, the trace records and the debug checks. It also
+    meters its own oracle calls, so runners sharing one oracle each report
+    theirs; building the starting solution is not counted. Only the
     selection policy for an arrival that clears the threshold varies.
     This class exchanges it in at once: a buffer of one whose only member
     is drawn as soon as it arrives. ``randomized.RandomizedPassRunner``
@@ -221,18 +229,18 @@ class PassRunner:
         if alpha < 0 or beta < 0:
             raise PreconditionError("alpha and beta must be non-negative")
         if s_init is None:
-            self.state = SolutionState.empty(oracle, alpha, beta)
+            self.state = SolutionState.empty(oracle)
         else:
             if not mp.feasible(s_init.members):
                 raise PreconditionError("initial solution is infeasible")
-            self.state = s_init.copy_for_pass(alpha, beta)
+            self.state = s_init.copy_for_pass()
         self.oracle = oracle
         self.mp = mp
         self.alpha = alpha
         self.beta = beta
         self.debug = debug
         self.trace = trace
-        self.calls_before = oracle.calls
+        self.calls = self.element_checks = self.accept_checks = 0
         self.init_ids = frozenset(self.state.members)
         self.accepted = set(self.init_ids)
         self.evicted = {}
@@ -245,6 +253,7 @@ class PassRunner:
         """Discard, reject or admit one arrival."""
         if self._finished:
             raise PreconditionError("runner already finished")
+        calls = self.oracle.calls
         state = self.state
         self._note_storage(x not in self.init_ids)
         if x in self.init_ids:
@@ -258,7 +267,9 @@ class PassRunner:
                 self.reject_count += 1
                 _trace_write(self.trace, x, "reject", cx, state)
         if self.debug:
-            _check_element(state, self.oracle, self.mp)
+            _check_element(state, self.oracle, self.mp, self.alpha)
+            self.element_checks += 1
+        self.calls += self.oracle.calls - calls
 
     def finish(self):
         """Close the pass and package its accounting."""
@@ -270,8 +281,10 @@ class PassRunner:
             f_final=self.state.f_s, f_init=self.f_init,
             accept_count=self.accept_count, reject_count=self.reject_count,
             discard_count=self.discard_count,
-            oracle_calls=self.oracle.calls - self.calls_before,
-            stored_peak=self.stored_peak, alpha=self.alpha, beta=self.beta,
+            oracle_calls=self.calls, stored_peak=self.stored_peak,
+            alpha=self.alpha, beta=self.beta,
+            element_checks=self.element_checks,
+            accept_checks=self.accept_checks,
         )
 
     def _threshold(self, x):
@@ -300,6 +313,7 @@ class PassRunner:
         _trace_write(self.trace, x, "accept", cx, state)
         if self.debug:
             _check_accept(state, self.oracle, nu_before, cx)
+            self.accept_checks += 1
 
     def _note_storage(self, arriving):
         """Count the elements held: the initial solution and S, the waiting
@@ -341,9 +355,8 @@ def _trace_write(sink, elem, action, cx, state):
         sink.write(json.dumps(record) + "\n")
 
 
-def _check_element(state, oracle, mp, tol=NU_TOL):
+def _check_element(state, oracle, mp, alpha, tol=NU_TOL):
     """Invariants that must hold after every processed element."""
-    debug_stats["element_checks"] += 1
     if not mp.feasible(state.members):
         raise AssertionError("solution left the feasible region")
     held, exact = state.running(oracle).total, oracle.peek(state.members)
@@ -355,13 +368,12 @@ def _check_element(state, oracle, mp, tol=NU_TOL):
             f"incremental values sum to {total}, expected {state.f_s - state.f_empty}"
         )
     for e in state.order:
-        if state.nu[e] < state.alpha - tol:
-            raise AssertionError(f"nu[{e}]={state.nu[e]} fell below alpha={state.alpha}")
+        if state.nu[e] < alpha - tol:
+            raise AssertionError(f"nu[{e}]={state.nu[e]} fell below alpha={alpha}")
 
 
 def _check_accept(state, oracle, nu_before, evicted_set, tol=NU_TOL):
     """Extra invariants re-derived from the oracle after an acceptance."""
-    debug_stats["accept_checks"] += 1
     exact = nu_by_definition(state, oracle)
     for e, v in exact.items():
         if abs(v - state.nu[e]) > tol:

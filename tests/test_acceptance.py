@@ -16,7 +16,6 @@ from random import Random
 import pytest
 
 import matchstream as ms
-from matchstream.streaming import debug_stats
 from _corpus import (bipartite_matching, coverage_uniform, directed_cut,
                      exact_opt, hypergraph_matching)
 from conftest import ACCEPTANCE_LINES
@@ -194,8 +193,12 @@ def test_05_per_pass_accounting(monotone_corpus, randomized_sweep,
 
 
 def test_06_per_element_invariants(monotone_corpus, small_buffer_runs):
-    elements = debug_stats["element_checks"]
-    accepts = debug_stats["accept_checks"]
+    # the debug-mode runs of these two fixtures count their own checks
+    results = [res for records in monotone_corpus.values() for rec in records
+               for res in rec.run.pass_results]
+    results += [out.result for _, _, out, _ in small_buffer_runs]
+    elements = sum(res.element_checks for res in results)
+    accepts = sum(res.accept_checks for res in results)
     ok = elements > 0 and accepts > 0
     assert _announce(6, "per-element invariant checks clean across corpus", ok,
                      f"{elements} element checks, {accepts} acceptance checks, "

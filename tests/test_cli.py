@@ -99,3 +99,23 @@ def test_module_entry_point(tmp_path):
     assert instance.exists()
     payload = json.loads(proc.stdout)
     assert payload["family"] == "bipartite-matching"
+
+
+def test_run_counts_below_one_are_rejected(tmp_path, capsys):
+    cut = str(tmp_path / "cut.json")
+    cov = str(tmp_path / "cov.json")
+    main(["generate", "--family", "directed-cut+matroid", "--seed", "4",
+          "--n", "8", "--out", cut])
+    main(["generate", "--family", "coverage+uniform", "--seed", "0",
+          "--n", "9", "--out", cov])
+    capsys.readouterr()
+    code = main(["run-nonmonotone", "--instance", cut, "--epsilon", "0.25",
+                 "--replicates", "0"])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    # an explicit zero is not "no pass count": it must not fall back to
+    # the default budget
+    code = main(["run-monotone", "--instance", cov, "--schedule", "matroid",
+                 "--passes", "0", "--epsilon", "0.25"])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err

@@ -61,7 +61,7 @@ def test_buffer_draw_is_uniform():
     counts = [0] * 8
     draws = 10_000
     for _ in range(draws):
-        buf = ms.BufferState(list(range(8)), 8)
+        buf = ms.BufferState(list(range(8)))
         counts[buf.draw(rng)] += 1
     expected = draws / 8
     for c in counts:
@@ -267,13 +267,6 @@ def test_offline_factor_reported_not_claimed():
                                        passes=1, seed=0,
                                        offline_mode="heuristic")
     assert heur_run.gamma_off == inst.build_matchoid().p + 3.0
-    custom = ms.multipass_randomized(inst.build_oracle(),
-                                     inst.build_matchoid(),
-                                     ms.stream_order(inst.n), 0.5,
-                                     passes=1, seed=0,
-                                     offline_mode="heuristic",
-                                     heuristic_gamma_off=2.5)
-    assert custom.gamma_off == 2.5
 
 
 def test_monotone_objective_through_randomized_driver():
@@ -288,3 +281,23 @@ def test_monotone_objective_through_randomized_driver():
     assert runs[0].solution == runs[1].solution
     assert runs[0].f_solution == runs[1].f_solution
     assert mp.feasible(runs[0].solution)
+
+
+def test_guess_copies_meter_their_own_calls():
+    # three guess copies interleave on one oracle; each pass result counts
+    # only its own copy's calls, the same figure as the copy's trace row
+    inst = ms.generate_instance("directed-cut+matroid", 1, n=300, arcs=900,
+                                capacity=8)
+    oracle = inst.build_oracle()
+    run = ms.multipass_randomized(oracle, inst.build_matchoid(),
+                                  ms.stream_order(inst.n), 0.5, seed=3,
+                                  offline_mode="heuristic")
+    assert len(run.copies) == 3
+    assert run.m == 512
+    row_calls = 0
+    for copy in run.copies:
+        rows = [row["oracle_calls"] for row in copy.pass_rows]
+        assert [res.oracle_calls for res in copy.pass_results] == rows
+        row_calls += sum(rows)
+    # the singleton scan, one empty start per copy, then the passes
+    assert oracle.calls == inst.n + len(run.copies) + row_calls
