@@ -16,7 +16,7 @@ from .matchoids import (GraphicMatroid, Matroid, PartitionMatroid, PMatchoid,
                         exchange_set)
 from .multipass import (GuaranteeCertificate, MultipassResult, Schedule,
                         certified_gamma, gamma_recurrence_step, multipass_run,
-                        schedule_beta, worst_case_gamma)
+                        worst_case_gamma)
 from .objectives import (CoverageOracle, DirectedCutOracle, ModularOracle,
                          RunningValue, SubmodularOracle, TableOracle,
                          brute_force_check_submodular)

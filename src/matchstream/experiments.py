@@ -1,5 +1,10 @@
 """Experiment orchestration: configs, trace and summary files, reports.
 
+The harness runs the two streaming drivers, ``monotone-multipass`` and
+``nonmonotone-randomized``; the exact and greedy baselines are the CLI's
+``solve-exact`` and ``greedy`` verbs. A trace row is a pass's
+``PassResult.row`` plus schema_version (and a guess copy's columns).
+
 Traces are CSV with a schema_version column; summaries are JSON. Given
 the same config (seed included), reruns produce byte-identical trace
 files: replicates run one after another, and all randomness is derived
@@ -14,7 +19,7 @@ import math
 import os
 import time
 
-from .baselines import brute_force_opt, offline_greedy
+from .baselines import brute_force_opt
 from .errors import ConfigError, SizeError
 from .instances import load_instance, stream_order
 from .multipass import Schedule, multipass_run
@@ -22,7 +27,7 @@ from .randomized import multipass_randomized
 
 SCHEMA_VERSION = 1
 
-ALGORITHMS = ("monotone-multipass", "nonmonotone-randomized", "greedy", "exact")
+ALGORITHMS = ("monotone-multipass", "nonmonotone-randomized")
 
 MONOTONE_TRACE_COLUMNS = (
     "schema_version", "pass", "beta", "f_S", "delta", "gamma_certified",
@@ -40,8 +45,9 @@ _CONFIG_FIELDS = (
 
 
 class ExperimentConfig:
-    """Fully serializable run description; a serialized config reruns to
-    byte-identical traces."""
+    """Run description for one of the two streaming drivers. ``to_dict``
+    gives plain JSON values, and ``ExperimentConfig(**config.to_dict())``
+    rebuilds a config that reruns to byte-identical traces."""
 
     __slots__ = _CONFIG_FIELDS
 
@@ -67,18 +73,6 @@ class ExperimentConfig:
 
     def to_dict(self):
         return {name: getattr(self, name) for name in _CONFIG_FIELDS}
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(**{name: data.get(name) for name in _CONFIG_FIELDS
-                      if data.get(name) is not None or name in ("instance", "algorithm")})
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_dict(json.loads(text))
 
 
 def build_schedule(name, p):
@@ -154,9 +148,9 @@ def run_experiment(config):
         "config": config.to_dict(),
     }
     rows = []
-    columns = MONOTONE_TRACE_COLUMNS
 
     if config.algorithm == "monotone-multipass":
+        columns = MONOTONE_TRACE_COLUMNS
         oracle = inst.build_oracle()
         mp = inst.build_matchoid()
         schedule = build_schedule(config.schedule, mp.p)
@@ -165,18 +159,8 @@ def run_experiment(config):
         result = multipass_run(oracle, mp, stream, schedule, passes,
                                config.alpha, target_gamma=config.target_gamma)
         for res, cert in zip(result.pass_results, result.certificates):
-            rows.append({
-                "schema_version": SCHEMA_VERSION,
-                "pass": cert.pass_index,
-                "beta": cert.beta,
-                "f_S": res.f_final,
-                "delta": cert.delta,
-                "gamma_certified": cert.gamma_certified,
-                "accepts": res.accept_count,
-                "evictions": len(res.evicted),
-                "oracle_calls": res.oracle_calls,
-                "stored_elements": res.stored_peak,
-            })
+            rows.append({"schema_version": SCHEMA_VERSION,
+                         **res.row(cert.pass_index, cert.beta, cert.gamma_certified)})
         summary.update({
             "f_final": result.f_final,
             "gamma_certified_final": result.certificates[-1].gamma_certified,
@@ -185,7 +169,7 @@ def run_experiment(config):
             "peak_storage": result.stored_peak,
         })
 
-    elif config.algorithm == "nonmonotone-randomized":
+    else:
         if config.epsilon is None:
             raise ConfigError("the randomized driver needs an epsilon")
         if config.replicates < 1:
@@ -205,9 +189,7 @@ def run_experiment(config):
             peak_storage = max(peak_storage, run.space_peak)
             for copy in run.copies:
                 for row in copy.pass_rows:
-                    out = {"schema_version": SCHEMA_VERSION}
-                    out.update(row)
-                    rows.append(out)
+                    rows.append({"schema_version": SCHEMA_VERSION, **row})
         mean = sum(f_bars) / len(f_bars)
         last = run
         summary.update({
@@ -225,31 +207,6 @@ def run_experiment(config):
             "space_bound": last.space_bound,
             "oracle_calls": total_calls,
             "peak_storage": peak_storage,
-        })
-
-    elif config.algorithm == "greedy":
-        oracle = inst.build_oracle()
-        mp = inst.build_matchoid()
-        chosen = offline_greedy(oracle, mp)
-        summary.update({
-            "f_final": oracle.peek(chosen),
-            "solution": sorted(chosen),
-            "gamma_certified_final": None,
-            "oracle_calls": oracle.calls,
-            "peak_storage": len(chosen),
-        })
-
-    elif config.algorithm == "exact":
-        oracle = inst.build_oracle()
-        mp = inst.build_matchoid()
-        exact = brute_force_opt(oracle, mp)
-        summary.update({
-            "f_final": exact.opt_value,
-            "solution": sorted(exact.opt_set),
-            "gamma_certified_final": 1.0,
-            "oracle_calls": oracle.calls,
-            "peak_storage": len(exact.opt_set),
-            "subsets_examined": exact.subsets_examined,
         })
 
     f_final = summary.get("f_final")

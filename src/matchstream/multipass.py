@@ -1,14 +1,17 @@
 """Multi-pass driver with step-size schedules and online certificates.
 
-Each pass i runs streaming local search with its own beta. Two schedules
-come with worst-case convergence targets:
+Each pass i runs streaming local search with its own beta, which a
+``Schedule`` yields together with the schedule's worst-case factor. There
+are three kinds:
 
 * ``matroid-harmonic``: beta_i = 1/i, factor 2(1 + 1/i) after pass i for
   a single matroid constraint;
 * ``matchoid-recurrence``: beta_1 = 1 and
   beta_i = (g - 1 - p) / (g - 1 + p) where g follows the recurrence
   g_1 = 4p, g_i = 4p g(g - 1) / (g - 1 + p)^2, giving factor
-  p + 1 + 4p/i after pass i for any p-matchoid.
+  p + 1 + 4p/i after pass i for any p-matchoid;
+* ``fixed``: the same finite beta >= 0 every pass, with no worst-case
+  factor (it reads inf).
 
 Independently of the schedule, the driver measures each pass's progress
 ratio delta_i = f(S_{i-1}) / f(S_i) and certifies, online, that
@@ -28,30 +31,22 @@ from random import Random
 from .errors import ConfigError, PreconditionError
 from .streaming import streaming_pass
 
-# Substitute step when the recurrence would go non-positive, which needs a
-# previous factor at or below p + 1; extra passes can then only improve
-# the solution. Schedule.steps never reaches it.
-BETA_MIN = 1e-3
-
 
 class Schedule:
-    """Per-pass beta assignment; ``p`` must match the constraint for the
+    """Per-pass step sizes; ``p`` must match the constraint for the
     recurrence kind. ``steps`` is the one place that steps a schedule
     from pass to pass."""
 
-    __slots__ = ("kind", "p", "beta", "betas")
+    __slots__ = ("kind", "p", "beta")
 
-    def __init__(self, kind, p=1, beta=None, betas=None):
-        if kind not in ("matroid-harmonic", "matchoid-recurrence", "fixed", "custom"):
+    def __init__(self, kind, p=1, beta=None):
+        if kind not in ("matroid-harmonic", "matchoid-recurrence", "fixed"):
             raise PreconditionError(f"unknown schedule kind: {kind}")
         self.kind = kind
         self.p = int(p)
         self.beta = None if beta is None else float(beta)
-        self.betas = None if betas is None else tuple(float(b) for b in betas)
-        if kind == "fixed" and self.beta is None:
-            raise PreconditionError("fixed schedule needs a beta")
-        if kind == "custom" and not self.betas:
-            raise PreconditionError("custom schedule needs a beta list")
+        if kind == "fixed" and (self.beta is None or not 0.0 <= self.beta < math.inf):
+            raise PreconditionError("fixed schedule needs a finite beta >= 0")
 
     @staticmethod
     def matroid_harmonic():
@@ -65,27 +60,33 @@ class Schedule:
     def fixed(beta, p=1):
         return Schedule("fixed", p=p, beta=beta)
 
-    @staticmethod
-    def custom(betas, p=1):
-        return Schedule("custom", p=p, betas=betas)
-
     def steps(self):
         """Yield (beta_i, worst_case_gamma(self, i)) for passes i = 1, 2, ...
 
-        The recurrence's factor starts at g_1 = 4p. The map
-        g -> 4p g(g - 1) / (g - 1 + p)^2 is increasing and fixes p + 1, so
-        g stays above p + 1 and beta_i stays positive.
+        The harmonic kind steps with 1/i and the fixed kind with its beta.
+        The recurrence starts at beta_1 = 1 and factor g_1 = 4p, then takes
+        beta_i = (g - 1 - p) / (g - 1 + p) from the previous factor g and
+        steps g -> 4p g(g - 1) / (g - 1 + p)^2. That map is increasing and
+        fixes p + 1, so g stays above p + 1 and beta_i stays positive.
         """
-        gamma = None
+        gamma = 4.0 * self.p
         for i in count(1):
-            yield schedule_beta(self, i, gamma), worst_case_gamma(self, i)
-            gamma = 4.0 * self.p if i == 1 else gamma_recurrence_step(self.p, gamma)
+            if self.kind == "fixed":
+                beta = self.beta
+            elif self.kind == "matroid-harmonic":
+                beta = 1.0 / i
+            elif i == 1:
+                beta = 1.0
+            else:
+                beta = (gamma - 1.0 - self.p) / (gamma - 1.0 + self.p)
+                gamma = gamma_recurrence_step(self.p, gamma)
+            yield beta, worst_case_gamma(self, i)
 
     def default_passes(self, epsilon):
         """Pass budget reaching the convergence target: ceil(2/eps) for the
         harmonic schedule, ceil(4p/eps) otherwise."""
-        if epsilon is None or epsilon <= 0:
-            raise ConfigError("an epsilon > 0 is needed to choose a pass count")
+        if epsilon is None or not 0.0 < epsilon < math.inf:
+            raise ConfigError("a finite epsilon > 0 is needed to choose a pass count")
         if self.kind == "matroid-harmonic":
             return math.ceil(2.0 / epsilon)
         return math.ceil(4.0 * self.p / epsilon)
@@ -106,26 +107,6 @@ def worst_case_gamma(schedule, i):
     if schedule.kind == "matchoid-recurrence":
         return schedule.p + 1.0 + 4.0 * schedule.p / i
     return math.inf
-
-
-def schedule_beta(schedule, i, gamma_prev=None):
-    """Beta for pass i; the recurrence kind needs the previous factor."""
-    if i < 1:
-        raise PreconditionError("pass index starts at 1")
-    if schedule.kind == "fixed":
-        return schedule.beta
-    if schedule.kind == "custom":
-        if i > len(schedule.betas):
-            raise PreconditionError(f"custom schedule ran out at pass {i}")
-        return schedule.betas[i - 1]
-    if schedule.kind == "matroid-harmonic":
-        return 1.0 / i
-    if i == 1:
-        return 1.0
-    if gamma_prev is None:
-        raise PreconditionError("the recurrence schedule needs the previous factor")
-    beta = (gamma_prev - 1.0 - schedule.p) / (gamma_prev - 1.0 + schedule.p)
-    return beta if beta > 0.0 else BETA_MIN
 
 
 def certified_gamma(i, gamma_prev, beta, delta, p):
@@ -215,14 +196,10 @@ def multipass_run(oracle, mp, stream, schedule, passes, alpha=0.0, *,
                              debug=debug, trace=trace)
         state = res.state
         stored_peak = max(stored_peak, res.stored_peak)
-        if res.f_final > 0.0:
-            delta = res.f_init / res.f_final
-            gamma_cert = certified_gamma(i, gamma_cert, beta_i, delta, p)
-        else:
-            delta = 1.0
-            gamma_cert = math.inf
+        gamma_cert = (certified_gamma(i, gamma_cert, beta_i, res.delta, p)
+                      if res.f_final > 0.0 else math.inf)
         certificates.append(
-            GuaranteeCertificate(i, beta_i, delta, gamma_cert, slack))
+            GuaranteeCertificate(i, beta_i, res.delta, gamma_cert, slack))
         pass_results.append(res)
         if target_gamma is not None and gamma_cert <= target_gamma:
             break

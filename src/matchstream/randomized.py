@@ -263,22 +263,13 @@ class LambdaCopyResult:
             self.f_s_prime = fin.state.f_empty
         if fin.f_s_prime > self.f_s_prime:
             self.f_s_prime, self.s_prime = fin.f_s_prime, fin.s_prime
-        f_final = res.f_final
         self.pass_rows.append({
-            "pass": i,
-            "beta": beta,
-            "f_S": f_final,
-            "delta": res.f_init / f_final if f_final > 0.0 else 1.0,
-            "gamma_certified": gamma,
-            "accepts": res.accept_count,
-            "evictions": len(res.evicted),
-            "oracle_calls": res.oracle_calls,
-            "stored_elements": res.stored_peak,
+            **res.row(i, beta, gamma),
             "lambda": self.lam,
             "m": self.m,
             "buffer_peak": fin.buffer.peak,
             "f_S_prime": self.f_s_prime,
-            "f_S_bar": max(f_final, self.f_s_prime),
+            "f_S_bar": max(res.f_final, self.f_s_prime),
             "seed": self.seed,
         })
 

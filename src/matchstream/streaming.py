@@ -23,7 +23,6 @@ meters its own oracle calls and debug checks and reports them on its
 ``PassResult``.
 """
 
-import json
 import math
 
 from .errors import DomainError, PreconditionError
@@ -187,6 +186,21 @@ class PassResult:
     def eviction_sum(self):
         return math.fsum(self.evicted.values())
 
+    @property
+    def delta(self):
+        """Progress ratio f(S_{i-1}) / f(S_i) of the pass; 1 when f(S_i)
+        is not positive."""
+        return self.f_init / self.f_final if self.f_final > 0.0 else 1.0
+
+    def row(self, i, beta, gamma):
+        """The trace columns every driver writes for this pass, as pass
+        ``i`` with step ``beta`` and factor ``gamma``."""
+        return {"pass": i, "beta": beta, "f_S": self.f_final,
+                "delta": self.delta, "gamma_certified": gamma,
+                "accepts": self.accept_count, "evictions": len(self.evicted),
+                "oracle_calls": self.oracle_calls,
+                "stored_elements": self.stored_peak}
+
 
 def validate_stream(stream, ground, require_full=True):
     order = [int(x) for x in stream]
@@ -216,7 +230,8 @@ class PassRunner:
     is drawn as soon as it arrives. ``randomized.RandomizedPassRunner``
     holds it in a bounded buffer and draws at random instead.
 
-    ``trace`` collects one record per processed element. With ``debug``
+    ``trace`` is any object with an ``append`` method (a list will do);
+    it gets one record per processed element. With ``debug``
     the solution invariants are re-derived from the oracle after every
     processed element (uncounted evaluations).
     """
@@ -226,8 +241,8 @@ class PassRunner:
 
     def __init__(self, oracle, mp, s_init, alpha, beta, *, debug=False,
                  trace=None):
-        if alpha < 0 or beta < 0:
-            raise PreconditionError("alpha and beta must be non-negative")
+        if not (0 <= alpha < math.inf and 0 <= beta < math.inf):
+            raise PreconditionError("alpha and beta must be finite and non-negative")
         if s_init is None:
             self.state = SolutionState.empty(oracle)
         else:
@@ -349,10 +364,7 @@ def _trace_write(sink, elem, action, cx, state):
         "f_S": state.f_s,
         "sum_nu": math.fsum(state.nu.values()),
     }
-    if hasattr(sink, "append"):
-        sink.append(record)
-    else:
-        sink.write(json.dumps(record) + "\n")
+    sink.append(record)
 
 
 def _check_element(state, oracle, mp, alpha, tol=NU_TOL):

@@ -119,3 +119,12 @@ def test_run_counts_below_one_are_rejected(tmp_path, capsys):
                  "--passes", "0", "--epsilon", "0.25"])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+    # non-finite step sizes and epsilons make the threshold meaningless:
+    # NaN and inf thresholds would reject every arrival
+    for extra in (["--alpha", "nan", "--passes", "2"],
+                  ["--alpha", "inf", "--passes", "2"],
+                  ["--schedule", "fixed:nan", "--passes", "2"],
+                  ["--epsilon", "nan"]):
+        code = main(["run-monotone", "--instance", cov] + extra)
+        assert code == 2, extra
+        assert "error:" in capsys.readouterr().err

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -21,13 +22,16 @@ def _digest(path):
 
 
 def test_config_round_trip():
-    config = ms.ExperimentConfig(instance="x.json", algorithm="greedy",
+    config = ms.ExperimentConfig(instance="x.json",
+                                 algorithm="nonmonotone-randomized",
                                  epsilon=0.5, passes=4, seed=9, replicates=2,
                                  shuffle_seed=1, trace="t.csv")
-    again = ms.ExperimentConfig.from_json(config.to_json())
+    again = ms.ExperimentConfig(**json.loads(json.dumps(config.to_dict())))
     assert again.to_dict() == config.to_dict()
-    with pytest.raises(ms.ConfigError):
-        ms.ExperimentConfig(instance="x.json", algorithm="simplex")
+    # the baselines are CLI verbs, not experiment algorithms
+    for algorithm in ("simplex", "greedy", "exact"):
+        with pytest.raises(ms.ConfigError):
+            ms.ExperimentConfig(instance="x.json", algorithm=algorithm)
 
 
 def test_default_pass_budgets():
@@ -35,8 +39,9 @@ def test_default_pass_budgets():
     assert harmonic.default_passes(0.5) == 4
     recurrence = ms.Schedule.matchoid_recurrence(2)
     assert recurrence.default_passes(0.5) == 16
-    with pytest.raises(ms.ConfigError):
-        harmonic.default_passes(None)
+    for epsilon in (None, 0.0, math.nan, math.inf):
+        with pytest.raises(ms.ConfigError):
+            harmonic.default_passes(epsilon)
 
 
 def test_build_schedule_tokens():
@@ -104,17 +109,6 @@ def test_randomized_trace_columns(tmp_path):
     assert lams == set(summary["lambda_grid"])
     assert all(int(r["m"]) == summary["m"] for r in rows)
     assert summary["peak_storage"] <= summary["space_bound"]
-
-
-def test_greedy_and_exact_algorithms(tmp_path):
-    instance = _write_instance(tmp_path, seed=6)
-    exact = ms.run_experiment(ms.ExperimentConfig(instance=instance,
-                                                  algorithm="exact"))
-    assert exact["ratio"] == pytest.approx(1.0)
-    greedy = ms.run_experiment(ms.ExperimentConfig(instance=instance,
-                                                   algorithm="greedy"))
-    assert greedy["f_final"] <= exact["f_final"]
-    assert 2 * greedy["f_final"] + 1e-9 >= exact["f_final"]  # p+1 factor
 
 
 def test_shuffled_stream_reused_across_passes(tmp_path):

@@ -7,7 +7,6 @@ from random import Random
 import pytest
 
 import matchstream as ms
-from matchstream.multipass import BETA_MIN
 from _corpus import coverage_uniform, exact_opt, hypergraph_matching
 
 TOL = 1e-9
@@ -23,46 +22,45 @@ def _fraction_gamma_chain(p, d):
     return chain
 
 
+def _betas(sched, passes):
+    return [beta for _, (beta, _) in zip(range(passes), sched.steps())]
+
+
 def test_harmonic_schedule_betas():
-    sched = ms.Schedule.matroid_harmonic()
-    assert ms.schedule_beta(sched, 1) == 1.0
-    assert ms.schedule_beta(sched, 3) == pytest.approx(1.0 / 3.0)
+    betas = _betas(ms.Schedule.matroid_harmonic(), 3)
+    assert betas[0] == 1.0
+    assert betas[2] == pytest.approx(1.0 / 3.0)
 
 
 def test_recurrence_schedule_betas():
-    sched = ms.Schedule.matchoid_recurrence(2)
-    assert ms.schedule_beta(sched, 1) == 1.0
-    assert ms.schedule_beta(sched, 2, gamma_prev=8.0) == pytest.approx(5.0 / 9.0)
+    # beta_2 from the pass-1 factor g_1 = 4p = 8: (8 - 1 - 2) / (8 - 1 + 2)
+    betas = _betas(ms.Schedule.matchoid_recurrence(2), 2)
+    assert betas[0] == 1.0
+    assert betas[1] == pytest.approx(5.0 / 9.0)
 
 
 def test_recurrence_matches_harmonic_at_p_equal_one():
-    # with p=1 and gamma_prev=4 the recurrence gives beta_2 = 1/2 = 1/i
-    sched = ms.Schedule.matchoid_recurrence(1)
-    assert ms.schedule_beta(sched, 2, gamma_prev=4.0) == pytest.approx(0.5)
+    # with p=1 the pass-1 factor is 4, so beta_2 = 2/4 = 1/2 = 1/i
+    assert _betas(ms.Schedule.matchoid_recurrence(1), 2)[1] == pytest.approx(0.5)
     chain = _fraction_gamma_chain(1, 16)
     for i, g in enumerate(chain, 1):
         assert g == Fraction(2) * (i + 1) / i
 
 
 def test_fixed_and_custom_schedules():
-    assert ms.schedule_beta(ms.Schedule.fixed(0.25), 7) == 0.25
-    sched = ms.Schedule.custom([1.0, 0.5, 0.25])
-    assert ms.schedule_beta(sched, 2) == 0.5
-    with pytest.raises(ms.PreconditionError):
-        ms.schedule_beta(sched, 4)
-    with pytest.raises(ms.PreconditionError):
-        ms.Schedule("fixed")
-    with pytest.raises(ms.PreconditionError):
-        ms.Schedule("no-such-kind")
+    assert _betas(ms.Schedule.fixed(0.25), 7) == [0.25] * 7
+    assert _betas(ms.Schedule.fixed(0), 2) == [0.0, 0.0]
+    for bad in (None, -0.5, math.nan, math.inf):
+        with pytest.raises(ms.PreconditionError):
+            ms.Schedule("fixed", beta=bad)
+    # only the harmonic, recurrence and fixed kinds exist
+    for kind in ("custom", "no-such-kind"):
+        with pytest.raises(ms.PreconditionError):
+            ms.Schedule(kind)
 
 
-def test_beta_clamp_when_factor_already_past_target():
-    sched = ms.Schedule.matchoid_recurrence(2)
-    assert ms.schedule_beta(sched, 5, gamma_prev=2.5) == BETA_MIN
-
-
-# (beta_i, worst-case gamma_i) for passes 1..16, recorded from the pass
-# loops of both drivers before the stepping moved into Schedule.steps
+# (beta_i, worst-case gamma_i) for passes 1..16, recorded before the step
+# math moved into Schedule.steps
 _RECORDED_STEPS = {
     "harmonic": (
         [1.0, 0.5, 0.3333333333333333, 0.25, 0.2, 0.16666666666666666,
@@ -96,7 +94,17 @@ _RECORDED_STEPS = {
          4.857142857142857, 4.8, 4.75],
     ),
     "fixed:0.25": ([0.25] * 16, [math.inf] * 16),
-    "custom": ([1.0, 0.5, 0.25, 0.125] * 4, [math.inf] * 16),
+    "recurrence-p1": (
+        [1.0, 0.5, 0.3333333333333333, 0.24999999999999994,
+         0.19999999999999984, 0.1666666666666665, 0.14285714285714274,
+         0.12499999999999994, 0.1111111111111111, 0.10000000000000003,
+         0.09090909090909098, 0.08333333333333345, 0.07692307692307705,
+         0.07142857142857158, 0.06666666666666683, 0.06250000000000018],
+        [6.0, 4.0, 3.333333333333333, 3.0, 2.8, 2.6666666666666665,
+         2.571428571428571, 2.5, 2.4444444444444446, 2.4, 2.3636363636363638,
+         2.3333333333333335, 2.3076923076923075, 2.2857142857142856,
+         2.2666666666666666, 2.25],
+    ),
 }
 
 
@@ -106,17 +114,16 @@ def test_schedule_steps_are_pinned():
         "recurrence-p2": ms.Schedule.matchoid_recurrence(2),
         "recurrence-p3": ms.Schedule.matchoid_recurrence(3),
         "fixed:0.25": ms.build_schedule("fixed:0.25", 1),
-        "custom": ms.Schedule.custom([1.0, 0.5, 0.25, 0.125] * 4),
+        "recurrence-p1": ms.Schedule.matchoid_recurrence(1),
     }
     for name, sched in schedules.items():
         got = list(zip(range(16), sched.steps()))
         betas, gammas = _RECORDED_STEPS[name]
         assert [step for _, step in got] == list(zip(betas, gammas)), name
-    # a custom list runs out one pass after its last beta
-    steps = ms.Schedule.custom([1.0, 0.5]).steps()
-    assert [next(steps), next(steps)] == [(1.0, math.inf), (0.5, math.inf)]
-    with pytest.raises(ms.PreconditionError):
-        next(steps)
+    # at p=1 the recurrence's steps are the harmonic 1/i up to rounding
+    for rec, harm in zip(_RECORDED_STEPS["recurrence-p1"][0],
+                         _RECORDED_STEPS["harmonic"][0]):
+        assert abs(rec - harm) <= 1e-12
 
 
 def test_gamma_recurrence_against_rational_oracle():
