@@ -1,55 +1,135 @@
 """Exact and greedy baselines used to validate approximation claims.
 
-``brute_force_opt`` prunes the subset lattice through downward closure
-(supersets of infeasible sets are skipped), while
+``brute_force_opt`` and the exact offline solver share
+``max_feasible_subset``, a depth-first branch-and-bound: supersets of
+infeasible sets are skipped (downward closure), and for a submodular
+objective a subtree is cut when the upper bound of Nemhauser, Wolsey and
+Fisher (1978) cannot beat the best set found so far.
 ``enumerate_opt_unpruned`` walks all bitmasks; the two are kept as
 independent code paths so each can vouch for the other.
 """
+
+import heapq
 
 from .errors import SizeError
 
 
 class ExactResult:
-    __slots__ = ("opt_set", "opt_value", "subsets_examined")
+    """An optimum with its search effort: ``subsets_examined`` feasible
+    subsets evaluated, ``bound_prunes`` subtrees cut by the bound."""
 
-    def __init__(self, opt_set, opt_value, subsets_examined):
+    __slots__ = ("opt_set", "opt_value", "subsets_examined", "bound_prunes")
+
+    def __init__(self, opt_set, opt_value, subsets_examined, bound_prunes=0):
         self.opt_set = frozenset(opt_set)
         self.opt_value = opt_value
         self.subsets_examined = subsets_examined
+        self.bound_prunes = bound_prunes
 
     def __repr__(self):
         return (f"ExactResult(value={self.opt_value}, set={sorted(self.opt_set)}, "
-                f"examined={self.subsets_examined})")
+                f"examined={self.subsets_examined}, prunes={self.bound_prunes})")
+
+
+def _feasible_size_bound(mp, elems):
+    """An upper bound on the size of any feasible subset of ``elems``:
+    p times the size of a greedy maximal feasible subset G.
+
+    A p-matchoid is a p-system, so within ``elems`` no feasible set is
+    more than p times larger than a maximal one; for p = 1 (one matroid)
+    all maximal sets have the same size and the bound is exact. Building G
+    takes feasibility tests only, no oracle calls.
+    """
+    basis = set()
+    for e in elems:
+        basis.add(e)
+        if not mp.feasible(basis):
+            basis.remove(e)
+    return mp.p * len(basis)
 
 
 def max_feasible_subset(oracle, mp, candidates):
-    """Best feasible subset of ``candidates`` by pruned depth-first search.
+    """Best feasible subset of ``candidates`` by depth-first branch-and-bound.
 
-    Every feasible subset is visited (a non-monotone objective can peak
-    anywhere in the lattice); only infeasible branches are cut. Ties keep
-    the first maximizer in lexicographic order, the empty set included.
+    The search walks subsets in lexicographic order. At a node C it makes
+    one unmetered running evaluator for C and evaluates every feasible
+    child C + e (e after C's last element) with one metered
+    ``value_with``, so each feasible subset the search reaches costs one
+    counted call, the empty set included. The incumbent is updated in
+    preorder, child i's own value before its subtree, and only a strictly
+    larger value replaces it, so ties keep the first maximizer in
+    lexicographic order, as a walk over every feasible subset would.
+
+    Two cuts skip a child's subtree without any oracle call:
+
+    * size: a feasible subset holds at most K = ``_feasible_size_bound``
+      elements, so with room = K - |C| - 1 <= 0 nothing below C + e_i is
+      feasible;
+    * bound (submodular f only): every set T below C + e_i adds elements
+      of the later feasible siblings e_j, j > i (any other element would
+      make C + e_j infeasible, and supersets of infeasible sets are
+      infeasible), and at most ``room`` of them. Submodularity gives
+      f(e_j | C + e_i + ...) <= f(e_j | C), so
+      f(T) <= f(C + e_i) + the ``room`` largest positive gains f(e_j | C)
+      over those siblings. When that is <= the incumbent, no set in the
+      subtree could replace it, and the subtree is cut.
+
+    The bound needs no monotonicity, so it holds for the directed cut. It
+    is unsound when f is not submodular; an oracle whose class sets
+    ``submodular = False`` (``TableOracle``) gets the size cut only.
     """
     elems = sorted(set(candidates))
+    size_cap = _feasible_size_bound(mp, elems)
+    bounded = oracle.submodular
     best_val = oracle.value(())
     best_set = frozenset()
     examined = 1
+    prunes = 0
 
-    def walk(current, start):
-        nonlocal best_val, best_set, examined
-        for idx in range(start, len(elems)):
-            e = elems[idx]
+    def walk(current, open_elems):
+        nonlocal best_val, best_set, examined, prunes
+        running = oracle.running(current, meter=False)
+        children = []
+        for e in open_elems:
             current.add(e)
             if mp.feasible(current):
-                examined += 1
-                v = oracle.value(current)
-                if v > best_val:
-                    best_val = v
-                    best_set = frozenset(current)
-                walk(current, idx + 1)
+                children.append((e, running.value_with(e)))
+            current.remove(e)
+        examined += len(children)
+        room = size_cap - len(current) - 1
+        tails = (_gain_tails(children, running.total, room)
+                 if bounded and room > 0 else None)
+        for i, (e, v) in enumerate(children):
+            if v > best_val:
+                best_val = v
+                best_set = frozenset(current) | {e}
+            if room <= 0 or i + 1 == len(children):
+                continue
+            if tails is not None and v + tails[i + 1] <= best_val:
+                prunes += 1
+                continue
+            current.add(e)
+            walk(current, [x for x, _ in children[i + 1:]])
             current.remove(e)
 
-    walk(set(), 0)
-    return ExactResult(best_set, best_val, examined)
+    walk(set(), elems)
+    return ExactResult(best_set, best_val, examined, prunes)
+
+
+def _gain_tails(children, base, room):
+    """tails[i]: the sum of the ``room`` largest positive gains
+    v_j - base over children[i:]; tails[len(children)] = 0."""
+    tails = [0.0] * (len(children) + 1)
+    top = []
+    for i in range(len(children) - 1, -1, -1):
+        gain = children[i][1] - base
+        if gain > 0.0:
+            if len(top) < room:
+                heapq.heappush(top, gain)
+            elif gain > top[0]:
+                heapq.heapreplace(top, gain)
+        tails[i] = sum(top)
+    return tails
 
 
 def brute_force_opt(oracle, mp):

@@ -85,7 +85,7 @@ def build_schedule(name, p):
         try:
             return Schedule.fixed(float(name.split(":", 1)[1]), p=p)
         except ValueError as exc:
-            raise ConfigError(f"bad fixed schedule: {name!r}") from exc
+            raise ConfigError(f"bad fixed schedule: {name!r}: {exc}") from exc
     raise ConfigError(f"unknown schedule: {name!r} (matroid, matchoid, or fixed:B)")
 
 

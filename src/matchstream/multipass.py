@@ -171,10 +171,13 @@ def multipass_run(oracle, mp, stream, schedule, passes, alpha=0.0, *,
 
     The solution of each pass seeds the next; the stream order is fixed
     unless ``per_pass_shuffle_seed`` asks for a fresh permutation per
-    pass. Stops early once the certified factor reaches ``target_gamma``.
+    pass. Stops early once the certified factor reaches ``target_gamma``,
+    which must be finite: no certificate ever reaches a NaN target.
     """
     if passes < 1:
         raise PreconditionError("at least one pass is required")
+    if target_gamma is not None and not math.isfinite(target_gamma):
+        raise PreconditionError("target_gamma must be a finite number")
     if schedule.kind == "matchoid-recurrence" and schedule.p != mp.p:
         raise PreconditionError(
             f"schedule p={schedule.p} does not match the constraint p={mp.p}"

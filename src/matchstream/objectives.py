@@ -32,9 +32,12 @@ class SubmodularOracle:
 
     Subclasses implement ``_evaluate`` on a frozenset. The call counter is
     guarded by a lock so parallel copies of a run may share one oracle.
+    ``submodular`` is a fact about the class: the exact solver's upper
+    bound relies on it, and a subclass whose f may fail it sets it false.
     """
 
     kind = "custom"
+    submodular = True
 
     def __init__(self, ground, monotone=False):
         self.ground = frozenset(int(e) for e in ground)
@@ -323,10 +326,12 @@ class TableOracle(SubmodularOracle):
     """Explicit value table indexed by subset bitmask; desk-scale only.
 
     The table is not required to be submodular, so this kind can also
-    serve as a negative fixture for the submodularity checker.
+    serve as a negative fixture for the submodularity checker, and the
+    exact solver does not apply its submodular bound to it.
     """
 
     kind = "custom-table"
+    submodular = False
     MAX_N = 20
 
     def __init__(self, n, table, monotone=False):

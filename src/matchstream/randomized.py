@@ -191,7 +191,9 @@ def randomized_pass(oracle, mp, stream, s_init, alpha, beta, m, rng, *,
 def offline_solve(oracle, mp, candidates, mode="exact"):
     """Best feasible subset of the candidate pool.
 
-    ``exact`` enumerates with branch-and-bound (pool capped at 22
+    ``exact`` is ``max_feasible_subset``'s branch-and-bound, which cuts
+    infeasible branches and, for a submodular objective, subtrees its
+    upper bound shows cannot beat the best set so far (pool capped at 22
     elements). ``heuristic`` chains 2p streaming passes over the pool in
     ascending-id order with the harmonic step sizes; the objective value
     never decreases across those passes, so the last solution is the best
@@ -310,6 +312,11 @@ def multipass_randomized(oracle, mp, stream, epsilon, passes=None, seed=0, *,
     exact solver and p + 3 for the heuristic, the recurrence schedule's
     closed form at 2p passes. It is reporting only; nothing in the run
     depends on it.
+
+    A residual pool holds fewer than m elements (a full buffer is drawn
+    from at once) and at most n, so the exact mode raises ``ConfigError``
+    before the first pass when min(n, m - 1) exceeds the exact solver's
+    cap, instead of a ``SizeError`` partway through the run.
     """
     if not 0.0 < epsilon <= 0.5:
         raise PreconditionError("epsilon must lie in (0, 1/2]")
@@ -323,6 +330,13 @@ def multipass_randomized(oracle, mp, stream, epsilon, passes=None, seed=0, *,
     if d < 1:
         raise PreconditionError("at least one pass is required")
     m = max(1, math.ceil(4.0 * d * k / eps_prime ** 2))
+    pool_cap = min(len(order), m - 1)
+    if offline_mode == "exact" and pool_cap > OFFLINE_EXACT_LIMIT:
+        raise ConfigError(
+            f"exact offline mode is capped at {OFFLINE_EXACT_LIMIT} candidates, "
+            f"and a residual pool here can hold {pool_cap}; "
+            f"use the heuristic offline mode"
+        )
 
     grid = guess_grid(oracle, order, k)
     copies = []

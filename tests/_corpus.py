@@ -1,8 +1,12 @@
 """Shared random-instance corpora for the test suite.
 
 All sizes stay inside the exact-baseline range so every approximation
-claim can be checked against the true optimum.
+claim can be checked against the true optimum. ``oracles`` is the
+hypothesis strategy for small random oracles with integer or float
+weights.
 """
+
+from hypothesis import strategies as st
 
 import matchstream as ms
 
@@ -44,3 +48,31 @@ def directed_cut(seed):
 def exact_opt(inst):
     """Optimum value from fresh oracle/constraint copies."""
     return ms.brute_force_opt(inst.build_oracle(), inst.build_matchoid())
+
+
+@st.composite
+def oracles(draw, kind, integer):
+    """(oracle, scale): a random oracle of the kind and its total weight."""
+    if integer:
+        weight = st.integers(0, 9).map(float)
+    else:
+        weight = st.floats(0.0, 100.0, allow_nan=False, allow_infinity=False)
+    if kind == "table":
+        n = draw(st.integers(1, 5))
+        table = draw(st.lists(weight, min_size=1 << n, max_size=1 << n))
+        return ms.TableOracle(n, table), max(table)
+    n = draw(st.integers(1, 8))
+    if kind == "coverage":
+        items = draw(st.integers(1, 10))
+        sets = draw(st.lists(st.frozensets(st.integers(0, items - 1)),
+                             min_size=n, max_size=n))
+        weights = draw(st.lists(weight, min_size=items, max_size=items))
+        return ms.CoverageOracle(sets, weights), sum(weights)
+    if kind == "cut":
+        arcs = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                       st.integers(0, n - 1), weight),
+                             max_size=3 * n))
+        arcs = [(u, v, w) for u, v, w in arcs if u != v]
+        return ms.DirectedCutOracle(n, arcs), sum(w for _, _, w in arcs)
+    weights = draw(st.lists(weight, min_size=n, max_size=n))
+    return ms.ModularOracle(weights), sum(weights)

@@ -1,12 +1,14 @@
 """Exact search and greedy baselines."""
 
+from itertools import combinations
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import matchstream as ms
 from _corpus import (bipartite_matching, coverage_partition, coverage_uniform,
-                     directed_cut, exact_opt, hypergraph_matching)
+                     directed_cut, exact_opt, hypergraph_matching, oracles)
 
 TOL = 1e-9
 
@@ -35,6 +37,86 @@ def test_exact_rank_zero_returns_empty_value():
     result = ms.brute_force_opt(oracle, mp)
     assert result.opt_set == frozenset()
     assert result.opt_value == 5.0
+
+
+def test_exact_search_does_not_bound_a_non_submodular_table():
+    # f(e | {}) = 0 for both elements, yet f({0, 1}) = 10: the submodular
+    # bound would cut the subtree below {0} and return the empty set
+    oracle = ms.TableOracle(2, [0, 0, 0, 10])
+    result = ms.brute_force_opt(oracle, _uniform_mp(2, 2))
+    assert result.opt_set == {0, 1}
+    assert result.opt_value == 10.0
+    assert result.bound_prunes == 0
+
+
+def test_exact_cut_solve_calls_are_pinned():
+    # a 22-vertex complete digraph under a capacity-4 uniform matroid, the
+    # benchmark's exact-offline pool; the walk without the bound evaluated
+    # all 9,109 feasible subsets with one call each
+    inst = ms.generate_instance("directed-cut+matroid", 5, n=22,
+                                arcs=22 * 21, capacity=4)
+    oracle = inst.build_oracle()
+    result = ms.max_feasible_subset(oracle, inst.build_matchoid(), range(22))
+    assert (oracle.calls, result.subsets_examined, result.bound_prunes) == (
+        2107, 2107, 952)
+    assert result.opt_set == {4, 6, 7, 11}
+    assert result.opt_value == 154.0
+    assert "prunes=952" in repr(result)
+
+
+def _first_maximizer(oracle, mp):
+    """The optimum value and its first maximizer in lexicographic order,
+    from every feasible subset evaluated from scratch."""
+    elems = sorted(oracle.ground)
+    subsets = [c for r in range(len(elems) + 1)
+               for c in combinations(elems, r) if mp.feasible(c)]
+    best = max(oracle.peek(c) for c in subsets)
+    return best, min(c for c in subsets if oracle.peek(c) == best)
+
+
+@st.composite
+def _exact_instances(draw):
+    """(oracle, mp, integer): a cut, coverage or modular objective with
+    integer or float weights, under a uniform matroid, a partition matroid
+    or a bipartite matching (one capacity-1 matroid per vertex, p = 2)."""
+    integer = draw(st.booleans())
+    kind = draw(st.sampled_from(("cut", "coverage", "modular")))
+    oracle, _ = draw(oracles(kind, integer))
+    n = len(oracle.ground)
+    constraint = draw(st.sampled_from(("uniform", "partition", "matching")))
+    if constraint == "uniform":
+        mp = _uniform_mp(n, draw(st.integers(0, n)))
+    elif constraint == "partition":
+        labels = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        parts = [[e for e in range(n) if labels[e] == j] for j in range(3)]
+        caps = draw(st.lists(st.integers(0, 2), min_size=3, max_size=3))
+        mp = ms.PMatchoid(range(n), [ms.PartitionMatroid(range(n), parts, caps)],
+                          p=1)
+    else:
+        ends = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(4, 7)),
+                             min_size=n, max_size=n))
+        mp = ms.PMatchoid(range(n), [
+            ms.UniformMatroid([e for e in range(n) if v in ends[e]], 1)
+            for v in range(8)], p=2)
+    return oracle, mp, integer
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_exact_instances())
+def test_branch_and_bound_matches_unpruned_enumeration(case):
+    oracle, mp, integer = case
+    got = ms.max_feasible_subset(oracle, mp, oracle.ground)
+    plain = ms.enumerate_opt_unpruned(oracle, mp)
+    assert mp.feasible(got.opt_set)
+    assert got.subsets_examined <= plain.subsets_examined
+    if integer:
+        best, first = _first_maximizer(oracle, mp)
+        assert got.opt_value == plain.opt_value == best
+        assert got.opt_set == set(first)
+    else:
+        assert got.opt_value == pytest.approx(plain.opt_value, rel=1e-9, abs=1e-12)
+        assert oracle.peek(got.opt_set) == pytest.approx(got.opt_value,
+                                                         rel=1e-9, abs=1e-12)
 
 
 def test_exact_size_cap():

@@ -124,7 +124,24 @@ def test_run_counts_below_one_are_rejected(tmp_path, capsys):
     for extra in (["--alpha", "nan", "--passes", "2"],
                   ["--alpha", "inf", "--passes", "2"],
                   ["--schedule", "fixed:nan", "--passes", "2"],
-                  ["--epsilon", "nan"]):
+                  ["--epsilon", "nan"],
+                  ["--target-gamma", "nan", "--passes", "3"],
+                  ["--target-gamma", "inf", "--passes", "3"]):
         code = main(["run-monotone", "--instance", cov] + extra)
         assert code == 2, extra
         assert "error:" in capsys.readouterr().err
+
+
+def test_bad_fixed_schedule_shows_its_reason(tmp_path, capsys):
+    cov = str(tmp_path / "cov.json")
+    main(["generate", "--family", "coverage+uniform", "--seed", "0",
+          "--n", "9", "--out", cov])
+    capsys.readouterr()
+    for token, reason in (("fixed:nan", "finite beta >= 0"),
+                          ("fixed:-1", "finite beta >= 0"),
+                          ("fixed:abc", "could not convert")):
+        code = main(["run-monotone", "--instance", cov, "--schedule", token,
+                     "--passes", "2"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad fixed schedule") and reason in err, err

@@ -7,6 +7,7 @@ from random import Random
 import pytest
 
 import matchstream as ms
+from matchstream.randomized import OFFLINE_EXACT_LIMIT
 from _corpus import coverage_uniform, directed_cut, exact_opt
 
 TOL = 1e-9
@@ -192,6 +193,31 @@ def test_offline_solve_size_cap_and_unknown_mode():
         ms.offline_solve(oracle, mp, range(23))
     with pytest.raises(ms.ConfigError):
         ms.offline_solve(oracle, mp, range(3), mode="annealing")
+
+
+def test_exact_offline_driver_checks_the_pool_cap_up_front():
+    # a 30-vertex cut can leave 30 candidates for the 22-candidate exact
+    # solver: the run is refused before the guess-grid pass
+    big = ms.generate_instance("directed-cut+matroid", 7, n=30, arcs=30 * 29,
+                               capacity=4)
+    oracle = big.build_oracle()
+    with pytest.raises(ms.ConfigError):
+        ms.multipass_randomized(oracle, big.build_matchoid(),
+                                ms.stream_order(30), 0.5, offline_mode="exact")
+    assert oracle.calls == 0
+    heuristic = ms.multipass_randomized(big.build_oracle(), big.build_matchoid(),
+                                        ms.stream_order(30), 0.5, passes=1,
+                                        offline_mode="heuristic")
+    assert heuristic.f_solution > 0
+    # the benchmark's size, 22 vertices, still runs exactly
+    inst = ms.generate_instance("directed-cut+matroid", 7, n=22, arcs=22 * 21,
+                                capacity=4)
+    run = ms.multipass_randomized(inst.build_oracle(), inst.build_matchoid(),
+                                  ms.stream_order(22), 0.5, seed=1,
+                                  offline_mode="exact")
+    assert min(22, run.m - 1) == OFFLINE_EXACT_LIMIT
+    assert inst.build_matchoid().feasible(run.solution)
+    assert run.f_solution == inst.build_oracle().value(run.solution) > 0
 
 
 def test_offline_heuristic_is_feasible_and_never_beats_exact():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import matchstream as ms
+from _corpus import oracles
 
 # With float weights a running total may differ from a from-scratch sum
 # in the last bits; the gap is bounded relative to the oracle's total weight.
@@ -13,40 +14,12 @@ REL_TOL = 1e-12
 KINDS = ("coverage", "cut", "modular", "table")
 
 
-@st.composite
-def _oracles(draw, kind, integer):
-    """(oracle, scale): a random oracle of the kind and its total weight."""
-    if integer:
-        weight = st.integers(0, 9).map(float)
-    else:
-        weight = st.floats(0.0, 100.0, allow_nan=False, allow_infinity=False)
-    if kind == "table":
-        n = draw(st.integers(1, 5))
-        table = draw(st.lists(weight, min_size=1 << n, max_size=1 << n))
-        return ms.TableOracle(n, table), max(table)
-    n = draw(st.integers(1, 8))
-    if kind == "coverage":
-        items = draw(st.integers(1, 10))
-        sets = draw(st.lists(st.frozensets(st.integers(0, items - 1)),
-                             min_size=n, max_size=n))
-        weights = draw(st.lists(weight, min_size=items, max_size=items))
-        return ms.CoverageOracle(sets, weights), sum(weights)
-    if kind == "cut":
-        arcs = draw(st.lists(st.tuples(st.integers(0, n - 1),
-                                       st.integers(0, n - 1), weight),
-                             max_size=3 * n))
-        arcs = [(u, v, w) for u, v, w in arcs if u != v]
-        return ms.DirectedCutOracle(n, arcs), sum(w for _, _, w in arcs)
-    weights = draw(st.lists(weight, min_size=n, max_size=n))
-    return ms.ModularOracle(weights), sum(weights)
-
-
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_running_matches_scratch_evaluation(data):
     kind = data.draw(st.sampled_from(KINDS), label="kind")
     integer = data.draw(st.booleans(), label="integer weights")
-    oracle, scale = data.draw(_oracles(kind, integer), label="oracle")
+    oracle, scale = data.draw(oracles(kind, integer), label="oracle")
     n = len(oracle.ground)
     members = set(data.draw(st.frozensets(st.integers(0, n - 1)), label="start"))
     ops = data.draw(st.lists(st.tuples(
