@@ -25,11 +25,11 @@ out = ms.randomized_pass(inst.build_oracle(), mp, ms.stream_order(inst.n),
                          None, alpha=0.5, beta=1.0, m=3, rng=Random(4))
 print()
 print("single pass with pool size 3:")
-print("  selections:", out.result.accept_count,
+print("  selections:", out.accept_count,
       " pool drops:", out.buffer_drops,
       " pool peak:", out.buffer.peak)
 print("  streaming solution:", sorted(out.state.members),
-      "f =", out.result.f_final)
+      "f =", out.f_final)
 print("  offline over leftover pool:", sorted(out.s_prime),
       "f =", out.f_s_prime)
 

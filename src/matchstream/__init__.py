@@ -24,7 +24,7 @@ from .randomized import (BufferState, GuessGrid, LambdaCopyResult,
                          RandomizedPassRunner, RandomizedRunResult,
                          guess_grid, multipass_randomized, offline_solve,
                          randomized_pass)
-from .streaming import (PassResult, SolutionState, nu_by_definition,
+from .streaming import (PassRunner, SolutionState, nu_by_definition,
                         recompute_nu, streaming_pass)
 
 __version__ = "0.1.0"

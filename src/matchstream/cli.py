@@ -13,6 +13,7 @@ from .baselines import brute_force_opt, offline_greedy
 from .errors import MatchstreamError
 from .experiments import ExperimentConfig, report_rows, run_experiment, write_trace
 from .instances import FAMILIES, generate_instance, save_instance
+from .randomized import OFFLINE_MODES
 
 
 def _add_generate(sub):
@@ -87,7 +88,7 @@ def _add_run_nonmonotone(sub):
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--passes", type=int)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--offline", choices=("exact", "heuristic"), default="exact")
+    p.add_argument("--offline", choices=OFFLINE_MODES, default="exact")
     p.add_argument("--replicates", type=int, default=1)
     p.add_argument("--shuffle-seed", type=int, dest="shuffle_seed")
     p.add_argument("--trace")

@@ -2,8 +2,11 @@
 
 The harness runs the two streaming drivers, ``monotone-multipass`` and
 ``nonmonotone-randomized``; the exact and greedy baselines are the CLI's
-``solve-exact`` and ``greedy`` verbs. A trace row is a pass's
-``PassResult.row`` plus schema_version (and a guess copy's columns).
+``solve-exact`` and ``greedy`` verbs. A trace row is a finished pass
+runner's ``row`` plus schema_version (and a guess copy's columns). A run
+builds its constraint once, which the driver, every replicate and the
+exact optimum share; each driver run and the optimum get a fresh oracle,
+since an oracle carries the call counter.
 
 Traces are CSV with a schema_version column; summaries are JSON. Given
 the same config (seed included), reruns produce byte-identical trace
@@ -110,12 +113,10 @@ def write_trace(path, columns, rows):
     return text
 
 
-def _compute_opt(inst):
-    if inst.n > 16:
-        return None
+def _compute_opt(inst, mp):
     try:
         # separate oracle instance so the run's call counters stay clean
-        return brute_force_opt(inst.build_oracle(), inst.build_matchoid()).opt_value
+        return brute_force_opt(inst.build_oracle(), mp).opt_value
     except SizeError:
         return None
 
@@ -130,9 +131,9 @@ def run_experiment(config):
     """
     started = time.perf_counter()
     inst = load_instance(config.instance)
-    meta_mp = inst.build_matchoid()
+    mp = inst.build_matchoid()
     stream = stream_order(inst.n, config.shuffle_seed)
-    opt_value = _compute_opt(inst)
+    opt_value = _compute_opt(inst, mp)
 
     summary = {
         "schema_version": SCHEMA_VERSION,
@@ -140,8 +141,8 @@ def run_experiment(config):
         "instance": config.instance,
         "n": inst.n,
         "monotone": inst.monotone,
-        "p": meta_mp.p,
-        "rank_k": meta_mp.rank_k,
+        "p": mp.p,
+        "rank_k": mp.rank_k,
         "seed": config.seed,
         "opt_value": opt_value,
         "trace": config.trace,
@@ -152,7 +153,6 @@ def run_experiment(config):
     if config.algorithm == "monotone-multipass":
         columns = MONOTONE_TRACE_COLUMNS
         oracle = inst.build_oracle()
-        mp = inst.build_matchoid()
         schedule = build_schedule(config.schedule, mp.p)
         passes = (config.passes if config.passes is not None
                   else schedule.default_passes(config.epsilon))
@@ -181,9 +181,8 @@ def run_experiment(config):
         for rep in range(config.replicates):
             oracle = inst.build_oracle()
             run = multipass_randomized(
-                oracle, inst.build_matchoid(), stream, config.epsilon,
-                config.passes, seed=config.seed ^ rep,
-                offline_mode=config.offline)
+                oracle, mp, stream, config.epsilon, config.passes,
+                seed=config.seed ^ rep, offline_mode=config.offline)
             f_bars.append(run.f_solution)
             total_calls += oracle.calls
             peak_storage = max(peak_storage, run.space_peak)

@@ -16,20 +16,22 @@ value. A dedicated first pass finds the best singleton tau, and one copy
 of the algorithm runs for every power of two in [tau, k*tau]; some copy's
 guess is within a factor two of the optimum. The copies share each
 physical pass over the stream. Each copy keeps one record, a
-``LambdaCopyResult``, that the driver fills pass by pass; each pass's
-runner meters its own oracle calls, so a copy's counts are its own even
-though the copies share one oracle.
+``LambdaCopyResult``, that the driver fills pass by pass with the
+finished runners; each runner meters its own oracle calls, so a copy's
+counts are its own even though the copies share one oracle.
 """
 
 import math
+from itertools import islice
 from random import Random
 
 from .baselines import max_feasible_subset
 from .errors import ConfigError, PreconditionError, SizeError
 from .matchoids import exchange_set
-from .multipass import Schedule
+from .multipass import Schedule, worst_case_gamma
 from .streaming import PassRunner, streaming_pass, validate_stream
 
+OFFLINE_MODES = ("exact", "heuristic")
 OFFLINE_EXACT_LIMIT = 22
 
 
@@ -38,9 +40,9 @@ class BufferState:
 
     __slots__ = ("members", "peak")
 
-    def __init__(self, members, peak=0):
+    def __init__(self, members):
         self.members = list(members)
-        self.peak = max(peak, len(self.members))
+        self.peak = len(self.members)
 
     def draw(self, rng):
         """Remove and return a uniformly random member."""
@@ -95,7 +97,10 @@ class RandomizedPassRunner(PassRunner):
     one member is drawn uniformly at random and exchanged in, and every
     other member is re-screened against the new solution. The solution
     changes only at a draw, so the cached threshold data is current at
-    every draw. ``finish`` solves offline over what is left in the buffer.
+    every draw. ``finish`` solves offline over what is left in the buffer
+    and returns the runner as the pass record, which adds to the
+    ``PassRunner`` record the residual ``buffer``, its ``buffer_drops``,
+    and the offline solution ``s_prime`` worth ``f_s_prime``.
     """
 
     def __init__(self, oracle, mp, s_init, alpha, beta, m, rng, *, debug=False):
@@ -149,37 +154,26 @@ class RandomizedPassRunner(PassRunner):
         return gain >= self._bar(cx)
 
     def finish(self, offline_mode="exact"):
-        """Close the pass: solve offline over the residual buffer and
-        package the usual pass accounting, whose call count includes the
-        offline solve and the evaluation of its solution."""
+        """Close the pass: solve offline over the residual buffer and return
+        the runner as its record. The call count includes the offline
+        solve and the evaluation of its solution; the buffer keeps its
+        members but drops their cached threshold data."""
         if self._finished:
             raise PreconditionError("runner already finished")
         calls = self.oracle.calls
         s_prime = offline_solve(self.oracle, self.mp, self.buffer.members,
                                 mode=offline_mode)
-        f_s_prime = self.oracle.value(s_prime)
-        self.calls += self.oracle.calls - calls
-        return RandomizedPassResult(self.state, frozenset(s_prime), f_s_prime,
-                                    super().finish(), self.buffer,
-                                    self.buffer_drops)
-
-
-class RandomizedPassResult:
-    __slots__ = ("state", "s_prime", "f_s_prime", "result", "buffer",
-                 "buffer_drops")
-
-    def __init__(self, state, s_prime, f_s_prime, result, buffer, buffer_drops):
-        self.state = state
-        self.s_prime = s_prime
-        self.f_s_prime = f_s_prime
-        self.result = result
-        self.buffer = buffer
-        self.buffer_drops = buffer_drops
+        self.f_s_prime = self.oracle.value(s_prime)
+        self.s_prime = frozenset(s_prime)
+        self.oracle_calls += self.oracle.calls - calls
+        self._entries = None
+        return super().finish()
 
 
 def randomized_pass(oracle, mp, stream, s_init, alpha, beta, m, rng, *,
                     offline_mode="exact", debug=False):
-    """Run one randomized buffered pass over a full stream."""
+    """Run one randomized buffered pass over a full stream; returns the
+    finished ``RandomizedPassRunner``."""
     order = validate_stream(stream, oracle.ground, require_full=True)
     runner = RandomizedPassRunner(oracle, mp, s_init, alpha, beta, m, rng,
                                   debug=debug)
@@ -195,10 +189,12 @@ def offline_solve(oracle, mp, candidates, mode="exact"):
     infeasible branches and, for a submodular objective, subtrees its
     upper bound shows cannot beat the best set so far (pool capped at 22
     elements). ``heuristic`` chains 2p streaming passes over the pool in
-    ascending-id order with the harmonic step sizes; the objective value
-    never decreases across those passes, so the last solution is the best
-    one found.
+    ascending-id order, stepped by the p-matchoid recurrence schedule; the
+    objective value never decreases across those passes, so the last
+    solution is the best one found.
     """
+    if mode not in OFFLINE_MODES:
+        raise ConfigError(f"unknown offline mode: {mode}")
     pool = sorted(set(candidates))
     if mode == "exact":
         if len(pool) > OFFLINE_EXACT_LIMIT:
@@ -206,26 +202,23 @@ def offline_solve(oracle, mp, candidates, mode="exact"):
                 f"exact offline mode is capped at {OFFLINE_EXACT_LIMIT} candidates"
             )
         return max_feasible_subset(oracle, mp, pool).opt_set
-    if mode == "heuristic":
-        state = None
-        for i in range(1, 2 * mp.p + 1):
-            res = streaming_pass(oracle, mp, pool, state, 0.0, 1.0 / i,
-                                 require_full_stream=False)
-            state = res.state
-        return frozenset(state.members)
-    raise ConfigError(f"unknown offline mode: {mode}")
+    state = None
+    for beta, _ in islice(Schedule.matchoid_recurrence(mp.p).steps(), 2 * mp.p):
+        state = streaming_pass(oracle, mp, pool, state, 0.0, beta,
+                               require_full_stream=False).state
+    return frozenset(state.members)
 
 
 class LambdaCopyResult:
     """One guess copy of the randomized driver: its guess ``lam``, threshold
     ``alpha``, buffer capacity ``m`` and draw seed, the streaming solution
     it chains across passes (``state``), its best offline solution
-    (``s_prime``, worth ``f_s_prime``), its largest buffer, and one trace
-    row and one ``PassResult`` per pass. The copy's answer is the better of
+    (``s_prime``, worth ``f_s_prime``), and one trace row and one finished
+    ``RandomizedPassRunner`` per pass. The copy's answer is the better of
     its two solutions, the streaming one on ties."""
 
     __slots__ = ("lam", "alpha", "m", "seed", "rng", "state", "s_prime",
-                 "f_s_prime", "pass_rows", "pass_results", "buffer_peak")
+                 "f_s_prime", "pass_rows", "pass_results")
 
     def __init__(self, lam, alpha, m, seed):
         self.lam = lam
@@ -238,7 +231,6 @@ class LambdaCopyResult:
         self.f_s_prime = None
         self.pass_rows = []
         self.pass_results = []
-        self.buffer_peak = 0
 
     @property
     def f_s(self):
@@ -254,24 +246,22 @@ class LambdaCopyResult:
             return frozenset(self.state.members)
         return self.s_prime
 
-    def add_pass(self, i, beta, gamma, fin):
-        """Record finished pass ``i`` (a ``RandomizedPassResult``): chain its
+    def add_pass(self, i, beta, gamma, runner):
+        """Record pass ``i`` (a finished ``RandomizedPassRunner``): chain its
         solution, keep the better offline solution and append its row."""
-        res = fin.result
-        self.state = fin.state
-        self.pass_results.append(res)
-        self.buffer_peak = max(self.buffer_peak, fin.buffer.peak)
+        self.state = runner.state
+        self.pass_results.append(runner)
         if self.f_s_prime is None:
-            self.f_s_prime = fin.state.f_empty
-        if fin.f_s_prime > self.f_s_prime:
-            self.f_s_prime, self.s_prime = fin.f_s_prime, fin.s_prime
+            self.f_s_prime = runner.state.f_empty
+        if runner.f_s_prime > self.f_s_prime:
+            self.f_s_prime, self.s_prime = runner.f_s_prime, runner.s_prime
         self.pass_rows.append({
-            **res.row(i, beta, gamma),
+            **runner.row(i, beta, gamma),
             "lambda": self.lam,
             "m": self.m,
-            "buffer_peak": fin.buffer.peak,
+            "buffer_peak": runner.buffer.peak,
             "f_S_prime": self.f_s_prime,
-            "f_S_bar": max(res.f_final, self.f_s_prime),
+            "f_S_bar": max(runner.f_final, self.f_s_prime),
             "seed": self.seed,
         })
 
@@ -309,17 +299,20 @@ def multipass_randomized(oracle, mp, stream, epsilon, passes=None, seed=0, *,
     copy (the first such copy), streaming solutions preferred on ties.
 
     The reported ``gamma_off`` is the offline solver's factor: 1 for the
-    exact solver and p + 3 for the heuristic, the recurrence schedule's
-    closed form at 2p passes. It is reporting only; nothing in the run
-    depends on it.
+    exact solver, and for the heuristic the recurrence schedule's
+    worst-case factor after the 2p passes it runs (p + 3). It is
+    reporting only; nothing in the run depends on it.
 
-    A residual pool holds fewer than m elements (a full buffer is drawn
-    from at once) and at most n, so the exact mode raises ``ConfigError``
-    before the first pass when min(n, m - 1) exceeds the exact solver's
-    cap, instead of a ``SizeError`` partway through the run.
+    An unknown offline mode raises ``ConfigError`` before any oracle
+    call. A residual pool holds fewer than m elements (a full buffer is
+    drawn from at once) and at most n, so the exact mode also raises
+    ``ConfigError`` before the first pass when min(n, m - 1) exceeds the
+    exact solver's cap, instead of a ``SizeError`` partway through the run.
     """
     if not 0.0 < epsilon <= 0.5:
         raise PreconditionError("epsilon must lie in (0, 1/2]")
+    if offline_mode not in OFFLINE_MODES:
+        raise ConfigError(f"unknown offline mode: {offline_mode}")
     order = validate_stream(stream, oracle.ground, require_full=True)
     p = mp.p
     k = mp.rank_k
@@ -363,5 +356,7 @@ def multipass_randomized(oracle, mp, stream, epsilon, passes=None, seed=0, *,
         solution=best.solution, f_solution=best.f_best, copies=copies,
         grid=grid, passes_used=d + 1, space_peak=space_peak,
         space_bound=len(grid.lambdas) * (m + 3 * k), epsilon=epsilon, d=d,
-        m=m, seed=seed, gamma_off=1.0 if offline_mode == "exact" else p + 3.0,
+        m=m, seed=seed,
+        gamma_off=(1.0 if offline_mode == "exact"
+                   else worst_case_gamma(Schedule.matchoid_recurrence(p), 2 * p)),
     )

@@ -19,8 +19,8 @@ its selection policy varies. Under the immediate policy (this module's
 ``streaming_pass``) an arrival that clears the threshold is exchanged in
 at once. Under the buffered policy (``randomized.RandomizedPassRunner``)
 it waits in a bounded buffer until a random draw selects it. Each runner
-meters its own oracle calls and debug checks and reports them on its
-``PassResult``.
+meters its own oracle calls and debug checks, and the finished runner is
+the pass's record.
 """
 
 import math
@@ -76,12 +76,12 @@ class SolutionState:
             evaluator = self.evaluator = oracle.running(self.order, meter=False)
         return evaluator
 
-    def accept(self, x, evict, oracle, gain_hint=None):
-        """Apply S <- S \\ evict + x and refresh the nu cache.
+    def accept(self, x, evict, oracle, gain):
+        """Apply S <- S \\ evict + x and refresh the nu cache, where ``gain``
+        is f(x | S), which the caller has measured.
 
         Returns the evicted elements mapped to their incremental value at
-        removal. ``gain_hint`` saves one oracle call when nothing is
-        evicted (the caller already knows f(x | S)).
+        removal.
         """
         chi = {c: self.nu[c] for c in evict}
         if evict:
@@ -94,12 +94,7 @@ class SolutionState:
             self._append(x)
             recompute_nu(self, oracle, cut)
         else:
-            evaluator = self.running(oracle)
-            if gain_hint is None:
-                gain = evaluator.add(x) - self.f_s
-            else:
-                gain = gain_hint
-                evaluator.add(x, meter=False)
+            self.running(oracle).add(x, meter=False)
             self._append(x)
             self.nu[x] = gain
             self.f_s += gain
@@ -144,64 +139,6 @@ def nu_by_definition(state, oracle):
     return out
 
 
-class PassResult:
-    """Outcome of one pass: final state, acceptance set (initial solution
-    included), eviction values, objective endpoints, and meters.
-
-    ``oracle_calls`` counts the metered calls the pass's arrivals and its
-    finish made, not the building of its starting solution; under an
-    oracle shared by several runners each counts only its own.
-    ``element_checks`` and ``accept_checks`` count the debug invariant
-    checks the pass ran (zero without debug).
-    """
-
-    __slots__ = ("state", "accepted", "evicted", "f_final", "f_init",
-                 "accept_count", "reject_count", "discard_count",
-                 "oracle_calls", "stored_peak", "alpha", "beta",
-                 "element_checks", "accept_checks")
-
-    def __init__(self, state, accepted, evicted, f_final, f_init,
-                 accept_count, reject_count, discard_count, oracle_calls,
-                 stored_peak, alpha, beta, element_checks, accept_checks):
-        self.state = state
-        self.accepted = frozenset(accepted)
-        self.evicted = dict(evicted)
-        self.f_final = f_final
-        self.f_init = f_init
-        self.accept_count = accept_count
-        self.reject_count = reject_count
-        self.discard_count = discard_count
-        self.oracle_calls = oracle_calls
-        self.stored_peak = stored_peak
-        self.alpha = alpha
-        self.beta = beta
-        self.element_checks = element_checks
-        self.accept_checks = accept_checks
-
-    @property
-    def solution(self):
-        return frozenset(self.state.members)
-
-    @property
-    def eviction_sum(self):
-        return math.fsum(self.evicted.values())
-
-    @property
-    def delta(self):
-        """Progress ratio f(S_{i-1}) / f(S_i) of the pass; 1 when f(S_i)
-        is not positive."""
-        return self.f_init / self.f_final if self.f_final > 0.0 else 1.0
-
-    def row(self, i, beta, gamma):
-        """The trace columns every driver writes for this pass, as pass
-        ``i`` with step ``beta`` and factor ``gamma``."""
-        return {"pass": i, "beta": beta, "f_S": self.f_final,
-                "delta": self.delta, "gamma_certified": gamma,
-                "accepts": self.accept_count, "evictions": len(self.evicted),
-                "oracle_calls": self.oracle_calls,
-                "stored_elements": self.stored_peak}
-
-
 def validate_stream(stream, ground, require_full=True):
     order = [int(x) for x in stream]
     seen = set(order)
@@ -234,6 +171,16 @@ class PassRunner:
     it gets one record per processed element. With ``debug``
     the solution invariants are re-derived from the oracle after every
     processed element (uncounted evaluations).
+
+    ``finish`` closes the pass and returns the runner itself as the pass
+    record: its ``state``, the acceptance set ``accepted`` (initial
+    solution included), the eviction values ``evicted``, the objective
+    endpoints ``f_init`` and ``f_final``, the counters, and the meters.
+    ``oracle_calls`` counts the metered calls of the pass's arrivals and
+    its finish, not the building of its starting solution;
+    ``element_checks`` and ``accept_checks`` count the debug checks (zero
+    without debug). A finished runner refuses further arrivals and a
+    second finish, so a stored pass does not change.
     """
 
     # admitted arrivals still waiting for selection
@@ -255,11 +202,12 @@ class PassRunner:
         self.beta = beta
         self.debug = debug
         self.trace = trace
-        self.calls = self.element_checks = self.accept_checks = 0
+        self.oracle_calls = self.element_checks = self.accept_checks = 0
         self.init_ids = frozenset(self.state.members)
         self.accepted = set(self.init_ids)
         self.evicted = {}
         self.f_init = self.state.f_s
+        self.f_final = None  # set by finish
         self.accept_count = self.reject_count = self.discard_count = 0
         self.stored_current = self.stored_peak = len(self.init_ids)
         self._finished = False
@@ -284,23 +232,39 @@ class PassRunner:
         if self.debug:
             _check_element(state, self.oracle, self.mp, self.alpha)
             self.element_checks += 1
-        self.calls += self.oracle.calls - calls
+        self.oracle_calls += self.oracle.calls - calls
 
     def finish(self):
-        """Close the pass and package its accounting."""
+        """Close the pass and return the runner as its record."""
         if self._finished:
             raise PreconditionError("runner already finished")
         self._finished = True
-        return PassResult(
-            state=self.state, accepted=self.accepted, evicted=self.evicted,
-            f_final=self.state.f_s, f_init=self.f_init,
-            accept_count=self.accept_count, reject_count=self.reject_count,
-            discard_count=self.discard_count,
-            oracle_calls=self.calls, stored_peak=self.stored_peak,
-            alpha=self.alpha, beta=self.beta,
-            element_checks=self.element_checks,
-            accept_checks=self.accept_checks,
-        )
+        self.accepted = frozenset(self.accepted)
+        self.f_final = self.state.f_s
+        return self
+
+    @property
+    def solution(self):
+        return frozenset(self.state.members)
+
+    @property
+    def eviction_sum(self):
+        return math.fsum(self.evicted.values())
+
+    @property
+    def delta(self):
+        """Progress ratio f(S_{i-1}) / f(S_i) of the pass; 1 when f(S_i)
+        is not positive."""
+        return self.f_init / self.f_final if self.f_final > 0.0 else 1.0
+
+    def row(self, i, beta, gamma):
+        """The trace columns every driver writes for this finished pass, as
+        pass ``i`` with step ``beta`` and factor ``gamma``."""
+        return {"pass": i, "beta": beta, "f_S": self.f_final,
+                "delta": self.delta, "gamma_certified": gamma,
+                "accepts": self.accept_count, "evictions": len(self.evicted),
+                "oracle_calls": self.oracle_calls,
+                "stored_elements": self.stored_peak}
 
     def _threshold(self, x):
         """(cleared, f(x | S), C_x) for x against the current solution."""
@@ -322,7 +286,7 @@ class PassRunner:
         """S <- S - C_x + x, where ``gain`` is the current f(x | S)."""
         state = self.state
         nu_before = dict(state.nu) if self.debug else None
-        self.evicted.update(state.accept(x, cx, self.oracle, gain_hint=gain))
+        self.evicted.update(state.accept(x, cx, self.oracle, gain))
         self.accepted.add(x)
         self.accept_count += 1
         _trace_write(self.trace, x, "accept", cx, state)
@@ -345,7 +309,7 @@ class PassRunner:
 def streaming_pass(oracle, mp, stream, s_init=None, alpha=0.0, beta=1.0, *,
                    debug=False, trace=None, require_full_stream=True):
     """Process one pass of the stream against an optional initial solution
-    with the immediate policy (see ``PassRunner``)."""
+    with the immediate policy; returns the finished ``PassRunner``."""
     order = validate_stream(stream, oracle.ground, require_full_stream)
     runner = PassRunner(oracle, mp, s_init, alpha, beta, debug=debug,
                         trace=trace)

@@ -183,7 +183,7 @@ def test_05_per_pass_accounting(monotone_corpus, randomized_sweep,
                         ok = ok and len(res.accepted) <= opt / copy.alpha + TOL
                         alpha_checks += 1
     for mp, opt, out, alpha in small_buffer_runs:
-        res = out.result
+        res = out
         ok = ok and res.beta * res.eviction_sum <= res.f_final - res.f_init + TOL
         ok = ok and len(res.accepted) <= opt / alpha + TOL
         passes += 1
@@ -196,7 +196,7 @@ def test_06_per_element_invariants(monotone_corpus, small_buffer_runs):
     # the debug-mode runs of these two fixtures count their own checks
     results = [res for records in monotone_corpus.values() for rec in records
                for res in rec.run.pass_results]
-    results += [out.result for _, _, out, _ in small_buffer_runs]
+    results += [out for _, _, out, _ in small_buffer_runs]
     elements = sum(res.element_checks for res in results)
     accepts = sum(res.accept_checks for res in results)
     ok = elements > 0 and accepts > 0

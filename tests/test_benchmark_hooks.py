@@ -43,3 +43,46 @@ def test_tiny_batch_solves_and_passes_the_gate(name):
             assert workloads.gate(inst, workload, outcome) == [], (name, index)
             if sink is not None:
                 assert len(sink.records) >= inst.n * outcome["passes"]
+
+
+def _solve_tiny_batch(name, tracer=None):
+    """Outcome, oracle calls and driver result of every driver call of the
+    workload's TINY batch, traced when a tracer is given."""
+    workload = workloads.WORKLOADS[name]
+    seed = 3
+    solved = []
+    for index, inst in enumerate(workload.make(seed, workloads.TINY)):
+        for kind, run in workload.calls(inst, workloads.instance_seed(seed, index)):
+            sink = None
+            if tracer is not None:
+                driver = ("multipass.multipass_run" if kind == "monotone"
+                          else "randomized.multipass_randomized")
+                run = tracer.wrap(driver, run)
+                tracer.run_id += 1
+                sink = tracer.sink if kind == "monotone" else None
+            oracle = inst.build_oracle()
+            result = run(oracle, inst.build_matchoid(), sink)
+            solved.append((workloads.read_result(kind, result), oracle.calls,
+                           kind, result))
+    return solved
+
+
+@pytest.mark.parametrize("name", list(workloads.WORKLOADS))
+def test_traced_tiny_batch_matches_the_untraced_solve(name):
+    # every hook runs here, the ones that read pass records included
+    plain = _solve_tiny_batch(name)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        traced = _solve_tiny_batch(name, tracer)
+    finally:
+        tracer.uninstall()
+    assert ([(out, calls) for out, calls, _, _ in traced]
+            == [(out, calls) for out, calls, _, _ in plain])
+    metrics = tracer.layer_metrics()
+    monotone = [run for _, _, kind, run in traced if kind == "monotone"]
+    if monotone:
+        assert metrics["streaming.accepts"] == sum(
+            res.accept_count for run in monotone for res in run.pass_results)
+    else:
+        assert metrics["randomized.process.calls"] > 0

@@ -111,6 +111,29 @@ def test_randomized_trace_columns(tmp_path):
     assert summary["peak_storage"] <= summary["space_bound"]
 
 
+def test_a_run_builds_its_constraint_once(tmp_path, monkeypatch):
+    # the driver, every replicate and the exact optimum share one
+    # constraint; a null rank in the file makes each build enumerate it
+    instance = _write_instance(tmp_path, family="3-uniform-hypergraph-matching",
+                               seed=2, hyperedges=12)
+    builds = []
+    original = ms.Instance.build_matchoid
+
+    def counted(inst):
+        builds.append(inst)
+        return original(inst)
+
+    monkeypatch.setattr(ms.Instance, "build_matchoid", counted)
+    for algorithm, extra in (("monotone-multipass", {"passes": 2}),
+                             ("nonmonotone-randomized",
+                              {"epsilon": 0.5, "passes": 1, "replicates": 3})):
+        builds.clear()
+        summary = ms.run_experiment(ms.ExperimentConfig(
+            instance=instance, algorithm=algorithm, **extra))
+        assert len(builds) == 1, algorithm
+        assert summary["opt_value"] is not None and summary["p"] == 3
+
+
 def test_shuffled_stream_reused_across_passes(tmp_path):
     instance = _write_instance(tmp_path, seed=8)
     outs = []

@@ -81,8 +81,8 @@ def test_buffer_never_fills_when_capacity_exceeds_candidates():
     mp = inst.build_matchoid()
     out = ms.randomized_pass(oracle, mp, ms.stream_order(inst.n), None,
                              0.5, 1.0, m=10 * inst.n, rng=Random(1))
-    assert out.result.accept_count == 0
-    assert out.result.f_final == out.result.f_init
+    assert out.accept_count == 0
+    assert out.f_final == out.f_init
     assert len(out.s_prime) > 0
     assert out.f_s_prime > 0.0
     assert mp.feasible(out.s_prime)
@@ -104,9 +104,9 @@ def test_capacity_one_buffer_matches_streaming_pass():
         processing_calls = oracle.calls - calls_before
         buffered = runner.finish()
         assert buffered.state.members == plain.state.members
-        assert buffered.result.accepted == plain.accepted
-        assert buffered.result.evicted == plain.evicted
-        assert buffered.result.f_final == plain.f_final
+        assert buffered.accepted == plain.accepted
+        assert buffered.evicted == plain.evicted
+        assert buffered.f_final == plain.f_final
         # per-arrival oracle work matches the deterministic pass exactly
         assert processing_calls == plain.oracle_calls
 
@@ -118,8 +118,8 @@ def test_seeded_runs_are_reproducible():
         out = ms.randomized_pass(inst.build_oracle(), inst.build_matchoid(),
                                  ms.stream_order(inst.n), None, 0.5, 1.0,
                                  m=3, rng=Random(42), debug=True)
-        outs.append((out.state.members, dict(out.result.evicted),
-                     out.s_prime, out.result.oracle_calls))
+        outs.append((out.state.members, dict(out.evicted),
+                     out.s_prime, out.oracle_calls))
     assert outs[0] == outs[1]
 
 
@@ -146,8 +146,8 @@ def test_initial_solution_elements_are_discarded():
                                0.25, 1.0, m=2, rng=Random(0))
     second = ms.randomized_pass(oracle, mp, ms.stream_order(inst.n),
                                 first.state, 0.25, 0.5, m=2, rng=Random(1))
-    assert second.result.discard_count == len(first.state.members)
-    assert second.result.f_final >= second.result.f_init - TOL
+    assert second.discard_count == len(first.state.members)
+    assert second.f_final >= second.f_init - TOL
 
 
 def test_runner_rejects_bad_configuration():
@@ -218,6 +218,51 @@ def test_exact_offline_driver_checks_the_pool_cap_up_front():
     assert min(22, run.m - 1) == OFFLINE_EXACT_LIMIT
     assert inst.build_matchoid().feasible(run.solution)
     assert run.f_solution == inst.build_oracle().value(run.solution) > 0
+
+
+def test_unknown_offline_mode_is_rejected_before_any_call():
+    inst = ms.generate_instance("directed-cut+matroid", 4, n=12, capacity=3)
+    oracle = inst.build_oracle()
+    with pytest.raises(ms.ConfigError, match="unknown offline mode"):
+        ms.multipass_randomized(oracle, inst.build_matchoid(),
+                                ms.stream_order(inst.n), 0.5,
+                                offline_mode="annealing")
+    assert oracle.calls == 0
+
+
+def test_heuristic_offline_steps_by_the_recurrence_schedule():
+    # a p=2 pool where the recurrence steps (1, 5/9, ...) and the harmonic
+    # steps (1, 1/2, 1/3, 1/4) end on different solutions
+    inst = ms.generate_instance("bipartite-matching", 54, left=5, right=5,
+                                edges=14)
+    oracle, mp = inst.build_oracle(), inst.build_matchoid()
+    assert mp.p == 2
+    pool = list(range(inst.n))
+    got = ms.offline_solve(oracle, mp, pool, mode="heuristic")
+
+    def chained(betas):
+        state = None
+        for beta in betas:
+            state = ms.streaming_pass(oracle, mp, pool, state, 0.0, beta,
+                                      require_full_stream=False).state
+        return frozenset(state.members)
+
+    steps = ms.Schedule.matchoid_recurrence(2).steps()
+    assert got == chained(beta for _, (beta, _) in zip(range(4), steps))
+    assert got != chained(1.0 / i for i in range(1, 5))
+    # the reported factor is that schedule's worst case after its 2p passes
+    ps = []
+    for family in ("directed-cut+matroid", "bipartite-matching",
+                   "3-uniform-hypergraph-matching"):
+        inst = ms.generate_instance(family, 0)
+        mp = inst.build_matchoid()
+        run = ms.multipass_randomized(inst.build_oracle(), mp,
+                                      ms.stream_order(inst.n), 0.5, passes=1,
+                                      offline_mode="heuristic")
+        assert run.gamma_off == ms.worst_case_gamma(
+            ms.Schedule.matchoid_recurrence(mp.p), 2 * mp.p)
+        ps.append(mp.p)
+    assert ps == [1, 2, 3]
 
 
 def test_offline_heuristic_is_feasible_and_never_beats_exact():

@@ -116,8 +116,38 @@ def test_debug_mode_checks_every_element():
     out = ms.randomized_pass(inst.build_oracle(), inst.build_matchoid(),
                              ms.stream_order(inst.n), None, 0.0, 1.0, m=2,
                              rng=Random(5), debug=True)
-    assert out.result.element_checks == inst.n
-    assert 0 < out.result.accept_count < inst.n
+    assert out.element_checks == inst.n
+    assert 0 < out.accept_count < inst.n
+
+
+@pytest.mark.parametrize("buffered", [False, True])
+def test_finished_runner_is_a_fixed_record(buffered):
+    # the finished runner is the pass record: it takes no more arrivals,
+    # no second finish, and neither attempt changes what it holds
+    inst = coverage_uniform(2)
+    oracle, mp = inst.build_oracle(), inst.build_matchoid()
+    if buffered:
+        res = ms.randomized_pass(oracle, mp, ms.stream_order(inst.n), None,
+                                 0.0, 1.0, m=2, rng=Random(5))
+    else:
+        res = ms.streaming_pass(oracle, mp, ms.stream_order(inst.n), None,
+                                0.0, 1.0)
+    assert isinstance(res, ms.PassRunner)
+
+    def record():
+        fields = (res.accepted, dict(res.evicted), res.f_final,
+                  res.oracle_calls, res.solution)
+        return fields + ((res.s_prime, res.f_s_prime) if buffered else ())
+
+    before = record()
+    assert before[0] and res.accept_count > 0
+    calls = oracle.calls
+    with pytest.raises(ms.PreconditionError):
+        res.process(0)
+    with pytest.raises(ms.PreconditionError):
+        res.finish()
+    assert record() == before
+    assert oracle.calls == calls
 
 
 def test_eviction_sum_bounded_by_pass_gain():
