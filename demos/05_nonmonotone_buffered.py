@@ -35,8 +35,9 @@ print("  offline over leftover pool:", sorted(out.s_prime),
 
 # The full driver guesses the optimum's scale with a one-pass singleton
 # scan, runs one copy per guess, and returns the best answer found.
+eps = 0.25
 run = ms.multipass_randomized(inst.build_oracle(), inst.build_matchoid(),
-                              ms.stream_order(inst.n), epsilon=0.25, seed=0)
+                              ms.stream_order(inst.n), epsilon=eps, seed=0)
 print()
 print(f"full driver: guesses {run.grid.lambdas}, {run.d} passes "
       f"(+1 scan), pool capacity {run.m}")
@@ -44,7 +45,6 @@ print(f"  best value {run.f_solution} vs optimum {opt.opt_value}"
       f"  (feasible: {mp.feasible(run.solution)})")
 print(f"  stored at peak {run.space_peak} elements, bound {run.space_bound}")
 
-eps = run.epsilon
 lhs = (1 - eps) * opt.opt_value
 rhs = (2 + 1 + eps) * run.f_solution
 print(f"  guarantee with an exact offline solver: "

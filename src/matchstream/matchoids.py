@@ -229,23 +229,26 @@ def exchange_set(mp, x, state):
 
     For each matroid containing x whose restriction becomes dependent when
     x is added, the swap candidate with the smallest cached incremental
-    value is chosen (earliest arrival breaks ties). Matroids are visited
-    in instance order, and the same element may be chosen for several of
+    value is chosen; ties go to the earliest arrival, i.e. the first
+    minimum in the key order of ``state.nu``. Matroids are visited in
+    instance order, and the same element may be chosen for several of
     them (it is added once).
     """
-    if x in state.members:
+    nu = state.nu
+    if x in nu:
         raise PreconditionError(f"element {x} is already in the solution")
     chosen = set()
     for matroid in mp.matroids:
         if x not in matroid.ground_subset:
             continue
+        # iterates S, not the matroid's whole ground subset
         candidates = matroid.swap_candidates(
-            state.members & matroid.ground_subset, x)
+            matroid.ground_subset.intersection(nu), x)
         if candidates is None:
             continue
         if not candidates:
             raise InfeasibilityError(
                 f"no single swap restores independence for element {x}"
             )
-        chosen.add(min(candidates, key=lambda y: (state.nu[y], state.index[y])))
+        chosen.add(min((y for y in nu if y in candidates), key=nu.__getitem__))
     return chosen

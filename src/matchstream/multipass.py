@@ -26,7 +26,6 @@ early once it reaches a target.
 
 import math
 from itertools import count
-from random import Random
 
 from .errors import ConfigError, PreconditionError
 from .streaming import streaming_pass
@@ -142,6 +141,10 @@ class GuaranteeCertificate:
         self.k_alpha_slack = k_alpha_slack
 
     def opt_upper_bound(self, f_s):
+        """gamma * f_s + k * alpha. An infinite gamma claims nothing, so the
+        bound is inf, also at f_s = 0, where the product would be NaN."""
+        if math.isinf(self.gamma_certified):
+            return math.inf
         return self.gamma_certified * f_s + self.k_alpha_slack
 
     def __repr__(self):
@@ -165,14 +168,12 @@ class MultipassResult:
 
 
 def multipass_run(oracle, mp, stream, schedule, passes, alpha=0.0, *,
-                  target_gamma=None, debug=False, trace=None,
-                  per_pass_shuffle_seed=None):
+                  target_gamma=None, debug=False, trace=None):
     """Chain streaming passes, certifying a factor after each.
 
-    The solution of each pass seeds the next; the stream order is fixed
-    unless ``per_pass_shuffle_seed`` asks for a fresh permutation per
-    pass. Stops early once the certified factor reaches ``target_gamma``,
-    which must be finite: no certificate ever reaches a NaN target.
+    The solution of each pass seeds the next, over the same stream order.
+    Stops early once the certified factor reaches ``target_gamma``, which
+    must be finite: no certificate ever reaches a NaN target.
     """
     if passes < 1:
         raise PreconditionError("at least one pass is required")
@@ -183,7 +184,6 @@ def multipass_run(oracle, mp, stream, schedule, passes, alpha=0.0, *,
             f"schedule p={schedule.p} does not match the constraint p={mp.p}"
         )
     order = list(stream)
-    rng = Random(per_pass_shuffle_seed) if per_pass_shuffle_seed is not None else None
     state = None  # the first pass starts from the empty solution
     slack = mp.rank_k * alpha
     p = mp.p
@@ -193,8 +193,6 @@ def multipass_run(oracle, mp, stream, schedule, passes, alpha=0.0, *,
     stored_peak = 0
 
     for i, (beta_i, _) in zip(range(1, passes + 1), schedule.steps()):
-        if rng is not None:
-            rng.shuffle(order)
         res = streaming_pass(oracle, mp, order, state, alpha, beta_i,
                              debug=debug, trace=trace)
         state = res.state

@@ -2,10 +2,12 @@
 
 A pass is the streaming pass (``streaming.PassRunner``) with the
 buffered selection policy. Arrivals that clear the exchange threshold
-wait in a bounded buffer instead of entering the solution directly. When
-the buffer fills, one element is drawn uniformly at random, exchanged
-into the solution, and the remaining buffered elements are re-screened
-against the updated solution; a buffer of one is the immediate policy.
+wait in a bounded buffer instead of entering the solution directly; the
+buffer is one arrival-ordered dict from each waiting element to its
+threshold data (gain and eviction set). When the buffer fills, one
+element is drawn uniformly at random, exchanged into the solution, and
+the remaining buffered elements are re-screened against the updated
+solution; a buffer of one is the immediate policy.
 Whatever survives in the buffer at the end of the pass feeds an offline
 solver, whose best output so far is tracked as a second candidate
 solution; the run returns the better of the streaming and offline
@@ -36,17 +38,20 @@ OFFLINE_EXACT_LIMIT = 22
 
 
 class BufferState:
-    """Bounded candidate pool; members stay in stream-arrival order."""
+    """Bounded candidate pool: ``members`` maps each buffered element to
+    its threshold data ``(gain, C_x)``, in stream-arrival order."""
 
     __slots__ = ("members", "peak")
 
     def __init__(self, members):
-        self.members = list(members)
+        self.members = dict(members)
         self.peak = len(self.members)
 
     def draw(self, rng):
-        """Remove and return a uniformly random member."""
-        return self.members.pop(rng.randrange(len(self.members)))
+        """Remove a uniformly random member; returns it with its data."""
+        members = self.members
+        x = list(members)[rng.randrange(len(members))]
+        return x, members.pop(x)
 
 
 class GuessGrid:
@@ -93,14 +98,15 @@ class RandomizedPassRunner(PassRunner):
     Feeding elements one by one lets several guess copies share a single
     physical pass over the stream. Only the selection policy differs from
     ``PassRunner``: an arrival that clears the threshold waits in a
-    bounded buffer with its gain and eviction set. When the buffer fills,
-    one member is drawn uniformly at random and exchanged in, and every
-    other member is re-screened against the new solution. The solution
-    changes only at a draw, so the cached threshold data is current at
-    every draw. ``finish`` solves offline over what is left in the buffer
-    and returns the runner as the pass record, which adds to the
-    ``PassRunner`` record the residual ``buffer``, its ``buffer_drops``,
-    and the offline solution ``s_prime`` worth ``f_s_prime``.
+    bounded buffer, ``buffer.members``, which maps it to its gain and
+    eviction set in arrival order. When the buffer fills, one member is
+    drawn uniformly at random and exchanged in, and every other member is
+    re-screened against the new solution. The solution changes only at a
+    draw, so the cached threshold data is current at every draw.
+    ``finish`` solves offline over what is left in the buffer and returns
+    the runner as the pass record, which adds to the ``PassRunner`` record
+    the residual ``buffer``, its ``buffer_drops``, and the offline
+    solution ``s_prime`` worth ``f_s_prime``.
     """
 
     def __init__(self, oracle, mp, s_init, alpha, beta, m, rng, *, debug=False):
@@ -111,8 +117,7 @@ class RandomizedPassRunner(PassRunner):
         super().__init__(oracle, mp, s_init, alpha, beta, debug=debug)
         self.m = m
         self.rng = rng
-        self.buffer = BufferState([])
-        self._entries = {}
+        self.buffer = BufferState({})
         self.buffer_drops = 0
 
     @property
@@ -120,25 +125,23 @@ class RandomizedPassRunner(PassRunner):
         return self.buffer.members
 
     def _admit(self, x, gain, cx):
-        self.buffer.members.append(x)
-        self._entries[x] = (gain, cx)
-        self.buffer.peak = max(self.buffer.peak, len(self.buffer.members))
-        if len(self.buffer.members) == self.m:
+        members = self.buffer.members
+        members[x] = (gain, cx)
+        self.buffer.peak = max(self.buffer.peak, len(members))
+        if len(members) == self.m:
             self._select_and_sweep()
         self._note_storage(False)
 
     def _select_and_sweep(self):
-        x = self.buffer.draw(self.rng)
-        self._accept(x, *self._entries.pop(x))
+        x, (gain, cx) = self.buffer.draw(self.rng)
+        self._accept(x, gain, cx)
         before_sweep = self.buffer.members
-        survivors = []
+        survivors = {}
         for y in before_sweep:
             ok, gain, cx = self._threshold(y)
             if ok:
-                self._entries[y] = (gain, cx)
-                survivors.append(y)
+                survivors[y] = (gain, cx)
             else:
-                del self._entries[y]
                 self.buffer_drops += 1
         self.buffer.members = survivors
         if self.debug:
@@ -157,7 +160,7 @@ class RandomizedPassRunner(PassRunner):
         """Close the pass: solve offline over the residual buffer and return
         the runner as its record. The call count includes the offline
         solve and the evaluation of its solution; the buffer keeps its
-        members but drops their cached threshold data."""
+        members, each mapped to None in place of its threshold data."""
         if self._finished:
             raise PreconditionError("runner already finished")
         calls = self.oracle.calls
@@ -166,7 +169,7 @@ class RandomizedPassRunner(PassRunner):
         self.f_s_prime = self.oracle.value(s_prime)
         self.s_prime = frozenset(s_prime)
         self.oracle_calls += self.oracle.calls - calls
-        self._entries = None
+        self.buffer.members = dict.fromkeys(self.buffer.members)
         return super().finish()
 
 
@@ -211,19 +214,18 @@ def offline_solve(oracle, mp, candidates, mode="exact"):
 
 class LambdaCopyResult:
     """One guess copy of the randomized driver: its guess ``lam``, threshold
-    ``alpha``, buffer capacity ``m`` and draw seed, the streaming solution
-    it chains across passes (``state``), its best offline solution
-    (``s_prime``, worth ``f_s_prime``), and one trace row and one finished
+    ``alpha`` and draw seed, the streaming solution it chains across
+    passes (``state``), its best offline solution (``s_prime``, worth
+    ``f_s_prime``), and one trace row and one finished
     ``RandomizedPassRunner`` per pass. The copy's answer is the better of
     its two solutions, the streaming one on ties."""
 
-    __slots__ = ("lam", "alpha", "m", "seed", "rng", "state", "s_prime",
+    __slots__ = ("lam", "alpha", "seed", "rng", "state", "s_prime",
                  "f_s_prime", "pass_rows", "pass_results")
 
-    def __init__(self, lam, alpha, m, seed):
+    def __init__(self, lam, alpha, seed):
         self.lam = lam
         self.alpha = alpha
-        self.m = m
         self.seed = seed
         self.rng = Random(seed)
         self.state = None
@@ -258,7 +260,7 @@ class LambdaCopyResult:
         self.pass_rows.append({
             **runner.row(i, beta, gamma),
             "lambda": self.lam,
-            "m": self.m,
+            "m": runner.m,
             "buffer_peak": runner.buffer.peak,
             "f_S_prime": self.f_s_prime,
             "f_S_bar": max(runner.f_final, self.f_s_prime),
@@ -268,11 +270,10 @@ class LambdaCopyResult:
 
 class RandomizedRunResult:
     __slots__ = ("solution", "f_solution", "copies", "grid", "passes_used",
-                 "space_peak", "space_bound", "epsilon", "d", "m", "seed",
-                 "gamma_off")
+                 "space_peak", "space_bound", "d", "m", "gamma_off")
 
     def __init__(self, solution, f_solution, copies, grid, passes_used,
-                 space_peak, space_bound, epsilon, d, m, seed, gamma_off):
+                 space_peak, space_bound, d, m, gamma_off):
         self.solution = solution
         self.f_solution = f_solution
         self.copies = copies
@@ -280,10 +281,8 @@ class RandomizedRunResult:
         self.passes_used = passes_used
         self.space_peak = space_peak
         self.space_bound = space_bound
-        self.epsilon = epsilon
         self.d = d
         self.m = m
-        self.seed = seed
         self.gamma_off = gamma_off
 
 
@@ -335,7 +334,7 @@ def multipass_randomized(oracle, mp, stream, epsilon, passes=None, seed=0, *,
     copies = []
     for idx, lam in enumerate(grid.lambdas):
         alpha = eps_prime * lam / (2.0 * k) if (lam > 0.0 and k > 0) else 0.0
-        copies.append(LambdaCopyResult(lam, alpha, m, seed ^ idx))
+        copies.append(LambdaCopyResult(lam, alpha, seed ^ idx))
 
     space_peak = 0
     for i, (beta_i, gamma_i) in zip(range(1, d + 1), schedule.steps()):
@@ -355,8 +354,7 @@ def multipass_randomized(oracle, mp, stream, epsilon, passes=None, seed=0, *,
     return RandomizedRunResult(
         solution=best.solution, f_solution=best.f_best, copies=copies,
         grid=grid, passes_used=d + 1, space_peak=space_peak,
-        space_bound=len(grid.lambdas) * (m + 3 * k), epsilon=epsilon, d=d,
-        m=m, seed=seed,
+        space_bound=len(grid.lambdas) * (m + 3 * k), d=d, m=m,
         gamma_off=(1.0 if offline_mode == "exact"
                    else worst_case_gamma(Schedule.matchoid_recurrence(p), 2 * p)),
     )

@@ -2,10 +2,13 @@
 
 The pass keeps an arrival-ordered solution S together with cached
 incremental values: nu[e] is the marginal value of e against the members
-of S that arrived before it. Arrival order is a "pretend" order spanning
-the whole multi-pass run: elements kept from the initial solution keep
-their old positions and precede everything newly accepted, so the cached
-nu values stay exact across passes.
+of S that arrived before it. One insertion-ordered dict holds both: its
+keys are S in arrival order and its values the cached nu. Arrival order
+is a "pretend" order spanning the whole multi-pass run: elements kept
+from the initial solution keep their old positions and precede
+everything newly accepted, so the cached nu values stay exact across
+passes. An exchange deletes the evicted keys and appends the arrival,
+then re-walks the suffix from the first evicted position.
 
 A non-initial arrival x clears the threshold whenever
 
@@ -34,77 +37,68 @@ NU_TOL = 1e-9
 class SolutionState:
     """Arrival-ordered solution with cached incremental values.
 
-    ``order`` lists members by arrival, ``index`` maps each member to its
-    arrival counter (monotone over the whole run), ``nu`` caches the
-    incremental values, and ``f_s``/``f_empty`` track f(S) and f(empty).
-    ``evaluator`` is the oracle's running evaluator of S (see
-    ``objectives``); ``running`` builds it, unmetered, for a state made
-    without one.
+    ``nu`` maps each member to its incremental value, and its key order is
+    the arrival order over the whole run; ``f_s``/``f_empty`` track f(S)
+    and f(empty). ``evaluator`` is the oracle's running evaluator of S
+    (see ``objectives``).
     """
 
-    __slots__ = ("order", "index", "nu", "f_s", "f_empty", "next_index",
-                 "members", "evaluator")
+    __slots__ = ("nu", "f_s", "f_empty", "evaluator")
 
-    def __init__(self, order, index, nu, f_s, f_empty, next_index=0,
-                 evaluator=None):
-        self.order = list(order)
-        self.index = dict(index)
+    def __init__(self, nu, f_s, f_empty, evaluator=None):
         self.nu = dict(nu)
         self.f_s = float(f_s)
         self.f_empty = float(f_empty)
-        self.next_index = int(next_index)
-        self.members = set(self.order)
         self.evaluator = evaluator
 
     @classmethod
     def empty(cls, oracle):
         evaluator = oracle.running(())
         f0 = evaluator.total
-        return cls([], {}, {}, f0, f0, 0, evaluator)
+        return cls({}, f0, f0, evaluator)
 
-    def copy_for_pass(self):
-        evaluator = None if self.evaluator is None else self.evaluator.copy()
-        return SolutionState(self.order, self.index, self.nu, self.f_s,
-                             self.f_empty, self.next_index, evaluator)
+    @property
+    def members(self):
+        """S, as a live view of ``nu``'s keys."""
+        return self.nu.keys()
 
-    def running(self, oracle):
-        """S's running evaluator on ``oracle``. One is built without
-        metering when the state has none for this oracle, since no metered
-        evaluation of S stands behind it."""
+    @property
+    def order(self):
+        """S in arrival order, as a new list."""
+        return list(self.nu)
+
+    def copy_for_pass(self, oracle):
+        """A copy for a pass on ``oracle``. Its evaluator is a copy of this
+        state's when that one runs on ``oracle``; otherwise one is built
+        without metering, since no metered evaluation of S stands behind
+        it."""
         evaluator = self.evaluator
-        if evaluator is None or evaluator.oracle is not oracle:
-            evaluator = self.evaluator = oracle.running(self.order, meter=False)
-        return evaluator
+        if evaluator is not None and evaluator.oracle is oracle:
+            evaluator = evaluator.copy()
+        else:
+            evaluator = oracle.running(self.nu, meter=False)
+        return SolutionState(self.nu, self.f_s, self.f_empty, evaluator)
 
     def accept(self, x, evict, oracle, gain):
         """Apply S <- S \\ evict + x and refresh the nu cache, where ``gain``
-        is f(x | S), which the caller has measured.
+        is f(x | S), which the caller has measured. An insertion appends
+        x with nu = gain; an exchange deletes the evicted keys, appends x
+        and re-walks nu from the first evicted position.
 
         Returns the evicted elements mapped to their incremental value at
         removal.
         """
-        chi = {c: self.nu[c] for c in evict}
-        if evict:
-            cut = min(self.order.index(c) for c in evict)
-            for c in evict:
-                self.members.discard(c)
-                del self.nu[c]
-                del self.index[c]
-            self.order = [e for e in self.order if e not in evict]
-            self._append(x)
-            recompute_nu(self, oracle, cut)
-        else:
-            self.running(oracle).add(x, meter=False)
-            self._append(x)
-            self.nu[x] = gain
+        nu = self.nu
+        if not evict:
+            self.evaluator.add(x, meter=False)
+            nu[x] = gain
             self.f_s += gain
+            return {}
+        cut = next(i for i, e in enumerate(nu) if e in evict)
+        chi = {c: nu.pop(c) for c in evict}
+        nu[x] = gain  # a placeholder until recompute_nu walks the suffix
+        recompute_nu(self, oracle, cut)
         return chi
-
-    def _append(self, x):
-        self.order.append(x)
-        self.members.add(x)
-        self.index[x] = self.next_index
-        self.next_index += 1
 
 
 def recompute_nu(state, oracle, start_pos=0):
@@ -115,9 +109,10 @@ def recompute_nu(state, oracle, start_pos=0):
     prefix walks the suffix, one metered call per walked prefix, and then
     serves as S's evaluator.
     """
-    evaluator = oracle.running(state.order[:start_pos])
+    order = list(state.nu)
+    evaluator = oracle.running(order[:start_pos])
     running = evaluator.total
-    for e in state.order[start_pos:]:
+    for e in order[start_pos:]:
         nxt = evaluator.add(e)
         state.nu[e] = nxt - running
         running = nxt
@@ -131,7 +126,7 @@ def nu_by_definition(state, oracle):
     out = {}
     prefix = set()
     running = oracle.peek(prefix)
-    for e in state.order:
+    for e in state.nu:
         prefix.add(e)
         nxt = oracle.peek(prefix)
         out[e] = nxt - running
@@ -195,7 +190,7 @@ class PassRunner:
         else:
             if not mp.feasible(s_init.members):
                 raise PreconditionError("initial solution is infeasible")
-            self.state = s_init.copy_for_pass()
+            self.state = s_init.copy_for_pass(oracle)
         self.oracle = oracle
         self.mp = mp
         self.alpha = alpha
@@ -270,7 +265,7 @@ class PassRunner:
         """(cleared, f(x | S), C_x) for x against the current solution."""
         state = self.state
         cx = exchange_set(self.mp, x, state)
-        gain = state.running(self.oracle).value_with(x) - state.f_s
+        gain = state.evaluator.value_with(x) - state.f_s
         return gain >= self._bar(cx), gain, cx
 
     def _bar(self, cx):
@@ -335,7 +330,7 @@ def _check_element(state, oracle, mp, alpha, tol=NU_TOL):
     """Invariants that must hold after every processed element."""
     if not mp.feasible(state.members):
         raise AssertionError("solution left the feasible region")
-    held, exact = state.running(oracle).total, oracle.peek(state.members)
+    held, exact = state.evaluator.total, oracle.peek(state.members)
     if abs(held - exact) > tol:
         raise AssertionError(f"running evaluator holds {held}, f(S) is {exact}")
     total = math.fsum(state.nu.values())
@@ -343,9 +338,9 @@ def _check_element(state, oracle, mp, alpha, tol=NU_TOL):
         raise AssertionError(
             f"incremental values sum to {total}, expected {state.f_s - state.f_empty}"
         )
-    for e in state.order:
-        if state.nu[e] < alpha - tol:
-            raise AssertionError(f"nu[{e}]={state.nu[e]} fell below alpha={alpha}")
+    for e, v in state.nu.items():
+        if v < alpha - tol:
+            raise AssertionError(f"nu[{e}]={v} fell below alpha={alpha}")
 
 
 def _check_accept(state, oracle, nu_before, evicted_set, tol=NU_TOL):
@@ -363,6 +358,6 @@ def _check_accept(state, oracle, nu_before, evicted_set, tol=NU_TOL):
         elif abs(state.nu[e] - old) > tol:
             raise AssertionError("a pure insertion changed a survivor's nu")
     full = oracle.peek(state.members)
-    for t in state.order:
+    for t in state.nu:
         if full - oracle.peek(state.members - {t}) > state.nu[t] + tol:
             raise AssertionError("single-element residual exceeded its nu")

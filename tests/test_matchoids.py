@@ -9,9 +9,7 @@ import matchstream as ms
 
 
 def _state(order, nu):
-    index = {e: i for i, e in enumerate(order)}
-    return ms.SolutionState(order, index, nu, sum(nu.values()), 0.0,
-                            next_index=len(order))
+    return ms.SolutionState({e: nu[e] for e in order}, sum(nu.values()), 0.0)
 
 
 def test_uniform_matroid():
@@ -104,6 +102,9 @@ def test_exchange_prefers_smaller_nu_then_earlier_arrival():
     assert ms.exchange_set(mp, 2, state) == {1}
     tied = _state([0, 1], {0: 1.0, 1: 1.0})
     assert ms.exchange_set(mp, 2, tied) == {0}
+    # arrival order, not the smaller id, breaks the tie
+    late_zero = _state([1, 0], {0: 1.0, 1: 1.0})
+    assert ms.exchange_set(mp, 2, late_zero) == {1}
 
 
 def test_exchange_rejects_member_element():

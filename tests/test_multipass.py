@@ -5,9 +5,10 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import matchstream as ms
-from _corpus import coverage_uniform, exact_opt, hypergraph_matching
+from _corpus import coverage_uniform, exact_opt, hypergraph_matching, oracles
 
 TOL = 1e-9
 
@@ -232,6 +233,13 @@ def test_degenerate_zero_objective_reports_infinite_factor():
     run = ms.multipass_run(oracle, mp, [0, 1, 2],
                            ms.Schedule.matroid_harmonic(), 3)
     assert all(math.isinf(c.gamma_certified) for c in run.certificates)
+    # f(S_i) = 0 because alpha rejects every arrival: the bound claims
+    # nothing, where inf * 0 + k * alpha would read NaN
+    run = ms.multipass_run(ms.ModularOracle([1, 1, 1]), mp, [0, 1, 2],
+                           ms.Schedule.matroid_harmonic(), 2, alpha=5.0)
+    for res, cert in zip(run.pass_results, run.certificates):
+        assert res.f_final == 0.0
+        assert cert.opt_upper_bound(res.f_final) == math.inf
 
 
 def test_nonzero_empty_value_keeps_certificates_sound():
@@ -264,6 +272,46 @@ def test_multipass_certificates_sound_and_below_closed_form():
             assert cert.gamma_certified <= closed + TOL
 
 
+@st.composite
+def _float_weight_runs(draw):
+    """(oracle, mp, schedule, alpha, stream): a float-weight coverage or
+    modular objective under a uniform matroid, or under a uniform matroid
+    intersected with a partition matroid (p = 2), at alpha 0 or 0.5."""
+    oracle, _ = draw(oracles(draw(st.sampled_from(("coverage", "modular"))),
+                             False))
+    n = len(oracle.ground)
+    matroids = [ms.UniformMatroid(range(n), draw(st.integers(1, n)))]
+    if draw(st.booleans()):
+        labels = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        parts = [[e for e in range(n) if labels[e] == j] for j in range(3)]
+        caps = draw(st.lists(st.integers(1, 2), min_size=3, max_size=3))
+        matroids.append(ms.PartitionMatroid(range(n), parts, caps))
+    mp = ms.PMatchoid(range(n), matroids, p=len(matroids))
+    schedule = (ms.Schedule.matroid_harmonic() if mp.p == 1
+                else ms.Schedule.matchoid_recurrence(mp.p))
+    alpha = draw(st.sampled_from((0.0, 0.5)))
+    return oracle, mp, schedule, alpha, draw(st.permutations(range(n)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_float_weight_runs())
+def test_multipass_factors_hold_on_float_weights(case):
+    oracle, mp, schedule, alpha, stream = case
+    opt = ms.brute_force_opt(oracle, mp).opt_value
+    run = ms.multipass_run(oracle, mp, stream, schedule, 4, alpha, debug=True)
+    tol = 1e-9 * max(1.0, opt)
+    if alpha == 0.0:
+        assert opt <= 4.0 * mp.p * run.pass_results[0].f_final + tol
+    for res, cert in zip(run.pass_results, run.certificates):
+        # passes with f(S_i) = 0 are included: their bound is inf
+        assert opt <= cert.opt_upper_bound(res.f_final) + tol
+        if res.f_final > 0.0:
+            closed = ms.worst_case_gamma(schedule, cert.pass_index)
+            assert cert.gamma_certified <= closed + TOL
+        else:
+            assert math.isinf(cert.gamma_certified)
+
+
 def test_objective_never_decreases_across_passes():
     inst = coverage_uniform(14)
     run = ms.multipass_run(inst.build_oracle(), inst.build_matchoid(),
@@ -293,14 +341,21 @@ def test_recurrence_schedule_requires_matching_p():
 
 
 def test_per_pass_shuffle_keeps_guarantees():
+    # a fresh stream permutation every pass, each pass certified online
     inst = coverage_uniform(9)
+    oracle, mp = inst.build_oracle(), inst.build_matchoid()
     opt = exact_opt(inst).opt_value
-    run = ms.multipass_run(inst.build_oracle(), inst.build_matchoid(),
-                           ms.stream_order(inst.n),
-                           ms.Schedule.matroid_harmonic(), 8,
-                           per_pass_shuffle_seed=5)
-    for res, cert in zip(run.pass_results, run.certificates):
-        assert cert.opt_upper_bound(res.f_final) >= opt - TOL
+    rng = Random(5)
+    order = ms.stream_order(inst.n)
+    state, gamma = None, math.inf
+    steps = ms.Schedule.matroid_harmonic().steps()
+    for i, (beta, _) in zip(range(1, 9), steps):
+        rng.shuffle(order)
+        res = ms.streaming_pass(oracle, mp, order, state, 0.0, beta)
+        state = res.state
+        gamma = ms.certified_gamma(i, gamma, beta, res.delta, mp.p)
+        assert res.f_final > 0.0
+        assert gamma * res.f_final >= opt - TOL
 
 
 def test_slack_term_reported_for_positive_alpha():

@@ -68,13 +68,13 @@ def test_pretend_ordering_across_passes():
     mp = inst.build_matchoid()
     stream = ms.stream_order(inst.n)
     first = ms.streaming_pass(oracle, mp, stream, None, 0.0, 1.0)
-    kept = dict(first.state.index)
+    kept = list(first.state.nu)
     second = ms.streaming_pass(oracle, mp, stream, first.state, 0.0, 0.5)
-    for e, idx in second.state.index.items():
-        if e in kept:
-            assert idx == kept[e], "initial solution must keep its order"
-        else:
-            assert idx > max(kept.values()), "new arrivals must come later"
+    order = list(second.state.nu)
+    survivors = [e for e in order if e in kept]
+    assert survivors == [e for e in kept if e in order], \
+        "initial solution must keep its order"
+    assert order[:len(survivors)] == survivors, "new arrivals must come later"
 
 
 def test_cached_nu_matches_definition_after_random_runs():
@@ -207,8 +207,7 @@ def test_negative_parameters_rejected():
 
 def test_infeasible_initial_solution_rejected():
     oracle, mp = _modular_setup([1, 2])
-    bad = ms.SolutionState([0, 1], {0: 0, 1: 1}, {0: 1.0, 1: 2.0}, 3.0, 0.0,
-                           next_index=2)
+    bad = ms.SolutionState({0: 1.0, 1: 2.0}, 3.0, 0.0)
     with pytest.raises(ms.PreconditionError):
         ms.streaming_pass(oracle, mp, [0, 1], bad)
 
