@@ -3,8 +3,9 @@ constraints: multi-pass drivers with online certified approximation
 factors, a randomized buffered variant for non-monotone objectives, exact
 baselines, and an experiment harness."""
 
-from .baselines import (ExactResult, brute_force_opt, enumerate_opt_unpruned,
-                        max_feasible_subset, offline_greedy)
+from .baselines import (ExactResult, brute_force_opt, compute_rank,
+                        enumerate_opt_unpruned, max_feasible_subset,
+                        offline_greedy)
 from .errors import (ConfigError, DomainError, InfeasibilityError,
                      MatchstreamError, PreconditionError, SizeError)
 from .experiments import (ExperimentConfig, build_schedule, report_rows,
@@ -12,8 +13,7 @@ from .experiments import (ExperimentConfig, build_schedule, report_rows,
 from .instances import (FAMILIES, Instance, generate_instance, load_instance,
                         save_instance, stream_order)
 from .matchoids import (GraphicMatroid, Matroid, PartitionMatroid, PMatchoid,
-                        TransversalMatroid, UniformMatroid, compute_rank,
-                        exchange_set)
+                        TransversalMatroid, UniformMatroid, exchange_set)
 from .multipass import (GuaranteeCertificate, MultipassResult, Schedule,
                         certified_gamma, gamma_recurrence_step, multipass_run,
                         worst_case_gamma)

@@ -12,6 +12,7 @@ independent code paths so each can vouch for the other.
 import heapq
 
 from .errors import SizeError
+from .objectives import ModularOracle
 
 
 class ExactResult:
@@ -31,21 +32,17 @@ class ExactResult:
                 f"examined={self.subsets_examined}, prunes={self.bound_prunes})")
 
 
-def _feasible_size_bound(mp, elems):
-    """An upper bound on the size of any feasible subset of ``elems``:
-    p times the size of a greedy maximal feasible subset G.
-
-    A p-matchoid is a p-system, so within ``elems`` no feasible set is
-    more than p times larger than a maximal one; for p = 1 (one matroid)
-    all maximal sets have the same size and the bound is exact. Building G
-    takes feasibility tests only, no oracle calls.
-    """
+def greedy_basis(mp, elems):
+    """A maximal feasible subset of ``elems``, grown in the given order by
+    feasibility tests alone. A p-matchoid is a p-system, so no feasible
+    subset of ``elems`` is more than p times larger; at p = 1 it is a
+    matroid, and every maximal feasible subset has this size, the rank."""
     basis = set()
     for e in elems:
         basis.add(e)
         if not mp.feasible(basis):
             basis.remove(e)
-    return mp.p * len(basis)
+    return basis
 
 
 def max_feasible_subset(oracle, mp, candidates):
@@ -62,9 +59,9 @@ def max_feasible_subset(oracle, mp, candidates):
 
     Two cuts skip a child's subtree without any oracle call:
 
-    * size: a feasible subset holds at most K = ``_feasible_size_bound``
-      elements, so with room = K - |C| - 1 <= 0 nothing below C + e_i is
-      feasible;
+    * size: a feasible subset holds at most K = p |G| elements, where G
+      is the ``greedy_basis`` of the candidates, so with
+      room = K - |C| - 1 <= 0 nothing below C + e_i is feasible;
     * bound (submodular f only): every set T below C + e_i adds elements
       of the later feasible siblings e_j, j > i (any other element would
       make C + e_j infeasible, and supersets of infeasible sets are
@@ -79,7 +76,7 @@ def max_feasible_subset(oracle, mp, candidates):
     ``submodular = False`` (``TableOracle``) gets the size cut only.
     """
     elems = sorted(set(candidates))
-    size_cap = _feasible_size_bound(mp, elems)
+    size_cap = mp.p * len(greedy_basis(mp, elems))
     bounded = oracle.submodular
     best_val = oracle.value(())
     best_set = frozenset()
@@ -130,6 +127,19 @@ def _gain_tails(children, base, room):
                 heapq.heapreplace(top, gain)
         tails[i] = sum(top)
     return tails
+
+
+def compute_rank(mp):
+    """k, the size of a largest feasible set of ``mp``: at p = 1 (a matroid)
+    the size of its greedy basis, at any size; at p >= 2 the size of
+    ``max_feasible_subset``'s optimum for f(A) = |A|, an exponential
+    search capped at 16 ground elements."""
+    if mp.p == 1:
+        return len(greedy_basis(mp, sorted(mp.ground)))
+    if len(mp.ground) > 16:
+        raise SizeError("exact rank computation is capped at 16 ground elements")
+    size = ModularOracle([1.0] * (max(mp.ground, default=-1) + 1))
+    return len(max_feasible_subset(size, mp, mp.ground).opt_set)
 
 
 def brute_force_opt(oracle, mp):

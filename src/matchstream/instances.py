@@ -11,11 +11,12 @@ Objective kinds: weighted-coverage (sets + item_weights), directed-cut
 (arcs [[u, v, w], ...]), modular (weights), custom-table (table of 2^n
 values). Matroid kinds: uniform (capacity), partition (parts +
 capacities), graphic (endpoints [[e, u, v], ...]), transversal
-(adjacency [[e, [r, ...]], ...]). A null rank is computed exactly at
-build time for small instances.
+(adjacency [[e, [r, ...]], ...]). ``compute_rank`` fills in a null rank
+at build time. A bad file raises ConfigError naming its path.
 """
 
 import json
+from contextlib import contextmanager
 from random import Random
 
 from .errors import ConfigError
@@ -56,28 +57,30 @@ class Instance:
 
     @classmethod
     def from_dict(cls, data, path=None):
-        try:
+        with _reading(path, "instance"):
+            if not (isinstance(data, dict) and isinstance(data["objective"], dict)
+                    and isinstance(data["constraint"], dict)):
+                raise TypeError("the document, objective and constraint must be objects")
             return cls(data["n"], data["monotone"], data["objective"],
                        data["constraint"], path=path)
-        except KeyError as exc:
-            raise ConfigError(f"{path or 'instance'}: missing field {exc}") from exc
 
     def build_oracle(self):
         """Fresh oracle (own call counters) for this instance."""
         obj = self.objective
         kind = obj.get("kind")
-        if kind == "weighted-coverage":
-            oracle = CoverageOracle(obj["sets"], obj["item_weights"],
-                                    monotone=self.monotone)
-        elif kind == "directed-cut":
-            oracle = DirectedCutOracle(self.n, obj["arcs"],
-                                       monotone=self.monotone)
-        elif kind == "modular":
-            oracle = ModularOracle(obj["weights"], monotone=self.monotone)
-        elif kind == "custom-table":
-            oracle = TableOracle(self.n, obj["table"], monotone=self.monotone)
-        else:
-            raise ConfigError(f"{self.path or 'instance'}: unknown objective kind {kind!r}")
+        with _reading(self.path, "objective"):
+            if kind == "weighted-coverage":
+                oracle = CoverageOracle(obj["sets"], obj["item_weights"],
+                                        monotone=self.monotone)
+            elif kind == "directed-cut":
+                oracle = DirectedCutOracle(self.n, obj["arcs"],
+                                           monotone=self.monotone)
+            elif kind == "modular":
+                oracle = ModularOracle(obj["weights"], monotone=self.monotone)
+            elif kind == "custom-table":
+                oracle = TableOracle(self.n, obj["table"], monotone=self.monotone)
+            else:
+                raise ValueError(f"unknown kind {kind!r}")
         if len(oracle.ground) != self.n:
             raise ConfigError(f"{self.path or 'instance'}: objective covers "
                               f"{len(oracle.ground)} elements, n={self.n}")
@@ -87,35 +90,43 @@ class Instance:
         """Fresh constraint; validates the at-most-p membership property."""
         block = self.constraint
         matroids = []
-        for rec in block.get("matroids", []):
-            kind = rec.get("kind")
-            ground = rec["ground"]
-            if kind == "uniform":
-                matroids.append(UniformMatroid(ground, rec["capacity"]))
-            elif kind == "partition":
-                matroids.append(PartitionMatroid(ground, rec["parts"],
-                                                 rec["capacities"]))
-            elif kind == "graphic":
-                endpoints = {e: (u, v) for e, u, v in rec["endpoints"]}
-                matroids.append(GraphicMatroid(ground, endpoints))
-            elif kind == "transversal":
-                adjacency = {e: rs for e, rs in rec["adjacency"]}
-                matroids.append(TransversalMatroid(ground, adjacency))
-            else:
-                raise ConfigError(f"{self.path or 'instance'}: unknown matroid kind {kind!r}")
-        try:
+        with _reading(self.path, "constraint"):
+            for rec in block.get("matroids", []):
+                kind = rec.get("kind") if isinstance(rec, dict) else None
+                ground = rec["ground"]
+                if kind == "uniform":
+                    matroids.append(UniformMatroid(ground, rec["capacity"]))
+                elif kind == "partition":
+                    matroids.append(PartitionMatroid(ground, rec["parts"],
+                                                     rec["capacities"]))
+                elif kind == "graphic":
+                    endpoints = {e: (u, v) for e, u, v in rec["endpoints"]}
+                    matroids.append(GraphicMatroid(ground, endpoints))
+                elif kind == "transversal":
+                    adjacency = {e: rs for e, rs in rec["adjacency"]}
+                    matroids.append(TransversalMatroid(ground, adjacency))
+                else:
+                    raise ValueError(f"unknown matroid kind {kind!r}")
             return PMatchoid(range(self.n), matroids, p=block.get("p"),
                              rank=block.get("rank"))
-        except ValueError as exc:
-            raise ConfigError(f"{self.path or 'instance'}: {exc}") from exc
+
+
+@contextmanager
+def _reading(path, part):
+    """Bad or missing values in ``part`` of file ``path`` raise ConfigError."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as exc:
+        reason = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+        raise ConfigError(f"{path or 'instance'}: {part}: {reason}") from exc
 
 
 def load_instance(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
+        raise ConfigError(f"{path}: not a readable JSON file ({exc})") from exc
     return Instance.from_dict(data, path=str(path))
 
 

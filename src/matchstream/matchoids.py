@@ -6,7 +6,8 @@ feasible when its restriction to each matroid's ground subset is
 independent there.
 """
 
-from .errors import InfeasibilityError, PreconditionError, SizeError
+from .baselines import compute_rank
+from .errors import InfeasibilityError, PreconditionError
 
 
 class Matroid:
@@ -165,9 +166,9 @@ class TransversalMatroid(Matroid):
 class PMatchoid:
     """Conjunction of matroid constraints with bounded per-element membership.
 
-    ``rank_k`` is the size of a largest feasible set; it is computed
-    exactly at construction when the ground set is small enough, otherwise
-    it must be supplied.
+    ``rank_k`` is the size of a largest feasible set. Unless ``rank`` is
+    supplied, ``compute_rank`` computes it: at any size for p = 1, up to
+    16 ground elements for p >= 2.
     """
 
     def __init__(self, ground, matroids, p=None, rank=None):
@@ -196,34 +197,6 @@ class PMatchoid:
         return all(m.independent(a) for m in self.matroids)
 
 
-def compute_rank(mp):
-    """Exact maximum feasible-set size by branch and bound.
-
-    Supersets of infeasible sets are never visited (downward closure), and
-    a branch is cut when the remaining elements cannot beat the incumbent.
-    """
-    elems = sorted(mp.ground)
-    if len(elems) > 16:
-        raise SizeError("exact rank computation is capped at 16 ground elements")
-    best = 0
-
-    def walk(current, start):
-        nonlocal best
-        if len(current) > best:
-            best = len(current)
-        for idx in range(start, len(elems)):
-            if len(current) + (len(elems) - idx) <= best:
-                break
-            e = elems[idx]
-            current.add(e)
-            if mp.feasible(current):
-                walk(current, idx + 1)
-            current.remove(e)
-
-    walk(set(), 0)
-    return best
-
-
 def exchange_set(mp, x, state):
     """Candidate eviction set making room for x in the current solution.
 
@@ -232,7 +205,9 @@ def exchange_set(mp, x, state):
     value is chosen; ties go to the earliest arrival, i.e. the first
     minimum in the key order of ``state.nu``. Matroids are visited in
     instance order, and the same element may be chosen for several of
-    them (it is added once).
+    them (it is added once). Returns None for a loop x ({x} dependent),
+    which no exchange admits; a matroid naming no swap for another x
+    breaks the exchange axiom and raises ``InfeasibilityError``.
     """
     nu = state.nu
     if x in nu:
@@ -247,6 +222,8 @@ def exchange_set(mp, x, state):
         if candidates is None:
             continue
         if not candidates:
+            if not matroid.independent({x}):
+                return None
             raise InfeasibilityError(
                 f"no single swap restores independence for element {x}"
             )

@@ -14,9 +14,9 @@ solution; the run returns the better of the streaming and offline
 solutions.
 
 The additive threshold alpha needs a bracket on the unknown optimum
-value. A dedicated first pass finds the best singleton tau, and one copy
-of the algorithm runs for every power of two in [tau, k*tau]; some copy's
-guess is within a factor two of the optimum. The copies share each
+value. A dedicated first pass finds the best feasible singleton tau, and
+one copy of the algorithm runs for every power of two in [tau, k*tau];
+some copy's guess is within a factor two of the optimum. The copies share each
 physical pass over the stream. Each copy keeps one record, a
 ``LambdaCopyResult``, that the driver fills pass by pass with the
 finished runners; each runner meters its own oracle calls, so a copy's
@@ -330,7 +330,7 @@ def multipass_randomized(oracle, mp, stream, epsilon, passes=None, seed=0, *,
             f"use the heuristic offline mode"
         )
 
-    grid = guess_grid(oracle, order, k)
+    grid = guess_grid(oracle, [e for e in order if mp.feasible((e,))], k)
     copies = []
     for idx, lam in enumerate(grid.lambdas):
         alpha = eps_prime * lam / (2.0 * k) if (lam > 0.0 and k > 0) else 0.0

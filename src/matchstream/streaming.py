@@ -38,24 +38,27 @@ class SolutionState:
     """Arrival-ordered solution with cached incremental values.
 
     ``nu`` maps each member to its incremental value, and its key order is
-    the arrival order over the whole run; ``f_s``/``f_empty`` track f(S)
-    and f(empty). ``evaluator`` is the oracle's running evaluator of S
-    (see ``objectives``).
+    the arrival order over the whole run. ``evaluator``, the oracle's
+    running evaluator of S (see ``objectives``), holds f(S) as ``f_s``;
+    ``f_empty`` is f(empty). A pass cannot start from a hand-built state.
     """
 
-    __slots__ = ("nu", "f_s", "f_empty", "evaluator")
+    __slots__ = ("nu", "f_empty", "evaluator")
 
-    def __init__(self, nu, f_s, f_empty, evaluator=None):
+    def __init__(self, nu, f_empty, evaluator=None):
         self.nu = dict(nu)
-        self.f_s = float(f_s)
         self.f_empty = float(f_empty)
         self.evaluator = evaluator
 
     @classmethod
     def empty(cls, oracle):
         evaluator = oracle.running(())
-        f0 = evaluator.total
-        return cls({}, f0, f0, evaluator)
+        return cls({}, evaluator.total, evaluator)
+
+    @property
+    def f_s(self):
+        """f(S), as S's running evaluator holds it."""
+        return self.evaluator.total
 
     @property
     def members(self):
@@ -67,17 +70,9 @@ class SolutionState:
         """S in arrival order, as a new list."""
         return list(self.nu)
 
-    def copy_for_pass(self, oracle):
-        """A copy for a pass on ``oracle``. Its evaluator is a copy of this
-        state's when that one runs on ``oracle``; otherwise one is built
-        without metering, since no metered evaluation of S stands behind
-        it."""
-        evaluator = self.evaluator
-        if evaluator is not None and evaluator.oracle is oracle:
-            evaluator = evaluator.copy()
-        else:
-            evaluator = oracle.running(self.nu, meter=False)
-        return SolutionState(self.nu, self.f_s, self.f_empty, evaluator)
+    def copy(self):
+        """A copy with its own copy of the running evaluator."""
+        return SolutionState(self.nu, self.f_empty, self.evaluator.copy())
 
     def accept(self, x, evict, oracle, gain):
         """Apply S <- S \\ evict + x and refresh the nu cache, where ``gain``
@@ -92,7 +87,6 @@ class SolutionState:
         if not evict:
             self.evaluator.add(x, meter=False)
             nu[x] = gain
-            self.f_s += gain
             return {}
         cut = next(i for i, e in enumerate(nu) if e in evict)
         chi = {c: nu.pop(c) for c in evict}
@@ -116,7 +110,6 @@ def recompute_nu(state, oracle, start_pos=0):
         nxt = evaluator.add(e)
         state.nu[e] = nxt - running
         running = nxt
-    state.f_s = running
     state.evaluator = evaluator
     return state
 
@@ -167,6 +160,9 @@ class PassRunner:
     the solution invariants are re-derived from the oracle after every
     processed element (uncounted evaluations).
 
+    The pass starts from a copy of ``s_init``, a finished pass's state on
+    ``oracle`` that is feasible under ``mp``, or from the empty solution.
+
     ``finish`` closes the pass and returns the runner itself as the pass
     record: its ``state``, the acceptance set ``accepted`` (initial
     solution included), the eviction values ``evicted``, the objective
@@ -190,7 +186,9 @@ class PassRunner:
         else:
             if not mp.feasible(s_init.members):
                 raise PreconditionError("initial solution is infeasible")
-            self.state = s_init.copy_for_pass(oracle)
+            if getattr(s_init.evaluator, "oracle", None) is not oracle:
+                raise PreconditionError("initial solution has no evaluator on this oracle")
+            self.state = s_init.copy()
         self.oracle = oracle
         self.mp = mp
         self.alpha = alpha
@@ -262,10 +260,12 @@ class PassRunner:
                 "stored_elements": self.stored_peak}
 
     def _threshold(self, x):
-        """(cleared, f(x | S), C_x) for x against the current solution."""
-        state = self.state
-        cx = exchange_set(self.mp, x, state)
-        gain = state.evaluator.value_with(x) - state.f_s
+        """(cleared, f(x | S), C_x) for x; a loop fails with no oracle call."""
+        cx = exchange_set(self.mp, x, self.state)
+        if cx is None:
+            return False, None, ()
+        evaluator = self.state.evaluator
+        gain = evaluator.value_with(x) - evaluator.total
         return gain >= self._bar(cx), gain, cx
 
     def _bar(self, cx):

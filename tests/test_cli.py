@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 import matchstream as ms
 from matchstream.cli import main
 
@@ -145,3 +147,46 @@ def test_bad_fixed_schedule_shows_its_reason(tmp_path, capsys):
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: bad fixed schedule") and reason in err, err
+
+
+def _uniform_without_capacity(data):
+    del data["constraint"]["matroids"][0]["capacity"]
+    return data
+
+
+def _modular_without_weights(data):
+    data["objective"] = {"kind": "modular"}
+    return data
+
+
+def _capacity_not_a_number(data):
+    data["constraint"]["matroids"][0]["capacity"] = "x"
+    return data
+
+
+def _objective_not_an_object(data):
+    data["objective"] = [1, 2]
+    return data
+
+
+@pytest.mark.parametrize("edit", [
+    _uniform_without_capacity,
+    _modular_without_weights,
+    _capacity_not_a_number,
+    _objective_not_an_object,
+    lambda data: [1, 2],
+    None,
+], ids=["uniform-no-capacity", "modular-no-weights", "capacity-x",
+        "objective-list", "document-list", "missing-file"])
+def test_bad_instance_files_exit_2_naming_the_path(tmp_path, edit):
+    path = tmp_path / "bad.json"
+    if edit is not None:
+        data = ms.generate_instance("coverage+uniform", 0, n=4).to_dict()
+        path.write_text(json.dumps(edit(data)))
+    for verb in (["solve-exact"], ["run-monotone", "--passes", "1"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "matchstream", verb[0], "--instance",
+             str(path)] + verb[1:], capture_output=True, text=True)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error:") and str(path) in proc.stderr
+        assert "Traceback" not in proc.stderr

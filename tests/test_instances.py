@@ -97,6 +97,32 @@ def test_supplied_rank_is_respected_and_null_rank_computed(tmp_path):
     assert ms.load_instance(path).build_matchoid().rank_k == mp.rank_k
 
 
+def _null_rank_instance(n, matroids, p=1):
+    return ms.Instance.from_dict({
+        "n": n, "monotone": True,
+        "objective": {"kind": "modular", "weights": [1] * n},
+        "constraint": {"p": p, "rank": None, "matroids": matroids}})
+
+
+def test_null_rank_of_large_single_matroids_is_closed_form():
+    n = 45
+    edges = [(u, v) for u in range(10) for v in range(u + 1, 10)]  # K10
+    cases = [
+        ({"kind": "uniform", "ground": list(range(n)), "capacity": 7}, 7),
+        ({"kind": "partition", "ground": list(range(n)),
+          "parts": [list(range(0, 20)), list(range(20, 40))],
+          "capacities": [3, 0]}, 3 + 0 + 5),      # 40..44 are free
+        ({"kind": "graphic", "ground": list(range(n)),
+          "endpoints": [[e, u, v] for e, (u, v) in enumerate(edges)]}, 9),
+    ]
+    for matroid, rank in cases:
+        assert _null_rank_instance(n, [matroid]).build_matchoid().rank_k == rank
+    # p >= 2 keeps the exact search and its cap
+    two = [{"kind": "uniform", "ground": list(range(17)), "capacity": 2}] * 2
+    with pytest.raises(ms.ConfigError, match="capped at 16"):
+        _null_rank_instance(17, two, p=2).build_matchoid()
+
+
 def test_graphic_and_transversal_instance_files(tmp_path):
     data = {
         "schema_version": 1,

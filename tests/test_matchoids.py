@@ -9,7 +9,7 @@ import matchstream as ms
 
 
 def _state(order, nu):
-    return ms.SolutionState({e: nu[e] for e in order}, sum(nu.values()), 0.0)
+    return ms.SolutionState({e: nu[e] for e in order}, 0.0)
 
 
 def test_uniform_matroid():
@@ -154,19 +154,51 @@ def test_swap_candidates_match_the_definition():
 
 
 class _BrokenMatroid(ms.Matroid):
-    """Not a matroid: {0} independent but {1} is not (no exchange)."""
+    """Not a matroid: the independent sets are the subsets of {0, 1} and
+    {2}, so {2} cannot be extended from the larger set {0, 1}, and no
+    single swap makes room for 2 in {0, 1}."""
 
     kind = "broken"
 
     def _independent(self, restricted):
-        return restricted <= {0}
+        return restricted <= {0, 1} or restricted == {2}
 
 
 def test_exchange_flags_malformed_oracle():
-    mp = ms.PMatchoid(range(2), [_BrokenMatroid({0, 1})], p=1, rank=1)
-    state = _state([0], {0: 1.0})
+    mp = ms.PMatchoid(range(3), [_BrokenMatroid({0, 1, 2})], p=1, rank=2)
+    state = _state([0, 1], {0: 1.0, 1: 1.0})
     with pytest.raises(ms.InfeasibilityError):
-        ms.exchange_set(mp, 1, state)
+        ms.exchange_set(mp, 2, state)
+
+
+@pytest.mark.parametrize("loop_matroid, opt", [
+    (ms.PartitionMatroid(range(3), [[0, 1], [2]], [0, 1]), 3.0),
+    (ms.UniformMatroid([0, 1], 0), 3.0),
+    (ms.UniformMatroid(range(3), 0), 0.0),
+], ids=["capacity-0 part", "capacity-0 uniform", "all loops"])
+def test_loops_are_rejected_not_exchanged(loop_matroid, opt):
+    # a loop is in no feasible set: exchange_set names no exchange, and
+    # both drivers reject it and keep going
+    mp = ms.PMatchoid(range(3), [loop_matroid])
+    assert ms.exchange_set(mp, 0, _state([], {})) is None
+    assert ms.brute_force_opt(ms.ModularOracle([1, 2, 3]), mp).opt_value == opt
+    trace = []
+    run = ms.multipass_run(ms.ModularOracle([1, 2, 3]), mp, [0, 1, 2],
+                           ms.Schedule.matroid_harmonic(), 2, debug=True,
+                           trace=trace)
+    assert run.f_final == opt
+    assert {"elem": 0, "action": "reject", "C_x": []}.items() <= trace[0].items()
+    for weights in ([1, 2, 3], [9, 9, 3]):
+        for mode in ("exact", "heuristic"):
+            oracle = ms.ModularOracle(weights)
+            rand = ms.multipass_randomized(oracle, mp, [0, 1, 2], 0.5,
+                                           passes=2, offline_mode=mode,
+                                           debug=True)
+            assert mp.feasible(rand.solution)
+            assert rand.f_solution == oracle.peek(rand.solution) <= opt
+            # the guess grid brackets OPT from the best feasible singleton,
+            # however heavy the loops are
+            assert rand.grid.tau == opt
 
 
 def test_rank_examples():
@@ -194,9 +226,14 @@ def test_rank_of_pairwise_intersecting_hyperedges():
 
 
 def test_rank_requires_supplied_value_when_large():
+    # p >= 2: the exact search is capped at 16 ground elements
+    two = [ms.UniformMatroid(range(17), 3), ms.UniformMatroid(range(17), 3)]
     with pytest.raises(ms.SizeError):
-        ms.PMatchoid(range(17), [ms.UniformMatroid(range(17), 3)], p=1)
-    mp = ms.PMatchoid(range(17), [ms.UniformMatroid(range(17), 3)], p=1, rank=3)
+        ms.PMatchoid(range(17), two, p=2)
+    mp = ms.PMatchoid(range(17), two, p=2, rank=3)
+    assert mp.rank_k == 3
+    # p = 1: the greedy basis gives the rank at any size
+    mp = ms.PMatchoid(range(17), [ms.UniformMatroid(range(17), 3)], p=1)
     assert mp.rank_k == 3
 
 
@@ -264,3 +301,42 @@ def test_rank_matches_unpruned_maximum():
                    for c in combinations(range(n), r)
                    if mp.feasible(c))
         assert ms.compute_rank(mp) == best
+
+
+def test_p1_rank_is_the_greedy_basis_size():
+    # a p = 1 constraint is a direct sum of matroids on disjoint ground
+    # subsets plus free elements; capacity-0 uniform matroids make loops
+    rng = Random(37)
+    for trial in range(150):
+        n = rng.randint(1, 8)
+        ids = list(range(n))
+        rng.shuffle(ids)
+        cut = sorted(rng.sample(range(n + 1), 2))
+        matroids = []
+        for block in (ids[:cut[0]], ids[cut[0]:cut[1]]):
+            if block:
+                if rng.random() < 0.2:
+                    matroids.append(ms.UniformMatroid(block, 0))
+                else:
+                    local = _random_matroid(rng, len(block))
+                    matroids.append(_Relabeled(local, block))
+        mp = ms.PMatchoid(range(n), matroids, p=1)
+        best = max(len(c)
+                   for r in range(n + 1)
+                   for c in combinations(range(n), r)
+                   if mp.feasible(c))
+        assert mp.rank_k == ms.compute_rank(mp) == best
+
+
+class _Relabeled(ms.Matroid):
+    """``inner`` on ids 0..len(labels)-1, moved onto ``labels``."""
+
+    kind = "relabeled"
+
+    def __init__(self, inner, labels):
+        super().__init__(labels)
+        self.inner = inner
+        self.back = {e: j for j, e in enumerate(labels)}
+
+    def _independent(self, restricted):
+        return self.inner.independent({self.back[e] for e in restricted})

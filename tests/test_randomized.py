@@ -5,10 +5,11 @@ from itertools import combinations
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import matchstream as ms
 from matchstream.randomized import OFFLINE_EXACT_LIMIT
-from _corpus import coverage_uniform, directed_cut, exact_opt
+from _corpus import coverage_uniform, directed_cut, exact_opt, oracles
 
 TOL = 1e-9
 
@@ -372,3 +373,54 @@ def test_guess_copies_meter_their_own_calls():
         row_calls += sum(rows)
     # the singleton scan, one empty start per copy, then the passes
     assert oracle.calls == inst.n + len(run.copies) + row_calls
+
+
+@st.composite
+def _float_weight_cases(draw):
+    """(oracle, scale, mp, stream, m, seed): a float-weight directed cut or
+    coverage objective under a uniform matroid of capacity 1-3, or under
+    that matroid intersected with a two-part partition matroid (p = 2)."""
+    oracle, scale = draw(oracles(draw(st.sampled_from(("cut", "coverage"))),
+                                 False))
+    n = len(oracle.ground)
+    matroids = [ms.UniformMatroid(range(n), draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        parts = [[e for e in range(n) if labels[e] == j] for j in range(2)]
+        caps = draw(st.lists(st.integers(1, 2), min_size=2, max_size=2))
+        matroids.append(ms.PartitionMatroid(range(n), parts, caps))
+    mp = ms.PMatchoid(range(n), matroids, p=len(matroids))
+    return (oracle, scale, mp, draw(st.permutations(range(n))),
+            draw(st.integers(1, 3)), draw(st.integers(0, 2 ** 16)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_float_weight_cases())
+def test_randomized_results_hold_on_float_weights(case):
+    oracle, scale, mp, stream, m, seed = case
+    opt = ms.brute_force_opt(oracle, mp).opt_value
+    tol = 1e-12 * scale
+
+    def check(solution, value):
+        assert mp.feasible(solution)
+        assert abs(value - oracle.peek(solution)) <= tol
+        assert value <= opt + tol
+
+    # small buffers, so that draws and re-screens happen
+    rng = Random(seed)
+    state = None
+    for beta in (1.0, 0.5):
+        run = ms.randomized_pass(oracle, mp, stream, state, 0.0, beta,
+                                 m, rng, debug=True)
+        state = run.state
+        check(run.solution, run.f_final)
+        check(run.s_prime, run.f_s_prime)
+
+    run = ms.multipass_randomized(oracle, mp, stream, 0.5, passes=2,
+                                  seed=seed, offline_mode="exact", debug=True)
+    check(run.solution, run.f_solution)
+    for copy in run.copies:
+        for res in copy.pass_results:
+            check(res.solution, res.f_final)
+            check(res.s_prime, res.f_s_prime)
+    assert run.space_peak <= run.space_bound

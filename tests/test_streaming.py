@@ -207,9 +207,29 @@ def test_negative_parameters_rejected():
 
 def test_infeasible_initial_solution_rejected():
     oracle, mp = _modular_setup([1, 2])
-    bad = ms.SolutionState({0: 1.0, 1: 2.0}, 3.0, 0.0)
+    bad = ms.SolutionState({0: 1.0, 1: 2.0}, 0.0)
     with pytest.raises(ms.PreconditionError):
         ms.streaming_pass(oracle, mp, [0, 1], bad)
+
+
+def test_start_state_needs_an_evaluator_on_the_pass_oracle():
+    # f(S) comes from the state's running evaluator, so a pass cannot
+    # start from a hand-built state (it would have to trust a caller's
+    # f(S)) or from one whose evaluator runs on another oracle
+    oracle = ms.ModularOracle([2, 1, 1])
+    mp = ms.PMatchoid(range(3), [ms.UniformMatroid(range(3), 3)], p=1)
+    with pytest.raises(ms.PreconditionError):
+        ms.streaming_pass(oracle, mp, [0, 1, 2], ms.SolutionState({0: 2.0}, 0.0))
+    first = ms.streaming_pass(ms.ModularOracle([2, 1, 1]), mp, [0], None,
+                              require_full_stream=False)
+    with pytest.raises(ms.PreconditionError):
+        ms.streaming_pass(oracle, mp, [0, 1, 2], first.state)
+    first = ms.streaming_pass(oracle, mp, [0], None, require_full_stream=False)
+    res = ms.streaming_pass(oracle, mp, [0, 1, 2], first.state)
+    assert res.f_init == 2.0 and res.f_final == 4.0
+    assert res.accept_count == 2
+    # the pass changed a copy: the start state and its evaluator are intact
+    assert list(first.state.nu) == [0] and first.state.f_s == 2.0
 
 
 def test_trace_records_every_processed_element():
