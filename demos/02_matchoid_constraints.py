@@ -18,7 +18,7 @@ matroids = [
     ms.UniformMatroid({0, 2}, 1),   # at most one edge at v0
     ms.UniformMatroid({1, 3}, 1),   # at most one edge at v1
 ]
-matching = ms.PMatchoid(range(4), matroids, p=2)
+matching = ms.PMatchoid(range(4), matroids)  # p = 2, read off the matroids
 
 print("is {0,3} a matching?", matching.feasible({0, 3}))
 print("is {0,1} a matching?", matching.feasible({0, 1}))

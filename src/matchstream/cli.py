@@ -16,36 +16,23 @@ from .instances import FAMILIES, generate_instance, save_instance
 from .randomized import OFFLINE_MODES
 
 
+# every family's generator parameters; generate_instance rejects the ones
+# the chosen family does not take
+_GENERATOR_FLAGS = ("n", "items", "capacity", "max_weight", "parts", "left",
+                    "right", "edges", "vertices", "hyperedges", "arcs")
+
+
 def _add_generate(sub):
     p = sub.add_parser("generate", help="write a random instance file")
     p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--items", type=int)
-    p.add_argument("--capacity", type=int)
-    p.add_argument("--max-weight", type=int, dest="max_weight")
-    p.add_argument("--parts", type=int)
-    p.add_argument("--left", type=int)
-    p.add_argument("--right", type=int)
-    p.add_argument("--edges", type=int)
-    p.add_argument("--vertices", type=int)
-    p.add_argument("--hyperedges", type=int)
-    p.add_argument("--arcs", type=int)
-
-
-_FAMILY_PARAMS = {
-    "coverage+uniform": ("n", "items", "capacity", "max_weight"),
-    "coverage+partition": ("n", "parts", "items", "max_weight"),
-    "bipartite-matching": ("left", "right", "edges", "items", "max_weight"),
-    "3-uniform-hypergraph-matching": ("vertices", "hyperedges", "items", "max_weight"),
-    "directed-cut+matroid": ("n", "arcs", "capacity", "max_weight"),
-}
+    for name in _GENERATOR_FLAGS:
+        p.add_argument("--" + name.replace("_", "-"), type=int)
 
 
 def _cmd_generate(args):
-    params = {name: getattr(args, name)
-              for name in _FAMILY_PARAMS[args.family]
+    params = {name: getattr(args, name) for name in _GENERATOR_FLAGS
               if getattr(args, name) is not None}
     inst = generate_instance(args.family, args.seed, **params)
     save_instance(inst, args.out)

@@ -12,7 +12,9 @@ Objective kinds: weighted-coverage (sets + item_weights), directed-cut
 values). Matroid kinds: uniform (capacity), partition (parts +
 capacities), graphic (endpoints [[e, u, v], ...]), transversal
 (adjacency [[e, [r, ...]], ...]). ``compute_rank`` fills in a null rank
-at build time. A bad file raises ConfigError naming its path.
+at build time; an optional "p" must equal the derived p. ``monotone``
+labels the objective in summaries; an oracle's ``monotone`` is a fact of
+its class. A bad file raises ConfigError naming its path.
 """
 
 import json
@@ -70,15 +72,13 @@ class Instance:
         kind = obj.get("kind")
         with _reading(self.path, "objective"):
             if kind == "weighted-coverage":
-                oracle = CoverageOracle(obj["sets"], obj["item_weights"],
-                                        monotone=self.monotone)
+                oracle = CoverageOracle(obj["sets"], obj["item_weights"])
             elif kind == "directed-cut":
-                oracle = DirectedCutOracle(self.n, obj["arcs"],
-                                           monotone=self.monotone)
+                oracle = DirectedCutOracle(self.n, obj["arcs"])
             elif kind == "modular":
-                oracle = ModularOracle(obj["weights"], monotone=self.monotone)
+                oracle = ModularOracle(obj["weights"])
             elif kind == "custom-table":
-                oracle = TableOracle(self.n, obj["table"], monotone=self.monotone)
+                oracle = TableOracle(self.n, obj["table"])
             else:
                 raise ValueError(f"unknown kind {kind!r}")
         if len(oracle.ground) != self.n:
@@ -87,7 +87,8 @@ class Instance:
         return oracle
 
     def build_matchoid(self):
-        """Fresh constraint; validates the at-most-p membership property."""
+        """Fresh constraint. Its p is derived from the matroids; a file that
+        also declares one must declare that value."""
         block = self.constraint
         matroids = []
         with _reading(self.path, "constraint"):
@@ -107,8 +108,10 @@ class Instance:
                     matroids.append(TransversalMatroid(ground, adjacency))
                 else:
                     raise ValueError(f"unknown matroid kind {kind!r}")
-            return PMatchoid(range(self.n), matroids, p=block.get("p"),
-                             rank=block.get("rank"))
+            mp = PMatchoid(range(self.n), matroids, rank=block.get("rank"))
+            if block.get("p") not in (None, mp.p):
+                raise ValueError(f"declares p={block['p']}, its matroids give p={mp.p}")
+            return mp
 
 
 @contextmanager
@@ -149,12 +152,18 @@ def generate_instance(family, seed, **params):
     """Random instance from a named family; deterministic under the seed.
 
     Every family uses small integer weights so objective comparisons in
-    tests are exact, and guarantees a strictly positive optimum.
+    tests are exact, and guarantees a strictly positive optimum. A
+    parameter the family does not take raises ConfigError.
     """
     maker = _GENERATORS.get(family)
     if maker is None:
         raise ConfigError(f"unknown instance family: {family!r} "
                           f"(choose from {', '.join(FAMILIES)})")
+    # parameters after rng; importing inspect instead adds ~0.6 MiB peak RSS
+    names = maker.__code__.co_varnames[1:maker.__code__.co_argcount]
+    if not set(params) <= set(names):
+        raise ConfigError(f"family {family!r} takes {', '.join(names)}, not "
+                          f"{', '.join(sorted(set(params) - set(names)))}")
     return maker(Random(seed), **params)
 
 

@@ -1,9 +1,10 @@
 """Matroid independence oracles and their composition into p-matchoids.
 
 A p-matchoid is a list of matroids, each living on a subset of the ground
-set, with every element belonging to at most p of those subsets. A set is
-feasible when its restriction to each matroid's ground subset is
-independent there.
+set, with every element belonging to at most p of those subsets;
+``PMatchoid`` takes p to be the largest such count. A set is feasible
+when its restriction to each matroid's ground subset is independent
+there.
 """
 
 from .baselines import compute_rank
@@ -166,30 +167,23 @@ class TransversalMatroid(Matroid):
 class PMatchoid:
     """Conjunction of matroid constraints with bounded per-element membership.
 
-    ``rank_k`` is the size of a largest feasible set. Unless ``rank`` is
-    supplied, ``compute_rank`` computes it: at any size for p = 1, up to
-    16 ground elements for p >= 2.
+    ``p`` is derived, not declared: the most matroids any one element lies
+    in, and 1 when no element lies in any. ``rank_k`` is the size of a
+    largest feasible set. Unless ``rank`` is supplied, ``compute_rank``
+    computes it: at any size for p = 1, up to 16 ground elements for
+    p >= 2.
     """
 
-    def __init__(self, ground, matroids, p=None, rank=None):
+    def __init__(self, ground, matroids, rank=None):
         self.ground = frozenset(int(e) for e in ground)
         self.matroids = list(matroids)
+        counts = {}
         for m in self.matroids:
             if not m.ground_subset <= self.ground:
                 raise PreconditionError("matroid ground subset leaves the instance ground set")
-        counts = {}
-        for m in self.matroids:
             for e in m.ground_subset:
                 counts[e] = counts.get(e, 0) + 1
-        max_membership = max(counts.values(), default=0)
-        self.p = int(p) if p is not None else max(1, max_membership)
-        if self.p < 1:
-            raise PreconditionError("p must be a positive integer")
-        if max_membership > self.p:
-            offenders = sorted(e for e, c in counts.items() if c > self.p)
-            raise InfeasibilityError(
-                f"elements {offenders} belong to more than p={self.p} matroids"
-            )
+        self.p = max(counts.values(), default=1)
         self.rank_k = int(rank) if rank is not None else compute_rank(self)
 
     def feasible(self, subset):

@@ -32,18 +32,19 @@ class SubmodularOracle:
 
     Subclasses implement ``_evaluate`` on a frozenset. The call counter is
     guarded by a lock so parallel copies of a run may share one oracle.
-    ``submodular`` is a fact about the class: the exact solver's upper
-    bound relies on it, and a subclass whose f may fail it sets it false.
+    ``submodular`` and ``monotone`` are facts about the class: every f of
+    the class has the property. The exact solver's bound relies on the
+    first; only a class whose construction guarantees the second sets it.
     """
 
     kind = "custom"
     submodular = True
+    monotone = False
 
-    def __init__(self, ground, monotone=False):
+    def __init__(self, ground):
         self.ground = frozenset(int(e) for e in ground)
         if any(e < 0 for e in self.ground):
             raise DomainError("element ids must be non-negative integers")
-        self.monotone = bool(monotone)
         self._lock = threading.Lock()
         self._calls = 0
 
@@ -171,8 +172,9 @@ class CoverageOracle(SubmodularOracle):
     """Weighted coverage: f(A) = total weight of items covered by A's sets."""
 
     kind = "weighted-coverage"
+    monotone = True
 
-    def __init__(self, sets, item_weights, monotone=True):
+    def __init__(self, sets, item_weights):
         self._sets = [frozenset(int(i) for i in s) for s in sets]
         self._weights = _finite(item_weights, "item weights")
         if any(i < 0 for s in self._sets for i in s):
@@ -180,7 +182,7 @@ class CoverageOracle(SubmodularOracle):
         top = max((i for s in self._sets for i in s), default=-1)
         if top >= len(self._weights):
             raise DomainError(f"item {top} has no weight entry")
-        super().__init__(range(len(self._sets)), monotone=monotone)
+        super().__init__(range(len(self._sets)))
 
     def _evaluate(self, subset):
         covered = set()
@@ -230,7 +232,7 @@ class DirectedCutOracle(SubmodularOracle):
 
     kind = "directed-cut"
 
-    def __init__(self, n, arcs, monotone=False):
+    def __init__(self, n, arcs):
         n = int(n)
         self._out = {u: [] for u in range(n)}
         for u, v, w in arcs:
@@ -242,7 +244,7 @@ class DirectedCutOracle(SubmodularOracle):
             if not 0.0 <= w < math.inf:
                 raise DomainError("arc weights must be finite and non-negative")
             self._out[u].append((v, w))
-        super().__init__(range(n), monotone=monotone)
+        super().__init__(range(n))
 
     def _evaluate(self, subset):
         total = 0.0
@@ -301,10 +303,11 @@ class ModularOracle(SubmodularOracle):
     """Additive weights: f(A) = sum of per-element weights."""
 
     kind = "modular"
+    monotone = True
 
-    def __init__(self, weights, monotone=True):
+    def __init__(self, weights):
         self._weights = _finite(weights, "modular weights")
-        super().__init__(range(len(self._weights)), monotone=monotone)
+        super().__init__(range(len(self._weights)))
 
     def _evaluate(self, subset):
         return float(sum(self._weights[e] for e in subset))
@@ -327,21 +330,22 @@ class TableOracle(SubmodularOracle):
 
     The table is not required to be submodular, so this kind can also
     serve as a negative fixture for the submodularity checker, and the
-    exact solver does not apply its submodular bound to it.
+    exact solver does not apply its submodular bound to it. It is not
+    ``monotone`` either: an exact check costs far more than the table.
     """
 
     kind = "custom-table"
     submodular = False
     MAX_N = 20
 
-    def __init__(self, n, table, monotone=False):
+    def __init__(self, n, table):
         n = int(n)
         if n > self.MAX_N:
             raise SizeError(f"table oracles are capped at n={self.MAX_N}")
         if len(table) != 1 << n:
             raise DomainError(f"table must have {1 << n} entries, got {len(table)}")
         self._table = _finite(table, "table values")
-        super().__init__(range(n), monotone=monotone)
+        super().__init__(range(n))
 
     def _evaluate(self, subset):
         mask = 0

@@ -31,7 +31,7 @@ import math
 from .errors import DomainError, PreconditionError
 from .matchoids import exchange_set
 
-NU_TOL = 1e-9
+NU_TOL = 1e-9  # the debug checks' tolerance, relative to max(1, |f(S)|)
 
 
 class SolutionState:
@@ -161,7 +161,8 @@ class PassRunner:
     processed element (uncounted evaluations).
 
     The pass starts from a copy of ``s_init``, a finished pass's state on
-    ``oracle`` that is feasible under ``mp``, or from the empty solution.
+    ``oracle`` that is feasible under ``mp`` and whose evaluator holds
+    exactly its members, or from the empty solution.
 
     ``finish`` closes the pass and returns the runner itself as the pass
     record: its ``state``, the acceptance set ``accepted`` (initial
@@ -188,6 +189,8 @@ class PassRunner:
                 raise PreconditionError("initial solution is infeasible")
             if getattr(s_init.evaluator, "oracle", None) is not oracle:
                 raise PreconditionError("initial solution has no evaluator on this oracle")
+            if s_init.evaluator.members != s_init.members:
+                raise PreconditionError("initial solution's evaluator is over another set")
             self.state = s_init.copy()
         self.oracle = oracle
         self.mp = mp
@@ -326,11 +329,12 @@ def _trace_write(sink, elem, action, cx, state):
     sink.append(record)
 
 
-def _check_element(state, oracle, mp, alpha, tol=NU_TOL):
+def _check_element(state, oracle, mp, alpha):
     """Invariants that must hold after every processed element."""
     if not mp.feasible(state.members):
         raise AssertionError("solution left the feasible region")
     held, exact = state.evaluator.total, oracle.peek(state.members)
+    tol = NU_TOL * max(1.0, abs(exact))
     if abs(held - exact) > tol:
         raise AssertionError(f"running evaluator holds {held}, f(S) is {exact}")
     total = math.fsum(state.nu.values())
@@ -343,8 +347,10 @@ def _check_element(state, oracle, mp, alpha, tol=NU_TOL):
             raise AssertionError(f"nu[{e}]={v} fell below alpha={alpha}")
 
 
-def _check_accept(state, oracle, nu_before, evicted_set, tol=NU_TOL):
+def _check_accept(state, oracle, nu_before, evicted_set):
     """Extra invariants re-derived from the oracle after an acceptance."""
+    full = oracle.peek(state.members)
+    tol = NU_TOL * max(1.0, abs(full))
     exact = nu_by_definition(state, oracle)
     for e, v in exact.items():
         if abs(v - state.nu[e]) > tol:
@@ -357,7 +363,6 @@ def _check_accept(state, oracle, nu_before, evicted_set, tol=NU_TOL):
                 raise AssertionError("an eviction decreased a survivor's nu")
         elif abs(state.nu[e] - old) > tol:
             raise AssertionError("a pure insertion changed a survivor's nu")
-    full = oracle.peek(state.members)
     for t in state.nu:
         if full - oracle.peek(state.members - {t}) > state.nu[t] + tol:
             raise AssertionError("single-element residual exceeded its nu")

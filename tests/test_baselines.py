@@ -14,7 +14,7 @@ TOL = 1e-9
 
 
 def _uniform_mp(n, capacity):
-    return ms.PMatchoid(range(n), [ms.UniformMatroid(range(n), capacity)], p=1)
+    return ms.PMatchoid(range(n), [ms.UniformMatroid(range(n), capacity)])
 
 
 def test_exact_modular_picks_top_weights():
@@ -90,14 +90,13 @@ def _exact_instances(draw):
         labels = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
         parts = [[e for e in range(n) if labels[e] == j] for j in range(3)]
         caps = draw(st.lists(st.integers(0, 2), min_size=3, max_size=3))
-        mp = ms.PMatchoid(range(n), [ms.PartitionMatroid(range(n), parts, caps)],
-                          p=1)
+        mp = ms.PMatchoid(range(n), [ms.PartitionMatroid(range(n), parts, caps)])
     else:
         ends = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(4, 7)),
                              min_size=n, max_size=n))
         mp = ms.PMatchoid(range(n), [
             ms.UniformMatroid([e for e in range(n) if v in ends[e]], 1)
-            for v in range(8)], p=2)
+            for v in range(8)])
     return oracle, mp, integer
 
 
@@ -121,7 +120,7 @@ def test_branch_and_bound_matches_unpruned_enumeration(case):
 
 def test_exact_size_cap():
     oracle = ms.ModularOracle([1] * 17)
-    mp = ms.PMatchoid(range(17), [ms.UniformMatroid(range(17), 2)], p=1, rank=2)
+    mp = ms.PMatchoid(range(17), [ms.UniformMatroid(range(17), 2)], rank=2)
     with pytest.raises(ms.SizeError):
         ms.brute_force_opt(oracle, mp)
     with pytest.raises(ms.SizeError):
@@ -151,7 +150,7 @@ def test_greedy_on_modular_uniform_is_optimal():
 
 def test_greedy_on_empty_ground():
     oracle = ms.ModularOracle([])
-    mp = ms.PMatchoid([], [], p=1)
+    mp = ms.PMatchoid([], [])
     assert ms.offline_greedy(oracle, mp) == frozenset()
 
 

@@ -190,3 +190,15 @@ def test_bad_instance_files_exit_2_naming_the_path(tmp_path, edit):
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error:") and str(path) in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+def test_generate_rejects_a_flag_the_family_does_not_take(tmp_path):
+    out = tmp_path / "inst.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "matchstream", "generate", "--family",
+         "coverage+uniform", "--parts", "3", "--left", "9", "--out", str(out)],
+        capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:") and "left, parts" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()

@@ -1,6 +1,7 @@
 """Instance generation, file round-trips, and loader validation."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -152,3 +153,43 @@ def test_stream_order_default_and_shuffle():
     assert a == b
     assert sorted(a) == list(range(10))
     assert a != list(range(10))
+
+
+def test_declared_p_must_be_the_derived_p(tmp_path):
+    # p is the most matroids any element lies in; a file may omit it, and
+    # a file that gives another value is rejected, naming both
+    data = {"schema_version": 1, "n": 17, "monotone": True,
+            "objective": {"kind": "modular", "weights": [1] * 17},
+            "constraint": {"p": 2, "rank": None, "matroids": [
+                {"kind": "uniform", "ground": list(range(17)), "capacity": 3}]}}
+    path = tmp_path / "over.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ms.ConfigError) as caught:
+        ms.load_instance(path).build_matchoid()
+    assert str(path) in str(caught.value)
+    assert "p=2" in str(caught.value) and "p=1" in str(caught.value)
+    for declared in (1, None):
+        data["constraint"]["p"] = declared
+        mp = ms.Instance.from_dict(data).build_matchoid()
+        assert (mp.p, mp.rank_k) == (1, 3)
+    del data["constraint"]["p"]
+    assert ms.Instance.from_dict(data).build_matchoid().p == 1
+
+
+def test_generate_rejects_parameters_the_family_does_not_take():
+    with pytest.raises(ms.ConfigError,
+                       match="takes n, items, capacity, max_weight, not parts"):
+        ms.generate_instance("coverage+uniform", 0, parts=3)
+    assert ms.generate_instance("coverage+partition", 0, parts=3).n == 12
+
+
+def test_readme_instance_example_builds():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("**Instance (JSON)**", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    inst = ms.Instance.from_dict(json.loads(block))
+    oracle, mp = inst.build_oracle(), inst.build_matchoid()
+    assert len(oracle.ground) == inst.n == 4
+    assert oracle.monotone == inst.monotone
+    assert (mp.p, mp.rank_k) == (1, 2)
+    assert mp.feasible({0, 2}) and not mp.feasible({0, 1})

@@ -53,7 +53,7 @@ def _bipartite_matchoid():
         ms.UniformMatroid({0, 2}, 1),   # v0
         ms.UniformMatroid({1, 3}, 1),   # v1
     ]
-    return ms.PMatchoid(range(4), matroids, p=2)
+    return ms.PMatchoid(range(4), matroids)
 
 
 def test_matchoid_feasibility_is_matching_feasibility():
@@ -64,25 +64,28 @@ def test_matchoid_feasibility_is_matching_feasibility():
 
 
 def test_empty_matchoid_accepts_everything():
-    mp = ms.PMatchoid(range(3), [], p=1)
+    mp = ms.PMatchoid(range(3), [])
     assert mp.feasible({0, 1, 2})
     assert mp.rank_k == 3
 
 
 def test_membership_above_p_is_rejected():
-    with pytest.raises(ms.InfeasibilityError):
-        ms.PMatchoid(range(2), [ms.UniformMatroid({0}, 1),
-                                ms.UniformMatroid({0}, 1)], p=1)
+    # p is derived from the memberships, so it cannot be under-declared;
+    # an instance file that declares too small a p is rejected by the
+    # loader (test_instances.test_loader_rejects_membership_violation)
+    mp = ms.PMatchoid(range(2), [ms.UniformMatroid({0}, 1),
+                                 ms.UniformMatroid({0}, 1)])
+    assert mp.p == 2
 
 
 def test_exchange_only_candidate():
-    mp = ms.PMatchoid(range(2), [ms.UniformMatroid({0, 1}, 1)], p=1)
+    mp = ms.PMatchoid(range(2), [ms.UniformMatroid({0, 1}, 1)])
     state = _state([0], {0: 1.0})
     assert ms.exchange_set(mp, 1, state) == {0}
 
 
 def test_exchange_no_violation_is_empty():
-    mp = ms.PMatchoid(range(3), [ms.UniformMatroid({0, 1, 2}, 2)], p=1)
+    mp = ms.PMatchoid(range(3), [ms.UniformMatroid({0, 1, 2}, 2)])
     state = _state([0], {0: 1.0})
     assert ms.exchange_set(mp, 1, state) == set()
 
@@ -97,7 +100,7 @@ def test_exchange_bipartite_hand_trace():
 
 
 def test_exchange_prefers_smaller_nu_then_earlier_arrival():
-    mp = ms.PMatchoid(range(3), [ms.UniformMatroid({0, 1, 2}, 2)], p=1)
+    mp = ms.PMatchoid(range(3), [ms.UniformMatroid({0, 1, 2}, 2)])
     state = _state([0, 1], {0: 2.0, 1: 1.0})
     assert ms.exchange_set(mp, 2, state) == {1}
     tied = _state([0, 1], {0: 1.0, 1: 1.0})
@@ -108,7 +111,7 @@ def test_exchange_prefers_smaller_nu_then_earlier_arrival():
 
 
 def test_exchange_rejects_member_element():
-    mp = ms.PMatchoid(range(2), [ms.UniformMatroid({0, 1}, 1)], p=1)
+    mp = ms.PMatchoid(range(2), [ms.UniformMatroid({0, 1}, 1)])
     state = _state([0], {0: 1.0})
     with pytest.raises(ms.PreconditionError):
         ms.exchange_set(mp, 0, state)
@@ -165,7 +168,7 @@ class _BrokenMatroid(ms.Matroid):
 
 
 def test_exchange_flags_malformed_oracle():
-    mp = ms.PMatchoid(range(3), [_BrokenMatroid({0, 1, 2})], p=1, rank=2)
+    mp = ms.PMatchoid(range(3), [_BrokenMatroid({0, 1, 2})], rank=2)
     state = _state([0, 1], {0: 1.0, 1: 1.0})
     with pytest.raises(ms.InfeasibilityError):
         ms.exchange_set(mp, 2, state)
@@ -202,10 +205,10 @@ def test_loops_are_rejected_not_exchanged(loop_matroid, opt):
 
 
 def test_rank_examples():
-    uniform = ms.PMatchoid(range(5), [ms.UniformMatroid(range(5), 3)], p=1)
+    uniform = ms.PMatchoid(range(5), [ms.UniformMatroid(range(5), 3)])
     assert uniform.rank_k == 3
     partition = ms.PMatchoid(
-        range(4), [ms.PartitionMatroid(range(4), [[0, 1], [2, 3]], [1, 1])], p=1)
+        range(4), [ms.PartitionMatroid(range(4), [[0, 1], [2, 3]], [1, 1])])
     assert partition.rank_k == 2
 
 
@@ -220,7 +223,7 @@ def test_rank_of_pairwise_intersecting_hyperedges():
         incident = [e for e, tri in enumerate(hyperedges) if v in tri]
         if incident:
             matroids.append(ms.UniformMatroid(incident, 1))
-    mp = ms.PMatchoid(range(4), matroids, p=3)
+    mp = ms.PMatchoid(range(4), matroids)
     assert mp.rank_k == 1
     assert inst.build_matchoid().p == 3
 
@@ -229,11 +232,11 @@ def test_rank_requires_supplied_value_when_large():
     # p >= 2: the exact search is capped at 16 ground elements
     two = [ms.UniformMatroid(range(17), 3), ms.UniformMatroid(range(17), 3)]
     with pytest.raises(ms.SizeError):
-        ms.PMatchoid(range(17), two, p=2)
-    mp = ms.PMatchoid(range(17), two, p=2, rank=3)
+        ms.PMatchoid(range(17), two)
+    mp = ms.PMatchoid(range(17), two, rank=3)
     assert mp.rank_k == 3
     # p = 1: the greedy basis gives the rank at any size
-    mp = ms.PMatchoid(range(17), [ms.UniformMatroid(range(17), 3)], p=1)
+    mp = ms.PMatchoid(range(17), [ms.UniformMatroid(range(17), 3)])
     assert mp.rank_k == 3
 
 
@@ -295,7 +298,8 @@ def test_rank_matches_unpruned_maximum():
         for m in matroids:
             for e in m.ground_subset:
                 counts[e] = counts.get(e, 0) + 1
-        mp = ms.PMatchoid(range(n), matroids, p=max(counts.values(), default=1))
+        mp = ms.PMatchoid(range(n), matroids)
+        assert mp.p == max(counts.values(), default=1)
         best = max(len(c)
                    for r in range(n + 1)
                    for c in combinations(range(n), r)
@@ -320,7 +324,7 @@ def test_p1_rank_is_the_greedy_basis_size():
                 else:
                     local = _random_matroid(rng, len(block))
                     matroids.append(_Relabeled(local, block))
-        mp = ms.PMatchoid(range(n), matroids, p=1)
+        mp = ms.PMatchoid(range(n), matroids)
         best = max(len(c)
                    for r in range(n + 1)
                    for c in combinations(range(n), r)

@@ -229,7 +229,7 @@ def test_first_pass_certificate_is_4p():
 
 def test_degenerate_zero_objective_reports_infinite_factor():
     oracle = ms.ModularOracle([0, 0, 0])
-    mp = ms.PMatchoid(range(3), [ms.UniformMatroid(range(3), 2)], p=1)
+    mp = ms.PMatchoid(range(3), [ms.UniformMatroid(range(3), 2)])
     run = ms.multipass_run(oracle, mp, [0, 1, 2],
                            ms.Schedule.matroid_harmonic(), 3)
     assert all(math.isinf(c.gamma_certified) for c in run.certificates)
@@ -247,9 +247,9 @@ def test_nonzero_empty_value_keeps_certificates_sound():
     weights = [1.0, 2.0, 3.0]
     table = [2.0 + sum(w for j, w in enumerate(weights) if mask >> j & 1)
              for mask in range(8)]
-    oracle = ms.TableOracle(3, table, monotone=True)
-    mp = ms.PMatchoid(range(3), [ms.UniformMatroid(range(3), 2)], p=1)
-    opt = ms.brute_force_opt(ms.TableOracle(3, table, monotone=True), mp)
+    oracle = ms.TableOracle(3, table)
+    mp = ms.PMatchoid(range(3), [ms.UniformMatroid(range(3), 2)])
+    opt = ms.brute_force_opt(ms.TableOracle(3, table), mp)
     run = ms.multipass_run(oracle, mp, [0, 1, 2],
                            ms.Schedule.matroid_harmonic(), 5)
     assert run.pass_results[0].f_init == 2.0
@@ -286,7 +286,7 @@ def _float_weight_runs(draw):
         parts = [[e for e in range(n) if labels[e] == j] for j in range(3)]
         caps = draw(st.lists(st.integers(1, 2), min_size=3, max_size=3))
         matroids.append(ms.PartitionMatroid(range(n), parts, caps))
-    mp = ms.PMatchoid(range(n), matroids, p=len(matroids))
+    mp = ms.PMatchoid(range(n), matroids)
     schedule = (ms.Schedule.matroid_harmonic() if mp.p == 1
                 else ms.Schedule.matchoid_recurrence(mp.p))
     alpha = draw(st.sampled_from((0.0, 0.5)))

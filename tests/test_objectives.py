@@ -204,3 +204,15 @@ def test_streaming_call_counts_are_deterministic():
         ms.streaming_pass(oracle, mp, ms.stream_order(inst.n), None, 0.0, 1.0)
         counts.append(oracle.calls)
     assert counts[0] == counts[1]
+
+
+def test_monotone_is_a_class_fact():
+    # no constructor takes monotone, so a caller cannot declare a falling
+    # f monotone: here f({0}) = 1 and f({0, 1}) = 0
+    with pytest.raises(TypeError):
+        ms.DirectedCutOracle(3, [(0, 1, 1.0)], monotone=True)
+    assert [cls.monotone for cls in (
+        ms.SubmodularOracle, ms.CoverageOracle, ms.ModularOracle,
+        ms.DirectedCutOracle, ms.TableOracle)] == [False, True, True, False, False]
+    assert ms.ModularOracle([1, 2]).monotone
+    assert not ms.TableOracle(1, [0.0, 1.0]).monotone

@@ -73,7 +73,7 @@ def test_buffer_draw_is_uniform():
 
 
 def _uniform_mp(n, capacity):
-    return ms.PMatchoid(range(n), [ms.UniformMatroid(range(n), capacity)], p=1)
+    return ms.PMatchoid(range(n), [ms.UniformMatroid(range(n), capacity)])
 
 
 def test_buffer_never_fills_when_capacity_exceeds_candidates():
@@ -189,7 +189,7 @@ def test_offline_solve_exact_matches_exhaustive_enumeration():
 
 def test_offline_solve_size_cap_and_unknown_mode():
     oracle = ms.ModularOracle([1] * 23)
-    mp = ms.PMatchoid(range(23), [ms.UniformMatroid(range(23), 3)], p=1, rank=3)
+    mp = ms.PMatchoid(range(23), [ms.UniformMatroid(range(23), 3)], rank=3)
     with pytest.raises(ms.SizeError):
         ms.offline_solve(oracle, mp, range(23))
     with pytest.raises(ms.ConfigError):
@@ -389,7 +389,7 @@ def _float_weight_cases(draw):
         parts = [[e for e in range(n) if labels[e] == j] for j in range(2)]
         caps = draw(st.lists(st.integers(1, 2), min_size=2, max_size=2))
         matroids.append(ms.PartitionMatroid(range(n), parts, caps))
-    mp = ms.PMatchoid(range(n), matroids, p=len(matroids))
+    mp = ms.PMatchoid(range(n), matroids)
     return (oracle, scale, mp, draw(st.permutations(range(n))),
             draw(st.integers(1, 3)), draw(st.integers(0, 2 ** 16)))
 

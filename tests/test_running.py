@@ -1,6 +1,8 @@
 """Running evaluators: agreement with from-scratch evaluation, metering,
 and the oracle-call totals of whole runs."""
 
+from random import Random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -82,13 +84,13 @@ class _Halved(ms.SubmodularOracle):
 
 
 def test_custom_subclass_gets_generic_evaluator():
-    oracle = _Halved(range(4), monotone=True)
+    oracle = _Halved(range(4))
     evaluator = oracle.running({0})
     assert evaluator.value_with(1) == 1.0
     assert evaluator.add(2) == 1.0
     assert evaluator.value_with(2) == 1.0
     assert oracle.calls == 4
-    run = ms.streaming_pass(oracle, ms.PMatchoid(range(4), [], p=1, rank=4),
+    run = ms.streaming_pass(oracle, ms.PMatchoid(range(4), [], rank=4),
                             range(4), debug=True)
     assert run.f_final == 2.0
 
@@ -119,8 +121,52 @@ def test_randomized_call_count_is_pinned():
 
 def test_debug_check_catches_a_drifted_evaluator():
     oracle = ms.ModularOracle([1, 2, 3])
-    mp = ms.PMatchoid(range(3), [ms.UniformMatroid(range(3), 2)], p=1)
+    mp = ms.PMatchoid(range(3), [ms.UniformMatroid(range(3), 2)])
     first = ms.streaming_pass(oracle, mp, [0], require_full_stream=False)
+    first.state.evaluator.total += 1.0
+    with pytest.raises(AssertionError, match="running evaluator"):
+        ms.streaming_pass(oracle, mp, [0], first.state, debug=True,
+                          require_full_stream=False)
+
+
+# Weights far above 1: the debug checks' tolerance is relative to f(S),
+# so rounding in the last bits of a correct run is not a failure.
+LARGE_WEIGHTS = ([1e6 + .1, 2e6 + .2, 3e6 + .3, 4e6 + .4], [1e9, .1, .2, .3])
+
+
+@pytest.mark.parametrize("weights", LARGE_WEIGHTS, ids=["1e6", "1e9"])
+def test_debug_checks_scale_with_f(weights):
+    mp = ms.PMatchoid(range(4), [ms.UniformMatroid(range(4), 3)])
+    for order in ([0, 1, 2, 3], [3, 2, 1, 0], [1, 3, 0, 2]):
+        oracle = ms.ModularOracle(weights)
+        run = ms.multipass_run(oracle, mp, order,
+                               ms.Schedule.matroid_harmonic(), 3, debug=True)
+        assert run.f_final == pytest.approx(sum(weights) - min(weights))
+
+
+def test_debug_checks_scale_with_f_on_a_large_cut():
+    # chained debug randomized passes on cuts with 1e6-scale float weights
+    draws = 0
+    for seed in range(40):
+        rng = Random(seed)
+        arcs = [(u, v, 1e6 * rng.randint(1, 4) + rng.random())
+                for u in range(8) for v in range(8)
+                if u != v and rng.random() < 0.5]
+        oracle = ms.DirectedCutOracle(8, arcs)
+        mp = ms.PMatchoid(range(8), [ms.UniformMatroid(range(8), 3)])
+        state = None
+        for i, beta in enumerate((1.0, 0.5)):
+            res = ms.randomized_pass(oracle, mp, range(8), state, 0.0, beta,
+                                     2, Random(seed + i), debug=True)
+            state = res.state
+            draws += res.accept_count
+    assert draws > 0
+
+
+def test_debug_check_catches_a_drift_at_large_scale():
+    oracle = ms.ModularOracle(LARGE_WEIGHTS[0])
+    mp = ms.PMatchoid(range(4), [ms.UniformMatroid(range(4), 3)])
+    first = ms.streaming_pass(oracle, mp, [0, 1, 2], require_full_stream=False)
     first.state.evaluator.total += 1.0
     with pytest.raises(AssertionError, match="running evaluator"):
         ms.streaming_pass(oracle, mp, [0], first.state, debug=True,

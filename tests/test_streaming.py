@@ -14,7 +14,7 @@ TOL = 1e-9
 def _modular_setup(weights):
     oracle = ms.ModularOracle(weights)
     mp = ms.PMatchoid(range(len(weights)),
-                      [ms.UniformMatroid(range(len(weights)), 1)], p=1)
+                      [ms.UniformMatroid(range(len(weights)), 1)])
     return oracle, mp
 
 
@@ -217,7 +217,7 @@ def test_start_state_needs_an_evaluator_on_the_pass_oracle():
     # start from a hand-built state (it would have to trust a caller's
     # f(S)) or from one whose evaluator runs on another oracle
     oracle = ms.ModularOracle([2, 1, 1])
-    mp = ms.PMatchoid(range(3), [ms.UniformMatroid(range(3), 3)], p=1)
+    mp = ms.PMatchoid(range(3), [ms.UniformMatroid(range(3), 3)])
     with pytest.raises(ms.PreconditionError):
         ms.streaming_pass(oracle, mp, [0, 1, 2], ms.SolutionState({0: 2.0}, 0.0))
     first = ms.streaming_pass(ms.ModularOracle([2, 1, 1]), mp, [0], None,
@@ -274,3 +274,16 @@ def test_feasibility_after_every_element():
         beta = rng.choice([0.25, 0.5, 1.0])
         ms.streaming_pass(inst.build_oracle(), inst.build_matchoid(),
                           ms.stream_order(inst.n), None, 0.0, beta, debug=True)
+
+
+@pytest.mark.parametrize("held", [{1, 2}, {0, 1}, set()],
+                         ids=["other set", "extra member", "empty"])
+def test_start_state_evaluator_must_hold_its_members(held):
+    # f(S) is read from the evaluator, so one over another set would make
+    # the pass report that set's value: here f({1, 2}) = f({0}) = 2, and a
+    # pass from it would end at 2.0 for a solution worth 4.0
+    oracle = ms.ModularOracle([2, 1, 1])
+    mp = ms.PMatchoid(range(3), [ms.UniformMatroid(range(3), 3)])
+    state = ms.SolutionState({0: 2.0}, 0.0, oracle.running(held, meter=False))
+    with pytest.raises(ms.PreconditionError, match="another set"):
+        ms.streaming_pass(oracle, mp, [0, 1, 2], state)
