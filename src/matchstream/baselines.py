@@ -10,9 +10,12 @@ independent code paths so each can vouch for the other.
 """
 
 import heapq
+import math
 
 from .errors import SizeError
 from .objectives import ModularOracle
+
+EXACT_BUDGET = 2 ** 22  # the most subsets one exact search may examine
 
 
 class ExactResult:
@@ -74,9 +77,11 @@ def max_feasible_subset(oracle, mp, candidates):
     The bound needs no monotonicity, so it holds for the directed cut. It
     is unsound when f is not submodular; an oracle whose class sets
     ``submodular = False`` (``TableOracle``) gets the size cut only.
+    ``check_exact_budget`` sizes the search by K before any oracle call.
     """
     elems = sorted(set(candidates))
     size_cap = mp.p * len(greedy_basis(mp, elems))
+    check_exact_budget(len(elems), size_cap)
     bounded = oracle.submodular
     best_val = oracle.value(())
     best_set = frozenset()
@@ -113,6 +118,15 @@ def max_feasible_subset(oracle, mp, candidates):
     return ExactResult(best_set, best_val, examined, prunes)
 
 
+def check_exact_budget(pool, size_cut):
+    """Raise ``SizeError`` when sum_{j <= size_cut} C(pool, j) is over ``EXACT_BUDGET``;
+    terms past j = 23 are left out, since once both exceed 23 the first 24 pass 2^23."""
+    bound = sum(math.comb(pool, j) for j in range(min(pool, size_cut, 23) + 1))
+    if bound > EXACT_BUDGET:
+        raise SizeError(f"exact search over {pool} candidates (subsets of at most "
+                        f"{size_cut}): {bound}+ subsets, over budget {EXACT_BUDGET}")
+
+
 def _gain_tails(children, base, room):
     """tails[i]: the sum of the ``room`` largest positive gains
     v_j - base over children[i:]; tails[len(children)] = 0."""
@@ -132,20 +146,15 @@ def _gain_tails(children, base, room):
 def compute_rank(mp):
     """k, the size of a largest feasible set of ``mp``: at p = 1 (a matroid)
     the size of its greedy basis, at any size; at p >= 2 the size of
-    ``max_feasible_subset``'s optimum for f(A) = |A|, an exponential
-    search capped at 16 ground elements."""
+    ``max_feasible_subset``'s optimum for f(A) = |A|, within its budget."""
     if mp.p == 1:
         return len(greedy_basis(mp, sorted(mp.ground)))
-    if len(mp.ground) > 16:
-        raise SizeError("exact rank computation is capped at 16 ground elements")
     size = ModularOracle([1.0] * (max(mp.ground, default=-1) + 1))
     return len(max_feasible_subset(size, mp, mp.ground).opt_set)
 
 
 def brute_force_opt(oracle, mp):
-    """Exact optimum over all feasible subsets of the ground set."""
-    if len(oracle.ground) > 16:
-        raise SizeError("exact optimum search is capped at 16 ground elements")
+    """Exact optimum over all feasible subsets of the ground set, within budget."""
     return max_feasible_subset(oracle, mp, oracle.ground)
 
 

@@ -23,7 +23,7 @@ from random import Random
 
 from .errors import ConfigError
 from .matchoids import (GraphicMatroid, PartitionMatroid, PMatchoid,
-                        TransversalMatroid, UniformMatroid)
+                        TransversalMatroid, UniformMatroid, derive_p)
 from .objectives import (CoverageOracle, DirectedCutOracle, ModularOracle,
                          TableOracle)
 
@@ -88,7 +88,7 @@ class Instance:
 
     def build_matchoid(self):
         """Fresh constraint. Its p is derived from the matroids; a file that
-        also declares one must declare that value."""
+        also declares one must declare that value, checked before the rank."""
         block = self.constraint
         matroids = []
         with _reading(self.path, "constraint"):
@@ -108,10 +108,10 @@ class Instance:
                     matroids.append(TransversalMatroid(ground, adjacency))
                 else:
                     raise ValueError(f"unknown matroid kind {kind!r}")
-            mp = PMatchoid(range(self.n), matroids, rank=block.get("rank"))
-            if block.get("p") not in (None, mp.p):
-                raise ValueError(f"declares p={block['p']}, its matroids give p={mp.p}")
-            return mp
+            p = derive_p(matroids)
+            if block.get("p") not in (None, p):
+                raise ValueError(f"declares p={block['p']}, its matroids give p={p}")
+            return PMatchoid(range(self.n), matroids, rank=block.get("rank"))
 
 
 @contextmanager

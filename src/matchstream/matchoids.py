@@ -7,6 +7,8 @@ when its restriction to each matroid's ground subset is independent
 there.
 """
 
+from collections import Counter
+
 from .baselines import compute_rank
 from .errors import InfeasibilityError, PreconditionError
 
@@ -164,26 +166,25 @@ class TransversalMatroid(Matroid):
         return True
 
 
+def derive_p(matroids):
+    """The most ``matroids`` any one element lies in; 1 if none holds any."""
+    return max(Counter(e for m in matroids for e in m.ground_subset).values(), default=1)
+
+
 class PMatchoid:
     """Conjunction of matroid constraints with bounded per-element membership.
 
-    ``p`` is derived, not declared: the most matroids any one element lies
-    in, and 1 when no element lies in any. ``rank_k`` is the size of a
-    largest feasible set. Unless ``rank`` is supplied, ``compute_rank``
-    computes it: at any size for p = 1, up to 16 ground elements for
-    p >= 2.
+    ``p`` is derived by ``derive_p``, not declared. ``rank_k``, the size of
+    a largest feasible set, is ``rank`` when supplied, else ``compute_rank``'s
+    (an exact search at p >= 2, raising ``SizeError`` above its budget).
     """
 
     def __init__(self, ground, matroids, rank=None):
         self.ground = frozenset(int(e) for e in ground)
         self.matroids = list(matroids)
-        counts = {}
-        for m in self.matroids:
-            if not m.ground_subset <= self.ground:
-                raise PreconditionError("matroid ground subset leaves the instance ground set")
-            for e in m.ground_subset:
-                counts[e] = counts.get(e, 0) + 1
-        self.p = max(counts.values(), default=1)
+        if not all(m.ground_subset <= self.ground for m in self.matroids):
+            raise PreconditionError("matroid ground subset leaves the instance ground set")
+        self.p = derive_p(self.matroids)
         self.rank_k = int(rank) if rank is not None else compute_rank(self)
 
     def feasible(self, subset):

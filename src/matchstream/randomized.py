@@ -27,14 +27,13 @@ import math
 from itertools import islice
 from random import Random
 
-from .baselines import max_feasible_subset
-from .errors import ConfigError, PreconditionError, SizeError
+from .baselines import check_exact_budget, greedy_basis, max_feasible_subset
+from .errors import ConfigError, PreconditionError
 from .matchoids import exchange_set
 from .multipass import Schedule, worst_case_gamma
 from .streaming import PassRunner, streaming_pass, validate_stream
 
 OFFLINE_MODES = ("exact", "heuristic")
-OFFLINE_EXACT_LIMIT = 22
 
 
 class BufferState:
@@ -190,8 +189,8 @@ def offline_solve(oracle, mp, candidates, mode="exact"):
 
     ``exact`` is ``max_feasible_subset``'s branch-and-bound, which cuts
     infeasible branches and, for a submodular objective, subtrees its
-    upper bound shows cannot beat the best set so far (pool capped at 22
-    elements). ``heuristic`` chains 2p streaming passes over the pool in
+    upper bound shows cannot beat the best set so far, within its work
+    budget. ``heuristic`` chains 2p streaming passes over the pool in
     ascending-id order, stepped by the p-matchoid recurrence schedule; the
     objective value never decreases across those passes, so the last
     solution is the best one found.
@@ -200,10 +199,6 @@ def offline_solve(oracle, mp, candidates, mode="exact"):
         raise ConfigError(f"unknown offline mode: {mode}")
     pool = sorted(set(candidates))
     if mode == "exact":
-        if len(pool) > OFFLINE_EXACT_LIMIT:
-            raise SizeError(
-                f"exact offline mode is capped at {OFFLINE_EXACT_LIMIT} candidates"
-            )
         return max_feasible_subset(oracle, mp, pool).opt_set
     state = None
     for beta, _ in islice(Schedule.matchoid_recurrence(mp.p).steps(), 2 * mp.p):
@@ -297,16 +292,16 @@ def multipass_randomized(oracle, mp, stream, epsilon, passes=None, seed=0, *,
     best offline solution; the overall answer is the best solution of any
     copy (the first such copy), streaming solutions preferred on ties.
 
-    The reported ``gamma_off`` is the offline solver's factor: 1 for the
-    exact solver, and for the heuristic the recurrence schedule's
-    worst-case factor after the 2p passes it runs (p + 3). It is
-    reporting only; nothing in the run depends on it.
+    ``gamma_off`` reports the offline solver's factor; nothing in the run
+    depends on it. It is 1 for the exact solver, and for the heuristic the
+    monotone multi-pass factor of its 2p passes (p + 3) on a monotone
+    oracle class, else inf (no claim).
 
-    An unknown offline mode raises ``ConfigError`` before any oracle
-    call. A residual pool holds fewer than m elements (a full buffer is
-    drawn from at once) and at most n, so the exact mode also raises
-    ``ConfigError`` before the first pass when min(n, m - 1) exceeds the
-    exact solver's cap, instead of a ``SizeError`` partway through the run.
+    An unknown offline mode raises ``ConfigError``, and an exact mode over
+    the work budget ``SizeError``, before any oracle call: a residual pool
+    holds at most min(n, m - 1) elements (a full buffer is drawn from at
+    once), with a size cut p |its greedy basis| <= p^2 |G| for G the
+    stream's greedy basis, even when a supplied ``rank`` understates k.
     """
     if not 0.0 < epsilon <= 0.5:
         raise PreconditionError("epsilon must lie in (0, 1/2]")
@@ -322,13 +317,8 @@ def multipass_randomized(oracle, mp, stream, epsilon, passes=None, seed=0, *,
     if d < 1:
         raise PreconditionError("at least one pass is required")
     m = max(1, math.ceil(4.0 * d * k / eps_prime ** 2))
-    pool_cap = min(len(order), m - 1)
-    if offline_mode == "exact" and pool_cap > OFFLINE_EXACT_LIMIT:
-        raise ConfigError(
-            f"exact offline mode is capped at {OFFLINE_EXACT_LIMIT} candidates, "
-            f"and a residual pool here can hold {pool_cap}; "
-            f"use the heuristic offline mode"
-        )
+    if offline_mode == "exact":
+        check_exact_budget(min(len(order), m - 1), p * p * len(greedy_basis(mp, order)))
 
     grid = guess_grid(oracle, [e for e in order if mp.feasible((e,))], k)
     copies = []
@@ -355,6 +345,6 @@ def multipass_randomized(oracle, mp, stream, epsilon, passes=None, seed=0, *,
         solution=best.solution, f_solution=best.f_best, copies=copies,
         grid=grid, passes_used=d + 1, space_peak=space_peak,
         space_bound=len(grid.lambdas) * (m + 3 * k), d=d, m=m,
-        gamma_off=(1.0 if offline_mode == "exact"
+        gamma_off=(1.0 if offline_mode == "exact" else math.inf if not oracle.monotone
                    else worst_case_gamma(Schedule.matchoid_recurrence(p), 2 * p)),
     )

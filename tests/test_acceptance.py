@@ -16,6 +16,7 @@ from random import Random
 import pytest
 
 import matchstream as ms
+from matchstream.baselines import greedy_basis
 from _corpus import (bipartite_matching, coverage_uniform, directed_cut,
                      exact_opt, hypergraph_matching)
 from conftest import ACCEPTANCE_LINES
@@ -239,6 +240,14 @@ def test_08_storage_instrumentation(monotone_corpus, randomized_sweep):
                      f" multipass runs, {rand_checks} randomized runs")
 
 
+def _within_budget_bound(result, mp, pool):
+    """The search examined at most the sum_{j <= K} C(|pool|, j) subsets
+    its budget check assumed, K = p |greedy basis of the pool|."""
+    size_cut = mp.p * len(greedy_basis(mp, sorted(pool)))
+    bound = sum(math.comb(len(pool), j) for j in range(size_cut + 1))
+    return result.subsets_examined <= bound
+
+
 def test_09_exact_solvers_agree_with_independent_enumeration():
     rng = Random(909)
     ok = True
@@ -254,6 +263,8 @@ def test_09_exact_solvers_agree_with_independent_enumeration():
                     for c in combinations(pool, r)
                     if mp.feasible(c)), default=oracle.peek(()))
         ok = ok and abs(oracle.peek(got) - best) <= TOL and mp.feasible(got)
+        ok = ok and _within_budget_bound(
+            ms.max_feasible_subset(oracle, mp, pool), mp, pool)
     builders = (coverage_uniform, bipartite_matching, hypergraph_matching,
                 directed_cut)
     small = 0
@@ -265,6 +276,8 @@ def test_09_exact_solvers_agree_with_independent_enumeration():
         plain = ms.enumerate_opt_unpruned(inst.build_oracle(),
                                           inst.build_matchoid())
         ok = ok and abs(pruned.opt_value - plain.opt_value) <= TOL
+        ok = ok and _within_budget_bound(pruned, inst.build_matchoid(),
+                                         range(inst.n))
         small += 1
     assert small >= 20
     assert _announce(9, "exact solvers match unpruned enumeration", ok,

@@ -1,5 +1,6 @@
 """Exact search and greedy baselines."""
 
+import math
 from itertools import combinations
 from random import Random
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import matchstream as ms
+from matchstream.baselines import EXACT_BUDGET, check_exact_budget
 from _corpus import (bipartite_matching, coverage_partition, coverage_uniform,
                      directed_cut, exact_opt, hypergraph_matching, oracles)
 
@@ -119,10 +121,27 @@ def test_branch_and_bound_matches_unpruned_enumeration(case):
 
 
 def test_exact_size_cap():
-    oracle = ms.ModularOracle([1] * 17)
-    mp = ms.PMatchoid(range(17), [ms.UniformMatroid(range(17), 2)], rank=2)
-    with pytest.raises(ms.SizeError):
-        ms.brute_force_opt(oracle, mp)
+    # one work budget, on sum_{j <= K} C(pool, j), sizes every exact search;
+    # it is the power set of 22 candidates, so a pool of 22 or 16 with no
+    # size cut (K = pool) still runs
+    assert sum(math.comb(22, j) for j in range(23)) == EXACT_BUDGET
+    check_exact_budget(22, 22)
+    check_exact_budget(16, 16)
+    assert ms.brute_force_opt(ms.ModularOracle([1] * 16),
+                              _uniform_mp(16, 16)).opt_value == 16
+    # element count is not the cost: 200 candidates under a capacity of 2
+    # is 20,101 subsets at most
+    assert ms.brute_force_opt(ms.ModularOracle(range(200)),
+                              _uniform_mp(200, 2)).opt_set == {198, 199}
+    # a pool whose bound is over the budget is refused before any oracle call
+    for pool, capacity in ((23, 23), (60, 12)):
+        oracle = ms.ModularOracle([1] * pool)
+        with pytest.raises(ms.SizeError,
+                           match=fr"over {pool} candidates \(subsets of at most "
+                                 fr"{capacity}\): .* over budget {EXACT_BUDGET}"):
+            ms.brute_force_opt(oracle, _uniform_mp(pool, capacity))
+        assert oracle.calls == 0
+    # the reference enumeration keeps its own element cap
     with pytest.raises(ms.SizeError):
         ms.enumerate_opt_unpruned(ms.ModularOracle([1] * 11), _uniform_mp(11, 2))
 

@@ -1,4 +1,5 @@
-"""Behaviour fingerprint: one SHA-256 over what the drivers do on the corpus.
+"""Behaviour fingerprint: two SHA-256 hashes over what the drivers do on
+the corpus.
 
 For every ``_corpus`` family and seeds 0-5 the test records
 
@@ -12,14 +13,26 @@ For every ``_corpus`` family and seeds 0-5 the test records
   m in {1, 2, 3}: the solution in arrival order, the residual buffer,
   the offline solution and its value, and the call count.
 
+The records are split in two, and each field lands in exactly one hash:
+
+* ``DECISIONS`` hashes the records with every ``calls`` and
+  ``oracle_calls`` key dropped: traces, solutions, buffers, values,
+  certificates and the rest of each row;
+* ``METERING`` hashes those dropped values, each with the path of the
+  record it came from.
+
+So a change that only meters differently (fewer oracle calls for the
+same choices) moves ``METERING`` alone, and a change in what the drivers
+choose moves ``DECISIONS``.
+
 Floats are written with ``float.hex``, so a change in the last bit of
-any value changes the hash. A refactor that claims "same behaviour"
-keeps the pinned hash. To regenerate it, run
+any value changes a hash. A refactor that claims "same behaviour" keeps
+both pinned hashes. To regenerate them, run
 
     PYTHONPATH=src python tests/test_fingerprint.py
 
-which prints the hash of the current code. A change that moves it on
-purpose must say why in CHANGES.md when it re-pins ``PINNED``.
+which prints the two hashes of the current code. A change that moves one
+on purpose must say why in CHANGES.md when it re-pins it.
 """
 
 import hashlib
@@ -29,7 +42,9 @@ from random import Random
 import matchstream as ms
 import _corpus
 
-PINNED = "d074b4170bbce16787e138c1158300852d6a09c5ca8f7ba14f1acebfd24e2abd"
+DECISIONS = "69f8184e5454b07a161bbb99c14834e5aa27195f99d70414c5fa3e1c399f9599"
+METERING = "6f179046d229e6aad0363859cefc7b9d3f9cf840ad7a6209d3a2905296804e01"
+METERED_KEYS = ("calls", "oracle_calls")
 
 FAMILIES = (_corpus.coverage_uniform, _corpus.coverage_partition,
             _corpus.bipartite_matching, _corpus.hypergraph_matching,
@@ -104,7 +119,30 @@ def _chained_records(inst, mp, stream):
     return out
 
 
+def _split(value, path, metering):
+    """``value`` without its metered keys; each dropped value is appended
+    to ``metering`` as [path, value]."""
+    if isinstance(value, dict):
+        kept = {}
+        for key, item in value.items():
+            if key in METERED_KEYS:
+                metering.append([f"{path}.{key}", item])
+            else:
+                kept[key] = _split(item, f"{path}.{key}", metering)
+        return kept
+    if isinstance(value, list):
+        return [_split(item, f"{path}[{i}]", metering)
+                for i, item in enumerate(value)]
+    return value
+
+
+def _sha(value):
+    text = json.dumps(value, sort_keys=True, allow_nan=False)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def fingerprint():
+    """(decisions hash, metering hash) of the current code."""
     records = []
     for family in FAMILIES:
         for seed in SEEDS:
@@ -117,13 +155,21 @@ def fingerprint():
                 "randomized": _randomized_records(inst, mp, stream),
                 "chained": _chained_records(inst, mp, stream),
             })
-    text = json.dumps(_plain(records), sort_keys=True, allow_nan=False)
-    return hashlib.sha256(text.encode()).hexdigest()
+    metering = []
+    decisions = _split(_plain(records), "", metering)
+    return _sha(decisions), _sha(metering)
 
 
 def test_behaviour_fingerprint_is_pinned():
-    assert fingerprint() == PINNED
+    assert fingerprint() == (DECISIONS, METERING)
+
+
+def test_split_keeps_every_field():
+    metering = []
+    record = {"calls": 3, "rows": [{"f_S": "0x1p+0", "oracle_calls": 2}]}
+    assert _split(record, "", metering) == {"rows": [{"f_S": "0x1p+0"}]}
+    assert metering == [[".calls", 3], [".rows[0].oracle_calls", 2]]
 
 
 if __name__ == "__main__":
-    print(fingerprint())
+    print("\n".join(fingerprint()))

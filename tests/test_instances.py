@@ -118,10 +118,12 @@ def test_null_rank_of_large_single_matroids_is_closed_form():
     ]
     for matroid, rank in cases:
         assert _null_rank_instance(n, [matroid]).build_matchoid().rank_k == rank
-    # p >= 2 keeps the exact search and its cap
+    # p >= 2 keeps the exact search, sized by the work budget
     two = [{"kind": "uniform", "ground": list(range(17)), "capacity": 2}] * 2
-    with pytest.raises(ms.ConfigError, match="capped at 16"):
-        _null_rank_instance(17, two, p=2).build_matchoid()
+    assert _null_rank_instance(17, two, p=2).build_matchoid().rank_k == 2
+    wide = [{"kind": "uniform", "ground": list(range(40)), "capacity": 20}] * 2
+    with pytest.raises(ms.ConfigError, match="over budget"):
+        _null_rank_instance(40, wide, p=2).build_matchoid()
 
 
 def test_graphic_and_transversal_instance_files(tmp_path):
@@ -174,6 +176,20 @@ def test_declared_p_must_be_the_derived_p(tmp_path):
         assert (mp.p, mp.rank_k) == (1, 3)
     del data["constraint"]["p"]
     assert ms.Instance.from_dict(data).build_matchoid().p == 1
+
+
+def test_declared_p_is_checked_before_the_rank(tmp_path):
+    # a null rank at p = 2 runs an exact search; a file under-declaring p
+    # is told so before that search, at 17 elements (in budget) and at 40
+    # (over it)
+    for n, capacity in ((17, 3), (40, 20)):
+        two = [{"kind": "uniform", "ground": list(range(n)),
+                "capacity": capacity}] * 2
+        path = tmp_path / f"under{n}.json"
+        ms.save_instance(_null_rank_instance(n, two, p=1), path)
+        with pytest.raises(ms.ConfigError,
+                           match="declares p=1, its matroids give p=2"):
+            ms.load_instance(path).build_matchoid()
 
 
 def test_generate_rejects_parameters_the_family_does_not_take():

@@ -229,12 +229,17 @@ def test_rank_of_pairwise_intersecting_hyperedges():
 
 
 def test_rank_requires_supplied_value_when_large():
-    # p >= 2: the exact search is capped at 16 ground elements
+    # p >= 2: the exact search runs while its bound, sum_{j <= K} C(n, j)
+    # with K = p |greedy basis|, is within the work budget: 21,778 subsets
+    # here (n = 17, K = 6)
     two = [ms.UniformMatroid(range(17), 3), ms.UniformMatroid(range(17), 3)]
-    with pytest.raises(ms.SizeError):
-        ms.PMatchoid(range(17), two)
-    mp = ms.PMatchoid(range(17), two, rank=3)
-    assert mp.rank_k == 3
+    assert ms.PMatchoid(range(17), two).rank_k == 3
+    # n = 40, K = 40 is 2^40 subsets: a rank must be supplied
+    wide = [ms.UniformMatroid(range(40), 20), ms.UniformMatroid(range(40), 20)]
+    with pytest.raises(ms.SizeError, match="over 40 candidates"):
+        ms.PMatchoid(range(40), wide)
+    mp = ms.PMatchoid(range(40), wide, rank=20)
+    assert mp.rank_k == 20
     # p = 1: the greedy basis gives the rank at any size
     mp = ms.PMatchoid(range(17), [ms.UniformMatroid(range(17), 3)])
     assert mp.rank_k == 3

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import matchstream as ms
-from matchstream.randomized import OFFLINE_EXACT_LIMIT
 from _corpus import coverage_uniform, directed_cut, exact_opt, oracles
 
 TOL = 1e-9
@@ -188,24 +187,42 @@ def test_offline_solve_exact_matches_exhaustive_enumeration():
 
 
 def test_offline_solve_size_cap_and_unknown_mode():
+    # the exact mode is sized by the work budget, not by the pool: 23
+    # candidates with no size cut (2^23 subsets) are refused before any
+    # oracle call, and 60 under a capacity of 3 (36,051 at most) run
     oracle = ms.ModularOracle([1] * 23)
-    mp = ms.PMatchoid(range(23), [ms.UniformMatroid(range(23), 3)], rank=3)
-    with pytest.raises(ms.SizeError):
-        ms.offline_solve(oracle, mp, range(23))
+    everything = ms.PMatchoid(range(23), [ms.UniformMatroid(range(23), 23)])
+    with pytest.raises(ms.SizeError, match="over budget"):
+        ms.offline_solve(oracle, everything, range(23))
+    assert oracle.calls == 0
+    oracle = ms.ModularOracle(range(60))
+    mp = ms.PMatchoid(range(60), [ms.UniformMatroid(range(60), 3)])
+    assert ms.offline_solve(oracle, mp, range(60)) == {57, 58, 59}
     with pytest.raises(ms.ConfigError):
         ms.offline_solve(oracle, mp, range(3), mode="annealing")
 
 
 def test_exact_offline_driver_checks_the_pool_cap_up_front():
-    # a 30-vertex cut can leave 30 candidates for the 22-candidate exact
-    # solver: the run is refused before the guess-grid pass
+    # the driver checks the work budget before the guess-grid pass, on a
+    # pool of min(n, m - 1) and a size cut of p^2 |greedy basis|. That cut
+    # holds when a supplied rank understates k: rank 1 here, 20 in fact.
+    # A cut of p k = 1 would pass, and a 20-element offline solve over a
+    # full pool would raise partway through the run.
+    oracle = ms.ModularOracle([1] * 60)
+    mp = ms.PMatchoid(range(60), [ms.UniformMatroid(range(60), 20)], rank=1)
+    with pytest.raises(ms.SizeError, match="over budget"):
+        ms.multipass_randomized(oracle, mp, ms.stream_order(60), 0.5)
+    assert oracle.calls == 0
+    # a 30-vertex cut leaves pools of up to 30 candidates, of which a
+    # feasible subset holds at most 4: 31,931 subsets, so it runs exactly
     big = ms.generate_instance("directed-cut+matroid", 7, n=30, arcs=30 * 29,
                                capacity=4)
-    oracle = big.build_oracle()
-    with pytest.raises(ms.ConfigError):
-        ms.multipass_randomized(oracle, big.build_matchoid(),
-                                ms.stream_order(30), 0.5, offline_mode="exact")
-    assert oracle.calls == 0
+    run = ms.multipass_randomized(big.build_oracle(), big.build_matchoid(),
+                                  ms.stream_order(30), 0.5, seed=1,
+                                  offline_mode="exact")
+    assert run.m - 1 >= 30
+    assert big.build_matchoid().feasible(run.solution)
+    assert run.f_solution == big.build_oracle().value(run.solution) > 0
     heuristic = ms.multipass_randomized(big.build_oracle(), big.build_matchoid(),
                                         ms.stream_order(30), 0.5, passes=1,
                                         offline_mode="heuristic")
@@ -216,7 +233,6 @@ def test_exact_offline_driver_checks_the_pool_cap_up_front():
     run = ms.multipass_randomized(inst.build_oracle(), inst.build_matchoid(),
                                   ms.stream_order(22), 0.5, seed=1,
                                   offline_mode="exact")
-    assert min(22, run.m - 1) == OFFLINE_EXACT_LIMIT
     assert inst.build_matchoid().feasible(run.solution)
     assert run.f_solution == inst.build_oracle().value(run.solution) > 0
 
@@ -251,17 +267,19 @@ def test_heuristic_offline_steps_by_the_recurrence_schedule():
     steps = ms.Schedule.matchoid_recurrence(2).steps()
     assert got == chained(beta for _, (beta, _) in zip(range(4), steps))
     assert got != chained(1.0 / i for i in range(1, 5))
-    # the reported factor is that schedule's worst case after its 2p passes
+    # the reported factor is that schedule's worst case after its 2p
+    # passes for a monotone objective, and no claim (inf) for the cut
     ps = []
     for family in ("directed-cut+matroid", "bipartite-matching",
                    "3-uniform-hypergraph-matching"):
         inst = ms.generate_instance(family, 0)
         mp = inst.build_matchoid()
-        run = ms.multipass_randomized(inst.build_oracle(), mp,
-                                      ms.stream_order(inst.n), 0.5, passes=1,
-                                      offline_mode="heuristic")
-        assert run.gamma_off == ms.worst_case_gamma(
-            ms.Schedule.matchoid_recurrence(mp.p), 2 * mp.p)
+        oracle = inst.build_oracle()
+        run = ms.multipass_randomized(oracle, mp, ms.stream_order(inst.n),
+                                      0.5, passes=1, offline_mode="heuristic")
+        assert run.gamma_off == (
+            ms.worst_case_gamma(ms.Schedule.matchoid_recurrence(mp.p), 2 * mp.p)
+            if oracle.monotone else math.inf)
         ps.append(mp.p)
     assert ps == [1, 2, 3]
 
@@ -338,7 +356,44 @@ def test_offline_factor_reported_not_claimed():
                                        ms.stream_order(inst.n), 0.5,
                                        passes=1, seed=0,
                                        offline_mode="heuristic")
-    assert heur_run.gamma_off == inst.build_matchoid().p + 3.0
+    # p + 3 is the monotone multi-pass factor, and the heuristic breaks it
+    # on a cut: it accepts all five vertices at gain 0, f = 0 against 3
+    assert heur_run.gamma_off == math.inf
+    cut = ms.DirectedCutOracle(5, [(3, 0, 1), (4, 1, 2)])
+    mp = ms.PMatchoid(range(5), [ms.UniformMatroid(range(5), 5)])
+    assert cut.value(ms.offline_solve(cut, mp, range(5), mode="heuristic")) == 0
+    assert ms.brute_force_opt(cut, mp).opt_value == 3
+    # a monotone objective keeps the claim
+    cover = coverage_uniform(1)
+    run = ms.multipass_randomized(cover.build_oracle(), cover.build_matchoid(),
+                                  ms.stream_order(cover.n), 0.5, passes=1,
+                                  offline_mode="heuristic")
+    assert run.gamma_off == cover.build_matchoid().p + 3.0
+
+
+def test_exact_mode_guarantee_where_buffers_fill():
+    # n = 200 > m = 128, so buffers fill and draws happen, and the exact
+    # offline solver runs on every residual pool: the chained matroid
+    # bound (1 - eps) OPT <= (p + 2 + eps) E[f] is checked where the
+    # randomness it averages over is real
+    eps = 0.5
+    inst = ms.generate_instance("directed-cut+matroid", 11, n=200, capacity=2)
+    mp = inst.build_matchoid()
+    opt = ms.brute_force_opt(inst.build_oracle(), mp).opt_value
+    values = []
+    filled = False
+    for seed in range(20):
+        run = ms.multipass_randomized(inst.build_oracle(), mp,
+                                      ms.stream_order(inst.n), eps, seed=seed)
+        assert run.m < inst.n
+        values.append(run.f_solution)
+        filled = filled or any(row["buffer_peak"] == run.m
+                               for copy in run.copies for row in copy.pass_rows)
+    assert filled
+    mean = sum(values) / len(values)
+    se = math.sqrt(sum((v - mean) ** 2 for v in values)
+                   / (len(values) - 1) / len(values))
+    assert (1.0 - eps) * opt <= (mp.p + 2.0 + eps) * (mean + 3.0 * se)
 
 
 def test_monotone_objective_through_randomized_driver():
