@@ -17,14 +17,14 @@ mp = inst.build_matchoid()
 opt = ms.brute_force_opt(inst.build_oracle(), inst.build_matchoid())
 print(f"p = {mp.p} matchoid, rank {mp.rank_k}, true optimum {opt.opt_value}")
 
-schedule = ms.Schedule.matchoid_recurrence(mp.p)
+schedule = ms.Schedule.for_matchoid(mp)
 run = ms.multipass_run(inst.build_oracle(), mp, ms.stream_order(inst.n),
                        schedule, passes=10)
 
 print()
 print("pass  beta    f(S_i)  certified  closed-form  true ratio")
-for res, cert in zip(run.pass_results, run.certificates):
-    closed = ms.worst_case_gamma(schedule, cert.pass_index)
+for res, cert, (_, closed) in zip(run.pass_results, run.certificates,
+                                  schedule.steps()):
     ratio = opt.opt_value / res.f_final
     print(f"{cert.pass_index:4d}  {cert.beta:5.3f}  {res.f_final:6.1f}"
           f"  {cert.gamma_certified:9.4f}  {closed:11.4f}  {ratio:10.4f}")

@@ -15,8 +15,7 @@ from .instances import (FAMILIES, Instance, generate_instance, load_instance,
 from .matchoids import (GraphicMatroid, Matroid, PartitionMatroid, PMatchoid,
                         TransversalMatroid, UniformMatroid, exchange_set)
 from .multipass import (GuaranteeCertificate, MultipassResult, Schedule,
-                        certified_gamma, gamma_recurrence_step, multipass_run,
-                        worst_case_gamma)
+                        certified_gamma, multipass_run)
 from .objectives import (CoverageOracle, DirectedCutOracle, ModularOracle,
                          RunningValue, SubmodularOracle, TableOracle,
                          brute_force_check_submodular)

@@ -118,13 +118,14 @@ def max_feasible_subset(oracle, mp, candidates):
     return ExactResult(best_set, best_val, examined, prunes)
 
 
-def check_exact_budget(pool, size_cut):
-    """Raise ``SizeError`` when sum_{j <= size_cut} C(pool, j) is over ``EXACT_BUDGET``;
-    terms past j = 23 are left out, since once both exceed 23 the first 24 pass 2^23."""
+def check_exact_budget(pool, size_cut, *, budget=EXACT_BUDGET):
+    """Raise ``SizeError`` when sum_{j <= size_cut} C(pool, j) is over ``budget``
+    (at most 2^23); terms past j = 23 are left out, since once both exceed 23
+    the first 24 pass 2^23."""
     bound = sum(math.comb(pool, j) for j in range(min(pool, size_cut, 23) + 1))
-    if bound > EXACT_BUDGET:
+    if bound > budget:
         raise SizeError(f"exact search over {pool} candidates (subsets of at most "
-                        f"{size_cut}): {bound}+ subsets, over budget {EXACT_BUDGET}")
+                        f"{size_cut}): {bound}+ subsets, over budget {budget}")
 
 
 def _gain_tails(children, base, room):

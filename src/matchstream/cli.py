@@ -11,7 +11,8 @@ import sys
 
 from .baselines import brute_force_opt, offline_greedy
 from .errors import MatchstreamError
-from .experiments import ExperimentConfig, report_rows, run_experiment, write_trace
+from .experiments import (ExperimentConfig, report_rows, run_experiment,
+                          summary_json, write_trace)
 from .instances import FAMILIES, generate_instance, save_instance
 from .randomized import OFFLINE_MODES
 
@@ -65,7 +66,7 @@ def _cmd_run_monotone(args):
     if not summary["monotone"]:
         print("warning: instance is flagged non-monotone; certified factors "
               "assume a monotone objective", file=sys.stderr)
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    print(summary_json(summary))
     return 0
 
 
@@ -88,7 +89,7 @@ def _cmd_run_nonmonotone(args):
         epsilon=args.epsilon, passes=args.passes, seed=args.seed,
         offline=args.offline, replicates=args.replicates,
         shuffle_seed=args.shuffle_seed, trace=args.trace, summary=args.summary)
-    print(json.dumps(run_experiment(config), indent=2, sort_keys=True))
+    print(summary_json(run_experiment(config)))
     return 0
 
 

@@ -22,13 +22,18 @@ import math
 import os
 import time
 
-from .baselines import brute_force_opt
+from .baselines import brute_force_opt, check_exact_budget, greedy_basis
 from .errors import ConfigError, SizeError
 from .instances import load_instance, stream_order
 from .multipass import Schedule, multipass_run
 from .randomized import multipass_randomized
 
 SCHEMA_VERSION = 1
+
+# the most subsets the summary's optimum may examine, every subset of 16
+# elements: the optimum is a side figure and must not cost far more than
+# the run it sits beside
+SUMMARY_OPT_BUDGET = 2 ** 16
 
 ALGORITHMS = ("monotone-multipass", "nonmonotone-randomized")
 
@@ -114,11 +119,34 @@ def write_trace(path, columns, rows):
 
 
 def _compute_opt(inst, mp):
+    """The exact optimum, or None when its search could pass
+    ``SUMMARY_OPT_BUDGET`` subsets, which is checked before any oracle
+    call with the size cut the exact solver applies."""
     try:
+        check_exact_budget(inst.n, mp.p * len(greedy_basis(mp, range(inst.n))),
+                           budget=SUMMARY_OPT_BUDGET)
         # separate oracle instance so the run's call counters stay clean
         return brute_force_opt(inst.build_oracle(), mp).opt_value
     except SizeError:
         return None
+
+
+def _strict(value):
+    """``value`` with each infinite float as the string "inf", as traces
+    write it."""
+    if value == math.inf:
+        return "inf"
+    if isinstance(value, dict):
+        return {key: _strict(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_strict(v) for v in value]
+    return value
+
+
+def summary_json(summary):
+    """Strict JSON text of a summary: inf becomes "inf", and any other
+    non-finite float raises ValueError instead of reaching the text."""
+    return json.dumps(_strict(summary), indent=2, sort_keys=True, allow_nan=False)
 
 
 def run_experiment(config):
@@ -126,8 +154,11 @@ def run_experiment(config):
 
     Writes the trace CSV and summary JSON when the config names paths.
     The summary always carries f_final, certified factor, oracle calls,
-    peak storage, wall time, and (when the instance is small enough for
-    the exact baseline) the optimum value and the ratio opt/f_final.
+    peak storage, wall time, and the optimum value and the ratio
+    opt/f_final, which are None when the exact search could examine more
+    than ``SUMMARY_OPT_BUDGET`` subsets. The returned dict keeps its
+    floats; the file holds ``summary_json``'s strict JSON, with "inf" for
+    an infinite factor.
     """
     started = time.perf_counter()
     inst = load_instance(config.instance)
@@ -217,8 +248,7 @@ def run_experiment(config):
         write_trace(config.trace, columns, rows)
     if config.summary is not None:
         with open(config.summary, "w", encoding="utf-8") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(summary_json(summary) + "\n")
     return summary
 
 

@@ -12,9 +12,9 @@ Objective kinds: weighted-coverage (sets + item_weights), directed-cut
 values). Matroid kinds: uniform (capacity), partition (parts +
 capacities), graphic (endpoints [[e, u, v], ...]), transversal
 (adjacency [[e, [r, ...]], ...]). ``compute_rank`` fills in a null rank
-at build time; an optional "p" must equal the derived p. ``monotone``
-labels the objective in summaries; an oracle's ``monotone`` is a fact of
-its class. A bad file raises ConfigError naming its path.
+at build time; an optional "p" must equal the derived p, and
+``monotone`` must equal the built oracle's ``monotone``, a fact of its
+class. A bad file raises ConfigError naming its path.
 """
 
 import json
@@ -67,7 +67,8 @@ class Instance:
                        data["constraint"], path=path)
 
     def build_oracle(self):
-        """Fresh oracle (own call counters) for this instance."""
+        """Fresh oracle (own call counters) for this instance. The file's
+        ``monotone`` must equal the class fact ``oracle.monotone``."""
         obj = self.objective
         kind = obj.get("kind")
         with _reading(self.path, "objective"):
@@ -81,6 +82,10 @@ class Instance:
                 oracle = TableOracle(self.n, obj["table"])
             else:
                 raise ValueError(f"unknown kind {kind!r}")
+            if self.monotone != oracle.monotone:
+                raise ValueError(f"declares monotone={json.dumps(self.monotone)}, "
+                                 f"its {kind} objective gives "
+                                 f"monotone={json.dumps(oracle.monotone)}")
         if len(oracle.ground) != self.n:
             raise ConfigError(f"{self.path or 'instance'}: objective covers "
                               f"{len(oracle.ground)} elements, n={self.n}")

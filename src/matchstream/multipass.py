@@ -1,11 +1,11 @@
 """Multi-pass driver with step-size schedules and online certificates.
 
-Each pass i runs streaming local search with its own beta, which a
-``Schedule`` yields together with the schedule's worst-case factor. There
-are three kinds:
+Each pass i runs streaming local search with its own beta, which
+``Schedule.steps`` alone yields, with the worst-case factor;
+``Schedule.for_matchoid`` picks the kind from p. There are three kinds:
 
 * ``matroid-harmonic``: beta_i = 1/i, factor 2(1 + 1/i) after pass i for
-  a single matroid constraint;
+  a matroid constraint (p = 1);
 * ``matchoid-recurrence``: beta_1 = 1 and
   beta_i = (g - 1 - p) / (g - 1 + p) where g follows the recurrence
   g_1 = 4p, g_i = 4p g(g - 1) / (g - 1 + p)^2, giving factor
@@ -33,8 +33,8 @@ from .streaming import streaming_pass
 
 class Schedule:
     """Per-pass step sizes; ``p`` must match the constraint for the
-    recurrence kind. ``steps`` is the one place that steps a schedule
-    from pass to pass."""
+    recurrence kind. ``for_matchoid`` picks a constraint's schedule, and
+    ``steps`` is the one place that yields a step or a worst-case factor."""
 
     __slots__ = ("kind", "p", "beta")
 
@@ -59,27 +59,33 @@ class Schedule:
     def fixed(beta, p=1):
         return Schedule("fixed", p=p, beta=beta)
 
-    def steps(self):
-        """Yield (beta_i, worst_case_gamma(self, i)) for passes i = 1, 2, ...
+    @staticmethod
+    def for_matchoid(mp):
+        """The schedule with a worst-case factor for ``mp``: harmonic when
+        p = 1 (a matroid, also a direct sum of several), else the
+        recurrence at p."""
+        if mp.p == 1:
+            return Schedule.matroid_harmonic()
+        return Schedule.matchoid_recurrence(mp.p)
 
-        The harmonic kind steps with 1/i and the fixed kind with its beta.
-        The recurrence starts at beta_1 = 1 and factor g_1 = 4p, then takes
-        beta_i = (g - 1 - p) / (g - 1 + p) from the previous factor g and
-        steps g -> 4p g(g - 1) / (g - 1 + p)^2. That map is increasing and
-        fixes p + 1, so g stays above p + 1 and beta_i stays positive.
-        """
-        gamma = 4.0 * self.p
-        for i in count(1):
-            if self.kind == "fixed":
-                beta = self.beta
-            elif self.kind == "matroid-harmonic":
-                beta = 1.0 / i
-            elif i == 1:
-                beta = 1.0
-            else:
-                beta = (gamma - 1.0 - self.p) / (gamma - 1.0 + self.p)
-                gamma = gamma_recurrence_step(self.p, gamma)
-            yield beta, worst_case_gamma(self, i)
+    def steps(self):
+        """Yield (beta_i, gamma_i), the step size and worst-case factor of
+        passes i = 1, 2, ... as the module docstring gives them. The
+        recurrence's map g -> 4p g(g - 1) / (g - 1 + p)^2 is increasing and
+        fixes p + 1, so g stays above p + 1 and beta_i stays positive."""
+        p = self.p
+        if self.kind == "fixed":
+            while True:
+                yield self.beta, math.inf
+        elif self.kind == "matroid-harmonic":
+            for i in count(1):
+                yield 1.0 / i, 2.0 * (1.0 + 1.0 / i)
+        else:
+            beta, g = 1.0, 4.0 * p
+            for i in count(1):
+                yield beta, p + 1.0 + 4.0 * p / i
+                beta = (g - 1.0 - p) / (g - 1.0 + p)
+                g = 4.0 * p * g * (g - 1.0) / (g - 1.0 + p) ** 2
 
     def default_passes(self, epsilon):
         """Pass budget reaching the convergence target: ceil(2/eps) for the
@@ -89,23 +95,6 @@ class Schedule:
         if self.kind == "matroid-harmonic":
             return math.ceil(2.0 / epsilon)
         return math.ceil(4.0 * self.p / epsilon)
-
-
-def gamma_recurrence_step(p, gamma_prev):
-    """Next worst-case factor: 4p * g(g - 1) / (g - 1 + p)^2."""
-    return 4.0 * p * gamma_prev * (gamma_prev - 1.0) / (gamma_prev - 1.0 + p) ** 2
-
-
-def worst_case_gamma(schedule, i):
-    """Closed-form factor guaranteed after pass i (inf when the schedule
-    has no convergence target)."""
-    if i < 1:
-        raise PreconditionError("pass index starts at 1")
-    if schedule.kind == "matroid-harmonic":
-        return 2.0 * (1.0 + 1.0 / i)
-    if schedule.kind == "matchoid-recurrence":
-        return schedule.p + 1.0 + 4.0 * schedule.p / i
-    return math.inf
 
 
 def certified_gamma(i, gamma_prev, beta, delta, p):

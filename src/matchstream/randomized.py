@@ -30,7 +30,7 @@ from random import Random
 from .baselines import check_exact_budget, greedy_basis, max_feasible_subset
 from .errors import ConfigError, PreconditionError
 from .matchoids import exchange_set
-from .multipass import Schedule, worst_case_gamma
+from .multipass import Schedule
 from .streaming import PassRunner, streaming_pass, validate_stream
 
 OFFLINE_MODES = ("exact", "heuristic")
@@ -184,6 +184,12 @@ def randomized_pass(oracle, mp, stream, s_init, alpha, beta, m, rng, *,
     return runner.finish(offline_mode)
 
 
+def _heuristic_steps(p):
+    """The heuristic offline solver's plan: the first 2p (beta, gamma)
+    steps of the p-matchoid recurrence schedule."""
+    return list(islice(Schedule.matchoid_recurrence(p).steps(), 2 * p))
+
+
 def offline_solve(oracle, mp, candidates, mode="exact"):
     """Best feasible subset of the candidate pool.
 
@@ -191,9 +197,9 @@ def offline_solve(oracle, mp, candidates, mode="exact"):
     infeasible branches and, for a submodular objective, subtrees its
     upper bound shows cannot beat the best set so far, within its work
     budget. ``heuristic`` chains 2p streaming passes over the pool in
-    ascending-id order, stepped by the p-matchoid recurrence schedule; the
-    objective value never decreases across those passes, so the last
-    solution is the best one found.
+    ascending-id order, stepped by ``_heuristic_steps``; the objective
+    value never decreases across those passes, so the last solution is
+    the best one found.
     """
     if mode not in OFFLINE_MODES:
         raise ConfigError(f"unknown offline mode: {mode}")
@@ -201,7 +207,7 @@ def offline_solve(oracle, mp, candidates, mode="exact"):
     if mode == "exact":
         return max_feasible_subset(oracle, mp, pool).opt_set
     state = None
-    for beta, _ in islice(Schedule.matchoid_recurrence(mp.p).steps(), 2 * mp.p):
+    for beta, _ in _heuristic_steps(mp.p):
         state = streaming_pass(oracle, mp, pool, state, 0.0, beta,
                                require_full_stream=False).state
     return frozenset(state.members)
@@ -291,11 +297,15 @@ def multipass_randomized(oracle, mp, stream, epsilon, passes=None, seed=0, *,
     each chains its streaming solution across passes while keeping its
     best offline solution; the overall answer is the best solution of any
     copy (the first such copy), streaming solutions preferred on ties.
+    ``Schedule.for_matchoid(mp)`` steps the passes (harmonic at p = 1,
+    also for a direct sum of several matroids), and each pass row reports
+    that schedule's worst-case factor.
 
     ``gamma_off`` reports the offline solver's factor; nothing in the run
     depends on it. It is 1 for the exact solver, and for the heuristic the
-    monotone multi-pass factor of its 2p passes (p + 3) on a monotone
-    oracle class, else inf (no claim).
+    worst-case factor of the last of its 2p recurrence steps (p + 3), the
+    monotone multi-pass factor, on a monotone oracle class, else inf (no
+    claim).
 
     An unknown offline mode raises ``ConfigError``, and an exact mode over
     the work budget ``SizeError``, before any oracle call: a residual pool
@@ -311,8 +321,7 @@ def multipass_randomized(oracle, mp, stream, epsilon, passes=None, seed=0, *,
     p = mp.p
     k = mp.rank_k
     eps_prime = epsilon / p
-    schedule = (Schedule.matroid_harmonic() if len(mp.matroids) <= 1
-                else Schedule.matchoid_recurrence(p))
+    schedule = Schedule.for_matchoid(mp)
     d = schedule.default_passes(epsilon) if passes is None else int(passes)
     if d < 1:
         raise PreconditionError("at least one pass is required")
@@ -346,5 +355,5 @@ def multipass_randomized(oracle, mp, stream, epsilon, passes=None, seed=0, *,
         grid=grid, passes_used=d + 1, space_peak=space_peak,
         space_bound=len(grid.lambdas) * (m + 3 * k), d=d, m=m,
         gamma_off=(1.0 if offline_mode == "exact" else math.inf if not oracle.monotone
-                   else worst_case_gamma(Schedule.matchoid_recurrence(p), 2 * p)),
+                   else _heuristic_steps(p)[-1][1]),
     )

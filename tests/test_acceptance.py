@@ -58,8 +58,7 @@ def monotone_corpus():
         for seed in range(N_PER_FAMILY):
             inst = builder(seed)
             mp = inst.build_matchoid()
-            schedule = (ms.Schedule.matroid_harmonic() if mp.p == 1
-                        else ms.Schedule.matchoid_recurrence(mp.p))
+            schedule = ms.Schedule.for_matchoid(mp)
             opt = exact_opt(inst).opt_value
             run = ms.multipass_run(inst.build_oracle(), mp,
                                    ms.stream_order(inst.n), schedule,
@@ -151,10 +150,11 @@ def test_04_certificates_sound_and_at_least_closed_form_strength(monotone_corpus
     for records in monotone_corpus.values():
         for rec in records:
             k_alpha = rec.mp.rank_k * 0.0
-            for res, cert in zip(rec.run.pass_results, rec.run.certificates):
+            for res, cert, (_, closed) in zip(rec.run.pass_results,
+                                              rec.run.certificates,
+                                              rec.schedule.steps()):
                 ok = ok and (cert.gamma_certified * res.f_final + k_alpha
                              >= rec.opt - TOL)
-                closed = ms.worst_case_gamma(rec.schedule, cert.pass_index)
                 ok = ok and cert.gamma_certified <= closed + TOL
                 checked += 1
     assert _announce(4, "certified factors sound and never above closed form",

@@ -192,6 +192,29 @@ def test_bad_instance_files_exit_2_naming_the_path(tmp_path, edit):
         assert "Traceback" not in proc.stderr
 
 
+def test_printed_summaries_are_strict_json(tmp_path, capsys):
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    cut = str(tmp_path / "cut.json")
+    ms.save_instance(ms.generate_instance("directed-cut+matroid", 0), cut)
+    assert main(["run-nonmonotone", "--instance", cut, "--epsilon", "0.5",
+                 "--passes", "1", "--offline", "heuristic"]) == 0
+    printed = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    assert printed["gamma_off"] == "inf"
+
+
+def test_mislabelled_monotone_file_exits_2_naming_the_path(tmp_path, capsys):
+    data = ms.generate_instance("directed-cut+matroid", 0).to_dict()
+    data["monotone"] = True
+    path = tmp_path / "cut.json"
+    path.write_text(json.dumps(data))
+    assert main(["run-monotone", "--instance", str(path), "--passes", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(path) in err
+    assert "monotone=true" in err and "monotone=false" in err
+
+
 def test_generate_rejects_a_flag_the_family_does_not_take(tmp_path):
     out = tmp_path / "inst.json"
     proc = subprocess.run(

@@ -160,3 +160,54 @@ def test_report_aggregates_summaries(tmp_path):
     assert rows[-1]["ratio"] == pytest.approx(
         json.loads(open(summary_path).read())["ratio"])
 
+
+
+def test_summary_optimum_is_skipped_over_its_budget(tmp_path, monkeypatch):
+    # 22 candidates under a capacity of 22: the optimum's search could
+    # examine 2^22 subsets, far more than the 33 calls of the run, so the
+    # summary reports no optimum and makes no oracle call for it
+    big = _write_instance(tmp_path, "directed-cut+matroid", 1, n=22,
+                          arcs=462, capacity=22)
+    small = _write_instance(tmp_path, "directed-cut+matroid", 2, n=16,
+                            capacity=16)
+
+    def refuse(*args):
+        raise AssertionError("brute_force_opt was called")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ms.experiments, "brute_force_opt", refuse)
+        summary = ms.run_experiment(ms.ExperimentConfig(
+            big, "monotone-multipass", passes=2))
+    assert summary["opt_value"] is None and summary["ratio"] is None
+    assert summary["oracle_calls"] == 33
+    # 2^16 subsets, every subset of 16 elements, is still within budget
+    summary = ms.run_experiment(ms.ExperimentConfig(
+        small, "monotone-multipass", passes=2))
+    assert summary["opt_value"] is not None
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_summaries_are_strict_json(tmp_path):
+    # an infinite factor is written "inf", as in traces; the returned
+    # dict keeps the float
+    cut = _write_instance(tmp_path, "directed-cut+matroid", 0)
+    cov = _write_instance(tmp_path)
+    cases = (
+        (ms.ExperimentConfig(cut, "nonmonotone-randomized", epsilon=0.5,
+                             passes=1, offline="heuristic"), "gamma_off"),
+        # alpha rejects every arrival, so each pass ends at f = 0
+        (ms.ExperimentConfig(cov, "monotone-multipass", passes=2,
+                             alpha=1000.0), "gamma_certified_final"),
+    )
+    for config, key in cases:
+        config.summary = str(tmp_path / "summary.json")
+        summary = ms.run_experiment(config)
+        assert summary[key] == math.inf
+        with open(config.summary, encoding="utf-8") as fh:
+            written = json.loads(fh.read(), parse_constant=_refuse_constant)
+        assert written[key] == "inf"
+    with pytest.raises(ValueError):
+        ms.experiments.summary_json({"f_final": math.nan})

@@ -65,18 +65,13 @@ def _plain(value):
     return value
 
 
-def _schedule(mp):
-    return (ms.Schedule.matroid_harmonic() if mp.p == 1
-            else ms.Schedule.matchoid_recurrence(mp.p))
-
-
 def _multipass_records(inst, mp, stream):
     out = []
     for alpha in (0.0, 1.0):
         oracle = inst.build_oracle()
         trace = []
-        res = ms.multipass_run(oracle, mp, stream, _schedule(mp), 3, alpha,
-                               debug=True, trace=trace)
+        res = ms.multipass_run(oracle, mp, stream, ms.Schedule.for_matchoid(mp),
+                               3, alpha, debug=True, trace=trace)
         passes = [{"row": run.row(cert.pass_index, cert.beta,
                                   cert.gamma_certified),
                    "solution": list(run.state.nu),

@@ -27,6 +27,17 @@ def _betas(sched, passes):
     return [beta for _, (beta, _) in zip(range(passes), sched.steps())]
 
 
+def _gammas(sched, passes):
+    return [gamma for _, (_, gamma) in zip(range(passes), sched.steps())]
+
+
+def _recurrence_factors(p, d):
+    """g_1..g_d of the recurrence, read back from the betas that
+    ``Schedule.steps`` yields: beta_{i+1} = (g_i - 1 - p) / (g_i - 1 + p)."""
+    betas = _betas(ms.Schedule.matchoid_recurrence(p), d + 1)[1:]
+    return [1.0 + p * (1.0 + b) / (1.0 - b) for b in betas]
+
+
 def test_harmonic_schedule_betas():
     betas = _betas(ms.Schedule.matroid_harmonic(), 3)
     assert betas[0] == 1.0
@@ -46,6 +57,22 @@ def test_recurrence_matches_harmonic_at_p_equal_one():
     chain = _fraction_gamma_chain(1, 16)
     for i, g in enumerate(chain, 1):
         assert g == Fraction(2) * (i + 1) / i
+
+
+def test_for_matchoid_picks_the_schedule_by_p():
+    def uniform(lo, hi):
+        return ms.UniformMatroid(range(lo, hi), 2)
+
+    one = ms.PMatchoid(range(6), [uniform(0, 6)])
+    direct_sum = ms.PMatchoid(range(12), [uniform(0, 6), uniform(6, 12)])
+    for mp in (one, direct_sum):
+        assert mp.p == 1
+        assert ms.Schedule.for_matchoid(mp).kind == "matroid-harmonic"
+    overlaps = {2: [uniform(0, 6), uniform(0, 6)],
+                3: [uniform(0, 6), uniform(0, 6), uniform(0, 6)]}
+    for p, matroids in overlaps.items():
+        sched = ms.Schedule.for_matchoid(ms.PMatchoid(range(6), matroids))
+        assert (sched.kind, sched.p) == ("matchoid-recurrence", p)
 
 
 def test_fixed_and_custom_schedules():
@@ -130,39 +157,36 @@ def test_schedule_steps_are_pinned():
 def test_gamma_recurrence_against_rational_oracle():
     for p in (1, 2, 3):
         expected = _fraction_gamma_chain(p, 16)
-        g = 4.0 * p
-        assert g == float(expected[0])
-        for i in range(1, 16):
-            g = ms.gamma_recurrence_step(p, g)
-            assert g == pytest.approx(float(expected[i]), abs=1e-12)
+        for g, want in zip(_recurrence_factors(p, 16), expected):
+            assert g == pytest.approx(float(want), abs=1e-12)
 
 
 def test_recurrence_example_values_p2():
     chain = _fraction_gamma_chain(2, 2)
     assert chain[0] == 8
     assert chain[1] == Fraction(448, 81)
-    g2 = ms.gamma_recurrence_step(2, 8.0)
+    g1, g2 = _recurrence_factors(2, 2)
+    assert g1 == pytest.approx(8.0)
     assert g2 == pytest.approx(448.0 / 81.0)
     assert g2 <= 2 + 1 + 4 * 2 / 2    # stays below the pass-2 closed form
 
 
 def test_worst_case_gamma_closed_forms():
-    harmonic = ms.Schedule.matroid_harmonic()
-    assert [ms.worst_case_gamma(harmonic, i) for i in (1, 2, 3, 4)] == \
+    assert _gammas(ms.Schedule.matroid_harmonic(), 4) == \
         pytest.approx([4.0, 3.0, 8.0 / 3.0, 2.5])
-    matchoid = ms.Schedule.matchoid_recurrence(3)
-    assert ms.worst_case_gamma(matchoid, 6) == pytest.approx(3 + 1 + 12 / 6)
-    assert math.isinf(ms.worst_case_gamma(ms.Schedule.fixed(0.5), 3))
+    assert _gammas(ms.Schedule.matchoid_recurrence(3), 6)[5] == \
+        pytest.approx(3 + 1 + 12 / 6)
+    assert all(math.isinf(g) for g in _gammas(ms.Schedule.fixed(0.5), 3))
 
 
 def test_recurrence_is_nonincreasing_and_bounded_below():
     # staying strictly above p + 1 keeps the recurrence's beta positive,
     # so Schedule.steps needs no clamp on the factor
     for p in range(1, 9):
-        g = 4.0 * p
-        prev = g
-        for i in range(2, 10001):
-            g = ms.gamma_recurrence_step(p, g)
+        betas = _betas(ms.Schedule.matchoid_recurrence(p), 10001)
+        assert all(b > 0.0 for b in betas)
+        prev = 4.0 * p
+        for g in _recurrence_factors(p, 10000):
             assert g <= prev + 1e-12
             assert g > p + 1
             prev = g
@@ -170,11 +194,10 @@ def test_recurrence_is_nonincreasing_and_bounded_below():
 
 def test_recurrence_stays_under_closed_form():
     for p in (1, 2, 3):
-        g = 4.0 * p
-        for i in range(1, 17):
-            if i > 1:
-                g = ms.gamma_recurrence_step(p, g)
-            assert g <= p + 1 + 4 * p / i + 1e-12
+        closed = _gammas(ms.Schedule.matchoid_recurrence(p), 16)
+        for i, (g, gamma) in enumerate(zip(_recurrence_factors(p, 16), closed), 1):
+            assert gamma == p + 1 + 4 * p / i
+            assert g <= gamma + 1e-12
 
 
 def test_certified_gamma_example():
@@ -218,10 +241,9 @@ def test_first_pass_certificate_is_4p():
     for builder, expect_p in ((coverage_uniform, 1), (hypergraph_matching, 3)):
         inst = builder(5)
         mp = inst.build_matchoid()
-        sched = (ms.Schedule.matroid_harmonic() if expect_p == 1
-                 else ms.Schedule.matchoid_recurrence(mp.p))
         run = ms.multipass_run(inst.build_oracle(), mp,
-                               ms.stream_order(inst.n), sched, 1)
+                               ms.stream_order(inst.n),
+                               ms.Schedule.for_matchoid(mp), 1)
         assert mp.p == expect_p
         assert run.certificates[0].gamma_certified == pytest.approx(4.0 * mp.p)
         assert run.certificates[0].k_alpha_slack == 0.0
@@ -262,13 +284,12 @@ def test_multipass_certificates_sound_and_below_closed_form():
         inst = coverage_uniform(seed)
         opt = exact_opt(inst).opt_value
         mp = inst.build_matchoid()
+        schedule = ms.Schedule.matroid_harmonic()
         run = ms.multipass_run(inst.build_oracle(), mp,
-                               ms.stream_order(inst.n),
-                               ms.Schedule.matroid_harmonic(), 10)
-        for res, cert in zip(run.pass_results, run.certificates):
+                               ms.stream_order(inst.n), schedule, 10)
+        for res, cert, (_, closed) in zip(run.pass_results, run.certificates,
+                                          schedule.steps()):
             assert cert.opt_upper_bound(res.f_final) >= opt - TOL
-            closed = ms.worst_case_gamma(ms.Schedule.matroid_harmonic(),
-                                         cert.pass_index)
             assert cert.gamma_certified <= closed + TOL
 
 
@@ -287,8 +308,7 @@ def _float_weight_runs(draw):
         caps = draw(st.lists(st.integers(1, 2), min_size=3, max_size=3))
         matroids.append(ms.PartitionMatroid(range(n), parts, caps))
     mp = ms.PMatchoid(range(n), matroids)
-    schedule = (ms.Schedule.matroid_harmonic() if mp.p == 1
-                else ms.Schedule.matchoid_recurrence(mp.p))
+    schedule = ms.Schedule.for_matchoid(mp)
     alpha = draw(st.sampled_from((0.0, 0.5)))
     return oracle, mp, schedule, alpha, draw(st.permutations(range(n)))
 
@@ -302,11 +322,11 @@ def test_multipass_factors_hold_on_float_weights(case):
     tol = 1e-9 * max(1.0, opt)
     if alpha == 0.0:
         assert opt <= 4.0 * mp.p * run.pass_results[0].f_final + tol
-    for res, cert in zip(run.pass_results, run.certificates):
+    for res, cert, (_, closed) in zip(run.pass_results, run.certificates,
+                                      schedule.steps()):
         # passes with f(S_i) = 0 are included: their bound is inf
         assert opt <= cert.opt_upper_bound(res.f_final) + tol
         if res.f_final > 0.0:
-            closed = ms.worst_case_gamma(schedule, cert.pass_index)
             assert cert.gamma_certified <= closed + TOL
         else:
             assert math.isinf(cert.gamma_certified)

@@ -277,9 +277,9 @@ def test_heuristic_offline_steps_by_the_recurrence_schedule():
         oracle = inst.build_oracle()
         run = ms.multipass_randomized(oracle, mp, ms.stream_order(inst.n),
                                       0.5, passes=1, offline_mode="heuristic")
-        assert run.gamma_off == (
-            ms.worst_case_gamma(ms.Schedule.matchoid_recurrence(mp.p), 2 * mp.p)
-            if oracle.monotone else math.inf)
+        plan = ms.Schedule.matchoid_recurrence(mp.p).steps()
+        last_gamma = [gamma for _, (_, gamma) in zip(range(2 * mp.p), plan)][-1]
+        assert run.gamma_off == (last_gamma if oracle.monotone else math.inf)
         ps.append(mp.p)
     assert ps == [1, 2, 3]
 
@@ -479,3 +479,18 @@ def test_randomized_results_hold_on_float_weights(case):
             check(res.solution, res.f_final)
             check(res.s_prime, res.f_s_prime)
     assert run.space_peak <= run.space_bound
+
+
+def test_direct_sum_of_matroids_runs_the_harmonic_schedule():
+    # p = 1 for a direct sum of two matroids, so the driver takes the
+    # matroid schedule: ceil(2/eps) = 4 passes, m = ceil(4 * 4 * 4 / 0.25),
+    # and rows with the factors 2(1 + 1/i), not the recurrence's 8 passes
+    mp = ms.PMatchoid(range(12), [ms.UniformMatroid(range(6), 2),
+                                  ms.UniformMatroid(range(6, 12), 2)])
+    assert (mp.p, mp.rank_k) == (1, 4)
+    run = ms.multipass_randomized(ms.ModularOracle(range(1, 13)), mp,
+                                  range(12), 0.5)
+    assert (run.d, run.m) == (4, 256)
+    for copy in run.copies:
+        assert [row["gamma_certified"] for row in copy.pass_rows] == \
+            pytest.approx([4.0, 3.0, 8.0 / 3.0, 2.5])
