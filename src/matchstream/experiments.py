@@ -83,15 +83,16 @@ class ExperimentConfig:
         return {name: getattr(self, name) for name in _CONFIG_FIELDS}
 
 
-def build_schedule(name, p):
-    """Map a CLI schedule token to a Schedule."""
+def build_schedule(name, mp):
+    """Map a CLI schedule token to a Schedule for the constraint ``mp``;
+    the default ``matchoid`` picks it from p (``Schedule.for_matchoid``)."""
     if name in (None, "matchoid"):
-        return Schedule.matchoid_recurrence(p)
+        return Schedule.for_matchoid(mp)
     if name == "matroid":
         return Schedule.matroid_harmonic()
     if isinstance(name, str) and name.startswith("fixed:"):
         try:
-            return Schedule.fixed(float(name.split(":", 1)[1]), p=p)
+            return Schedule.fixed(float(name.split(":", 1)[1]), p=mp.p)
         except ValueError as exc:
             raise ConfigError(f"bad fixed schedule: {name!r}: {exc}") from exc
     raise ConfigError(f"unknown schedule: {name!r} (matroid, matchoid, or fixed:B)")
@@ -154,7 +155,9 @@ def run_experiment(config):
 
     Writes the trace CSV and summary JSON when the config names paths.
     The summary always carries f_final, certified factor, oracle calls,
-    peak storage, wall time, and the optimum value and the ratio
+    peak storage, the count of exchanges that skipped the nu suffix walk
+    (``shortcut_exchanges``, over every pass, copy and replicate), wall
+    time, and the optimum value and the ratio
     opt/f_final, which are None when the exact search could examine more
     than ``SUMMARY_OPT_BUDGET`` subsets. The returned dict keeps its
     floats; the file holds ``summary_json``'s strict JSON, with "inf" for
@@ -184,7 +187,7 @@ def run_experiment(config):
     if config.algorithm == "monotone-multipass":
         columns = MONOTONE_TRACE_COLUMNS
         oracle = inst.build_oracle()
-        schedule = build_schedule(config.schedule, mp.p)
+        schedule = build_schedule(config.schedule, mp)
         passes = (config.passes if config.passes is not None
                   else schedule.default_passes(config.epsilon))
         result = multipass_run(oracle, mp, stream, schedule, passes,
@@ -198,6 +201,8 @@ def run_experiment(config):
             "passes": result.passes_run,
             "oracle_calls": oracle.calls,
             "peak_storage": result.stored_peak,
+            "shortcut_exchanges": sum(res.shortcut_exchanges
+                                      for res in result.pass_results),
         })
 
     else:
@@ -207,7 +212,7 @@ def run_experiment(config):
             raise ConfigError("at least one replicate is required")
         columns = RANDOMIZED_TRACE_COLUMNS
         f_bars = []
-        total_calls = 0
+        total_calls = shortcuts = 0
         peak_storage = 0
         for rep in range(config.replicates):
             oracle = inst.build_oracle()
@@ -220,6 +225,8 @@ def run_experiment(config):
             for copy in run.copies:
                 for row in copy.pass_rows:
                     rows.append({"schema_version": SCHEMA_VERSION, **row})
+                shortcuts += sum(res.shortcut_exchanges
+                                 for res in copy.pass_results)
         mean = sum(f_bars) / len(f_bars)
         last = run
         summary.update({
@@ -237,6 +244,7 @@ def run_experiment(config):
             "space_bound": last.space_bound,
             "oracle_calls": total_calls,
             "peak_storage": peak_storage,
+            "shortcut_exchanges": shortcuts,
         })
 
     f_final = summary.get("f_final")

@@ -14,7 +14,12 @@ and ``add(x)`` puts x into A and returns the new f(A). The metering is
 that of the ``value`` calls they stand for: ``running`` counts one call
 (``value(A)``), ``value_with`` one (``value(A | {x})``) and ``add`` one
 (``value`` of the grown set); ``add(x, meter=False)`` counts none, for a
-caller that has already paid for f(A + x). The base evaluator
+caller that has already paid for f(A + x). ``forget(elements)`` drops
+members that f(A) does not need, keeping the total and the statistics,
+with no call; it is sound only for a monotone f with f(A - elements) =
+f(A), and its docstring gives the argument. So a run's call count
+equals that of from-scratch evaluation, except where the streaming pass
+forgets instead of re-walking (see ``streaming``). The base evaluator
 re-evaluates through ``_evaluate``, so every subclass supports it
 unchanged; a subclass with cheaper per-set statistics overrides
 ``_running(members)`` to return its own ``RunningValue`` subclass,
@@ -146,6 +151,20 @@ class RunningValue:
             self.total = self._grow(x)
             self.members.add(x)
         return self.total
+
+    def forget(self, elements):
+        """A <- A - ``elements``, keeping ``total`` and the statistics; no
+        oracle call.
+
+        Sound only when f is monotone submodular and f(A - elements) =
+        f(A). The statistics describe some E that contains A with f(E) =
+        f(A) (E = A until a first forget), and after the call E still
+        contains the smaller A at the same value. For every later query
+        y, submodularity gives f(E + y) - f(A + y) <= f(E) - f(A) = 0 and
+        monotonicity the reverse, so every value the evaluator reports is
+        still f of its members.
+        """
+        self.members.difference_update(elements)
 
     def copy(self):
         twin = object.__new__(type(self))

@@ -8,7 +8,9 @@ is a "pretend" order spanning the whole multi-pass run: elements kept
 from the initial solution keep their old positions and precede
 everything newly accepted, so the cached nu values stay exact across
 passes. An exchange deletes the evicted keys and appends the arrival,
-then re-walks the suffix from the first evicted position.
+then re-walks the suffix from the first evicted position, unless f is
+monotone and every evicted member has nu exactly 0: no survivor's nu
+can then change, and the walk is skipped (``SolutionState.accept``).
 
 A non-initial arrival x clears the threshold whenever
 
@@ -22,8 +24,8 @@ its selection policy varies. Under the immediate policy (this module's
 ``streaming_pass``) an arrival that clears the threshold is exchanged in
 at once. Under the buffered policy (``randomized.RandomizedPassRunner``)
 it waits in a bounded buffer until a random draw selects it. Each runner
-meters its own oracle calls and debug checks, and the finished runner is
-the pass's record.
+meters its own oracle calls, debug checks and skipped walks, and the
+finished runner is the pass's record.
 """
 
 import math
@@ -78,21 +80,37 @@ class SolutionState:
         """Apply S <- S \\ evict + x and refresh the nu cache, where ``gain``
         is f(x | S), which the caller has measured. An insertion appends
         x with nu = gain; an exchange deletes the evicted keys, appends x
-        and re-walks nu from the first evicted position.
+        and re-walks nu from the first evicted position, unless it can
+        skip the walk.
+
+        The walk is skipped when f is monotone and every evicted member
+        has nu exactly 0. Add the evicted members back to S \\ evict in
+        arrival order: each has marginal at most its nu = 0 by
+        submodularity and at least 0 by monotonicity. So every survivor's
+        prefix value is unchanged, f(S \\ evict) = f(S), and by the same
+        two facts f(x | S \\ evict) = f(x | S) = ``gain``. The evaluator
+        forgets the evicted members (see ``RunningValue.forget``) and
+        takes x unmetered, as an insertion does.
 
         Returns the evicted elements mapped to their incremental value at
-        removal.
+        removal, and whether the walk was skipped.
         """
         nu = self.nu
         if not evict:
             self.evaluator.add(x, meter=False)
             nu[x] = gain
-            return {}
+            return {}, False
+        if oracle.monotone and all(nu[c] == 0.0 for c in evict):
+            chi = {c: nu.pop(c) for c in evict}
+            nu[x] = gain
+            self.evaluator.forget(evict)
+            self.evaluator.add(x, meter=False)
+            return chi, True
         cut = next(i for i, e in enumerate(nu) if e in evict)
         chi = {c: nu.pop(c) for c in evict}
         nu[x] = gain  # a placeholder until recompute_nu walks the suffix
         recompute_nu(self, oracle, cut)
-        return chi
+        return chi, False
 
 
 def recompute_nu(state, oracle, start_pos=0):
@@ -170,6 +188,7 @@ class PassRunner:
     endpoints ``f_init`` and ``f_final``, the counters, and the meters.
     ``oracle_calls`` counts the metered calls of the pass's arrivals and
     its finish, not the building of its starting solution;
+    ``shortcut_exchanges`` counts the exchanges that skipped the nu walk;
     ``element_checks`` and ``accept_checks`` count the debug checks (zero
     without debug). A finished runner refuses further arrivals and a
     second finish, so a stored pass does not change.
@@ -205,6 +224,7 @@ class PassRunner:
         self.f_init = self.state.f_s
         self.f_final = None  # set by finish
         self.accept_count = self.reject_count = self.discard_count = 0
+        self.shortcut_exchanges = 0
         self.stored_current = self.stored_peak = len(self.init_ids)
         self._finished = False
 
@@ -284,7 +304,9 @@ class PassRunner:
         """S <- S - C_x + x, where ``gain`` is the current f(x | S)."""
         state = self.state
         nu_before = dict(state.nu) if self.debug else None
-        self.evicted.update(state.accept(x, cx, self.oracle, gain))
+        chi, skipped = state.accept(x, cx, self.oracle, gain)
+        self.evicted.update(chi)
+        self.shortcut_exchanges += skipped
         self.accepted.add(x)
         self.accept_count += 1
         _trace_write(self.trace, x, "accept", cx, state)

@@ -28,6 +28,20 @@ def test_generate_then_run_monotone(tmp_path, capsys):
     assert json.loads(open(summary).read())["f_final"] == printed["f_final"]
 
 
+def test_default_schedule_follows_p(tmp_path, capsys):
+    # a p = 1 instance runs the harmonic schedule by default: ceil(2/eps)
+    # passes, not the recurrence's ceil(4p/eps)
+    instance = str(tmp_path / "inst.json")
+    main(["generate", "--family", "coverage+uniform", "--seed", "3",
+          "--n", "12", "--out", instance])
+    capsys.readouterr()
+    assert main(["run-monotone", "--instance", instance,
+                 "--epsilon", "0.5"]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert (printed["p"], printed["passes"], printed["f_final"]) == (1, 4, 29.0)
+    assert printed["oracle_calls"] == 42
+
+
 def test_solve_exact_and_greedy(tmp_path, capsys):
     instance = str(tmp_path / "inst.json")
     main(["generate", "--family", "coverage+uniform", "--seed", "1",

@@ -45,14 +45,20 @@ def test_default_pass_budgets():
 
 
 def test_build_schedule_tokens():
-    assert ms.build_schedule("matroid", 1).kind == "matroid-harmonic"
-    assert ms.build_schedule("matchoid", 2).kind == "matchoid-recurrence"
-    fixed = ms.build_schedule("fixed:0.3", 1)
-    assert fixed.kind == "fixed" and fixed.beta == 0.3
+    matroid = ms.PMatchoid(range(4), [ms.UniformMatroid(range(4), 2)])
+    p2 = ms.PMatchoid(range(4), [ms.UniformMatroid(range(4), 2),
+                                 ms.PartitionMatroid(range(4), [[0, 1], [2, 3]], [1, 1])])
+    assert ms.build_schedule("matroid", p2).kind == "matroid-harmonic"
+    assert ms.build_schedule("matchoid", matroid).kind == "matroid-harmonic"
+    sched = ms.build_schedule("matchoid", p2)
+    assert (sched.kind, sched.p) == ("matchoid-recurrence", 2)
+    assert ms.build_schedule(None, p2).kind == "matchoid-recurrence"
+    fixed = ms.build_schedule("fixed:0.3", p2)
+    assert (fixed.kind, fixed.beta, fixed.p) == ("fixed", 0.3, 2)
     with pytest.raises(ms.ConfigError):
-        ms.build_schedule("fixed:abc", 1)
+        ms.build_schedule("fixed:abc", matroid)
     with pytest.raises(ms.ConfigError):
-        ms.build_schedule("simulated", 1)
+        ms.build_schedule("simulated", matroid)
 
 
 def test_monotone_experiment_writes_trace_and_summary(tmp_path):
@@ -109,6 +115,42 @@ def test_randomized_trace_columns(tmp_path):
     assert lams == set(summary["lambda_grid"])
     assert all(int(r["m"]) == summary["m"] for r in rows)
     assert summary["peak_storage"] <= summary["space_bound"]
+
+
+def test_summary_counts_shortcut_exchanges(tmp_path):
+    # saturating unit-weight coverage: exchanges that evict only zero-nu
+    # members skip the nu suffix walk; a cut never does
+    coverage = _write_instance(tmp_path, "coverage+uniform", 7, n=40, items=6,
+                               capacity=8, max_weight=1)
+    cut = _write_instance(tmp_path, "directed-cut+matroid", 4, n=8, capacity=3)
+    monotone = ms.run_experiment(ms.ExperimentConfig(
+        coverage, "monotone-multipass", schedule="matroid", passes=3,
+        shuffle_seed=7))
+    assert monotone["oracle_calls"] == 105
+    assert monotone["shortcut_exchanges"] > 0
+    # every randomized copy runs at alpha > 0, so every nu is positive
+    randomized = ms.run_experiment(ms.ExperimentConfig(
+        coverage, "nonmonotone-randomized", epsilon=0.5, passes=2,
+        offline="heuristic"))
+    assert randomized["shortcut_exchanges"] == 0
+    # ... except the one zero guess of an objective that is 0 everywhere;
+    # at k = 1 its buffer (m = 16) fills, and each replicate counts
+    single = _write_instance(tmp_path, "coverage+uniform", 7, n=40, items=6,
+                             capacity=1, max_weight=1)
+    with open(single, encoding="utf-8") as fh:
+        data = json.load(fh)
+    data["objective"]["item_weights"] = [0] * len(data["objective"]["item_weights"])
+    zero = str(tmp_path / "zero.json")
+    with open(zero, "w", encoding="utf-8") as fh:
+        json.dump(data, fh)
+    counts = [ms.run_experiment(ms.ExperimentConfig(
+        zero, "nonmonotone-randomized", epsilon=0.5, passes=1,
+        offline="heuristic", replicates=r))["shortcut_exchanges"]
+        for r in (1, 2)]
+    assert counts[0] > 0 and counts[1] == 2 * counts[0]
+    nonmonotone = ms.run_experiment(ms.ExperimentConfig(
+        cut, "nonmonotone-randomized", epsilon=0.5, passes=2))
+    assert nonmonotone["shortcut_exchanges"] == 0
 
 
 def test_a_run_builds_its_constraint_once(tmp_path, monkeypatch):

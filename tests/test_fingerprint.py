@@ -43,7 +43,7 @@ import matchstream as ms
 import _corpus
 
 DECISIONS = "69f8184e5454b07a161bbb99c14834e5aa27195f99d70414c5fa3e1c399f9599"
-METERING = "6f179046d229e6aad0363859cefc7b9d3f9cf840ad7a6209d3a2905296804e01"
+METERING = "571d0ef279365556b7a4bb441feb1ca509621136b02510c6148e1473d7568c64"
 METERED_KEYS = ("calls", "oracle_calls")
 
 FAMILIES = (_corpus.coverage_uniform, _corpus.coverage_partition,

@@ -141,7 +141,8 @@ def test_schedule_steps_are_pinned():
         "harmonic": ms.Schedule.matroid_harmonic(),
         "recurrence-p2": ms.Schedule.matchoid_recurrence(2),
         "recurrence-p3": ms.Schedule.matchoid_recurrence(3),
-        "fixed:0.25": ms.build_schedule("fixed:0.25", 1),
+        "fixed:0.25": ms.build_schedule(
+            "fixed:0.25", ms.PMatchoid(range(2), [ms.UniformMatroid(range(2), 1)])),
         "recurrence-p1": ms.Schedule.matchoid_recurrence(1),
     }
     for name, sched in schedules.items():

@@ -1,6 +1,7 @@
 """Running evaluators: agreement with from-scratch evaluation, metering,
 and the oracle-call totals of whole runs."""
 
+import math
 from random import Random
 
 import pytest
@@ -95,18 +96,137 @@ def test_custom_subclass_gets_generic_evaluator():
     assert run.f_final == 2.0
 
 
-# Oracle-call totals recorded with from-scratch evaluation on every path;
-# the running evaluators must meter exactly the same calls.
+# Oracle-call totals of whole runs. A running evaluator meters the calls
+# that from-scratch evaluation would make, except on a monotone exchange
+# that evicts only zero-nu members: there the nu suffix walk is skipped,
+# and with it the walk's calls. The pinned instance saturates its coverage
+# early, so almost every exchange after that takes the shortcut (from-
+# scratch metering makes 588 calls here).
 
-def test_multipass_call_count_is_pinned():
+
+def _multipass_pin_run(oracle_class=ms.CoverageOracle, debug=False, trace=None):
     inst = ms.generate_instance("coverage+uniform", 7, n=40, items=6,
                                 capacity=8, max_weight=1)
-    oracle, mp = inst.build_oracle(), inst.build_matchoid()
+    oracle = oracle_class(inst.objective["sets"], inst.objective["item_weights"])
+    mp = inst.build_matchoid()
     run = ms.multipass_run(oracle, mp, ms.stream_order(inst.n, 7),
-                           ms.Schedule.matroid_harmonic(), 3, 0.0)
+                           ms.Schedule.matroid_harmonic(), 3, 0.0,
+                           debug=debug, trace=trace)
+    return oracle, run
+
+
+def test_multipass_call_count_is_pinned():
+    oracle, run = _multipass_pin_run()
     assert [len(r.evicted) for r in run.pass_results] == [32, 32, 32]
     assert run.f_final == 6.0
-    assert oracle.calls == 588
+    assert oracle.calls == 105
+    assert sum(r.shortcut_exchanges for r in run.pass_results) > 0
+
+
+def test_nonmonotone_exchange_still_walks():
+    # member 0 is evicted at nu 0.0, but a cut is not monotone: removing 0
+    # raises nu[3] from 2 to 5, which only the suffix walk finds
+    oracle = ms.DirectedCutOracle(5, [(1, 2, 1), (1, 4, 2), (2, 1, 1),
+                                      (3, 0, 3), (3, 1, 1), (3, 4, 2)])
+    mp = ms.PMatchoid(range(5), [ms.UniformMatroid(range(5), 2)])
+    run = ms.multipass_run(oracle, mp, range(5), ms.Schedule.for_matchoid(mp),
+                           2, 0.0, debug=True)
+    assert [r.evicted for r in run.pass_results] == [{0: 0.0}, {}]
+    assert run.solution == {1, 3} and run.f_final == 8.0
+    assert run.state.nu == {1: 3.0, 3: 5.0}
+    assert oracle.calls == 12
+    assert [r.shortcut_exchanges for r in run.pass_results] == [0, 0]
+
+
+class _Walked(ms.CoverageOracle):
+    """Coverage that is not declared monotone, so every exchange walks."""
+
+    monotone = False
+
+
+class _WalkedModular(ms.ModularOracle):
+    monotone = False
+
+
+def _decided(run, trace):
+    """What a multipass run decided: its trace, and each pass's row
+    without its call count, solution in arrival order, evictions and
+    certified factor."""
+    passes = []
+    for res, cert in zip(run.pass_results, run.certificates):
+        row = res.row(cert.pass_index, cert.beta, cert.gamma_certified)
+        del row["oracle_calls"]
+        passes.append([row, list(res.state.nu), res.evicted,
+                       cert.gamma_certified])
+    return [trace, passes]
+
+
+def _agree(got, want, scale):
+    """Equal, except that floats may differ by rounding relative to
+    ``scale`` (0 for exact agreement)."""
+    if isinstance(got, float) and isinstance(want, float):
+        rel = REL_TOL if scale else 0.0
+        return math.isclose(got, want, rel_tol=rel, abs_tol=rel * scale)
+    if isinstance(got, dict) and isinstance(want, dict):
+        return (list(got) == list(want)
+                and all(_agree(got[k], want[k], scale) for k in got))
+    if isinstance(got, (list, tuple)) and isinstance(want, (list, tuple)):
+        return (len(got) == len(want)
+                and all(_agree(g, w, scale) for g, w in zip(got, want)))
+    return got == want
+
+
+def test_shortcut_decides_as_the_walk_on_the_pinned_instance():
+    plain_trace, walked_trace = [], []
+    plain_oracle, plain = _multipass_pin_run(debug=True, trace=plain_trace)
+    walked_oracle, walked = _multipass_pin_run(_Walked, debug=True,
+                                               trace=walked_trace)
+    assert _decided(plain, plain_trace) == _decided(walked, walked_trace)
+    assert (plain_oracle.calls, walked_oracle.calls) == (105, 588)
+    assert sum(r.shortcut_exchanges for r in walked.pass_results) == 0
+
+
+@st.composite
+def _monotone_runs(draw):
+    """(plain class, walked class, constructor args, scale, mp, stream): a
+    small unit-weight or float-weight coverage or modular objective under
+    a uniform matroid. ``scale`` is the total weight for float weights
+    and 0 for unit weights."""
+    integer = draw(st.booleans(), label="unit weights")
+    weight = (st.integers(0, 1).map(float) if integer
+              else st.floats(0.0, 100.0, allow_nan=False, allow_infinity=False))
+    n = draw(st.integers(1, 8), label="n")
+    if draw(st.booleans(), label="coverage"):
+        items = draw(st.integers(1, 6))
+        sets = draw(st.lists(st.frozensets(st.integers(0, items - 1)),
+                             min_size=n, max_size=n))
+        weights = draw(st.lists(weight, min_size=items, max_size=items))
+        classes, args = (ms.CoverageOracle, _Walked), (sets, weights)
+    else:
+        weights = draw(st.lists(weight, min_size=n, max_size=n))
+        classes, args = (ms.ModularOracle, _WalkedModular), (weights,)
+    mp = ms.PMatchoid(range(n), [ms.UniformMatroid(range(n),
+                                                   draw(st.integers(1, n)))])
+    scale = 0.0 if integer else sum(weights)
+    return (*classes, args, scale, mp, draw(st.permutations(range(n))))
+
+
+# With float weights the walk re-sums S's prefix in another order than the
+# shortcut's running total, so values may differ in the last bits; every
+# choice (trace actions, eviction sets, solutions) must still agree.
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_monotone_runs())
+def test_shortcut_decides_as_the_walk(case):
+    plain_class, walked_class, args, scale, mp, stream = case
+    decided, calls = [], []
+    for cls in (plain_class, walked_class):
+        oracle, trace = cls(*args), []
+        run = ms.multipass_run(oracle, mp, stream, ms.Schedule.for_matchoid(mp),
+                               3, 0.0, debug=True, trace=trace)
+        decided.append(_decided(run, trace))
+        calls.append(oracle.calls)
+    assert _agree(*decided, scale)
+    assert calls[0] <= calls[1]
 
 
 def test_randomized_call_count_is_pinned():
