@@ -156,8 +156,9 @@ def run_experiment(config):
     Writes the trace CSV and summary JSON when the config names paths.
     The summary always carries f_final, certified factor, oracle calls,
     peak storage, the count of exchanges that skipped the nu suffix walk
-    (``shortcut_exchanges``, over every pass, copy and replicate), wall
-    time, and the optimum value and the ratio
+    (``shortcut_exchanges``) and of accepts whose measured gain was
+    exactly 0 (``zero_gain_accepts``), both over every pass, copy and
+    replicate, wall time, and the optimum value and the ratio
     opt/f_final, which are None when the exact search could examine more
     than ``SUMMARY_OPT_BUDGET`` subsets. The returned dict keeps its
     floats; the file holds ``summary_json``'s strict JSON, with "inf" for
@@ -203,6 +204,8 @@ def run_experiment(config):
             "peak_storage": result.stored_peak,
             "shortcut_exchanges": sum(res.shortcut_exchanges
                                       for res in result.pass_results),
+            "zero_gain_accepts": sum(res.zero_gain_accepts
+                                     for res in result.pass_results),
         })
 
     else:
@@ -212,7 +215,7 @@ def run_experiment(config):
             raise ConfigError("at least one replicate is required")
         columns = RANDOMIZED_TRACE_COLUMNS
         f_bars = []
-        total_calls = shortcuts = 0
+        total_calls = shortcuts = zero_gain = 0
         peak_storage = 0
         for rep in range(config.replicates):
             oracle = inst.build_oracle()
@@ -226,6 +229,8 @@ def run_experiment(config):
                 for row in copy.pass_rows:
                     rows.append({"schema_version": SCHEMA_VERSION, **row})
                 shortcuts += sum(res.shortcut_exchanges
+                                 for res in copy.pass_results)
+                zero_gain += sum(res.zero_gain_accepts
                                  for res in copy.pass_results)
         mean = sum(f_bars) / len(f_bars)
         last = run
@@ -245,6 +250,7 @@ def run_experiment(config):
             "oracle_calls": total_calls,
             "peak_storage": peak_storage,
             "shortcut_exchanges": shortcuts,
+            "zero_gain_accepts": zero_gain,
         })
 
     f_final = summary.get("f_final")

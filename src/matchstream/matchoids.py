@@ -5,6 +5,16 @@ set, with every element belonging to at most p of those subsets;
 ``PMatchoid`` takes p to be the largest such count. A set is feasible
 when its restriction to each matroid's ground subset is independent
 there.
+
+``exchange_set`` picks, for each matroid an arrival x would make
+dependent, the member of S with the smallest cached nu among x's swap
+candidates. For uniform and partition matroids that pick depends on x
+only through a conflict class, ``Matroid.swap_class(x)``: one class for
+a uniform matroid, one per part for a partition matroid. The solution
+state caches each class's pick in ``SolutionState.picks`` until S or nu
+changes, so between two accepts each class is searched once, not once
+per arrival. Kinds with no such class (graphic, transversal, custom)
+search per arrival and store nothing.
 """
 
 from collections import Counter
@@ -42,6 +52,18 @@ class Matroid:
             return None
         return {y for y in s_l if self.independent((s_l - {y}) | {x})}
 
+    def swap_class(self, x):
+        """A hashable key naming x's conflict class, or None for "do not
+        share".
+
+        Contract: two elements of the ground subset, both outside an
+        independent set ``s_l``, that get the same non-None key get the
+        same ``swap_candidates(s_l, .)``. ``exchange_set`` relies on it
+        to reuse one class's pick for every arrival in the class. This
+        base form shares nothing.
+        """
+        return None
+
 
 class UniformMatroid(Matroid):
     kind = "uniform"
@@ -61,6 +83,10 @@ class UniformMatroid(Matroid):
             return None
         inside = s_l & self.ground_subset
         return inside if len(inside) >= self.capacity else None
+
+    def swap_class(self, x):
+        """One class: every arrival competes for the same capacity."""
+        return 0
 
 
 class PartitionMatroid(Matroid):
@@ -100,6 +126,11 @@ class PartitionMatroid(Matroid):
             return None
         in_part = s_l & self.parts[j]
         return in_part if len(in_part) >= self.capacities[j] else None
+
+    def swap_class(self, x):
+        """x's part index; -1 for the elements outside every part, which
+        never conflict."""
+        return self._part_of.get(x, -1)
 
 
 class GraphicMatroid(Matroid):
@@ -203,24 +234,46 @@ def exchange_set(mp, x, state):
     them (it is added once). Returns None for a loop x ({x} dependent),
     which no exchange admits; a matroid naming no swap for another x
     breaks the exchange axiom and raises ``InfeasibilityError``.
+
+    The answer is a function of (mp, x, S, nu) alone. A matroid's pick
+    depends on x only through ``swap_class(x)``, so a non-None class's
+    pick (or None, when the class is not full) is kept in
+    ``state.picks`` under ``(matroid, class)`` and reused by later
+    arrivals of the class until the state drops the cache, which it does
+    whenever S or nu changes. Loops and the ``InfeasibilityError`` path
+    are not cached.
     """
     nu = state.nu
     if x in nu:
         raise PreconditionError(f"element {x} is already in the solution")
+    picks = state.picks
     chosen = set()
     for matroid in mp.matroids:
         if x not in matroid.ground_subset:
             continue
+        key = matroid.swap_class(x)
+        if key is not None:
+            slot = (matroid, key)
+            if slot in picks:
+                pick = picks[slot]
+                if pick is not None:
+                    chosen.add(pick)
+                continue
         # iterates S, not the matroid's whole ground subset
         candidates = matroid.swap_candidates(
             matroid.ground_subset.intersection(nu), x)
         if candidates is None:
-            continue
-        if not candidates:
+            pick = None
+        elif not candidates:
             if not matroid.independent({x}):
                 return None
             raise InfeasibilityError(
                 f"no single swap restores independence for element {x}"
             )
-        chosen.add(min((y for y in nu if y in candidates), key=nu.__getitem__))
+        else:
+            # the first minimum in arrival order
+            pick = min(filter(candidates.__contains__, nu), key=nu.__getitem__)
+            chosen.add(pick)
+        if key is not None:
+            picks[slot] = pick
     return chosen

@@ -12,6 +12,11 @@ then re-walks the suffix from the first evicted position, unless f is
 monotone and every evicted member has nu exactly 0: no survivor's nu
 can then change, and the walk is skipped (``SolutionState.accept``).
 
+The state also caches ``exchange_set``'s per-class swap picks
+(``SolutionState.picks``, see ``matchoids``). Only ``accept`` and the
+public ``recompute_nu`` change S or nu, and both replace the cache with
+an empty one; a new state and a ``copy`` start empty.
+
 A non-initial arrival x clears the threshold whenever
 
     f(x | S) >= alpha + (1 + beta) * sum of nu over its eviction set,
@@ -43,14 +48,18 @@ class SolutionState:
     the arrival order over the whole run. ``evaluator``, the oracle's
     running evaluator of S (see ``objectives``), holds f(S) as ``f_s``;
     ``f_empty`` is f(empty). A pass cannot start from a hand-built state.
+    ``picks`` is ``exchange_set``'s cache of swap picks, keyed by
+    ``(matroid, swap class)``; it holds at most one entry per class and
+    is emptied whenever S or nu changes.
     """
 
-    __slots__ = ("nu", "f_empty", "evaluator")
+    __slots__ = ("nu", "f_empty", "evaluator", "picks")
 
     def __init__(self, nu, f_empty, evaluator=None):
         self.nu = dict(nu)
         self.f_empty = float(f_empty)
         self.evaluator = evaluator
+        self.picks = {}
 
     @classmethod
     def empty(cls, oracle):
@@ -95,6 +104,7 @@ class SolutionState:
         Returns the evicted elements mapped to their incremental value at
         removal, and whether the walk was skipped.
         """
+        self.picks = {}
         nu = self.nu
         if not evict:
             self.evaluator.add(x, meter=False)
@@ -119,8 +129,9 @@ def recompute_nu(state, oracle, start_pos=0):
     After an exchange, only members at or after the first eviction
     position have a changed prefix. A running evaluator of the unchanged
     prefix walks the suffix, one metered call per walked prefix, and then
-    serves as S's evaluator.
+    serves as S's evaluator. The state's swap picks are dropped.
     """
+    state.picks = {}
     order = list(state.nu)
     evaluator = oracle.running(order[:start_pos])
     running = evaluator.total
@@ -188,7 +199,8 @@ class PassRunner:
     endpoints ``f_init`` and ``f_final``, the counters, and the meters.
     ``oracle_calls`` counts the metered calls of the pass's arrivals and
     its finish, not the building of its starting solution;
-    ``shortcut_exchanges`` counts the exchanges that skipped the nu walk;
+    ``shortcut_exchanges`` counts the exchanges that skipped the nu walk
+    and ``zero_gain_accepts`` the accepts whose measured gain was exactly 0;
     ``element_checks`` and ``accept_checks`` count the debug checks (zero
     without debug). A finished runner refuses further arrivals and a
     second finish, so a stored pass does not change.
@@ -224,7 +236,8 @@ class PassRunner:
         self.f_init = self.state.f_s
         self.f_final = None  # set by finish
         self.accept_count = self.reject_count = self.discard_count = 0
-        self.shortcut_exchanges = 0
+        self.shortcut_exchanges = self.zero_gain_accepts = 0
+        self._fresh_members = 0  # members of S outside init_ids
         self.stored_current = self.stored_peak = len(self.init_ids)
         self._finished = False
 
@@ -247,6 +260,9 @@ class PassRunner:
                 _trace_write(self.trace, x, "reject", cx, state)
         if self.debug:
             _check_element(state, self.oracle, self.mp, self.alpha)
+            fresh = len(self.init_ids | state.members) - len(self.init_ids)
+            if fresh != self._fresh_members:
+                raise AssertionError("the count of new members drifted from S")
             self.element_checks += 1
         self.oracle_calls += self.oracle.calls - calls
 
@@ -284,10 +300,15 @@ class PassRunner:
 
     def _threshold(self, x):
         """(cleared, f(x | S), C_x) for x; a loop fails with no oracle call."""
-        cx = exchange_set(self.mp, x, self.state)
+        state = self.state
+        cx = exchange_set(self.mp, x, state)
+        if self.debug:
+            fresh = exchange_set(self.mp, x, SolutionState(state.nu, state.f_empty))
+            if fresh != cx:
+                raise AssertionError(f"cached exchange set {cx} for {x}, not {fresh}")
         if cx is None:
             return False, None, ()
-        evaluator = self.state.evaluator
+        evaluator = state.evaluator
         gain = evaluator.value_with(x) - evaluator.total
         return gain >= self._bar(cx), gain, cx
 
@@ -307,6 +328,8 @@ class PassRunner:
         chi, skipped = state.accept(x, cx, self.oracle, gain)
         self.evicted.update(chi)
         self.shortcut_exchanges += skipped
+        self.zero_gain_accepts += gain == 0.0
+        self._fresh_members += 1 - sum(c not in self.init_ids for c in chi)
         self.accepted.add(x)
         self.accept_count += 1
         _trace_write(self.trace, x, "accept", cx, state)
@@ -318,8 +341,8 @@ class PassRunner:
         """Count the elements held: the initial solution and S, the waiting
         arrivals, and the arrival in hand when ``arriving``. A validated
         stream never repeats an element, so the last two lie outside the
-        first."""
-        size = (len(self.init_ids | self.state.members) + len(self.waiting)
+        first, as do the members of S that ``_fresh_members`` counts."""
+        size = (len(self.init_ids) + self._fresh_members + len(self.waiting)
                 + arriving)
         self.stored_current = size
         if size > self.stored_peak:

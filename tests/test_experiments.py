@@ -153,6 +153,47 @@ def test_summary_counts_shortcut_exchanges(tmp_path):
     assert nonmonotone["shortcut_exchanges"] == 0
 
 
+def _reweighted(tmp_path, path, name, objective):
+    """A copy of the instance file at ``path`` with another objective."""
+    with open(path, encoding="utf-8") as fh:
+        data = json.load(fh)
+    data["objective"] = objective
+    out = str(tmp_path / name)
+    with open(out, "w", encoding="utf-8") as fh:
+        json.dump(data, fh)
+    return out
+
+
+def test_summary_counts_zero_gain_accepts(tmp_path):
+    # saturating unit-weight coverage accepts many zero-gain arrivals;
+    # positive modular weights never do
+    coverage = _write_instance(tmp_path, "coverage+uniform", 7, n=40, items=6,
+                               capacity=8, max_weight=1)
+    monotone = ms.run_experiment(ms.ExperimentConfig(
+        coverage, "monotone-multipass", schedule="matroid", passes=3,
+        shuffle_seed=7))
+    assert monotone["zero_gain_accepts"] > 0
+    # at k = 1 the randomized buffer (m = 16) fills, so both drivers accept
+    single = _write_instance(tmp_path, "coverage+uniform", 7, n=40, items=6,
+                             capacity=1, max_weight=1)
+    modular = _reweighted(tmp_path, single, "modular.json",
+                          {"kind": "modular", "weights": list(range(1, 41))})
+    for algorithm, extra in (("monotone-multipass", {"passes": 2}),
+                             ("nonmonotone-randomized",
+                              {"epsilon": 0.5, "passes": 1, "offline": "heuristic"})):
+        summary = ms.run_experiment(ms.ExperimentConfig(modular, algorithm, **extra))
+        assert summary["zero_gain_accepts"] == 0, algorithm
+    # an objective that is 0 everywhere: every accept has zero gain, and
+    # each replicate counts
+    zero = _reweighted(tmp_path, single, "zero.json",
+                       {"kind": "modular", "weights": [0] * 40})
+    counts = [ms.run_experiment(ms.ExperimentConfig(
+        zero, "nonmonotone-randomized", epsilon=0.5, passes=1,
+        offline="heuristic", replicates=r))["zero_gain_accepts"]
+        for r in (1, 2)]
+    assert counts[0] > 0 and counts[1] == 2 * counts[0]
+
+
 def test_a_run_builds_its_constraint_once(tmp_path, monkeypatch):
     # the driver, every replicate and the exact optimum share one
     # constraint; a null rank in the file makes each build enumerate it

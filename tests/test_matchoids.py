@@ -153,6 +153,13 @@ def test_swap_candidates_match_the_definition():
         got = matroid.swap_candidates(s_l, x)
         assert got == _swaps_by_definition(matroid, s_l, x), (matroid.kind, s_l, x)
         outcomes["none" if got is None else "swap" if got else "stuck"] += 1
+        # swap_class's contract: one non-None key, one candidate set
+        by_class = {}
+        for y in matroid.ground_subset - s_l:
+            key = matroid.swap_class(y)
+            assert key is not None
+            swaps = matroid.swap_candidates(s_l, y)
+            assert by_class.setdefault(key, swaps) == swaps, (matroid.kind, s_l, y)
     assert min(outcomes.values()) > 0, outcomes
 
 
@@ -349,3 +356,117 @@ class _Relabeled(ms.Matroid):
 
     def _independent(self, restricted):
         return self.inner.independent({self.back[e] for e in restricted})
+
+
+# The per-class swap picks that exchange_set keeps on the state
+
+
+def _exchange_by_definition(mp, x, state):
+    """exchange_set from its definition: per matroid containing x, the
+    defining swap set, then the smallest nu, then the earliest arrival."""
+    nu = state.nu
+    chosen = set()
+    for matroid in mp.matroids:
+        if x not in matroid.ground_subset:
+            continue
+        swaps = _swaps_by_definition(matroid, matroid.ground_subset & nu.keys(), x)
+        if swaps is None:
+            continue
+        if not swaps:
+            return None  # in a matroid, only a loop has no swap
+        low = min(nu[y] for y in swaps)
+        chosen.add(next(y for y in nu if y in swaps and nu[y] == low))
+    return chosen
+
+
+def _accept(state, mp, oracle, x):
+    """Exchange x into ``state``; returns accept's walk-skipped flag, or
+    None for a loop, which is left out."""
+    cx = ms.exchange_set(mp, x, state)
+    if cx is None:
+        return None
+    gain = state.evaluator.value_with(x) - state.f_s
+    return state.accept(x, cx, oracle, gain)[1]
+
+
+def test_cached_exchange_sets_match_the_definition():
+    # seeded uniform, partition, graphic and transversal matroids, alone
+    # and intersected in pairs, under accept sequences that take all three
+    # branches; every non-member is asked twice after every step
+    rng = Random(43)
+    branches = {"insert": 0, "shortcut": 0, "walk": 0}
+    hits = 0
+    for trial in range(80):
+        matroids = [_uniform_or_partition(rng) if rng.random() < 0.5
+                    else _random_matroid(rng, 12)
+                    for _ in range(rng.choice((1, 2, 2)))]
+        mp = ms.PMatchoid(range(12), matroids)
+        oracle = ms.ModularOracle([rng.randint(0, 3) for _ in range(12)])
+        state = ms.SolutionState.empty(oracle)
+        for step in range(20):
+            outside = [y for y in range(12) if y not in state.nu]
+            for y in outside:
+                want = _exchange_by_definition(mp, y, state)
+                hits += any(y in m.ground_subset and (m, m.swap_class(y)) in state.picks
+                            for m in mp.matroids)
+                assert ms.exchange_set(mp, y, state) == want, (trial, step, y)
+                assert ms.exchange_set(mp, y, state) == want, (trial, step, y)
+            x = rng.choice(outside)
+            evicting = bool(ms.exchange_set(mp, x, state))
+            skipped = _accept(state, mp, oracle, x)
+            if skipped is None:
+                continue
+            assert state.picks == {}
+            assert mp.feasible(state.members)
+            branches["shortcut" if skipped else "walk" if evicting else "insert"] += 1
+    assert min(branches.values()) > 0, branches
+    assert hits > 0
+
+
+def test_swap_picks_follow_the_state():
+    oracle = ms.ModularOracle([3, 0, 2, 1, 5, 4])
+    uniform = ms.UniformMatroid(range(6), 2)
+    mp = ms.PMatchoid(range(6), [uniform])
+    state = ms.SolutionState.empty(oracle)
+    for x, branch in ((0, False), (1, False), (2, True), (4, False)):
+        # insert, insert, shortcut (evicts 1 at nu 0), walk (evicts 2)
+        ms.exchange_set(mp, x, state)
+        assert state.picks
+        assert _accept(state, mp, oracle, x) is branch
+        assert state.picks == {}
+    assert list(state.nu) == [0, 4]
+    assert ms.exchange_set(mp, 3, state) == {0}
+    assert state.picks == {(uniform, 0): 0}
+    # a copy starts with its own empty cache
+    copy = state.copy()
+    assert copy.picks == {} and copy.picks is not state.picks
+    assert ms.exchange_set(mp, 5, copy) == {0}
+    copy.picks[(uniform, 0)] = 4
+    assert state.picks == {(uniform, 0): 0}
+    # the public nu refresh drops the cache too
+    ms.recompute_nu(state, oracle)
+    assert state.picks == {}
+
+
+def test_graphic_matchoid_caches_nothing():
+    endpoints = {0: (0, 1), 1: (1, 2), 2: (2, 0), 3: (2, 3)}
+    graphic = ms.GraphicMatroid(set(endpoints), endpoints)
+    assert graphic.swap_class(2) is None
+    mp = ms.PMatchoid(range(4), [graphic])
+    state = _state([0, 1], {0: 2.0, 1: 1.0})
+    assert ms.exchange_set(mp, 2, state) == {1}
+    assert ms.exchange_set(mp, 3, state) == set()
+    assert state.picks == {}
+
+
+def test_one_state_under_two_matchoids():
+    # the same conflict key (class 0 of matroid 0) names different
+    # matroids in the two constraints, which must not share a pick
+    state = _state([0, 1], {0: 1.0, 1: 2.0})
+    by_capacity = ms.PMatchoid(range(4), [ms.UniformMatroid(range(4), 2)])
+    by_part = ms.PMatchoid(range(4), [
+        ms.PartitionMatroid(range(4), [[1, 2], [0, 3]], [1, 1])])
+    for _ in range(2):
+        assert ms.exchange_set(by_capacity, 2, state) == {0}
+        assert ms.exchange_set(by_part, 2, state) == {1}
+    assert len(state.picks) == 2

@@ -494,3 +494,33 @@ def test_direct_sum_of_matroids_runs_the_harmonic_schedule():
     for copy in run.copies:
         assert [row["gamma_certified"] for row in copy.pass_rows] == \
             pytest.approx([4.0, 3.0, 8.0 / 3.0, 2.5])
+
+
+class _UnionStorage(ms.RandomizedPassRunner):
+    """Counts storage from the union of the initial solution and S."""
+
+    def _note_storage(self, arriving):
+        size = (len(self.init_ids | self.state.members) + len(self.waiting)
+                + arriving)
+        self.stored_current = size
+        self.stored_peak = max(self.stored_peak, size)
+
+
+def test_storage_count_matches_the_union_when_initial_members_leave():
+    oracle = ms.ModularOracle([1, 1, 1, 4, 5, 6, 7, 2])
+    mp = _uniform_mp(8, 3)
+    first = ms.streaming_pass(oracle, mp, [0, 1, 2], require_full_stream=False)
+    runs = []
+    for runner_class in (ms.RandomizedPassRunner, _UnionStorage):
+        runner = runner_class(oracle, mp, first.state, 0.0, 1.0, m=2,
+                              rng=Random(3), debug=True)
+        held = []
+        for x in range(8):
+            runner.process(x)
+            held.append(runner.stored_current)
+        runner.finish()
+        runs.append((held, runner.stored_peak, runner.evicted))
+    (held, peak, evicted), union = runs
+    assert (held, peak, evicted) == union
+    assert len(evicted.keys() & first.state.members) == 3
+    assert peak == 7

@@ -291,3 +291,16 @@ def test_debug_check_catches_a_drift_at_large_scale():
     with pytest.raises(AssertionError, match="running evaluator"):
         ms.streaming_pass(oracle, mp, [0], first.state, debug=True,
                           require_full_stream=False)
+
+
+def test_zero_gain_accepts_are_counted():
+    _, run = _multipass_pin_run()
+    zero = [r.zero_gain_accepts for r in run.pass_results]
+    assert sum(zero) > 0
+    assert all(z <= r.accept_count for z, r in zip(zero, run.pass_results))
+    # every accept of positive modular weights at alpha 0 gains its weight
+    mp = ms.PMatchoid(range(6), [ms.UniformMatroid(range(6), 2)])
+    modular = ms.multipass_run(ms.ModularOracle([1, 2, 3, 4, 5, 6]), mp,
+                               range(6), ms.Schedule.for_matchoid(mp), 2, 0.0)
+    assert sum(r.accept_count for r in modular.pass_results) > 0
+    assert [r.zero_gain_accepts for r in modular.pass_results] == [0, 0]

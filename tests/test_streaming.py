@@ -287,3 +287,16 @@ def test_start_state_evaluator_must_hold_its_members(held):
     state = ms.SolutionState({0: 2.0}, 0.0, oracle.running(held, meter=False))
     with pytest.raises(ms.PreconditionError, match="another set"):
         ms.streaming_pass(oracle, mp, [0, 1, 2], state)
+
+
+def test_debug_check_catches_a_stale_swap_pick():
+    # the cached pick names a member of S that is not the smallest nu
+    oracle = ms.ModularOracle([3, 1, 2, 4])
+    uniform = ms.UniformMatroid(range(4), 2)
+    mp = ms.PMatchoid(range(4), [uniform])
+    runner = ms.PassRunner(oracle, mp, None, 0.0, 1.0, debug=True)
+    for x in (0, 1):
+        runner.process(x)
+    runner.state.picks[(uniform, 0)] = 0
+    with pytest.raises(AssertionError, match="cached exchange set"):
+        runner.process(2)
