@@ -180,23 +180,31 @@ def enumerate_opt_unpruned(oracle, mp):
     return ExactResult(best_set, best_val, examined)
 
 
-def offline_greedy(oracle, mp):
-    """Repeatedly add the feasible element with the largest positive
-    marginal; ties go to the smallest id."""
-    chosen = set()
-    current = oracle.value(())
-    elems = sorted(oracle.ground)
-    while True:
-        best_e = None
-        best_gain = 0.0
-        for e in elems:
-            if e in chosen or not mp.feasible(chosen | {e}):
+def offline_greedy(oracle, mp, candidates=None):
+    """Add the feasible candidate (of the ground set by default) with the
+    largest positive marginal until none is left, ties to the smallest id,
+    measuring each gain with one metered ``value_with`` on one running
+    evaluator. A submodular f is searched lazily (Minoux 1978): of the heap
+    entries (-gain, id, |S| when measured), a stale top is measured again
+    and a current one added, as stale gains bound current ones from above;
+    an entry leaves once infeasible (downward closure) or at gain <= 0
+    (submodularity). Without it (``TableOracle``) each round measures all.
+    """
+    running = oracle.running(())
+    heap = [(-math.inf, e, -1) for e in sorted(
+        oracle.ground if candidates is None else set(candidates))]
+    while heap and heap[0][0] < 0.0:  # until the top is a measured gain <= 0
+        _, e, size = heap[0]
+        if size == len(running.members):
+            heapq.heappop(heap)
+            running.add(e, meter=False)
+            if not oracle.submodular:
+                heap = sorted((-math.inf, x, -1) for _, x, _ in heap)
+            continue
+        if mp.feasible(running.members | {e}):
+            gain = running.value_with(e) - running.total
+            if gain > 0.0 or not oracle.submodular:
+                heapq.heapreplace(heap, (-gain, e, len(running.members)))
                 continue
-            gain = oracle.value(chosen | {e}) - current
-            if gain > best_gain:
-                best_e = e
-                best_gain = gain
-        if best_e is None:
-            return frozenset(chosen)
-        chosen.add(best_e)
-        current += best_gain
+        heapq.heappop(heap)
+    return frozenset(running.members)

@@ -8,8 +8,8 @@ threshold data (gain and eviction set). When the buffer fills, one
 element is drawn uniformly at random, exchanged into the solution, and
 the remaining buffered elements are re-screened against the updated
 solution; a buffer of one is the immediate policy.
-Whatever survives in the buffer at the end of the pass feeds an offline
-solver, whose best output so far is tracked as a second candidate
+What survives in the buffer at the end of the pass feeds an offline
+solver (exact, or Sample Greedy), whose best output is a second candidate
 solution; the run returns the better of the streaming and offline
 solutions.
 
@@ -24,13 +24,13 @@ counts are its own even though the copies share one oracle.
 """
 
 import math
-from itertools import islice
 from random import Random
 
-from .baselines import check_exact_budget, greedy_basis, max_feasible_subset
+from .baselines import check_exact_budget, greedy_basis, max_feasible_subset, offline_greedy
 from .errors import ConfigError, PreconditionError
 from .matchoids import exchange_set
 from .multipass import Schedule
+# streaming_pass is unused here, but perfbench's tracer wraps this binding
 from .streaming import PassRunner, streaming_pass, validate_stream
 
 OFFLINE_MODES = ("exact", "heuristic")
@@ -164,7 +164,7 @@ class RandomizedPassRunner(PassRunner):
             raise PreconditionError("runner already finished")
         calls = self.oracle.calls
         s_prime = offline_solve(self.oracle, self.mp, self.buffer.members,
-                                mode=offline_mode)
+                                mode=offline_mode, rng=self.rng)
         self.f_s_prime = self.oracle.value(s_prime)
         self.s_prime = frozenset(s_prime)
         self.oracle_calls += self.oracle.calls - calls
@@ -176,7 +176,7 @@ def randomized_pass(oracle, mp, stream, s_init, alpha, beta, m, rng, *,
                     offline_mode="exact", debug=False):
     """Run one randomized buffered pass over a full stream; returns the
     finished ``RandomizedPassRunner``."""
-    order = validate_stream(stream, oracle.ground, require_full=True)
+    order = validate_stream(stream, oracle.ground)
     runner = RandomizedPassRunner(oracle, mp, s_init, alpha, beta, m, rng,
                                   debug=debug)
     for x in order:
@@ -184,33 +184,27 @@ def randomized_pass(oracle, mp, stream, s_init, alpha, beta, m, rng, *,
     return runner.finish(offline_mode)
 
 
-def _heuristic_steps(p):
-    """The heuristic offline solver's plan: the first 2p (beta, gamma)
-    steps of the p-matchoid recurrence schedule."""
-    return list(islice(Schedule.matchoid_recurrence(p).steps(), 2 * p))
+def offline_solve(oracle, mp, candidates, mode="exact", rng=None):
+    """Best feasible subset of the candidate pool, exactly or by Sample Greedy.
 
-
-def offline_solve(oracle, mp, candidates, mode="exact"):
-    """Best feasible subset of the candidate pool.
-
-    ``exact`` is ``max_feasible_subset``'s branch-and-bound, which cuts
-    infeasible branches and, for a submodular objective, subtrees its
-    upper bound shows cannot beat the best set so far, within its work
-    budget. ``heuristic`` chains 2p streaming passes over the pool in
-    ascending-id order, stepped by ``_heuristic_steps``; the objective
-    value never decreases across those passes, so the last solution is
-    the best one found.
+    ``exact`` is ``max_feasible_subset``'s branch-and-bound, within its work
+    budget. ``heuristic`` is Sample Greedy (Feldman, Harshaw and Karbasi
+    2017): ``offline_greedy`` over the pool elements, in ascending id order,
+    that a draw from ``rng`` keeps with probability 1/(p+1) (no ``rng`` is a
+    ``ConfigError``); E f >= p OPT / (p+1)^2 for non-negative submodular f
+    on a p-extendible system. A p-matchoid is one: for feasible A <= B and
+    A + e, each of the at most p matroids M_l holding e has (B & M_l) + e
+    independent or with one circuit, which meets B - A as (A & M_l) + e is
+    independent, so B - Z + e is feasible for Z one such z_l per M_l.
     """
     if mode not in OFFLINE_MODES:
         raise ConfigError(f"unknown offline mode: {mode}")
     pool = sorted(set(candidates))
     if mode == "exact":
         return max_feasible_subset(oracle, mp, pool).opt_set
-    state = None
-    for beta, _ in _heuristic_steps(mp.p):
-        state = streaming_pass(oracle, mp, pool, state, 0.0, beta,
-                               require_full_stream=False).state
-    return frozenset(state.members)
+    if rng is None:
+        raise ConfigError("the heuristic offline mode needs a seeded random generator")
+    return offline_greedy(oracle, mp, [e for e in pool if rng.random() < 1.0 / (mp.p + 1)])
 
 
 class LambdaCopyResult:
@@ -302,10 +296,9 @@ def multipass_randomized(oracle, mp, stream, epsilon, passes=None, seed=0, *,
     that schedule's worst-case factor.
 
     ``gamma_off`` reports the offline solver's factor; nothing in the run
-    depends on it. It is 1 for the exact solver, and for the heuristic the
-    worst-case factor of the last of its 2p recurrence steps (p + 3), the
-    monotone multi-pass factor, on a monotone oracle class, else inf (no
-    claim).
+    depends on it: 1 for the exact solver, and (p+1)^2/p, Sample Greedy's
+    factor in expectation, for the heuristic, which samples from each copy's
+    generator.
 
     An unknown offline mode raises ``ConfigError``, and an exact mode over
     the work budget ``SizeError``, before any oracle call: a residual pool
@@ -317,7 +310,7 @@ def multipass_randomized(oracle, mp, stream, epsilon, passes=None, seed=0, *,
         raise PreconditionError("epsilon must lie in (0, 1/2]")
     if offline_mode not in OFFLINE_MODES:
         raise ConfigError(f"unknown offline mode: {offline_mode}")
-    order = validate_stream(stream, oracle.ground, require_full=True)
+    order = validate_stream(stream, oracle.ground)
     p = mp.p
     k = mp.rank_k
     eps_prime = epsilon / p
@@ -354,6 +347,5 @@ def multipass_randomized(oracle, mp, stream, epsilon, passes=None, seed=0, *,
         solution=best.solution, f_solution=best.f_best, copies=copies,
         grid=grid, passes_used=d + 1, space_peak=space_peak,
         space_bound=len(grid.lambdas) * (m + 3 * k), d=d, m=m,
-        gamma_off=(1.0 if offline_mode == "exact" else math.inf if not oracle.monotone
-                   else _heuristic_steps(p)[-1][1]),
+        gamma_off=1.0 if offline_mode == "exact" else (p + 1) ** 2 / p,
     )

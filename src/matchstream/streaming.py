@@ -156,7 +156,7 @@ def nu_by_definition(state, oracle):
     return out
 
 
-def validate_stream(stream, ground, require_full=True):
+def validate_stream(stream, ground):
     order = [int(x) for x in stream]
     seen = set(order)
     if len(seen) != len(order):
@@ -165,7 +165,7 @@ def validate_stream(stream, ground, require_full=True):
         raise DomainError(
             f"stream elements {sorted(seen - ground)} are outside the ground set"
         )
-    if require_full and seen != ground:
+    if seen != ground:
         raise PreconditionError("stream must present every ground element exactly once")
     return order
 
@@ -350,10 +350,10 @@ class PassRunner:
 
 
 def streaming_pass(oracle, mp, stream, s_init=None, alpha=0.0, beta=1.0, *,
-                   debug=False, trace=None, require_full_stream=True):
+                   debug=False, trace=None):
     """Process one pass of the stream against an optional initial solution
     with the immediate policy; returns the finished ``PassRunner``."""
-    order = validate_stream(stream, oracle.ground, require_full_stream)
+    order = validate_stream(stream, oracle.ground)
     runner = PassRunner(oracle, mp, s_init, alpha, beta, debug=debug,
                         trace=trace)
     for x in order:

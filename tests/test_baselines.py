@@ -185,6 +185,59 @@ def test_greedy_feasible_and_never_beats_opt():
         assert oracle.peek(chosen) <= opt.opt_value + TOL
 
 
+def _plain_greedy(oracle, mp, candidates=None):
+    """Reference: the non-lazy greedy, each round measuring every feasible
+    candidate with one ``value`` call; ties go to the smallest id."""
+    chosen = set()
+    current = oracle.value(())
+    elems = sorted(oracle.ground if candidates is None else set(candidates))
+    while True:
+        best_e = None
+        best_gain = 0.0
+        for e in elems:
+            if e in chosen or not mp.feasible(chosen | {e}):
+                continue
+            gain = oracle.value(chosen | {e}) - current
+            if gain > best_gain:
+                best_e = e
+                best_gain = gain
+        if best_e is None:
+            return frozenset(chosen)
+        chosen.add(best_e)
+        current += best_gain
+
+
+def test_lazy_greedy_picks_as_the_plain_greedy():
+    # integer weights make every gain exact, so the lazy search must pick
+    # the same set as re-measuring every candidate each round, over the
+    # ground set and over a random pool, and never with more calls
+    rng = Random(31)
+    saved = 0
+    for family in ms.FAMILIES:
+        for seed in range(12):
+            inst = ms.generate_instance(family, seed)
+            mp = inst.build_matchoid()
+            pool = rng.sample(range(inst.n), rng.randint(0, inst.n))
+            for candidates in (None, pool):
+                lazy, plain = inst.build_oracle(), inst.build_oracle()
+                got = ms.offline_greedy(lazy, mp, candidates)
+                assert got == _plain_greedy(plain, mp, candidates)
+                assert lazy.calls <= plain.calls
+                saved += plain.calls - lazy.calls
+    assert saved > 0
+
+
+def test_greedy_remeasures_every_gain_without_submodularity():
+    # f(2) = 0 alone, but f(2 | {0}) = 7: a lazy search would drop 2 for
+    # good at gain 0 and end at {0, 1}; the table is not submodular, so
+    # every gain is measured again after the first pick
+    table = [0, 3, 1, 4, 0, 10, 1, 10]
+    oracle = ms.TableOracle(3, table)
+    mp = _uniform_mp(3, 2)
+    assert ms.offline_greedy(oracle, mp) == {0, 2}
+    assert ms.offline_greedy(oracle, mp) == _plain_greedy(ms.TableOracle(3, table), mp)
+
+
 def test_greedy_achieves_p_plus_one_factor():
     builders = ((coverage_uniform, 1), (bipartite_matching, 2),
                 (hypergraph_matching, 3))

@@ -215,7 +215,14 @@ def test_printed_summaries_are_strict_json(tmp_path, capsys):
     assert main(["run-nonmonotone", "--instance", cut, "--epsilon", "0.5",
                  "--passes", "1", "--offline", "heuristic"]) == 0
     printed = json.loads(capsys.readouterr().out, parse_constant=refuse)
-    assert printed["gamma_off"] == "inf"
+    assert printed["gamma_off"] == 4.0
+    # alpha rejects every arrival, so the final factor is infinite
+    cov = str(tmp_path / "cov.json")
+    ms.save_instance(ms.generate_instance("coverage+uniform", 0), cov)
+    assert main(["run-monotone", "--instance", cov, "--passes", "2",
+                 "--alpha", "1000"]) == 0
+    printed = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    assert printed["gamma_certified_final"] == "inf"
 
 
 def test_mislabelled_monotone_file_exits_2_naming_the_path(tmp_path, capsys):

@@ -279,18 +279,21 @@ def test_summaries_are_strict_json(tmp_path):
     cut = _write_instance(tmp_path, "directed-cut+matroid", 0)
     cov = _write_instance(tmp_path)
     cases = (
+        # Sample Greedy's (p+1)^2/p at p = 1
         (ms.ExperimentConfig(cut, "nonmonotone-randomized", epsilon=0.5,
-                             passes=1, offline="heuristic"), "gamma_off"),
+                             passes=1, offline="heuristic"), "gamma_off",
+         4.0, 4.0),
         # alpha rejects every arrival, so each pass ends at f = 0
         (ms.ExperimentConfig(cov, "monotone-multipass", passes=2,
-                             alpha=1000.0), "gamma_certified_final"),
+                             alpha=1000.0), "gamma_certified_final",
+         math.inf, "inf"),
     )
-    for config, key in cases:
+    for config, key, value, text in cases:
         config.summary = str(tmp_path / "summary.json")
         summary = ms.run_experiment(config)
-        assert summary[key] == math.inf
+        assert summary[key] == value
         with open(config.summary, encoding="utf-8") as fh:
             written = json.loads(fh.read(), parse_constant=_refuse_constant)
-        assert written[key] == "inf"
+        assert written[key] == text
     with pytest.raises(ValueError):
         ms.experiments.summary_json({"f_final": math.nan})

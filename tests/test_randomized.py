@@ -247,41 +247,101 @@ def test_unknown_offline_mode_is_rejected_before_any_call():
     assert oracle.calls == 0
 
 
-def test_heuristic_offline_steps_by_the_recurrence_schedule():
-    # a p=2 pool where the recurrence steps (1, 5/9, ...) and the harmonic
-    # steps (1, 1/2, 1/3, 1/4) end on different solutions
+def test_heuristic_offline_is_greedy_on_a_sample():
+    # each pool element, in ascending id order, is kept when the next
+    # draw of the generator falls below 1/(p+1); the greedy then runs on
+    # the sample alone
     inst = ms.generate_instance("bipartite-matching", 54, left=5, right=5,
                                 edges=14)
     oracle, mp = inst.build_oracle(), inst.build_matchoid()
     assert mp.p == 2
     pool = list(range(inst.n))
-    got = ms.offline_solve(oracle, mp, pool, mode="heuristic")
-
-    def chained(betas):
-        state = None
-        for beta in betas:
-            state = ms.streaming_pass(oracle, mp, pool, state, 0.0, beta,
-                                      require_full_stream=False).state
-        return frozenset(state.members)
-
-    steps = ms.Schedule.matchoid_recurrence(2).steps()
-    assert got == chained(beta for _, (beta, _) in zip(range(4), steps))
-    assert got != chained(1.0 / i for i in range(1, 5))
-    # the reported factor is that schedule's worst case after its 2p
-    # passes for a monotone objective, and no claim (inf) for the cut
+    sizes = set()
+    for seed in range(10):
+        got = ms.offline_solve(oracle, mp, reversed(pool), mode="heuristic",
+                               rng=Random(seed))
+        draws = Random(seed)
+        sample = [e for e in pool if draws.random() < 1.0 / 3.0]
+        assert got == ms.offline_greedy(oracle, mp, sample)
+        sizes.add(len(sample))
+    assert len(sizes) > 1
+    # the reported factor is Sample Greedy's (p+1)^2/p on every class
     ps = []
-    for family in ("directed-cut+matroid", "bipartite-matching",
-                   "3-uniform-hypergraph-matching"):
+    for family in ("directed-cut+matroid", "coverage+uniform",
+                   "bipartite-matching", "3-uniform-hypergraph-matching"):
         inst = ms.generate_instance(family, 0)
         mp = inst.build_matchoid()
-        oracle = inst.build_oracle()
-        run = ms.multipass_randomized(oracle, mp, ms.stream_order(inst.n),
-                                      0.5, passes=1, offline_mode="heuristic")
-        plan = ms.Schedule.matchoid_recurrence(mp.p).steps()
-        last_gamma = [gamma for _, (_, gamma) in zip(range(2 * mp.p), plan)][-1]
-        assert run.gamma_off == (last_gamma if oracle.monotone else math.inf)
+        run = ms.multipass_randomized(inst.build_oracle(), mp,
+                                      ms.stream_order(inst.n), 0.5, passes=1,
+                                      offline_mode="heuristic")
+        assert run.gamma_off == (mp.p + 1) ** 2 / mp.p
         ps.append(mp.p)
-    assert ps == [1, 2, 3]
+    assert ps == [1, 1, 2, 3]
+
+
+def test_heuristic_offline_needs_a_generator():
+    inst = directed_cut(0)
+    oracle = inst.build_oracle()
+    with pytest.raises(ms.ConfigError, match="random generator"):
+        ms.offline_solve(oracle, inst.build_matchoid(), range(inst.n),
+                         mode="heuristic")
+    assert oracle.calls == 0
+
+
+def _sample_greedy_mean(oracle, mp, pool, draws):
+    """Mean and standard error of f(heuristic solve) over ``draws`` seeds."""
+    values = [oracle.peek(ms.offline_solve(oracle, mp, pool, mode="heuristic",
+                                           rng=Random(seed)))
+              for seed in range(draws)]
+    mean = sum(values) / draws
+    se = math.sqrt(sum((v - mean) ** 2 for v in values) / (draws - 1) / draws)
+    return mean, se
+
+
+def test_sample_greedy_repro_is_not_blocked_by_zero_gains():
+    # the chained alpha = 0 passes this mode replaced accepted all five
+    # vertices at gain 0 here and returned f = 0 against OPT = 3
+    cut = ms.DirectedCutOracle(5, [(3, 0, 1), (4, 1, 2)])
+    mp = ms.PMatchoid(range(5), [ms.UniformMatroid(range(5), 5)])
+    opt = ms.brute_force_opt(cut, mp).opt_value
+    assert opt == 3
+    mean, _ = _sample_greedy_mean(cut, mp, range(5), 200)
+    assert mean >= opt / 4
+
+
+def _small_cut_pool(seed, p):
+    """A 4-9 vertex cut with integer arc weights under a uniform matroid,
+    intersected at p = 2 with a two-part partition matroid."""
+    rng = Random(seed)
+    n = rng.randint(4, 9)
+    arcs = [(u, v, rng.randint(1, 4)) for u in range(n) for v in range(n)
+            if u != v and rng.random() < 0.4]
+    matroids = [ms.UniformMatroid(range(n), rng.randint(1, n))]
+    if p == 2:
+        matroids.append(ms.PartitionMatroid(
+            range(n), [range(n // 2), range(n // 2, n)],
+            [rng.randint(1, 2), rng.randint(1, 2)]))
+    return ms.DirectedCutOracle(n, arcs), ms.PMatchoid(range(n), matroids)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_sample_greedy_mean_is_within_its_factor(p):
+    # E f(heuristic) >= p/(p+1)^2 OPT for non-negative submodular f on a
+    # p-matchoid: checked exactly, over every sample with its probability,
+    # and on the mean of 200 seeded solves less three standard errors
+    gamma = (p + 1) ** 2 / p
+    for seed in range(25):
+        oracle, mp = _small_cut_pool(seed, p)
+        assert mp.p == p
+        n = len(oracle.ground)
+        opt = ms.brute_force_opt(oracle, mp).opt_value
+        expected = math.fsum(
+            p ** (n - len(sample)) / (p + 1) ** n
+            * oracle.peek(ms.offline_greedy(oracle, mp, sample))
+            for r in range(n + 1) for sample in combinations(range(n), r))
+        assert expected * gamma >= opt
+        mean, se = _sample_greedy_mean(oracle, mp, range(n), 200)
+        assert (mean - 3.0 * se) * gamma >= opt
 
 
 def test_offline_heuristic_is_feasible_and_never_beats_exact():
@@ -291,7 +351,8 @@ def test_offline_heuristic_is_feasible_and_never_beats_exact():
         oracle = inst.build_oracle()
         mp = inst.build_matchoid()
         pool = sorted(rng.sample(range(inst.n), rng.randint(2, inst.n)))
-        heur = ms.offline_solve(oracle, mp, pool, mode="heuristic")
+        heur = ms.offline_solve(oracle, mp, pool, mode="heuristic",
+                                rng=Random(len(pool)))
         exact = ms.offline_solve(oracle, mp, pool, mode="exact")
         assert mp.feasible(heur)
         assert heur <= set(pool)
@@ -356,19 +417,15 @@ def test_offline_factor_reported_not_claimed():
                                        ms.stream_order(inst.n), 0.5,
                                        passes=1, seed=0,
                                        offline_mode="heuristic")
-    # p + 3 is the monotone multi-pass factor, and the heuristic breaks it
-    # on a cut: it accepts all five vertices at gain 0, f = 0 against 3
-    assert heur_run.gamma_off == math.inf
-    cut = ms.DirectedCutOracle(5, [(3, 0, 1), (4, 1, 2)])
-    mp = ms.PMatchoid(range(5), [ms.UniformMatroid(range(5), 5)])
-    assert cut.value(ms.offline_solve(cut, mp, range(5), mode="heuristic")) == 0
-    assert ms.brute_force_opt(cut, mp).opt_value == 3
-    # a monotone objective keeps the claim
+    # Sample Greedy's (p+1)^2/p at p = 1, on the cut and on a monotone
+    # objective alike
+    assert heur_run.gamma_off == 4.0
     cover = coverage_uniform(1)
     run = ms.multipass_randomized(cover.build_oracle(), cover.build_matchoid(),
                                   ms.stream_order(cover.n), 0.5, passes=1,
                                   offline_mode="heuristic")
-    assert run.gamma_off == cover.build_matchoid().p + 3.0
+    assert cover.build_matchoid().p == 1
+    assert run.gamma_off == 4.0
 
 
 def test_exact_mode_guarantee_where_buffers_fill():
@@ -509,7 +566,9 @@ class _UnionStorage(ms.RandomizedPassRunner):
 def test_storage_count_matches_the_union_when_initial_members_leave():
     oracle = ms.ModularOracle([1, 1, 1, 4, 5, 6, 7, 2])
     mp = _uniform_mp(8, 3)
-    first = ms.streaming_pass(oracle, mp, [0, 1, 2], require_full_stream=False)
+    # beta = 10 sets the exchange bar at 11 > 7: S stays {0, 1, 2}
+    first = ms.streaming_pass(oracle, mp, range(8), None, 0.0, 10.0)
+    assert list(first.state.nu) == [0, 1, 2]
     runs = []
     for runner_class in (ms.RandomizedPassRunner, _UnionStorage):
         runner = runner_class(oracle, mp, first.state, 0.0, 1.0, m=2,

@@ -235,18 +235,18 @@ def test_randomized_call_count_is_pinned():
     res = ms.multipass_randomized(oracle, mp, ms.stream_order(inst.n, 3), 0.5,
                                   passes=2, seed=11, offline_mode="heuristic")
     assert [[row["accepts"] for row in c.pass_rows] for c in res.copies] == [[3, 0], [3, 0]]
-    assert res.f_solution == 53.0
-    assert oracle.calls == 2269
+    assert res.f_solution == 56.0
+    assert oracle.calls == 2132
 
 
 def test_debug_check_catches_a_drifted_evaluator():
     oracle = ms.ModularOracle([1, 2, 3])
     mp = ms.PMatchoid(range(3), [ms.UniformMatroid(range(3), 2)])
-    first = ms.streaming_pass(oracle, mp, [0], require_full_stream=False)
+    first = ms.streaming_pass(oracle, mp, [0, 1, 2])
+    assert list(first.state.nu) == [1, 2]
     first.state.evaluator.total += 1.0
     with pytest.raises(AssertionError, match="running evaluator"):
-        ms.streaming_pass(oracle, mp, [0], first.state, debug=True,
-                          require_full_stream=False)
+        ms.streaming_pass(oracle, mp, [0, 1, 2], first.state, debug=True)
 
 
 # Weights far above 1: the debug checks' tolerance is relative to f(S),
@@ -286,11 +286,11 @@ def test_debug_checks_scale_with_f_on_a_large_cut():
 def test_debug_check_catches_a_drift_at_large_scale():
     oracle = ms.ModularOracle(LARGE_WEIGHTS[0])
     mp = ms.PMatchoid(range(4), [ms.UniformMatroid(range(4), 3)])
-    first = ms.streaming_pass(oracle, mp, [0, 1, 2], require_full_stream=False)
+    first = ms.streaming_pass(oracle, mp, [0, 1, 2, 3])
+    assert list(first.state.nu) == [1, 2, 3]
     first.state.evaluator.total += 1.0
     with pytest.raises(AssertionError, match="running evaluator"):
-        ms.streaming_pass(oracle, mp, [0], first.state, debug=True,
-                          require_full_stream=False)
+        ms.streaming_pass(oracle, mp, [0, 1, 2, 3], first.state, debug=True)
 
 
 def test_zero_gain_accepts_are_counted():

@@ -192,9 +192,12 @@ def test_stream_validation():
         ms.streaming_pass(oracle, mp, [0, 0, 1], None)
     with pytest.raises(ms.DomainError):
         ms.streaming_pass(oracle, mp, [0, 1, 5], None)
+    # a partial stream is refused by every pass, before any oracle call
     with pytest.raises(ms.PreconditionError):
         ms.streaming_pass(oracle, mp, [0], None)   # element 1 missing
-    ms.streaming_pass(oracle, mp, [0], None, require_full_stream=False)
+    with pytest.raises(ms.PreconditionError):
+        ms.randomized_pass(oracle, mp, [1], None, 0.0, 1.0, 2, Random(0))
+    assert oracle.calls == 0
 
 
 def test_negative_parameters_rejected():
@@ -220,11 +223,11 @@ def test_start_state_needs_an_evaluator_on_the_pass_oracle():
     mp = ms.PMatchoid(range(3), [ms.UniformMatroid(range(3), 3)])
     with pytest.raises(ms.PreconditionError):
         ms.streaming_pass(oracle, mp, [0, 1, 2], ms.SolutionState({0: 2.0}, 0.0))
-    first = ms.streaming_pass(ms.ModularOracle([2, 1, 1]), mp, [0], None,
-                              require_full_stream=False)
+    # alpha = 1.5 keeps element 0 (gain 2) alone: S = {0}, f(S) = 2
+    first = ms.streaming_pass(ms.ModularOracle([2, 1, 1]), mp, [0, 1, 2], None, 1.5)
     with pytest.raises(ms.PreconditionError):
         ms.streaming_pass(oracle, mp, [0, 1, 2], first.state)
-    first = ms.streaming_pass(oracle, mp, [0], None, require_full_stream=False)
+    first = ms.streaming_pass(oracle, mp, [0, 1, 2], None, 1.5)
     res = ms.streaming_pass(oracle, mp, [0, 1, 2], first.state)
     assert res.f_init == 2.0 and res.f_final == 4.0
     assert res.accept_count == 2
