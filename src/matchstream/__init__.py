@@ -4,8 +4,7 @@ factors, a randomized buffered variant for non-monotone objectives, exact
 baselines, and an experiment harness."""
 
 from .baselines import (ExactResult, brute_force_opt, compute_rank,
-                        enumerate_opt_unpruned, max_feasible_subset,
-                        offline_greedy)
+                        max_feasible_subset, offline_greedy)
 from .errors import (ConfigError, DomainError, InfeasibilityError,
                      MatchstreamError, PreconditionError, SizeError)
 from .experiments import (ExperimentConfig, build_schedule, report_rows,

@@ -4,9 +4,8 @@
 ``max_feasible_subset``, a depth-first branch-and-bound: supersets of
 infeasible sets are skipped (downward closure), and for a submodular
 objective a subtree is cut when the upper bound of Nemhauser, Wolsey and
-Fisher (1978) cannot beat the best set found so far.
-``enumerate_opt_unpruned`` walks all bitmasks; the two are kept as
-independent code paths so each can vouch for the other.
+Fisher (1978) cannot beat the best set found so far. The tests keep an
+unpruned walk over every bitmask as an independent check of it.
 """
 
 import heapq
@@ -42,20 +41,21 @@ def greedy_basis(mp, elems):
     matroid, and every maximal feasible subset has this size, the rank."""
     basis = set()
     for e in elems:
-        basis.add(e)
-        if not mp.feasible(basis):
-            basis.remove(e)
+        if mp.feasible_with(basis, e):
+            basis.add(e)
     return basis
 
 
 def max_feasible_subset(oracle, mp, candidates):
     """Best feasible subset of ``candidates`` by depth-first branch-and-bound.
 
-    The search walks subsets in lexicographic order. At a node C it makes
-    one unmetered running evaluator for C and evaluates every feasible
-    child C + e (e after C's last element) with one metered
-    ``value_with``, so each feasible subset the search reaches costs one
-    counted call, the empty set included. The incumbent is updated in
+    The search walks subsets in lexicographic order. At a node C it holds
+    an unmetered running evaluator of C, its parent's ``copy()`` plus one
+    unmetered ``add``, and evaluates every feasible child C + e (e after
+    C's last element) with one metered ``value_with``, so each feasible
+    subset the search reaches costs one counted call, the empty set
+    included. As C is feasible, ``PMatchoid.feasible_with`` tests a child
+    on the matroids holding e alone. The incumbent is updated in
     preorder, child i's own value before its subtree, and only a strictly
     larger value replaces it, so ties keep the first maximizer in
     lexicographic order, as a walk over every feasible subset would.
@@ -88,15 +88,11 @@ def max_feasible_subset(oracle, mp, candidates):
     examined = 1
     prunes = 0
 
-    def walk(current, open_elems):
+    def walk(running, open_elems):
         nonlocal best_val, best_set, examined, prunes
-        running = oracle.running(current, meter=False)
-        children = []
-        for e in open_elems:
-            current.add(e)
-            if mp.feasible(current):
-                children.append((e, running.value_with(e)))
-            current.remove(e)
+        current = running.members
+        children = [(e, running.value_with(e)) for e in open_elems
+                    if mp.feasible_with(current, e)]
         examined += len(children)
         room = size_cap - len(current) - 1
         tails = (_gain_tails(children, running.total, room)
@@ -110,11 +106,11 @@ def max_feasible_subset(oracle, mp, candidates):
             if tails is not None and v + tails[i + 1] <= best_val:
                 prunes += 1
                 continue
-            current.add(e)
-            walk(current, [x for x, _ in children[i + 1:]])
-            current.remove(e)
+            child = running.copy()
+            child.add(e, meter=False)
+            walk(child, [x for x, _ in children[i + 1:]])
 
-    walk(set(), elems)
+    walk(oracle.running((), meter=False), elems)
     return ExactResult(best_set, best_val, examined, prunes)
 
 
@@ -159,27 +155,6 @@ def brute_force_opt(oracle, mp):
     return max_feasible_subset(oracle, mp, oracle.ground)
 
 
-def enumerate_opt_unpruned(oracle, mp):
-    """Reference optimum from a full, unpruned sweep of all 2^n subsets."""
-    elems = sorted(oracle.ground)
-    n = len(elems)
-    if n > 10:
-        raise SizeError("unpruned enumeration is capped at 10 ground elements")
-    best_val = None
-    best_set = frozenset()
-    examined = 0
-    for mask in range(1 << n):
-        subset = frozenset(elems[j] for j in range(n) if mask >> j & 1)
-        if not mp.feasible(subset):
-            continue
-        examined += 1
-        v = oracle.value(subset)
-        if best_val is None or v > best_val:
-            best_val = v
-            best_set = subset
-    return ExactResult(best_set, best_val, examined)
-
-
 def offline_greedy(oracle, mp, candidates=None):
     """Add the feasible candidate (of the ground set by default) with the
     largest positive marginal until none is left, ties to the smallest id,
@@ -201,7 +176,7 @@ def offline_greedy(oracle, mp, candidates=None):
             if not oracle.submodular:
                 heap = sorted((-math.inf, x, -1) for _, x, _ in heap)
             continue
-        if mp.feasible(running.members | {e}):
+        if mp.feasible_with(running.members, e):
             gain = running.value_with(e) - running.total
             if gain > 0.0 or not oracle.submodular:
                 heapq.heapreplace(heap, (-gain, e, len(running.members)))

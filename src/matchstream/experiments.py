@@ -155,12 +155,15 @@ def run_experiment(config):
 
     Writes the trace CSV and summary JSON when the config names paths.
     The summary always carries f_final, certified factor, oracle calls,
-    peak storage, the count of exchanges that skipped the nu suffix walk
-    (``shortcut_exchanges``) and of accepts whose measured gain was
-    exactly 0 (``zero_gain_accepts``), both over every pass, copy and
-    replicate, wall time, and the optimum value and the ratio
+    peak storage, the count of evicted members (``evictions``), of
+    exchanges that skipped the nu suffix walk (``shortcut_exchanges``)
+    and of accepts whose measured gain was exactly 0
+    (``zero_gain_accepts``), each over every pass, copy and replicate,
+    wall time, and the optimum value and the ratio
     opt/f_final, which are None when the exact search could examine more
-    than ``SUMMARY_OPT_BUDGET`` subsets. The returned dict keeps its
+    than ``SUMMARY_OPT_BUDGET`` subsets. A randomized summary adds the
+    buffer draws (``draws``, which are its accepts) and the buffered
+    arrivals a re-screen dropped (``buffer_drops``). The returned dict keeps its
     floats; the file holds ``summary_json``'s strict JSON, with "inf" for
     an infinite factor.
     """
@@ -202,6 +205,7 @@ def run_experiment(config):
             "passes": result.passes_run,
             "oracle_calls": oracle.calls,
             "peak_storage": result.stored_peak,
+            "evictions": sum(len(res.evicted) for res in result.pass_results),
             "shortcut_exchanges": sum(res.shortcut_exchanges
                                       for res in result.pass_results),
             "zero_gain_accepts": sum(res.zero_gain_accepts
@@ -215,7 +219,7 @@ def run_experiment(config):
             raise ConfigError("at least one replicate is required")
         columns = RANDOMIZED_TRACE_COLUMNS
         f_bars = []
-        total_calls = shortcuts = zero_gain = 0
+        total_calls = shortcuts = zero_gain = evictions = draws = drops = 0
         peak_storage = 0
         for rep in range(config.replicates):
             oracle = inst.build_oracle()
@@ -228,10 +232,13 @@ def run_experiment(config):
             for copy in run.copies:
                 for row in copy.pass_rows:
                     rows.append({"schema_version": SCHEMA_VERSION, **row})
-                shortcuts += sum(res.shortcut_exchanges
-                                 for res in copy.pass_results)
-                zero_gain += sum(res.zero_gain_accepts
-                                 for res in copy.pass_results)
+                for res in copy.pass_results:
+                    shortcuts += res.shortcut_exchanges
+                    zero_gain += res.zero_gain_accepts
+                    evictions += len(res.evicted)
+                    # every accept of a buffered pass is a draw
+                    draws += res.accept_count
+                    drops += res.buffer_drops
         mean = sum(f_bars) / len(f_bars)
         last = run
         summary.update({
@@ -251,6 +258,9 @@ def run_experiment(config):
             "peak_storage": peak_storage,
             "shortcut_exchanges": shortcuts,
             "zero_gain_accepts": zero_gain,
+            "evictions": evictions,
+            "draws": draws,
+            "buffer_drops": drops,
         })
 
     f_final = summary.get("f_final")

@@ -23,7 +23,7 @@ from random import Random
 
 from .errors import ConfigError
 from .matchoids import (GraphicMatroid, PartitionMatroid, PMatchoid,
-                        TransversalMatroid, UniformMatroid, derive_p)
+                        TransversalMatroid, UniformMatroid, element_index)
 from .objectives import (CoverageOracle, DirectedCutOracle, ModularOracle,
                          TableOracle)
 
@@ -93,7 +93,8 @@ class Instance:
 
     def build_matchoid(self):
         """Fresh constraint. Its p is derived from the matroids; a file that
-        also declares one must declare that value, checked before the rank."""
+        also declares one must declare that value, checked before a null
+        rank is computed."""
         block = self.constraint
         matroids = []
         with _reading(self.path, "constraint"):
@@ -113,10 +114,18 @@ class Instance:
                     matroids.append(TransversalMatroid(ground, adjacency))
                 else:
                     raise ValueError(f"unknown matroid kind {kind!r}")
-            p = derive_p(matroids)
-            if block.get("p") not in (None, p):
-                raise ValueError(f"declares p={block['p']}, its matroids give p={p}")
-            return PMatchoid(range(self.n), matroids, rank=block.get("rank"))
+            declared, rank = block.get("p"), block.get("rank")
+            if declared is not None and rank is None:
+                # the rank search may be long or over budget: check p first
+                _check_p(declared, element_index(matroids)[1])
+            mp = PMatchoid(range(self.n), matroids, rank=rank)
+            _check_p(declared, mp.p)
+            return mp
+
+
+def _check_p(declared, p):
+    if declared not in (None, p):
+        raise ValueError(f"declares p={declared}, its matroids give p={p}")
 
 
 @contextmanager

@@ -1,10 +1,13 @@
 """Matroid independence oracles and their composition into p-matchoids.
 
 A p-matchoid is a list of matroids, each living on a subset of the ground
-set, with every element belonging to at most p of those subsets;
-``PMatchoid`` takes p to be the largest such count. A set is feasible
-when its restriction to each matroid's ground subset is independent
-there.
+set, with every element belonging to at most p of those subsets.
+``PMatchoid`` indexes the matroids by element, ``matroids_of[e]`` in
+instance order, and takes p to be the longest such tuple. A set is
+feasible when its restriction to each matroid's ground subset is
+independent there. Only the matroids holding e can tell S from S + e,
+so the per-arrival work (``exchange_set``, ``PMatchoid.feasible_with``)
+visits at most p matroids however many the instance has.
 
 ``exchange_set`` picks, for each matroid an arrival x would make
 dependent, the member of S with the smallest cached nu among x's swap
@@ -16,8 +19,6 @@ changes, so between two accepts each class is searched once, not once
 per arrival. Kinds with no such class (graphic, transversal, custom)
 search per arrival and store nothing.
 """
-
-from collections import Counter
 
 from .baselines import compute_rank
 from .errors import InfeasibilityError, PreconditionError
@@ -197,17 +198,38 @@ class TransversalMatroid(Matroid):
         return True
 
 
-def derive_p(matroids):
-    """The most ``matroids`` any one element lies in; 1 if none holds any."""
-    return max(Counter(e for m in matroids for e in m.ground_subset).values(), default=1)
+def element_index(matroids):
+    """(index, p): ``index`` maps each element some matroid holds to the
+    tuple of those matroids, in the order of ``matroids``, and p is the
+    longest tuple, 1 if there is none."""
+    # set operations place the elements first seen in a matroid, and only
+    # the elements it shares with earlier ones are visited one by one;
+    # elements held by the same matroids share one tuple, so the index
+    # allocates per distinct tuple, not per element
+    index, seen = {}, set()
+    for m in matroids:
+        one = (m,)
+        grown = {}
+        for e in m.ground_subset & seen:
+            held = index[e]
+            if held not in grown:
+                grown[held] = held + one
+            index[e] = grown[held]
+        fresh = m.ground_subset - seen
+        index.update(dict.fromkeys(fresh, one))
+        seen |= fresh
+    return index, max(map(len, index.values()), default=1)
 
 
 class PMatchoid:
     """Conjunction of matroid constraints with bounded per-element membership.
 
-    ``p`` is derived by ``derive_p``, not declared. ``rank_k``, the size of
-    a largest feasible set, is ``rank`` when supplied, else ``compute_rank``'s
-    (an exact search at p >= 2, raising ``SizeError`` above its budget).
+    ``matroids_of`` maps each element that some matroid holds to the
+    tuple of those matroids, in instance order; an element outside every
+    matroid has no entry. ``p`` is the longest tuple (1 when there is
+    none), not declared. ``rank_k``, the size of a largest feasible set,
+    is ``rank`` when supplied, else ``compute_rank``'s (an exact search
+    at p >= 2, raising ``SizeError`` above its budget).
     """
 
     def __init__(self, ground, matroids, rank=None):
@@ -215,12 +237,29 @@ class PMatchoid:
         self.matroids = list(matroids)
         if not all(m.ground_subset <= self.ground for m in self.matroids):
             raise PreconditionError("matroid ground subset leaves the instance ground set")
-        self.p = derive_p(self.matroids)
+        self.matroids_of, self.p = element_index(self.matroids)
         self.rank_k = int(rank) if rank is not None else compute_rank(self)
 
     def feasible(self, subset):
         a = frozenset(subset)
         return all(m.independent(a) for m in self.matroids)
+
+    def feasible_with(self, subset, e):
+        """Whether ``subset`` + e is feasible, given that ``subset`` is.
+
+        Sound only for a feasible ``subset``: every matroid not holding e
+        sees the same restriction with e as without it, so only
+        ``matroids_of[e]`` is tested.
+        """
+        held = self.matroids_of.get(e)
+        if held is None:
+            return True
+        a = set(subset)
+        a.add(e)
+        for m in held:
+            if not m.independent(a):
+                return False
+        return True
 
 
 def exchange_set(mp, x, state):
@@ -229,11 +268,12 @@ def exchange_set(mp, x, state):
     For each matroid containing x whose restriction becomes dependent when
     x is added, the swap candidate with the smallest cached incremental
     value is chosen; ties go to the earliest arrival, i.e. the first
-    minimum in the key order of ``state.nu``. Matroids are visited in
-    instance order, and the same element may be chosen for several of
-    them (it is added once). Returns None for a loop x ({x} dependent),
-    which no exchange admits; a matroid naming no swap for another x
-    breaks the exchange axiom and raises ``InfeasibilityError``.
+    minimum in the key order of ``state.nu``. Only the matroids holding
+    x, ``mp.matroids_of[x]``, are visited, in instance order, and the
+    same element may be chosen for several of them (it is added once).
+    Returns None for a loop x ({x} dependent), which no exchange admits;
+    a matroid naming no swap for another x breaks the exchange axiom and
+    raises ``InfeasibilityError``.
 
     The answer is a function of (mp, x, S, nu) alone. A matroid's pick
     depends on x only through ``swap_class(x)``, so a non-None class's
@@ -248,9 +288,7 @@ def exchange_set(mp, x, state):
         raise PreconditionError(f"element {x} is already in the solution")
     picks = state.picks
     chosen = set()
-    for matroid in mp.matroids:
-        if x not in matroid.ground_subset:
-            continue
+    for matroid in mp.matroids_of.get(x, ()):
         key = matroid.swap_class(x)
         if key is not None:
             slot = (matroid, key)

@@ -135,18 +135,27 @@ class RunningValue:
         self.members = set(members)
         self.total = self._start()
 
+    # value_with and add check x and count the call inline, not through
+    # helper calls: they run once per arrival and per search node
+
     def value_with(self, x):
         """f(A + x) without changing A; one counted call."""
-        self._admit(x)
-        self.oracle._count()
+        oracle = self.oracle
+        if x not in oracle.ground:
+            raise DomainError(f"element {x} is outside the ground set")
+        with oracle._lock:
+            oracle._calls += 1
         return self.total if x in self.members else self._with(x)
 
     def add(self, x, meter=True):
         """A <- A + x; returns the new f(A). One counted call unless
         ``meter`` is false."""
-        self._admit(x)
+        oracle = self.oracle
+        if x not in oracle.ground:
+            raise DomainError(f"element {x} is outside the ground set")
         if meter:
-            self.oracle._count()
+            with oracle._lock:
+                oracle._calls += 1
         if x not in self.members:
             self.total = self._grow(x)
             self.members.add(x)
@@ -172,10 +181,6 @@ class RunningValue:
         twin.members = set(self.members)
         twin.total = self.total
         return twin
-
-    def _admit(self, x):
-        if x not in self.oracle.ground:
-            raise DomainError(f"element {x} is outside the ground set")
 
     def _start(self):
         return self.oracle._evaluate(frozenset(self.members))

@@ -124,12 +124,19 @@ class RandomizedPassRunner(PassRunner):
         return self.buffer.members
 
     def _admit(self, x, gain, cx):
-        members = self.buffer.members
+        buffer = self.buffer
+        members = buffer.members
         members[x] = (gain, cx)
-        self.buffer.peak = max(self.buffer.peak, len(members))
+        if len(members) > buffer.peak:
+            buffer.peak = len(members)
         if len(members) == self.m:
             self._select_and_sweep()
-        self._note_storage(False)
+        # x is now held in the buffer or in S: count storage again, as
+        # ``process`` does but with no arrival in hand
+        size = len(self.init_ids) + self._fresh_members + len(buffer.members)
+        self.stored_current = size
+        if size > self.stored_peak:
+            self.stored_peak = size
 
     def _select_and_sweep(self):
         x, (gain, cx) = self.buffer.draw(self.rng)
@@ -322,7 +329,7 @@ def multipass_randomized(oracle, mp, stream, epsilon, passes=None, seed=0, *,
     if offline_mode == "exact":
         check_exact_budget(min(len(order), m - 1), p * p * len(greedy_basis(mp, order)))
 
-    grid = guess_grid(oracle, [e for e in order if mp.feasible((e,))], k)
+    grid = guess_grid(oracle, [e for e in order if mp.feasible_with((), e)], k)
     copies = []
     for idx, lam in enumerate(grid.lambdas):
         alpha = eps_prime * lam / (2.0 * k) if (lam > 0.0 and k > 0) else 0.0
@@ -333,12 +340,15 @@ def multipass_randomized(oracle, mp, stream, epsilon, passes=None, seed=0, *,
         runners = [RandomizedPassRunner(oracle, mp, copy.state, copy.alpha,
                                         beta_i, m, copy.rng, debug=debug)
                    for copy in copies]
+        # the offline solutions change only between passes
+        held_offline = sum(len(copy.s_prime) for copy in copies)
         for x in order:
-            total_stored = 0
-            for copy, runner in zip(copies, runners):
+            total_stored = held_offline
+            for runner in runners:
                 runner.process(x)
-                total_stored += runner.stored_current + len(copy.s_prime)
-            space_peak = max(space_peak, total_stored)
+                total_stored += runner.stored_current
+            if total_stored > space_peak:
+                space_peak = total_stored
         for copy, runner in zip(copies, runners):
             copy.add_pass(i, beta_i, gamma_i, runner.finish(offline_mode))
 

@@ -242,13 +242,25 @@ class PassRunner:
         self._finished = False
 
     def process(self, x):
-        """Discard, reject or admit one arrival."""
+        """Discard, reject or admit one arrival.
+
+        The storage count is the elements held: the initial solution and
+        S, the waiting arrivals, and x unless it is an initial member. A
+        validated stream never repeats an element, so the last two lie
+        outside the first, as do the members of S that ``_fresh_members``
+        counts.
+        """
         if self._finished:
             raise PreconditionError("runner already finished")
         calls = self.oracle.calls
         state = self.state
-        self._note_storage(x not in self.init_ids)
-        if x in self.init_ids:
+        init_ids = self.init_ids
+        arriving = x not in init_ids
+        size = len(init_ids) + self._fresh_members + len(self.waiting) + arriving
+        self.stored_current = size
+        if size > self.stored_peak:
+            self.stored_peak = size
+        if not arriving:
             self.discard_count += 1
             _trace_write(self.trace, x, "discard", (), state)
         else:
@@ -314,8 +326,18 @@ class PassRunner:
 
     def _bar(self, cx):
         """The bar f(x | S) must reach: alpha + (1 + beta) * sum of nu
-        over C_x."""
-        return self.alpha + (1.0 + self.beta) * math.fsum(self.state.nu[c] for c in cx)
+        over C_x, the sum taken by ``math.fsum``. For zero or one term the
+        sum is written out with fsum's result: 0.0, and the term plus 0.0,
+        as fsum([-0.0]) is 0.0."""
+        if not cx:
+            total = 0.0
+        elif len(cx) == 1:
+            (c,) = cx
+            total = self.state.nu[c] + 0.0
+        else:
+            nu = self.state.nu
+            total = math.fsum([nu[c] for c in cx])
+        return self.alpha + (1.0 + self.beta) * total
 
     def _admit(self, x, gain, cx):
         """Selection policy for an arrival that cleared the threshold."""
@@ -336,17 +358,6 @@ class PassRunner:
         if self.debug:
             _check_accept(state, self.oracle, nu_before, cx)
             self.accept_checks += 1
-
-    def _note_storage(self, arriving):
-        """Count the elements held: the initial solution and S, the waiting
-        arrivals, and the arrival in hand when ``arriving``. A validated
-        stream never repeats an element, so the last two lie outside the
-        first, as do the members of S that ``_fresh_members`` counts."""
-        size = (len(self.init_ids) + self._fresh_members + len(self.waiting)
-                + arriving)
-        self.stored_current = size
-        if size > self.stored_peak:
-            self.stored_peak = size
 
 
 def streaming_pass(oracle, mp, stream, s_init=None, alpha=0.0, beta=1.0, *,

@@ -3,7 +3,8 @@
 All sizes stay inside the exact-baseline range so every approximation
 claim can be checked against the true optimum. ``oracles`` is the
 hypothesis strategy for small random oracles with integer or float
-weights.
+weights. ``enumerate_opt_unpruned`` is the reference optimum the exact
+solver is checked against, on a code path of its own.
 """
 
 from hypothesis import strategies as st
@@ -43,6 +44,27 @@ def directed_cut(seed):
     capacity = 3 + seed % 2       # 3..4
     return ms.generate_instance("directed-cut+matroid", seed, n=n,
                                 capacity=capacity)
+
+
+def enumerate_opt_unpruned(oracle, mp):
+    """Reference optimum from a full, unpruned sweep of all 2^n subsets."""
+    elems = sorted(oracle.ground)
+    n = len(elems)
+    if n > 10:
+        raise ms.SizeError("unpruned enumeration is capped at 10 ground elements")
+    best_val = None
+    best_set = frozenset()
+    examined = 0
+    for mask in range(1 << n):
+        subset = frozenset(elems[j] for j in range(n) if mask >> j & 1)
+        if not mp.feasible(subset):
+            continue
+        examined += 1
+        v = oracle.value(subset)
+        if best_val is None or v > best_val:
+            best_val = v
+            best_set = subset
+    return ms.ExactResult(best_set, best_val, examined)
 
 
 def exact_opt(inst):

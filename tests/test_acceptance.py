@@ -18,7 +18,7 @@ import pytest
 import matchstream as ms
 from matchstream.baselines import greedy_basis
 from _corpus import (bipartite_matching, coverage_uniform, directed_cut,
-                     exact_opt, hypergraph_matching)
+                     enumerate_opt_unpruned, exact_opt, hypergraph_matching)
 from conftest import ACCEPTANCE_LINES
 
 TOL = 1e-9
@@ -273,7 +273,7 @@ def test_09_exact_solvers_agree_with_independent_enumeration():
         if inst.n > 10:
             continue
         pruned = ms.brute_force_opt(inst.build_oracle(), inst.build_matchoid())
-        plain = ms.enumerate_opt_unpruned(inst.build_oracle(),
+        plain = enumerate_opt_unpruned(inst.build_oracle(),
                                           inst.build_matchoid())
         ok = ok and abs(pruned.opt_value - plain.opt_value) <= TOL
         ok = ok and _within_budget_bound(pruned, inst.build_matchoid(),

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 import matchstream as ms
 from matchstream.baselines import EXACT_BUDGET, check_exact_budget
 from _corpus import (bipartite_matching, coverage_partition, coverage_uniform,
-                     directed_cut, exact_opt, hypergraph_matching, oracles)
+                     directed_cut, enumerate_opt_unpruned, exact_opt,
+                     hypergraph_matching, oracles)
 
 TOL = 1e-9
 
@@ -107,7 +108,7 @@ def _exact_instances(draw):
 def test_branch_and_bound_matches_unpruned_enumeration(case):
     oracle, mp, integer = case
     got = ms.max_feasible_subset(oracle, mp, oracle.ground)
-    plain = ms.enumerate_opt_unpruned(oracle, mp)
+    plain = enumerate_opt_unpruned(oracle, mp)
     assert mp.feasible(got.opt_set)
     assert got.subsets_examined <= plain.subsets_examined
     if integer:
@@ -143,7 +144,7 @@ def test_exact_size_cap():
         assert oracle.calls == 0
     # the reference enumeration keeps its own element cap
     with pytest.raises(ms.SizeError):
-        ms.enumerate_opt_unpruned(ms.ModularOracle([1] * 11), _uniform_mp(11, 2))
+        enumerate_opt_unpruned(ms.ModularOracle([1] * 11), _uniform_mp(11, 2))
 
 
 def test_pruned_search_matches_unpruned_enumeration():
@@ -155,7 +156,7 @@ def test_pruned_search_matches_unpruned_enumeration():
         if inst.n > 10:
             continue
         pruned = ms.brute_force_opt(inst.build_oracle(), inst.build_matchoid())
-        plain = ms.enumerate_opt_unpruned(inst.build_oracle(),
+        plain = enumerate_opt_unpruned(inst.build_oracle(),
                                           inst.build_matchoid())
         assert pruned.opt_value == pytest.approx(plain.opt_value, abs=TOL)
         assert pruned.subsets_examined <= plain.subsets_examined
@@ -253,3 +254,57 @@ def test_greedy_achieves_p_plus_one_factor():
             assert (p + 1) * value + TOL >= opt
             count += 1
     assert count >= 100
+
+
+def _float_oracle(rng, kind, n):
+    """A random oracle of ``kind`` on n elements with float weights."""
+    def weight():
+        return rng.uniform(0.0, 100.0)
+
+    if kind == "table":
+        return ms.TableOracle(n, [weight() for _ in range(1 << n)])
+    if kind == "coverage":
+        return ms.CoverageOracle(
+            [{i for i in range(12) if rng.random() < 0.3} for _ in range(n)],
+            [weight() for _ in range(12)])
+    if kind == "cut":
+        return ms.DirectedCutOracle(n, [(u, v, weight()) for u in range(n)
+                                        for v in range(n)
+                                        if u != v and rng.random() < 0.4])
+    return ms.ModularOracle([weight() for _ in range(n)])
+
+
+def test_child_evaluator_holds_the_value_measured_for_the_child(monkeypatch):
+    # a search node's evaluator is its parent's copy() plus one unmetered
+    # add; its total must be the very float the parent's value_with gave
+    # for that child, so that the child's own children are measured on it
+    measured, grown = {}, []
+    value_with, add = ms.RunningValue.value_with, ms.RunningValue.add
+
+    def spy_value_with(self, x):
+        value = value_with(self, x)
+        measured[frozenset(self.members | {x})] = value
+        return value
+
+    def spy_add(self, x, meter=True):
+        total = add(self, x, meter)
+        grown.append((frozenset(self.members), total))
+        return total
+
+    monkeypatch.setattr(ms.RunningValue, "value_with", spy_value_with)
+    monkeypatch.setattr(ms.RunningValue, "add", spy_add)
+    rng = Random(67)
+    for kind in ("cut", "coverage", "modular", "table"):
+        nodes = 0
+        for trial in range(15):
+            n = rng.randint(3, 9)
+            oracle = _float_oracle(rng, kind, n)
+            mp = _uniform_mp(n, rng.randint(2, n))
+            measured.clear()
+            del grown[:]
+            ms.max_feasible_subset(oracle, mp, oracle.ground)
+            assert oracle.calls == 1 + len(measured)
+            for members, total in grown:
+                assert total.hex() == measured[members].hex(), (kind, sorted(members))
+            nodes += len(grown)
+        assert nodes > 0, kind

@@ -297,3 +297,42 @@ def test_summaries_are_strict_json(tmp_path):
         assert written[key] == text
     with pytest.raises(ValueError):
         ms.experiments.summary_json({"f_final": math.nan})
+
+
+def test_summaries_count_evictions_draws_and_drops(tmp_path):
+    # evictions over every pass (and copy and replicate) match the trace's
+    # column; a randomized run's draws are its accepts, and its buffer
+    # drops are what the re-screens dropped, as a direct driver call finds
+    # ascending weights under a capacity of 1: later arrivals evict
+    single = _reweighted(tmp_path, _write_instance(tmp_path, n=60, capacity=1),
+                         "modular.json", {"kind": "modular",
+                                          "weights": list(range(1, 61))})
+    trace = str(tmp_path / "trace.csv")
+    monotone = ms.run_experiment(ms.ExperimentConfig(
+        single, "monotone-multipass", passes=2, trace=trace))
+    with open(trace, encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert monotone["evictions"] == sum(int(r["evictions"]) for r in rows) > 0
+    assert "draws" not in monotone and "buffer_drops" not in monotone
+    config = ms.ExperimentConfig(single, "nonmonotone-randomized", epsilon=0.5,
+                                 passes=1, offline="heuristic", replicates=2,
+                                 seed=4, trace=trace,
+                                 summary=str(tmp_path / "summary.json"))
+    summary = ms.run_experiment(config)
+    with open(trace, encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert summary["evictions"] == sum(int(r["evictions"]) for r in rows) > 0
+    assert summary["draws"] == sum(int(r["accepts"]) for r in rows) > 0
+    inst = ms.load_instance(single)
+    drops = 0
+    for rep in range(2):
+        run = ms.multipass_randomized(inst.build_oracle(), inst.build_matchoid(),
+                                      range(inst.n), 0.5, 1, seed=4 ^ rep,
+                                      offline_mode="heuristic")
+        drops += sum(res.buffer_drops for copy in run.copies
+                     for res in copy.pass_results)
+    assert summary["buffer_drops"] == drops > 0
+    with open(config.summary, encoding="utf-8") as fh:
+        written = json.loads(fh.read(), parse_constant=_refuse_constant)
+    assert [written[key] for key in ("evictions", "draws", "buffer_drops")] == \
+        [summary[key] for key in ("evictions", "draws", "buffer_drops")]

@@ -6,6 +6,7 @@ from random import Random
 import pytest
 
 import matchstream as ms
+import _corpus
 
 
 def _state(order, nu):
@@ -470,3 +471,185 @@ def test_one_state_under_two_matchoids():
         assert ms.exchange_set(by_capacity, 2, state) == {0}
         assert ms.exchange_set(by_part, 2, state) == {1}
     assert len(state.picks) == 2
+
+
+# The element index: each arrival visits only the matroids holding it
+
+
+def _random_feasible(rng, mp, elems):
+    """A feasible subset grown in a random order by full feasibility tests."""
+    order = list(elems)
+    rng.shuffle(order)
+    chosen = set()
+    for e in order:
+        if rng.random() < 0.7 and mp.feasible(chosen | {e}):
+            chosen.add(e)
+    return chosen
+
+
+def test_element_index_lists_the_matroids_in_instance_order():
+    rng = Random(53)
+    for trial in range(40):
+        matroids = [_uniform_or_partition(rng) for _ in range(rng.randint(0, 5))]
+        mp = ms.PMatchoid(range(12), matroids)
+        for e in range(12):
+            want = tuple(m for m in matroids if e in m.ground_subset)
+            assert mp.matroids_of.get(e, ()) == want
+        assert mp.p == max((len(v) for v in mp.matroids_of.values()), default=1)
+
+
+def test_feasible_with_matches_feasible_on_every_family():
+    builders = (_corpus.coverage_uniform, _corpus.coverage_partition,
+                _corpus.bipartite_matching, _corpus.hypergraph_matching,
+                _corpus.directed_cut)
+    rng = Random(59)
+    checks = {builder.__name__: [0, 0] for builder in builders}
+    for trial in range(60):
+        builder = builders[trial % len(builders)]
+        mp = builder(rng.randrange(1000)).build_matchoid()
+        for _ in range(4):
+            s = _random_feasible(rng, mp, mp.ground)
+            for e in sorted(mp.ground):
+                got = mp.feasible_with(s, e)
+                assert got == mp.feasible(s | {e}), (builder.__name__, s, e)
+                checks[builder.__name__][got] += 1
+    # every family answers both ways
+    assert all(min(counts) > 0 for counts in checks.values()), checks
+
+
+def test_feasible_with_on_free_elements_and_a_capacity_0_part():
+    # 4 and 5 lie in no matroid; 3 is alone in a part of capacity 0
+    partition = ms.PartitionMatroid({0, 1, 2, 3}, [[0, 1], [2], [3]], [1, 1, 0])
+    uniform = ms.UniformMatroid({1, 2, 3}, 1)
+    mp = ms.PMatchoid(range(6), [partition, uniform])
+    assert mp.matroids_of == {0: (partition,), 1: (partition, uniform),
+                              2: (partition, uniform), 3: (partition, uniform)}
+    assert 4 not in mp.matroids_of and mp.p == 2
+    for s in (set(), {0}, {1}, {2}, {0, 2}, {4}, {0, 4, 5}, {1, 4, 5}):
+        assert mp.feasible(s)
+        for e in range(6):
+            assert mp.feasible_with(s, e) == mp.feasible(s | {e}), (s, e)
+    assert mp.feasible_with({0, 2}, 5) and not mp.feasible_with(set(), 3)
+    assert ms.PMatchoid(range(3), []).feasible_with({0, 1}, 2)
+
+
+def _exchange_set_scanning(mp, x, state):
+    """exchange_set as it was before the element index: every matroid of
+    ``mp.matroids`` is visited, and those without x are skipped."""
+    nu = state.nu
+    if x in nu:
+        raise ms.PreconditionError(f"element {x} is already in the solution")
+    picks = state.picks
+    chosen = set()
+    for matroid in mp.matroids:
+        if x not in matroid.ground_subset:
+            continue
+        key = matroid.swap_class(x)
+        if key is not None:
+            slot = (matroid, key)
+            if slot in picks:
+                pick = picks[slot]
+                if pick is not None:
+                    chosen.add(pick)
+                continue
+        candidates = matroid.swap_candidates(
+            matroid.ground_subset.intersection(nu), x)
+        if candidates is None:
+            pick = None
+        elif not candidates:
+            if not matroid.independent({x}):
+                return None
+            raise ms.InfeasibilityError(
+                f"no single swap restores independence for element {x}")
+        else:
+            pick = min(filter(candidates.__contains__, nu), key=nu.__getitem__)
+            chosen.add(pick)
+        if key is not None:
+            picks[slot] = pick
+    return chosen
+
+
+def test_exchange_set_matches_the_scan_over_every_matroid():
+    # uniform and partition matroids on random ground subsets (free
+    # elements, capacity-0 parts) with graphic and transversal ones moved
+    # onto random subsets; random feasible S with random nu and ties
+    rng = Random(61)
+    outcomes = {"loop": 0, "empty": 0, "swap": 0}
+    for trial in range(150):
+        matroids = []
+        for _ in range(rng.randint(1, 4)):
+            if rng.random() < 0.6:
+                matroids.append(_uniform_or_partition(rng))
+            else:
+                labels = rng.sample(range(12), rng.randint(2, 10))
+                matroids.append(_Relabeled(_random_matroid(rng, len(labels)), labels))
+        mp = ms.PMatchoid(range(12), matroids)
+        s = _random_feasible(rng, mp, range(12))
+        order = sorted(s)
+        rng.shuffle(order)
+        nu = {e: float(rng.randint(0, 3)) for e in order}
+        state, reference = _state(order, nu), _state(order, nu)
+        for _ in range(2):  # the second round reads the cached picks
+            for y in range(12):
+                if y in nu:
+                    continue
+                want = _exchange_set_scanning(mp, y, reference)
+                assert ms.exchange_set(mp, y, state) == want, (trial, y)
+                outcomes["loop" if want is None else "swap" if want else "empty"] += 1
+    assert min(outcomes.values()) > 0, outcomes
+
+
+class _SpyPartition(ms.PartitionMatroid):
+    """A partition matroid that notes itself in ``touched`` whenever its
+    ground subset is read or one of its oracle methods runs."""
+
+    touched = []
+
+    @property
+    def ground_subset(self):
+        self.touched.append(self)
+        return self._ground
+
+    @ground_subset.setter
+    def ground_subset(self, value):
+        self._ground = value
+
+    def independent(self, subset):
+        self.touched.append(self)
+        return super().independent(subset)
+
+    def swap_candidates(self, s_l, x):
+        self.touched.append(self)
+        return super().swap_candidates(s_l, x)
+
+    def swap_class(self, x):
+        self.touched.append(self)
+        return super().swap_class(x)
+
+
+def test_one_arrival_touches_at_most_p_of_a_thousand_matroids():
+    # a matching on a 1,000-cycle: matroid j holds edges j and j + 1, so
+    # p = 2, whatever the matroid count
+    n = 1000
+    matroids = [_SpyPartition({j, (j + 1) % n}, [[j, (j + 1) % n]], [1])
+                for j in range(n)]
+    mp = ms.PMatchoid(range(n), matroids, rank=n // 2)
+    assert mp.p == 2
+    oracle = ms.ModularOracle([1 + e % 7 for e in range(n)])
+    runner = ms.PassRunner(oracle, mp, None, 0.0, 1.0)
+    touched = _SpyPartition.touched
+    try:
+        for x in range(0, n, 3):
+            del touched[:]
+            runner.process(x)
+            assert set(touched) <= set(mp.matroids_of[x])
+            assert 0 < len(set(touched)) <= mp.p
+        s = set(runner.state.members)
+        for x in (1, 500, 998):
+            del touched[:]
+            got = mp.feasible_with(s, x)
+            assert 0 < len(set(touched)) <= mp.p
+            assert set(touched) <= set(mp.matroids_of[x])
+            assert got == mp.feasible(s | {x})
+    finally:
+        del touched[:]

@@ -553,14 +553,10 @@ def test_direct_sum_of_matroids_runs_the_harmonic_schedule():
             pytest.approx([4.0, 3.0, 8.0 / 3.0, 2.5])
 
 
-class _UnionStorage(ms.RandomizedPassRunner):
-    """Counts storage from the union of the initial solution and S."""
-
-    def _note_storage(self, arriving):
-        size = (len(self.init_ids | self.state.members) + len(self.waiting)
-                + arriving)
-        self.stored_current = size
-        self.stored_peak = max(self.stored_peak, size)
+def _union_storage(runner):
+    """The elements a runner holds, counted from the union of the initial
+    solution and S, and its buffer."""
+    return len(runner.init_ids | runner.state.members) + len(runner.waiting)
 
 
 def test_storage_count_matches_the_union_when_initial_members_leave():
@@ -569,17 +565,22 @@ def test_storage_count_matches_the_union_when_initial_members_leave():
     # beta = 10 sets the exchange bar at 11 > 7: S stays {0, 1, 2}
     first = ms.streaming_pass(oracle, mp, range(8), None, 0.0, 10.0)
     assert list(first.state.nu) == [0, 1, 2]
-    runs = []
-    for runner_class in (ms.RandomizedPassRunner, _UnionStorage):
-        runner = runner_class(oracle, mp, first.state, 0.0, 1.0, m=2,
-                              rng=Random(3), debug=True)
-        held = []
-        for x in range(8):
-            runner.process(x)
-            held.append(runner.stored_current)
-        runner.finish()
-        runs.append((held, runner.stored_peak, runner.evicted))
-    (held, peak, evicted), union = runs
-    assert (held, peak, evicted) == union
-    assert len(evicted.keys() & first.state.members) == 3
-    assert peak == 7
+    runner = ms.RandomizedPassRunner(oracle, mp, first.state, 0.0, 1.0, m=2,
+                                     rng=Random(3), debug=True)
+    held, union = [], []
+    peak = _union_storage(runner)
+    for x in range(8):
+        # the arrival in hand counts unless it is an initial member; an
+        # admitted one is counted again, held in the buffer or in S
+        in_hand = _union_storage(runner) + (x not in runner.init_ids)
+        rejected = runner.reject_count
+        runner.process(x)
+        admitted = runner.reject_count == rejected and x not in runner.init_ids
+        after = _union_storage(runner) if admitted else in_hand
+        peak = max(peak, in_hand, after)
+        held.append(runner.stored_current)
+        union.append(after)
+    runner.finish()
+    assert held == union
+    assert runner.stored_peak == peak == 7
+    assert len(runner.evicted.keys() & first.state.members) == 3

@@ -303,3 +303,23 @@ def test_debug_check_catches_a_stale_swap_pick():
     runner.state.picks[(uniform, 0)] = 0
     with pytest.raises(AssertionError, match="cached exchange set"):
         runner.process(2)
+
+
+def test_bar_equals_its_fsum_form_bit_for_bit():
+    # the bar skips fsum for zero or one term; the shortcut must give
+    # fsum's bits, and fsum([-0.0]) is 0.0
+    tiny = 5e-324
+    values = (0.0, -0.0, tiny, -tiny, 2.2250738585072014e-308 / 3, 1.0,
+              0.1, 1e16, 3.0)
+    oracle, mp = _modular_setup([1] * 4)
+    rng = Random(71)
+    for alpha in (0.0, -0.0, tiny, 0.5):
+        for beta in (0.0, 1.0, 0.3):
+            runner = ms.PassRunner(oracle, mp, None, alpha, beta)
+            for _ in range(40):
+                nu = {e: rng.choice(values) for e in range(3)}
+                runner.state.nu = nu
+                for cx in (set(), {0}, {1}, {2}, {0, 1, 2}):
+                    want = alpha + (1.0 + beta) * math.fsum(nu[c] for c in cx)
+                    assert runner._bar(cx).hex() == want.hex(), (alpha, beta, nu, cx)
+    assert math.fsum([-0.0]).hex() == "0x0.0p+0"
