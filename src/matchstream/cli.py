@@ -2,7 +2,9 @@
 
 Verbs: generate, run-monotone, run-nonmonotone, solve-exact, greedy,
 report. Summaries print to stdout as JSON; traces and summaries can also
-be written to files.
+be written to files. ``generate`` takes one flag per family generator
+parameter. A run flag's dest is the ``ExperimentConfig`` field it sets,
+so one command builds either run verb's config by name.
 """
 
 import argparse
@@ -13,14 +15,15 @@ from .baselines import brute_force_opt, offline_greedy
 from .errors import MatchstreamError
 from .experiments import (ExperimentConfig, report_rows, run_experiment,
                           summary_json, write_trace)
-from .instances import FAMILIES, generate_instance, save_instance
+from .instances import (FAMILIES, family_params, generate_instance,
+                        load_instance, save_instance)
 from .randomized import OFFLINE_MODES
 
 
 # every family's generator parameters; generate_instance rejects the ones
 # the chosen family does not take
-_GENERATOR_FLAGS = ("n", "items", "capacity", "max_weight", "parts", "left",
-                    "right", "edges", "vertices", "hyperedges", "arcs")
+_GENERATOR_PARAMS = tuple(dict.fromkeys(
+    name for family in FAMILIES for name in family_params(family)))
 
 
 def _add_generate(sub):
@@ -28,18 +31,26 @@ def _add_generate(sub):
     p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    for name in _GENERATOR_FLAGS:
+    for name in _GENERATOR_PARAMS:
         p.add_argument("--" + name.replace("_", "-"), type=int)
 
 
 def _cmd_generate(args):
-    params = {name: getattr(args, name) for name in _GENERATOR_FLAGS
+    params = {name: getattr(args, name) for name in _GENERATOR_PARAMS
               if getattr(args, name) is not None}
     inst = generate_instance(args.family, args.seed, **params)
     save_instance(inst, args.out)
     print(json.dumps({"written": args.out, "n": inst.n,
                       "family": args.family, "seed": args.seed}))
     return 0
+
+
+def _add_run_flags(p, algorithm):
+    """The flags both run verbs end with, and the verb's algorithm."""
+    p.set_defaults(algorithm=algorithm)
+    p.add_argument("--shuffle-seed", type=int)
+    p.add_argument("--trace")
+    p.add_argument("--summary")
 
 
 def _add_run_monotone(sub):
@@ -49,25 +60,9 @@ def _add_run_monotone(sub):
                    help="matroid, matchoid, or fixed:B")
     p.add_argument("--epsilon", type=float)
     p.add_argument("--passes", type=int)
-    p.add_argument("--target-gamma", type=float, dest="target_gamma")
+    p.add_argument("--target-gamma", type=float)
     p.add_argument("--alpha", type=float, default=0.0)
-    p.add_argument("--shuffle-seed", type=int, dest="shuffle_seed")
-    p.add_argument("--trace")
-    p.add_argument("--summary")
-
-
-def _cmd_run_monotone(args):
-    config = ExperimentConfig(
-        instance=args.instance, algorithm="monotone-multipass",
-        epsilon=args.epsilon, passes=args.passes, schedule=args.schedule,
-        alpha=args.alpha, target_gamma=args.target_gamma,
-        shuffle_seed=args.shuffle_seed, trace=args.trace, summary=args.summary)
-    summary = run_experiment(config)
-    if not summary["monotone"]:
-        print("warning: instance is flagged non-monotone; certified factors "
-              "assume a monotone objective", file=sys.stderr)
-    print(summary_json(summary))
-    return 0
+    _add_run_flags(p, "monotone-multipass")
 
 
 def _add_run_nonmonotone(sub):
@@ -78,18 +73,17 @@ def _add_run_nonmonotone(sub):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--offline", choices=OFFLINE_MODES, default="exact")
     p.add_argument("--replicates", type=int, default=1)
-    p.add_argument("--shuffle-seed", type=int, dest="shuffle_seed")
-    p.add_argument("--trace")
-    p.add_argument("--summary")
+    _add_run_flags(p, "nonmonotone-randomized")
 
 
-def _cmd_run_nonmonotone(args):
-    config = ExperimentConfig(
-        instance=args.instance, algorithm="nonmonotone-randomized",
-        epsilon=args.epsilon, passes=args.passes, seed=args.seed,
-        offline=args.offline, replicates=args.replicates,
-        shuffle_seed=args.shuffle_seed, trace=args.trace, summary=args.summary)
-    print(summary_json(run_experiment(config)))
+def _cmd_run(args):
+    config = ExperimentConfig(**{name: value for name, value in vars(args).items()
+                                 if name in ExperimentConfig.__slots__})
+    summary = run_experiment(config)
+    if config.algorithm == "monotone-multipass" and not summary["monotone"]:
+        print("warning: instance is flagged non-monotone; certified factors "
+              "assume a monotone objective", file=sys.stderr)
+    print(summary_json(summary))
     return 0
 
 
@@ -99,8 +93,6 @@ def _add_solve_exact(sub):
 
 
 def _cmd_solve_exact(args):
-    from .instances import load_instance
-
     inst = load_instance(args.instance)
     result = brute_force_opt(inst.build_oracle(), inst.build_matchoid())
     print(json.dumps({"opt_value": result.opt_value,
@@ -114,8 +106,6 @@ def _add_greedy(sub):
 
 
 def _cmd_greedy(args):
-    from .instances import load_instance
-
     inst = load_instance(args.instance)
     oracle = inst.build_oracle()
     chosen = offline_greedy(oracle, inst.build_matchoid())
@@ -141,8 +131,8 @@ def _cmd_report(args):
 
 _COMMANDS = {
     "generate": _cmd_generate,
-    "run-monotone": _cmd_run_monotone,
-    "run-nonmonotone": _cmd_run_nonmonotone,
+    "run-monotone": _cmd_run,
+    "run-nonmonotone": _cmd_run,
     "solve-exact": _cmd_solve_exact,
     "greedy": _cmd_greedy,
     "report": _cmd_report,

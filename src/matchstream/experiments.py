@@ -2,8 +2,10 @@
 
 The harness runs the two streaming drivers, ``monotone-multipass`` and
 ``nonmonotone-randomized``; the exact and greedy baselines are the CLI's
-``solve-exact`` and ``greedy`` verbs. A trace row is a finished pass
-runner's ``row`` plus schema_version (and a guess copy's columns). A run
+``solve-exact`` and ``greedy`` verbs. A driver branch only runs its
+driver; ``_tally`` totals the summary counters over either driver's pass
+records, and a trace row, a finished runner's ``row`` (and a guess
+copy's columns), gets schema_version as the trace is written. A run
 builds its constraint once, which the driver, every replicate and the
 exact optimum share; each driver run and the optimum get a fresh oracle,
 since an oracle carries the call counter.
@@ -21,12 +23,13 @@ import json
 import math
 import os
 import time
+from collections import Counter
 
 from .baselines import brute_force_opt, check_exact_budget, greedy_basis
 from .errors import ConfigError, SizeError
 from .instances import load_instance, stream_order
 from .multipass import Schedule, multipass_run
-from .randomized import multipass_randomized
+from .randomized import RandomizedPassRunner, multipass_randomized
 
 SCHEMA_VERSION = 1
 
@@ -53,9 +56,10 @@ _CONFIG_FIELDS = (
 
 
 class ExperimentConfig:
-    """Run description for one of the two streaming drivers. ``to_dict``
-    gives plain JSON values, and ``ExperimentConfig(**config.to_dict())``
-    rebuilds a config that reruns to byte-identical traces."""
+    """Run description for one of the two streaming drivers; its
+    ``__slots__`` are its field names. ``to_dict`` gives plain JSON
+    values, and ``ExperimentConfig(**config.to_dict())`` rebuilds a
+    config that reruns to byte-identical traces."""
 
     __slots__ = _CONFIG_FIELDS
 
@@ -150,6 +154,18 @@ def summary_json(summary):
     return json.dumps(_strict(summary), indent=2, sort_keys=True, allow_nan=False)
 
 
+def _tally(totals, records):
+    """Add the summary counters of finished pass records into ``totals``."""
+    for res in records:
+        totals["evictions"] += len(res.evicted)
+        totals["shortcut_exchanges"] += res.shortcut_exchanges
+        totals["zero_gain_accepts"] += res.zero_gain_accepts
+        if isinstance(res, RandomizedPassRunner):
+            # every accept of a buffered pass is a draw
+            totals["draws"] += res.accept_count
+            totals["buffer_drops"] += res.buffer_drops
+
+
 def run_experiment(config):
     """Execute one configured run and return the summary dict.
 
@@ -187,6 +203,7 @@ def run_experiment(config):
         "config": config.to_dict(),
     }
     rows = []
+    totals = Counter()
 
     if config.algorithm == "monotone-multipass":
         columns = MONOTONE_TRACE_COLUMNS
@@ -197,19 +214,14 @@ def run_experiment(config):
         result = multipass_run(oracle, mp, stream, schedule, passes,
                                config.alpha, target_gamma=config.target_gamma)
         for res, cert in zip(result.pass_results, result.certificates):
-            rows.append({"schema_version": SCHEMA_VERSION,
-                         **res.row(cert.pass_index, cert.beta, cert.gamma_certified)})
+            rows.append(res.row(cert.pass_index, cert.beta, cert.gamma_certified))
+        _tally(totals, result.pass_results)
         summary.update({
             "f_final": result.f_final,
             "gamma_certified_final": result.certificates[-1].gamma_certified,
             "passes": result.passes_run,
             "oracle_calls": oracle.calls,
             "peak_storage": result.stored_peak,
-            "evictions": sum(len(res.evicted) for res in result.pass_results),
-            "shortcut_exchanges": sum(res.shortcut_exchanges
-                                      for res in result.pass_results),
-            "zero_gain_accepts": sum(res.zero_gain_accepts
-                                     for res in result.pass_results),
         })
 
     else:
@@ -219,8 +231,7 @@ def run_experiment(config):
             raise ConfigError("at least one replicate is required")
         columns = RANDOMIZED_TRACE_COLUMNS
         f_bars = []
-        total_calls = shortcuts = zero_gain = evictions = draws = drops = 0
-        peak_storage = 0
+        total_calls = peak_storage = 0
         for rep in range(config.replicates):
             oracle = inst.build_oracle()
             run = multipass_randomized(
@@ -230,17 +241,9 @@ def run_experiment(config):
             total_calls += oracle.calls
             peak_storage = max(peak_storage, run.space_peak)
             for copy in run.copies:
-                for row in copy.pass_rows:
-                    rows.append({"schema_version": SCHEMA_VERSION, **row})
-                for res in copy.pass_results:
-                    shortcuts += res.shortcut_exchanges
-                    zero_gain += res.zero_gain_accepts
-                    evictions += len(res.evicted)
-                    # every accept of a buffered pass is a draw
-                    draws += res.accept_count
-                    drops += res.buffer_drops
+                rows.extend(copy.pass_rows)
+                _tally(totals, copy.pass_results)
         mean = sum(f_bars) / len(f_bars)
-        last = run
         summary.update({
             "f_final": f_bars[0],
             "f_bar_mean": mean,
@@ -248,28 +251,25 @@ def run_experiment(config):
                                        / (len(f_bars) - 1))
                              if len(f_bars) > 1 else 0.0),
             "replicates": config.replicates,
-            "gamma_certified_final": last.copies[0].pass_rows[-1]["gamma_certified"],
-            "passes": last.passes_used,
-            "lambda_grid": list(last.grid.lambdas),
-            "m": last.m,
-            "gamma_off": last.gamma_off,
-            "space_bound": last.space_bound,
+            "gamma_certified_final": run.copies[0].pass_rows[-1]["gamma_certified"],
+            "passes": run.passes_used,
+            "lambda_grid": list(run.grid.lambdas),
+            "m": run.m,
+            "gamma_off": run.gamma_off,
+            "space_bound": run.space_bound,
             "oracle_calls": total_calls,
             "peak_storage": peak_storage,
-            "shortcut_exchanges": shortcuts,
-            "zero_gain_accepts": zero_gain,
-            "evictions": evictions,
-            "draws": draws,
-            "buffer_drops": drops,
         })
 
+    summary.update(totals)
     f_final = summary.get("f_final")
     summary["ratio"] = (opt_value / f_final
                         if opt_value is not None and f_final else None)
     summary["wall_time"] = time.perf_counter() - started
 
     if config.trace is not None:
-        write_trace(config.trace, columns, rows)
+        write_trace(config.trace, columns,
+                    ({"schema_version": SCHEMA_VERSION, **row} for row in rows))
     if config.summary is not None:
         with open(config.summary, "w", encoding="utf-8") as fh:
             fh.write(summary_json(summary) + "\n")

@@ -169,16 +169,22 @@ def generate_instance(family, seed, **params):
     tests are exact, and guarantees a strictly positive optimum. A
     parameter the family does not take raises ConfigError.
     """
+    names = family_params(family)
+    if not set(params) <= set(names):
+        raise ConfigError(f"family {family!r} takes {', '.join(names)}, not "
+                          f"{', '.join(sorted(set(params) - set(names)))}")
+    return _GENERATORS[family](Random(seed), **params)
+
+
+def family_params(family):
+    """The parameters a family's generator takes, in order; an unknown
+    family raises ConfigError."""
     maker = _GENERATORS.get(family)
     if maker is None:
         raise ConfigError(f"unknown instance family: {family!r} "
                           f"(choose from {', '.join(FAMILIES)})")
     # parameters after rng; importing inspect instead adds ~0.6 MiB peak RSS
-    names = maker.__code__.co_varnames[1:maker.__code__.co_argcount]
-    if not set(params) <= set(names):
-        raise ConfigError(f"family {family!r} takes {', '.join(names)}, not "
-                          f"{', '.join(sorted(set(params) - set(names)))}")
-    return maker(Random(seed), **params)
+    return maker.__code__.co_varnames[1:maker.__code__.co_argcount]
 
 
 def _coverage_objective(rng, n, items, max_weight):

@@ -258,16 +258,18 @@ class DirectedCutOracle(SubmodularOracle):
 
     def __init__(self, n, arcs):
         n = int(n)
-        self._out = {u: [] for u in range(n)}
+        out = self._out = {u: [] for u in range(n)}
+        total = 0.0
         for u, v, w in arcs:
             u, v, w = int(u), int(v), float(w)
             if not (0 <= u < n and 0 <= v < n):
                 raise DomainError(f"arc ({u},{v}) endpoint outside 0..{n - 1}")
             if u == v:
                 raise DomainError("self-loop arcs do not contribute to any cut")
-            if not 0.0 <= w < math.inf:
-                raise DomainError("arc weights must be finite and non-negative")
-            self._out[u].append((v, w))
+            total += w
+            if not (w >= 0.0 and total < math.inf):
+                raise DomainError("arc weights must be non-negative with a finite sum")
+            out[u].append((v, w))
         super().__init__(range(n))
 
     def _evaluate(self, subset):

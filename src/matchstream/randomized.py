@@ -24,6 +24,7 @@ counts are its own even though the copies share one oracle.
 """
 
 import math
+import sys
 from random import Random
 
 from .baselines import check_exact_budget, greedy_basis, max_feasible_subset, offline_greedy
@@ -65,30 +66,25 @@ class GuessGrid:
 
 def guess_grid(oracle, stream, rank_k):
     """One dedicated pass for the best singleton value tau, then the grid
-    {2^i : tau <= 2^i <= k * tau}.
+    {2^i : tau <= 2^i <= min(k * tau, 2^1023)}, read off the binary
+    exponents of tau and k * tau, so no power is rounded or overflows.
 
     All-zero singletons degenerate to a single zero guess (the run then
     proceeds with alpha = 0). When no power of two lands in the interval
-    (only possible at rank 1), the largest power below tau still brackets
-    the optimum and is used instead.
+    (only possible at rank 1, or for tau above 2^1023), the largest power
+    at most tau still brackets the optimum and is used instead.
     """
     tau = 0.0
     for e in stream:
         tau = max(tau, oracle.value({e}))
     if tau <= 0.0:
         return GuessGrid(0.0, (0.0,))
-    i = math.ceil(math.log2(tau))
-    while 2.0 ** (i - 1) >= tau:
-        i -= 1
-    while 2.0 ** i < tau:
-        i += 1
-    lambdas = []
-    while 2.0 ** i <= rank_k * tau:
-        lambdas.append(2.0 ** i)
-        i += 1
-    if not lambdas:
-        lambdas = [2.0 ** math.floor(math.log2(tau))]
-    return GuessGrid(tau, lambdas)
+    mantissa, exp = math.frexp(tau)  # tau = mantissa * 2^exp, 1/2 <= mantissa < 1
+    low = exp - 1 if mantissa == 0.5 else exp
+    # k * tau may overflow to inf: the largest float caps the top at 2^1023
+    high = math.frexp(min(rank_k * tau, sys.float_info.max))[1] - 1
+    lambdas = [math.ldexp(1.0, i) for i in range(low, high + 1)]
+    return GuessGrid(tau, lambdas or [math.ldexp(0.5, exp)])
 
 
 class RandomizedPassRunner(PassRunner):
@@ -131,12 +127,11 @@ class RandomizedPassRunner(PassRunner):
             buffer.peak = len(members)
         if len(members) == self.m:
             self._select_and_sweep()
-        # x is now held in the buffer or in S: count storage again, as
-        # ``process`` does but with no arrival in hand
-        size = len(self.init_ids) + self._fresh_members + len(buffer.members)
-        self.stored_current = size
-        if size > self.stored_peak:
-            self.stored_peak = size
+            # S gained at most one fresh member and the buffer lost at
+            # least the drawn one: the count ``process`` took can only
+            # fall. Without a draw, x just moved from hand to buffer.
+            self.stored_current = (len(self.init_ids) + self._fresh_members
+                                   + len(buffer.members))
 
     def _select_and_sweep(self):
         x, (gain, cx) = self.buffer.draw(self.rng)

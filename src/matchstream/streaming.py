@@ -189,9 +189,10 @@ class PassRunner:
     the solution invariants are re-derived from the oracle after every
     processed element (uncounted evaluations).
 
-    The pass starts from a copy of ``s_init``, a finished pass's state on
-    ``oracle`` that is feasible under ``mp`` and whose evaluator holds
-    exactly its members, or from the empty solution.
+    ``oracle`` and ``mp`` must have one ground set. The pass starts from a
+    copy of ``s_init``, a finished pass's state on ``oracle`` that is
+    feasible under ``mp`` and whose evaluator holds exactly its members,
+    or from the empty solution.
 
     ``finish`` closes the pass and returns the runner itself as the pass
     record: its ``state``, the acceptance set ``accepted`` (initial
@@ -213,6 +214,8 @@ class PassRunner:
                  trace=None):
         if not (0 <= alpha < math.inf and 0 <= beta < math.inf):
             raise PreconditionError("alpha and beta must be finite and non-negative")
+        if oracle.ground != mp.ground:
+            raise PreconditionError("objective and constraint ground sets differ")
         if s_init is None:
             self.state = SolutionState.empty(oracle)
         else:

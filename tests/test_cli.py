@@ -246,3 +246,29 @@ def test_generate_rejects_a_flag_the_family_does_not_take(tmp_path):
     assert proc.stderr.startswith("error:") and "left, parts" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not out.exists()
+
+
+def test_every_run_flag_reaches_the_config(tmp_path, capsys):
+    cut = str(tmp_path / "cut.json")
+    ms.save_instance(ms.generate_instance("directed-cut+matroid", 4, n=8), cut)
+    shared = {"instance": cut, "passes": 2, "shuffle_seed": 5,
+              "trace": str(tmp_path / "t.csv"), "summary": str(tmp_path / "s.json")}
+    flags = {
+        "run-monotone": {**shared, "schedule": "fixed:0.5", "epsilon": 0.3,
+                         "target_gamma": 50.0, "alpha": 0.25},
+        "run-nonmonotone": {**shared, "epsilon": 0.4, "seed": 9,
+                            "offline": "heuristic", "replicates": 2},
+    }
+    algorithms = {"run-monotone": "monotone-multipass",
+                  "run-nonmonotone": "nonmonotone-randomized"}
+    defaults = ms.ExperimentConfig("default.json", "monotone-multipass").to_dict()
+    for verb, values in flags.items():
+        assert all(values[name] != defaults[name] for name in values)
+        argv = [verb]
+        for name, value in values.items():
+            argv += ["--" + name.replace("_", "-"), str(value)]
+        assert main(argv) == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert config == {**defaults, **values, "algorithm": algorithms[verb]}
+        with open(values["summary"], encoding="utf-8") as fh:
+            assert json.load(fh)["config"] == config

@@ -10,6 +10,15 @@ import pytest
 import matchstream as ms
 
 
+# the monotone summary's fields; the randomized one adds its own, and
+# only it totals draws and buffer drops
+MONOTONE_SUMMARY_KEYS = {
+    "schema_version", "algorithm", "instance", "n", "monotone", "p", "rank_k",
+    "seed", "opt_value", "trace", "config", "f_final", "gamma_certified_final",
+    "passes", "oracle_calls", "peak_storage", "evictions",
+    "shortcut_exchanges", "zero_gain_accepts", "ratio", "wall_time"}
+
+
 def _write_instance(tmp_path, family="coverage+uniform", seed=5, **params):
     inst = ms.generate_instance(family, seed, **params)
     path = tmp_path / f"{family.replace('+', '_')}_{seed}.json"
@@ -313,7 +322,7 @@ def test_summaries_count_evictions_draws_and_drops(tmp_path):
     with open(trace, encoding="utf-8", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert monotone["evictions"] == sum(int(r["evictions"]) for r in rows) > 0
-    assert "draws" not in monotone and "buffer_drops" not in monotone
+    assert set(monotone) == MONOTONE_SUMMARY_KEYS
     config = ms.ExperimentConfig(single, "nonmonotone-randomized", epsilon=0.5,
                                  passes=1, offline="heuristic", replicates=2,
                                  seed=4, trace=trace,
@@ -323,6 +332,9 @@ def test_summaries_count_evictions_draws_and_drops(tmp_path):
         rows = list(csv.DictReader(fh))
     assert summary["evictions"] == sum(int(r["evictions"]) for r in rows) > 0
     assert summary["draws"] == sum(int(r["accepts"]) for r in rows) > 0
+    assert set(summary) == MONOTONE_SUMMARY_KEYS | {
+        "f_bar_mean", "f_bar_stddev", "replicates", "lambda_grid", "m",
+        "gamma_off", "space_bound", "draws", "buffer_drops"}
     inst = ms.load_instance(single)
     drops = 0
     for rep in range(2):

@@ -93,6 +93,13 @@ def test_negative_weights_rejected():
         ms.TableOracle(1, [0.0, -0.5])
 
 
+def test_cut_weights_need_a_finite_sum():
+    # each arc is finite, but the cut of {0} would be worth inf
+    assert ms.DirectedCutOracle(3, [(0, 1, 1e308)]).peek({0}) == 1e308
+    with pytest.raises(ms.DomainError):
+        ms.DirectedCutOracle(3, [(0, 1, 1e308), (0, 2, 1e308)])
+
+
 def test_table_size_cap():
     with pytest.raises(ms.SizeError):
         ms.TableOracle(21, [0.0] * (1 << 21))

@@ -1,6 +1,7 @@
 """Randomized buffered pass, guess grid, offline solver, full driver."""
 
 import math
+import sys
 from itertools import combinations
 from random import Random
 
@@ -32,6 +33,30 @@ def test_guess_grid_degenerate_and_rank_one():
     # no power of two inside [5, 5]; the bracket below tau still works
     oracle = ms.ModularOracle([5])
     assert ms.guess_grid(oracle, [0], rank_k=1).lambdas == (4.0,)
+    # one ulp below 16: the largest power of two at most tau is 8, not 16
+    below = ms.ModularOracle([15.999999999999998])
+    assert ms.guess_grid(below, [0], rank_k=1).lambdas == (8.0,)
+    # no float power of two is at least 1.5e308: the one guess is 2^1023
+    top = ms.ModularOracle([1.5e308])
+    assert ms.guess_grid(top, [0], rank_k=1).lambdas == (2.0 ** 1023,)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tau=st.floats(min_value=0.0, max_value=sys.float_info.max,
+                     allow_nan=False, allow_infinity=False),
+       k=st.integers(min_value=1, max_value=10 ** 12))
+def test_guess_grid_is_doubling_powers_for_every_finite_tau(tau, k):
+    lambdas = ms.guess_grid(ms.ModularOracle([tau]), [0], rank_k=k).lambdas
+    if tau == 0.0:
+        assert lambdas == (0.0,)
+        return
+    assert all(math.frexp(lam)[0] == 0.5 for lam in lambdas)
+    assert all(b == 2.0 * a for a, b in zip(lambdas, lambdas[1:]))
+    assert tau / 2 < lambdas[0] < 2 * tau
+    if lambdas[0] >= tau:   # else the one guess below tau, at rank 1 or tau > 2^1023
+        assert lambdas[-1] <= k * tau < 2 * lambdas[-1] or lambdas[-1] == 2.0 ** 1023
+    else:
+        assert len(lambdas) == 1 and (2 * lambdas[0] > k * tau or tau > 2.0 ** 1023)
 
 
 def test_guess_grid_copy_count_at_large_rank():

@@ -200,6 +200,21 @@ def test_stream_validation():
     assert oracle.calls == 0
 
 
+def test_ground_mismatch_is_refused_by_every_driver():
+    # an objective over 8 elements with a constraint over 3 would treat
+    # elements 3-7 as free, and the reverse would never stream 3-7
+    for n_oracle, n_mp in ((8, 3), (3, 8)):
+        oracle = ms.ModularOracle([1.0] * n_oracle)
+        mp = ms.PMatchoid(range(n_mp), [ms.UniformMatroid(range(n_mp), 1)])
+        stream = range(n_oracle)
+        for run in (lambda: ms.streaming_pass(oracle, mp, stream),
+                    lambda: ms.multipass_run(oracle, mp, stream,
+                                             ms.Schedule.matroid_harmonic(), 2),
+                    lambda: ms.multipass_randomized(oracle, mp, stream, 0.5, 1)):
+            with pytest.raises(ms.PreconditionError, match="ground sets differ"):
+                run()
+
+
 def test_negative_parameters_rejected():
     oracle, mp = _modular_setup([1, 2])
     with pytest.raises(ms.PreconditionError):
