@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integrality check
+that raises them for ids and capacities."""
 
 
 class MatchstreamError(ValueError):
@@ -23,3 +24,31 @@ class InfeasibilityError(MatchstreamError):
 
 class ConfigError(MatchstreamError):
     """Bad experiment, schedule, or instance-file configuration."""
+
+
+def integers(values, what, error=PreconditionError):
+    """``values`` as a list of ints. A value v is taken only when
+    int(v) == v, so 2.0 is 2, while 1.7, NaN, inf and "2" raise ``error``
+    naming ``what``, rather than silently becoming another id or
+    capacity."""
+    raw = list(values)
+    try:
+        out = list(map(int, raw))
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if out != raw:
+        bad = next(v for v in raw if not _integral(v))
+        raise error(f"{what} must be integers, got {bad!r}")
+    return out
+
+
+def integer(value, what, error=PreconditionError):
+    """One value, checked as ``integers`` checks each."""
+    return integers((value,), what, error)[0]
+
+
+def _integral(value):
+    try:
+        return int(value) == value
+    except (TypeError, ValueError, OverflowError):
+        return False

@@ -164,6 +164,8 @@ def _tally(totals, records):
             # every accept of a buffered pass is a draw
             totals["draws"] += res.accept_count
             totals["buffer_drops"] += res.buffer_drops
+            totals["subsets_examined"] += res.subsets_examined
+            totals["bound_prunes"] += res.bound_prunes
 
 
 def run_experiment(config):
@@ -178,9 +180,10 @@ def run_experiment(config):
     wall time, and the optimum value and the ratio
     opt/f_final, which are None when the exact search could examine more
     than ``SUMMARY_OPT_BUDGET`` subsets. A randomized summary adds the
-    buffer draws (``draws``, which are its accepts) and the buffered
-    arrivals a re-screen dropped (``buffer_drops``). The returned dict keeps its
-    floats; the file holds ``summary_json``'s strict JSON, with "inf" for
+    buffer draws (``draws``, which are its accepts), the buffered
+    arrivals a re-screen dropped (``buffer_drops``), and the exact
+    offline solver's effort, ``subsets_examined`` and ``bound_prunes``
+    (0 in heuristic mode). The returned dict keeps its floats; the file holds ``summary_json``'s strict JSON, with "inf" for
     an infinite factor.
     """
     started = time.perf_counter()

@@ -1,27 +1,36 @@
 """Matroid independence oracles and their composition into p-matchoids.
 
 A p-matchoid is a list of matroids, each living on a subset of the ground
-set, with every element belonging to at most p of those subsets.
-``PMatchoid`` indexes the matroids by element, ``matroids_of[e]`` in
-instance order, and takes p to be the longest such tuple. A set is
-feasible when its restriction to each matroid's ground subset is
-independent there. Only the matroids holding e can tell S from S + e,
-so the per-arrival work (``exchange_set``, ``PMatchoid.feasible_with``)
-visits at most p matroids however many the instance has.
+set, with every element belonging to at most p of those subsets. A set
+is feasible when its restriction to each matroid's ground subset is
+independent there.
+
+Each matroid splits its ground subset into conflict classes,
+``Matroid.swap_classes()``: one class for a uniform matroid, one per
+part for a partition matroid (and one for the elements outside every
+part). Within a class, every element outside S has the same swap
+candidates. Kinds with no such split (graphic, transversal, custom)
+return None, and their elements get one class with key None, which
+shares nothing. ``PMatchoid`` indexes each element by its signature,
+``signature_of[e]``: the tuple of ``(matroid, class)`` slots of the
+matroids holding e, in instance order, shared by every element with
+the same slots. p is the longest signature. Only the matroids holding
+e can tell S from S + e, so the per-arrival work (``exchange_set``,
+``PMatchoid.feasible_with``) visits at most p matroids however many the
+instance has.
 
 ``exchange_set`` picks, for each matroid an arrival x would make
 dependent, the member of S with the smallest cached nu among x's swap
-candidates. For uniform and partition matroids that pick depends on x
-only through a conflict class, ``Matroid.swap_class(x)``: one class for
-a uniform matroid, one per part for a partition matroid. The solution
-state caches each class's pick in ``SolutionState.picks`` until S or nu
-changes, so between two accepts each class is searched once, not once
-per arrival. Kinds with no such class (graphic, transversal, custom)
-search per arrival and store nothing.
+candidates. That pick depends on x only through x's slot, and the
+whole answer only through x's signature when every key in it is
+non-None. The solution state caches both, per slot and per signature,
+in ``SolutionState.picks`` until S or nu changes, so between two
+accepts each class is searched once, and each signature answered once,
+not once per arrival.
 """
 
 from .baselines import compute_rank
-from .errors import InfeasibilityError, PreconditionError
+from .errors import InfeasibilityError, PreconditionError, integer, integers
 
 
 class Matroid:
@@ -34,7 +43,7 @@ class Matroid:
     kind = "abstract"
 
     def __init__(self, ground_subset):
-        self.ground_subset = frozenset(int(e) for e in ground_subset)
+        self.ground_subset = frozenset(integers(ground_subset, "ground elements"))
 
     def independent(self, subset):
         return self._independent(frozenset(subset) & self.ground_subset)
@@ -53,15 +62,18 @@ class Matroid:
             return None
         return {y for y in s_l if self.independent((s_l - {y}) | {x})}
 
-    def swap_class(self, x):
-        """A hashable key naming x's conflict class, or None for "do not
-        share".
+    def swap_classes(self):
+        """(key, elements) pairs partitioning the ground subset into
+        conflict classes, or None when this kind has none.
 
-        Contract: two elements of the ground subset, both outside an
-        independent set ``s_l``, that get the same non-None key get the
-        same ``swap_candidates(s_l, .)``. ``exchange_set`` relies on it
-        to reuse one class's pick for every arrival in the class. This
-        base form shares nothing.
+        Contract: two elements of one class, both outside an independent
+        set ``s_l``, get the same ``swap_candidates(s_l, .)``, and every
+        key is hashable and not None. ``element_index`` files each
+        element under its class, and ``exchange_set`` relies on the
+        contract to reuse one class's pick for every arrival in the
+        class, and one exchange set for every arrival with the same
+        signature. It is read once, when a ``PMatchoid`` is built. This
+        base form names no classes, so its elements share nothing.
         """
         return None
 
@@ -71,7 +83,7 @@ class UniformMatroid(Matroid):
 
     def __init__(self, ground_subset, capacity):
         super().__init__(ground_subset)
-        self.capacity = int(capacity)
+        self.capacity = integer(capacity, "capacity")
         if self.capacity < 0:
             raise PreconditionError("capacity must be non-negative")
 
@@ -85,9 +97,9 @@ class UniformMatroid(Matroid):
         inside = s_l & self.ground_subset
         return inside if len(inside) >= self.capacity else None
 
-    def swap_class(self, x):
+    def swap_classes(self):
         """One class: every arrival competes for the same capacity."""
-        return 0
+        return ((0, self.ground_subset),)
 
 
 class PartitionMatroid(Matroid):
@@ -98,8 +110,8 @@ class PartitionMatroid(Matroid):
 
     def __init__(self, ground_subset, parts, capacities):
         super().__init__(ground_subset)
-        self.parts = [frozenset(int(e) for e in part) for part in parts]
-        self.capacities = [int(c) for c in capacities]
+        self.parts = [frozenset(integers(part, "part elements")) for part in parts]
+        self.capacities = integers(capacities, "capacities")
         if len(self.parts) != len(self.capacities):
             raise PreconditionError("one capacity per part is required")
         seen = set()
@@ -128,10 +140,14 @@ class PartitionMatroid(Matroid):
         in_part = s_l & self.parts[j]
         return in_part if len(in_part) >= self.capacities[j] else None
 
-    def swap_class(self, x):
-        """x's part index; -1 for the elements outside every part, which
-        never conflict."""
-        return self._part_of.get(x, -1)
+    def swap_classes(self):
+        """One class per part, keyed by its index, and -1 for the elements
+        outside every part, which never conflict."""
+        classes = list(enumerate(self.parts))
+        free = self.ground_subset.difference(*self.parts)
+        if free:
+            classes.append((-1, free))
+        return classes
 
 
 class GraphicMatroid(Matroid):
@@ -199,46 +215,51 @@ class TransversalMatroid(Matroid):
 
 
 def element_index(matroids):
-    """(index, p): ``index`` maps each element some matroid holds to the
-    tuple of those matroids, in the order of ``matroids``, and p is the
-    longest tuple, 1 if there is none."""
-    # set operations place the elements first seen in a matroid, and only
-    # the elements it shares with earlier ones are visited one by one;
-    # elements held by the same matroids share one tuple, so the index
-    # allocates per distinct tuple, not per element
+    """(index, p): ``index`` maps each element some matroid holds to its
+    signature, the tuple of its ``(matroid, class)`` slots in the order
+    of ``matroids``, where class is the key of the ``swap_classes`` block
+    holding it (None for a kind with no classes); p is the longest
+    signature, 1 if there is none."""
+    # set operations place the elements a class block holds first, and
+    # only the elements it shares with earlier blocks are visited one by
+    # one; elements with one signature share one tuple, so the index
+    # allocates per distinct signature, not per element
     index, seen = {}, set()
     for m in matroids:
-        one = (m,)
-        grown = {}
-        for e in m.ground_subset & seen:
-            held = index[e]
-            if held not in grown:
-                grown[held] = held + one
-            index[e] = grown[held]
-        fresh = m.ground_subset - seen
-        index.update(dict.fromkeys(fresh, one))
-        seen |= fresh
+        for key, block in m.swap_classes() or ((None, m.ground_subset),):
+            one = ((m, key),)
+            grown = {}
+            for e in block & seen:
+                held = index[e]
+                if held not in grown:
+                    grown[held] = held + one
+                index[e] = grown[held]
+            fresh = block - seen
+            index.update(dict.fromkeys(fresh, one))
+            seen |= fresh
     return index, max(map(len, index.values()), default=1)
 
 
 class PMatchoid:
     """Conjunction of matroid constraints with bounded per-element membership.
 
-    ``matroids_of`` maps each element that some matroid holds to the
-    tuple of those matroids, in instance order; an element outside every
-    matroid has no entry. ``p`` is the longest tuple (1 when there is
-    none), not declared. ``rank_k``, the size of a largest feasible set,
-    is ``rank`` when supplied, else ``compute_rank``'s (an exact search
-    at p >= 2, raising ``SizeError`` above its budget).
+    ``signature_of`` maps each element that some matroid holds to its
+    signature, the tuple of ``(matroid, class)`` slots naming the
+    matroids that hold it, in instance order, and its conflict class in
+    each (see ``element_index``); an element outside every matroid has
+    no entry. ``p`` is the longest signature (1 when there is none), not
+    declared. ``rank_k``, the size of a largest feasible set, is
+    ``rank`` when supplied, else ``compute_rank``'s (an exact search at
+    p >= 2, raising ``SizeError`` above its budget).
     """
 
     def __init__(self, ground, matroids, rank=None):
-        self.ground = frozenset(int(e) for e in ground)
+        self.ground = frozenset(integers(ground, "ground elements"))
         self.matroids = list(matroids)
         if not all(m.ground_subset <= self.ground for m in self.matroids):
             raise PreconditionError("matroid ground subset leaves the instance ground set")
-        self.matroids_of, self.p = element_index(self.matroids)
-        self.rank_k = int(rank) if rank is not None else compute_rank(self)
+        self.signature_of, self.p = element_index(self.matroids)
+        self.rank_k = integer(rank, "rank") if rank is not None else compute_rank(self)
 
     def feasible(self, subset):
         a = frozenset(subset)
@@ -248,55 +269,64 @@ class PMatchoid:
         """Whether ``subset`` + e is feasible, given that ``subset`` is.
 
         Sound only for a feasible ``subset``: every matroid not holding e
-        sees the same restriction with e as without it, so only
-        ``matroids_of[e]`` is tested.
+        sees the same restriction with e as without it, so only the
+        matroids of e's signature are tested.
         """
-        held = self.matroids_of.get(e)
-        if held is None:
+        signature = self.signature_of.get(e)
+        if signature is None:
             return True
         a = set(subset)
         a.add(e)
-        for m in held:
+        for m, _ in signature:
             if not m.independent(a):
                 return False
         return True
 
 
 def exchange_set(mp, x, state):
-    """Candidate eviction set making room for x in the current solution.
+    """Candidate eviction set making room for x in the current solution,
+    as a frozenset.
 
     For each matroid containing x whose restriction becomes dependent when
     x is added, the swap candidate with the smallest cached incremental
     value is chosen; ties go to the earliest arrival, i.e. the first
-    minimum in the key order of ``state.nu``. Only the matroids holding
-    x, ``mp.matroids_of[x]``, are visited, in instance order, and the
-    same element may be chosen for several of them (it is added once).
-    Returns None for a loop x ({x} dependent), which no exchange admits;
-    a matroid naming no swap for another x breaks the exchange axiom and
-    raises ``InfeasibilityError``.
+    minimum in the key order of ``state.nu``. Only the slots of x's
+    signature, ``mp.signature_of[x]``, are visited, in instance order,
+    and the same element may be chosen for several matroids (it is added
+    once). Returns None for a loop x ({x} dependent), which no exchange
+    admits; a matroid naming no swap for another x breaks the exchange
+    axiom and raises ``InfeasibilityError``.
 
-    The answer is a function of (mp, x, S, nu) alone. A matroid's pick
-    depends on x only through ``swap_class(x)``, so a non-None class's
-    pick (or None, when the class is not full) is kept in
-    ``state.picks`` under ``(matroid, class)`` and reused by later
-    arrivals of the class until the state drops the cache, which it does
-    whenever S or nu changes. Loops and the ``InfeasibilityError`` path
-    are not cached.
+    The answer is a function of (mp, x, S, nu) alone, and by the
+    ``swap_classes`` contract it depends on x only through x's
+    signature once every class key in it is non-None. Two caches in
+    ``state.picks`` serve later arrivals until the state drops them,
+    which it does whenever S or nu changes: each slot with a non-None
+    key keeps its pick (or None, when the class is not full) under the
+    slot, and a signature whose keys are all non-None keeps the whole
+    answer under the signature. So a full buffer under one uniform
+    matroid costs one search per state, not one per element. Loops and
+    the ``InfeasibilityError`` path are not cached.
     """
     nu = state.nu
     if x in nu:
         raise PreconditionError(f"element {x} is already in the solution")
+    signature = mp.signature_of.get(x, ())
     picks = state.picks
+    answer = picks.get(signature)
+    if answer is not None:
+        return answer
+    shared = True
     chosen = set()
-    for matroid in mp.matroids_of.get(x, ()):
-        key = matroid.swap_class(x)
-        if key is not None:
-            slot = (matroid, key)
-            if slot in picks:
-                pick = picks[slot]
-                if pick is not None:
-                    chosen.add(pick)
-                continue
+    for slot in signature:
+        matroid, key = slot
+        if key is None:
+            shared = False
+        elif slot in picks:
+            pick = picks[slot]
+            if pick is not None:
+                chosen.add(pick)
+            continue
         # iterates S, not the matroid's whole ground subset
         candidates = matroid.swap_candidates(
             matroid.ground_subset.intersection(nu), x)
@@ -314,4 +344,7 @@ def exchange_set(mp, x, state):
             chosen.add(pick)
         if key is not None:
             picks[slot] = pick
-    return chosen
+    answer = frozenset(chosen)
+    if shared:
+        picks[signature] = answer
+    return answer

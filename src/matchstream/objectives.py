@@ -10,14 +10,17 @@ oracle-call totals as plain runs.
 A running evaluator follows f over a growing set A without re-evaluating
 it from scratch. ``oracle.running(subset)`` returns one holding
 ``total = f(A)``; ``value_with(x)`` gives f(A + x) and leaves A as it is,
-and ``add(x)`` puts x into A and returns the new f(A). The metering is
-that of the ``value`` calls they stand for: ``running`` counts one call
-(``value(A)``), ``value_with`` one (``value(A | {x})``) and ``add`` one
-(``value`` of the grown set); ``add(x, meter=False)`` counts none, for a
-caller that has already paid for f(A + x). ``forget(elements)`` drops
-members that f(A) does not need, keeping the total and the statistics,
-with no call; it is sound only for a monotone f with f(A - elements) =
-f(A), and its docstring gives the argument. So a run's call count
+``values_with(xs)`` does so for a batch, and ``add(x)`` puts x into A
+and returns the new f(A). The metering is that of the ``value`` calls
+they stand for: ``running`` counts one call (``value(A)``),
+``value_with`` one (``value(A | {x})``), ``values_with`` one per batch
+member, taken in one step after the whole batch passes the ground-set
+check, and ``add`` one (``value`` of the grown set); ``add(x,
+meter=False)`` counts none, for a caller that has already paid for
+f(A + x). ``forget(elements)`` drops members that f(A) does not need,
+keeping the total and the statistics, with no call; it is sound only
+for a monotone f with f(A - elements) = f(A), and its docstring gives
+the argument. So a run's call count
 equals that of from-scratch evaluation, except where the streaming pass
 forgets instead of re-walking (see ``streaming``). The base evaluator
 re-evaluates through ``_evaluate``, so every subclass supports it
@@ -29,7 +32,7 @@ implementing ``_start``, ``_with``, ``_grow`` and ``copy``.
 import math
 import threading
 
-from .errors import DomainError, SizeError
+from .errors import DomainError, SizeError, integers
 
 
 class SubmodularOracle:
@@ -47,7 +50,7 @@ class SubmodularOracle:
     monotone = False
 
     def __init__(self, ground):
-        self.ground = frozenset(int(e) for e in ground)
+        self.ground = frozenset(integers(ground, "element ids", DomainError))
         if any(e < 0 for e in self.ground):
             raise DomainError("element ids must be non-negative integers")
         self._lock = threading.Lock()
@@ -146,6 +149,25 @@ class RunningValue:
         with oracle._lock:
             oracle._calls += 1
         return self.total if x in self.members else self._with(x)
+
+    def values_with(self, xs):
+        """[f(A + x) for x in ``xs``] without changing A; ``len(xs)``
+        counted calls, as that many ``value_with`` calls make.
+
+        ``xs`` is a sized collection that can be iterated twice (a list,
+        or a dict's keys). The whole batch is checked against the ground
+        set before anything is counted, and the count is taken under one
+        lock acquisition.
+        """
+        oracle = self.oracle
+        ground = oracle.ground
+        if not ground.issuperset(xs):
+            outside = sorted(x for x in xs if x not in ground)
+            raise DomainError(f"elements {outside} are outside the ground set")
+        with oracle._lock:
+            oracle._calls += len(xs)
+        members, total, with_ = self.members, self.total, self._with
+        return [total if x in members else with_(x) for x in xs]
 
     def add(self, x, meter=True):
         """A <- A + x; returns the new f(A). One counted call unless

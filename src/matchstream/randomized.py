@@ -7,11 +7,17 @@ buffer is one arrival-ordered dict from each waiting element to its
 threshold data (gain and eviction set). When the buffer fills, one
 element is drawn uniformly at random, exchanged into the solution, and
 the remaining buffered elements are re-screened against the updated
-solution; a buffer of one is the immediate policy.
+solution; a buffer of one is the immediate policy. S does not change
+during a re-screen, so it measures f(y | S) for the whole buffer with
+one batched ``RunningValue.values_with`` call (metered as one
+``value_with`` per member), and the exchange sets come from the state's
+per-signature cache: under one uniform matroid the sweep makes one
+exchange search, not one per member.
 What survives in the buffer at the end of the pass feeds an offline
 solver (exact, or Sample Greedy), whose best output is a second candidate
 solution; the run returns the better of the streaming and offline
-solutions.
+solutions. Each pass record keeps the exact solver's effort
+(``subsets_examined``, ``bound_prunes``; 0 in heuristic mode).
 
 The additive threshold alpha needs a bracket on the unknown optimum
 value. A dedicated first pass finds the best feasible singleton tau, and
@@ -112,12 +118,13 @@ class RandomizedPassRunner(PassRunner):
         super().__init__(oracle, mp, s_init, alpha, beta, debug=debug)
         self.m = m
         self.rng = rng
+        # ``waiting`` is the buffer's dict itself, an attribute and not a
+        # property, as ``process`` reads it once per arrival; each new
+        # dict is bound to both names
         self.buffer = BufferState({})
+        self.waiting = self.buffer.members
         self.buffer_drops = 0
-
-    @property
-    def waiting(self):
-        return self.buffer.members
+        self.subsets_examined = self.bound_prunes = 0
 
     def _admit(self, x, gain, cx):
         buffer = self.buffer
@@ -130,22 +137,32 @@ class RandomizedPassRunner(PassRunner):
             # S gained at most one fresh member and the buffer lost at
             # least the drawn one: the count ``process`` took can only
             # fall. Without a draw, x just moved from hand to buffer.
-            self.stored_current = (len(self.init_ids) + self._fresh_members
-                                   + len(buffer.members))
+            self.stored_current = self._held + len(buffer.members)
 
     def _select_and_sweep(self):
+        """Draw one member into S, then re-screen the rest against the new
+        S: f(y | S) for the whole residual buffer comes from one
+        ``values_with`` call, metered as one ``value_with`` per member,
+        and each member's exchange set and bar are taken as ``_threshold``
+        takes them. A buffered member cleared the threshold once, so it is
+        no loop and its exchange set is never None."""
         x, (gain, cx) = self.buffer.draw(self.rng)
         self._accept(x, gain, cx)
         before_sweep = self.buffer.members
+        state, mp, debug = self.state, self.mp, self.debug
+        evaluator = state.evaluator
+        total = evaluator.total
         survivors = {}
-        for y in before_sweep:
-            ok, gain, cx = self._threshold(y)
-            if ok:
+        for y, value in zip(before_sweep, evaluator.values_with(before_sweep)):
+            cx = exchange_set(mp, y, state)
+            if debug:
+                self._check_exchange(y, cx)
+            gain = value - total
+            if gain >= self._bar(cx):
                 survivors[y] = (gain, cx)
-            else:
-                self.buffer_drops += 1
-        self.buffer.members = survivors
-        if self.debug:
+        self.buffer_drops += len(before_sweep) - len(survivors)
+        self.buffer.members = self.waiting = survivors
+        if debug:
             # the sweep outcome may not depend on its iteration order
             replay = {y for y in reversed(before_sweep) if self._threshold_peek(y)}
             if replay != set(survivors):
@@ -160,8 +177,11 @@ class RandomizedPassRunner(PassRunner):
     def finish(self, offline_mode="exact"):
         """Close the pass: solve offline over the residual buffer and return
         the runner as its record. The call count includes the offline
-        solve and the evaluation of its solution; the buffer keeps its
-        members, each mapped to None in place of its threshold data."""
+        solve and the evaluation of its solution, and the exact solver's
+        effort is kept as ``subsets_examined`` and ``bound_prunes`` (0 in
+        heuristic mode). The buffer keeps its members, each mapped to None
+        in place of its threshold data; nothing waits any more, and no
+        name keeps the dict that held the data."""
         if self._finished:
             raise PreconditionError("runner already finished")
         calls = self.oracle.calls
@@ -169,8 +189,11 @@ class RandomizedPassRunner(PassRunner):
                                 mode=offline_mode, rng=self.rng)
         self.f_s_prime = self.oracle.value(s_prime)
         self.s_prime = frozenset(s_prime)
+        self.subsets_examined = s_prime.subsets_examined
+        self.bound_prunes = s_prime.bound_prunes
         self.oracle_calls += self.oracle.calls - calls
         self.buffer.members = dict.fromkeys(self.buffer.members)
+        self.waiting = ()
         return super().finish()
 
 
@@ -186,8 +209,23 @@ def randomized_pass(oracle, mp, stream, s_init, alpha, beta, m, rng, *,
     return runner.finish(offline_mode)
 
 
+class OfflineSolution(frozenset):
+    """``offline_solve``'s answer: the chosen set, carrying the exact
+    search's effort, ``subsets_examined`` and ``bound_prunes`` (both 0
+    for the heuristic)."""
+
+    __slots__ = ("subsets_examined", "bound_prunes")
+
+    def __new__(cls, chosen, subsets_examined=0, bound_prunes=0):
+        self = super().__new__(cls, chosen)
+        self.subsets_examined = subsets_examined
+        self.bound_prunes = bound_prunes
+        return self
+
+
 def offline_solve(oracle, mp, candidates, mode="exact", rng=None):
-    """Best feasible subset of the candidate pool, exactly or by Sample Greedy.
+    """Best feasible subset of the candidate pool, exactly or by Sample
+    Greedy, as an ``OfflineSolution``.
 
     ``exact`` is ``max_feasible_subset``'s branch-and-bound, within its work
     budget. ``heuristic`` is Sample Greedy (Feldman, Harshaw and Karbasi
@@ -203,10 +241,13 @@ def offline_solve(oracle, mp, candidates, mode="exact", rng=None):
         raise ConfigError(f"unknown offline mode: {mode}")
     pool = sorted(set(candidates))
     if mode == "exact":
-        return max_feasible_subset(oracle, mp, pool).opt_set
+        result = max_feasible_subset(oracle, mp, pool)
+        return OfflineSolution(result.opt_set, result.subsets_examined,
+                               result.bound_prunes)
     if rng is None:
         raise ConfigError("the heuristic offline mode needs a seeded random generator")
-    return offline_greedy(oracle, mp, [e for e in pool if rng.random() < 1.0 / (mp.p + 1)])
+    return OfflineSolution(offline_greedy(
+        oracle, mp, [e for e in pool if rng.random() < 1.0 / (mp.p + 1)]))
 
 
 class LambdaCopyResult:
@@ -302,16 +343,21 @@ def multipass_randomized(oracle, mp, stream, epsilon, passes=None, seed=0, *,
     factor in expectation, for the heuristic, which samples from each copy's
     generator.
 
-    An unknown offline mode raises ``ConfigError``, and an exact mode over
-    the work budget ``SizeError``, before any oracle call: a residual pool
-    holds at most min(n, m - 1) elements (a full buffer is drawn from at
-    once), with a size cut p |its greedy basis| <= p^2 |G| for G the
-    stream's greedy basis, even when a supplied ``rank`` understates k.
+    An unknown offline mode raises ``ConfigError``, objective and
+    constraint ground sets that differ ``PreconditionError``, and an
+    exact mode over the work budget ``SizeError``, before any oracle
+    call: a residual pool holds at most min(n, m - 1) elements (a full
+    buffer is drawn from at once), with a size cut p |its greedy basis|
+    <= p^2 |G| for G the stream's greedy basis, even when a supplied
+    ``rank`` understates k.
     """
     if not 0.0 < epsilon <= 0.5:
         raise PreconditionError("epsilon must lie in (0, 1/2]")
     if offline_mode not in OFFLINE_MODES:
         raise ConfigError(f"unknown offline mode: {offline_mode}")
+    # the runners check this too, but only after the guess-grid pass
+    if oracle.ground != mp.ground:
+        raise PreconditionError("objective and constraint ground sets differ")
     order = validate_stream(stream, oracle.ground)
     p = mp.p
     k = mp.rank_k

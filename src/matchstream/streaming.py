@@ -12,10 +12,11 @@ then re-walks the suffix from the first evicted position, unless f is
 monotone and every evicted member has nu exactly 0: no survivor's nu
 can then change, and the walk is skipped (``SolutionState.accept``).
 
-The state also caches ``exchange_set``'s per-class swap picks
-(``SolutionState.picks``, see ``matchoids``). Only ``accept`` and the
-public ``recompute_nu`` change S or nu, and both replace the cache with
-an empty one; a new state and a ``copy`` start empty.
+The state also caches ``exchange_set``'s swap picks per conflict class
+and its answers per signature (``SolutionState.picks``, see
+``matchoids``). Only ``accept`` and the public ``recompute_nu`` change
+S or nu, and both replace the cache with an empty one; a new state and
+a ``copy`` start empty.
 
 A non-initial arrival x clears the threshold whenever
 
@@ -35,7 +36,7 @@ finished runner is the pass's record.
 
 import math
 
-from .errors import DomainError, PreconditionError
+from .errors import DomainError, PreconditionError, integers
 from .matchoids import exchange_set
 
 NU_TOL = 1e-9  # the debug checks' tolerance, relative to max(1, |f(S)|)
@@ -48,9 +49,10 @@ class SolutionState:
     the arrival order over the whole run. ``evaluator``, the oracle's
     running evaluator of S (see ``objectives``), holds f(S) as ``f_s``;
     ``f_empty`` is f(empty). A pass cannot start from a hand-built state.
-    ``picks`` is ``exchange_set``'s cache of swap picks, keyed by
-    ``(matroid, swap class)``; it holds at most one entry per class and
-    is emptied whenever S or nu changes.
+    ``picks`` is ``exchange_set``'s cache: swap picks keyed by their
+    ``(matroid, class)`` slot and exchange sets keyed by the signature
+    they answer for, at most one entry per slot and per signature. It is
+    emptied whenever S or nu changes.
     """
 
     __slots__ = ("nu", "f_empty", "evaluator", "picks")
@@ -157,7 +159,7 @@ def nu_by_definition(state, oracle):
 
 
 def validate_stream(stream, ground):
-    order = [int(x) for x in stream]
+    order = integers(stream, "stream elements", DomainError)
     seen = set(order)
     if len(seen) != len(order):
         raise PreconditionError("stream presents an element more than once")
@@ -240,46 +242,46 @@ class PassRunner:
         self.f_final = None  # set by finish
         self.accept_count = self.reject_count = self.discard_count = 0
         self.shortcut_exchanges = self.zero_gain_accepts = 0
-        self._fresh_members = 0  # members of S outside init_ids
-        self.stored_current = self.stored_peak = len(self.init_ids)
+        self._held = len(self.init_ids)  # the elements of init_ids | S
+        self.stored_current = self.stored_peak = self._held
         self._finished = False
 
     def process(self, x):
         """Discard, reject or admit one arrival.
 
         The storage count is the elements held: the initial solution and
-        S, the waiting arrivals, and x unless it is an initial member. A
-        validated stream never repeats an element, so the last two lie
-        outside the first, as do the members of S that ``_fresh_members``
-        counts.
+        S, which ``_held`` counts, the waiting arrivals, and x unless it
+        is an initial member. A validated stream never repeats an
+        element, so the last two lie outside the first two.
         """
         if self._finished:
             raise PreconditionError("runner already finished")
-        calls = self.oracle.calls
-        state = self.state
-        init_ids = self.init_ids
-        arriving = x not in init_ids
-        size = len(init_ids) + self._fresh_members + len(self.waiting) + arriving
+        oracle = self.oracle
+        calls = oracle._calls
+        arriving = x not in self.init_ids
+        size = self._held + len(self.waiting) + arriving
         self.stored_current = size
         if size > self.stored_peak:
             self.stored_peak = size
         if not arriving:
             self.discard_count += 1
-            _trace_write(self.trace, x, "discard", (), state)
+            if self.trace is not None:
+                _trace_write(self.trace, x, "discard", (), self.state)
         else:
             ok, gain, cx = self._threshold(x)
             if ok:
                 self._admit(x, gain, cx)
             else:
                 self.reject_count += 1
-                _trace_write(self.trace, x, "reject", cx, state)
+                if self.trace is not None:
+                    _trace_write(self.trace, x, "reject", cx, self.state)
         if self.debug:
-            _check_element(state, self.oracle, self.mp, self.alpha)
-            fresh = len(self.init_ids | state.members) - len(self.init_ids)
-            if fresh != self._fresh_members:
-                raise AssertionError("the count of new members drifted from S")
+            state = self.state
+            _check_element(state, oracle, self.mp, self.alpha)
+            if len(self.init_ids | state.members) != self._held:
+                raise AssertionError("the held-element count drifted from init and S")
             self.element_checks += 1
-        self.oracle_calls += self.oracle.calls - calls
+        self.oracle_calls += oracle._calls - calls
 
     def finish(self):
         """Close the pass and return the runner as its record."""
@@ -318,14 +320,28 @@ class PassRunner:
         state = self.state
         cx = exchange_set(self.mp, x, state)
         if self.debug:
-            fresh = exchange_set(self.mp, x, SolutionState(state.nu, state.f_empty))
-            if fresh != cx:
-                raise AssertionError(f"cached exchange set {cx} for {x}, not {fresh}")
+            self._check_exchange(x, cx)
         if cx is None:
             return False, None, ()
         evaluator = state.evaluator
         gain = evaluator.value_with(x) - evaluator.total
-        return gain >= self._bar(cx), gain, cx
+        # _bar, with its zero- and one-term sums written out
+        if not cx:
+            bar = self.alpha + (1.0 + self.beta) * 0.0
+        elif len(cx) == 1:
+            (c,) = cx
+            bar = self.alpha + (1.0 + self.beta) * (state.nu[c] + 0.0)
+        else:
+            bar = self._bar(cx)
+        return gain >= bar, gain, cx
+
+    def _check_exchange(self, x, cx):
+        """Debug check: ``cx``, served from the state's caches, is the
+        exchange set a fresh state computes."""
+        state = self.state
+        fresh = exchange_set(self.mp, x, SolutionState(state.nu, state.f_empty))
+        if fresh != cx:
+            raise AssertionError(f"cached exchange set {cx} for {x}, not {fresh}")
 
     def _bar(self, cx):
         """The bar f(x | S) must reach: alpha + (1 + beta) * sum of nu
@@ -354,10 +370,11 @@ class PassRunner:
         self.evicted.update(chi)
         self.shortcut_exchanges += skipped
         self.zero_gain_accepts += gain == 0.0
-        self._fresh_members += 1 - sum(c not in self.init_ids for c in chi)
+        self._held += 1 - sum(c not in self.init_ids for c in chi)
         self.accepted.add(x)
         self.accept_count += 1
-        _trace_write(self.trace, x, "accept", cx, state)
+        if self.trace is not None:
+            _trace_write(self.trace, x, "accept", cx, state)
         if self.debug:
             _check_accept(state, self.oracle, nu_before, cx)
             self.accept_checks += 1
@@ -376,8 +393,6 @@ def streaming_pass(oracle, mp, stream, s_init=None, alpha=0.0, beta=1.0, *,
 
 
 def _trace_write(sink, elem, action, cx, state):
-    if sink is None:
-        return
     record = {
         "elem": elem,
         "action": action,

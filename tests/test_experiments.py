@@ -334,7 +334,10 @@ def test_summaries_count_evictions_draws_and_drops(tmp_path):
     assert summary["draws"] == sum(int(r["accepts"]) for r in rows) > 0
     assert set(summary) == MONOTONE_SUMMARY_KEYS | {
         "f_bar_mean", "f_bar_stddev", "replicates", "lambda_grid", "m",
-        "gamma_off", "space_bound", "draws", "buffer_drops"}
+        "gamma_off", "space_bound", "draws", "buffer_drops",
+        "subsets_examined", "bound_prunes"}
+    # the heuristic offline mode runs no exact search
+    assert summary["subsets_examined"] == summary["bound_prunes"] == 0
     inst = ms.load_instance(single)
     drops = 0
     for rep in range(2):
@@ -348,3 +351,25 @@ def test_summaries_count_evictions_draws_and_drops(tmp_path):
         written = json.loads(fh.read(), parse_constant=_refuse_constant)
     assert [written[key] for key in ("evictions", "draws", "buffer_drops")] == \
         [summary[key] for key in ("evictions", "draws", "buffer_drops")]
+
+
+def test_randomized_summary_reports_the_exact_solvers_effort(tmp_path):
+    # a 12-vertex cut under capacity 3: the buffer never fills, so every
+    # offline pool is large enough for the exact search to examine many
+    # subsets and cut some by its bound
+    path = _write_instance(tmp_path, "directed-cut+matroid", 3, n=12, capacity=3)
+    config = ms.ExperimentConfig(path, "nonmonotone-randomized", epsilon=0.5,
+                                 passes=2, offline="exact", seed=6)
+    summary = ms.run_experiment(config)
+    inst = ms.load_instance(path)
+    mp = inst.build_matchoid()
+    run = ms.multipass_randomized(inst.build_oracle(), mp, range(inst.n), 0.5, 2,
+                                  seed=6, offline_mode="exact")
+    records = [res for copy in run.copies for res in copy.pass_results]
+    for res in records:
+        # the pass keeps what the search over its residual buffer reports
+        search = ms.max_feasible_subset(inst.build_oracle(), mp, sorted(res.buffer.members))
+        assert (res.subsets_examined, res.bound_prunes) == \
+            (search.subsets_examined, search.bound_prunes)
+    assert summary["subsets_examined"] == sum(r.subsets_examined for r in records) > 0
+    assert summary["bound_prunes"] == sum(r.bound_prunes for r in records) > 0

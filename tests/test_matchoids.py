@@ -4,6 +4,7 @@ from itertools import combinations
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import matchstream as ms
 import _corpus
@@ -154,13 +155,16 @@ def test_swap_candidates_match_the_definition():
         got = matroid.swap_candidates(s_l, x)
         assert got == _swaps_by_definition(matroid, s_l, x), (matroid.kind, s_l, x)
         outcomes["none" if got is None else "swap" if got else "stuck"] += 1
-        # swap_class's contract: one non-None key, one candidate set
-        by_class = {}
-        for y in matroid.ground_subset - s_l:
-            key = matroid.swap_class(y)
+        # swap_classes' contract: non-None keys on blocks that partition
+        # the ground subset, one candidate set per block
+        classes = matroid.swap_classes()
+        blocks = [block for _, block in classes]
+        assert sum(map(len, blocks)) == len(frozenset().union(*blocks))
+        assert frozenset().union(*blocks) == matroid.ground_subset
+        for key, block in classes:
             assert key is not None
-            swaps = matroid.swap_candidates(s_l, y)
-            assert by_class.setdefault(key, swaps) == swaps, (matroid.kind, s_l, y)
+            swaps = [matroid.swap_candidates(s_l, y) for y in block - s_l]
+            assert all(one == swaps[0] for one in swaps), (matroid.kind, s_l, key)
     assert min(outcomes.values()) > 0, outcomes
 
 
@@ -408,8 +412,8 @@ def test_cached_exchange_sets_match_the_definition():
             outside = [y for y in range(12) if y not in state.nu]
             for y in outside:
                 want = _exchange_by_definition(mp, y, state)
-                hits += any(y in m.ground_subset and (m, m.swap_class(y)) in state.picks
-                            for m in mp.matroids)
+                hits += any(slot in state.picks
+                            for slot in mp.signature_of.get(y, ()))
                 assert ms.exchange_set(mp, y, state) == want, (trial, step, y)
                 assert ms.exchange_set(mp, y, state) == want, (trial, step, y)
             x = rng.choice(outside)
@@ -437,13 +441,18 @@ def test_swap_picks_follow_the_state():
         assert state.picks == {}
     assert list(state.nu) == [0, 4]
     assert ms.exchange_set(mp, 3, state) == {0}
-    assert state.picks == {(uniform, 0): 0}
+    # the slot's pick, and the answer for the signature holding that slot
+    signature = ((uniform, 0),)
+    assert mp.signature_of[3] is mp.signature_of[5] == signature
+    assert state.picks == {(uniform, 0): 0, signature: frozenset({0})}
+    assert ms.exchange_set(mp, 5, state) is state.picks[signature]
     # a copy starts with its own empty cache
     copy = state.copy()
     assert copy.picks == {} and copy.picks is not state.picks
     assert ms.exchange_set(mp, 5, copy) == {0}
     copy.picks[(uniform, 0)] = 4
-    assert state.picks == {(uniform, 0): 0}
+    copy.picks[signature] = frozenset({4})
+    assert state.picks == {(uniform, 0): 0, signature: frozenset({0})}
     # the public nu refresh drops the cache too
     ms.recompute_nu(state, oracle)
     assert state.picks == {}
@@ -452,8 +461,9 @@ def test_swap_picks_follow_the_state():
 def test_graphic_matchoid_caches_nothing():
     endpoints = {0: (0, 1), 1: (1, 2), 2: (2, 0), 3: (2, 3)}
     graphic = ms.GraphicMatroid(set(endpoints), endpoints)
-    assert graphic.swap_class(2) is None
+    assert graphic.swap_classes() is None
     mp = ms.PMatchoid(range(4), [graphic])
+    assert mp.signature_of == dict.fromkeys(range(4), ((graphic, None),))
     state = _state([0, 1], {0: 2.0, 1: 1.0})
     assert ms.exchange_set(mp, 2, state) == {1}
     assert ms.exchange_set(mp, 3, state) == set()
@@ -470,7 +480,61 @@ def test_one_state_under_two_matchoids():
     for _ in range(2):
         assert ms.exchange_set(by_capacity, 2, state) == {0}
         assert ms.exchange_set(by_part, 2, state) == {1}
-    assert len(state.picks) == 2
+    # one slot and one signature for each constraint
+    assert len(state.picks) == 4
+    assert state.picks[by_capacity.signature_of[2]] == {0}
+    assert state.picks[by_part.signature_of[2]] == {1}
+
+
+@st.composite
+def _matroids(draw, n):
+    """A uniform, partition or graphic matroid on a random part of
+    range(n); capacity-0 classes and self-loop edges make loops."""
+    ground = sorted(draw(st.frozensets(st.integers(0, n - 1), min_size=1)))
+    kind = draw(st.sampled_from(("uniform", "partition", "graphic")))
+    if kind == "uniform":
+        return ms.UniformMatroid(ground, draw(st.integers(0, 3)))
+    if kind == "partition":
+        # the -1 label leaves an element outside every part
+        label = draw(st.lists(st.integers(-1, 2), min_size=len(ground),
+                              max_size=len(ground)))
+        parts = [[e for e, j in zip(ground, label) if j == part] for part in range(3)]
+        parts = [part for part in parts if part]
+        return ms.PartitionMatroid(ground, parts,
+                                   draw(st.lists(st.integers(0, 2), min_size=len(parts),
+                                                 max_size=len(parts))))
+    edge = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    return ms.GraphicMatroid(ground, {e: draw(edge) for e in ground})
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_signature_cache_answers_as_an_uncached_search(data):
+    # random queries between accepts and nu refreshes: every answer is
+    # the definition's, repeats included, and any change of S or nu
+    # empties the cache
+    n = data.draw(st.integers(3, 9), label="n")
+    matroids = data.draw(st.lists(_matroids(n), min_size=1, max_size=3), label="matroids")
+    mp = ms.PMatchoid(range(n), matroids)
+    oracle = ms.ModularOracle(data.draw(st.lists(st.integers(0, 3), min_size=n,
+                                                 max_size=n), label="weights"))
+    state = ms.SolutionState.empty(oracle)
+    for _ in range(data.draw(st.integers(1, 8), label="steps")):
+        queries = data.draw(st.lists(st.integers(0, n - 1), max_size=10), label="queries")
+        for y in queries:
+            if y not in state.nu:
+                assert ms.exchange_set(mp, y, state) == _exchange_by_definition(mp, y, state)
+        step = data.draw(st.sampled_from(("accept", "refresh")), label="step")
+        if step == "refresh":
+            ms.recompute_nu(state, oracle)
+            assert state.picks == {}
+            continue
+        outside = [y for y in range(n) if y not in state.nu]
+        if not outside:
+            break
+        if _accept(state, mp, oracle, data.draw(st.sampled_from(outside), label="x")) is not None:
+            assert state.picks == {}
+            assert mp.feasible(state.members)
 
 
 # The element index: each arrival visits only the matroids holding it
@@ -492,10 +556,17 @@ def test_element_index_lists_the_matroids_in_instance_order():
     for trial in range(40):
         matroids = [_uniform_or_partition(rng) for _ in range(rng.randint(0, 5))]
         mp = ms.PMatchoid(range(12), matroids)
+        shared = {}
         for e in range(12):
             want = tuple(m for m in matroids if e in m.ground_subset)
-            assert mp.matroids_of.get(e, ()) == want
-        assert mp.p == max((len(v) for v in mp.matroids_of.values()), default=1)
+            signature = mp.signature_of.get(e, ())
+            assert tuple(m for m, _ in signature) == want
+            # each slot names the class block holding e
+            for m, key in signature:
+                assert e in dict(m.swap_classes())[key]
+            # elements with one signature share one tuple
+            assert shared.setdefault(signature, signature) is signature
+        assert mp.p == max((len(v) for v in mp.signature_of.values()), default=1)
 
 
 def test_feasible_with_matches_feasible_on_every_family():
@@ -522,9 +593,11 @@ def test_feasible_with_on_free_elements_and_a_capacity_0_part():
     partition = ms.PartitionMatroid({0, 1, 2, 3}, [[0, 1], [2], [3]], [1, 1, 0])
     uniform = ms.UniformMatroid({1, 2, 3}, 1)
     mp = ms.PMatchoid(range(6), [partition, uniform])
-    assert mp.matroids_of == {0: (partition,), 1: (partition, uniform),
-                              2: (partition, uniform), 3: (partition, uniform)}
-    assert 4 not in mp.matroids_of and mp.p == 2
+    assert mp.signature_of == {0: ((partition, 0),),
+                               1: ((partition, 0), (uniform, 0)),
+                               2: ((partition, 1), (uniform, 0)),
+                               3: ((partition, 2), (uniform, 0))}
+    assert 4 not in mp.signature_of and mp.p == 2
     for s in (set(), {0}, {1}, {2}, {0, 2}, {4}, {0, 4, 5}, {1, 4, 5}):
         assert mp.feasible(s)
         for e in range(6):
@@ -534,38 +607,26 @@ def test_feasible_with_on_free_elements_and_a_capacity_0_part():
 
 
 def _exchange_set_scanning(mp, x, state):
-    """exchange_set as it was before the element index: every matroid of
-    ``mp.matroids`` is visited, and those without x are skipped."""
+    """exchange_set as it was before the element index, without its
+    caches: every matroid of ``mp.matroids`` is visited, and those
+    without x are skipped."""
     nu = state.nu
     if x in nu:
         raise ms.PreconditionError(f"element {x} is already in the solution")
-    picks = state.picks
     chosen = set()
     for matroid in mp.matroids:
         if x not in matroid.ground_subset:
             continue
-        key = matroid.swap_class(x)
-        if key is not None:
-            slot = (matroid, key)
-            if slot in picks:
-                pick = picks[slot]
-                if pick is not None:
-                    chosen.add(pick)
-                continue
         candidates = matroid.swap_candidates(
             matroid.ground_subset.intersection(nu), x)
         if candidates is None:
-            pick = None
-        elif not candidates:
+            continue
+        if not candidates:
             if not matroid.independent({x}):
                 return None
             raise ms.InfeasibilityError(
                 f"no single swap restores independence for element {x}")
-        else:
-            pick = min(filter(candidates.__contains__, nu), key=nu.__getitem__)
-            chosen.add(pick)
-        if key is not None:
-            picks[slot] = pick
+        chosen.add(min(filter(candidates.__contains__, nu), key=nu.__getitem__))
     return chosen
 
 
@@ -588,12 +649,12 @@ def test_exchange_set_matches_the_scan_over_every_matroid():
         order = sorted(s)
         rng.shuffle(order)
         nu = {e: float(rng.randint(0, 3)) for e in order}
-        state, reference = _state(order, nu), _state(order, nu)
+        state = _state(order, nu)
         for _ in range(2):  # the second round reads the cached picks
             for y in range(12):
                 if y in nu:
                     continue
-                want = _exchange_set_scanning(mp, y, reference)
+                want = _exchange_set_scanning(mp, y, state)
                 assert ms.exchange_set(mp, y, state) == want, (trial, y)
                 outcomes["loop" if want is None else "swap" if want else "empty"] += 1
     assert min(outcomes.values()) > 0, outcomes
@@ -622,9 +683,9 @@ class _SpyPartition(ms.PartitionMatroid):
         self.touched.append(self)
         return super().swap_candidates(s_l, x)
 
-    def swap_class(self, x):
+    def swap_classes(self):
         self.touched.append(self)
-        return super().swap_class(x)
+        return super().swap_classes()
 
 
 def test_one_arrival_touches_at_most_p_of_a_thousand_matroids():
@@ -642,14 +703,14 @@ def test_one_arrival_touches_at_most_p_of_a_thousand_matroids():
         for x in range(0, n, 3):
             del touched[:]
             runner.process(x)
-            assert set(touched) <= set(mp.matroids_of[x])
+            assert set(touched) <= {m for m, _ in mp.signature_of[x]}
             assert 0 < len(set(touched)) <= mp.p
         s = set(runner.state.members)
         for x in (1, 500, 998):
             del touched[:]
             got = mp.feasible_with(s, x)
             assert 0 < len(set(touched)) <= mp.p
-            assert set(touched) <= set(mp.matroids_of[x])
+            assert set(touched) <= {m for m, _ in mp.signature_of[x]}
             assert got == mp.feasible(s | {x})
     finally:
         del touched[:]

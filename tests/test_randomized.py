@@ -609,3 +609,19 @@ def test_storage_count_matches_the_union_when_initial_members_leave():
     assert held == union
     assert runner.stored_peak == peak == 7
     assert len(runner.evicted.keys() & first.state.members) == 3
+
+
+def test_a_finished_runner_holds_no_threshold_data():
+    # the buffer keeps its residual members, mapped to None, and nothing
+    # waits: no name keeps the dict of (gain, C_x) pairs
+    oracle = ms.ModularOracle([1, 2, 3, 4, 5, 6])
+    runner = ms.RandomizedPassRunner(oracle, _uniform_mp(6, 2), None, 0.0, 1.0,
+                                     m=4, rng=Random(2))
+    for x in range(6):
+        runner.process(x)
+        assert runner.waiting is runner.buffer.members
+    residual = list(runner.buffer.members)
+    assert residual
+    runner.finish("heuristic")
+    assert runner.waiting == ()
+    assert runner.buffer.members == dict.fromkeys(residual)

@@ -77,6 +77,42 @@ def test_running_rejects_elements_outside_ground():
     assert oracle.calls == 1
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_values_with_is_value_with_per_element(data):
+    # every kind, the base RunningValue (the table) included; the batch
+    # may hold members of A and repeats, each metered once
+    kind = data.draw(st.sampled_from(KINDS), label="kind")
+    oracle, _ = data.draw(oracles(kind, True), label="oracle")
+    n = len(oracle.ground)
+    members = data.draw(st.frozensets(st.integers(0, n - 1)), label="A")
+    xs = data.draw(st.lists(st.integers(0, n - 1), max_size=12), label="xs")
+    evaluator = oracle.running(members, meter=False)
+    got = evaluator.values_with(xs)
+    assert oracle.calls == len(xs)
+    assert got == [evaluator.value_with(x) for x in xs]
+    assert oracle.calls == 2 * len(xs)
+    assert evaluator.members == members
+    # a dict's keys are a batch too
+    assert evaluator.values_with(dict.fromkeys(xs)) == \
+        [evaluator.value_with(x) for x in dict.fromkeys(xs)]
+
+
+@pytest.mark.parametrize("kind", KINDS + ("custom",))
+def test_values_with_refuses_a_batch_before_counting(kind):
+    oracle = {"coverage": lambda: ms.CoverageOracle([[0], [1], [0, 1]], [1, 2]),
+              "cut": lambda: ms.DirectedCutOracle(3, [(0, 1, 1.0), (1, 2, 2.0)]),
+              "modular": lambda: ms.ModularOracle([1, 2, 3]),
+              "table": lambda: ms.TableOracle(2, [0, 1, 1, 2]),
+              "custom": lambda: _Halved(range(3))}[kind]()
+    evaluator = oracle.running({0}, meter=False)
+    for bad in ([1, 7], [-1], [0, 1, 3, 9]):
+        with pytest.raises(ms.DomainError, match="outside the ground set"):
+            evaluator.values_with(bad)
+    assert oracle.calls == 0
+    assert evaluator.values_with([]) == [] and oracle.calls == 0
+
+
 class _Halved(ms.SubmodularOracle):
     """A user subclass with only ``_evaluate`` gets the generic evaluator."""
 

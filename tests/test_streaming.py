@@ -202,7 +202,9 @@ def test_stream_validation():
 
 def test_ground_mismatch_is_refused_by_every_driver():
     # an objective over 8 elements with a constraint over 3 would treat
-    # elements 3-7 as free, and the reverse would never stream 3-7
+    # elements 3-7 as free, and the reverse would never stream 3-7; every
+    # driver refuses before any oracle call, the randomized one ahead of
+    # its guess-grid pass in either offline mode
     for n_oracle, n_mp in ((8, 3), (3, 8)):
         oracle = ms.ModularOracle([1.0] * n_oracle)
         mp = ms.PMatchoid(range(n_mp), [ms.UniformMatroid(range(n_mp), 1)])
@@ -210,9 +212,50 @@ def test_ground_mismatch_is_refused_by_every_driver():
         for run in (lambda: ms.streaming_pass(oracle, mp, stream),
                     lambda: ms.multipass_run(oracle, mp, stream,
                                              ms.Schedule.matroid_harmonic(), 2),
-                    lambda: ms.multipass_randomized(oracle, mp, stream, 0.5, 1)):
+                    lambda: ms.multipass_randomized(oracle, mp, stream, 0.5, 1),
+                    lambda: ms.multipass_randomized(oracle, mp, stream, 0.5, 1,
+                                                    offline_mode="heuristic")):
             with pytest.raises(ms.PreconditionError, match="ground sets differ"):
                 run()
+            assert oracle.calls == 0
+
+
+@pytest.mark.parametrize("bad", [1.7, math.nan, math.inf, "2", None],
+                         ids=["fraction", "nan", "inf", "text", "none"])
+def test_non_integral_ids_and_capacities_are_refused(bad):
+    # int() would read 1.7 as 1: another element, another capacity
+    oracle = ms.ModularOracle([1, 2, 3])
+    mp = ms.PMatchoid(range(3), [ms.UniformMatroid(range(3), 1)])
+    with pytest.raises(ms.DomainError, match="stream elements must be integers"):
+        ms.streaming_pass(oracle, mp, [0, bad, 2])
+    with pytest.raises(ms.DomainError, match="must be integers"):
+        ms.multipass_randomized(oracle, mp, [0, bad, 2], 0.5, 1)
+    assert oracle.calls == 0
+    refused = (
+        lambda: ms.UniformMatroid(range(3), bad),
+        lambda: ms.UniformMatroid([0, bad], 1),
+        lambda: ms.PartitionMatroid(range(3), [[0, 1]], [bad]),
+        lambda: ms.PartitionMatroid([0, 1, 2, bad], [[0, bad]], [1]),
+        lambda: ms.GraphicMatroid([0, bad], {0: (0, 1)}),
+        lambda: ms.PMatchoid([0, 1, bad], []),
+    )
+    if bad is not None:  # rank=None asks for the rank to be computed
+        refused += (lambda: ms.PMatchoid(range(3), [], rank=bad),)
+    for build in refused:
+        with pytest.raises(ms.PreconditionError, match="must be integers"):
+            build()
+    with pytest.raises(ms.DomainError, match="element ids must be integers"):
+        ms.SubmodularOracle([0, bad])
+
+
+def test_integral_floats_are_their_integers():
+    oracle = ms.ModularOracle([1, 2, 3])
+    mp = ms.PMatchoid([0.0, 1, 2.0], [ms.UniformMatroid([0, 1.0, 2], 1.0),
+                                       ms.PartitionMatroid(range(3), [[0.0, 1]], [1.0])],
+                      rank=1.0)
+    assert mp.ground == {0, 1, 2} and mp.rank_k == 1
+    assert mp.matroids[0].capacity == 1 and mp.matroids[1].capacities == [1]
+    assert ms.streaming_pass(oracle, mp, [0.0, 1.0, 2.0]).solution == {1}
 
 
 def test_negative_parameters_rejected():
@@ -316,6 +359,13 @@ def test_debug_check_catches_a_stale_swap_pick():
     for x in (0, 1):
         runner.process(x)
     runner.state.picks[(uniform, 0)] = 0
+    with pytest.raises(AssertionError, match="cached exchange set"):
+        runner.process(2)
+    # the same for a stale answer cached under the signature
+    runner = ms.PassRunner(oracle, mp, None, 0.0, 1.0, debug=True)
+    for x in (0, 1):
+        runner.process(x)
+    runner.state.picks[mp.signature_of[2]] = frozenset({0})
     with pytest.raises(AssertionError, match="cached exchange set"):
         runner.process(2)
 
