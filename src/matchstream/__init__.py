@@ -19,9 +19,9 @@ from .objectives import (CoverageOracle, DirectedCutOracle, ModularOracle,
                          RunningValue, SubmodularOracle, TableOracle,
                          brute_force_check_submodular)
 from .randomized import (BufferState, GuessGrid, LambdaCopyResult,
-                         OfflineSolution, RandomizedPassRunner,
-                         RandomizedRunResult, guess_grid, multipass_randomized,
-                         offline_solve, randomized_pass)
+                         RandomizedPassRunner, RandomizedRunResult,
+                         guess_grid, multipass_randomized, offline_solve,
+                         randomized_pass)
 from .streaming import (PassRunner, SolutionState, nu_by_definition,
                         recompute_nu, streaming_pass)
 

@@ -72,8 +72,10 @@ class Matroid:
         element under its class, and ``exchange_set`` relies on the
         contract to reuse one class's pick for every arrival in the
         class, and one exchange set for every arrival with the same
-        signature. It is read once, when a ``PMatchoid`` is built. This
-        base form names no classes, so its elements share nothing.
+        signature. It is read once, when a ``PMatchoid`` is built, which
+        refuses blocks that do not partition the ground subset under
+        distinct keys. This base form names no classes, so its elements
+        share nothing.
         """
         return None
 
@@ -219,14 +221,23 @@ def element_index(matroids):
     signature, the tuple of its ``(matroid, class)`` slots in the order
     of ``matroids``, where class is the key of the ``swap_classes`` block
     holding it (None for a kind with no classes); p is the longest
-    signature, 1 if there is none."""
+    signature, 1 if there is none. Blocks that do not partition a
+    matroid's ground subset under distinct non-None keys raise
+    ``PreconditionError``: an element missing from every block would
+    escape that matroid's feasibility and exchange tests."""
     # set operations place the elements a class block holds first, and
     # only the elements it shares with earlier blocks are visited one by
     # one; elements with one signature share one tuple, so the index
     # allocates per distinct signature, not per element
     index, seen = {}, set()
     for m in matroids:
-        for key, block in m.swap_classes() or ((None, m.ground_subset),):
+        classes = m.swap_classes()
+        if classes is None:
+            classes = ((None, m.ground_subset),)
+        else:
+            classes = [(key, frozenset(block)) for key, block in classes]
+            _check_classes(m, classes)
+        for key, block in classes:
             one = ((m, key),)
             grown = {}
             for e in block & seen:
@@ -238,6 +249,17 @@ def element_index(matroids):
             index.update(dict.fromkeys(fresh, one))
             seen |= fresh
     return index, max(map(len, index.values()), default=1)
+
+
+def _check_classes(m, classes):
+    keys = {key for key, _ in classes}
+    blocks = [block for _, block in classes]
+    if (None in keys or len(keys) != len(classes)
+            or sum(map(len, blocks)) != len(m.ground_subset)
+            or frozenset().union(*blocks) != m.ground_subset):
+        raise PreconditionError(
+            f"{m.kind} swap classes must partition its ground subset under "
+            "distinct keys that are not None")
 
 
 class PMatchoid:

@@ -118,13 +118,13 @@ class RandomizedPassRunner(PassRunner):
         super().__init__(oracle, mp, s_init, alpha, beta, debug=debug)
         self.m = m
         self.rng = rng
-        # ``waiting`` is the buffer's dict itself, an attribute and not a
-        # property, as ``process`` reads it once per arrival; each new
-        # dict is bound to both names
         self.buffer = BufferState({})
-        self.waiting = self.buffer.members
         self.buffer_drops = 0
         self.subsets_examined = self.bound_prunes = 0
+
+    @property
+    def waiting(self):
+        return self.buffer.members
 
     def _admit(self, x, gain, cx):
         buffer = self.buffer
@@ -161,7 +161,7 @@ class RandomizedPassRunner(PassRunner):
             if gain >= self._bar(cx):
                 survivors[y] = (gain, cx)
         self.buffer_drops += len(before_sweep) - len(survivors)
-        self.buffer.members = self.waiting = survivors
+        self.buffer.members = survivors
         if debug:
             # the sweep outcome may not depend on its iteration order
             replay = {y for y in reversed(before_sweep) if self._threshold_peek(y)}
@@ -180,20 +180,20 @@ class RandomizedPassRunner(PassRunner):
         solve and the evaluation of its solution, and the exact solver's
         effort is kept as ``subsets_examined`` and ``bound_prunes`` (0 in
         heuristic mode). The buffer keeps its members, each mapped to None
-        in place of its threshold data; nothing waits any more, and no
-        name keeps the dict that held the data."""
+        in place of its threshold data."""
         if self._finished:
             raise PreconditionError("runner already finished")
         calls = self.oracle.calls
+        searches = []
         s_prime = offline_solve(self.oracle, self.mp, self.buffer.members,
-                                mode=offline_mode, rng=self.rng)
+                                mode=offline_mode, rng=self.rng, searches=searches)
         self.f_s_prime = self.oracle.value(s_prime)
         self.s_prime = frozenset(s_prime)
-        self.subsets_examined = s_prime.subsets_examined
-        self.bound_prunes = s_prime.bound_prunes
+        for search in searches:
+            self.subsets_examined += search.subsets_examined
+            self.bound_prunes += search.bound_prunes
         self.oracle_calls += self.oracle.calls - calls
         self.buffer.members = dict.fromkeys(self.buffer.members)
-        self.waiting = ()
         return super().finish()
 
 
@@ -209,23 +209,11 @@ def randomized_pass(oracle, mp, stream, s_init, alpha, beta, m, rng, *,
     return runner.finish(offline_mode)
 
 
-class OfflineSolution(frozenset):
-    """``offline_solve``'s answer: the chosen set, carrying the exact
-    search's effort, ``subsets_examined`` and ``bound_prunes`` (both 0
-    for the heuristic)."""
-
-    __slots__ = ("subsets_examined", "bound_prunes")
-
-    def __new__(cls, chosen, subsets_examined=0, bound_prunes=0):
-        self = super().__new__(cls, chosen)
-        self.subsets_examined = subsets_examined
-        self.bound_prunes = bound_prunes
-        return self
-
-
-def offline_solve(oracle, mp, candidates, mode="exact", rng=None):
+def offline_solve(oracle, mp, candidates, mode="exact", rng=None, *, searches=None):
     """Best feasible subset of the candidate pool, exactly or by Sample
-    Greedy, as an ``OfflineSolution``.
+    Greedy, as a frozenset. When ``searches`` is a list, the exact
+    search's ``ExactResult`` (with its effort, ``subsets_examined`` and
+    ``bound_prunes``) is appended to it; the heuristic appends nothing.
 
     ``exact`` is ``max_feasible_subset``'s branch-and-bound, within its work
     budget. ``heuristic`` is Sample Greedy (Feldman, Harshaw and Karbasi
@@ -241,13 +229,13 @@ def offline_solve(oracle, mp, candidates, mode="exact", rng=None):
         raise ConfigError(f"unknown offline mode: {mode}")
     pool = sorted(set(candidates))
     if mode == "exact":
-        result = max_feasible_subset(oracle, mp, pool)
-        return OfflineSolution(result.opt_set, result.subsets_examined,
-                               result.bound_prunes)
+        search = max_feasible_subset(oracle, mp, pool)
+        if searches is not None:
+            searches.append(search)
+        return search.opt_set
     if rng is None:
         raise ConfigError("the heuristic offline mode needs a seeded random generator")
-    return OfflineSolution(offline_greedy(
-        oracle, mp, [e for e in pool if rng.random() < 1.0 / (mp.p + 1)]))
+    return offline_greedy(oracle, mp, [e for e in pool if rng.random() < 1.0 / (mp.p + 1)])
 
 
 class LambdaCopyResult:

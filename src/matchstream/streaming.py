@@ -325,15 +325,7 @@ class PassRunner:
             return False, None, ()
         evaluator = state.evaluator
         gain = evaluator.value_with(x) - evaluator.total
-        # _bar, with its zero- and one-term sums written out
-        if not cx:
-            bar = self.alpha + (1.0 + self.beta) * 0.0
-        elif len(cx) == 1:
-            (c,) = cx
-            bar = self.alpha + (1.0 + self.beta) * (state.nu[c] + 0.0)
-        else:
-            bar = self._bar(cx)
-        return gain >= bar, gain, cx
+        return gain >= self._bar(cx), gain, cx
 
     def _check_exchange(self, x, cx):
         """Debug check: ``cx``, served from the state's caches, is the

@@ -186,6 +186,36 @@ def test_exchange_flags_malformed_oracle():
         ms.exchange_set(mp, 2, state)
 
 
+class _CustomClasses(ms.UniformMatroid):
+    """A uniform matroid whose ``swap_classes`` returns ``classes``."""
+
+    kind = "custom"
+
+    def __init__(self, ground_subset, capacity, classes):
+        super().__init__(ground_subset, capacity)
+        self.classes = classes
+
+    def swap_classes(self):
+        return self.classes
+
+
+@pytest.mark.parametrize("classes", [
+    [(0, {0, 1})],
+    [(0, {0, 1}), (1, {1, 2})],
+    [(0, {0, 1, 2, 3})],
+    [(0, {0}), (0, {1, 2})],
+    [(None, {0, 1, 2})],
+], ids=["missing element", "overlap", "outside element", "repeated key", "None key"])
+def test_swap_classes_that_do_not_partition_are_refused(classes):
+    # an element left out of every block would have no slot for the
+    # matroid, and feasible_with and exchange_set would skip it
+    with pytest.raises(ms.PreconditionError, match="partition"):
+        ms.PMatchoid(range(4), [_CustomClasses(range(3), 1, classes)])
+    good = ms.PMatchoid(range(3), [_CustomClasses(range(3), 1, [(0, [0, 2]), (1, [1])])])
+    assert not good.feasible_with({0}, 1)
+    assert [key for _, key in good.signature_of[2]] == [0]
+
+
 @pytest.mark.parametrize("loop_matroid, opt", [
     (ms.PartitionMatroid(range(3), [[0, 1], [2]], [0, 1]), 3.0),
     (ms.UniformMatroid([0, 1], 0), 3.0),

@@ -222,7 +222,13 @@ def test_offline_solve_size_cap_and_unknown_mode():
     assert oracle.calls == 0
     oracle = ms.ModularOracle(range(60))
     mp = ms.PMatchoid(range(60), [ms.UniformMatroid(range(60), 3)])
-    assert ms.offline_solve(oracle, mp, range(60)) == {57, 58, 59}
+    searches = []
+    assert ms.offline_solve(oracle, mp, range(60), searches=searches) == {57, 58, 59}
+    (search,) = searches
+    assert search.opt_set == {57, 58, 59} and search.subsets_examined > 0
+    ms.offline_solve(oracle, mp, range(60), mode="heuristic", rng=Random(1),
+                     searches=searches)
+    assert searches == [search]
     with pytest.raises(ms.ConfigError):
         ms.offline_solve(oracle, mp, range(3), mode="annealing")
 
@@ -612,8 +618,8 @@ def test_storage_count_matches_the_union_when_initial_members_leave():
 
 
 def test_a_finished_runner_holds_no_threshold_data():
-    # the buffer keeps its residual members, mapped to None, and nothing
-    # waits: no name keeps the dict of (gain, C_x) pairs
+    # the buffer keeps its residual members, mapped to None in place of
+    # their (gain, C_x) pairs, and the waiting arrivals are its members
     oracle = ms.ModularOracle([1, 2, 3, 4, 5, 6])
     runner = ms.RandomizedPassRunner(oracle, _uniform_mp(6, 2), None, 0.0, 1.0,
                                      m=4, rng=Random(2))
@@ -623,5 +629,5 @@ def test_a_finished_runner_holds_no_threshold_data():
     residual = list(runner.buffer.members)
     assert residual
     runner.finish("heuristic")
-    assert runner.waiting == ()
     assert runner.buffer.members == dict.fromkeys(residual)
+    assert runner.waiting is runner.buffer.members
