@@ -51,11 +51,14 @@ def max_feasible_subset(oracle, mp, candidates):
 
     The search walks subsets in lexicographic order. At a node C it holds
     an unmetered running evaluator of C, its parent's ``copy()`` plus one
-    unmetered ``add``, and evaluates every feasible child C + e (e after
-    C's last element) with one metered ``value_with``, so each feasible
-    subset the search reaches costs one counted call, the empty set
-    included. As C is feasible, ``PMatchoid.feasible_with`` tests a child
-    on the matroids holding e alone. The incumbent is updated in
+    unmetered ``add``, and expands C once: ``PMatchoid.fitting`` screens
+    the open elements (those after C's last element) and one
+    ``values_with`` measures every feasible child C + e, metering one
+    call per child, so each feasible subset the search reaches costs one
+    counted call, the empty set included. As C is feasible and the open
+    elements lie outside it, the screen tests each conflict slot of the
+    matroids holding them once and reuses the verdict across the slot's
+    class (per element for kinds without classes). The incumbent is updated in
     preorder, child i's own value before its subtree, and only a strictly
     larger value replaces it, so ties keep the first maximizer in
     lexicographic order, as a walk over every feasible subset would.
@@ -91,24 +94,25 @@ def max_feasible_subset(oracle, mp, candidates):
     def walk(running, open_elems):
         nonlocal best_val, best_set, examined, prunes
         current = running.members
-        children = [(e, running.value_with(e)) for e in open_elems
-                    if mp.feasible_with(current, e)]
-        examined += len(children)
+        fits = mp.fitting(current, open_elems)
+        values = running.values_with(fits)
+        examined += len(fits)
         room = size_cap - len(current) - 1
-        tails = (_gain_tails(children, running.total, room)
+        tails = (_gain_tails(values, running.total, room)
                  if bounded and room > 0 else None)
-        for i, (e, v) in enumerate(children):
+        last = len(fits) - 1
+        for i, (e, v) in enumerate(zip(fits, values)):
             if v > best_val:
                 best_val = v
                 best_set = frozenset(current) | {e}
-            if room <= 0 or i + 1 == len(children):
+            if room <= 0 or i == last:
                 continue
             if tails is not None and v + tails[i + 1] <= best_val:
                 prunes += 1
                 continue
             child = running.copy()
             child.add(e, meter=False)
-            walk(child, [x for x, _ in children[i + 1:]])
+            walk(child, fits[i + 1:])
 
     walk(oracle.running((), meter=False), elems)
     return ExactResult(best_set, best_val, examined, prunes)
@@ -124,13 +128,13 @@ def check_exact_budget(pool, size_cut, *, budget=EXACT_BUDGET):
                         f"{size_cut}): {bound}+ subsets, over budget {budget}")
 
 
-def _gain_tails(children, base, room):
+def _gain_tails(values, base, room):
     """tails[i]: the sum of the ``room`` largest positive gains
-    v_j - base over children[i:]; tails[len(children)] = 0."""
-    tails = [0.0] * (len(children) + 1)
+    v_j - base over values[i:]; tails[len(values)] = 0."""
+    tails = [0.0] * (len(values) + 1)
     top = []
-    for i in range(len(children) - 1, -1, -1):
-        gain = children[i][1] - base
+    for i in range(len(values) - 1, -1, -1):
+        gain = values[i] - base
         if gain > 0.0:
             if len(top) < room:
                 heapq.heappush(top, gain)

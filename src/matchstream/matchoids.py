@@ -26,7 +26,9 @@ whole answer only through x's signature when every key in it is
 non-None. The solution state caches both, per slot and per signature,
 in ``SolutionState.picks`` until S or nu changes, so between two
 accepts each class is searched once, and each signature answered once,
-not once per arrival.
+not once per arrival. By the same contract, ``PMatchoid.fitting``
+screens a batch of elements against one feasible set with one
+independence test per slot, not per element.
 """
 
 from .baselines import compute_rank
@@ -159,7 +161,9 @@ class GraphicMatroid(Matroid):
 
     def __init__(self, ground_subset, endpoints):
         super().__init__(ground_subset)
-        self.endpoints = {int(e): (int(u), int(v)) for e, (u, v) in endpoints.items()}
+        self.endpoints = {
+            e: tuple(integers((u, v), "edge endpoints"))
+            for e, (u, v) in zip(integers(endpoints, "edge ids"), endpoints.values())}
         missing = self.ground_subset - set(self.endpoints)
         if missing:
             raise PreconditionError(f"edges {sorted(missing)} have no endpoints")
@@ -192,7 +196,9 @@ class TransversalMatroid(Matroid):
 
     def __init__(self, ground_subset, adjacency):
         super().__init__(ground_subset)
-        self.adjacency = {int(e): frozenset(int(r) for r in rs) for e, rs in adjacency.items()}
+        self.adjacency = {
+            e: frozenset(integers(rs, "right vertices"))
+            for e, rs in zip(integers(adjacency, "element ids"), adjacency.values())}
         missing = self.ground_subset - set(self.adjacency)
         if missing:
             raise PreconditionError(f"elements {sorted(missing)} have no adjacency list")
@@ -303,6 +309,38 @@ class PMatchoid:
             if not m.independent(a):
                 return False
         return True
+
+    def fitting(self, subset, elems):
+        """The members e of ``elems`` with ``subset`` + e feasible, in the
+        order given; one batched ``feasible_with``.
+
+        Sound only for a feasible ``subset`` and members outside it. Then
+        a matroid's verdict on e depends on e only through e's class (the
+        ``swap_classes`` contract: ``swap_candidates`` is None exactly when
+        e fits), so each slot with a non-None key is tested once, for its
+        first member, and its verdict reused for the rest. A slot keyed
+        None is tested per element, and an element with no signature
+        always fits.
+        """
+        signature_of = self.signature_of
+        a = set(subset)
+        verdicts = {}
+        fits = []
+        for e in elems:
+            for slot in signature_of.get(e, ()):
+                fit = verdicts.get(slot)
+                if fit is None:
+                    m, key = slot
+                    a.add(e)
+                    fit = m.independent(a)
+                    a.discard(e)
+                    if key is not None:
+                        verdicts[slot] = fit
+                if not fit:
+                    break
+            else:
+                fits.append(e)
+        return fits
 
 
 def exchange_set(mp, x, state):

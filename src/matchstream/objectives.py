@@ -32,7 +32,7 @@ implementing ``_start``, ``_with``, ``_grow`` and ``copy``.
 import math
 import threading
 
-from .errors import DomainError, SizeError, integers
+from .errors import DomainError, SizeError, integer, integers
 
 
 class SubmodularOracle:
@@ -274,62 +274,92 @@ class _CoverageRunning(RunningValue):
 
 class DirectedCutOracle(SubmodularOracle):
     """Directed cut over vertex ids: f(A) = weight of arcs from A to its
-    complement. Non-monotone for any instance with at least one arc."""
+    complement. Non-monotone for any instance with at least one arc.
+
+    Each arc is kept as one ``(u, v, w)`` triple in u's out-list. The
+    running evaluator also needs each vertex's out-weight sum and the
+    same triples listed by head; ``_incidence`` builds both, in lists
+    indexed by vertex, on the first ``running`` call, so an oracle that
+    is only built, or only read through ``value``, never pays for
+    them.
+    """
 
     kind = "directed-cut"
 
     def __init__(self, n, arcs):
-        n = int(n)
-        out = self._out = {u: [] for u in range(n)}
+        n = integer(n, "vertex count", DomainError)
+        out = self._out = [[] for _ in range(n)]
+        self._in = None
         total = 0.0
         for u, v, w in arcs:
-            u, v, w = int(u), int(v), float(w)
-            if not (0 <= u < n and 0 <= v < n):
-                raise DomainError(f"arc ({u},{v}) endpoint outside 0..{n - 1}")
-            if u == v:
+            # the ids are checked here, in the one pass over the arcs:
+            # int() alone would file the endpoint 1.9 as vertex 1
+            try:
+                iu, iv = int(u), int(v)
+            except (TypeError, ValueError, OverflowError):
+                iu = iv = None
+            if iu != u or iv != v:
+                raise DomainError(f"arc endpoints must be integers, got ({u!r}, {v!r})")
+            w = float(w)
+            if not (0 <= iu < n and 0 <= iv < n):
+                raise DomainError(f"arc ({iu},{iv}) endpoint outside 0..{n - 1}")
+            if iu == iv:
                 raise DomainError("self-loop arcs do not contribute to any cut")
             total += w
             if not (w >= 0.0 and total < math.inf):
                 raise DomainError("arc weights must be non-negative with a finite sum")
-            out[u].append((v, w))
+            out[iu].append((iu, iv, w))
         super().__init__(range(n))
 
     def _evaluate(self, subset):
         total = 0.0
+        out = self._out
         for u in subset:
-            for v, w in self._out[u]:
+            for _, v, w in out[u]:
                 if v not in subset:
                     total += w
         return total
+
+    def _incidence(self):
+        """(out-weight sums, in-arc lists), indexed by vertex; built once."""
+        if self._in is None:
+            out = self._out
+            in_arcs = [[] for _ in out]
+            for arcs in out:
+                for arc in arcs:
+                    in_arcs[arc[1]].append(arc)
+            self._in = ([sum(w for _, _, w in arcs) for arcs in out], in_arcs)
+        return self._in
 
     def _running(self, members):
         return _CutRunning(self, members)
 
 
 class _CutRunning(RunningValue):
-    """Keeps, per vertex, the arc weight into it from A:
-    f(A + x) = f(A) + weight from x to the outside of A + x - weight into x."""
+    """Keeps ``near[v]``, the weight of the arcs between v and A in either
+    direction, in a list indexed by vertex. For x outside A, the arcs x
+    gains to the outside of A + x are its out-arcs less those into A,
+    and the arcs A loses are those from A into x, so
+    f(A + x) = f(A) + out(x) - near(x), with no loop. Growing A by u
+    walks u's out- and in-arcs once."""
 
-    __slots__ = ("into",)
+    __slots__ = ("near", "out_sums", "in_arcs")
 
     def _start(self):
-        self.into = {}
-        out = self.oracle._out
+        oracle = self.oracle
+        self.out_sums, self.in_arcs = oracle._incidence()
+        self.near = [0.0] * len(self.out_sums)
         total = 0.0
-        for u in self.members:
-            for v, w in out[u]:
-                if v not in self.members:
+        members = self.members
+        for u in members:
+            for _, v, w in oracle._out[u]:
+                if v not in members:
                     total += w
             self._enter(u)
         return total
 
     def _with(self, x):
-        members = self.members
-        total = self.total - self.into.get(x, 0.0)
-        for v, w in self.oracle._out[x]:
-            if v not in members:
-                total += w
-        return total
+        return self.total + self.out_sums[x] - self.near[x]
 
     def _grow(self, x):
         total = self._with(x)
@@ -337,13 +367,16 @@ class _CutRunning(RunningValue):
         return total
 
     def _enter(self, u):
-        into = self.into
-        for v, w in self.oracle._out[u]:
-            into[v] = into.get(v, 0.0) + w
+        near = self.near
+        for _, v, w in self.oracle._out[u]:
+            near[v] += w
+        for a, _, w in self.in_arcs[u]:
+            near[a] += w
 
     def copy(self):
         twin = RunningValue.copy(self)
-        twin.into = dict(self.into)
+        twin.near = self.near.copy()
+        twin.out_sums, twin.in_arcs = self.out_sums, self.in_arcs
         return twin
 
 

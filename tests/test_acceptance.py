@@ -11,6 +11,7 @@ import hashlib
 import math
 import sys
 from itertools import combinations
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -286,7 +287,7 @@ def test_09_exact_solvers_agree_with_independent_enumeration():
 
 def test_10_deterministic_traces(tmp_path):
     def digest(path):
-        return hashlib.sha256(open(path, "rb").read()).hexdigest()
+        return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
     inst = ms.generate_instance("coverage+uniform", 31, n=10, capacity=3)
     mono_path = tmp_path / "mono.json"

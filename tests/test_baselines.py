@@ -280,11 +280,18 @@ def test_child_evaluator_holds_the_value_measured_for_the_child(monkeypatch):
     # for that child, so that the child's own children are measured on it
     measured, grown = {}, []
     value_with, add = ms.RunningValue.value_with, ms.RunningValue.add
+    values_with = ms.RunningValue.values_with
 
     def spy_value_with(self, x):
         value = value_with(self, x)
         measured[frozenset(self.members | {x})] = value
         return value
+
+    def spy_values_with(self, xs):
+        values = values_with(self, xs)
+        for x, value in zip(xs, values):
+            measured[frozenset(self.members | {x})] = value
+        return values
 
     def spy_add(self, x, meter=True):
         total = add(self, x, meter)
@@ -292,6 +299,7 @@ def test_child_evaluator_holds_the_value_measured_for_the_child(monkeypatch):
         return total
 
     monkeypatch.setattr(ms.RunningValue, "value_with", spy_value_with)
+    monkeypatch.setattr(ms.RunningValue, "values_with", spy_values_with)
     monkeypatch.setattr(ms.RunningValue, "add", spy_add)
     rng = Random(67)
     for kind in ("cut", "coverage", "modular", "table"):
@@ -308,3 +316,48 @@ def test_child_evaluator_holds_the_value_measured_for_the_child(monkeypatch):
                 assert total.hex() == measured[members].hex(), (kind, sorted(members))
             nodes += len(grown)
         assert nodes > 0, kind
+
+
+def _per_element_fitting(mp, subset, elems):
+    """The search's child screen as one ``feasible_with`` per element."""
+    return [e for e in elems if mp.feasible_with(subset, e)]
+
+
+def _screen_constraints(rng, n):
+    """A uniform, a partition with unconstrained elements, a graphic, and
+    a p = 2 matchoid mixing a partition with a graphic matroid on n
+    elements."""
+    ids = list(range(n))
+    rng.shuffle(ids)
+    parts = [sorted(ids[0:n // 3]), sorted(ids[n // 3:2 * n // 3])]
+    partition = ms.PartitionMatroid(range(n), parts, [1, 2])
+    endpoints = {e: tuple(rng.sample(range(max(3, n - 2)), 2)) for e in range(n)}
+    graphic = ms.GraphicMatroid(range(n), endpoints)
+    return {"uniform": _uniform_mp(n, rng.randint(1, n)),
+            "partition": ms.PMatchoid(range(n), [partition]),
+            "graphic": ms.PMatchoid(range(n), [graphic]),
+            "mixed": ms.PMatchoid(range(n), [partition, graphic])}
+
+
+def test_slot_screen_searches_as_the_per_element_screen(monkeypatch):
+    # the node's one batched screen must leave the whole search as it
+    # was: the same optimum, effort, prunes and metered calls
+    rng = Random(71)
+    seen = set()
+    for trial in range(40):
+        n = rng.randint(4, 10)
+        kind = ("cut", "coverage", "modular")[trial % 3]
+        for name, mp in _screen_constraints(rng, n).items():
+            runs = []
+            for screen in (None, _per_element_fitting):
+                with monkeypatch.context() as patch:
+                    if screen is not None:
+                        patch.setattr(ms.PMatchoid, "fitting", screen)
+                    oracle = _float_oracle(Random(trial), kind, n)
+                    got = ms.max_feasible_subset(oracle, mp, oracle.ground)
+                runs.append((got.opt_set, got.opt_value.hex(), got.subsets_examined,
+                             got.bound_prunes, oracle.calls))
+            assert runs[0] == runs[1], (kind, name, n)
+            seen.add((name, runs[0][3] > 0))
+    assert all((name, True) in seen for name in ("uniform", "partition",
+                                                  "graphic", "mixed")), seen

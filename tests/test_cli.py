@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,7 +26,7 @@ def test_generate_then_run_monotone(tmp_path, capsys):
     printed = json.loads(capsys.readouterr().out)
     assert printed["passes"] == 4
     assert printed["gamma_certified_final"] <= 3.0 + 1e-9
-    assert json.loads(open(summary).read())["f_final"] == printed["f_final"]
+    assert json.loads(Path(summary).read_text(encoding="utf-8"))["f_final"] == printed["f_final"]
 
 
 def test_default_schedule_follows_p(tmp_path, capsys):

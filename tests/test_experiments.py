@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -27,7 +28,7 @@ def _write_instance(tmp_path, family="coverage+uniform", seed=5, **params):
 
 
 def _digest(path):
-    return hashlib.sha256(open(path, "rb").read()).hexdigest()
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def test_config_round_trip():
@@ -90,7 +91,7 @@ def test_monotone_experiment_writes_trace_and_summary(tmp_path):
     # the summary ratio must match a recomputation from the trace
     assert summary["ratio"] == pytest.approx(
         summary["opt_value"] / float(rows[-1]["f_S"]), abs=1e-9)
-    on_disk = json.loads(open(summary_path).read())
+    on_disk = json.loads(Path(summary_path).read_text(encoding="utf-8"))
     assert on_disk["f_final"] == summary["f_final"]
     assert "wall_time" in on_disk
 
@@ -250,7 +251,7 @@ def test_report_aggregates_summaries(tmp_path):
     assert columns[0] == "instance"
     assert len(rows) == 4
     assert rows[-1]["ratio"] == pytest.approx(
-        json.loads(open(summary_path).read())["ratio"])
+        json.loads(Path(summary_path).read_text(encoding="utf-8"))["ratio"])
 
 
 

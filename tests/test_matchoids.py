@@ -46,6 +46,24 @@ def test_transversal_matroid_matches_left_into_right():
     assert not m.independent({0, 1, 2})
 
 
+@pytest.mark.parametrize("bad", [1.5, float("nan"), "1", None],
+                         ids=["fraction", "nan", "text", "none"])
+def test_graphic_and_transversal_ids_must_be_integers(bad):
+    # int() alone filed the edge 1.5 as edge 1
+    with pytest.raises(ms.PreconditionError, match="edge ids must be integers"):
+        ms.GraphicMatroid([1], {1.5: (0, 1)})
+    with pytest.raises(ms.PreconditionError, match="edge ids must be integers"):
+        ms.GraphicMatroid([1], {1: (0, 1), bad: (1, 2)})
+    with pytest.raises(ms.PreconditionError, match="edge endpoints must be integers"):
+        ms.GraphicMatroid([1], {1: (0, bad)})
+    with pytest.raises(ms.PreconditionError, match="element ids must be integers"):
+        ms.TransversalMatroid([1], {1: [0], bad: [1]})
+    with pytest.raises(ms.PreconditionError, match="right vertices must be integers"):
+        ms.TransversalMatroid([1], {1: [0, bad]})
+    assert ms.GraphicMatroid([1], {1.0: (0.0, 1)}).endpoints == {1: (0, 1)}
+    assert ms.TransversalMatroid([1], {1.0: [2.0]}).adjacency == {1: frozenset({2})}
+
+
 def _bipartite_matchoid():
     # four edges on left vertices {u0,u1} and right vertices {v0,v1}:
     # 0=(u0,v0) 1=(u0,v1) 2=(u1,v0) 3=(u1,v1)
@@ -634,6 +652,33 @@ def test_feasible_with_on_free_elements_and_a_capacity_0_part():
             assert mp.feasible_with(s, e) == mp.feasible(s | {e}), (s, e)
     assert mp.feasible_with({0, 2}, 5) and not mp.feasible_with(set(), 3)
     assert ms.PMatchoid(range(3), []).feasible_with({0, 1}, 2)
+
+
+def test_fitting_is_feasible_with_per_element():
+    # one slot test serves every open element of its class; graphic and
+    # transversal slots (key None) are tested per element, and elements
+    # in no matroid always fit
+    builders = (_corpus.coverage_uniform, _corpus.coverage_partition,
+                _corpus.bipartite_matching, _corpus.hypergraph_matching)
+    rng = Random(61)
+    answers = [0, 0]
+    for trial in range(80):
+        if trial % 2:
+            mp = builders[trial // 2 % len(builders)](rng.randrange(1000)).build_matchoid()
+        else:
+            n = rng.randint(3, 9)
+            matroids = [_random_matroid(rng, n) for _ in range(rng.randint(1, 2))]
+            mp = ms.PMatchoid(range(n + 2), matroids)
+        for _ in range(4):
+            s = _random_feasible(rng, mp, mp.ground)
+            outside = sorted(mp.ground - s)
+            rng.shuffle(outside)
+            want = [e for e in outside if mp.feasible_with(s, e)]
+            assert mp.fitting(s, outside) == want, (s, outside)
+            answers[0] += len(outside) - len(want)
+            answers[1] += len(want)
+    assert min(answers) > 0, answers
+    assert ms.PMatchoid(range(3), []).fitting({0}, [2, 1]) == [2, 1]
 
 
 def _exchange_set_scanning(mp, x, state):

@@ -100,6 +100,21 @@ def test_cut_weights_need_a_finite_sum():
         ms.DirectedCutOracle(3, [(0, 1, 1e308), (0, 2, 1e308)])
 
 
+@pytest.mark.parametrize("bad", [1.9, math.nan, math.inf, "1", None],
+                         ids=["fraction", "nan", "inf", "text", "none"])
+def test_cut_ids_must_be_integers(bad):
+    # int() alone built a 3-vertex cut from n = 3.7 and filed the arc
+    # 0 -> 1.9 as 0 -> 1
+    with pytest.raises(ms.DomainError, match="must be integers"):
+        ms.DirectedCutOracle(3.7, [(0, 1.9, 2.0)])
+    with pytest.raises(ms.DomainError, match="vertex count must be integers"):
+        ms.DirectedCutOracle(bad, [])
+    for arc in ((0, bad, 2.0), (bad, 0, 2.0)):
+        with pytest.raises(ms.DomainError, match="arc endpoints must be integers"):
+            ms.DirectedCutOracle(3, [(1, 2, 1.0), arc])
+    assert ms.DirectedCutOracle(3.0, [(0.0, 1.0, 2)]).value({0}) == 2.0
+
+
 def test_table_size_cap():
     with pytest.raises(ms.SizeError):
         ms.TableOracle(21, [0.0] * (1 << 21))

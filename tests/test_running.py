@@ -63,6 +63,38 @@ def test_running_matches_scratch_evaluation(data):
         assert same(evaluator.value_with(x), oracle.peek(members | {x}))
 
 
+def test_float_cut_running_values_agree_with_scratch():
+    # the cut's O(1) marginal sums in another order than a from-scratch
+    # walk; dense float-weight digraphs, from empty and non-empty starts
+    rng = Random(73)
+    checks = 0
+    for trial in range(60):
+        n = rng.randint(2, 14)
+        arcs = [(u, v, rng.uniform(0.0, 100.0)) for u in range(n)
+                for v in range(n) if u != v and rng.random() < 0.6]
+        oracle = ms.DirectedCutOracle(n, arcs)
+        tol = REL_TOL * max(1.0, sum(w for _, _, w in arcs))
+        members = {e for e in range(n) if rng.random() < 0.3}
+        evaluator = oracle.running(members)
+        assert abs(evaluator.total - oracle.peek(members)) <= tol
+        order = list(range(n))
+        rng.shuffle(order)
+        for x in order:
+            batch = [e for e in range(n) if rng.random() < 0.5]
+            for e, got in zip(batch, evaluator.values_with(batch)):
+                assert abs(got - oracle.peek(members | {e})) <= tol, (trial, e)
+            assert abs(evaluator.value_with(x) - oracle.peek(members | {x})) <= tol
+            twin, before = evaluator.copy(), set(members)
+            members.add(x)
+            assert abs(evaluator.add(x) - oracle.peek(members)) <= tol, (trial, x)
+            # the copy keeps its own statistics
+            assert twin.value_with(x) == evaluator.total
+            for e, got in zip(batch, twin.values_with(batch)):
+                assert abs(got - oracle.peek(before | {e})) <= tol, (trial, e)
+            checks += 2 * len(batch) + 2
+    assert checks > 1000
+
+
 def test_running_rejects_elements_outside_ground():
     oracle = ms.CoverageOracle([[0], [1]], [1, 2])
     with pytest.raises(ms.DomainError):
