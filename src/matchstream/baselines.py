@@ -41,7 +41,7 @@ def greedy_basis(mp, elems):
     matroid, and every maximal feasible subset has this size, the rank."""
     basis = set()
     for e in elems:
-        if mp.feasible_with(basis, e):
+        if mp.fitting(basis, (e,)):
             basis.add(e)
     return basis
 
@@ -180,7 +180,7 @@ def offline_greedy(oracle, mp, candidates=None):
             if not oracle.submodular:
                 heap = sorted((-math.inf, x, -1) for _, x, _ in heap)
             continue
-        if mp.feasible_with(running.members, e):
+        if mp.fitting(running.members, (e,)):
             gain = running.value_with(e) - running.total
             if gain > 0.0 or not oracle.submodular:
                 heapq.heapreplace(heap, (-gain, e, len(running.members)))

@@ -12,16 +12,17 @@ Objective kinds: weighted-coverage (sets + item_weights), directed-cut
 values). Matroid kinds: uniform (capacity), partition (parts +
 capacities), graphic (endpoints [[e, u, v], ...]), transversal
 (adjacency [[e, [r, ...]], ...]). ``compute_rank`` fills in a null rank
-at build time; an optional "p" must equal the derived p, and
-``monotone`` must equal the built oracle's ``monotone``, a fact of its
-class. A bad file raises ConfigError naming its path.
+at build time; an optional "p" must equal the derived p, "n" must be
+integral, and ``monotone``, a JSON boolean, must equal the built
+oracle's ``monotone``, a fact of its class. A bad file raises
+ConfigError naming its path.
 """
 
 import json
 from contextlib import contextmanager
 from random import Random
 
-from .errors import ConfigError
+from .errors import ConfigError, integer
 from .matchoids import (GraphicMatroid, PartitionMatroid, PMatchoid,
                         TransversalMatroid, UniformMatroid, element_index)
 from .objectives import (CoverageOracle, DirectedCutOracle, ModularOracle,
@@ -42,8 +43,10 @@ class Instance:
     __slots__ = ("n", "monotone", "objective", "constraint", "path")
 
     def __init__(self, n, monotone, objective, constraint, path=None):
-        self.n = int(n)
-        self.monotone = bool(monotone)
+        self.n = integer(n, "n")
+        if not isinstance(monotone, bool):
+            raise TypeError(f"monotone must be true or false, got {monotone!r}")
+        self.monotone = monotone
         self.objective = objective
         self.constraint = constraint
         self.path = path

@@ -15,9 +15,9 @@ shares nothing. ``PMatchoid`` indexes each element by its signature,
 ``signature_of[e]``: the tuple of ``(matroid, class)`` slots of the
 matroids holding e, in instance order, shared by every element with
 the same slots. p is the longest signature. Only the matroids holding
-e can tell S from S + e, so the per-arrival work (``exchange_set``,
-``PMatchoid.feasible_with``) visits at most p matroids however many the
-instance has.
+e can tell S from S + e, so ``exchange_set`` and ``PMatchoid.fitting``,
+the one incremental feasibility test, visit at most p matroids per
+element however many the instance has.
 
 ``exchange_set`` picks, for each matroid an arrival x would make
 dependent, the member of S with the smallest cached nu among x's swap
@@ -231,11 +231,9 @@ def element_index(matroids):
     matroid's ground subset under distinct non-None keys raise
     ``PreconditionError``: an element missing from every block would
     escape that matroid's feasibility and exchange tests."""
-    # set operations place the elements a class block holds first, and
-    # only the elements it shares with earlier blocks are visited one by
-    # one; elements with one signature share one tuple, so the index
+    # elements with one signature share one tuple, so the index
     # allocates per distinct signature, not per element
-    index, seen = {}, set()
+    index, shared = {}, {}
     for m in matroids:
         classes = m.swap_classes()
         if classes is None:
@@ -244,16 +242,10 @@ def element_index(matroids):
             classes = [(key, frozenset(block)) for key, block in classes]
             _check_classes(m, classes)
         for key, block in classes:
-            one = ((m, key),)
-            grown = {}
-            for e in block & seen:
-                held = index[e]
-                if held not in grown:
-                    grown[held] = held + one
-                index[e] = grown[held]
-            fresh = block - seen
-            index.update(dict.fromkeys(fresh, one))
-            seen |= fresh
+            slot = ((m, key),)
+            for e in block:
+                signature = index.get(e, ()) + slot
+                index[e] = shared.setdefault(signature, signature)
     return index, max(map(len, index.values()), default=1)
 
 
@@ -293,29 +285,14 @@ class PMatchoid:
         a = frozenset(subset)
         return all(m.independent(a) for m in self.matroids)
 
-    def feasible_with(self, subset, e):
-        """Whether ``subset`` + e is feasible, given that ``subset`` is.
-
-        Sound only for a feasible ``subset``: every matroid not holding e
-        sees the same restriction with e as without it, so only the
-        matroids of e's signature are tested.
-        """
-        signature = self.signature_of.get(e)
-        if signature is None:
-            return True
-        a = set(subset)
-        a.add(e)
-        for m, _ in signature:
-            if not m.independent(a):
-                return False
-        return True
-
     def fitting(self, subset, elems):
         """The members e of ``elems`` with ``subset`` + e feasible, in the
-        order given; one batched ``feasible_with``.
+        order given.
 
         Sound only for a feasible ``subset`` and members outside it. Then
-        a matroid's verdict on e depends on e only through e's class (the
+        a matroid not holding e sees the same restriction with e as
+        without it, so only the slots of e's signature are tested. And a
+        matroid's verdict on e depends on e only through e's class (the
         ``swap_classes`` contract: ``swap_candidates`` is None exactly when
         e fits), so each slot with a non-None key is tested once, for its
         first member, and its verdict reused for the rest. A slot keyed

@@ -221,7 +221,7 @@ class CoverageOracle(SubmodularOracle):
     monotone = True
 
     def __init__(self, sets, item_weights):
-        self._sets = [frozenset(int(i) for i in s) for s in sets]
+        self._sets = [frozenset(integers(s, "item ids", DomainError)) for s in sets]
         self._weights = _finite(item_weights, "item weights")
         if any(i < 0 for s in self._sets for i in s):
             raise DomainError("item ids must be non-negative")
@@ -349,14 +349,9 @@ class _CutRunning(RunningValue):
         oracle = self.oracle
         self.out_sums, self.in_arcs = oracle._incidence()
         self.near = [0.0] * len(self.out_sums)
-        total = 0.0
-        members = self.members
-        for u in members:
-            for _, v, w in oracle._out[u]:
-                if v not in members:
-                    total += w
+        for u in self.members:
             self._enter(u)
-        return total
+        return oracle._evaluate(self.members)
 
     def _with(self, x):
         return self.total + self.out_sums[x] - self.near[x]
@@ -420,7 +415,7 @@ class TableOracle(SubmodularOracle):
     MAX_N = 20
 
     def __init__(self, n, table):
-        n = int(n)
+        n = integer(n, "table size", DomainError)
         if n > self.MAX_N:
             raise SizeError(f"table oracles are capped at n={self.MAX_N}")
         if len(table) != 1 << n:

@@ -358,7 +358,7 @@ def multipass_randomized(oracle, mp, stream, epsilon, passes=None, seed=0, *,
     if offline_mode == "exact":
         check_exact_budget(min(len(order), m - 1), p * p * len(greedy_basis(mp, order)))
 
-    grid = guess_grid(oracle, [e for e in order if mp.feasible_with((), e)], k)
+    grid = guess_grid(oracle, mp.fitting((), order), k)
     copies = []
     for idx, lam in enumerate(grid.lambdas):
         alpha = eps_prime * lam / (2.0 * k) if (lam > 0.0 and k > 0) else 0.0

@@ -319,8 +319,8 @@ def test_child_evaluator_holds_the_value_measured_for_the_child(monkeypatch):
 
 
 def _per_element_fitting(mp, subset, elems):
-    """The search's child screen as one ``feasible_with`` per element."""
-    return [e for e in elems if mp.feasible_with(subset, e)]
+    """The search's child screen as one full feasibility test per element."""
+    return [e for e in elems if mp.feasible(set(subset) | {e})]
 
 
 def _screen_constraints(rng, n):

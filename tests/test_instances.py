@@ -85,6 +85,22 @@ def test_loader_rejects_bad_json(tmp_path):
         ms.load_instance(path)
 
 
+@pytest.mark.parametrize("field, bad, reason", [
+    ("n", 3.7, "n must be integers"),
+    ("n", "3", "n must be integers"),
+    ("monotone", "false", "monotone must be true or false"),
+], ids=["fractional n", "text n", "text monotone"])
+def test_loader_checks_n_and_monotone(tmp_path, field, bad, reason):
+    # int() read 3.7 and "3" as n = 3, and bool() read "false" as true
+    data = ms.generate_instance("coverage+uniform", 0, n=3).to_dict()
+    data[field] = bad
+    path = tmp_path / "bad_header.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ms.ConfigError, match=reason) as caught:
+        ms.load_instance(path)
+    assert str(path) in str(caught.value)
+
+
 def test_supplied_rank_is_respected_and_null_rank_computed(tmp_path):
     inst = ms.generate_instance("bipartite-matching", 3)
     assert inst.constraint["rank"] is None

@@ -226,11 +226,11 @@ class _CustomClasses(ms.UniformMatroid):
 ], ids=["missing element", "overlap", "outside element", "repeated key", "None key"])
 def test_swap_classes_that_do_not_partition_are_refused(classes):
     # an element left out of every block would have no slot for the
-    # matroid, and feasible_with and exchange_set would skip it
+    # matroid, and fitting and exchange_set would skip it
     with pytest.raises(ms.PreconditionError, match="partition"):
         ms.PMatchoid(range(4), [_CustomClasses(range(3), 1, classes)])
     good = ms.PMatchoid(range(3), [_CustomClasses(range(3), 1, [(0, [0, 2]), (1, [1])])])
-    assert not good.feasible_with({0}, 1)
+    assert good.fitting({0}, [1]) == []
     assert [key for _, key in good.signature_of[2]] == [0]
 
 
@@ -599,13 +599,29 @@ def _random_feasible(rng, mp, elems):
     return chosen
 
 
+def _matching_matroids(rng, side, edges):
+    """One capacity-1 uniform matroid per vertex of a random bipartite
+    graph with ``side`` vertices a side and ``edges`` edges, in vertex
+    order: its matchings, at p = 2."""
+    incident = [[] for _ in range(2 * side)]
+    for e, pair in enumerate(rng.sample(range(side * side), edges)):
+        incident[pair // side].append(e)
+        incident[side + pair % side].append(e)
+    return [ms.UniformMatroid(held, 1) for held in incident if held]
+
+
 def test_element_index_lists_the_matroids_in_instance_order():
     rng = Random(53)
-    for trial in range(40):
-        matroids = [_uniform_or_partition(rng) for _ in range(rng.randint(0, 5))]
-        mp = ms.PMatchoid(range(12), matroids)
+    cases = [(12, [_uniform_or_partition(rng) for _ in range(rng.randint(0, 5))], None)
+             for _ in range(40)]
+    # many matroids: a matching with 8,000 edges under 400 of them
+    matching = _matching_matroids(rng, 200, 8000)
+    assert len(matching) == 400
+    cases.append((8000, matching, 200))
+    for n, matroids, rank in cases:
+        mp = ms.PMatchoid(range(n), matroids, rank=rank)
         shared = {}
-        for e in range(12):
+        for e in range(n):
             want = tuple(m for m in matroids if e in m.ground_subset)
             signature = mp.signature_of.get(e, ())
             assert tuple(m for m, _ in signature) == want
@@ -617,7 +633,8 @@ def test_element_index_lists_the_matroids_in_instance_order():
         assert mp.p == max((len(v) for v in mp.signature_of.values()), default=1)
 
 
-def test_feasible_with_matches_feasible_on_every_family():
+def test_fitting_matches_feasible_on_every_family():
+    # one element at a time, as the greedy basis and the offline greedy ask
     builders = (_corpus.coverage_uniform, _corpus.coverage_partition,
                 _corpus.bipartite_matching, _corpus.hypergraph_matching,
                 _corpus.directed_cut)
@@ -628,15 +645,16 @@ def test_feasible_with_matches_feasible_on_every_family():
         mp = builder(rng.randrange(1000)).build_matchoid()
         for _ in range(4):
             s = _random_feasible(rng, mp, mp.ground)
-            for e in sorted(mp.ground):
-                got = mp.feasible_with(s, e)
-                assert got == mp.feasible(s | {e}), (builder.__name__, s, e)
-                checks[builder.__name__][got] += 1
+            for e in sorted(mp.ground - s):
+                got = mp.fitting(s, (e,))
+                assert got == ([e] if mp.feasible(s | {e}) else []), (
+                    builder.__name__, s, e)
+                checks[builder.__name__][bool(got)] += 1
     # every family answers both ways
     assert all(min(counts) > 0 for counts in checks.values()), checks
 
 
-def test_feasible_with_on_free_elements_and_a_capacity_0_part():
+def test_fitting_on_free_elements_and_a_capacity_0_part():
     # 4 and 5 lie in no matroid; 3 is alone in a part of capacity 0
     partition = ms.PartitionMatroid({0, 1, 2, 3}, [[0, 1], [2], [3]], [1, 1, 0])
     uniform = ms.UniformMatroid({1, 2, 3}, 1)
@@ -648,13 +666,13 @@ def test_feasible_with_on_free_elements_and_a_capacity_0_part():
     assert 4 not in mp.signature_of and mp.p == 2
     for s in (set(), {0}, {1}, {2}, {0, 2}, {4}, {0, 4, 5}, {1, 4, 5}):
         assert mp.feasible(s)
-        for e in range(6):
-            assert mp.feasible_with(s, e) == mp.feasible(s | {e}), (s, e)
-    assert mp.feasible_with({0, 2}, 5) and not mp.feasible_with(set(), 3)
-    assert ms.PMatchoid(range(3), []).feasible_with({0, 1}, 2)
+        for e in sorted(set(range(6)) - s):
+            assert mp.fitting(s, (e,)) == ([e] if mp.feasible(s | {e}) else []), (s, e)
+    assert mp.fitting({0, 2}, [5]) == [5] and mp.fitting(set(), [3]) == []
+    assert ms.PMatchoid(range(3), []).fitting({0, 1}, [2]) == [2]
 
 
-def test_fitting_is_feasible_with_per_element():
+def test_fitting_is_feasible_per_element():
     # one slot test serves every open element of its class; graphic and
     # transversal slots (key None) are tested per element, and elements
     # in no matroid always fit
@@ -673,7 +691,7 @@ def test_fitting_is_feasible_with_per_element():
             s = _random_feasible(rng, mp, mp.ground)
             outside = sorted(mp.ground - s)
             rng.shuffle(outside)
-            want = [e for e in outside if mp.feasible_with(s, e)]
+            want = [e for e in outside if mp.feasible(s | {e})]
             assert mp.fitting(s, outside) == want, (s, outside)
             answers[0] += len(outside) - len(want)
             answers[1] += len(want)
@@ -783,9 +801,9 @@ def test_one_arrival_touches_at_most_p_of_a_thousand_matroids():
         s = set(runner.state.members)
         for x in (1, 500, 998):
             del touched[:]
-            got = mp.feasible_with(s, x)
+            got = mp.fitting(s, (x,))
             assert 0 < len(set(touched)) <= mp.p
             assert set(touched) <= {m for m, _ in mp.signature_of[x]}
-            assert got == mp.feasible(s | {x})
+            assert got == ([x] if mp.feasible(s | {x}) else [])
     finally:
         del touched[:]

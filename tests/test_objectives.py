@@ -115,6 +115,20 @@ def test_cut_ids_must_be_integers(bad):
     assert ms.DirectedCutOracle(3.0, [(0.0, 1.0, 2)]).value({0}) == 2.0
 
 
+def test_coverage_item_ids_must_be_integers():
+    # int() filed the item 1.5 as item 1, so {0} covered a weight of 3.0
+    with pytest.raises(ms.DomainError, match="item ids must be integers"):
+        ms.CoverageOracle([[0, 1.5]], [1, 2])
+    assert ms.CoverageOracle([[0, 1.0]], [1, 2]).value({0}) == 3.0
+
+
+def test_table_size_must_be_an_integer():
+    # int() built a 1-element ground set from n = 1.9
+    with pytest.raises(ms.DomainError, match="table size must be integers"):
+        ms.TableOracle(1.9, [0.0, 1.0])
+    assert ms.TableOracle(1.0, [0.0, 1.0]).ground == {0}
+
+
 def test_table_size_cap():
     with pytest.raises(ms.SizeError):
         ms.TableOracle(21, [0.0] * (1 << 21))
