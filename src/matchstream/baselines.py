@@ -145,9 +145,9 @@ def _gain_tails(values, base, room):
 
 
 def compute_rank(mp):
-    """k, the size of a largest feasible set of ``mp``: at p = 1 (a matroid)
-    the size of its greedy basis, at any size; at p >= 2 the size of
-    ``max_feasible_subset``'s optimum for f(A) = |A|, within its budget."""
+    """k, the size of a largest feasible set of ``mp``, on the first read of
+    an unsupplied ``mp.rank_k``: at p = 1 its greedy basis size, at any size;
+    at p >= 2 the ``max_feasible_subset`` optimum size for |A|, in budget."""
     if mp.p == 1:
         return len(greedy_basis(mp, sorted(mp.ground)))
     size = ModularOracle([1.0] * (max(mp.ground, default=-1) + 1))

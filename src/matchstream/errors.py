@@ -28,12 +28,13 @@ class ConfigError(MatchstreamError):
 
 def integers(values, what, error=PreconditionError):
     """``values`` as a list of ints. A value v is taken only when
-    int(v) == v, so 2.0 is 2, while 1.7, NaN, inf and "2" raise ``error``
-    naming ``what``, rather than silently becoming another id or
-    capacity."""
+    int(v) == v and v is not a bool, so 2.0 is 2, while 1.7, NaN, inf,
+    "2" and True raise ``error`` naming ``what``, rather than silently
+    becoming another id or capacity."""
     raw = list(values)
     try:
-        out = list(map(int, raw))
+        # a bool is dropped, so the lists differ in length
+        out = [int(v) for v in raw if v.__class__ is not bool]
     except (TypeError, ValueError, OverflowError):
         out = None
     if out != raw:
@@ -48,6 +49,8 @@ def integer(value, what, error=PreconditionError):
 
 
 def _integral(value):
+    if value.__class__ is bool:
+        return False
     try:
         return int(value) == value
     except (TypeError, ValueError, OverflowError):

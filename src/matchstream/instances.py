@@ -11,11 +11,12 @@ Objective kinds: weighted-coverage (sets + item_weights), directed-cut
 (arcs [[u, v, w], ...]), modular (weights), custom-table (table of 2^n
 values). Matroid kinds: uniform (capacity), partition (parts +
 capacities), graphic (endpoints [[e, u, v], ...]), transversal
-(adjacency [[e, [r, ...]], ...]). ``compute_rank`` fills in a null rank
-at build time; an optional "p" must equal the derived p, "n" must be
-integral, and ``monotone``, a JSON boolean, must equal the built
-oracle's ``monotone``, a fact of its class. A bad file raises
-ConfigError naming its path.
+(adjacency [[e, [r, ...]], ...]). A rank must be a non-negative integer;
+a null one is computed on the first read of ``PMatchoid.rank_k``, which
+only the drivers and summaries make. An optional "p" must equal the
+derived p, "n" must be integral, and ``monotone``, a JSON boolean, must
+equal the built oracle's ``monotone``, a fact of its class. A bad file
+raises ConfigError naming its path.
 """
 
 import json
@@ -24,7 +25,7 @@ from random import Random
 
 from .errors import ConfigError, integer
 from .matchoids import (GraphicMatroid, PartitionMatroid, PMatchoid,
-                        TransversalMatroid, UniformMatroid, element_index)
+                        TransversalMatroid, UniformMatroid)
 from .objectives import (CoverageOracle, DirectedCutOracle, ModularOracle,
                          TableOracle)
 
@@ -95,9 +96,8 @@ class Instance:
         return oracle
 
     def build_matchoid(self):
-        """Fresh constraint. Its p is derived from the matroids; a file that
-        also declares one must declare that value, checked before a null
-        rank is computed."""
+        """Fresh constraint, built without a rank search. Its p is derived
+        from the matroids; a file that also declares one must match it."""
         block = self.constraint
         matroids = []
         with _reading(self.path, "constraint"):
@@ -117,18 +117,11 @@ class Instance:
                     matroids.append(TransversalMatroid(ground, adjacency))
                 else:
                     raise ValueError(f"unknown matroid kind {kind!r}")
-            declared, rank = block.get("p"), block.get("rank")
-            if declared is not None and rank is None:
-                # the rank search may be long or over budget: check p first
-                _check_p(declared, element_index(matroids)[1])
-            mp = PMatchoid(range(self.n), matroids, rank=rank)
-            _check_p(declared, mp.p)
+            mp = PMatchoid(range(self.n), matroids, rank=block.get("rank"))
+            declared = block.get("p")
+            if declared not in (None, mp.p):
+                raise ValueError(f"declares p={declared}, its matroids give p={mp.p}")
             return mp
-
-
-def _check_p(declared, p):
-    if declared not in (None, p):
-        raise ValueError(f"declares p={declared}, its matroids give p={p}")
 
 
 @contextmanager

@@ -31,6 +31,8 @@ screens a batch of elements against one feasible set with one
 independence test per slot, not per element.
 """
 
+import functools
+
 from .baselines import compute_rank
 from .errors import InfeasibilityError, PreconditionError, integer, integers
 
@@ -269,8 +271,8 @@ class PMatchoid:
     each (see ``element_index``); an element outside every matroid has
     no entry. ``p`` is the longest signature (1 when there is none), not
     declared. ``rank_k``, the size of a largest feasible set, is
-    ``rank`` when supplied, else ``compute_rank``'s (an exact search at
-    p >= 2, raising ``SizeError`` above its budget).
+    ``rank`` when supplied, else ``compute_rank``'s on its first read (an
+    exact search at p >= 2, raising ``SizeError`` above its budget).
     """
 
     def __init__(self, ground, matroids, rank=None):
@@ -279,7 +281,14 @@ class PMatchoid:
         if not all(m.ground_subset <= self.ground for m in self.matroids):
             raise PreconditionError("matroid ground subset leaves the instance ground set")
         self.signature_of, self.p = element_index(self.matroids)
-        self.rank_k = integer(rank, "rank") if rank is not None else compute_rank(self)
+        if rank is not None:
+            self.rank_k = integer(rank, "rank")
+            if self.rank_k < 0:
+                raise PreconditionError(f"rank must be non-negative, got {rank!r}")
+
+    @functools.cached_property
+    def rank_k(self):
+        return compute_rank(self)
 
     def feasible(self, subset):
         a = frozenset(subset)

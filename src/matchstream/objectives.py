@@ -223,9 +223,12 @@ class CoverageOracle(SubmodularOracle):
     def __init__(self, sets, item_weights):
         self._sets = [frozenset(integers(s, "item ids", DomainError)) for s in sets]
         self._weights = _finite(item_weights, "item weights")
-        if any(i < 0 for s in self._sets for i in s):
+        # the range is checked over the distinct items, not every
+        # occurrence, which pays for the per-set id check above
+        items = frozenset().union(*self._sets)
+        if min(items, default=0) < 0:
             raise DomainError("item ids must be non-negative")
-        top = max((i for s in self._sets for i in s), default=-1)
+        top = max(items, default=-1)
         if top >= len(self._weights):
             raise DomainError(f"item {top} has no weight entry")
         super().__init__(range(len(self._sets)))
@@ -293,12 +296,12 @@ class DirectedCutOracle(SubmodularOracle):
         total = 0.0
         for u, v, w in arcs:
             # the ids are checked here, in the one pass over the arcs:
-            # int() alone would file the endpoint 1.9 as vertex 1
+            # int() alone would file the endpoint 1.9 (or True) as vertex 1
             try:
                 iu, iv = int(u), int(v)
             except (TypeError, ValueError, OverflowError):
                 iu = iv = None
-            if iu != u or iv != v:
+            if iu != u or iv != v or u.__class__ is bool or v.__class__ is bool:
                 raise DomainError(f"arc endpoints must be integers, got ({u!r}, {v!r})")
             w = float(w)
             if not (0 <= iu < n and 0 <= iv < n):
@@ -416,6 +419,8 @@ class TableOracle(SubmodularOracle):
 
     def __init__(self, n, table):
         n = integer(n, "table size", DomainError)
+        if n < 0:
+            raise DomainError(f"table size must be non-negative, got {n}")
         if n > self.MAX_N:
             raise SizeError(f"table oracles are capped at n={self.MAX_N}")
         if len(table) != 1 << n:

@@ -61,6 +61,32 @@ def test_solve_exact_and_greedy(tmp_path, capsys):
     assert inst.build_matchoid().feasible(greedy["set"])
 
 
+def test_greedy_and_exact_verbs_never_read_the_rank(tmp_path, capsys, monkeypatch):
+    # a null rank at p = 2 is an exact search, over budget on a 40 x 40,
+    # 600-edge matching; the greedy verb has no use for k, so it runs
+    big = str(tmp_path / "big.json")
+    main(["generate", "--family", "bipartite-matching", "--seed", "0",
+          "--left", "40", "--right", "40", "--edges", "600", "--out", big])
+    capsys.readouterr()
+    assert main(["greedy", "--instance", big]) == 0
+    greedy = json.loads(capsys.readouterr().out)
+    assert greedy["value"] > 0
+    assert ms.load_instance(big).build_matchoid().feasible(greedy["set"])
+
+    # solve-exact runs its own search only, not the rank's as well
+    def search(mp):
+        raise AssertionError("compute_rank ran")
+
+    monkeypatch.setattr(ms.matchoids, "compute_rank", search)
+    small = str(tmp_path / "small.json")
+    main(["generate", "--family", "bipartite-matching", "--seed", "0",
+          "--out", small])
+    capsys.readouterr()
+    for verb in ("greedy", "solve-exact"):
+        assert main([verb, "--instance", small]) == 0
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["opt_value"] > 0
+
+
 def test_run_nonmonotone_cli(tmp_path, capsys):
     instance = str(tmp_path / "cut.json")
     main(["generate", "--family", "directed-cut+matroid", "--seed", "4",

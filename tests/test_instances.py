@@ -88,8 +88,9 @@ def test_loader_rejects_bad_json(tmp_path):
 @pytest.mark.parametrize("field, bad, reason", [
     ("n", 3.7, "n must be integers"),
     ("n", "3", "n must be integers"),
+    ("n", True, "n must be integers"),
     ("monotone", "false", "monotone must be true or false"),
-], ids=["fractional n", "text n", "text monotone"])
+], ids=["fractional n", "text n", "boolean n", "text monotone"])
 def test_loader_checks_n_and_monotone(tmp_path, field, bad, reason):
     # int() read 3.7 and "3" as n = 3, and bool() read "false" as true
     data = ms.generate_instance("coverage+uniform", 0, n=3).to_dict()
@@ -134,12 +135,15 @@ def test_null_rank_of_large_single_matroids_is_closed_form():
     ]
     for matroid, rank in cases:
         assert _null_rank_instance(n, [matroid]).build_matchoid().rank_k == rank
-    # p >= 2 keeps the exact search, sized by the work budget
+    # p >= 2 keeps the exact search, sized by the work budget; it runs on
+    # the first read of rank_k, not at build time
     two = [{"kind": "uniform", "ground": list(range(17)), "capacity": 2}] * 2
     assert _null_rank_instance(17, two, p=2).build_matchoid().rank_k == 2
     wide = [{"kind": "uniform", "ground": list(range(40)), "capacity": 20}] * 2
-    with pytest.raises(ms.ConfigError, match="over budget"):
-        _null_rank_instance(40, wide, p=2).build_matchoid()
+    mp = _null_rank_instance(40, wide, p=2).build_matchoid()
+    assert mp.p == 2
+    with pytest.raises(ms.SizeError, match="over budget"):
+        mp.rank_k
 
 
 def test_graphic_and_transversal_instance_files(tmp_path):
@@ -195,9 +199,9 @@ def test_declared_p_must_be_the_derived_p(tmp_path):
 
 
 def test_declared_p_is_checked_before_the_rank(tmp_path):
-    # a null rank at p = 2 runs an exact search; a file under-declaring p
-    # is told so before that search, at 17 elements (in budget) and at 40
-    # (over it)
+    # a null rank at p = 2 needs an exact search, which the build does
+    # not run; a file under-declaring p is told so at build time, at 17
+    # elements (in budget) and at 40 (over it)
     for n, capacity in ((17, 3), (40, 20)):
         two = [{"kind": "uniform", "ground": list(range(n)),
                 "capacity": capacity}] * 2
@@ -206,6 +210,42 @@ def test_declared_p_is_checked_before_the_rank(tmp_path):
         with pytest.raises(ms.ConfigError,
                            match="declares p=1, its matroids give p=2"):
             ms.load_instance(path).build_matchoid()
+
+
+@pytest.mark.parametrize("rank", [-1, -1.0])
+def test_negative_rank_is_refused(tmp_path, rank):
+    # a rank of -1 certified with a negative k alpha slack, which shrinks
+    # opt_upper_bound, and sized the randomized buffer at m = 1
+    matroids = [ms.UniformMatroid(range(3), 2)]
+    with pytest.raises(ms.PreconditionError, match="rank must be non-negative"):
+        ms.PMatchoid(range(3), matroids, rank=rank)
+    assert ms.PMatchoid(range(3), matroids, rank=0).rank_k == 0
+    inst = ms.generate_instance("coverage+uniform", 0, n=3)
+    inst.constraint["rank"] = rank
+    path = tmp_path / "negative_rank.json"
+    ms.save_instance(inst, path)
+    with pytest.raises(ms.ConfigError, match="rank must be non-negative") as caught:
+        ms.load_instance(path).build_matchoid()
+    assert str(path) in str(caught.value)
+
+
+def test_drivers_read_the_rank_before_any_oracle_call():
+    # the 40 x 40, 600-edge matching builds and runs the greedy without a
+    # rank; both drivers need k, whose search is over budget, and say so
+    # before their first oracle call
+    inst = ms.generate_instance("bipartite-matching", 0, left=40, right=40,
+                                edges=600)
+    assert inst.constraint["rank"] is None
+    mp = inst.build_matchoid()
+    oracle = inst.build_oracle()
+    order = ms.stream_order(inst.n)
+    assert mp.feasible(ms.offline_greedy(oracle, mp))
+    oracle.reset_counters()
+    with pytest.raises(ms.SizeError, match="over budget"):
+        ms.multipass_run(oracle, mp, order, ms.Schedule.for_matchoid(mp), 1, 1.0)
+    with pytest.raises(ms.SizeError, match="over budget"):
+        ms.multipass_randomized(oracle, mp, order, 0.5, 1)
+    assert oracle.calls == 0
 
 
 def test_generate_rejects_parameters_the_family_does_not_take():

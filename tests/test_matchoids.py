@@ -46,10 +46,11 @@ def test_transversal_matroid_matches_left_into_right():
     assert not m.independent({0, 1, 2})
 
 
-@pytest.mark.parametrize("bad", [1.5, float("nan"), "1", None],
-                         ids=["fraction", "nan", "text", "none"])
+@pytest.mark.parametrize("bad", [1.5, float("nan"), "1", None, False],
+                         ids=["fraction", "nan", "text", "none", "bool"])
 def test_graphic_and_transversal_ids_must_be_integers(bad):
-    # int() alone filed the edge 1.5 as edge 1
+    # int() alone filed the edge 1.5 as edge 1; the boolean case is False,
+    # since as a dict key True would merge with the id 1
     with pytest.raises(ms.PreconditionError, match="edge ids must be integers"):
         ms.GraphicMatroid([1], {1.5: (0, 1)})
     with pytest.raises(ms.PreconditionError, match="edge ids must be integers"):
@@ -294,15 +295,37 @@ def test_rank_requires_supplied_value_when_large():
     # here (n = 17, K = 6)
     two = [ms.UniformMatroid(range(17), 3), ms.UniformMatroid(range(17), 3)]
     assert ms.PMatchoid(range(17), two).rank_k == 3
-    # n = 40, K = 40 is 2^40 subsets: a rank must be supplied
+    # n = 40, K = 40 is 2^40 subsets: the constraint builds and tests
+    # feasibility, but reading its rank raises, so drivers need a
+    # supplied one
     wide = [ms.UniformMatroid(range(40), 20), ms.UniformMatroid(range(40), 20)]
-    with pytest.raises(ms.SizeError, match="over 40 candidates"):
-        ms.PMatchoid(range(40), wide)
+    mp = ms.PMatchoid(range(40), wide)
+    assert mp.p == 2 and mp.feasible(range(20)) and not mp.feasible(range(21))
+    with pytest.raises(ms.SizeError, match="over 40 candidates .* over budget"):
+        mp.rank_k
     mp = ms.PMatchoid(range(40), wide, rank=20)
     assert mp.rank_k == 20
     # p = 1: the greedy basis gives the rank at any size
     mp = ms.PMatchoid(range(17), [ms.UniformMatroid(range(17), 3)])
     assert mp.rank_k == 3
+
+
+def test_supplied_rank_skips_the_search(monkeypatch, tmp_path):
+    def search(mp):
+        raise AssertionError("compute_rank ran")
+
+    monkeypatch.setattr(ms.matchoids, "compute_rank", search)
+    wide = [ms.UniformMatroid(range(40), 20), ms.UniformMatroid(range(40), 20)]
+    assert ms.PMatchoid(range(40), wide, rank=20.0).rank_k == 20
+    inst = ms.generate_instance("bipartite-matching", 3)
+    inst.constraint["rank"] = 4
+    path = tmp_path / "ranked.json"
+    ms.save_instance(inst, path)
+    assert ms.load_instance(path).build_matchoid().rank_k == 4
+    # a null rank is searched on the first read, and only then
+    mp = ms.PMatchoid(range(40), wide)
+    with pytest.raises(AssertionError, match="compute_rank ran"):
+        mp.rank_k
 
 
 def _random_matroid(rng, n):

@@ -100,11 +100,11 @@ def test_cut_weights_need_a_finite_sum():
         ms.DirectedCutOracle(3, [(0, 1, 1e308), (0, 2, 1e308)])
 
 
-@pytest.mark.parametrize("bad", [1.9, math.nan, math.inf, "1", None],
-                         ids=["fraction", "nan", "inf", "text", "none"])
+@pytest.mark.parametrize("bad", [1.9, math.nan, math.inf, "1", None, True],
+                         ids=["fraction", "nan", "inf", "text", "none", "bool"])
 def test_cut_ids_must_be_integers(bad):
     # int() alone built a 3-vertex cut from n = 3.7 and filed the arc
-    # 0 -> 1.9 as 0 -> 1
+    # 0 -> 1.9 (or True) as 0 -> 1
     with pytest.raises(ms.DomainError, match="must be integers"):
         ms.DirectedCutOracle(3.7, [(0, 1.9, 2.0)])
     with pytest.raises(ms.DomainError, match="vertex count must be integers"):
@@ -119,13 +119,30 @@ def test_coverage_item_ids_must_be_integers():
     # int() filed the item 1.5 as item 1, so {0} covered a weight of 3.0
     with pytest.raises(ms.DomainError, match="item ids must be integers"):
         ms.CoverageOracle([[0, 1.5]], [1, 2])
+    # and True as item 1
+    with pytest.raises(ms.DomainError, match="item ids must be integers"):
+        ms.CoverageOracle([[True]], [1.0, 2.0])
     assert ms.CoverageOracle([[0, 1.0]], [1, 2]).value({0}) == 3.0
+
+
+def test_coverage_items_need_a_weight_and_a_non_negative_id():
+    with pytest.raises(ms.DomainError, match="item ids must be non-negative"):
+        ms.CoverageOracle([[0], [1, -1]], [1, 2])
+    with pytest.raises(ms.DomainError, match="item 2 has no weight entry"):
+        ms.CoverageOracle([[0], [2, 1]], [1, 2])
+    assert ms.CoverageOracle([[], [1]], [1, 2]).value({0, 1}) == 2.0
+    assert ms.CoverageOracle([[], []], []).value({0, 1}) == 0.0
 
 
 def test_table_size_must_be_an_integer():
     # int() built a 1-element ground set from n = 1.9
     with pytest.raises(ms.DomainError, match="table size must be integers"):
         ms.TableOracle(1.9, [0.0, 1.0])
+    with pytest.raises(ms.DomainError, match="table size must be integers"):
+        ms.TableOracle(True, [0.0, 1.0])
+    # a negative size is refused before it reaches the table's 1 << n
+    with pytest.raises(ms.DomainError, match="table size must be non-negative"):
+        ms.TableOracle(-1, [0.0])
     assert ms.TableOracle(1.0, [0.0, 1.0]).ground == {0}
 
 

@@ -220,8 +220,8 @@ def test_ground_mismatch_is_refused_by_every_driver():
             assert oracle.calls == 0
 
 
-@pytest.mark.parametrize("bad", [1.7, math.nan, math.inf, "2", None],
-                         ids=["fraction", "nan", "inf", "text", "none"])
+@pytest.mark.parametrize("bad", [1.7, math.nan, math.inf, "2", None, True],
+                         ids=["fraction", "nan", "inf", "text", "none", "bool"])
 def test_non_integral_ids_and_capacities_are_refused(bad):
     # int() would read 1.7 as 1: another element, another capacity
     oracle = ms.ModularOracle([1, 2, 3])
