@@ -12,7 +12,7 @@ import json
 import sys
 
 from .baselines import brute_force_opt, offline_greedy
-from .errors import MatchstreamError
+from .errors import MatchstreamError, SizeError
 from .experiments import (ExperimentConfig, report_rows, run_experiment,
                           summary_json, write_trace)
 from .instances import (FAMILIES, family_params, generate_instance,
@@ -159,6 +159,10 @@ def main(argv=None):
     try:
         return _COMMANDS[args.command](args)
     except MatchstreamError as exc:
+        # a size cap hit after the file loaded is still about that file
+        instance = getattr(args, "instance", None)
+        if isinstance(exc, SizeError) and instance is not None:
+            exc = f"{instance}: {exc}"
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -5,10 +5,11 @@ The harness runs the two streaming drivers, ``monotone-multipass`` and
 ``solve-exact`` and ``greedy`` verbs. A driver branch only runs its
 driver; ``_tally`` totals the summary counters over either driver's pass
 records, and a trace row, a finished runner's ``row`` (and a guess
-copy's columns), gets schema_version as the trace is written. A run
-builds its constraint once, which the driver, every replicate and the
-exact optimum share; each driver run and the optimum get a fresh oracle,
-since an oracle carries the call counter.
+copy's columns), gets schema_version as the trace is written. The trace
+header is schema_version and the first row's keys, so the row owns the
+trace schema. A run builds its constraint once, which the driver, every
+replicate and the exact optimum share; each driver run and the optimum
+get a fresh oracle, since an oracle carries the call counter.
 
 Traces are CSV with a schema_version column; summaries are JSON. Given
 the same config (seed included), reruns produce byte-identical trace
@@ -39,14 +40,6 @@ SCHEMA_VERSION = 1
 SUMMARY_OPT_BUDGET = 2 ** 16
 
 ALGORITHMS = ("monotone-multipass", "nonmonotone-randomized")
-
-MONOTONE_TRACE_COLUMNS = (
-    "schema_version", "pass", "beta", "f_S", "delta", "gamma_certified",
-    "accepts", "evictions", "oracle_calls", "stored_elements",
-)
-RANDOMIZED_TRACE_COLUMNS = MONOTONE_TRACE_COLUMNS + (
-    "lambda", "m", "buffer_peak", "f_S_prime", "f_S_bar", "seed",
-)
 
 _CONFIG_FIELDS = (
     "instance", "algorithm", "epsilon", "passes", "schedule", "alpha",
@@ -103,11 +96,7 @@ def build_schedule(name, mp):
 
 
 def _fmt(value):
-    if value is None:
-        return ""
-    if isinstance(value, float) and math.isinf(value):
-        return "inf"
-    return value
+    return "" if value is None else _strict(value)
 
 
 def write_trace(path, columns, rows):
@@ -209,7 +198,6 @@ def run_experiment(config):
     totals = Counter()
 
     if config.algorithm == "monotone-multipass":
-        columns = MONOTONE_TRACE_COLUMNS
         oracle = inst.build_oracle()
         schedule = build_schedule(config.schedule, mp)
         passes = (config.passes if config.passes is not None
@@ -232,7 +220,6 @@ def run_experiment(config):
             raise ConfigError("the randomized driver needs an epsilon")
         if config.replicates < 1:
             raise ConfigError("at least one replicate is required")
-        columns = RANDOMIZED_TRACE_COLUMNS
         f_bars = []
         total_calls = peak_storage = 0
         for rep in range(config.replicates):
@@ -271,7 +258,7 @@ def run_experiment(config):
     summary["wall_time"] = time.perf_counter() - started
 
     if config.trace is not None:
-        write_trace(config.trace, columns,
+        write_trace(config.trace, ("schema_version", *rows[0]),
                     ({"schema_version": SCHEMA_VERSION, **row} for row in rows))
     if config.summary is not None:
         with open(config.summary, "w", encoding="utf-8") as fh:

@@ -17,10 +17,17 @@ only the drivers and summaries make. An optional "p" must equal the
 derived p, "n" must be integral, and ``monotone``, a JSON boolean, must
 equal the built oracle's ``monotone``, a fact of its class. A bad file
 raises ConfigError naming its path.
+
+``FAMILIES`` are the keys of the generator table. Each constraint shape
+has one builder: ``_uniform_constraint`` serves ``coverage+uniform`` and
+``directed-cut+matroid``, and ``_matching`` both matching families (one
+capacity-1 uniform matroid per vertex, p the edge size). Every coverage
+objective comes from ``_coverage_objective``.
 """
 
 import json
 from contextlib import contextmanager
+from itertools import combinations
 from random import Random
 
 from .errors import ConfigError, integer
@@ -30,14 +37,6 @@ from .objectives import (CoverageOracle, DirectedCutOracle, ModularOracle,
                          TableOracle)
 
 SCHEMA_VERSION = 1
-
-FAMILIES = (
-    "coverage+uniform",
-    "coverage+partition",
-    "bipartite-matching",
-    "3-uniform-hypergraph-matching",
-    "directed-cut+matroid",
-)
 
 
 class Instance:
@@ -163,7 +162,8 @@ def generate_instance(family, seed, **params):
 
     Every family uses small integer weights so objective comparisons in
     tests are exact, and guarantees a strictly positive optimum. A
-    parameter the family does not take raises ConfigError.
+    parameter the family does not take raises ConfigError. A None
+    ``items`` draws n + 2..6 items.
     """
     names = family_params(family)
     if not set(params) <= set(names):
@@ -184,6 +184,9 @@ def family_params(family):
 
 
 def _coverage_objective(rng, n, items, max_weight):
+    """n random coverage sets over ``items`` weighted items; a None item
+    count draws n + 2..6."""
+    items = items if items is not None else n + rng.randint(2, 6)
     sets = []
     for _ in range(n):
         size = rng.randint(1, max(1, items // 2))
@@ -192,17 +195,34 @@ def _coverage_objective(rng, n, items, max_weight):
     return {"kind": "weighted-coverage", "sets": sets, "item_weights": weights}
 
 
-def _gen_coverage_uniform(rng, n=12, items=None, capacity=3, max_weight=3):
-    items = items if items is not None else n + rng.randint(2, 6)
-    objective = _coverage_objective(rng, n, items, max_weight)
-    constraint = {"p": 1, "rank": min(n, capacity), "matroids": [
+def _uniform_constraint(n, capacity):
+    """One uniform matroid of ``capacity`` over all n elements."""
+    return {"p": 1, "rank": min(n, capacity), "matroids": [
         {"kind": "uniform", "ground": list(range(n)), "capacity": capacity},
     ]}
-    return Instance(n, True, objective, constraint)
+
+
+def _matching(rng, hyperedges, vertices, p, items, max_weight):
+    """Coverage over the elements ``hyperedges`` (vertex tuples of size
+    p), under one capacity-1 uniform matroid per vertex that lies in an
+    edge, in vertex order."""
+    n = len(hyperedges)
+    objective = _coverage_objective(rng, n, items, max_weight)
+    incident = [[] for _ in range(vertices)]
+    for e, edge in enumerate(hyperedges):
+        for v in edge:
+            incident[v].append(e)
+    matroids = [{"kind": "uniform", "ground": ground, "capacity": 1}
+                for ground in incident if ground]
+    return Instance(n, True, objective, {"p": p, "rank": None, "matroids": matroids})
+
+
+def _gen_coverage_uniform(rng, n=12, items=None, capacity=3, max_weight=3):
+    objective = _coverage_objective(rng, n, items, max_weight)
+    return Instance(n, True, objective, _uniform_constraint(n, capacity))
 
 
 def _gen_coverage_partition(rng, n=12, parts=3, items=None, max_weight=3):
-    items = items if items is not None else n + rng.randint(2, 6)
     objective = _coverage_objective(rng, n, items, max_weight)
     ids = list(range(n))
     rng.shuffle(ids)
@@ -219,44 +239,17 @@ def _gen_coverage_partition(rng, n=12, parts=3, items=None, max_weight=3):
 
 def _gen_bipartite_matching(rng, left=4, right=4, edges=10, items=None,
                             max_weight=3):
-    pairs = [(u, v) for u in range(left) for v in range(right)]
-    edges = min(edges, len(pairs))
-    chosen = sorted(rng.sample(pairs, edges))
-    n = len(chosen)
-    items = items if items is not None else n + rng.randint(2, 6)
-    objective = _coverage_objective(rng, n, items, max_weight)
-    matroids = []
-    for u in range(left):
-        incident = [e for e, (a, _) in enumerate(chosen) if a == u]
-        if incident:
-            matroids.append({"kind": "uniform", "ground": incident, "capacity": 1})
-    for v in range(right):
-        incident = [e for e, (_, b) in enumerate(chosen) if b == v]
-        if incident:
-            matroids.append({"kind": "uniform", "ground": incident, "capacity": 1})
-    constraint = {"p": 2, "rank": None, "matroids": matroids}
-    return Instance(n, True, objective, constraint)
+    """Edges (u, v) of K_{left,right}; right vertex v is vertex left + v."""
+    pairs = [(u, left + v) for u in range(left) for v in range(right)]
+    chosen = sorted(rng.sample(pairs, min(edges, len(pairs))))
+    return _matching(rng, chosen, left + right, 2, items, max_weight)
 
 
 def _gen_hypergraph_matching(rng, vertices=6, hyperedges=8, items=None,
                              max_weight=3):
-    all_triples = []
-    for a in range(vertices):
-        for b in range(a + 1, vertices):
-            for c in range(b + 1, vertices):
-                all_triples.append((a, b, c))
-    hyperedges = min(hyperedges, len(all_triples))
-    chosen = sorted(rng.sample(all_triples, hyperedges))
-    n = len(chosen)
-    items = items if items is not None else n + rng.randint(2, 6)
-    objective = _coverage_objective(rng, n, items, max_weight)
-    matroids = []
-    for v in range(vertices):
-        incident = [e for e, tri in enumerate(chosen) if v in tri]
-        if incident:
-            matroids.append({"kind": "uniform", "ground": incident, "capacity": 1})
-    constraint = {"p": 3, "rank": None, "matroids": matroids}
-    return Instance(n, True, objective, constraint)
+    triples = list(combinations(range(vertices), 3))
+    chosen = sorted(rng.sample(triples, min(hyperedges, len(triples))))
+    return _matching(rng, chosen, vertices, 3, items, max_weight)
 
 
 def _gen_directed_cut(rng, n=10, arcs=None, capacity=4, max_weight=3):
@@ -266,10 +259,7 @@ def _gen_directed_cut(rng, n=10, arcs=None, capacity=4, max_weight=3):
     chosen = sorted(rng.sample(pairs, arcs))
     arc_list = [[u, v, rng.randint(1, max_weight)] for u, v in chosen]
     objective = {"kind": "directed-cut", "arcs": arc_list}
-    constraint = {"p": 1, "rank": min(n, capacity), "matroids": [
-        {"kind": "uniform", "ground": list(range(n)), "capacity": capacity},
-    ]}
-    return Instance(n, False, objective, constraint)
+    return Instance(n, False, objective, _uniform_constraint(n, capacity))
 
 
 _GENERATORS = {
@@ -279,3 +269,4 @@ _GENERATORS = {
     "3-uniform-hypergraph-matching": _gen_hypergraph_matching,
     "directed-cut+matroid": _gen_directed_cut,
 }
+FAMILIES = tuple(_GENERATORS)

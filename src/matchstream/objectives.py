@@ -291,6 +291,8 @@ class DirectedCutOracle(SubmodularOracle):
 
     def __init__(self, n, arcs):
         n = integer(n, "vertex count", DomainError)
+        if n < 0:
+            raise DomainError(f"vertex count must be non-negative, got {n}")
         out = self._out = [[] for _ in range(n)]
         self._in = None
         total = 0.0

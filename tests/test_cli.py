@@ -210,6 +210,12 @@ def _objective_not_an_object(data):
     return data
 
 
+def _matching_over_budget(data):
+    # a null rank at p = 2 whose exact search is over budget
+    return ms.generate_instance("bipartite-matching", 0, left=40, right=40,
+                                edges=600).to_dict()
+
+
 @pytest.mark.parametrize("edit", [
     _uniform_without_capacity,
     _modular_without_weights,
@@ -217,8 +223,9 @@ def _objective_not_an_object(data):
     _objective_not_an_object,
     lambda data: [1, 2],
     None,
+    _matching_over_budget,
 ], ids=["uniform-no-capacity", "modular-no-weights", "capacity-x",
-        "objective-list", "document-list", "missing-file"])
+        "objective-list", "document-list", "missing-file", "matching-over-budget"])
 def test_bad_instance_files_exit_2_naming_the_path(tmp_path, edit):
     path = tmp_path / "bad.json"
     if edit is not None:

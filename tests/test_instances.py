@@ -1,5 +1,6 @@
 """Instance generation, file round-trips, and loader validation."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -265,3 +266,49 @@ def test_readme_instance_example_builds():
     assert oracle.monotone == inst.monotone
     assert (mp.p, mp.rank_k) == (1, 2)
     assert mp.feasible({0, 2}) and not mp.feasible({0, 1})
+
+
+# SHA-256 over the generated files below. A change that moves it changes
+# the files every generated run reads, so re-pinning it needs a reason
+# in CHANGES.md
+GENERATED = "76d14672ab992932042b71ba98858dde4c3579d4780443f8e5cc41162d1096e0"
+
+# per family: the defaults, the benchmark's sizes up to n = 400, the
+# 40 x 40, 600-edge matching, the 60-vertex, 300-hyperedge hypergraph,
+# and vertices or parts left without an element
+GENERATED_PARAMS = {
+    "coverage+uniform": ({}, {"n": 40, "capacity": 6, "items": 12, "max_weight": 1},
+                         {"n": 400, "capacity": 60, "items": 60, "max_weight": 1}),
+    "coverage+partition": ({}, {"n": 30, "parts": 4, "items": 9},
+                           {"n": 5, "parts": 8}),
+    "bipartite-matching": ({}, {"left": 40, "right": 40, "edges": 600},
+                           {"left": 6, "right": 5, "edges": 3},
+                           {"left": 3, "right": 2, "edges": 9}),
+    "3-uniform-hypergraph-matching": ({}, {"vertices": 60, "hyperedges": 300},
+                                      {"vertices": 9, "hyperedges": 2},
+                                      {"vertices": 4, "hyperedges": 9}),
+    "directed-cut+matroid": ({}, {"n": 320, "arcs": 960, "capacity": 2},
+                             {"n": 22, "arcs": 462, "capacity": 4}),
+}
+
+
+def generated_digest():
+    """SHA-256 over every ``GENERATED_PARAMS`` file for seeds 0-3."""
+    digest = hashlib.sha256()
+    for family, param_sets in GENERATED_PARAMS.items():
+        for params in param_sets:
+            for seed in range(4):
+                inst = ms.generate_instance(family, seed, **params)
+                digest.update(json.dumps([family, seed, params, inst.to_dict()],
+                                         sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+def test_generated_instances_are_pinned():
+    assert set(GENERATED_PARAMS) == set(ms.FAMILIES)
+    assert generated_digest() == GENERATED
+
+
+if __name__ == "__main__":
+    # prints the digest of the current generators, to re-pin GENERATED
+    print(generated_digest())

@@ -113,6 +113,9 @@ def test_cut_ids_must_be_integers(bad):
         with pytest.raises(ms.DomainError, match="arc endpoints must be integers"):
             ms.DirectedCutOracle(3, [(1, 2, 1.0), arc])
     assert ms.DirectedCutOracle(3.0, [(0.0, 1.0, 2)]).value({0}) == 2.0
+    # range(-2) is empty, so a negative count built an empty ground set
+    with pytest.raises(ms.DomainError, match="vertex count must be non-negative"):
+        ms.DirectedCutOracle(-2, [])
 
 
 def test_coverage_item_ids_must_be_integers():
