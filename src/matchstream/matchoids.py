@@ -21,17 +21,26 @@ element however many the instance has.
 
 ``exchange_set`` picks, for each matroid an arrival x would make
 dependent, the member of S with the smallest cached nu among x's swap
-candidates. That pick depends on x only through x's slot, and the
-whole answer only through x's signature when every key in it is
-non-None. The solution state caches both, per slot and per signature,
-in ``SolutionState.picks`` until S or nu changes, so between two
-accepts each class is searched once, and each signature answered once,
-not once per arrival. By the same contract, ``PMatchoid.fitting``
-screens a batch of elements against one feasible set with one
-independence test per slot, not per element.
+candidates. Every class with a non-None key is a capacity class
+(``Matroid.class_capacity``): S + x is dependent there exactly when S
+holds at least the capacity of x's class, and the candidates are then
+S's members in that class. So a ``ClassIndex`` kept beside S, with a
+count and a lazy min-heap of ``(nu, arrival seq, member)`` per slot,
+answers "full?" and "which member?" in amortised O(log k), with no scan
+of S; ``SolutionState.accept`` updates it on an insertion and on an
+exchange that skips the nu walk, and a walk drops it until the next
+search rebuilds it. Slots keyed None are searched by ``scan_pick``,
+which scans S. The whole answer depends on x only through its signature
+when every key in it is non-None, and the state keeps it per signature
+in ``SolutionState.picks`` until S or nu changes, so between two accepts
+each such signature is answered once, not once per arrival. By the same
+contract, ``PMatchoid.fitting`` screens a batch of elements against one
+feasible set with one independence test per slot, not per element.
 """
 
 import functools
+import heapq
+import math
 
 from .baselines import compute_rank
 from .errors import InfeasibilityError, PreconditionError, integer, integers
@@ -70,18 +79,27 @@ class Matroid:
         """(key, elements) pairs partitioning the ground subset into
         conflict classes, or None when this kind has none.
 
-        Contract: two elements of one class, both outside an independent
-        set ``s_l``, get the same ``swap_candidates(s_l, .)``, and every
-        key is hashable and not None. ``element_index`` files each
-        element under its class, and ``exchange_set`` relies on the
-        contract to reuse one class's pick for every arrival in the
-        class, and one exchange set for every arrival with the same
-        signature. It is read once, when a ``PMatchoid`` is built, which
-        refuses blocks that do not partition the ground subset under
-        distinct keys. This base form names no classes, so its elements
-        share nothing.
+        Contract: every key is hashable and not None, and each class is a
+        capacity class. For an independent set ``s_l`` and an x of the
+        class outside it, ``swap_candidates(s_l, x)`` is None when
+        s_l holds fewer than ``class_capacity(key)`` members of the
+        class, and is otherwise exactly those members. So two elements
+        of one class get the same candidates. ``element_index`` files
+        each element under its class; ``exchange_set`` relies on the
+        contract to count and heap each class's members of S in a
+        ``ClassIndex``, and to reuse one exchange set for every arrival
+        with the same signature. It is read once, when a ``PMatchoid`` is
+        built, which refuses blocks that do not partition the ground
+        subset under distinct keys. This base form names no classes, so
+        its elements share nothing.
         """
         return None
+
+    def class_capacity(self, key):
+        """The capacity of the ``swap_classes`` class ``key``: how many of
+        its members an independent set holds before every further member
+        is refused. A kind that names classes defines it."""
+        raise NotImplementedError
 
 
 class UniformMatroid(Matroid):
@@ -106,6 +124,9 @@ class UniformMatroid(Matroid):
     def swap_classes(self):
         """One class: every arrival competes for the same capacity."""
         return ((0, self.ground_subset),)
+
+    def class_capacity(self, key):
+        return self.capacity
 
 
 class PartitionMatroid(Matroid):
@@ -154,6 +175,10 @@ class PartitionMatroid(Matroid):
         if free:
             classes.append((-1, free))
         return classes
+
+    def class_capacity(self, key):
+        """The part's capacity; the free class never fills."""
+        return self.capacities[key] if key >= 0 else math.inf
 
 
 class GraphicMatroid(Matroid):
@@ -329,6 +354,138 @@ class PMatchoid:
         return fits
 
 
+# stands for "no exchange admits x" in a pick: {x} is dependent
+LOOP = object()
+
+# a class's heap is compacted once it holds more than twice its live
+# entries plus this many
+HEAP_SLACK = 8
+
+
+class ClassIndex:
+    """S's members per capacity class under one ``PMatchoid``, kept beside
+    S as ``SolutionState.index``.
+
+    ``seq_of`` gives each member of S an arrival number, increasing in
+    the key order of ``state.nu``. ``classes`` maps a ``(matroid, class)``
+    slot with a non-None key to ``[count, heap, capacity]``: the count
+    |S ∩ class|, a min-heap of ``(nu, seq, member)`` entries, and the
+    class capacity, read on the slot's first ``pick``. An entry is live
+    while ``seq_of`` still maps its member to its seq. A member's
+    entries go stale when it leaves S; a stale top is popped by
+    ``pick``, and a heap longer than 2 * count + ``HEAP_SLACK`` is
+    compacted, so a class that never fills holds few stale entries. The
+    index is sound only while nu changes by ``add`` and ``remove``
+    alone: a walk that rewrites nu must drop it.
+    """
+
+    __slots__ = ("mp", "seq_of", "classes", "next_seq")
+
+    def __init__(self, mp, nu):
+        # one pass over S and one heapify per class, not an ``add`` per
+        # member: a walk drops the index, so this runs once per walk
+        self.mp = mp
+        signature_of = mp.signature_of
+        seq_of = self.seq_of = {}
+        classes = self.classes = {}
+        for seq, (e, v) in enumerate(nu.items()):
+            seq_of[e] = seq
+            for slot in signature_of.get(e, ()):
+                if slot[1] is not None:
+                    cls = classes.get(slot)
+                    if cls is None:
+                        classes[slot] = [1, [(v, seq, e)], None]
+                    else:
+                        cls[0] += 1
+                        cls[1].append((v, seq, e))
+        for cls in classes.values():
+            heapq.heapify(cls[1])
+        self.next_seq = len(seq_of)
+
+    def add(self, e, v):
+        """File e, S's new last member, with nu = v: amortised O(p log k)."""
+        seq = self.next_seq
+        self.next_seq = seq + 1
+        self.seq_of[e] = seq
+        entry = (v, seq, e)
+        classes = self.classes
+        for slot in self.mp.signature_of.get(e, ()):
+            if slot[1] is not None:
+                cls = classes.get(slot)
+                if cls is None:
+                    classes[slot] = [1, [entry], None]
+                else:
+                    cls[0] += 1
+                    heapq.heappush(cls[1], entry)
+                    self._compact(cls)
+
+    def remove(self, e):
+        """Unfile e, which leaves S, in amortised O(p): its entries go
+        stale."""
+        del self.seq_of[e]
+        classes = self.classes
+        for slot in self.mp.signature_of.get(e, ()):
+            if slot[1] is not None:
+                cls = classes[slot]
+                cls[0] -= 1
+                self._compact(cls)
+
+    def _compact(self, cls):
+        """Drop a heap's stale entries once it is longer than
+        2 * count + HEAP_SLACK."""
+        heap = cls[1]
+        if len(heap) > 2 * cls[0] + HEAP_SLACK:
+            seq_of = self.seq_of
+            heap[:] = [t for t in heap if seq_of.get(t[2]) == t[1]]
+            heapq.heapify(heap)
+
+    def pick(self, slot):
+        """An outsider's pick in its class ``slot``: None when S holds fewer
+        than the class capacity, else the member with the smallest nu,
+        the earliest arrival among equals, as ``scan_pick`` finds it. A
+        full class with no member (capacity 0) makes every arrival a
+        loop, and gives ``LOOP``."""
+        cls = self.classes.get(slot)
+        if cls is None:
+            cls = self.classes[slot] = [0, [], None]
+        count, heap, capacity = cls
+        if capacity is None:
+            matroid, key = slot
+            capacity = cls[2] = matroid.class_capacity(key)
+        if count < capacity:
+            return None
+        seq_of = self.seq_of
+        while heap:
+            _, seq, e = heap[0]
+            if seq_of.get(e) == seq:
+                return e
+            heapq.heappop(heap)
+        return LOOP
+
+
+def scan_pick(matroid, x, nu):
+    """x's pick in ``matroid`` by a scan of S, the keys of ``nu``: None
+    when S + x stays independent there, ``LOOP`` when {x} is dependent,
+    and otherwise the first member of smallest nu, in arrival order,
+    among the ``swap_candidates`` of S's members in the matroid. A
+    matroid that names no swap for another x breaks the exchange axiom
+    and raises ``InfeasibilityError``. This is the search for slots keyed
+    None, and the debug checks' reference for every slot."""
+    # iterates S, not the matroid's whole ground subset
+    candidates = matroid.swap_candidates(
+        matroid.ground_subset.intersection(nu), x)
+    if candidates is None:
+        return None
+    if not candidates:
+        if not matroid.independent({x}):
+            return LOOP
+        raise InfeasibilityError(
+            f"no single swap restores independence for element {x}"
+        )
+    # the first minimum in arrival order
+    return min(filter(candidates.__contains__, nu), key=nu.__getitem__)
+
+
 def exchange_set(mp, x, state):
     """Candidate eviction set making room for x in the current solution,
     as a frozenset.
@@ -343,16 +500,17 @@ def exchange_set(mp, x, state):
     admits; a matroid naming no swap for another x breaks the exchange
     axiom and raises ``InfeasibilityError``.
 
-    The answer is a function of (mp, x, S, nu) alone, and by the
-    ``swap_classes`` contract it depends on x only through x's
-    signature once every class key in it is non-None. Two caches in
-    ``state.picks`` serve later arrivals until the state drops them,
-    which it does whenever S or nu changes: each slot with a non-None
-    key keeps its pick (or None, when the class is not full) under the
-    slot, and a signature whose keys are all non-None keeps the whole
-    answer under the signature. So a full buffer under one uniform
-    matroid costs one search per state, not one per element. Loops and
-    the ``InfeasibilityError`` path are not cached.
+    A slot with a non-None key is answered by the state's
+    ``ClassIndex`` (``state.index``) in amortised O(log k), with no scan
+    of S; the index is built from S on the first such slot after the
+    state dropped it, and rebuilt when the state is asked under another
+    ``mp``. A slot keyed None is searched by ``scan_pick``. The answer
+    is a function of (mp, x, S, nu) alone, and by the ``swap_classes``
+    contract it depends on x only through x's signature once every key
+    in it is non-None; such an answer is kept in ``state.picks`` under
+    the signature until S or nu changes, so a full buffer under one
+    uniform matroid costs one search per state, not one per element.
+    Loops and the ``InfeasibilityError`` path are not cached.
     """
     nu = state.nu
     if x in nu:
@@ -363,33 +521,23 @@ def exchange_set(mp, x, state):
     if answer is not None:
         return answer
     shared = True
+    index = None
     chosen = set()
     for slot in signature:
         matroid, key = slot
         if key is None:
             shared = False
-        elif slot in picks:
-            pick = picks[slot]
-            if pick is not None:
-                chosen.add(pick)
-            continue
-        # iterates S, not the matroid's whole ground subset
-        candidates = matroid.swap_candidates(
-            matroid.ground_subset.intersection(nu), x)
-        if candidates is None:
-            pick = None
-        elif not candidates:
-            if not matroid.independent({x}):
-                return None
-            raise InfeasibilityError(
-                f"no single swap restores independence for element {x}"
-            )
+            pick = scan_pick(matroid, x, nu)
         else:
-            # the first minimum in arrival order
-            pick = min(filter(candidates.__contains__, nu), key=nu.__getitem__)
+            if index is None:
+                index = state.index
+                if index is None or index.mp is not mp:
+                    index = state.index = ClassIndex(mp, nu)
+            pick = index.pick(slot)
+        if pick is LOOP:
+            return None
+        if pick is not None:
             chosen.add(pick)
-        if key is not None:
-            picks[slot] = pick
     answer = frozenset(chosen)
     if shared:
         picks[signature] = answer

@@ -12,11 +12,14 @@ then re-walks the suffix from the first evicted position, unless f is
 monotone and every evicted member has nu exactly 0: no survivor's nu
 can then change, and the walk is skipped (``SolutionState.accept``).
 
-The state also caches ``exchange_set``'s swap picks per conflict class
-and its answers per signature (``SolutionState.picks``, see
-``matchoids``). Only ``accept`` and the public ``recompute_nu`` change
-S or nu, and both replace the cache with an empty one; a new state and
-a ``copy`` start empty.
+The state also keeps what ``exchange_set`` needs beside S (see
+``matchoids``): a ``ClassIndex`` of S's members per capacity class, and
+the answers per signature (``SolutionState.picks``). An insertion and an
+exchange that skips the walk update the index in O(p log k); a walk,
+``accept``'s or the public ``recompute_nu``'s, drops it, and the next
+search rebuilds it. Only ``accept`` and ``recompute_nu`` change S or nu,
+and both empty the answer cache; a new state and a ``copy`` start with
+neither.
 
 A non-initial arrival x clears the threshold whenever
 
@@ -37,7 +40,7 @@ finished runner is the pass's record.
 import math
 
 from .errors import DomainError, PreconditionError, integers
-from .matchoids import exchange_set
+from .matchoids import LOOP, exchange_set, scan_pick
 
 NU_TOL = 1e-9  # the debug checks' tolerance, relative to max(1, |f(S)|)
 
@@ -49,19 +52,21 @@ class SolutionState:
     the arrival order over the whole run. ``evaluator``, the oracle's
     running evaluator of S (see ``objectives``), holds f(S) as ``f_s``;
     ``f_empty`` is f(empty). A pass cannot start from a hand-built state.
-    ``picks`` is ``exchange_set``'s cache: swap picks keyed by their
-    ``(matroid, class)`` slot and exchange sets keyed by the signature
-    they answer for, at most one entry per slot and per signature. It is
-    emptied whenever S or nu changes.
+    ``index`` is ``exchange_set``'s ``ClassIndex`` of S, or None until a
+    search builds it; ``accept`` keeps it up to date on an insertion and
+    on a walk-skipping exchange, and a nu walk drops it. ``picks`` holds
+    ``exchange_set``'s answers keyed by the signature they answer for;
+    it is emptied whenever S or nu changes.
     """
 
-    __slots__ = ("nu", "f_empty", "evaluator", "picks")
+    __slots__ = ("nu", "f_empty", "evaluator", "picks", "index")
 
     def __init__(self, nu, f_empty, evaluator=None):
         self.nu = dict(nu)
         self.f_empty = float(f_empty)
         self.evaluator = evaluator
         self.picks = {}
+        self.index = None
 
     @classmethod
     def empty(cls, oracle):
@@ -103,20 +108,30 @@ class SolutionState:
         forgets the evicted members (see ``RunningValue.forget``) and
         takes x unmetered, as an insertion does.
 
+        Both branches without a walk file the change in the class index,
+        if the state has one; the walk drops it.
+
         Returns the evicted elements mapped to their incremental value at
         removal, and whether the walk was skipped.
         """
         self.picks = {}
         nu = self.nu
+        index = self.index
         if not evict:
             self.evaluator.add(x, meter=False)
             nu[x] = gain
+            if index is not None:
+                index.add(x, gain)
             return {}, False
         if oracle.monotone and all(nu[c] == 0.0 for c in evict):
             chi = {c: nu.pop(c) for c in evict}
             nu[x] = gain
             self.evaluator.forget(evict)
             self.evaluator.add(x, meter=False)
+            if index is not None:
+                for c in chi:
+                    index.remove(c)
+                index.add(x, gain)
             return chi, True
         cut = next(i for i, e in enumerate(nu) if e in evict)
         chi = {c: nu.pop(c) for c in evict}
@@ -131,9 +146,11 @@ def recompute_nu(state, oracle, start_pos=0):
     After an exchange, only members at or after the first eviction
     position have a changed prefix. A running evaluator of the unchanged
     prefix walks the suffix, one metered call per walked prefix, and then
-    serves as S's evaluator. The state's swap picks are dropped.
+    serves as S's evaluator. The state's class index and answer cache
+    are dropped.
     """
     state.picks = {}
+    state.index = None
     order = list(state.nu)
     evaluator = oracle.running(order[:start_pos])
     running = evaluator.total
@@ -328,10 +345,12 @@ class PassRunner:
         return gain >= self._bar(cx), gain, cx
 
     def _check_exchange(self, x, cx):
-        """Debug check: ``cx``, served from the state's caches, is the
-        exchange set a fresh state computes."""
-        state = self.state
-        fresh = exchange_set(self.mp, x, SolutionState(state.nu, state.f_empty))
+        """Debug check: ``cx``, served from the state's class index and
+        answer cache, is the exchange set that scanning S gives slot by
+        slot (``scan_pick``)."""
+        nu = self.state.nu
+        picks = [scan_pick(m, x, nu) for m, _ in self.mp.signature_of.get(x, ())]
+        fresh = None if LOOP in picks else frozenset(picks) - {None}
         if fresh != cx:
             raise AssertionError(f"cached exchange set {cx} for {x}, not {fresh}")
 

@@ -162,6 +162,7 @@ def _uniform_or_partition(rng):
 def test_swap_candidates_match_the_definition():
     rng = Random(5)
     outcomes = {"none": 0, "swap": 0, "stuck": 0}
+    capacity_outcomes = [0, 0]
     for _ in range(600):
         matroid = _uniform_or_partition(rng)
         order = list(range(12))
@@ -184,7 +185,17 @@ def test_swap_candidates_match_the_definition():
             assert key is not None
             swaps = [matroid.swap_candidates(s_l, y) for y in block - s_l]
             assert all(one == swaps[0] for one in swaps), (matroid.kind, s_l, key)
+            # a capacity class, as the class index counts it: full once
+            # s_l holds its capacity, and then every member of s_l in it
+            # is a candidate, by the definition too
+            inside = s_l & block
+            want = inside if len(inside) >= matroid.class_capacity(key) else None
+            for y in block - s_l:
+                assert matroid.swap_candidates(s_l, y) == want, (matroid.kind, s_l, key, y)
+                assert _swaps_by_definition(matroid, s_l, y) == want, (matroid.kind, s_l, key, y)
+                capacity_outcomes[want is not None] += 1
     assert min(outcomes.values()) > 0, outcomes
+    assert min(capacity_outcomes) > 0, capacity_outcomes
 
 
 class _BrokenMatroid(ms.Matroid):
@@ -468,10 +479,11 @@ def _accept(state, mp, oracle, x):
 def test_cached_exchange_sets_match_the_definition():
     # seeded uniform, partition, graphic and transversal matroids, alone
     # and intersected in pairs, under accept sequences that take all three
-    # branches; every non-member is asked twice after every step
+    # branches; every non-member is asked twice after every step, the
+    # second time from the signature cache when its keys are all non-None
     rng = Random(43)
     branches = {"insert": 0, "shortcut": 0, "walk": 0}
-    hits = 0
+    hits = kept = 0
     for trial in range(80):
         matroids = [_uniform_or_partition(rng) if rng.random() < 0.5
                     else _random_matroid(rng, 12)
@@ -483,20 +495,27 @@ def test_cached_exchange_sets_match_the_definition():
             outside = [y for y in range(12) if y not in state.nu]
             for y in outside:
                 want = _exchange_by_definition(mp, y, state)
-                hits += any(slot in state.picks
-                            for slot in mp.signature_of.get(y, ()))
                 assert ms.exchange_set(mp, y, state) == want, (trial, step, y)
+                hits += mp.signature_of.get(y, ()) in state.picks
                 assert ms.exchange_set(mp, y, state) == want, (trial, step, y)
             x = rng.choice(outside)
             evicting = bool(ms.exchange_set(mp, x, state))
+            index = state.index
             skipped = _accept(state, mp, oracle, x)
             if skipped is None:
                 continue
             assert state.picks == {}
             assert mp.feasible(state.members)
-            branches["shortcut" if skipped else "walk" if evicting else "insert"] += 1
+            branch = "shortcut" if skipped else "walk" if evicting else "insert"
+            branches[branch] += 1
+            # an insertion and a shortcut update the index, a walk drops it
+            if branch == "walk":
+                assert state.index is None
+            else:
+                assert state.index is index
+                kept += index is not None
     assert min(branches.values()) > 0, branches
-    assert hits > 0
+    assert hits > 0 and kept > 0
 
 
 def test_swap_picks_follow_the_state():
@@ -508,25 +527,34 @@ def test_swap_picks_follow_the_state():
         # insert, insert, shortcut (evicts 1 at nu 0), walk (evicts 2)
         ms.exchange_set(mp, x, state)
         assert state.picks
+        index = state.index
+        assert index is not None
         assert _accept(state, mp, oracle, x) is branch
         assert state.picks == {}
+        assert state.index is (None if x == 4 else index)
     assert list(state.nu) == [0, 4]
     assert ms.exchange_set(mp, 3, state) == {0}
-    # the slot's pick, and the answer for the signature holding that slot
+    # the answer for the signature, and the class count and heap behind it
     signature = ((uniform, 0),)
     assert mp.signature_of[3] is mp.signature_of[5] == signature
-    assert state.picks == {(uniform, 0): 0, signature: frozenset({0})}
+    assert state.picks == {signature: frozenset({0})}
     assert ms.exchange_set(mp, 5, state) is state.picks[signature]
-    # a copy starts with its own empty cache
+    assert state.index.classes[(uniform, 0)] == [2, [(3.0, 0, 0), (5.0, 1, 4)], 2]
+    # a copy starts with its own empty caches
     copy = state.copy()
     assert copy.picks == {} and copy.picks is not state.picks
+    assert copy.index is None
     assert ms.exchange_set(mp, 5, copy) == {0}
-    copy.picks[(uniform, 0)] = 4
+    assert copy.index is not state.index
+    copy.index.classes[(uniform, 0)][1].insert(0, (0.0, 1, 4))
     copy.picks[signature] = frozenset({4})
-    assert state.picks == {(uniform, 0): 0, signature: frozenset({0})}
-    # the public nu refresh drops the cache too
+    assert state.picks == {signature: frozenset({0})}
+    assert state.index.classes[(uniform, 0)] == [2, [(3.0, 0, 0), (5.0, 1, 4)], 2]
+    assert ms.exchange_set(mp, 3, state) == {0}
+    # the public nu refresh drops both
     ms.recompute_nu(state, oracle)
-    assert state.picks == {}
+    assert state.picks == {} and state.index is None
+    assert ms.exchange_set(mp, 5, state) == {0}
 
 
 def test_graphic_matchoid_caches_nothing():
@@ -538,31 +566,38 @@ def test_graphic_matchoid_caches_nothing():
     state = _state([0, 1], {0: 2.0, 1: 1.0})
     assert ms.exchange_set(mp, 2, state) == {1}
     assert ms.exchange_set(mp, 3, state) == set()
-    assert state.picks == {}
+    assert state.picks == {} and state.index is None
 
 
 def test_one_state_under_two_matchoids():
     # the same conflict key (class 0 of matroid 0) names different
-    # matroids in the two constraints, which must not share a pick
+    # matroids in the two constraints, which must not share a pick: the
+    # answers are kept per signature, and the class index is rebuilt
+    # whenever the state is asked under the other constraint
     state = _state([0, 1], {0: 1.0, 1: 2.0})
     by_capacity = ms.PMatchoid(range(4), [ms.UniformMatroid(range(4), 2)])
     by_part = ms.PMatchoid(range(4), [
         ms.PartitionMatroid(range(4), [[1, 2], [0, 3]], [1, 1])])
     for _ in range(2):
         assert ms.exchange_set(by_capacity, 2, state) == {0}
+        assert state.index.mp is by_capacity
         assert ms.exchange_set(by_part, 2, state) == {1}
-    # one slot and one signature for each constraint
-    assert len(state.picks) == 4
-    assert state.picks[by_capacity.signature_of[2]] == {0}
-    assert state.picks[by_part.signature_of[2]] == {1}
+        assert state.index.mp is by_part
+        # one signature for each constraint
+        assert len(state.picks) == 2
+        assert state.picks[by_capacity.signature_of[2]] == {0}
+        assert state.picks[by_part.signature_of[2]] == {1}
+        # without the answers, the index alone must keep them apart
+        state.picks.clear()
 
 
 @st.composite
-def _matroids(draw, n):
-    """A uniform, partition or graphic matroid on a random part of
-    range(n); capacity-0 classes and self-loop edges make loops."""
+def _matroids(draw, n, kinds=("uniform", "partition", "graphic")):
+    """A matroid of one of ``kinds`` (uniform, partition or graphic) on a
+    random part of range(n); capacity-0 classes and self-loop edges make
+    loops."""
     ground = sorted(draw(st.frozensets(st.integers(0, n - 1), min_size=1)))
-    kind = draw(st.sampled_from(("uniform", "partition", "graphic")))
+    kind = draw(st.sampled_from(kinds))
     if kind == "uniform":
         return ms.UniformMatroid(ground, draw(st.integers(0, 3)))
     if kind == "partition":
@@ -606,6 +641,95 @@ def test_signature_cache_answers_as_an_uncached_search(data):
         if _accept(state, mp, oracle, data.draw(st.sampled_from(outside), label="x")) is not None:
             assert state.picks == {}
             assert mp.feasible(state.members)
+
+
+def _check_class_index(mp, state, n):
+    """Every outsider's exchange set under ``mp`` is the definition's; then
+    each class of the state's index holds exactly S's members of that
+    class, with their nu, in arrival order, under a heap within its
+    compaction bound."""
+    for y in range(n):
+        if y not in state.nu:
+            assert ms.exchange_set(mp, y, state) == _exchange_by_definition(mp, y, state), y
+    index = state.index
+    if index is None:
+        return
+    # the index may still be the one built under a second constraint
+    signature_of = index.mp.signature_of
+    assert sorted(index.seq_of, key=index.seq_of.__getitem__) == list(state.nu)
+    for slot, (count, heap, _) in index.classes.items():
+        members = {e: v for e, v in state.nu.items() if slot in signature_of.get(e, ())}
+        live = {e: v for v, seq, e in heap if index.seq_of.get(e) == seq}
+        assert count == len(members) and live == members, slot
+        assert len(heap) <= 2 * count + ms.matchoids.HEAP_SLACK, slot
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_class_index_follows_long_churn(data):
+    # a long run of insert, shortcut and walk accepts, public nu
+    # refreshes, copies and queries under a second constraint, over
+    # uniform, partition and mixed p = 2 constraints with monotone and
+    # non-monotone objectives; elements leave and come back, so stale
+    # heap entries pile up where a class never fills
+    n = data.draw(st.integers(4, 10), label="n")
+    matroids = data.draw(st.lists(_matroids(n, ("uniform", "partition")),
+                                  min_size=1, max_size=2), label="matroids")
+    mp = ms.PMatchoid(range(n), matroids)
+    if data.draw(st.booleans(), label="monotone"):
+        # zero weights make members of nu 0, whose eviction skips the walk
+        weight = st.sampled_from((0, 0, 1, 2))
+        oracle = ms.ModularOracle(data.draw(st.lists(weight, min_size=n, max_size=n),
+                                            label="weights"))
+    else:
+        vertex = st.integers(0, n - 1)
+        arcs = data.draw(st.lists(st.tuples(vertex, vertex, st.integers(1, 3)),
+                                  max_size=2 * n), label="arcs")
+        oracle = ms.DirectedCutOracle(n, [arc for arc in arcs if arc[0] != arc[1]])
+    state = ms.SolutionState.empty(oracle)
+    for _ in range(data.draw(st.integers(10, 60), label="steps")):
+        step = data.draw(st.sampled_from(("accept",) * 6 + ("refresh", "copy", "other")),
+                         label="step")
+        outside = [y for y in range(n) if y not in state.nu]
+        if step == "accept" and outside:
+            _accept(state, mp, oracle, data.draw(st.sampled_from(outside), label="x"))
+            assert mp.feasible(state.members)
+        elif step == "refresh":
+            ms.recompute_nu(state, oracle)
+        elif step == "copy" and outside:
+            # the copy goes its own way; the original must not follow it
+            copy = state.copy()
+            _accept(copy, mp, oracle, data.draw(st.sampled_from(outside), label="x"))
+            _check_class_index(mp, state, n)
+            if data.draw(st.booleans(), label="keep copy"):
+                state = copy
+        elif step == "other":
+            # S just fills one uniform matroid of new slots: every outsider
+            # must evict its smallest nu, whatever the index held before
+            other = ms.PMatchoid(range(n), [ms.UniformMatroid(range(n), len(state.nu))])
+            _check_class_index(other, state, n)
+        _check_class_index(mp, state, n)
+
+
+def test_a_class_that_never_fills_keeps_its_heap_bounded():
+    # every element lies in the uniform matroid of capacity 1 and in the
+    # free class of the partition, which never fills, so its heap is never
+    # popped; with zero weights each accept evicts the member at nu 0 and
+    # skips the walk, and only compaction drops the stale entries
+    n = 6
+    partition = ms.PartitionMatroid(range(n), [], [])
+    mp = ms.PMatchoid(range(n), [ms.UniformMatroid(range(n), 1), partition])
+    oracle = ms.ModularOracle([0] * n)
+    state = ms.SolutionState.empty(oracle)
+    lengths = []
+    for step in range(40):
+        assert _accept(state, mp, oracle, step % n) is (step > 0)
+        _check_class_index(mp, state, n)
+        lengths.append(len(state.index.classes[(partition, -1)][1]))
+    # a heap of count 1 grows by one stale entry per accept, up to the
+    # compaction bound, and starts again from its one live entry
+    assert lengths[:12] == [1, 2, 3, 4, 5, 6, 7, 8, 9, 1, 2, 3]
+    assert max(lengths) < 2 + ms.matchoids.HEAP_SLACK
 
 
 # The element index: each arrival visits only the matroids holding it
@@ -803,6 +927,10 @@ class _SpyPartition(ms.PartitionMatroid):
         self.touched.append(self)
         return super().swap_classes()
 
+    def class_capacity(self, key):
+        self.touched.append(self)
+        return super().class_capacity(key)
+
 
 def test_one_arrival_touches_at_most_p_of_a_thousand_matroids():
     # a matching on a 1,000-cycle: matroid j holds edges j and j + 1, so
@@ -818,9 +946,18 @@ def test_one_arrival_touches_at_most_p_of_a_thousand_matroids():
     try:
         for x in range(0, n, 3):
             del touched[:]
+            index = runner.state.index
+            before = set(index.classes) if index is not None else set()
             runner.process(x)
             assert set(touched) <= {m for m, _ in mp.signature_of[x]}
             assert 0 < len(set(touched)) <= mp.p
+            # the index files at most x's p slots; only the last arrival,
+            # whose exchange walks, drops it
+            after = runner.state.index
+            assert (after is None) == (x == n - 1)
+            if after is not None:
+                assert index is None or after is index
+                assert set(after.classes) - before <= set(mp.signature_of[x])
         s = set(runner.state.members)
         for x in (1, 500, 998):
             del touched[:]

@@ -1,5 +1,6 @@
 """Single streaming pass: acceptance rule, evictions, nu maintenance."""
 
+import heapq
 import math
 from random import Random
 
@@ -351,23 +352,33 @@ def test_start_state_evaluator_must_hold_its_members(held):
 
 
 def test_debug_check_catches_a_stale_swap_pick():
-    # the cached pick names a member of S that is not the smallest nu
+    # S = {0, 1} fills the uniform matroid, and arrival 2 should evict 1,
+    # the smaller nu; each corruption below makes the state's answer name
+    # another set, which the debug check's scan of S catches
     oracle = ms.ModularOracle([3, 1, 2, 4])
     uniform = ms.UniformMatroid(range(4), 2)
     mp = ms.PMatchoid(range(4), [uniform])
-    runner = ms.PassRunner(oracle, mp, None, 0.0, 1.0, debug=True)
-    for x in (0, 1):
-        runner.process(x)
-    runner.state.picks[(uniform, 0)] = 0
-    with pytest.raises(AssertionError, match="cached exchange set"):
-        runner.process(2)
-    # the same for a stale answer cached under the signature
-    runner = ms.PassRunner(oracle, mp, None, 0.0, 1.0, debug=True)
-    for x in (0, 1):
-        runner.process(x)
-    runner.state.picks[mp.signature_of[2]] = frozenset({0})
-    with pytest.raises(AssertionError, match="cached exchange set"):
-        runner.process(2)
+    slot = (uniform, 0)
+
+    def live_entry_with_a_wrong_nu(state):
+        # member 0 keeps its seq, so the entry is live, but not its nu
+        heapq.heappush(state.index.classes[slot][1], (0.0, state.index.seq_of[0], 0))
+
+    def count_below_capacity(state):
+        state.index.classes[slot][0] = 1
+
+    def stale_signature_answer(state):
+        state.picks[mp.signature_of[2]] = frozenset({0})
+
+    for corrupt in (live_entry_with_a_wrong_nu, count_below_capacity,
+                    stale_signature_answer):
+        runner = ms.PassRunner(oracle, mp, None, 0.0, 1.0, debug=True)
+        for x in (0, 1):
+            runner.process(x)
+        assert runner.state.index.classes[slot][0] == 2
+        corrupt(runner.state)
+        with pytest.raises(AssertionError, match="cached exchange set"):
+            runner.process(2)
 
 
 def test_bar_equals_its_fsum_form_bit_for_bit():
