@@ -82,7 +82,7 @@ class ExperimentConfig:
 
 def build_schedule(name, mp):
     """Map a CLI schedule token to a Schedule for the constraint ``mp``;
-    the default ``matchoid`` picks it from p (``Schedule.for_matchoid``)."""
+    the default ``matchoid`` chooses it from p (``Schedule.for_matchoid``)."""
     if name in (None, "matchoid"):
         return Schedule.for_matchoid(mp)
     if name == "matroid":
@@ -205,7 +205,7 @@ def run_experiment(config):
         result = multipass_run(oracle, mp, stream, schedule, passes,
                                config.alpha, target_gamma=config.target_gamma)
         for res, cert in zip(result.pass_results, result.certificates):
-            rows.append(res.row(cert.pass_index, cert.beta, cert.gamma_certified))
+            rows.append(res.row(cert.pass_index, cert.gamma_certified))
         _tally(totals, result.pass_results)
         summary.update({
             "f_final": result.f_final,

@@ -162,13 +162,21 @@ def generate_instance(family, seed, **params):
 
     Every family uses small integer weights so objective comparisons in
     tests are exact, and guarantees a strictly positive optimum. A
-    parameter the family does not take raises ConfigError. A None
-    ``items`` draws n + 2..6 items.
+    parameter the family does not take raises ConfigError, and so does a
+    count below its minimum, before anything is drawn: every count's
+    minimum is 1, except n >= 2 for ``directed-cut+matroid`` and
+    vertices >= 3 for ``3-uniform-hypergraph-matching``. A None
+    ``items`` draws n + 2..6 items, and a None ``arcs`` is 3n.
     """
     names = family_params(family)
     if not set(params) <= set(names):
         raise ConfigError(f"family {family!r} takes {', '.join(names)}, not "
                           f"{', '.join(sorted(set(params) - set(names)))}")
+    for name, value in params.items():
+        least = _MINIMUMS.get((family, name), 1)
+        if value is not None and value < least:
+            raise ConfigError(f"family {family!r} needs {name} >= {least}, "
+                              f"got {value}")
     return _GENERATORS[family](Random(seed), **params)
 
 
@@ -255,7 +263,7 @@ def _gen_hypergraph_matching(rng, vertices=6, hyperedges=8, items=None,
 def _gen_directed_cut(rng, n=10, arcs=None, capacity=4, max_weight=3):
     arcs = arcs if arcs is not None else 3 * n
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
-    arcs = max(1, min(arcs, len(pairs)))
+    arcs = min(arcs, len(pairs))
     chosen = sorted(rng.sample(pairs, arcs))
     arc_list = [[u, v, rng.randint(1, max_weight)] for u, v in chosen]
     objective = {"kind": "directed-cut", "arcs": arc_list}
@@ -270,3 +278,9 @@ _GENERATORS = {
     "directed-cut+matroid": _gen_directed_cut,
 }
 FAMILIES = tuple(_GENERATORS)
+
+# every count a family takes is at least 1, and these at least their
+# value here: below it a family writes an instance with no positive
+# optimum or one the loaders refuse, or cannot draw at all
+_MINIMUMS = {("directed-cut+matroid", "n"): 2,
+             ("3-uniform-hypergraph-matching", "vertices"): 3}

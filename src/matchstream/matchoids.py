@@ -19,23 +19,25 @@ e can tell S from S + e, so ``exchange_set`` and ``PMatchoid.fitting``,
 the one incremental feasibility test, visit at most p matroids per
 element however many the instance has.
 
-``exchange_set`` picks, for each matroid an arrival x would make
+``exchange_set`` chooses, for each matroid an arrival x would make
 dependent, the member of S with the smallest cached nu among x's swap
 candidates. Every class with a non-None key is a capacity class
 (``Matroid.class_capacity``): S + x is dependent there exactly when S
 holds at least the capacity of x's class, and the candidates are then
-S's members in that class. So a ``ClassIndex`` kept beside S, with a
-count and a lazy min-heap of ``(nu, arrival seq, member)`` per slot,
-answers "full?" and "which member?" in amortised O(log k), with no scan
-of S; ``SolutionState.accept`` updates it on an insertion and on an
-exchange that skips the nu walk, and a walk drops it until the next
-search rebuilds it. Slots keyed None are searched by ``scan_pick``,
-which scans S. The whole answer depends on x only through its signature
-when every key in it is non-None, and the state keeps it per signature
-in ``SolutionState.picks`` until S or nu changes, so between two accepts
-each such signature is answered once, not once per arrival. By the same
-contract, ``PMatchoid.fitting`` screens a batch of elements against one
-feasible set with one independence test per slot, not per element.
+S's members in that class. The ``ClassIndex`` kept beside S is the one
+owner of these answers. With a count and a lazy min-heap of ``(nu,
+arrival seq, member)`` per slot, it answers "full?" and "which member?"
+in amortised O(log k), with no scan of S. The whole answer depends on x
+only through its signature when every key in it is non-None, and the
+index keeps it per signature in ``ClassIndex.answers`` until S changes,
+so between two accepts each such signature is answered once, not once
+per arrival. ``SolutionState.accept`` files an insertion and an exchange
+that skips the nu walk in the index, which forgets its answers; a walk
+drops the index, answers and all, until the next search rebuilds it.
+Slots keyed None are searched by ``scan_pick``, which scans S with
+``swap_candidates``. By the same contract, ``PMatchoid.fitting``
+screens a batch of elements against one feasible set with one
+independence test per slot, not per element.
 """
 
 import functools
@@ -68,8 +70,10 @@ class Matroid:
         """Elements y of the independent set ``s_l`` with s_l - y + x
         independent, or None when s_l + x is already independent.
 
-        This generic form makes one independence test per member; kinds
-        that can name the circuit directly override it.
+        This is the definition, one independence test per member, and
+        every kind uses it. The searches never call it for a capacity
+        class, which the ``ClassIndex`` answers; it serves the slots
+        keyed None and the debug checks' reference scan (``scan_pick``).
         """
         if self.independent(s_l | {x}):
             return None
@@ -114,13 +118,6 @@ class UniformMatroid(Matroid):
     def _independent(self, restricted):
         return len(restricted) <= self.capacity
 
-    def swap_candidates(self, s_l, x):
-        """Every member of s_l in the ground subset, once they fill it."""
-        if x not in self.ground_subset or x in s_l:
-            return None
-        inside = s_l & self.ground_subset
-        return inside if len(inside) >= self.capacity else None
-
     def swap_classes(self):
         """One class: every arrival competes for the same capacity."""
         return ((0, self.ground_subset),)
@@ -150,22 +147,12 @@ class PartitionMatroid(Matroid):
             seen |= part
         if any(c < 0 for c in self.capacities):
             raise PreconditionError("capacities must be non-negative")
-        self._part_of = {e: j for j, part in enumerate(self.parts) for e in part}
 
     def _independent(self, restricted):
         return all(
             len(restricted & part) <= cap
             for part, cap in zip(self.parts, self.capacities)
         )
-
-    def swap_candidates(self, s_l, x):
-        """s_l's members in x's part, once that part is full; elements
-        outside every part never conflict."""
-        j = self._part_of.get(x)
-        if j is None or x in s_l:
-            return None
-        in_part = s_l & self.parts[j]
-        return in_part if len(in_part) >= self.capacities[j] else None
 
     def swap_classes(self):
         """One class per part, keyed by its index, and -1 for the elements
@@ -364,7 +351,7 @@ HEAP_SLACK = 8
 
 class ClassIndex:
     """S's members per capacity class under one ``PMatchoid``, kept beside
-    S as ``SolutionState.index``.
+    S as ``SolutionState.index``, and the exchange sets answered from it.
 
     ``seq_of`` gives each member of S an arrival number, increasing in
     the key order of ``state.nu``. ``classes`` maps a ``(matroid, class)``
@@ -374,36 +361,28 @@ class ClassIndex:
     while ``seq_of`` still maps its member to its seq. A member's
     entries go stale when it leaves S; a stale top is popped by
     ``pick``, and a heap longer than 2 * count + ``HEAP_SLACK`` is
-    compacted, so a class that never fills holds few stale entries. The
-    index is sound only while nu changes by ``add`` and ``remove``
-    alone: a walk that rewrites nu must drop it.
+    compacted, so a class that never fills holds few stale entries.
+    ``answers`` maps a signature whose keys are all non-None to the
+    exchange set ``exchange_set`` found for it; ``add`` and ``remove``
+    forget them all. The index is sound only while nu changes by ``add``
+    and ``remove`` alone: a walk that rewrites nu must drop it, and its
+    answers with it.
     """
 
-    __slots__ = ("mp", "seq_of", "classes", "next_seq")
+    __slots__ = ("mp", "seq_of", "classes", "answers", "next_seq")
 
     def __init__(self, mp, nu):
-        # one pass over S and one heapify per class, not an ``add`` per
-        # member: a walk drops the index, so this runs once per walk
         self.mp = mp
-        signature_of = mp.signature_of
-        seq_of = self.seq_of = {}
-        classes = self.classes = {}
-        for seq, (e, v) in enumerate(nu.items()):
-            seq_of[e] = seq
-            for slot in signature_of.get(e, ()):
-                if slot[1] is not None:
-                    cls = classes.get(slot)
-                    if cls is None:
-                        classes[slot] = [1, [(v, seq, e)], None]
-                    else:
-                        cls[0] += 1
-                        cls[1].append((v, seq, e))
-        for cls in classes.values():
-            heapq.heapify(cls[1])
-        self.next_seq = len(seq_of)
+        self.seq_of = {}
+        self.classes = {}
+        self.answers = {}
+        self.next_seq = 0
+        for e, v in nu.items():
+            self.add(e, v)
 
     def add(self, e, v):
         """File e, S's new last member, with nu = v: amortised O(p log k)."""
+        self.answers.clear()
         seq = self.next_seq
         self.next_seq = seq + 1
         self.seq_of[e] = seq
@@ -417,27 +396,24 @@ class ClassIndex:
                 else:
                     cls[0] += 1
                     heapq.heappush(cls[1], entry)
-                    self._compact(cls)
 
     def remove(self, e):
         """Unfile e, which leaves S, in amortised O(p): its entries go
-        stale."""
-        del self.seq_of[e]
+        stale, and a heap left longer than 2 * count + HEAP_SLACK drops
+        its stale entries. Only here can a heap pass that bound: ``add``
+        raises the bound by 2 per entry it pushes."""
+        self.answers.clear()
+        seq_of = self.seq_of
+        del seq_of[e]
         classes = self.classes
         for slot in self.mp.signature_of.get(e, ()):
             if slot[1] is not None:
                 cls = classes[slot]
-                cls[0] -= 1
-                self._compact(cls)
-
-    def _compact(self, cls):
-        """Drop a heap's stale entries once it is longer than
-        2 * count + HEAP_SLACK."""
-        heap = cls[1]
-        if len(heap) > 2 * cls[0] + HEAP_SLACK:
-            seq_of = self.seq_of
-            heap[:] = [t for t in heap if seq_of.get(t[2]) == t[1]]
-            heapq.heapify(heap)
+                count = cls[0] = cls[0] - 1
+                heap = cls[1]
+                if len(heap) > 2 * count + HEAP_SLACK:
+                    heap[:] = [t for t in heap if seq_of.get(t[2]) == t[1]]
+                    heapq.heapify(heap)
 
     def pick(self, slot):
         """An outsider's pick in its class ``slot``: None when S holds fewer
@@ -507,21 +483,24 @@ def exchange_set(mp, x, state):
     ``mp``. A slot keyed None is searched by ``scan_pick``. The answer
     is a function of (mp, x, S, nu) alone, and by the ``swap_classes``
     contract it depends on x only through x's signature once every key
-    in it is non-None; such an answer is kept in ``state.picks`` under
-    the signature until S or nu changes, so a full buffer under one
-    uniform matroid costs one search per state, not one per element.
-    Loops and the ``InfeasibilityError`` path are not cached.
+    in it is non-None; the index keeps such an answer in its
+    ``answers`` under the signature until S changes or the index is
+    dropped, so a full buffer under one uniform matroid costs one search
+    per state, not one per element. Loops and the
+    ``InfeasibilityError`` path are not cached.
     """
     nu = state.nu
     if x in nu:
         raise PreconditionError(f"element {x} is already in the solution")
     signature = mp.signature_of.get(x, ())
-    picks = state.picks
-    answer = picks.get(signature)
-    if answer is not None:
-        return answer
+    index = state.index
+    if index is not None and index.mp is mp:
+        answer = index.answers.get(signature)
+        if answer is not None:
+            return answer
+    else:
+        index = None
     shared = True
-    index = None
     chosen = set()
     for slot in signature:
         matroid, key = slot
@@ -530,15 +509,13 @@ def exchange_set(mp, x, state):
             pick = scan_pick(matroid, x, nu)
         else:
             if index is None:
-                index = state.index
-                if index is None or index.mp is not mp:
-                    index = state.index = ClassIndex(mp, nu)
+                index = state.index = ClassIndex(mp, nu)
             pick = index.pick(slot)
         if pick is LOOP:
             return None
         if pick is not None:
             chosen.add(pick)
     answer = frozenset(chosen)
-    if shared:
-        picks[signature] = answer
+    if shared and index is not None:
+        index.answers[signature] = answer
     return answer

@@ -2,7 +2,7 @@
 
 Each pass i runs streaming local search with its own beta, which
 ``Schedule.steps`` alone yields, with the worst-case factor;
-``Schedule.for_matchoid`` picks the kind from p. There are three kinds:
+``Schedule.for_matchoid`` chooses the kind from p. There are three kinds:
 
 * ``matroid-harmonic``: beta_i = 1/i, factor 2(1 + 1/i) after pass i for
   a matroid constraint (p = 1);
@@ -33,7 +33,7 @@ from .streaming import streaming_pass
 
 class Schedule:
     """Per-pass step sizes; ``p`` must match the constraint for the
-    recurrence kind. ``for_matchoid`` picks a constraint's schedule, and
+    recurrence kind. ``for_matchoid`` chooses a constraint's schedule, and
     ``steps`` is the one place that yields a step or a worst-case factor."""
 
     __slots__ = ("kind", "p", "beta")

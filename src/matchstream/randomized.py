@@ -10,9 +10,10 @@ the remaining buffered elements are re-screened against the updated
 solution; a buffer of one is the immediate policy. S does not change
 during a re-screen, so it measures f(y | S) for the whole buffer with
 one batched ``RunningValue.values_with`` call (metered as one
-``value_with`` per member), and the exchange sets come from the state's
-per-signature cache: under one uniform matroid the sweep makes one
-exchange search, not one per member.
+``value_with`` per member), and the exchange sets come from the answers
+the state's class index keeps per signature (``ClassIndex.answers``):
+under one uniform matroid the sweep makes one exchange search, not one
+per member, and so do the arrivals between two draws.
 What survives in the buffer at the end of the pass feeds an offline
 solver (exact, or Sample Greedy), whose best output is a second candidate
 solution; the run returns the better of the streaming and offline
@@ -274,9 +275,10 @@ class LambdaCopyResult:
             return frozenset(self.state.members)
         return self.s_prime
 
-    def add_pass(self, i, beta, gamma, runner):
-        """Record pass ``i`` (a finished ``RandomizedPassRunner``): chain its
-        solution, keep the better offline solution and append its row."""
+    def add_pass(self, i, gamma, runner):
+        """Record pass ``i`` (a finished ``RandomizedPassRunner``) with
+        factor ``gamma``: chain its solution, keep the better offline
+        solution and append its row."""
         self.state = runner.state
         self.pass_results.append(runner)
         if self.f_s_prime is None:
@@ -284,7 +286,7 @@ class LambdaCopyResult:
         if runner.f_s_prime > self.f_s_prime:
             self.f_s_prime, self.s_prime = runner.f_s_prime, runner.s_prime
         self.pass_rows.append({
-            **runner.row(i, beta, gamma),
+            **runner.row(i, gamma),
             "lambda": self.lam,
             "m": runner.m,
             "buffer_peak": runner.buffer.peak,
@@ -379,7 +381,7 @@ def multipass_randomized(oracle, mp, stream, epsilon, passes=None, seed=0, *,
             if total_stored > space_peak:
                 space_peak = total_stored
         for copy, runner in zip(copies, runners):
-            copy.add_pass(i, beta_i, gamma_i, runner.finish(offline_mode))
+            copy.add_pass(i, gamma_i, runner.finish(offline_mode))
 
     best = max(copies, key=lambda copy: copy.f_best)
     return RandomizedRunResult(

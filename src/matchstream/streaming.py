@@ -13,13 +13,13 @@ monotone and every evicted member has nu exactly 0: no survivor's nu
 can then change, and the walk is skipped (``SolutionState.accept``).
 
 The state also keeps what ``exchange_set`` needs beside S (see
-``matchoids``): a ``ClassIndex`` of S's members per capacity class, and
-the answers per signature (``SolutionState.picks``). An insertion and an
-exchange that skips the walk update the index in O(p log k); a walk,
-``accept``'s or the public ``recompute_nu``'s, drops it, and the next
-search rebuilds it. Only ``accept`` and ``recompute_nu`` change S or nu,
-and both empty the answer cache; a new state and a ``copy`` start with
-neither.
+``matchoids``): a ``ClassIndex`` of S's members per capacity class,
+which also holds the answers per signature. An insertion and an
+exchange that skip the walk update the index in O(p log k), and it
+forgets its answers; a walk, ``accept``'s or the public
+``recompute_nu``'s, drops it, answers and all, and the next search
+rebuilds it. Only ``accept`` and ``recompute_nu`` change S or nu; a new
+state and a ``copy`` start with no index.
 
 A non-initial arrival x clears the threshold whenever
 
@@ -54,18 +54,17 @@ class SolutionState:
     ``f_empty`` is f(empty). A pass cannot start from a hand-built state.
     ``index`` is ``exchange_set``'s ``ClassIndex`` of S, or None until a
     search builds it; ``accept`` keeps it up to date on an insertion and
-    on a walk-skipping exchange, and a nu walk drops it. ``picks`` holds
-    ``exchange_set``'s answers keyed by the signature they answer for;
-    it is emptied whenever S or nu changes.
+    on a walk-skipping exchange, and a nu walk drops it. The index also
+    holds ``exchange_set``'s answers, so no other cache needs resetting
+    when S or nu changes.
     """
 
-    __slots__ = ("nu", "f_empty", "evaluator", "picks", "index")
+    __slots__ = ("nu", "f_empty", "evaluator", "index")
 
     def __init__(self, nu, f_empty, evaluator=None):
         self.nu = dict(nu)
         self.f_empty = float(f_empty)
         self.evaluator = evaluator
-        self.picks = {}
         self.index = None
 
     @classmethod
@@ -114,7 +113,6 @@ class SolutionState:
         Returns the evicted elements mapped to their incremental value at
         removal, and whether the walk was skipped.
         """
-        self.picks = {}
         nu = self.nu
         index = self.index
         if not evict:
@@ -146,10 +144,9 @@ def recompute_nu(state, oracle, start_pos=0):
     After an exchange, only members at or after the first eviction
     position have a changed prefix. A running evaluator of the unchanged
     prefix walks the suffix, one metered call per walked prefix, and then
-    serves as S's evaluator. The state's class index and answer cache
-    are dropped.
+    serves as S's evaluator. The state's class index, with its answers,
+    is dropped.
     """
-    state.picks = {}
     state.index = None
     order = list(state.nu)
     evaluator = oracle.running(order[:start_pos])
@@ -323,10 +320,10 @@ class PassRunner:
         is not positive."""
         return self.f_init / self.f_final if self.f_final > 0.0 else 1.0
 
-    def row(self, i, beta, gamma):
+    def row(self, i, gamma):
         """The trace columns every driver writes for this finished pass, as
-        pass ``i`` with step ``beta`` and factor ``gamma``."""
-        return {"pass": i, "beta": beta, "f_S": self.f_final,
+        pass ``i`` with the runner's step ``beta`` and factor ``gamma``."""
+        return {"pass": i, "beta": self.beta, "f_S": self.f_final,
                 "delta": self.delta, "gamma_certified": gamma,
                 "accepts": self.accept_count, "evictions": len(self.evicted),
                 "oracle_calls": self.oracle_calls,
@@ -346,11 +343,11 @@ class PassRunner:
 
     def _check_exchange(self, x, cx):
         """Debug check: ``cx``, served from the state's class index and
-        answer cache, is the exchange set that scanning S gives slot by
-        slot (``scan_pick``)."""
+        its answers, is the exchange set that scanning S with
+        independence tests gives slot by slot (``scan_pick``)."""
         nu = self.state.nu
-        picks = [scan_pick(m, x, nu) for m, _ in self.mp.signature_of.get(x, ())]
-        fresh = None if LOOP in picks else frozenset(picks) - {None}
+        scanned = [scan_pick(m, x, nu) for m, _ in self.mp.signature_of.get(x, ())]
+        fresh = None if LOOP in scanned else frozenset(scanned) - {None}
         if fresh != cx:
             raise AssertionError(f"cached exchange set {cx} for {x}, not {fresh}")
 

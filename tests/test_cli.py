@@ -132,6 +132,17 @@ def test_bad_inputs_exit_nonzero(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_generate_below_a_family_minimum_exits_2(tmp_path, capsys):
+    # a one-vertex digraph has no arc to draw; the CLI names the minimum
+    # instead of ending in a traceback, and writes no file
+    out = tmp_path / "cut.json"
+    code = main(["generate", "--family", "directed-cut+matroid", "--n", "1",
+                 "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_module_entry_point(tmp_path):
     instance = tmp_path / "inst.json"
     proc = subprocess.run(

@@ -72,8 +72,7 @@ def _multipass_records(inst, mp, stream):
         trace = []
         res = ms.multipass_run(oracle, mp, stream, ms.Schedule.for_matchoid(mp),
                                3, alpha, debug=True, trace=trace)
-        passes = [{"row": run.row(cert.pass_index, cert.beta,
-                                  cert.gamma_certified),
+        passes = [{"row": run.row(cert.pass_index, cert.gamma_certified),
                    "solution": list(run.state.nu),
                    "gamma": cert.gamma_certified}
                   for run, cert in zip(res.pass_results, res.certificates)]

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import matchstream as ms
+from matchstream import instances
 
 
 def test_every_family_generates_valid_instances():
@@ -254,6 +255,56 @@ def test_generate_rejects_parameters_the_family_does_not_take():
                        match="takes n, items, capacity, max_weight, not parts"):
         ms.generate_instance("coverage+uniform", 0, parts=3)
     assert ms.generate_instance("coverage+partition", 0, parts=3).n == 12
+
+
+# below these a family wrote a rank-0 constraint over n feasible elements
+# (no parts), failed while drawing (too few vertices, items or weights),
+# or wrote a file the loaders refuse (negative counts, no edges)
+@pytest.mark.parametrize("family, name, value", [
+    ("coverage+partition", "parts", 0),
+    ("coverage+partition", "parts", -3),
+    ("coverage+uniform", "n", -5),
+    ("coverage+uniform", "n", 0),
+    ("coverage+uniform", "capacity", -1),
+    ("coverage+uniform", "capacity", 0),
+    ("coverage+uniform", "items", 0),
+    ("bipartite-matching", "left", 0),
+    ("bipartite-matching", "edges", 0),
+    ("3-uniform-hypergraph-matching", "vertices", 2),
+    ("directed-cut+matroid", "n", 1),
+    ("directed-cut+matroid", "arcs", 0),
+    ("directed-cut+matroid", "max_weight", 0),
+])
+def test_generate_rejects_counts_below_the_family_minimum(family, name, value):
+    with pytest.raises(ms.ConfigError, match=rf"needs {name} >= \d+, got {value}$"):
+        ms.generate_instance(family, 0, **{name: value})
+
+
+# each family's documented minimum for every count it takes
+MINIMUMS = {
+    "coverage+uniform": {"n": 1, "items": 1, "capacity": 1, "max_weight": 1},
+    "coverage+partition": {"n": 1, "parts": 1, "items": 1, "max_weight": 1},
+    "bipartite-matching": {"left": 1, "right": 1, "edges": 1, "items": 1,
+                           "max_weight": 1},
+    "3-uniform-hypergraph-matching": {"vertices": 3, "hyperedges": 1,
+                                      "items": 1, "max_weight": 1},
+    "directed-cut+matroid": {"n": 2, "arcs": 1, "capacity": 1, "max_weight": 1},
+}
+
+
+def test_every_family_generates_at_its_minimums():
+    # at all its minimums each family writes a file that loads, with a
+    # positive optimum; one below any of them is refused
+    assert set(MINIMUMS) == set(ms.FAMILIES)
+    for family, least in MINIMUMS.items():
+        assert tuple(least) == instances.family_params(family), family
+        inst = ms.generate_instance(family, 0, **least)
+        loaded = ms.Instance.from_dict(json.loads(json.dumps(inst.to_dict())))
+        oracle, mp = loaded.build_oracle(), loaded.build_matchoid()
+        assert ms.brute_force_opt(oracle, mp).opt_value > 0, family
+        for name, value in least.items():
+            with pytest.raises(ms.ConfigError, match=f"needs {name} >= {value}, "):
+                ms.generate_instance(family, 0, **{**least, name: value - 1})
 
 
 def test_readme_instance_example_builds():

@@ -160,9 +160,16 @@ def _uniform_or_partition(rng):
 
 
 def test_swap_candidates_match_the_definition():
+    # swap_classes' contract, checked against the definition rather than
+    # any second copy of the capacity rule: the blocks partition the
+    # ground subset under non-None keys, and for every class and every
+    # outsider y of it, the definition names no swap while s_l holds
+    # fewer than class_capacity(key) members of the class, and exactly
+    # those members once it holds that many; the base swap_candidates,
+    # which every kind uses, is the definition, also for the members of
+    # s_l and the elements outside the ground subset
     rng = Random(5)
     outcomes = {"none": 0, "swap": 0, "stuck": 0}
-    capacity_outcomes = [0, 0]
     for _ in range(600):
         matroid = _uniform_or_partition(rng)
         order = list(range(12))
@@ -171,31 +178,22 @@ def test_swap_candidates_match_the_definition():
         for e in order[:rng.randint(0, 12)]:
             if matroid.independent(s_l | {e}):
                 s_l.add(e)
-        x = rng.randrange(12)
-        got = matroid.swap_candidates(s_l, x)
-        assert got == _swaps_by_definition(matroid, s_l, x), (matroid.kind, s_l, x)
-        outcomes["none" if got is None else "swap" if got else "stuck"] += 1
-        # swap_classes' contract: non-None keys on blocks that partition
-        # the ground subset, one candidate set per block
         classes = matroid.swap_classes()
         blocks = [block for _, block in classes]
         assert sum(map(len, blocks)) == len(frozenset().union(*blocks))
         assert frozenset().union(*blocks) == matroid.ground_subset
         for key, block in classes:
             assert key is not None
-            swaps = [matroid.swap_candidates(s_l, y) for y in block - s_l]
-            assert all(one == swaps[0] for one in swaps), (matroid.kind, s_l, key)
-            # a capacity class, as the class index counts it: full once
-            # s_l holds its capacity, and then every member of s_l in it
-            # is a candidate, by the definition too
             inside = s_l & block
             want = inside if len(inside) >= matroid.class_capacity(key) else None
             for y in block - s_l:
-                assert matroid.swap_candidates(s_l, y) == want, (matroid.kind, s_l, key, y)
                 assert _swaps_by_definition(matroid, s_l, y) == want, (matroid.kind, s_l, key, y)
-                capacity_outcomes[want is not None] += 1
+                assert matroid.swap_candidates(s_l, y) == want, (matroid.kind, s_l, key, y)
+                outcomes["none" if want is None else "swap" if want else "stuck"] += 1
+        for y in set(range(12)) - (matroid.ground_subset - s_l):
+            assert _swaps_by_definition(matroid, s_l, y) is None, (matroid.kind, s_l, y)
+            assert matroid.swap_candidates(s_l, y) is None, (matroid.kind, s_l, y)
     assert min(outcomes.values()) > 0, outcomes
-    assert min(capacity_outcomes) > 0, capacity_outcomes
 
 
 class _BrokenMatroid(ms.Matroid):
@@ -445,7 +443,7 @@ class _Relabeled(ms.Matroid):
         return self.inner.independent({self.back[e] for e in restricted})
 
 
-# The per-class swap picks that exchange_set keeps on the state
+# The exchange sets that the class index answers beside the state
 
 
 def _exchange_by_definition(mp, x, state):
@@ -496,7 +494,8 @@ def test_cached_exchange_sets_match_the_definition():
             for y in outside:
                 want = _exchange_by_definition(mp, y, state)
                 assert ms.exchange_set(mp, y, state) == want, (trial, step, y)
-                hits += mp.signature_of.get(y, ()) in state.picks
+                hits += (state.index is not None
+                         and mp.signature_of.get(y, ()) in state.index.answers)
                 assert ms.exchange_set(mp, y, state) == want, (trial, step, y)
             x = rng.choice(outside)
             evicting = bool(ms.exchange_set(mp, x, state))
@@ -504,7 +503,7 @@ def test_cached_exchange_sets_match_the_definition():
             skipped = _accept(state, mp, oracle, x)
             if skipped is None:
                 continue
-            assert state.picks == {}
+            assert state.index is None or state.index.answers == {}
             assert mp.feasible(state.members)
             branch = "shortcut" if skipped else "walk" if evicting else "insert"
             branches[branch] += 1
@@ -526,35 +525,58 @@ def test_swap_picks_follow_the_state():
     for x, branch in ((0, False), (1, False), (2, True), (4, False)):
         # insert, insert, shortcut (evicts 1 at nu 0), walk (evicts 2)
         ms.exchange_set(mp, x, state)
-        assert state.picks
         index = state.index
-        assert index is not None
+        assert index is not None and index.answers
         assert _accept(state, mp, oracle, x) is branch
-        assert state.picks == {}
         assert state.index is (None if x == 4 else index)
+        assert state.index is None or state.index.answers == {}
     assert list(state.nu) == [0, 4]
     assert ms.exchange_set(mp, 3, state) == {0}
     # the answer for the signature, and the class count and heap behind it
     signature = ((uniform, 0),)
     assert mp.signature_of[3] is mp.signature_of[5] == signature
-    assert state.picks == {signature: frozenset({0})}
-    assert ms.exchange_set(mp, 5, state) is state.picks[signature]
+    assert state.index.answers == {signature: frozenset({0})}
+    assert ms.exchange_set(mp, 5, state) is state.index.answers[signature]
     assert state.index.classes[(uniform, 0)] == [2, [(3.0, 0, 0), (5.0, 1, 4)], 2]
-    # a copy starts with its own empty caches
+    # a copy starts with no index, and so with no answers
     copy = state.copy()
-    assert copy.picks == {} and copy.picks is not state.picks
     assert copy.index is None
     assert ms.exchange_set(mp, 5, copy) == {0}
     assert copy.index is not state.index
+    assert copy.index.answers == {signature: frozenset({0})}
+    assert copy.index.answers is not state.index.answers
     copy.index.classes[(uniform, 0)][1].insert(0, (0.0, 1, 4))
-    copy.picks[signature] = frozenset({4})
-    assert state.picks == {signature: frozenset({0})}
+    copy.index.answers[signature] = frozenset({4})
+    assert state.index.answers == {signature: frozenset({0})}
     assert state.index.classes[(uniform, 0)] == [2, [(3.0, 0, 0), (5.0, 1, 4)], 2]
     assert ms.exchange_set(mp, 3, state) == {0}
-    # the public nu refresh drops both
+    # the public nu refresh drops the index, answers and all
     ms.recompute_nu(state, oracle)
-    assert state.picks == {} and state.index is None
+    assert state.index is None
     assert ms.exchange_set(mp, 5, state) == {0}
+    assert state.index.answers == {signature: frozenset({0})}
+
+
+def test_class_index_add_and_remove_forget_the_answers():
+    uniform = ms.UniformMatroid(range(4), 2)
+    mp = ms.PMatchoid(range(4), [uniform])
+    signature = mp.signature_of[2]
+    state = _state([0, 1], {0: 1.0, 1: 2.0})
+    assert ms.exchange_set(mp, 2, state) == {0}
+    index = state.index
+    assert index.answers == {signature: frozenset({0})}
+    # 0 leaves S: the class is no longer full
+    del state.nu[0]
+    index.remove(0)
+    assert index.answers == {}
+    assert ms.exchange_set(mp, 2, state) == set()
+    assert index.answers == {signature: frozenset()}
+    # 3 joins S with the smallest nu: the class is full again
+    state.nu[3] = 0.5
+    index.add(3, 0.5)
+    assert index.answers == {}
+    assert ms.exchange_set(mp, 2, state) == {3}
+    assert state.index is index and index.answers == {signature: frozenset({3})}
 
 
 def test_graphic_matchoid_caches_nothing():
@@ -566,14 +588,14 @@ def test_graphic_matchoid_caches_nothing():
     state = _state([0, 1], {0: 2.0, 1: 1.0})
     assert ms.exchange_set(mp, 2, state) == {1}
     assert ms.exchange_set(mp, 3, state) == set()
-    assert state.picks == {} and state.index is None
+    assert state.index is None
 
 
 def test_one_state_under_two_matchoids():
     # the same conflict key (class 0 of matroid 0) names different
     # matroids in the two constraints, which must not share a pick: the
-    # answers are kept per signature, and the class index is rebuilt
-    # whenever the state is asked under the other constraint
+    # class index is rebuilt whenever the state is asked under the other
+    # constraint, and its answers go with the index it replaces
     state = _state([0, 1], {0: 1.0, 1: 2.0})
     by_capacity = ms.PMatchoid(range(4), [ms.UniformMatroid(range(4), 2)])
     by_part = ms.PMatchoid(range(4), [
@@ -581,14 +603,14 @@ def test_one_state_under_two_matchoids():
     for _ in range(2):
         assert ms.exchange_set(by_capacity, 2, state) == {0}
         assert state.index.mp is by_capacity
+        assert state.index.answers == {by_capacity.signature_of[2]: {0}}
         assert ms.exchange_set(by_part, 2, state) == {1}
         assert state.index.mp is by_part
-        # one signature for each constraint
-        assert len(state.picks) == 2
-        assert state.picks[by_capacity.signature_of[2]] == {0}
-        assert state.picks[by_part.signature_of[2]] == {1}
-        # without the answers, the index alone must keep them apart
-        state.picks.clear()
+        # one signature, of the constraint last asked
+        assert state.index.answers == {by_part.signature_of[2]: {1}}
+        # a repeat under the same constraint is served from the answers
+        assert ms.exchange_set(by_part, 2, state) is state.index.answers[
+            by_part.signature_of[2]]
 
 
 @st.composite
@@ -633,13 +655,13 @@ def test_signature_cache_answers_as_an_uncached_search(data):
         step = data.draw(st.sampled_from(("accept", "refresh")), label="step")
         if step == "refresh":
             ms.recompute_nu(state, oracle)
-            assert state.picks == {}
+            assert state.index is None
             continue
         outside = [y for y in range(n) if y not in state.nu]
         if not outside:
             break
         if _accept(state, mp, oracle, data.draw(st.sampled_from(outside), label="x")) is not None:
-            assert state.picks == {}
+            assert state.index is None or state.index.answers == {}
             assert mp.feasible(state.members)
 
 
@@ -890,7 +912,7 @@ def test_exchange_set_matches_the_scan_over_every_matroid():
         rng.shuffle(order)
         nu = {e: float(rng.randint(0, 3)) for e in order}
         state = _state(order, nu)
-        for _ in range(2):  # the second round reads the cached picks
+        for _ in range(2):  # the second round reads the cached answers
             for y in range(12):
                 if y in nu:
                     continue

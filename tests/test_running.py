@@ -222,7 +222,7 @@ def _decided(run, trace):
     certified factor."""
     passes = []
     for res, cert in zip(run.pass_results, run.certificates):
-        row = res.row(cert.pass_index, cert.beta, cert.gamma_certified)
+        row = res.row(cert.pass_index, cert.gamma_certified)
         del row["oracle_calls"]
         passes.append([row, list(res.state.nu), res.evicted,
                        cert.gamma_certified])

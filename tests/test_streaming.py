@@ -368,7 +368,7 @@ def test_debug_check_catches_a_stale_swap_pick():
         state.index.classes[slot][0] = 1
 
     def stale_signature_answer(state):
-        state.picks[mp.signature_of[2]] = frozenset({0})
+        state.index.answers[mp.signature_of[2]] = frozenset({0})
 
     for corrupt in (live_entry_with_a_wrong_nu, count_below_capacity,
                     stale_signature_answer):
