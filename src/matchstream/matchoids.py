@@ -31,9 +31,9 @@ in amortised O(log k), with no scan of S. The whole answer depends on x
 only through its signature when every key in it is non-None, and the
 index keeps it per signature in ``ClassIndex.answers`` until S changes,
 so between two accepts each such signature is answered once, not once
-per arrival. ``SolutionState.accept`` files an insertion and an exchange
-that skips the nu walk in the index, which forgets its answers; a walk
-drops the index, answers and all, until the next search rebuilds it.
+per arrival. The first search builds the index, and the state keeps it:
+``SolutionState.accept`` files every accept, and a nu walk refiles each
+member from the first whose nu it changes. Each forgets the answers.
 Slots keyed None are searched by ``scan_pick``, which scans S with
 ``swap_candidates``. By the same contract, ``PMatchoid.fitting``
 screens a batch of elements against one feasible set with one
@@ -364,9 +364,9 @@ class ClassIndex:
     compacted, so a class that never fills holds few stale entries.
     ``answers`` maps a signature whose keys are all non-None to the
     exchange set ``exchange_set`` found for it; ``add`` and ``remove``
-    forget them all. The index is sound only while nu changes by ``add``
-    and ``remove`` alone: a walk that rewrites nu must drop it, and its
-    answers with it.
+    forget them all. Every change of S or nu must reach the index: a
+    member that leaves S is removed, one that joins is added, and a walk
+    removes and re-adds each member from the first whose nu it changes.
     """
 
     __slots__ = ("mp", "seq_of", "classes", "answers", "next_seq")
@@ -381,7 +381,8 @@ class ClassIndex:
             self.add(e, v)
 
     def add(self, e, v):
-        """File e, S's new last member, with nu = v: amortised O(p log k)."""
+        """File e with nu = v after every filed member, as S's new last
+        member or a walk's next refile: amortised O(p log k)."""
         self.answers.clear()
         seq = self.next_seq
         self.next_seq = seq + 1
@@ -398,10 +399,10 @@ class ClassIndex:
                     heapq.heappush(cls[1], entry)
 
     def remove(self, e):
-        """Unfile e, which leaves S, in amortised O(p): its entries go
-        stale, and a heap left longer than 2 * count + HEAP_SLACK drops
-        its stale entries. Only here can a heap pass that bound: ``add``
-        raises the bound by 2 per entry it pushes."""
+        """Unfile e, which leaves S or is refiled, in amortised O(p): its
+        entries go stale, and a heap left longer than 2 * count +
+        HEAP_SLACK drops its stale entries. Only here can a heap pass that
+        bound: ``add`` raises the bound by 2 per entry it pushes."""
         self.answers.clear()
         seq_of = self.seq_of
         del seq_of[e]
@@ -478,28 +479,27 @@ def exchange_set(mp, x, state):
 
     A slot with a non-None key is answered by the state's
     ``ClassIndex`` (``state.index``) in amortised O(log k), with no scan
-    of S; the index is built from S on the first such slot after the
-    state dropped it, and rebuilt when the state is asked under another
-    ``mp``. A slot keyed None is searched by ``scan_pick``. The answer
-    is a function of (mp, x, S, nu) alone, and by the ``swap_classes``
-    contract it depends on x only through x's signature once every key
-    in it is non-None; the index keeps such an answer in its
-    ``answers`` under the signature until S changes or the index is
-    dropped, so a full buffer under one uniform matroid costs one search
-    per state, not one per element. Loops and the
-    ``InfeasibilityError`` path are not cached.
+    of S; the index is built from S here, on the state's first search,
+    and rebuilt when the state is asked under another ``mp``. A slot
+    keyed None is searched by ``scan_pick``. The answer is a function
+    of (mp, x, S, nu) alone, and by the ``swap_classes`` contract it
+    depends on x only through x's signature once every key in it is
+    non-None; the index keeps such an answer in its ``answers`` under
+    the signature until S or nu changes, so a full buffer under one
+    uniform matroid costs one search per state, not one per element.
+    Loops and the ``InfeasibilityError`` path are not cached.
     """
     nu = state.nu
     if x in nu:
         raise PreconditionError(f"element {x} is already in the solution")
     signature = mp.signature_of.get(x, ())
     index = state.index
-    if index is not None and index.mp is mp:
+    if index is None or index.mp is not mp:
+        index = state.index = ClassIndex(mp, nu)
+    else:
         answer = index.answers.get(signature)
         if answer is not None:
             return answer
-    else:
-        index = None
     shared = True
     chosen = set()
     for slot in signature:
@@ -508,14 +508,12 @@ def exchange_set(mp, x, state):
             shared = False
             pick = scan_pick(matroid, x, nu)
         else:
-            if index is None:
-                index = state.index = ClassIndex(mp, nu)
             pick = index.pick(slot)
         if pick is LOOP:
             return None
         if pick is not None:
             chosen.add(pick)
     answer = frozenset(chosen)
-    if shared and index is not None:
+    if shared:
         index.answers[signature] = answer
     return answer

@@ -14,11 +14,10 @@ can then change, and the walk is skipped (``SolutionState.accept``).
 
 The state also keeps what ``exchange_set`` needs beside S (see
 ``matchoids``): a ``ClassIndex`` of S's members per capacity class,
-which also holds the answers per signature. An insertion and an
-exchange that skip the walk update the index in O(p log k), and it
-forgets its answers; a walk, ``accept``'s or the public
-``recompute_nu``'s, drops it, answers and all, and the next search
-rebuilds it. Only ``accept`` and ``recompute_nu`` change S or nu; a new
+which also holds the answers per signature. The first search builds it
+and the state keeps it: every accept files its evictions and x in
+O(p log k) each, and a walk refiles its members from the first whose nu
+it changes. Only ``accept`` and ``recompute_nu`` change S or nu; a new
 state and a ``copy`` start with no index.
 
 A non-initial arrival x clears the threshold whenever
@@ -53,10 +52,9 @@ class SolutionState:
     running evaluator of S (see ``objectives``), holds f(S) as ``f_s``;
     ``f_empty`` is f(empty). A pass cannot start from a hand-built state.
     ``index`` is ``exchange_set``'s ``ClassIndex`` of S, or None until a
-    search builds it; ``accept`` keeps it up to date on an insertion and
-    on a walk-skipping exchange, and a nu walk drops it. The index also
-    holds ``exchange_set``'s answers, so no other cache needs resetting
-    when S or nu changes.
+    search builds it; ``accept`` and ``recompute_nu`` keep it up to date
+    from then on. The index also holds ``exchange_set``'s answers, so no
+    other cache needs resetting when S or nu changes.
     """
 
     __slots__ = ("nu", "f_empty", "evaluator", "index")
@@ -107,35 +105,30 @@ class SolutionState:
         forgets the evicted members (see ``RunningValue.forget``) and
         takes x unmetered, as an insertion does.
 
-        Both branches without a walk file the change in the class index,
-        if the state has one; the walk drops it.
+        Every accept files its change in the class index, if any, the
+        same way: the evicted members leave it, and x joins with ``gain``.
 
         Returns the evicted elements mapped to their incremental value at
         removal, and whether the walk was skipped.
         """
         nu = self.nu
-        index = self.index
-        if not evict:
-            self.evaluator.add(x, meter=False)
-            nu[x] = gain
-            if index is not None:
-                index.add(x, gain)
-            return {}, False
-        if oracle.monotone and all(nu[c] == 0.0 for c in evict):
-            chi = {c: nu.pop(c) for c in evict}
-            nu[x] = gain
-            self.evaluator.forget(evict)
-            self.evaluator.add(x, meter=False)
-            if index is not None:
-                for c in chi:
-                    index.remove(c)
-                index.add(x, gain)
-            return chi, True
-        cut = next(i for i, e in enumerate(nu) if e in evict)
+        walk = bool(evict) and not (
+            oracle.monotone and all(nu[c] == 0.0 for c in evict))
+        if walk:
+            cut = next(i for i, e in enumerate(nu) if e in evict)
         chi = {c: nu.pop(c) for c in evict}
-        nu[x] = gain  # a placeholder until recompute_nu walks the suffix
-        recompute_nu(self, oracle, cut)
-        return chi, False
+        nu[x] = gain  # exact unless a walk rewrites the suffix
+        index = self.index
+        if index is not None:
+            for c in chi:
+                index.remove(c)
+            index.add(x, gain)
+        if walk:
+            recompute_nu(self, oracle, cut)
+            return chi, False
+        self.evaluator.forget(evict)
+        self.evaluator.add(x, meter=False)
+        return chi, bool(evict)
 
 
 def recompute_nu(state, oracle, start_pos=0):
@@ -144,17 +137,24 @@ def recompute_nu(state, oracle, start_pos=0):
     After an exchange, only members at or after the first eviction
     position have a changed prefix. A running evaluator of the unchanged
     prefix walks the suffix, one metered call per walked prefix, and then
-    serves as S's evaluator. The state's class index, with its answers,
-    is dropped.
+    serves as S's evaluator. From the first member whose nu it changes,
+    the walk refiles each in the state's class index, if any, in arrival
+    order; the entries before it stay exact and ahead in seq order.
     """
-    state.index = None
     order = list(state.nu)
     evaluator = oracle.running(order[:start_pos])
     running = evaluator.total
+    index = state.index
+    refile = False
     for e in order[start_pos:]:
         nxt = evaluator.add(e)
-        state.nu[e] = nxt - running
+        v = nxt - running
         running = nxt
+        if index is not None and (refile or v != state.nu[e]):
+            refile = True
+            index.remove(e)
+            index.add(e, v)
+        state.nu[e] = v
     state.evaluator = evaluator
     return state
 

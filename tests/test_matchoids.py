@@ -478,10 +478,11 @@ def test_cached_exchange_sets_match_the_definition():
     # seeded uniform, partition, graphic and transversal matroids, alone
     # and intersected in pairs, under accept sequences that take all three
     # branches; every non-member is asked twice after every step, the
-    # second time from the signature cache when its keys are all non-None
+    # second time from the signature cache when its keys are all non-None;
+    # every accept keeps the index the search built, a walk's included
     rng = Random(43)
     branches = {"insert": 0, "shortcut": 0, "walk": 0}
-    hits = kept = 0
+    hits = 0
     for trial in range(80):
         matroids = [_uniform_or_partition(rng) if rng.random() < 0.5
                     else _random_matroid(rng, 12)
@@ -494,8 +495,7 @@ def test_cached_exchange_sets_match_the_definition():
             for y in outside:
                 want = _exchange_by_definition(mp, y, state)
                 assert ms.exchange_set(mp, y, state) == want, (trial, step, y)
-                hits += (state.index is not None
-                         and mp.signature_of.get(y, ()) in state.index.answers)
+                hits += mp.signature_of.get(y, ()) in state.index.answers
                 assert ms.exchange_set(mp, y, state) == want, (trial, step, y)
             x = rng.choice(outside)
             evicting = bool(ms.exchange_set(mp, x, state))
@@ -503,18 +503,14 @@ def test_cached_exchange_sets_match_the_definition():
             skipped = _accept(state, mp, oracle, x)
             if skipped is None:
                 continue
-            assert state.index is None or state.index.answers == {}
+            assert state.index is index and index.answers == {}
             assert mp.feasible(state.members)
             branch = "shortcut" if skipped else "walk" if evicting else "insert"
             branches[branch] += 1
-            # an insertion and a shortcut update the index, a walk drops it
             if branch == "walk":
-                assert state.index is None
-            else:
-                assert state.index is index
-                kept += index is not None
+                _check_class_index(mp, state, 12)
     assert min(branches.values()) > 0, branches
-    assert hits > 0 and kept > 0
+    assert hits > 0
 
 
 def test_swap_picks_follow_the_state():
@@ -528,16 +524,18 @@ def test_swap_picks_follow_the_state():
         index = state.index
         assert index is not None and index.answers
         assert _accept(state, mp, oracle, x) is branch
-        assert state.index is (None if x == 4 else index)
-        assert state.index is None or state.index.answers == {}
+        assert state.index is index and index.answers == {}
     assert list(state.nu) == [0, 4]
     assert ms.exchange_set(mp, 3, state) == {0}
-    # the answer for the signature, and the class count and heap behind it
+    # the answer for the signature, and the class count and heap behind it:
+    # 4 was filed at seq 3 with its measured gain, which the walk left as
+    # it was (f is modular), and the search popped the stale top 2 left
     signature = ((uniform, 0),)
+    heap = [(3.0, 0, 0), (5.0, 3, 4)]
     assert mp.signature_of[3] is mp.signature_of[5] == signature
     assert state.index.answers == {signature: frozenset({0})}
     assert ms.exchange_set(mp, 5, state) is state.index.answers[signature]
-    assert state.index.classes[(uniform, 0)] == [2, [(3.0, 0, 0), (5.0, 1, 4)], 2]
+    assert state.index.classes[(uniform, 0)] == [2, heap, 2]
     # a copy starts with no index, and so with no answers
     copy = state.copy()
     assert copy.index is None
@@ -548,13 +546,14 @@ def test_swap_picks_follow_the_state():
     copy.index.classes[(uniform, 0)][1].insert(0, (0.0, 1, 4))
     copy.index.answers[signature] = frozenset({4})
     assert state.index.answers == {signature: frozenset({0})}
-    assert state.index.classes[(uniform, 0)] == [2, [(3.0, 0, 0), (5.0, 1, 4)], 2]
+    assert state.index.classes[(uniform, 0)] == [2, heap, 2]
     assert ms.exchange_set(mp, 3, state) == {0}
-    # the public nu refresh drops the index, answers and all
+    # a public nu refresh that changes no nu keeps the index as it was,
+    # answers included, since they are still exact
     ms.recompute_nu(state, oracle)
-    assert state.index is None
-    assert ms.exchange_set(mp, 5, state) == {0}
-    assert state.index.answers == {signature: frozenset({0})}
+    assert state.index is index and index.seq_of == {0: 0, 4: 3}
+    assert index.answers == {signature: frozenset({0})}
+    _check_class_index(mp, state, 6)
 
 
 def test_class_index_add_and_remove_forget_the_answers():
@@ -588,7 +587,7 @@ def test_graphic_matchoid_caches_nothing():
     state = _state([0, 1], {0: 2.0, 1: 1.0})
     assert ms.exchange_set(mp, 2, state) == {1}
     assert ms.exchange_set(mp, 3, state) == set()
-    assert state.index is None
+    assert state.index.classes == {} and state.index.answers == {}
 
 
 def test_one_state_under_two_matchoids():
@@ -652,17 +651,26 @@ def test_signature_cache_answers_as_an_uncached_search(data):
         for y in queries:
             if y not in state.nu:
                 assert ms.exchange_set(mp, y, state) == _exchange_by_definition(mp, y, state)
+        index = state.index
         step = data.draw(st.sampled_from(("accept", "refresh")), label="step")
         if step == "refresh":
             ms.recompute_nu(state, oracle)
-            assert state.index is None
-            continue
-        outside = [y for y in range(n) if y not in state.nu]
-        if not outside:
-            break
-        if _accept(state, mp, oracle, data.draw(st.sampled_from(outside), label="x")) is not None:
-            assert state.index is None or state.index.answers == {}
+            assert state.index is index
+        else:
+            outside = [y for y in range(n) if y not in state.nu]
+            if not outside:
+                break
+            x = data.draw(st.sampled_from(outside), label="x")
+            if _accept(state, mp, oracle, x) is None:
+                continue
+            # the accept's search builds the index if no query did, and
+            # filing the accept forgets the answers
+            assert index is None or state.index is index
+            assert state.index.answers == {}
             assert mp.feasible(state.members)
+        # the same index, filing S and nu as they are now, serves only
+        # exact answers, including those a refresh left
+        _check_class_index(mp, state, n)
 
 
 def _check_class_index(mp, state, n):
@@ -690,10 +698,10 @@ def _check_class_index(mp, state, n):
 @given(st.data())
 def test_class_index_follows_long_churn(data):
     # a long run of insert, shortcut and walk accepts, public nu
-    # refreshes, copies and queries under a second constraint, over
-    # uniform, partition and mixed p = 2 constraints with monotone and
-    # non-monotone objectives; elements leave and come back, so stale
-    # heap entries pile up where a class never fills
+    # refreshes from any position, copies and queries under a second
+    # constraint, over uniform, partition and mixed p = 2 constraints with
+    # monotone and non-monotone objectives; elements leave and come back,
+    # so stale heap entries pile up where a class never fills
     n = data.draw(st.integers(4, 10), label="n")
     matroids = data.draw(st.lists(_matroids(n, ("uniform", "partition")),
                                   min_size=1, max_size=2), label="matroids")
@@ -717,7 +725,23 @@ def test_class_index_follows_long_churn(data):
             _accept(state, mp, oracle, data.draw(st.sampled_from(outside), label="x"))
             assert mp.feasible(state.members)
         elif step == "refresh":
-            ms.recompute_nu(state, oracle)
+            # a walk from any position refiles its members from the first
+            # whose nu it changes; those before keep their seqs, so their
+            # heap entries stay live
+            start = data.draw(st.integers(0, len(state.nu)), label="start_pos")
+            index = state.index
+            before = dict(state.nu)
+            seqs = dict(index.seq_of) if index is not None else None
+            ms.recompute_nu(state, oracle, start)
+            assert state.index is index
+            order = list(state.nu)
+            first = next((i for i, e in enumerate(order) if state.nu[e] != before[e]),
+                         len(order))
+            assert first >= start
+            if index is not None:
+                assert all(index.seq_of[e] == seqs[e] for e in order[:first])
+                assert all(index.seq_of[e] > max(seqs.values()) for e in order[first:])
+                assert first == len(order) or index.answers == {}
         elif step == "copy" and outside:
             # the copy goes its own way; the original must not follow it
             copy = state.copy()
@@ -973,13 +997,13 @@ def test_one_arrival_touches_at_most_p_of_a_thousand_matroids():
             runner.process(x)
             assert set(touched) <= {m for m, _ in mp.signature_of[x]}
             assert 0 < len(set(touched)) <= mp.p
-            # the index files at most x's p slots; only the last arrival,
-            # whose exchange walks, drops it
+            # the first search builds the index, and every arrival keeps
+            # it, filing at most x's p slots; the last arrival's exchange
+            # walks, which changes no nu here, as f is modular
             after = runner.state.index
-            assert (after is None) == (x == n - 1)
-            if after is not None:
-                assert index is None or after is index
-                assert set(after.classes) - before <= set(mp.signature_of[x])
+            assert after is not None and (index is None or after is index)
+            assert set(after.classes) - before <= set(mp.signature_of[x])
+        assert runner.evicted == {0: 1.0}
         s = set(runner.state.members)
         for x in (1, 500, 998):
             del touched[:]
@@ -989,3 +1013,44 @@ def test_one_arrival_touches_at_most_p_of_a_thousand_matroids():
             assert got == ([x] if mp.feasible(s | {x}) else [])
     finally:
         del touched[:]
+
+
+def test_a_runner_builds_at_most_one_class_index(monkeypatch):
+    # the index a pass's first search builds is kept through every accept
+    # and nu walk of that pass, so each runner builds at most one; counted
+    # on a p = 2 matching under the deterministic driver, and on a directed
+    # cut whose buffer fills under the randomized one, where every
+    # exchange walks
+    builds, walks = [], []
+
+    class CountingIndex(ms.matchoids.ClassIndex):
+        __slots__ = ()
+
+        def __init__(self, mp, nu):
+            builds.append(mp)
+            super().__init__(mp, nu)
+
+    walk = ms.streaming.recompute_nu
+
+    def counting_walk(*args):
+        walks.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(ms.matchoids, "ClassIndex", CountingIndex)
+    monkeypatch.setattr(ms.streaming, "recompute_nu", counting_walk)
+    inst = ms.generate_instance("bipartite-matching", 0, left=12, right=12, edges=90)
+    built = inst.build_matchoid()
+    mp = ms.PMatchoid(built.ground, built.matroids, rank=12)
+    run = ms.multipass_run(inst.build_oracle(), mp, ms.stream_order(inst.n),
+                           ms.Schedule.for_matchoid(mp), 4)
+    assert mp.p == 2 and walks
+    assert 0 < len(builds) <= len(run.pass_results)
+    del builds[:], walks[:]
+    # one pass with a buffer of m = 256 over 600 arrivals
+    inst = ms.generate_instance("directed-cut+matroid", 0, n=600, arcs=1800, capacity=16)
+    res = ms.multipass_randomized(inst.build_oracle(), inst.build_matchoid(),
+                                  ms.stream_order(inst.n), 0.5, passes=1, seed=0,
+                                  offline_mode="heuristic")
+    assert any(row["buffer_peak"] == res.m for copy in res.copies
+               for row in copy.pass_rows) and walks
+    assert 0 < len(builds) <= sum(len(copy.pass_results) for copy in res.copies)
