@@ -25,9 +25,10 @@ print("is {0,1} a matching?", matching.feasible({0, 1}))
 print("rank (max matching size):", matching.rank_k)
 
 # The exchange rule: for an arrival x, each violated matroid nominates
-# its cheapest resident (by cached incremental value) to make room.
-state = ms.SolutionState({0: 2.0}, 0.0)
-print("to insert edge 1, evict:", ms.exchange_set(matching, 1, state))
+# its cheapest resident (by cached incremental value) to make room. A
+# solution state serves one constraint and answers under it.
+state = ms.SolutionState(matching, {0: 2.0}, 0.0)
+print("to insert edge 1, evict:", ms.exchange_set(1, state))
 
 # Other matroid kinds: forests of a graph and matchable vertex sets.
 triangle = ms.GraphicMatroid({0, 1, 2}, {0: (0, 1), 1: (1, 2), 2: (2, 0)})

@@ -158,7 +158,9 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except MatchstreamError as exc:
+    # an OSError here is an output file that cannot be written; the
+    # instance and summary readers raise ConfigError naming their file
+    except (MatchstreamError, OSError) as exc:
         # a size cap hit after the file loaded is still about that file
         instance = getattr(args, "instance", None)
         if isinstance(exc, SizeError) and instance is not None:

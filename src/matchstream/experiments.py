@@ -267,34 +267,41 @@ def run_experiment(config):
 
 
 def report_rows(summary_paths):
-    """Aggregate summaries (and their traces) into a factor-vs-pass table."""
+    """Aggregate summaries (and their traces) into a factor-vs-pass table.
+    A summary, or the trace it names, that cannot be read or parsed, or a
+    summary that is not a JSON object, raises ``ConfigError`` naming it."""
     columns = ("instance", "algorithm", "pass", "f_S", "gamma_certified", "ratio")
     rows = []
     for path in summary_paths:
-        with open(path, "r", encoding="utf-8") as fh:
-            summary = json.load(fh)
-        opt = summary.get("opt_value")
-        trace = summary.get("trace")
-        if trace and os.path.exists(trace):
-            with open(trace, "r", encoding="utf-8", newline="") as fh:
-                for rec in csv.DictReader(fh):
-                    f_s = float(rec["f_S"]) if rec.get("f_S") else None
-                    rows.append({
-                        "instance": summary.get("instance"),
-                        "algorithm": summary.get("algorithm"),
-                        "pass": int(rec["pass"]),
-                        "f_S": f_s,
-                        "gamma_certified": rec.get("gamma_certified"),
-                        "ratio": (opt / f_s if opt is not None and f_s else None),
-                    })
-        else:
-            f_s = summary.get("f_final")
-            rows.append({
-                "instance": summary.get("instance"),
-                "algorithm": summary.get("algorithm"),
-                "pass": summary.get("passes", 1),
-                "f_S": f_s,
-                "gamma_certified": summary.get("gamma_certified_final"),
-                "ratio": summary.get("ratio"),
-            })
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                summary = json.load(fh)
+            if not isinstance(summary, dict):
+                raise ValueError("not a JSON object")
+            opt = summary.get("opt_value")
+            trace = summary.get("trace")
+            if trace and os.path.exists(trace):
+                with open(trace, "r", encoding="utf-8", newline="") as fh:
+                    for rec in csv.DictReader(fh):
+                        f_s = float(rec["f_S"]) if rec.get("f_S") else None
+                        rows.append({
+                            "instance": summary.get("instance"),
+                            "algorithm": summary.get("algorithm"),
+                            "pass": int(rec["pass"]),
+                            "f_S": f_s,
+                            "gamma_certified": rec.get("gamma_certified"),
+                            "ratio": (opt / f_s if opt is not None and f_s else None),
+                        })
+            else:
+                f_s = summary.get("f_final")
+                rows.append({
+                    "instance": summary.get("instance"),
+                    "algorithm": summary.get("algorithm"),
+                    "pass": summary.get("passes", 1),
+                    "f_S": f_s,
+                    "gamma_certified": summary.get("gamma_certified_final"),
+                    "ratio": summary.get("ratio"),
+                })
+        except (OSError, ValueError, KeyError, TypeError, csv.Error) as exc:
+            raise ConfigError(f"{path}: not a readable summary ({exc})") from exc
     return columns, rows

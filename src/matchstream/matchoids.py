@@ -31,9 +31,10 @@ in amortised O(log k), with no scan of S. The whole answer depends on x
 only through its signature when every key in it is non-None, and the
 index keeps it per signature in ``ClassIndex.answers`` until S changes,
 so between two accepts each such signature is answered once, not once
-per arrival. The first search builds the index, and the state keeps it:
-``SolutionState.accept`` files every accept, and a nu walk refiles each
-member from the first whose nu it changes. Each forgets the answers.
+per arrival. A state serves one constraint, and builds its index under
+it when the state is built: ``SolutionState.accept`` files every
+accept, and a nu walk refiles each member from the first whose nu it
+changes. Each forgets the answers.
 Slots keyed None are searched by ``scan_pick``, which scans S with
 ``swap_candidates``. By the same contract, ``PMatchoid.fitting``
 screens a batch of elements against one feasible set with one
@@ -353,6 +354,7 @@ class ClassIndex:
     """S's members per capacity class under one ``PMatchoid``, kept beside
     S as ``SolutionState.index``, and the exchange sets answered from it.
 
+    ``signature_of`` is the constraint's ``PMatchoid.signature_of``, and
     ``seq_of`` gives each member of S an arrival number, increasing in
     the key order of ``state.nu``. ``classes`` maps a ``(matroid, class)``
     slot with a non-None key to ``[count, heap, capacity]``: the count
@@ -369,10 +371,10 @@ class ClassIndex:
     removes and re-adds each member from the first whose nu it changes.
     """
 
-    __slots__ = ("mp", "seq_of", "classes", "answers", "next_seq")
+    __slots__ = ("signature_of", "seq_of", "classes", "answers", "next_seq")
 
     def __init__(self, mp, nu):
-        self.mp = mp
+        self.signature_of = mp.signature_of
         self.seq_of = {}
         self.classes = {}
         self.answers = {}
@@ -389,7 +391,7 @@ class ClassIndex:
         self.seq_of[e] = seq
         entry = (v, seq, e)
         classes = self.classes
-        for slot in self.mp.signature_of.get(e, ()):
+        for slot in self.signature_of.get(e, ()):
             if slot[1] is not None:
                 cls = classes.get(slot)
                 if cls is None:
@@ -407,7 +409,7 @@ class ClassIndex:
         seq_of = self.seq_of
         del seq_of[e]
         classes = self.classes
-        for slot in self.mp.signature_of.get(e, ()):
+        for slot in self.signature_of.get(e, ()):
             if slot[1] is not None:
                 cls = classes[slot]
                 count = cls[0] = cls[0] - 1
@@ -463,43 +465,39 @@ def scan_pick(matroid, x, nu):
     return min(filter(candidates.__contains__, nu), key=nu.__getitem__)
 
 
-def exchange_set(mp, x, state):
+def exchange_set(x, state):
     """Candidate eviction set making room for x in the current solution,
-    as a frozenset.
+    under the constraint the state serves, as a frozenset.
 
     For each matroid containing x whose restriction becomes dependent when
     x is added, the swap candidate with the smallest cached incremental
     value is chosen; ties go to the earliest arrival, i.e. the first
     minimum in the key order of ``state.nu``. Only the slots of x's
-    signature, ``mp.signature_of[x]``, are visited, in instance order,
+    signature, ``signature_of[x]``, are visited, in instance order,
     and the same element may be chosen for several matroids (it is added
     once). Returns None for a loop x ({x} dependent), which no exchange
     admits; a matroid naming no swap for another x breaks the exchange
     axiom and raises ``InfeasibilityError``.
 
     A slot with a non-None key is answered by the state's
-    ``ClassIndex`` (``state.index``) in amortised O(log k), with no scan
-    of S; the index is built from S here, on the state's first search,
-    and rebuilt when the state is asked under another ``mp``. A slot
-    keyed None is searched by ``scan_pick``. The answer is a function
-    of (mp, x, S, nu) alone, and by the ``swap_classes`` contract it
-    depends on x only through x's signature once every key in it is
-    non-None; the index keeps such an answer in its ``answers`` under
-    the signature until S or nu changes, so a full buffer under one
-    uniform matroid costs one search per state, not one per element.
+    ``ClassIndex`` (``state.index``, built with the state) in amortised
+    O(log k), with no scan of S. A slot keyed None is searched by
+    ``scan_pick``. The answer is a function of (the state's constraint,
+    x, S, nu) alone, and by the ``swap_classes`` contract it depends on x
+    only through x's signature once every key in it is non-None; the
+    index keeps such an answer in its ``answers`` under the signature
+    until S or nu changes, so a full buffer under one uniform matroid
+    costs one search per state, not one per element.
     Loops and the ``InfeasibilityError`` path are not cached.
     """
     nu = state.nu
     if x in nu:
         raise PreconditionError(f"element {x} is already in the solution")
-    signature = mp.signature_of.get(x, ())
     index = state.index
-    if index is None or index.mp is not mp:
-        index = state.index = ClassIndex(mp, nu)
-    else:
-        answer = index.answers.get(signature)
-        if answer is not None:
-            return answer
+    signature = index.signature_of.get(x, ())
+    answer = index.answers.get(signature)
+    if answer is not None:
+        return answer
     shared = True
     chosen = set()
     for slot in signature:

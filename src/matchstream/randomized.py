@@ -150,12 +150,12 @@ class RandomizedPassRunner(PassRunner):
         x, (gain, cx) = self.buffer.draw(self.rng)
         self._accept(x, gain, cx)
         before_sweep = self.buffer.members
-        state, mp, debug = self.state, self.mp, self.debug
+        state, debug = self.state, self.debug
         evaluator = state.evaluator
         total = evaluator.total
         survivors = {}
         for y, value in zip(before_sweep, evaluator.values_with(before_sweep)):
-            cx = exchange_set(mp, y, state)
+            cx = exchange_set(y, state)
             if debug:
                 self._check_exchange(y, cx)
             gain = value - total
@@ -171,7 +171,7 @@ class RandomizedPassRunner(PassRunner):
 
     def _threshold_peek(self, x):
         """The threshold test again, with f(x | S) evaluated from scratch."""
-        cx = exchange_set(self.mp, x, self.state)
+        cx = exchange_set(x, self.state)
         gain = self.oracle.peek(self.state.members | {x}) - self.state.f_s
         return gain >= self._bar(cx)
 

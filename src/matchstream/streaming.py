@@ -12,13 +12,13 @@ then re-walks the suffix from the first evicted position, unless f is
 monotone and every evicted member has nu exactly 0: no survivor's nu
 can then change, and the walk is skipped (``SolutionState.accept``).
 
-The state also keeps what ``exchange_set`` needs beside S (see
-``matchoids``): a ``ClassIndex`` of S's members per capacity class,
-which also holds the answers per signature. The first search builds it
-and the state keeps it: every accept files its evictions and x in
-O(p log k) each, and a walk refiles its members from the first whose nu
-it changes. Only ``accept`` and ``recompute_nu`` change S or nu; a new
-state and a ``copy`` start with no index.
+A state serves one constraint. Beside S it keeps what ``exchange_set``
+needs (see ``matchoids``): a ``ClassIndex`` of S's members per capacity
+class under that constraint, which also holds the answers per
+signature. The state is built with its index, and a ``copy`` builds its
+own: every accept files its evictions and x in O(p log k) each, and a
+walk refiles its members from the first whose nu it changes. Only
+``accept`` and ``recompute_nu`` change S or nu.
 
 A non-initial arrival x clears the threshold whenever
 
@@ -39,7 +39,7 @@ finished runner is the pass's record.
 import math
 
 from .errors import DomainError, PreconditionError, integers
-from .matchoids import LOOP, exchange_set, scan_pick
+from .matchoids import LOOP, ClassIndex, exchange_set, scan_pick
 
 NU_TOL = 1e-9  # the debug checks' tolerance, relative to max(1, |f(S)|)
 
@@ -51,24 +51,24 @@ class SolutionState:
     the arrival order over the whole run. ``evaluator``, the oracle's
     running evaluator of S (see ``objectives``), holds f(S) as ``f_s``;
     ``f_empty`` is f(empty). A pass cannot start from a hand-built state.
-    ``index`` is ``exchange_set``'s ``ClassIndex`` of S, or None until a
-    search builds it; ``accept`` and ``recompute_nu`` keep it up to date
-    from then on. The index also holds ``exchange_set``'s answers, so no
-    other cache needs resetting when S or nu changes.
+    ``index`` is ``exchange_set``'s ``ClassIndex`` of S under the
+    constraint ``mp``, built with the state; ``accept`` and
+    ``recompute_nu`` keep it up to date. It also holds ``exchange_set``'s
+    answers, so no other cache needs resetting when S or nu changes.
     """
 
     __slots__ = ("nu", "f_empty", "evaluator", "index")
 
-    def __init__(self, nu, f_empty, evaluator=None):
+    def __init__(self, mp, nu, f_empty, evaluator=None):
         self.nu = dict(nu)
         self.f_empty = float(f_empty)
         self.evaluator = evaluator
-        self.index = None
+        self.index = ClassIndex(mp, self.nu)
 
     @classmethod
-    def empty(cls, oracle):
+    def empty(cls, oracle, mp):
         evaluator = oracle.running(())
-        return cls({}, evaluator.total, evaluator)
+        return cls(mp, {}, evaluator.total, evaluator)
 
     @property
     def f_s(self):
@@ -85,9 +85,10 @@ class SolutionState:
         """S in arrival order, as a new list."""
         return list(self.nu)
 
-    def copy(self):
-        """A copy with its own copy of the running evaluator."""
-        return SolutionState(self.nu, self.f_empty, self.evaluator.copy())
+    def copy(self, mp):
+        """A copy with its own running evaluator, and its own class index
+        under ``mp``, the constraint the copy serves."""
+        return SolutionState(mp, self.nu, self.f_empty, self.evaluator.copy())
 
     def accept(self, x, evict, oracle, gain):
         """Apply S <- S \\ evict + x and refresh the nu cache, where ``gain``
@@ -105,8 +106,8 @@ class SolutionState:
         forgets the evicted members (see ``RunningValue.forget``) and
         takes x unmetered, as an insertion does.
 
-        Every accept files its change in the class index, if any, the
-        same way: the evicted members leave it, and x joins with ``gain``.
+        Every accept files its change in the class index the same way:
+        the evicted members leave it, and x joins with ``gain``.
 
         Returns the evicted elements mapped to their incremental value at
         removal, and whether the walk was skipped.
@@ -119,10 +120,9 @@ class SolutionState:
         chi = {c: nu.pop(c) for c in evict}
         nu[x] = gain  # exact unless a walk rewrites the suffix
         index = self.index
-        if index is not None:
-            for c in chi:
-                index.remove(c)
-            index.add(x, gain)
+        for c in chi:
+            index.remove(c)
+        index.add(x, gain)
         if walk:
             recompute_nu(self, oracle, cut)
             return chi, False
@@ -138,8 +138,8 @@ def recompute_nu(state, oracle, start_pos=0):
     position have a changed prefix. A running evaluator of the unchanged
     prefix walks the suffix, one metered call per walked prefix, and then
     serves as S's evaluator. From the first member whose nu it changes,
-    the walk refiles each in the state's class index, if any, in arrival
-    order; the entries before it stay exact and ahead in seq order.
+    the walk refiles each in the state's class index, in arrival order;
+    the entries before it stay exact and ahead in seq order.
     """
     order = list(state.nu)
     evaluator = oracle.running(order[:start_pos])
@@ -150,7 +150,7 @@ def recompute_nu(state, oracle, start_pos=0):
         nxt = evaluator.add(e)
         v = nxt - running
         running = nxt
-        if index is not None and (refile or v != state.nu[e]):
+        if refile or v != state.nu[e]:
             refile = True
             index.remove(e)
             index.add(e, v)
@@ -208,7 +208,7 @@ class PassRunner:
     ``oracle`` and ``mp`` must have one ground set. The pass starts from a
     copy of ``s_init``, a finished pass's state on ``oracle`` that is
     feasible under ``mp`` and whose evaluator holds exactly its members,
-    or from the empty solution.
+    or from the empty solution, with its class index built under ``mp``.
 
     ``finish`` closes the pass and returns the runner itself as the pass
     record: its ``state``, the acceptance set ``accepted`` (initial
@@ -233,7 +233,7 @@ class PassRunner:
         if oracle.ground != mp.ground:
             raise PreconditionError("objective and constraint ground sets differ")
         if s_init is None:
-            self.state = SolutionState.empty(oracle)
+            self.state = SolutionState.empty(oracle, mp)
         else:
             if not mp.feasible(s_init.members):
                 raise PreconditionError("initial solution is infeasible")
@@ -241,7 +241,7 @@ class PassRunner:
                 raise PreconditionError("initial solution has no evaluator on this oracle")
             if s_init.evaluator.members != s_init.members:
                 raise PreconditionError("initial solution's evaluator is over another set")
-            self.state = s_init.copy()
+            self.state = s_init.copy(mp)
         self.oracle = oracle
         self.mp = mp
         self.alpha = alpha
@@ -332,7 +332,7 @@ class PassRunner:
     def _threshold(self, x):
         """(cleared, f(x | S), C_x) for x; a loop fails with no oracle call."""
         state = self.state
-        cx = exchange_set(self.mp, x, state)
+        cx = exchange_set(x, state)
         if self.debug:
             self._check_exchange(x, cx)
         if cx is None:

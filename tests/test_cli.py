@@ -120,6 +120,45 @@ def test_report_prints_table(tmp_path, capsys):
     assert len(out) == 4
 
 
+@pytest.mark.parametrize("summary, trace", [
+    (None, None),
+    ("not json", None),
+    ("[1, 2]", None),
+    ('{"trace": "TRACE"}', "f_S\n1.0\n"),
+], ids=["missing-file", "not-json", "document-list", "trace-without-pass"])
+def test_report_on_a_bad_summary_exits_2_naming_the_path(tmp_path, capsys, summary, trace):
+    path = tmp_path / "s.json"
+    if trace is not None:
+        (tmp_path / "t.csv").write_text(trace)
+        summary = summary.replace("TRACE", str(tmp_path / "t.csv"))
+    if summary is not None:
+        path.write_text(summary)
+    assert main(["report", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {path}: ") and captured.out == ""
+
+
+def test_output_into_a_missing_directory_exits_2(tmp_path, capsys):
+    instance = str(tmp_path / "inst.json")
+    summary = str(tmp_path / "s.json")
+    assert main(["generate", "--family", "coverage+uniform", "--seed", "2",
+                 "--n", "8", "--out", instance]) == 0
+    assert main(["run-monotone", "--instance", instance, "--passes", "2",
+                 "--summary", summary]) == 0
+    capsys.readouterr()
+    missing = str(tmp_path / "missing" / "out")
+    for argv in (["generate", "--family", "coverage+uniform", "--n", "8", "--out", missing],
+                 ["run-monotone", "--instance", instance, "--passes", "2", "--trace", missing],
+                 ["run-monotone", "--instance", instance, "--passes", "2", "--summary", missing],
+                 ["run-nonmonotone", "--instance", instance, "--epsilon", "0.5",
+                  "--passes", "1", "--trace", missing],
+                 ["report", summary, "--out", missing]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and missing in err, argv
+    assert not (tmp_path / "missing").exists()
+
+
 def test_bad_inputs_exit_nonzero(tmp_path, capsys):
     code = main(["generate", "--family", "coverage+uniform", "--seed", "0",
                  "--out", str(tmp_path / "x.json"), "--n", "9"])

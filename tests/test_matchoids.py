@@ -10,8 +10,8 @@ import matchstream as ms
 import _corpus
 
 
-def _state(order, nu):
-    return ms.SolutionState({e: nu[e] for e in order}, 0.0)
+def _state(mp, order, nu):
+    return ms.SolutionState(mp, {e: nu[e] for e in order}, 0.0)
 
 
 def test_uniform_matroid():
@@ -101,41 +101,41 @@ def test_membership_above_p_is_rejected():
 
 def test_exchange_only_candidate():
     mp = ms.PMatchoid(range(2), [ms.UniformMatroid({0, 1}, 1)])
-    state = _state([0], {0: 1.0})
-    assert ms.exchange_set(mp, 1, state) == {0}
+    state = _state(mp, [0], {0: 1.0})
+    assert ms.exchange_set(1, state) == {0}
 
 
 def test_exchange_no_violation_is_empty():
     mp = ms.PMatchoid(range(3), [ms.UniformMatroid({0, 1, 2}, 2)])
-    state = _state([0], {0: 1.0})
-    assert ms.exchange_set(mp, 1, state) == set()
+    state = _state(mp, [0], {0: 1.0})
+    assert ms.exchange_set(1, state) == set()
 
 
 def test_exchange_bipartite_hand_trace():
     # solution holds edge (u0,v0); edge (u0,v1) arrives: only the u0
     # matroid is violated, so just the resident edge is displaced
     mp = _bipartite_matchoid()
-    state = _state([0], {0: 2.0})
-    assert ms.exchange_set(mp, 1, state) == {0}
+    state = _state(mp, [0], {0: 2.0})
+    assert ms.exchange_set(1, state) == {0}
     assert mp.feasible((state.members - {0}) | {1})
 
 
 def test_exchange_prefers_smaller_nu_then_earlier_arrival():
     mp = ms.PMatchoid(range(3), [ms.UniformMatroid({0, 1, 2}, 2)])
-    state = _state([0, 1], {0: 2.0, 1: 1.0})
-    assert ms.exchange_set(mp, 2, state) == {1}
-    tied = _state([0, 1], {0: 1.0, 1: 1.0})
-    assert ms.exchange_set(mp, 2, tied) == {0}
+    state = _state(mp, [0, 1], {0: 2.0, 1: 1.0})
+    assert ms.exchange_set(2, state) == {1}
+    tied = _state(mp, [0, 1], {0: 1.0, 1: 1.0})
+    assert ms.exchange_set(2, tied) == {0}
     # arrival order, not the smaller id, breaks the tie
-    late_zero = _state([1, 0], {0: 1.0, 1: 1.0})
-    assert ms.exchange_set(mp, 2, late_zero) == {1}
+    late_zero = _state(mp, [1, 0], {0: 1.0, 1: 1.0})
+    assert ms.exchange_set(2, late_zero) == {1}
 
 
 def test_exchange_rejects_member_element():
     mp = ms.PMatchoid(range(2), [ms.UniformMatroid({0, 1}, 1)])
-    state = _state([0], {0: 1.0})
+    state = _state(mp, [0], {0: 1.0})
     with pytest.raises(ms.PreconditionError):
-        ms.exchange_set(mp, 0, state)
+        ms.exchange_set(0, state)
 
 
 def _swaps_by_definition(matroid, s_l, x):
@@ -209,9 +209,9 @@ class _BrokenMatroid(ms.Matroid):
 
 def test_exchange_flags_malformed_oracle():
     mp = ms.PMatchoid(range(3), [_BrokenMatroid({0, 1, 2})], rank=2)
-    state = _state([0, 1], {0: 1.0, 1: 1.0})
+    state = _state(mp, [0, 1], {0: 1.0, 1: 1.0})
     with pytest.raises(ms.InfeasibilityError):
-        ms.exchange_set(mp, 2, state)
+        ms.exchange_set(2, state)
 
 
 class _CustomClasses(ms.UniformMatroid):
@@ -253,7 +253,7 @@ def test_loops_are_rejected_not_exchanged(loop_matroid, opt):
     # a loop is in no feasible set: exchange_set names no exchange, and
     # both drivers reject it and keep going
     mp = ms.PMatchoid(range(3), [loop_matroid])
-    assert ms.exchange_set(mp, 0, _state([], {})) is None
+    assert ms.exchange_set(0, _state(mp, [], {})) is None
     assert ms.brute_force_opt(ms.ModularOracle([1, 2, 3]), mp).opt_value == opt
     trace = []
     run = ms.multipass_run(ms.ModularOracle([1, 2, 3]), mp, [0, 1, 2],
@@ -464,10 +464,10 @@ def _exchange_by_definition(mp, x, state):
     return chosen
 
 
-def _accept(state, mp, oracle, x):
+def _accept(state, oracle, x):
     """Exchange x into ``state``; returns accept's walk-skipped flag, or
     None for a loop, which is left out."""
-    cx = ms.exchange_set(mp, x, state)
+    cx = ms.exchange_set(x, state)
     if cx is None:
         return None
     gain = state.evaluator.value_with(x) - state.f_s
@@ -479,7 +479,8 @@ def test_cached_exchange_sets_match_the_definition():
     # and intersected in pairs, under accept sequences that take all three
     # branches; every non-member is asked twice after every step, the
     # second time from the signature cache when its keys are all non-None;
-    # every accept keeps the index the search built, a walk's included
+    # every accept keeps the index the state was built with, a walk's
+    # included
     rng = Random(43)
     branches = {"insert": 0, "shortcut": 0, "walk": 0}
     hits = 0
@@ -489,18 +490,18 @@ def test_cached_exchange_sets_match_the_definition():
                     for _ in range(rng.choice((1, 2, 2)))]
         mp = ms.PMatchoid(range(12), matroids)
         oracle = ms.ModularOracle([rng.randint(0, 3) for _ in range(12)])
-        state = ms.SolutionState.empty(oracle)
+        state = ms.SolutionState.empty(oracle, mp)
         for step in range(20):
             outside = [y for y in range(12) if y not in state.nu]
             for y in outside:
                 want = _exchange_by_definition(mp, y, state)
-                assert ms.exchange_set(mp, y, state) == want, (trial, step, y)
+                assert ms.exchange_set(y, state) == want, (trial, step, y)
                 hits += mp.signature_of.get(y, ()) in state.index.answers
-                assert ms.exchange_set(mp, y, state) == want, (trial, step, y)
+                assert ms.exchange_set(y, state) == want, (trial, step, y)
             x = rng.choice(outside)
-            evicting = bool(ms.exchange_set(mp, x, state))
+            evicting = bool(ms.exchange_set(x, state))
             index = state.index
-            skipped = _accept(state, mp, oracle, x)
+            skipped = _accept(state, oracle, x)
             if skipped is None:
                 continue
             assert state.index is index and index.answers == {}
@@ -517,16 +518,16 @@ def test_swap_picks_follow_the_state():
     oracle = ms.ModularOracle([3, 0, 2, 1, 5, 4])
     uniform = ms.UniformMatroid(range(6), 2)
     mp = ms.PMatchoid(range(6), [uniform])
-    state = ms.SolutionState.empty(oracle)
+    state = ms.SolutionState.empty(oracle, mp)
+    index = state.index
     for x, branch in ((0, False), (1, False), (2, True), (4, False)):
         # insert, insert, shortcut (evicts 1 at nu 0), walk (evicts 2)
-        ms.exchange_set(mp, x, state)
-        index = state.index
-        assert index is not None and index.answers
-        assert _accept(state, mp, oracle, x) is branch
+        ms.exchange_set(x, state)
+        assert index.answers
+        assert _accept(state, oracle, x) is branch
         assert state.index is index and index.answers == {}
     assert list(state.nu) == [0, 4]
-    assert ms.exchange_set(mp, 3, state) == {0}
+    assert ms.exchange_set(3, state) == {0}
     # the answer for the signature, and the class count and heap behind it:
     # 4 was filed at seq 3 with its measured gain, which the walk left as
     # it was (f is modular), and the search popped the stale top 2 left
@@ -534,20 +535,22 @@ def test_swap_picks_follow_the_state():
     heap = [(3.0, 0, 0), (5.0, 3, 4)]
     assert mp.signature_of[3] is mp.signature_of[5] == signature
     assert state.index.answers == {signature: frozenset({0})}
-    assert ms.exchange_set(mp, 5, state) is state.index.answers[signature]
+    assert ms.exchange_set(5, state) is state.index.answers[signature]
     assert state.index.classes[(uniform, 0)] == [2, heap, 2]
-    # a copy starts with no index, and so with no answers
-    copy = state.copy()
-    assert copy.index is None
-    assert ms.exchange_set(mp, 5, copy) == {0}
-    assert copy.index is not state.index
+    # a copy builds its own index: the same members and nu, filed afresh
+    # in arrival order, in heap lists of its own, and no answers yet
+    copy = state.copy(mp)
+    assert copy.index is not state.index and copy.index.answers == {}
+    assert copy.index.classes == {(uniform, 0): [2, [(3.0, 0, 0), (5.0, 1, 4)], None]}
+    assert ms.exchange_set(5, copy) == {0}
     assert copy.index.answers == {signature: frozenset({0})}
     assert copy.index.answers is not state.index.answers
+    assert copy.index.classes[(uniform, 0)][1] is not state.index.classes[(uniform, 0)][1]
     copy.index.classes[(uniform, 0)][1].insert(0, (0.0, 1, 4))
     copy.index.answers[signature] = frozenset({4})
     assert state.index.answers == {signature: frozenset({0})}
     assert state.index.classes[(uniform, 0)] == [2, heap, 2]
-    assert ms.exchange_set(mp, 3, state) == {0}
+    assert ms.exchange_set(3, state) == {0}
     # a public nu refresh that changes no nu keeps the index as it was,
     # answers included, since they are still exact
     ms.recompute_nu(state, oracle)
@@ -560,21 +563,21 @@ def test_class_index_add_and_remove_forget_the_answers():
     uniform = ms.UniformMatroid(range(4), 2)
     mp = ms.PMatchoid(range(4), [uniform])
     signature = mp.signature_of[2]
-    state = _state([0, 1], {0: 1.0, 1: 2.0})
-    assert ms.exchange_set(mp, 2, state) == {0}
+    state = _state(mp, [0, 1], {0: 1.0, 1: 2.0})
+    assert ms.exchange_set(2, state) == {0}
     index = state.index
     assert index.answers == {signature: frozenset({0})}
     # 0 leaves S: the class is no longer full
     del state.nu[0]
     index.remove(0)
     assert index.answers == {}
-    assert ms.exchange_set(mp, 2, state) == set()
+    assert ms.exchange_set(2, state) == set()
     assert index.answers == {signature: frozenset()}
     # 3 joins S with the smallest nu: the class is full again
     state.nu[3] = 0.5
     index.add(3, 0.5)
     assert index.answers == {}
-    assert ms.exchange_set(mp, 2, state) == {3}
+    assert ms.exchange_set(2, state) == {3}
     assert state.index is index and index.answers == {signature: frozenset({3})}
 
 
@@ -584,32 +587,37 @@ def test_graphic_matchoid_caches_nothing():
     assert graphic.swap_classes() is None
     mp = ms.PMatchoid(range(4), [graphic])
     assert mp.signature_of == dict.fromkeys(range(4), ((graphic, None),))
-    state = _state([0, 1], {0: 2.0, 1: 1.0})
-    assert ms.exchange_set(mp, 2, state) == {1}
-    assert ms.exchange_set(mp, 3, state) == set()
+    state = _state(mp, [0, 1], {0: 2.0, 1: 1.0})
+    assert ms.exchange_set(2, state) == {1}
+    assert ms.exchange_set(3, state) == set()
     assert state.index.classes == {} and state.index.answers == {}
 
 
 def test_one_state_under_two_matchoids():
     # the same conflict key (class 0 of matroid 0) names different
-    # matroids in the two constraints, which must not share a pick: the
-    # class index is rebuilt whenever the state is asked under the other
-    # constraint, and its answers go with the index it replaces
-    state = _state([0, 1], {0: 1.0, 1: 2.0})
+    # matroids in the two constraints, which must not share a pick: a
+    # state answers under the constraint it was built with, and a copy
+    # under the other constraint answers under that one, never through
+    # the original's answers
     by_capacity = ms.PMatchoid(range(4), [ms.UniformMatroid(range(4), 2)])
     by_part = ms.PMatchoid(range(4), [
         ms.PartitionMatroid(range(4), [[1, 2], [0, 3]], [1, 1])])
+    evaluator = ms.ModularOracle([1, 2, 3, 4]).running((0, 1))
+    state = ms.SolutionState(by_capacity, {0: 1.0, 1: 2.0}, 0.0, evaluator)
+    assert ms.exchange_set(2, state) == {0}
+    other = state.copy(by_part)
+    assert other.index.signature_of is by_part.signature_of
+    assert other.index.answers == {}
     for _ in range(2):
-        assert ms.exchange_set(by_capacity, 2, state) == {0}
-        assert state.index.mp is by_capacity
+        assert ms.exchange_set(2, other) == {1}
+        assert other.index.answers == {by_part.signature_of[2]: {1}}
+        assert ms.exchange_set(2, state) == {0}
+        assert state.index.signature_of is by_capacity.signature_of
         assert state.index.answers == {by_capacity.signature_of[2]: {0}}
-        assert ms.exchange_set(by_part, 2, state) == {1}
-        assert state.index.mp is by_part
-        # one signature, of the constraint last asked
-        assert state.index.answers == {by_part.signature_of[2]: {1}}
-        # a repeat under the same constraint is served from the answers
-        assert ms.exchange_set(by_part, 2, state) is state.index.answers[
-            by_part.signature_of[2]]
+        # a repeat is served from the state's own answers
+        assert ms.exchange_set(2, other) is other.index.answers[by_part.signature_of[2]]
+    # a copy back under the first constraint answers as the original does
+    assert ms.exchange_set(2, other.copy(by_capacity)) == {0}
 
 
 @st.composite
@@ -645,12 +653,12 @@ def test_signature_cache_answers_as_an_uncached_search(data):
     mp = ms.PMatchoid(range(n), matroids)
     oracle = ms.ModularOracle(data.draw(st.lists(st.integers(0, 3), min_size=n,
                                                  max_size=n), label="weights"))
-    state = ms.SolutionState.empty(oracle)
+    state = ms.SolutionState.empty(oracle, mp)
     for _ in range(data.draw(st.integers(1, 8), label="steps")):
         queries = data.draw(st.lists(st.integers(0, n - 1), max_size=10), label="queries")
         for y in queries:
             if y not in state.nu:
-                assert ms.exchange_set(mp, y, state) == _exchange_by_definition(mp, y, state)
+                assert ms.exchange_set(y, state) == _exchange_by_definition(mp, y, state)
         index = state.index
         step = data.draw(st.sampled_from(("accept", "refresh")), label="step")
         if step == "refresh":
@@ -661,12 +669,10 @@ def test_signature_cache_answers_as_an_uncached_search(data):
             if not outside:
                 break
             x = data.draw(st.sampled_from(outside), label="x")
-            if _accept(state, mp, oracle, x) is None:
+            if _accept(state, oracle, x) is None:
                 continue
-            # the accept's search builds the index if no query did, and
-            # filing the accept forgets the answers
-            assert index is None or state.index is index
-            assert state.index.answers == {}
+            # the accept keeps the state's index and forgets its answers
+            assert state.index is index and index.answers == {}
             assert mp.feasible(state.members)
         # the same index, filing S and nu as they are now, serves only
         # exact answers, including those a refresh left
@@ -680,12 +686,10 @@ def _check_class_index(mp, state, n):
     compaction bound."""
     for y in range(n):
         if y not in state.nu:
-            assert ms.exchange_set(mp, y, state) == _exchange_by_definition(mp, y, state), y
+            assert ms.exchange_set(y, state) == _exchange_by_definition(mp, y, state), y
     index = state.index
-    if index is None:
-        return
-    # the index may still be the one built under a second constraint
-    signature_of = index.mp.signature_of
+    signature_of = index.signature_of
+    assert signature_of is mp.signature_of
     assert sorted(index.seq_of, key=index.seq_of.__getitem__) == list(state.nu)
     for slot, (count, heap, _) in index.classes.items():
         members = {e: v for e, v in state.nu.items() if slot in signature_of.get(e, ())}
@@ -698,7 +702,7 @@ def _check_class_index(mp, state, n):
 @given(st.data())
 def test_class_index_follows_long_churn(data):
     # a long run of insert, shortcut and walk accepts, public nu
-    # refreshes from any position, copies and queries under a second
+    # refreshes from any position, copies, and copies under a second
     # constraint, over uniform, partition and mixed p = 2 constraints with
     # monotone and non-monotone objectives; elements leave and come back,
     # so stale heap entries pile up where a class never fills
@@ -716,13 +720,13 @@ def test_class_index_follows_long_churn(data):
         arcs = data.draw(st.lists(st.tuples(vertex, vertex, st.integers(1, 3)),
                                   max_size=2 * n), label="arcs")
         oracle = ms.DirectedCutOracle(n, [arc for arc in arcs if arc[0] != arc[1]])
-    state = ms.SolutionState.empty(oracle)
+    state = ms.SolutionState.empty(oracle, mp)
     for _ in range(data.draw(st.integers(10, 60), label="steps")):
         step = data.draw(st.sampled_from(("accept",) * 6 + ("refresh", "copy", "other")),
                          label="step")
         outside = [y for y in range(n) if y not in state.nu]
         if step == "accept" and outside:
-            _accept(state, mp, oracle, data.draw(st.sampled_from(outside), label="x"))
+            _accept(state, oracle, data.draw(st.sampled_from(outside), label="x"))
             assert mp.feasible(state.members)
         elif step == "refresh":
             # a walk from any position refiles its members from the first
@@ -731,29 +735,29 @@ def test_class_index_follows_long_churn(data):
             start = data.draw(st.integers(0, len(state.nu)), label="start_pos")
             index = state.index
             before = dict(state.nu)
-            seqs = dict(index.seq_of) if index is not None else None
+            seqs = dict(index.seq_of)
             ms.recompute_nu(state, oracle, start)
             assert state.index is index
             order = list(state.nu)
             first = next((i for i, e in enumerate(order) if state.nu[e] != before[e]),
                          len(order))
             assert first >= start
-            if index is not None:
-                assert all(index.seq_of[e] == seqs[e] for e in order[:first])
-                assert all(index.seq_of[e] > max(seqs.values()) for e in order[first:])
-                assert first == len(order) or index.answers == {}
+            assert all(index.seq_of[e] == seqs[e] for e in order[:first])
+            assert all(index.seq_of[e] > max(seqs.values()) for e in order[first:])
+            assert first == len(order) or index.answers == {}
         elif step == "copy" and outside:
             # the copy goes its own way; the original must not follow it
-            copy = state.copy()
-            _accept(copy, mp, oracle, data.draw(st.sampled_from(outside), label="x"))
+            copy = state.copy(mp)
+            _accept(copy, oracle, data.draw(st.sampled_from(outside), label="x"))
             _check_class_index(mp, state, n)
             if data.draw(st.booleans(), label="keep copy"):
                 state = copy
         elif step == "other":
-            # S just fills one uniform matroid of new slots: every outsider
-            # must evict its smallest nu, whatever the index held before
+            # S just fills one uniform matroid of new slots: under it, every
+            # outsider must evict its smallest nu from a copy of the state,
+            # whatever the state's own index holds
             other = ms.PMatchoid(range(n), [ms.UniformMatroid(range(n), len(state.nu))])
-            _check_class_index(other, state, n)
+            _check_class_index(other, state.copy(other), n)
         _check_class_index(mp, state, n)
 
 
@@ -766,10 +770,10 @@ def test_a_class_that_never_fills_keeps_its_heap_bounded():
     partition = ms.PartitionMatroid(range(n), [], [])
     mp = ms.PMatchoid(range(n), [ms.UniformMatroid(range(n), 1), partition])
     oracle = ms.ModularOracle([0] * n)
-    state = ms.SolutionState.empty(oracle)
+    state = ms.SolutionState.empty(oracle, mp)
     lengths = []
     for step in range(40):
-        assert _accept(state, mp, oracle, step % n) is (step > 0)
+        assert _accept(state, oracle, step % n) is (step > 0)
         _check_class_index(mp, state, n)
         lengths.append(len(state.index.classes[(partition, -1)][1]))
     # a heap of count 1 grows by one stale entry per accept, up to the
@@ -935,13 +939,13 @@ def test_exchange_set_matches_the_scan_over_every_matroid():
         order = sorted(s)
         rng.shuffle(order)
         nu = {e: float(rng.randint(0, 3)) for e in order}
-        state = _state(order, nu)
+        state = _state(mp, order, nu)
         for _ in range(2):  # the second round reads the cached answers
             for y in range(12):
                 if y in nu:
                     continue
                 want = _exchange_set_scanning(mp, y, state)
-                assert ms.exchange_set(mp, y, state) == want, (trial, y)
+                assert ms.exchange_set(y, state) == want, (trial, y)
                 outcomes["loop" if want is None else "swap" if want else "empty"] += 1
     assert min(outcomes.values()) > 0, outcomes
 
@@ -993,16 +997,15 @@ def test_one_arrival_touches_at_most_p_of_a_thousand_matroids():
         for x in range(0, n, 3):
             del touched[:]
             index = runner.state.index
-            before = set(index.classes) if index is not None else set()
+            before = set(index.classes)
             runner.process(x)
             assert set(touched) <= {m for m, _ in mp.signature_of[x]}
             assert 0 < len(set(touched)) <= mp.p
-            # the first search builds the index, and every arrival keeps
-            # it, filing at most x's p slots; the last arrival's exchange
-            # walks, which changes no nu here, as f is modular
-            after = runner.state.index
-            assert after is not None and (index is None or after is index)
-            assert set(after.classes) - before <= set(mp.signature_of[x])
+            # the runner's state is built with its index, and every arrival
+            # keeps it, filing at most x's p slots; the last arrival's
+            # exchange walks, which changes no nu here, as f is modular
+            assert runner.state.index is index
+            assert set(index.classes) - before <= set(mp.signature_of[x])
         assert runner.evicted == {0: 1.0}
         s = set(runner.state.members)
         for x in (1, 500, 998):
@@ -1016,11 +1019,12 @@ def test_one_arrival_touches_at_most_p_of_a_thousand_matroids():
 
 
 def test_a_runner_builds_at_most_one_class_index(monkeypatch):
-    # the index a pass's first search builds is kept through every accept
-    # and nu walk of that pass, so each runner builds at most one; counted
-    # on a p = 2 matching under the deterministic driver, and on a directed
-    # cut whose buffer fills under the randomized one, where every
-    # exchange walks
+    # a runner's state builds its index as the runner starts and keeps it
+    # through every accept and nu walk of the pass, so each runner builds
+    # exactly one; counted on the binding ``SolutionState`` builds it
+    # through, on a p = 2 matching under the deterministic driver, and on a
+    # directed cut whose buffer fills under the randomized one, where
+    # every exchange walks
     builds, walks = [], []
 
     class CountingIndex(ms.matchoids.ClassIndex):
@@ -1036,7 +1040,7 @@ def test_a_runner_builds_at_most_one_class_index(monkeypatch):
         walks.append(args)
         return walk(*args)
 
-    monkeypatch.setattr(ms.matchoids, "ClassIndex", CountingIndex)
+    monkeypatch.setattr(ms.streaming, "ClassIndex", CountingIndex)
     monkeypatch.setattr(ms.streaming, "recompute_nu", counting_walk)
     inst = ms.generate_instance("bipartite-matching", 0, left=12, right=12, edges=90)
     built = inst.build_matchoid()
@@ -1044,7 +1048,7 @@ def test_a_runner_builds_at_most_one_class_index(monkeypatch):
     run = ms.multipass_run(inst.build_oracle(), mp, ms.stream_order(inst.n),
                            ms.Schedule.for_matchoid(mp), 4)
     assert mp.p == 2 and walks
-    assert 0 < len(builds) <= len(run.pass_results)
+    assert builds == [mp] * len(run.pass_results)
     del builds[:], walks[:]
     # one pass with a buffer of m = 256 over 600 arrivals
     inst = ms.generate_instance("directed-cut+matroid", 0, n=600, arcs=1800, capacity=16)
@@ -1053,4 +1057,4 @@ def test_a_runner_builds_at_most_one_class_index(monkeypatch):
                                   offline_mode="heuristic")
     assert any(row["buffer_peak"] == res.m for copy in res.copies
                for row in copy.pass_rows) and walks
-    assert 0 < len(builds) <= sum(len(copy.pass_results) for copy in res.copies)
+    assert len(builds) == sum(len(copy.pass_results) for copy in res.copies) > 0

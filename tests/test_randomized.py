@@ -157,7 +157,7 @@ def test_sweep_reevaluates_buffer_after_selection():
     # every survivor in the final buffer still clears the threshold
     state = out.state
     for y in out.buffer.members:
-        cx = ms.exchange_set(mp, y, state)
+        cx = ms.exchange_set(y, state)
         gain = oracle.peek(state.members | {y}) - state.f_s
         assert gain >= 0.5 + 2.0 * sum(state.nu[c] for c in cx) - TOL
     assert out.buffer.peak <= 2

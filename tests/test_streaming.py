@@ -269,7 +269,7 @@ def test_negative_parameters_rejected():
 
 def test_infeasible_initial_solution_rejected():
     oracle, mp = _modular_setup([1, 2])
-    bad = ms.SolutionState({0: 1.0, 1: 2.0}, 0.0)
+    bad = ms.SolutionState(mp, {0: 1.0, 1: 2.0}, 0.0)
     with pytest.raises(ms.PreconditionError):
         ms.streaming_pass(oracle, mp, [0, 1], bad)
 
@@ -281,7 +281,7 @@ def test_start_state_needs_an_evaluator_on_the_pass_oracle():
     oracle = ms.ModularOracle([2, 1, 1])
     mp = ms.PMatchoid(range(3), [ms.UniformMatroid(range(3), 3)])
     with pytest.raises(ms.PreconditionError):
-        ms.streaming_pass(oracle, mp, [0, 1, 2], ms.SolutionState({0: 2.0}, 0.0))
+        ms.streaming_pass(oracle, mp, [0, 1, 2], ms.SolutionState(mp, {0: 2.0}, 0.0))
     # alpha = 1.5 keeps element 0 (gain 2) alone: S = {0}, f(S) = 2
     first = ms.streaming_pass(ms.ModularOracle([2, 1, 1]), mp, [0, 1, 2], None, 1.5)
     with pytest.raises(ms.PreconditionError):
@@ -346,7 +346,7 @@ def test_start_state_evaluator_must_hold_its_members(held):
     # pass from it would end at 2.0 for a solution worth 4.0
     oracle = ms.ModularOracle([2, 1, 1])
     mp = ms.PMatchoid(range(3), [ms.UniformMatroid(range(3), 3)])
-    state = ms.SolutionState({0: 2.0}, 0.0, oracle.running(held, meter=False))
+    state = ms.SolutionState(mp, {0: 2.0}, 0.0, oracle.running(held, meter=False))
     with pytest.raises(ms.PreconditionError, match="another set"):
         ms.streaming_pass(oracle, mp, [0, 1, 2], state)
 
