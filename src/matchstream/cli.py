@@ -9,10 +9,11 @@ so one command builds either run verb's config by name.
 
 import argparse
 import json
+import os
 import sys
 
 from .baselines import brute_force_opt, offline_greedy
-from .errors import MatchstreamError, SizeError
+from .errors import ConfigError, MatchstreamError, SizeError
 from .experiments import (ExperimentConfig, report_rows, run_experiment,
                           summary_json, write_trace)
 from .instances import (FAMILIES, family_params, generate_instance,
@@ -79,6 +80,10 @@ def _add_run_nonmonotone(sub):
 def _cmd_run(args):
     config = ExperimentConfig(**{name: value for name, value in vars(args).items()
                                  if name in ExperimentConfig.__slots__})
+    # a file the run could not write is refused before the run, not after
+    for path in (config.trace, config.summary):
+        if path is not None and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise ConfigError(f"{path}: its directory does not exist")
     summary = run_experiment(config)
     if config.algorithm == "monotone-multipass" and not summary["monotone"]:
         print("warning: instance is flagged non-monotone; certified factors "

@@ -153,6 +153,7 @@ def _tally(totals, records):
             # every accept of a buffered pass is a draw
             totals["draws"] += res.accept_count
             totals["buffer_drops"] += res.buffer_drops
+            totals["screened"] += res.screened
             totals["subsets_examined"] += res.subsets_examined
             totals["bound_prunes"] += res.bound_prunes
 
@@ -170,10 +171,13 @@ def run_experiment(config):
     opt/f_final, which are None when the exact search could examine more
     than ``SUMMARY_OPT_BUDGET`` subsets. A randomized summary adds the
     buffer draws (``draws``, which are its accepts), the buffered
-    arrivals a re-screen dropped (``buffer_drops``), and the exact
-    offline solver's effort, ``subsets_examined`` and ``bound_prunes``
-    (0 in heuristic mode). The returned dict keeps its floats; the file holds ``summary_json``'s strict JSON, with "inf" for
-    an infinite factor.
+    arrivals a re-screen dropped (``buffer_drops``), the exact offline
+    solver's effort, ``subsets_examined`` and ``bound_prunes`` (0 in
+    heuristic mode), the per-arrival f(x | empty) measurements the guess
+    copies shared (``shared_calls``), and the threshold tests that value
+    answered with no call of a copy's own (``screened``). The returned
+    dict keeps its floats; the file holds ``summary_json``'s strict JSON,
+    with "inf" for an infinite factor.
     """
     started = time.perf_counter()
     inst = load_instance(config.instance)
@@ -221,7 +225,7 @@ def run_experiment(config):
         if config.replicates < 1:
             raise ConfigError("at least one replicate is required")
         f_bars = []
-        total_calls = peak_storage = 0
+        total_calls = shared_calls = peak_storage = 0
         for rep in range(config.replicates):
             oracle = inst.build_oracle()
             run = multipass_randomized(
@@ -229,6 +233,7 @@ def run_experiment(config):
                 seed=config.seed ^ rep, offline_mode=config.offline)
             f_bars.append(run.f_solution)
             total_calls += oracle.calls
+            shared_calls += run.shared_calls
             peak_storage = max(peak_storage, run.space_peak)
             for copy in run.copies:
                 rows.extend(copy.pass_rows)
@@ -248,6 +253,7 @@ def run_experiment(config):
             "gamma_off": run.gamma_off,
             "space_bound": run.space_bound,
             "oracle_calls": total_calls,
+            "shared_calls": shared_calls,
             "peak_storage": peak_storage,
         })
 

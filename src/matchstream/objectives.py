@@ -22,7 +22,9 @@ keeping the total and the statistics, with no call; it is sound only
 for a monotone f with f(A - elements) = f(A), and its docstring gives
 the argument. So a run's call count
 equals that of from-scratch evaluation, except where the streaming pass
-forgets instead of re-walking (see ``streaming``). The base evaluator
+forgets instead of re-walking (see ``streaming``), and where the
+randomized driver's guess copies share one f(x | empty) per arrival and
+skip the threshold tests it decides (see ``randomized``). The base evaluator
 re-evaluates through ``_evaluate``, so every subclass supports it
 unchanged; a subclass with cheaper per-set statistics overrides
 ``_running(members)`` to return its own ``RunningValue`` subclass,

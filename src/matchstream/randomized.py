@@ -28,6 +28,18 @@ physical pass over the stream. Each copy keeps one record, a
 ``LambdaCopyResult``, that the driver fills pass by pass with the
 finished runners; each runner meters its own oracle calls, so a copy's
 counts are its own even though the copies share one oracle.
+
+The copies also share one measurement per arrival. For a submodular f,
+f(x | S) <= f(x | empty) for every S (Minoux's lazy bound), so when two
+or more copies run, the driver measures f(x | empty) once per arrival on
+an empty running evaluator and hands it to every copy's threshold test:
+a copy whose S is empty takes it as its gain, and any other rejects x
+without a call when it falls below the bar by more than a rounding
+margin, as Sieve-Streaming (Badanidiyuru et al. 2014) screens by its
+threshold (``PassRunner._threshold``). Decisions are those of copies
+that measure every gain themselves; the shared calls are the driver's
+(``RandomizedRunResult.shared_calls``), and each runner counts the tests
+they answered as ``screened``.
 """
 
 import math
@@ -297,11 +309,17 @@ class LambdaCopyResult:
 
 
 class RandomizedRunResult:
+    """The randomized driver's answer and its copies. ``shared_calls``
+    counts the per-arrival f(x | empty) measurements the copies shared
+    (0 when they share none); the empty evaluator they are taken on
+    costs one more call."""
+
     __slots__ = ("solution", "f_solution", "copies", "grid", "passes_used",
-                 "space_peak", "space_bound", "d", "m", "gamma_off")
+                 "space_peak", "space_bound", "d", "m", "gamma_off",
+                 "shared_calls")
 
     def __init__(self, solution, f_solution, copies, grid, passes_used,
-                 space_peak, space_bound, d, m, gamma_off):
+                 space_peak, space_bound, d, m, gamma_off, shared_calls):
         self.solution = solution
         self.f_solution = f_solution
         self.copies = copies
@@ -312,6 +330,7 @@ class RandomizedRunResult:
         self.d = d
         self.m = m
         self.gamma_off = gamma_off
+        self.shared_calls = shared_calls
 
 
 def multipass_randomized(oracle, mp, stream, epsilon, passes=None, seed=0, *,
@@ -327,6 +346,16 @@ def multipass_randomized(oracle, mp, stream, epsilon, passes=None, seed=0, *,
     ``Schedule.for_matchoid(mp)`` steps the passes (harmonic at p = 1,
     also for a direct sum of several matroids), and each pass row reports
     that schedule's worst-case factor.
+
+    When two or more copies run and ``oracle.submodular`` holds, one empty
+    running evaluator (one call) measures f(x | empty) once per arrival
+    and pass, and every copy's threshold test gets that value: it is the
+    gain of a copy whose S is empty, and an upper bound on f(x | S) that
+    lets any other copy reject without a call. ``shared_calls`` counts
+    those measurements. The oracle's count is then n (the guess grid) +
+    one empty start per copy + 1 + ``shared_calls`` + the copies' row
+    counts. A single copy, or a ``TableOracle``, which need not be
+    submodular, shares nothing: ``shared_calls`` is 0 and the 1 drops.
 
     ``gamma_off`` reports the offline solver's factor; nothing in the run
     depends on it: 1 for the exact solver, and (p+1)^2/p, Sample Greedy's
@@ -366,7 +395,10 @@ def multipass_randomized(oracle, mp, stream, epsilon, passes=None, seed=0, *,
         alpha = eps_prime * lam / (2.0 * k) if (lam > 0.0 and k > 0) else 0.0
         copies.append(LambdaCopyResult(lam, alpha, seed ^ idx))
 
-    space_peak = 0
+    # the evaluator of the one f(x | empty) per arrival that every copy gets
+    empty = oracle.running(()) if len(copies) > 1 and oracle.submodular else None
+    single = None
+    space_peak = shared_calls = 0
     for i, (beta_i, gamma_i) in zip(range(1, d + 1), schedule.steps()):
         runners = [RandomizedPassRunner(oracle, mp, copy.state, copy.alpha,
                                         beta_i, m, copy.rng, debug=debug)
@@ -374,12 +406,16 @@ def multipass_randomized(oracle, mp, stream, epsilon, passes=None, seed=0, *,
         # the offline solutions change only between passes
         held_offline = sum(len(copy.s_prime) for copy in copies)
         for x in order:
+            if empty is not None:
+                single = empty.value_with(x) - empty.total
             total_stored = held_offline
             for runner in runners:
-                runner.process(x)
+                runner.process(x, single)
                 total_stored += runner.stored_current
             if total_stored > space_peak:
                 space_peak = total_stored
+        if empty is not None:
+            shared_calls += len(order)
         for copy, runner in zip(copies, runners):
             copy.add_pass(i, gamma_i, runner.finish(offline_mode))
 
@@ -389,4 +425,5 @@ def multipass_randomized(oracle, mp, stream, epsilon, passes=None, seed=0, *,
         grid=grid, passes_used=d + 1, space_peak=space_peak,
         space_bound=len(grid.lambdas) * (m + 3 * k), d=d, m=m,
         gamma_off=1.0 if offline_mode == "exact" else (p + 1) ** 2 / p,
+        shared_calls=shared_calls,
     )

@@ -41,7 +41,9 @@ import math
 from .errors import DomainError, PreconditionError, integers
 from .matchoids import LOOP, ClassIndex, exchange_set, scan_pick
 
-NU_TOL = 1e-9  # the debug checks' tolerance, relative to max(1, |f(S)|)
+# the debug checks' tolerance, relative to max(1, |f(S)|), and the
+# threshold screen's margin, relative to 1 + |f(S)|
+NU_TOL = 1e-9
 
 
 class SolutionState:
@@ -218,6 +220,9 @@ class PassRunner:
     its finish, not the building of its starting solution;
     ``shortcut_exchanges`` counts the exchanges that skipped the nu walk
     and ``zero_gain_accepts`` the accepts whose measured gain was exactly 0;
+    ``screened`` counts the threshold tests that a driver's shared
+    f(x | empty) answered with no call of the runner's own (see
+    ``_threshold``; 0 when no driver passes one);
     ``element_checks`` and ``accept_checks`` count the debug checks (zero
     without debug). A finished runner refuses further arrivals and a
     second finish, so a stored pass does not change.
@@ -255,13 +260,17 @@ class PassRunner:
         self.f_init = self.state.f_s
         self.f_final = None  # set by finish
         self.accept_count = self.reject_count = self.discard_count = 0
-        self.shortcut_exchanges = self.zero_gain_accepts = 0
+        self.shortcut_exchanges = self.zero_gain_accepts = self.screened = 0
         self._held = len(self.init_ids)  # the elements of init_ids | S
         self.stored_current = self.stored_peak = self._held
         self._finished = False
 
-    def process(self, x):
+    def process(self, x, single=None):
         """Discard, reject or admit one arrival.
+
+        ``single``, when given, is f(x | empty) as a driver measured it
+        once for every runner it feeds; ``_threshold`` uses it to skip
+        measurements whose outcome it already decides.
 
         The storage count is the elements held: the initial solution and
         S, which ``_held`` counts, the waiting arrivals, and x unless it
@@ -282,7 +291,7 @@ class PassRunner:
             if self.trace is not None:
                 _trace_write(self.trace, x, "discard", (), self.state)
         else:
-            ok, gain, cx = self._threshold(x)
+            ok, gain, cx = self._threshold(x, single)
             if ok:
                 self._admit(x, gain, cx)
             else:
@@ -329,17 +338,37 @@ class PassRunner:
                 "oracle_calls": self.oracle_calls,
                 "stored_elements": self.stored_peak}
 
-    def _threshold(self, x):
-        """(cleared, f(x | S), C_x) for x; a loop fails with no oracle call."""
+    def _threshold(self, x, single=None):
+        """(cleared, f(x | S), C_x) for x; a loop fails with no oracle call.
+
+        Given ``single`` = f(x | empty), measured once per arrival on an
+        empty running evaluator of a submodular f, the test may skip its
+        own call. When S is empty, f(x | S) is ``single``, the same
+        ``value_with - total`` arithmetic on an empty evaluator. Else
+        submodularity gives f(x | S) <= ``single``, so a ``single`` below
+        the bar by more than a rounding margin rejects x unmeasured (its
+        gain is None); the margin only decides whether to measure, and
+        every accept is the exact ``>=`` on a measured gain. Each test
+        so answered counts in ``screened``.
+        """
         state = self.state
         cx = exchange_set(x, state)
         if self.debug:
             self._check_exchange(x, cx)
         if cx is None:
             return False, None, ()
+        bar = self._bar(cx)
         evaluator = state.evaluator
-        gain = evaluator.value_with(x) - evaluator.total
-        return gain >= self._bar(cx), gain, cx
+        total = evaluator.total
+        if single is not None:
+            if not state.nu:
+                self.screened += 1
+                return single >= bar, single, cx
+            if single < bar - NU_TOL * (1.0 + abs(total)):
+                self.screened += 1
+                return False, None, cx
+        gain = evaluator.value_with(x) - total
+        return gain >= bar, gain, cx
 
     def _check_exchange(self, x, cx):
         """Debug check: ``cx``, served from the state's class index and

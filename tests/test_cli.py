@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import matchstream as ms
+from matchstream import experiments
 from matchstream.cli import main
 
 
@@ -138,7 +139,7 @@ def test_report_on_a_bad_summary_exits_2_naming_the_path(tmp_path, capsys, summa
     assert captured.err.startswith(f"error: {path}: ") and captured.out == ""
 
 
-def test_output_into_a_missing_directory_exits_2(tmp_path, capsys):
+def test_output_into_a_missing_directory_exits_2(tmp_path, capsys, monkeypatch):
     instance = str(tmp_path / "inst.json")
     summary = str(tmp_path / "s.json")
     assert main(["generate", "--family", "coverage+uniform", "--seed", "2",
@@ -146,12 +147,21 @@ def test_output_into_a_missing_directory_exits_2(tmp_path, capsys):
     assert main(["run-monotone", "--instance", instance, "--passes", "2",
                  "--summary", summary]) == 0
     capsys.readouterr()
+
+    # a run verb refuses the path before it solves anything
+    def entered(*args, **kwargs):
+        raise AssertionError("a driver ran before the output path was checked")
+
+    monkeypatch.setattr(experiments, "multipass_run", entered)
+    monkeypatch.setattr(experiments, "multipass_randomized", entered)
     missing = str(tmp_path / "missing" / "out")
     for argv in (["generate", "--family", "coverage+uniform", "--n", "8", "--out", missing],
                  ["run-monotone", "--instance", instance, "--passes", "2", "--trace", missing],
                  ["run-monotone", "--instance", instance, "--passes", "2", "--summary", missing],
                  ["run-nonmonotone", "--instance", instance, "--epsilon", "0.5",
                   "--passes", "1", "--trace", missing],
+                 ["run-nonmonotone", "--instance", instance, "--epsilon", "0.5",
+                  "--passes", "1", "--summary", missing],
                  ["report", summary, "--out", missing]):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err

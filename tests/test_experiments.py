@@ -347,22 +347,28 @@ def test_summaries_count_evictions_draws_and_drops(tmp_path):
     assert set(summary) == MONOTONE_SUMMARY_KEYS | {
         "f_bar_mean", "f_bar_stddev", "replicates", "lambda_grid", "m",
         "gamma_off", "space_bound", "draws", "buffer_drops",
-        "subsets_examined", "bound_prunes"}
+        "subsets_examined", "bound_prunes", "shared_calls", "screened"}
     # the heuristic offline mode runs no exact search
     assert summary["subsets_examined"] == summary["bound_prunes"] == 0
     inst = ms.load_instance(single)
-    drops = 0
+    drops = shared = screened = 0
     for rep in range(2):
         run = ms.multipass_randomized(inst.build_oracle(), inst.build_matchoid(),
                                       range(inst.n), 0.5, 1, seed=4 ^ rep,
                                       offline_mode="heuristic")
         drops += sum(res.buffer_drops for copy in run.copies
                      for res in copy.pass_results)
+        shared += run.shared_calls
+        screened += sum(res.screened for copy in run.copies
+                        for res in copy.pass_results)
     assert summary["buffer_drops"] == drops > 0
+    # one guess copy at rank 1: it shares nothing
+    assert summary["shared_calls"] == shared == 0
+    assert summary["screened"] == screened == 0
+    keys = ("evictions", "draws", "buffer_drops", "shared_calls", "screened")
     with open(config.summary, encoding="utf-8") as fh:
         written = json.loads(fh.read(), parse_constant=_refuse_constant)
-    assert [written[key] for key in ("evictions", "draws", "buffer_drops")] == \
-        [summary[key] for key in ("evictions", "draws", "buffer_drops")]
+    assert [written[key] for key in keys] == [summary[key] for key in keys]
 
 
 def test_randomized_summary_reports_the_exact_solvers_effort(tmp_path):
@@ -385,3 +391,21 @@ def test_randomized_summary_reports_the_exact_solvers_effort(tmp_path):
             (search.subsets_examined, search.bound_prunes)
     assert summary["subsets_examined"] == sum(r.subsets_examined for r in records) > 0
     assert summary["bound_prunes"] == sum(r.bound_prunes for r in records) > 0
+
+
+def test_randomized_summary_reports_the_shared_singleton_gains(tmp_path):
+    # a 40-vertex cut under capacity 4: several guess copies share one
+    # f(x | empty) per arrival and pass, and the summary counts those
+    # calls and the tests they answered as a direct driver call does
+    path = _write_instance(tmp_path, "directed-cut+matroid", 1, n=40, capacity=4)
+    config = ms.ExperimentConfig(path, "nonmonotone-randomized", epsilon=0.5,
+                                 passes=2, offline="heuristic", seed=2)
+    summary = ms.run_experiment(config)
+    inst = ms.load_instance(path)
+    run = ms.multipass_randomized(inst.build_oracle(), inst.build_matchoid(),
+                                  range(inst.n), 0.5, 2, seed=2,
+                                  offline_mode="heuristic")
+    assert len(run.copies) > 1
+    assert summary["shared_calls"] == run.shared_calls == 2 * inst.n
+    assert summary["screened"] == sum(res.screened for copy in run.copies
+                                      for res in copy.pass_results) > 0

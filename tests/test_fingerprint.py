@@ -43,7 +43,7 @@ import matchstream as ms
 import _corpus
 
 DECISIONS = "69fe4a10657a6531f3a4c13531b1232867ea0f4f97c924f092962326eaa3cf55"
-METERING = "2ebc25c9ecc8e87c95d87b63aef7b839bb18c91fee2ba06d2558bc8dfb458a54"
+METERING = "6c310ca1fcc8487c3cd4de8a01754079af074ebc6d9139c628e15c9c785d3a0d"
 METERED_KEYS = ("calls", "oracle_calls")
 
 FAMILIES = (_corpus.coverage_uniform, _corpus.coverage_partition,

@@ -514,8 +514,63 @@ def test_guess_copies_meter_their_own_calls():
         rows = [row["oracle_calls"] for row in copy.pass_rows]
         assert [res.oracle_calls for res in copy.pass_results] == rows
         row_calls += sum(rows)
-    # the singleton scan, one empty start per copy, then the passes
-    assert oracle.calls == inst.n + len(run.copies) + row_calls
+    # the singleton scan, one empty start per copy, the shared empty
+    # evaluator and its one f(x | empty) per arrival and pass, then the
+    # copies' own calls
+    assert run.shared_calls == run.d * inst.n
+    assert oracle.calls == (inst.n + len(run.copies) + 1 + run.shared_calls
+                            + row_calls)
+
+
+def test_a_single_copy_or_a_table_shares_nothing():
+    # one guess copy has no one to share with, and a table objective need
+    # not be submodular, so its singleton gain bounds nothing
+    mp = ms.PMatchoid(range(2), [ms.UniformMatroid(range(2), 1)])
+    oracle = ms.ModularOracle([5, 2])
+    run = ms.multipass_randomized(oracle, mp, [0, 1], 0.5, passes=1)
+    assert len(run.copies) == 1 and run.shared_calls == 0
+    assert run.copies[0].pass_results[0].screened == 0
+
+    table = ms.TableOracle(3, [0, 4, 1, 4, 2, 6, 3, 7])
+    mp = ms.PMatchoid(range(3), [ms.UniformMatroid(range(3), 2)])
+    run = ms.multipass_randomized(table, mp, [0, 1, 2], 0.5, passes=1)
+    assert len(run.copies) > 1 and run.shared_calls == 0
+    assert all(res.screened == 0 for copy in run.copies
+               for res in copy.pass_results)
+
+
+def test_copies_with_empty_solutions_make_no_threshold_calls(monkeypatch):
+    # a complete digraph on 12 vertices under a rank-4 matroid: the buffer
+    # of m = 256 never fills, so no copy draws and every S stays empty;
+    # each arrival then costs one shared call and none of any copy's own
+    inst = ms.generate_instance("directed-cut+matroid", 4, n=12, arcs=132,
+                                capacity=4)
+    oracle = inst.build_oracle()
+    threshold_calls = []
+    process = ms.RandomizedPassRunner.process
+
+    def metered(runner, x, single=None):
+        calls = oracle.calls
+        process(runner, x, single)
+        threshold_calls.append(oracle.calls - calls)
+
+    monkeypatch.setattr(ms.RandomizedPassRunner, "process", metered)
+    run = ms.multipass_randomized(oracle, inst.build_matchoid(),
+                                  ms.stream_order(inst.n), 0.5,
+                                  offline_mode="heuristic")
+    copies = len(run.copies)
+    assert copies > 1 and run.m == 256
+    assert len(threshold_calls) == run.d * copies * inst.n
+    assert not any(threshold_calls)
+    assert run.shared_calls == run.d * inst.n
+    for copy in run.copies:
+        for res in copy.pass_results:
+            assert not res.state.nu and res.accept_count == 0
+            assert res.screened == inst.n
+    row_calls = sum(res.oracle_calls for copy in run.copies
+                    for res in copy.pass_results)
+    assert oracle.calls == (inst.n + copies + 1 + run.shared_calls
+                            + row_calls)
 
 
 @st.composite
@@ -567,6 +622,103 @@ def test_randomized_results_hold_on_float_weights(case):
             check(res.solution, res.f_final)
             check(res.s_prime, res.f_s_prime)
     assert run.space_peak <= run.space_bound
+
+
+def test_a_screen_within_rounding_of_the_bar_measures():
+    # S = {0} holds f(S) = 3.0, and x = 2 has no arc to or from 0, so
+    # f(x | S) = f(x | empty) = 0.1; but the running evaluator measures
+    # (3.0 + 0.1) - 3.0, one ulp above the shared 0.1. With the bar at
+    # that measured value, only a screen with a rounding margin reaches
+    # the measurement, and the arrival clears as a copy that measures
+    # every gain finds it does
+    oracle = ms.DirectedCutOracle(3, [(0, 1, 3.0), (2, 1, 0.1)])
+    mp = ms.PMatchoid(range(3), [ms.UniformMatroid(range(3), 2)])
+    state = ms.SolutionState.empty(oracle, mp)
+    state.accept(0, frozenset(), oracle, 3.0)
+    measured = (3.0 + 0.1) - 3.0
+    assert measured > 0.1
+    for single in (None, 0.1):
+        runner = ms.RandomizedPassRunner(oracle, mp, state, measured, 1.0, 3,
+                                         Random(0), debug=True)
+        runner.process(2, single)
+        assert runner.waiting == {2: (measured, frozenset())}
+        assert runner.screened == 0
+
+
+def _guess_copy_passes(oracle, mp, order, epsilon, d, m, seed, shared):
+    """``multipass_randomized``'s guess copies and passes, driven here:
+    with ``shared``, one f(x | empty) per arrival goes to every copy as the
+    driver passes it; without, each copy measures its own gains
+    (``process(x)`` alone). Returns the copies."""
+    k = mp.rank_k
+    eps_prime = epsilon / mp.p
+    grid = ms.guess_grid(oracle, mp.fitting((), order), k)
+    copies = [ms.LambdaCopyResult(lam, eps_prime * lam / (2.0 * k)
+                                  if lam > 0.0 and k > 0 else 0.0, seed ^ idx)
+              for idx, lam in enumerate(grid.lambdas)]
+    empty = oracle.running(()) if shared else None
+    single = None
+    steps = ms.Schedule.for_matchoid(mp).steps()
+    for i, (beta, gamma) in zip(range(1, d + 1), steps):
+        runners = [ms.RandomizedPassRunner(oracle, mp, copy.state, copy.alpha,
+                                           beta, m, copy.rng, debug=True)
+                   for copy in copies]
+        for x in order:
+            if empty is not None:
+                single = empty.value_with(x) - empty.total
+            for runner in runners:
+                runner.process(x, single)
+        for copy, runner in zip(copies, runners):
+            copy.add_pass(i, gamma, runner.finish("exact"))
+    return copies
+
+
+def _decisions(copies):
+    """Everything the copies chose, with every call count dropped."""
+    return [([{key: value for key, value in row.items() if key != "oracle_calls"}
+              for row in copy.pass_rows],
+             [(list(res.state.nu), list(res.buffer.members), res.s_prime,
+               res.f_s_prime, res.f_final, res.buffer_drops, sorted(res.evicted.items()))
+              for res in copy.pass_results],
+             copy.solution, copy.f_best)
+            for copy in copies]
+
+
+def _screened(copies):
+    return sum(res.screened for copy in copies for res in copy.pass_results)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_float_weight_cases())
+def test_shared_singleton_gains_change_no_decision_on_float_weights(case):
+    oracle, _, mp, stream, m, seed = case
+    n = len(stream)
+
+    # the driver against copies that each measure their own gains
+    calls = oracle.calls
+    run = ms.multipass_randomized(oracle, mp, stream, 0.5, passes=2,
+                                  seed=seed, offline_mode="exact", debug=True)
+    driver_calls = oracle.calls - calls
+    calls = oracle.calls
+    own = _guess_copy_passes(oracle, mp, stream, 0.5, 2, run.m, seed, False)
+    own_calls = oracle.calls - calls
+    assert _decisions(run.copies) == _decisions(own)
+    assert _screened(own) == 0
+    assert driver_calls <= own_calls
+    # each test the shared value answered is one call a copy did not make
+    shared = 1 + run.shared_calls if run.shared_calls else 0
+    assert own_calls - (driver_calls - shared) == _screened(run.copies)
+
+    # buffers of 1-3 fill, so draws happen and copies test arrivals
+    # against a non-empty S, where the screen rejects unmeasured
+    calls = oracle.calls
+    screened = _guess_copy_passes(oracle, mp, stream, 0.5, 2, m, seed, True)
+    screened_calls = oracle.calls - calls
+    calls = oracle.calls
+    own = _guess_copy_passes(oracle, mp, stream, 0.5, 2, m, seed, False)
+    own_calls = oracle.calls - calls
+    assert _decisions(screened) == _decisions(own)
+    assert own_calls - (screened_calls - 1 - 2 * n) == _screened(screened)
 
 
 def test_direct_sum_of_matroids_runs_the_harmonic_schedule():
