@@ -82,7 +82,11 @@ def _cmd_run(args):
                                  if name in ExperimentConfig.__slots__})
     # a file the run could not write is refused before the run, not after
     for path in (config.trace, config.summary):
-        if path is not None and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        if path is None:
+            continue
+        if os.path.isdir(path):
+            raise ConfigError(f"{path}: is a directory, not a file")
+        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
             raise ConfigError(f"{path}: its directory does not exist")
     summary = run_experiment(config)
     if config.algorithm == "monotone-multipass" and not summary["monotone"]:

@@ -274,8 +274,12 @@ def run_experiment(config):
 
 def report_rows(summary_paths):
     """Aggregate summaries (and their traces) into a factor-vs-pass table.
-    A summary, or the trace it names, that cannot be read or parsed, or a
-    summary that is not a JSON object, raises ``ConfigError`` naming it."""
+    A summary with ``"trace": null`` gives one row, its last pass; one
+    that names a trace gives a row per pass of that trace, whose path is
+    read as written (relative to the working directory). A summary, or
+    the trace it names, that is missing or cannot be read or parsed, or a
+    summary that is not a JSON object, raises ``ConfigError`` naming the
+    summary (and the trace)."""
     columns = ("instance", "algorithm", "pass", "f_S", "gamma_certified", "ratio")
     rows = []
     for path in summary_paths:
@@ -286,7 +290,9 @@ def report_rows(summary_paths):
                 raise ValueError("not a JSON object")
             opt = summary.get("opt_value")
             trace = summary.get("trace")
-            if trace and os.path.exists(trace):
+            if trace:
+                if not os.path.isfile(trace):
+                    raise ValueError(f"the trace it names, {trace}, is not a file")
                 with open(trace, "r", encoding="utf-8", newline="") as fh:
                     for rec in csv.DictReader(fh):
                         f_s = float(rec["f_S"]) if rec.get("f_S") else None

@@ -25,16 +25,17 @@ candidates. Every class with a non-None key is a capacity class
 (``Matroid.class_capacity``): S + x is dependent there exactly when S
 holds at least the capacity of x's class, and the candidates are then
 S's members in that class. The ``ClassIndex`` kept beside S is the one
-owner of these answers. With a count and a lazy min-heap of ``(nu,
-arrival seq, member)`` per slot, it answers "full?" and "which member?"
-in amortised O(log k), with no scan of S. The whole answer depends on x
-only through its signature when every key in it is non-None, and the
-index keeps it per signature in ``ClassIndex.answers`` until S changes,
-so between two accepts each such signature is answered once, not once
-per arrival. A state serves one constraint, and builds its index under
-it when the state is built: ``SolutionState.accept`` files every
-accept, and a nu walk refiles each member from the first whose nu it
-changes. Each forgets the answers.
+owner of these answers. It keeps each slot's members of S as a sorted
+list of ``(nu, arrival seq, member)`` entries, so it answers "full?" and
+"which member?" from the list's length and first entry, with no scan of
+S; filing a member costs O(log k) comparisons plus an O(k) list shift
+per slot. The whole answer depends on x only through its signature when
+every key in it is non-None, and the index keeps it per signature in
+``ClassIndex.answers`` until S changes, so between two accepts each such
+signature is answered once, not once per arrival. A state serves one
+constraint, and builds its index under it when the state is built:
+``SolutionState.accept`` files every accept, and a nu walk refiles each
+member from the first whose nu it changes. Each forgets the answers.
 Slots keyed None are searched by ``scan_pick``, which scans S with
 ``swap_candidates``. By the same contract, ``PMatchoid.fitting``
 screens a batch of elements against one feasible set with one
@@ -42,8 +43,8 @@ independence test per slot, not per element.
 """
 
 import functools
-import heapq
 import math
+from bisect import bisect_left, insort
 
 from .baselines import compute_rank
 from .errors import InfeasibilityError, PreconditionError, integer, integers
@@ -91,7 +92,7 @@ class Matroid:
         class, and is otherwise exactly those members. So two elements
         of one class get the same candidates. ``element_index`` files
         each element under its class; ``exchange_set`` relies on the
-        contract to count and heap each class's members of S in a
+        contract to keep each class's members of S sorted by nu in a
         ``ClassIndex``, and to reuse one exchange set for every arrival
         with the same signature. It is read once, when a ``PMatchoid`` is
         built, which refuses blocks that do not partition the ground
@@ -345,25 +346,19 @@ class PMatchoid:
 # stands for "no exchange admits x" in a pick: {x} is dependent
 LOOP = object()
 
-# a class's heap is compacted once it holds more than twice its live
-# entries plus this many
-HEAP_SLACK = 8
-
 
 class ClassIndex:
     """S's members per capacity class under one ``PMatchoid``, kept beside
     S as ``SolutionState.index``, and the exchange sets answered from it.
 
-    ``signature_of`` is the constraint's ``PMatchoid.signature_of``, and
-    ``seq_of`` gives each member of S an arrival number, increasing in
-    the key order of ``state.nu``. ``classes`` maps a ``(matroid, class)``
-    slot with a non-None key to ``[count, heap, capacity]``: the count
-    |S ∩ class|, a min-heap of ``(nu, seq, member)`` entries, and the
-    class capacity, read on the slot's first ``pick``. An entry is live
-    while ``seq_of`` still maps its member to its seq. A member's
-    entries go stale when it leaves S; a stale top is popped by
-    ``pick``, and a heap longer than 2 * count + ``HEAP_SLACK`` is
-    compacted, so a class that never fills holds few stale entries.
+    ``signature_of`` is the constraint's ``PMatchoid.signature_of``.
+    ``entry_of`` maps each member of S to its entry ``(nu, seq, member)``,
+    where seq is an arrival number, increasing in the key order of
+    ``state.nu``. ``classes`` maps a ``(matroid, class)`` slot with a
+    non-None key to ``(entries, capacity)``: the entries of exactly S's
+    members in that class, kept sorted, and the class capacity, read when
+    the class's first member is filed. So the first entry is the member
+    with the smallest nu, the earliest arrival among equals.
     ``answers`` maps a signature whose keys are all non-None to the
     exchange set ``exchange_set`` found for it; ``add`` and ``remove``
     forget them all. Every change of S or nu must reach the index: a
@@ -371,11 +366,11 @@ class ClassIndex:
     removes and re-adds each member from the first whose nu it changes.
     """
 
-    __slots__ = ("signature_of", "seq_of", "classes", "answers", "next_seq")
+    __slots__ = ("signature_of", "entry_of", "classes", "answers", "next_seq")
 
     def __init__(self, mp, nu):
         self.signature_of = mp.signature_of
-        self.seq_of = {}
+        self.entry_of = {}
         self.classes = {}
         self.answers = {}
         self.next_seq = 0
@@ -384,39 +379,29 @@ class ClassIndex:
 
     def add(self, e, v):
         """File e with nu = v after every filed member, as S's new last
-        member or a walk's next refile: amortised O(p log k)."""
+        member or a walk's next refile: per slot, O(log k) comparisons
+        and an O(k) list shift."""
         self.answers.clear()
-        seq = self.next_seq
-        self.next_seq = seq + 1
-        self.seq_of[e] = seq
-        entry = (v, seq, e)
+        entry = self.entry_of[e] = (v, self.next_seq, e)
+        self.next_seq += 1
         classes = self.classes
         for slot in self.signature_of.get(e, ()):
             if slot[1] is not None:
                 cls = classes.get(slot)
                 if cls is None:
-                    classes[slot] = [1, [entry], None]
-                else:
-                    cls[0] += 1
-                    heapq.heappush(cls[1], entry)
+                    cls = classes[slot] = ([], slot[0].class_capacity(slot[1]))
+                insort(cls[0], entry)
 
     def remove(self, e):
-        """Unfile e, which leaves S or is refiled, in amortised O(p): its
-        entries go stale, and a heap left longer than 2 * count +
-        HEAP_SLACK drops its stale entries. Only here can a heap pass that
-        bound: ``add`` raises the bound by 2 per entry it pushes."""
+        """Unfile e, which leaves S or is refiled: per slot, O(log k)
+        comparisons find its entry and an O(k) list shift deletes it."""
         self.answers.clear()
-        seq_of = self.seq_of
-        del seq_of[e]
+        entry = self.entry_of.pop(e)
         classes = self.classes
         for slot in self.signature_of.get(e, ()):
             if slot[1] is not None:
-                cls = classes[slot]
-                count = cls[0] = cls[0] - 1
-                heap = cls[1]
-                if len(heap) > 2 * count + HEAP_SLACK:
-                    heap[:] = [t for t in heap if seq_of.get(t[2]) == t[1]]
-                    heapq.heapify(heap)
+                entries = classes[slot][0]
+                del entries[bisect_left(entries, entry)]
 
     def pick(self, slot):
         """An outsider's pick in its class ``slot``: None when S holds fewer
@@ -424,22 +409,12 @@ class ClassIndex:
         the earliest arrival among equals, as ``scan_pick`` finds it. A
         full class with no member (capacity 0) makes every arrival a
         loop, and gives ``LOOP``."""
-        cls = self.classes.get(slot)
-        if cls is None:
-            cls = self.classes[slot] = [0, [], None]
-        count, heap, capacity = cls
-        if capacity is None:
-            matroid, key = slot
-            capacity = cls[2] = matroid.class_capacity(key)
-        if count < capacity:
+        # a class none of whose members was ever filed is empty
+        entries, capacity = (self.classes.get(slot)
+                             or ((), slot[0].class_capacity(slot[1])))
+        if len(entries) < capacity:
             return None
-        seq_of = self.seq_of
-        while heap:
-            _, seq, e = heap[0]
-            if seq_of.get(e) == seq:
-                return e
-            heapq.heappop(heap)
-        return LOOP
+        return entries[0][2] if entries else LOOP
 
 
 def scan_pick(matroid, x, nu):
@@ -480,8 +455,9 @@ def exchange_set(x, state):
     axiom and raises ``InfeasibilityError``.
 
     A slot with a non-None key is answered by the state's
-    ``ClassIndex`` (``state.index``, built with the state) in amortised
-    O(log k), with no scan of S. A slot keyed None is searched by
+    ``ClassIndex`` (``state.index``, built with the state) in O(1), from
+    the length and first entry of the class's sorted list, with no scan
+    of S. A slot keyed None is searched by
     ``scan_pick``. The answer is a function of (the state's constraint,
     x, S, nu) alone, and by the ``swap_classes`` contract it depends on x
     only through x's signature once every key in it is non-None; the

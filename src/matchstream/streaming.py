@@ -16,7 +16,8 @@ A state serves one constraint. Beside S it keeps what ``exchange_set``
 needs (see ``matchoids``): a ``ClassIndex`` of S's members per capacity
 class under that constraint, which also holds the answers per
 signature. The state is built with its index, and a ``copy`` builds its
-own: every accept files its evictions and x in O(p log k) each, and a
+own: every accept files its evictions and x, each in O(log k)
+comparisons plus an O(k) list shift per slot of its signature, and a
 walk refiles its members from the first whose nu it changes. Only
 ``accept`` and ``recompute_nu`` change S or nu.
 

@@ -126,17 +126,22 @@ def test_report_prints_table(tmp_path, capsys):
     ("not json", None),
     ("[1, 2]", None),
     ('{"trace": "TRACE"}', "f_S\n1.0\n"),
-], ids=["missing-file", "not-json", "document-list", "trace-without-pass"])
+    # the summary's own row is no stand-in for the passes of its trace
+    ('{"trace": "TRACE", "f_final": 1.0, "passes": 3}', None),
+], ids=["missing-file", "not-json", "document-list", "trace-without-pass",
+        "trace-missing"])
 def test_report_on_a_bad_summary_exits_2_naming_the_path(tmp_path, capsys, summary, trace):
     path = tmp_path / "s.json"
+    trace_path = str(tmp_path / "t.csv")
     if trace is not None:
         (tmp_path / "t.csv").write_text(trace)
-        summary = summary.replace("TRACE", str(tmp_path / "t.csv"))
     if summary is not None:
-        path.write_text(summary)
+        path.write_text(summary.replace("TRACE", trace_path))
     assert main(["report", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {path}: ") and captured.out == ""
+    if summary is not None and "TRACE" in summary and trace is None:
+        assert trace_path in captured.err
 
 
 def test_output_into_a_missing_directory_exits_2(tmp_path, capsys, monkeypatch):
@@ -167,6 +172,17 @@ def test_output_into_a_missing_directory_exits_2(tmp_path, capsys, monkeypatch):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and missing in err, argv
     assert not (tmp_path / "missing").exists()
+    # an existing directory is no file to write either
+    directory = str(tmp_path)
+    for argv in (["run-monotone", "--instance", instance, "--passes", "2", "--trace", directory],
+                 ["run-monotone", "--instance", instance, "--passes", "2", "--summary", directory],
+                 ["run-nonmonotone", "--instance", instance, "--epsilon", "0.5",
+                  "--passes", "1", "--trace", directory],
+                 ["run-nonmonotone", "--instance", instance, "--epsilon", "0.5",
+                  "--passes", "1", "--summary", directory]):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {directory}: ") and "directory" in err, argv
 
 
 def test_bad_inputs_exit_nonzero(tmp_path, capsys):

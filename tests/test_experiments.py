@@ -263,6 +263,13 @@ def test_report_aggregates_summaries(tmp_path):
     assert len(rows) == 4
     assert rows[-1]["ratio"] == pytest.approx(
         json.loads(Path(summary_path).read_text(encoding="utf-8"))["ratio"])
+    # a summary written without a trace gives its last pass's row alone
+    ms.run_experiment(ms.ExperimentConfig(instance=instance,
+                                          algorithm="monotone-multipass",
+                                          schedule="matroid", passes=4,
+                                          summary=summary_path))
+    (row,) = ms.report_rows([summary_path])[1]
+    assert row["pass"] == 4 and row["f_S"] == rows[-1]["f_S"]
 
 
 

@@ -1,5 +1,5 @@
-"""Behaviour fingerprint: two SHA-256 hashes over what the drivers do on
-the corpus.
+"""Behaviour fingerprint: SHA-256 hashes over what the drivers do on the
+corpus, and on one randomized run whose buffers fill.
 
 For every ``_corpus`` family and seeds 0-5 the test records
 
@@ -25,13 +25,21 @@ So a change that only meters differently (fewer oracle calls for the
 same choices) moves ``METERING`` alone, and a change in what the drivers
 choose moves ``DECISIONS``.
 
+The corpus's ``multipass_randomized`` buffers never fill, so every guess
+copy there keeps S empty. ``BUFFERED`` hashes the decisions of one
+multi-copy run on a 300-vertex cut whose buffers fill and whose copies
+accept: each copy's pass rows without the metered keys, its streaming
+and offline solutions and their values, and the run's answer. It pins
+the threshold tests made against a non-empty S, where the copies' shared
+f(x | empty) may answer a test without a call.
+
 Floats are written with ``float.hex``, so a change in the last bit of
 any value changes a hash. A refactor that claims "same behaviour" keeps
-both pinned hashes. To regenerate them, run
+every pinned hash. To regenerate them, run
 
     PYTHONPATH=src python tests/test_fingerprint.py
 
-which prints the two hashes of the current code. A change that moves one
+which prints the three hashes of the current code. A change that moves one
 on purpose must say why in CHANGES.md when it re-pins it.
 """
 
@@ -44,6 +52,7 @@ import _corpus
 
 DECISIONS = "69fe4a10657a6531f3a4c13531b1232867ea0f4f97c924f092962326eaa3cf55"
 METERING = "6c310ca1fcc8487c3cd4de8a01754079af074ebc6d9139c628e15c9c785d3a0d"
+BUFFERED = "47e28cdfd89bc5bdd024ed6b5db651986f45052e084c47401f32aac437325a2a"
 METERED_KEYS = ("calls", "oracle_calls")
 
 FAMILIES = (_corpus.coverage_uniform, _corpus.coverage_partition,
@@ -153,8 +162,27 @@ def fingerprint():
     return _sha(decisions), _sha(metering)
 
 
+def buffered_fingerprint():
+    """Decisions hash of the buffered multi-copy run: no metered value."""
+    inst = ms.generate_instance("directed-cut+matroid", 3, n=300, capacity=3)
+    oracle, mp = inst.build_oracle(), inst.build_matchoid()
+    run = ms.multipass_randomized(oracle, mp, ms.stream_order(inst.n, 3), 0.5,
+                                  passes=2, seed=11, offline_mode="heuristic")
+    record = {"copies": [{"rows": copy.pass_rows,
+                          "solution": list(copy.state.nu), "f": copy.f_s,
+                          "s_prime": copy.s_prime, "f_s_prime": copy.f_s_prime}
+                         for copy in run.copies],
+              "solution": run.solution, "f": run.f_solution,
+              "space_peak": run.space_peak}
+    return _sha(_split(_plain(record), "", []))
+
+
 def test_behaviour_fingerprint_is_pinned():
     assert fingerprint() == (DECISIONS, METERING)
+
+
+def test_buffered_run_fingerprint_is_pinned():
+    assert buffered_fingerprint() == BUFFERED
 
 
 def test_split_keeps_every_field():
@@ -165,4 +193,4 @@ def test_split_keeps_every_field():
 
 
 if __name__ == "__main__":
-    print("\n".join(fingerprint()))
+    print("\n".join((*fingerprint(), buffered_fingerprint())))

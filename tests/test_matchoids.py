@@ -1,5 +1,6 @@
 """Matroid oracles, p-matchoid composition, rank, and the exchange rule."""
 
+import math
 from itertools import combinations
 from random import Random
 
@@ -480,7 +481,7 @@ def test_cached_exchange_sets_match_the_definition():
     # branches; every non-member is asked twice after every step, the
     # second time from the signature cache when its keys are all non-None;
     # every accept keeps the index the state was built with, a walk's
-    # included
+    # included, and leaves each class list holding exactly S's members
     rng = Random(43)
     branches = {"insert": 0, "shortcut": 0, "walk": 0}
     hits = 0
@@ -508,8 +509,7 @@ def test_cached_exchange_sets_match_the_definition():
             assert mp.feasible(state.members)
             branch = "shortcut" if skipped else "walk" if evicting else "insert"
             branches[branch] += 1
-            if branch == "walk":
-                _check_class_index(mp, state, 12)
+            _check_class_index(mp, state, 12)
     assert min(branches.values()) > 0, branches
     assert hits > 0
 
@@ -528,33 +528,33 @@ def test_swap_picks_follow_the_state():
         assert state.index is index and index.answers == {}
     assert list(state.nu) == [0, 4]
     assert ms.exchange_set(3, state) == {0}
-    # the answer for the signature, and the class count and heap behind it:
+    # the answer for the signature, and the sorted class list behind it:
     # 4 was filed at seq 3 with its measured gain, which the walk left as
-    # it was (f is modular), and the search popped the stale top 2 left
+    # it was (f is modular); 1 and 2 left the list as they were evicted
     signature = ((uniform, 0),)
-    heap = [(3.0, 0, 0), (5.0, 3, 4)]
+    entries = [(3.0, 0, 0), (5.0, 3, 4)]
     assert mp.signature_of[3] is mp.signature_of[5] == signature
     assert state.index.answers == {signature: frozenset({0})}
     assert ms.exchange_set(5, state) is state.index.answers[signature]
-    assert state.index.classes[(uniform, 0)] == [2, heap, 2]
+    assert state.index.classes[(uniform, 0)] == (entries, 2)
     # a copy builds its own index: the same members and nu, filed afresh
-    # in arrival order, in heap lists of its own, and no answers yet
+    # in arrival order, in lists of its own, and no answers yet
     copy = state.copy(mp)
     assert copy.index is not state.index and copy.index.answers == {}
-    assert copy.index.classes == {(uniform, 0): [2, [(3.0, 0, 0), (5.0, 1, 4)], None]}
+    assert copy.index.classes == {(uniform, 0): ([(3.0, 0, 0), (5.0, 1, 4)], 2)}
     assert ms.exchange_set(5, copy) == {0}
     assert copy.index.answers == {signature: frozenset({0})}
     assert copy.index.answers is not state.index.answers
-    assert copy.index.classes[(uniform, 0)][1] is not state.index.classes[(uniform, 0)][1]
-    copy.index.classes[(uniform, 0)][1].insert(0, (0.0, 1, 4))
+    assert copy.index.classes[(uniform, 0)][0] is not state.index.classes[(uniform, 0)][0]
+    copy.index.classes[(uniform, 0)][0].insert(0, (0.0, 1, 4))
     copy.index.answers[signature] = frozenset({4})
     assert state.index.answers == {signature: frozenset({0})}
-    assert state.index.classes[(uniform, 0)] == [2, heap, 2]
+    assert state.index.classes[(uniform, 0)] == (entries, 2)
     assert ms.exchange_set(3, state) == {0}
     # a public nu refresh that changes no nu keeps the index as it was,
     # answers included, since they are still exact
     ms.recompute_nu(state, oracle)
-    assert state.index is index and index.seq_of == {0: 0, 4: 3}
+    assert state.index is index and index.entry_of == {0: entries[0], 4: entries[1]}
     assert index.answers == {signature: frozenset({0})}
     _check_class_index(mp, state, 6)
 
@@ -669,33 +669,39 @@ def test_signature_cache_answers_as_an_uncached_search(data):
             if not outside:
                 break
             x = data.draw(st.sampled_from(outside), label="x")
-            if _accept(state, oracle, x) is None:
-                continue
-            # the accept keeps the state's index and forgets its answers
-            assert state.index is index and index.answers == {}
-            assert mp.feasible(state.members)
-        # the same index, filing S and nu as they are now, serves only
-        # exact answers, including those a refresh left
+            if _accept(state, oracle, x) is not None:
+                # the accept keeps the state's index and forgets its answers
+                assert state.index is index and index.answers == {}
+                assert mp.feasible(state.members)
+        # after every step, a loop's refusal included, the same index files
+        # S and nu as they are now and serves only exact answers, including
+        # those a refresh left
         _check_class_index(mp, state, n)
 
 
 def _check_class_index(mp, state, n):
     """Every outsider's exchange set under ``mp`` is the definition's; then
-    each class of the state's index holds exactly S's members of that
-    class, with their nu, in arrival order, under a heap within its
-    compaction bound."""
+    each member of S has one entry ``(nu, seq, member)`` with its nu,
+    seqs increasing in arrival order, and each class list of the state's
+    index is exactly the sorted entries of S's members in that class,
+    beside the class's capacity."""
     for y in range(n):
         if y not in state.nu:
             assert ms.exchange_set(y, state) == _exchange_by_definition(mp, y, state), y
     index = state.index
     signature_of = index.signature_of
     assert signature_of is mp.signature_of
-    assert sorted(index.seq_of, key=index.seq_of.__getitem__) == list(state.nu)
-    for slot, (count, heap, _) in index.classes.items():
-        members = {e: v for e, v in state.nu.items() if slot in signature_of.get(e, ())}
-        live = {e: v for v, seq, e in heap if index.seq_of.get(e) == seq}
-        assert count == len(members) and live == members, slot
-        assert len(heap) <= 2 * count + ms.matchoids.HEAP_SLACK, slot
+    assert index.entry_of.keys() == state.nu.keys()
+    seq = {e: entry[1] for e, entry in index.entry_of.items()}
+    assert [seq[e] for e in state.nu] == sorted(set(seq.values()))
+    assert all(seq[e] < index.next_seq for e in state.nu)
+    assert all(index.entry_of[e] == (v, seq[e], e) for e, v in state.nu.items())
+    filed = {slot for e in state.nu for slot in signature_of.get(e, ()) if slot[1] is not None}
+    assert filed <= index.classes.keys()
+    for slot, (entries, capacity) in index.classes.items():
+        assert entries == sorted((v, seq[e], e) for e, v in state.nu.items()
+                                 if slot in signature_of.get(e, ())), slot
+        assert capacity == slot[0].class_capacity(slot[1]), slot
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -705,7 +711,7 @@ def test_class_index_follows_long_churn(data):
     # refreshes from any position, copies, and copies under a second
     # constraint, over uniform, partition and mixed p = 2 constraints with
     # monotone and non-monotone objectives; elements leave and come back,
-    # so stale heap entries pile up where a class never fills
+    # and every class list must follow S exactly
     n = data.draw(st.integers(4, 10), label="n")
     matroids = data.draw(st.lists(_matroids(n, ("uniform", "partition")),
                                   min_size=1, max_size=2), label="matroids")
@@ -730,20 +736,20 @@ def test_class_index_follows_long_churn(data):
             assert mp.feasible(state.members)
         elif step == "refresh":
             # a walk from any position refiles its members from the first
-            # whose nu it changes; those before keep their seqs, so their
-            # heap entries stay live
+            # whose nu it changes; those before keep their entries
             start = data.draw(st.integers(0, len(state.nu)), label="start_pos")
             index = state.index
             before = dict(state.nu)
-            seqs = dict(index.seq_of)
+            entries = dict(index.entry_of)
+            seqs = [entry[1] for entry in entries.values()]
             ms.recompute_nu(state, oracle, start)
             assert state.index is index
             order = list(state.nu)
             first = next((i for i, e in enumerate(order) if state.nu[e] != before[e]),
                          len(order))
             assert first >= start
-            assert all(index.seq_of[e] == seqs[e] for e in order[:first])
-            assert all(index.seq_of[e] > max(seqs.values()) for e in order[first:])
+            assert all(index.entry_of[e] is entries[e] for e in order[:first])
+            assert all(index.entry_of[e][1] > max(seqs) for e in order[first:])
             assert first == len(order) or index.answers == {}
         elif step == "copy" and outside:
             # the copy goes its own way; the original must not follow it
@@ -761,25 +767,25 @@ def test_class_index_follows_long_churn(data):
         _check_class_index(mp, state, n)
 
 
-def test_a_class_that_never_fills_keeps_its_heap_bounded():
+def test_a_class_that_never_fills_holds_exactly_s_members():
     # every element lies in the uniform matroid of capacity 1 and in the
-    # free class of the partition, which never fills, so its heap is never
-    # popped; with zero weights each accept evicts the member at nu 0 and
-    # skips the walk, and only compaction drops the stale entries
+    # free class of the partition, which never fills and is never picked;
+    # with zero weights each accept evicts the member at nu 0 and skips
+    # the walk, so both class lists hold S's one member, filed at the
+    # accept's seq, after every one of the 40 accepts
     n = 6
+    uniform = ms.UniformMatroid(range(n), 1)
     partition = ms.PartitionMatroid(range(n), [], [])
-    mp = ms.PMatchoid(range(n), [ms.UniformMatroid(range(n), 1), partition])
+    mp = ms.PMatchoid(range(n), [uniform, partition])
     oracle = ms.ModularOracle([0] * n)
     state = ms.SolutionState.empty(oracle, mp)
-    lengths = []
     for step in range(40):
-        assert _accept(state, oracle, step % n) is (step > 0)
+        x = step % n
+        assert _accept(state, oracle, x) is (step > 0)
         _check_class_index(mp, state, n)
-        lengths.append(len(state.index.classes[(partition, -1)][1]))
-    # a heap of count 1 grows by one stale entry per accept, up to the
-    # compaction bound, and starts again from its one live entry
-    assert lengths[:12] == [1, 2, 3, 4, 5, 6, 7, 8, 9, 1, 2, 3]
-    assert max(lengths) < 2 + ms.matchoids.HEAP_SLACK
+        assert list(state.nu) == [x]
+        assert state.index.classes == {(uniform, 0): ([(0.0, step, x)], 1),
+                                       (partition, -1): ([(0.0, step, x)], math.inf)}
 
 
 # The element index: each arrival visits only the matroids holding it

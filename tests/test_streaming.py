@@ -1,7 +1,7 @@
 """Single streaming pass: acceptance rule, evictions, nu maintenance."""
 
-import heapq
 import math
+from bisect import insort
 from random import Random
 
 import pytest
@@ -360,22 +360,24 @@ def test_debug_check_catches_a_stale_swap_pick():
     mp = ms.PMatchoid(range(4), [uniform])
     slot = (uniform, 0)
 
-    def live_entry_with_a_wrong_nu(state):
-        # member 0 keeps its seq, so the entry is live, but not its nu
-        heapq.heappush(state.index.classes[slot][1], (0.0, state.index.seq_of[0], 0))
+    def an_entry_with_a_wrong_nu(state):
+        # a second entry for member 0, with its seq but not its nu, sorts
+        # first in the class list
+        insort(state.index.classes[slot][0], (0.0, state.index.entry_of[0][1], 0))
 
-    def count_below_capacity(state):
-        state.index.classes[slot][0] = 1
+    def a_member_missing_from_its_class(state):
+        # the class list loses member 0's entry, so it reads below capacity
+        state.index.classes[slot][0].remove(state.index.entry_of[0])
 
     def stale_signature_answer(state):
         state.index.answers[mp.signature_of[2]] = frozenset({0})
 
-    for corrupt in (live_entry_with_a_wrong_nu, count_below_capacity,
+    for corrupt in (an_entry_with_a_wrong_nu, a_member_missing_from_its_class,
                     stale_signature_answer):
         runner = ms.PassRunner(oracle, mp, None, 0.0, 1.0, debug=True)
         for x in (0, 1):
             runner.process(x)
-        assert runner.state.index.classes[slot][0] == 2
+        assert len(runner.state.index.classes[slot][0]) == 2
         corrupt(runner.state)
         with pytest.raises(AssertionError, match="cached exchange set"):
             runner.process(2)
