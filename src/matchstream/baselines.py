@@ -49,8 +49,9 @@ def greedy_basis(mp, elems):
 def max_feasible_subset(oracle, mp, candidates):
     """Best feasible subset of ``candidates`` by depth-first branch-and-bound.
 
-    The search walks subsets in lexicographic order. At a node C it holds
-    an unmetered running evaluator of C, its parent's ``copy()`` plus one
+    The search walks subsets in lexicographic order from a root evaluator,
+    one metered ``oracle.running(())`` whose total f(empty) is the first
+    incumbent. At a node C it holds its parent's ``copy()`` plus one
     unmetered ``add``, and expands C once: ``PMatchoid.fitting`` screens
     the open elements (those after C's last element) and one
     ``values_with`` measures every feasible child C + e, metering one
@@ -86,7 +87,8 @@ def max_feasible_subset(oracle, mp, candidates):
     size_cap = mp.p * len(greedy_basis(mp, elems))
     check_exact_budget(len(elems), size_cap)
     bounded = oracle.submodular
-    best_val = oracle.value(())
+    root = oracle.running(())
+    best_val = root.total
     best_set = frozenset()
     examined = 1
     prunes = 0
@@ -114,7 +116,7 @@ def max_feasible_subset(oracle, mp, candidates):
             child.add(e, meter=False)
             walk(child, fits[i + 1:])
 
-    walk(oracle.running((), meter=False), elems)
+    walk(root, elems)
     return ExactResult(best_set, best_val, examined, prunes)
 
 

@@ -11,11 +11,13 @@ trace schema. A run builds its constraint once, which the driver, every
 replicate and the exact optimum share; each driver run and the optimum
 get a fresh oracle, since an oracle carries the call counter.
 
-Traces are CSV with a schema_version column; summaries are JSON. Given
-the same config (seed included), reruns produce byte-identical trace
-files: replicates run one after another, and all randomness is derived
-as master seed XOR replicate index XOR guess-copy index. Wall-clock time
-appears only in summaries, never in traces.
+Traces are CSV (``csv.writer`` writes None as "" and inf as "inf") with
+a schema_version column; summaries are JSON. Given the same config (seed
+included), reruns produce byte-identical trace files: replicates run one
+after another, and all randomness is derived as master seed XOR
+replicate index XOR guess-copy index. Wall-clock time appears only in
+summaries, never in traces. A summary's "trace" is relative to the
+summary's directory (its "config" keeps the path as given).
 """
 
 import csv
@@ -95,16 +97,12 @@ def build_schedule(name, mp):
     raise ConfigError(f"unknown schedule: {name!r} (matroid, matchoid, or fixed:B)")
 
 
-def _fmt(value):
-    return "" if value is None else _strict(value)
-
-
 def write_trace(path, columns, rows):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
     for row in rows:
-        writer.writerow([_fmt(row.get(col)) for col in columns])
+        writer.writerow([row.get(col) for col in columns])
     text = buf.getvalue()
     if path is not None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -184,6 +182,10 @@ def run_experiment(config):
     mp = inst.build_matchoid()
     stream = stream_order(inst.n, config.shuffle_seed)
     opt_value = _compute_opt(inst, mp)
+    trace = config.trace
+    if trace is not None and config.summary is not None and not os.path.isabs(trace):
+        # recorded relative to the summary, where report_rows resolves it
+        trace = os.path.relpath(trace, os.path.dirname(os.path.abspath(config.summary)))
 
     summary = {
         "schema_version": SCHEMA_VERSION,
@@ -195,7 +197,7 @@ def run_experiment(config):
         "rank_k": mp.rank_k,
         "seed": config.seed,
         "opt_value": opt_value,
-        "trace": config.trace,
+        "trace": trace,
         "config": config.to_dict(),
     }
     rows = []
@@ -273,13 +275,12 @@ def run_experiment(config):
 
 
 def report_rows(summary_paths):
-    """Aggregate summaries (and their traces) into a factor-vs-pass table.
-    A summary with ``"trace": null`` gives one row, its last pass; one
-    that names a trace gives a row per pass of that trace, whose path is
-    read as written (relative to the working directory). A summary, or
-    the trace it names, that is missing or cannot be read or parsed, or a
-    summary that is not a JSON object, raises ``ConfigError`` naming the
-    summary (and the trace)."""
+    """Aggregate summaries (and their traces) into a factor-vs-pass table:
+    a row per pass of the trace a summary names, read from the summary's
+    directory when its path is relative, or for ``"trace": null`` one row,
+    its last pass, as a one-record trace. A summary, or the trace it names,
+    that is missing or cannot be read or parsed, or a summary that is not a
+    JSON object, raises ``ConfigError`` naming the summary (and the trace)."""
     columns = ("instance", "algorithm", "pass", "f_S", "gamma_certified", "ratio")
     rows = []
     for path in summary_paths:
@@ -291,28 +292,24 @@ def report_rows(summary_paths):
             opt = summary.get("opt_value")
             trace = summary.get("trace")
             if trace:
+                trace = os.path.join(os.path.dirname(path), trace)
                 if not os.path.isfile(trace):
                     raise ValueError(f"the trace it names, {trace}, is not a file")
                 with open(trace, "r", encoding="utf-8", newline="") as fh:
-                    for rec in csv.DictReader(fh):
-                        f_s = float(rec["f_S"]) if rec.get("f_S") else None
-                        rows.append({
-                            "instance": summary.get("instance"),
-                            "algorithm": summary.get("algorithm"),
-                            "pass": int(rec["pass"]),
-                            "f_S": f_s,
-                            "gamma_certified": rec.get("gamma_certified"),
-                            "ratio": (opt / f_s if opt is not None and f_s else None),
-                        })
+                    records = list(csv.DictReader(fh))
             else:
-                f_s = summary.get("f_final")
+                records = [{"pass": summary.get("passes", 1),
+                            "f_S": summary.get("f_final"),
+                            "gamma_certified": summary.get("gamma_certified_final")}]
+            for rec in records:
+                f_s = float(rec["f_S"]) if rec.get("f_S") not in (None, "") else None
                 rows.append({
                     "instance": summary.get("instance"),
                     "algorithm": summary.get("algorithm"),
-                    "pass": summary.get("passes", 1),
+                    "pass": int(rec["pass"]),
                     "f_S": f_s,
-                    "gamma_certified": summary.get("gamma_certified_final"),
-                    "ratio": summary.get("ratio"),
+                    "gamma_certified": rec.get("gamma_certified"),
+                    "ratio": (opt / f_s if opt is not None and f_s else None),
                 })
         except (OSError, ValueError, KeyError, TypeError, csv.Error) as exc:
             raise ConfigError(f"{path}: not a readable summary ({exc})") from exc

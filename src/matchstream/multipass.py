@@ -27,7 +27,7 @@ early once it reaches a target.
 import math
 from itertools import count
 
-from .errors import ConfigError, PreconditionError
+from .errors import ConfigError, PreconditionError, integer
 from .streaming import streaming_pass
 
 
@@ -97,15 +97,13 @@ class Schedule:
         return math.ceil(4.0 * self.p / epsilon)
 
 
-def certified_gamma(i, gamma_prev, beta, delta, p):
-    """Online factor after pass i from the two-branch bound.
+def certified_gamma(gamma_prev, beta, delta, p):
+    """Online factor after a pass from the two-branch bound.
 
     Branch one carries the previous certificate through the measured
     progress; branch two bounds the pass on its own. Pass 1 (or any pass
     following a degenerate one) has no usable first branch.
     """
-    if i < 1:
-        raise PreconditionError("pass index starts at 1")
     if gamma_prev is not None and math.isfinite(gamma_prev) and delta > 0.0:
         carried = gamma_prev * delta
     else:
@@ -162,8 +160,10 @@ def multipass_run(oracle, mp, stream, schedule, passes, alpha=0.0, *,
 
     The solution of each pass seeds the next, over the same stream order.
     Stops early once the certified factor reaches ``target_gamma``, which
-    must be finite: no certificate ever reaches a NaN target.
+    must be finite: no certificate ever reaches a NaN target. A
+    ``passes`` that is not an integer (2.0 is) raises ``PreconditionError``.
     """
+    passes = integer(passes, "passes")
     if passes < 1:
         raise PreconditionError("at least one pass is required")
     if target_gamma is not None and not math.isfinite(target_gamma):
@@ -186,7 +186,7 @@ def multipass_run(oracle, mp, stream, schedule, passes, alpha=0.0, *,
                              debug=debug, trace=trace)
         state = res.state
         stored_peak = max(stored_peak, res.stored_peak)
-        gamma_cert = (certified_gamma(i, gamma_cert, beta_i, res.delta, p)
+        gamma_cert = (certified_gamma(gamma_cert, beta_i, res.delta, p)
                       if res.f_final > 0.0 else math.inf)
         certificates.append(
             GuaranteeCertificate(i, beta_i, res.delta, gamma_cert, slack))

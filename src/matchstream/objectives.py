@@ -12,7 +12,7 @@ it from scratch. ``oracle.running(subset)`` returns one holding
 ``total = f(A)``; ``value_with(x)`` gives f(A + x) and leaves A as it is,
 ``values_with(xs)`` does so for a batch, and ``add(x)`` puts x into A
 and returns the new f(A). The metering is that of the ``value`` calls
-they stand for: ``running`` counts one call (``value(A)``),
+they stand for: ``running`` always counts one call (``value(A)``),
 ``value_with`` one (``value(A | {x})``), ``values_with`` one per batch
 member, taken in one step after the whole batch passes the ground-set
 check, and ``add`` one (``value`` of the grown set); ``add(x,
@@ -47,7 +47,6 @@ class SubmodularOracle:
     first; only a class whose construction guarantees the second sets it.
     """
 
-    kind = "custom"
     submodular = True
     monotone = False
 
@@ -98,12 +97,11 @@ class SubmodularOracle:
         """Uncounted evaluation, for assertions and debug traces only."""
         return self._evaluate(self._check_subset(subset))
 
-    def running(self, subset=(), *, meter=True):
-        """Running evaluator over ``subset``; one counted call unless
-        ``meter`` is false."""
+    def running(self, subset=()):
+        """Running evaluator over ``subset``; one counted call, the
+        ``value(subset)`` its total stands for (``peek`` is uncounted)."""
         a = self._check_subset(subset)
-        if meter:
-            self._count()
+        self._count()
         return self._running(a)
 
     def _running(self, members):
@@ -219,7 +217,6 @@ class RunningValue:
 class CoverageOracle(SubmodularOracle):
     """Weighted coverage: f(A) = total weight of items covered by A's sets."""
 
-    kind = "weighted-coverage"
     monotone = True
 
     def __init__(self, sets, item_weights):
@@ -288,8 +285,6 @@ class DirectedCutOracle(SubmodularOracle):
     is only built, or only read through ``value``, never pays for
     them.
     """
-
-    kind = "directed-cut"
 
     def __init__(self, n, arcs):
         n = integer(n, "vertex count", DomainError)
@@ -385,7 +380,6 @@ class _CutRunning(RunningValue):
 class ModularOracle(SubmodularOracle):
     """Additive weights: f(A) = sum of per-element weights."""
 
-    kind = "modular"
     monotone = True
 
     def __init__(self, weights):
@@ -417,7 +411,6 @@ class TableOracle(SubmodularOracle):
     ``monotone`` either: an exact check costs far more than the table.
     """
 
-    kind = "custom-table"
     submodular = False
     MAX_N = 20
 

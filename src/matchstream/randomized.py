@@ -47,7 +47,7 @@ import sys
 from random import Random
 
 from .baselines import check_exact_budget, greedy_basis, max_feasible_subset, offline_greedy
-from .errors import ConfigError, PreconditionError
+from .errors import ConfigError, PreconditionError, integer
 from .matchoids import exchange_set
 from .multipass import Schedule
 # streaming_pass is unused here, but perfbench's tracer wraps this binding
@@ -210,10 +210,17 @@ class RandomizedPassRunner(PassRunner):
         return super().finish()
 
 
+def _check_mode(mode):
+    if mode not in OFFLINE_MODES:
+        raise ConfigError(f"unknown offline mode: {mode}")
+
+
 def randomized_pass(oracle, mp, stream, s_init, alpha, beta, m, rng, *,
                     offline_mode="exact", debug=False):
     """Run one randomized buffered pass over a full stream; returns the
-    finished ``RandomizedPassRunner``."""
+    finished ``RandomizedPassRunner``. An unknown ``offline_mode`` raises
+    ``ConfigError`` before the stream is read."""
+    _check_mode(offline_mode)
     order = validate_stream(stream, oracle.ground)
     runner = RandomizedPassRunner(oracle, mp, s_init, alpha, beta, m, rng,
                                   debug=debug)
@@ -238,8 +245,7 @@ def offline_solve(oracle, mp, candidates, mode="exact", rng=None, *, searches=No
     independent or with one circuit, which meets B - A as (A & M_l) + e is
     independent, so B - Z + e is feasible for Z one such z_l per M_l.
     """
-    if mode not in OFFLINE_MODES:
-        raise ConfigError(f"unknown offline mode: {mode}")
+    _check_mode(mode)
     pool = sorted(set(candidates))
     if mode == "exact":
         search = max_feasible_subset(oracle, mp, pool)
@@ -363,17 +369,17 @@ def multipass_randomized(oracle, mp, stream, epsilon, passes=None, seed=0, *,
     generator.
 
     An unknown offline mode raises ``ConfigError``, objective and
-    constraint ground sets that differ ``PreconditionError``, and an
-    exact mode over the work budget ``SizeError``, before any oracle
-    call: a residual pool holds at most min(n, m - 1) elements (a full
-    buffer is drawn from at once), with a size cut p |its greedy basis|
-    <= p^2 |G| for G the stream's greedy basis, even when a supplied
-    ``rank`` understates k.
+    constraint ground sets that differ or a ``passes`` that is not an
+    integer (2.0 is 2; 2.7, True and "3" are not) ``PreconditionError``,
+    and an exact mode over the work budget ``SizeError``, before any
+    oracle call: a residual pool holds at most min(n, m - 1) elements
+    (a full buffer is drawn from at once), with a size cut p |its greedy
+    basis| <= p^2 |G| for G the stream's greedy basis, even when a
+    supplied ``rank`` understates k.
     """
     if not 0.0 < epsilon <= 0.5:
         raise PreconditionError("epsilon must lie in (0, 1/2]")
-    if offline_mode not in OFFLINE_MODES:
-        raise ConfigError(f"unknown offline mode: {offline_mode}")
+    _check_mode(offline_mode)
     # the runners check this too, but only after the guess-grid pass
     if oracle.ground != mp.ground:
         raise PreconditionError("objective and constraint ground sets differ")
@@ -382,7 +388,8 @@ def multipass_randomized(oracle, mp, stream, epsilon, passes=None, seed=0, *,
     k = mp.rank_k
     eps_prime = epsilon / p
     schedule = Schedule.for_matchoid(mp)
-    d = schedule.default_passes(epsilon) if passes is None else int(passes)
+    d = (schedule.default_passes(epsilon) if passes is None
+         else integer(passes, "passes"))
     if d < 1:
         raise PreconditionError("at least one pass is required")
     m = max(1, math.ceil(4.0 * d * k / eps_prime ** 2))

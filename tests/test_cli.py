@@ -119,6 +119,41 @@ def test_report_prints_table(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith("instance,algorithm,pass")
     assert len(out) == 4
+    # --out writes the same table and prints what it wrote
+    table = tmp_path / "r.csv"
+    assert main(["report", summary, "--out", str(table)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"written": str(table), "rows": 3}
+    assert table.read_text(encoding="utf-8").splitlines() == out
+
+
+def test_report_finds_a_relative_trace_from_any_directory(tmp_path, capsys, monkeypatch):
+    instance = str(tmp_path / "inst.json")
+    main(["generate", "--family", "coverage+uniform", "--seed", "2",
+          "--n", "8", "--out", instance])
+    (tmp_path / "rep").mkdir()
+    (tmp_path / "runs").mkdir()
+    run = ["run-monotone", "--instance", instance, "--passes", "3"]
+    # a run started in rep/, reported from its parent
+    monkeypatch.chdir(tmp_path / "rep")
+    assert main(run + ["--trace", "t.csv", "--summary", "s.json"]) == 0
+    # a trace and summary in sibling directories, reported from rep/
+    monkeypatch.chdir(tmp_path)
+    assert main(run + ["--trace", "runs/t.csv", "--summary", "rep/s2.json"]) == 0
+    capsys.readouterr()
+    summary = json.loads((tmp_path / "rep" / "s2.json").read_text(encoding="utf-8"))
+    # the config keeps the path as given, so it reruns to the same files
+    assert summary["trace"] == "../runs/t.csv"
+    assert summary["config"]["trace"] == "runs/t.csv"
+    assert main(["report", "rep/s.json"]) == 0
+    first = capsys.readouterr().out.splitlines()
+    assert [line.split(",")[2] for line in first[1:]] == ["1", "2", "3"]
+    monkeypatch.chdir(tmp_path / "rep")
+    assert main(["report", "s2.json"]) == 0
+    assert capsys.readouterr().out.splitlines() == first
+    # an absolute trace path is recorded as written
+    absolute = str(tmp_path / "runs" / "abs.csv")
+    assert main(run + ["--trace", absolute, "--summary", "s3.json"]) == 0
+    assert json.loads(capsys.readouterr().out)["trace"] == absolute
 
 
 @pytest.mark.parametrize("summary, trace", [
@@ -276,6 +311,12 @@ def _modular_without_weights(data):
     return data
 
 
+def _objective_of_another_size(data):
+    # three weights for an n = 4 instance
+    data["objective"] = {"kind": "modular", "weights": [1, 2, 3]}
+    return data
+
+
 def _capacity_not_a_number(data):
     data["constraint"]["matroids"][0]["capacity"] = "x"
     return data
@@ -295,12 +336,13 @@ def _matching_over_budget(data):
 @pytest.mark.parametrize("edit", [
     _uniform_without_capacity,
     _modular_without_weights,
+    _objective_of_another_size,
     _capacity_not_a_number,
     _objective_not_an_object,
     lambda data: [1, 2],
     None,
     _matching_over_budget,
-], ids=["uniform-no-capacity", "modular-no-weights", "capacity-x",
+], ids=["uniform-no-capacity", "modular-no-weights", "objective-size", "capacity-x",
         "objective-list", "document-list", "missing-file", "matching-over-budget"])
 def test_bad_instance_files_exit_2_naming_the_path(tmp_path, edit):
     path = tmp_path / "bad.json"

@@ -44,6 +44,13 @@ def test_config_round_trip():
             ms.ExperimentConfig(instance="x.json", algorithm=algorithm)
 
 
+def test_randomized_run_needs_an_epsilon(tmp_path):
+    config = ms.ExperimentConfig(instance=_write_instance(tmp_path, seed=1, n=6),
+                                 algorithm="nonmonotone-randomized", passes=1)
+    with pytest.raises(ms.ConfigError, match="needs an epsilon"):
+        ms.run_experiment(config)
+
+
 def test_default_pass_budgets():
     harmonic = ms.Schedule.matroid_harmonic()
     assert harmonic.default_passes(0.5) == 4

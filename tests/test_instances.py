@@ -117,6 +117,25 @@ def test_supplied_rank_is_respected_and_null_rank_computed(tmp_path):
     assert ms.load_instance(path).build_matchoid().rank_k == mp.rank_k
 
 
+def test_custom_table_instance_file_builds_its_oracle(tmp_path):
+    # f(A) from a table of 2^3 values by bitmask; not submodular, and
+    # declared non-monotone, as every table oracle is
+    table = [0, 2, 1, 2, 3, 4, 4, 3]
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({
+        "schema_version": 1, "n": 3, "monotone": False,
+        "objective": {"kind": "custom-table", "table": table},
+        "constraint": {"rank": None, "matroids": [
+            {"kind": "uniform", "ground": [0, 1, 2], "capacity": 2}]}}))
+    inst = ms.load_instance(path)
+    oracle = inst.build_oracle()
+    assert isinstance(oracle, ms.TableOracle) and not oracle.submodular
+    assert [oracle.peek(e for e in range(3) if mask >> e & 1)
+            for mask in range(8)] == table
+    result = ms.brute_force_opt(oracle, inst.build_matchoid())
+    assert (result.opt_value, result.opt_set) == (4.0, {0, 2})
+
+
 def _null_rank_instance(n, matroids, p=1):
     return ms.Instance.from_dict({
         "n": n, "monotone": True,

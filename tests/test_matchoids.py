@@ -66,6 +66,27 @@ def test_graphic_and_transversal_ids_must_be_integers(bad):
     assert ms.TransversalMatroid([1], {1.0: [2.0]}).adjacency == {1: frozenset({2})}
 
 
+@pytest.mark.parametrize("build, reason", [
+    (lambda: ms.UniformMatroid([0, 1], -1), "capacity must be non-negative"),
+    (lambda: ms.PartitionMatroid([0, 1], [[0], [1]], [1]), "one capacity per part"),
+    (lambda: ms.PartitionMatroid([0, 1], [[0, 2]], [1]), "inside the ground subset"),
+    (lambda: ms.PartitionMatroid([0, 1, 2], [[0, 1], [1, 2]], [1, 1]), "disjoint"),
+    (lambda: ms.PartitionMatroid([0, 1], [[0], [1]], [1, -1]),
+     "capacities must be non-negative"),
+    (lambda: ms.GraphicMatroid([0, 1], {0: (0, 1)}), r"edges \[1\] have no endpoints"),
+    (lambda: ms.TransversalMatroid([0, 1], {1: [0]}),
+     r"elements \[0\] have no adjacency list"),
+    (lambda: ms.PMatchoid(range(2), [ms.UniformMatroid([1, 2], 1)]),
+     "leaves the instance ground set"),
+], ids=["uniform negative capacity", "partition capacity count",
+        "partition part outside", "partition overlap", "partition negative capacity",
+        "graphic edge without endpoints", "transversal element without adjacency",
+        "matroid outside the ground"])
+def test_constraint_constructors_refuse_bad_shapes(build, reason):
+    with pytest.raises(ms.PreconditionError, match=reason):
+        build()
+
+
 def _bipartite_matchoid():
     # four edges on left vertices {u0,u1} and right vertices {v0,v1}:
     # 0=(u0,v0) 1=(u0,v1) 2=(u1,v0) 3=(u1,v1)

@@ -202,7 +202,7 @@ def test_recurrence_stays_under_closed_form():
 
 
 def test_certified_gamma_example():
-    got = ms.certified_gamma(2, 4.0, 0.5, 0.7, 1)
+    got = ms.certified_gamma(4.0, 0.5, 0.7, 1)
     assert got == pytest.approx(2.8)
     # the single-pass branch alone evaluates to 3.1 here
     single = (1 / 0.5 + 0) * 0.3 + 1 + 0.5 + 1
@@ -219,23 +219,23 @@ def test_certified_gamma_balance_point_equalizes_branches():
         carried = gamma * delta
         single = (p / beta + p - 1) * (1 - delta) + p + beta * p + 1
         assert carried == pytest.approx(single, abs=1e-9)
-        assert ms.certified_gamma(2, gamma, beta, delta, p) == \
+        assert ms.certified_gamma(gamma, beta, delta, p) == \
             pytest.approx(carried, abs=1e-9)
 
 
 def test_certified_gamma_no_progress():
-    got = ms.certified_gamma(3, 3.0, 0.5, 1.0, 1)
+    got = ms.certified_gamma(3.0, 0.5, 1.0, 1)
     assert got == min(3.0, 1 + 0.5 + 1)
 
 
 def test_certified_gamma_first_pass_has_single_branch():
-    assert ms.certified_gamma(1, math.inf, 1.0, 0.0, 2) == pytest.approx(8.0)
-    assert ms.certified_gamma(1, None, 1.0, 0.0, 1) == pytest.approx(4.0)
+    assert ms.certified_gamma(math.inf, 1.0, 0.0, 2) == pytest.approx(8.0)
+    assert ms.certified_gamma(None, 1.0, 0.0, 1) == pytest.approx(4.0)
 
 
 def test_certified_gamma_nonpositive_beta_gives_no_single_pass_claim():
-    assert math.isinf(ms.certified_gamma(2, math.inf, 0.0, 0.5, 1))
-    assert ms.certified_gamma(2, 3.0, 0.0, 0.5, 1) == pytest.approx(1.5)
+    assert math.isinf(ms.certified_gamma(math.inf, 0.0, 0.5, 1))
+    assert ms.certified_gamma(3.0, 0.0, 0.5, 1) == pytest.approx(1.5)
 
 
 def test_first_pass_certificate_is_4p():
@@ -361,6 +361,34 @@ def test_recurrence_schedule_requires_matching_p():
                          ms.Schedule.matchoid_recurrence(2), 2)
 
 
+def _monotone_passes(oracle, mp, order, passes):
+    return ms.multipass_run(oracle, mp, order, ms.Schedule.for_matchoid(mp),
+                            passes).passes_run
+
+
+def _randomized_passes(oracle, mp, order, passes):
+    # passes_used counts the guess-grid pass too
+    return ms.multipass_randomized(oracle, mp, order, 0.5, passes=passes).passes_used - 1
+
+
+@pytest.mark.parametrize("driver", [_monotone_passes, _randomized_passes],
+                         ids=["multipass_run", "multipass_randomized"])
+def test_pass_counts_are_integers(driver):
+    # range() raised a bare TypeError on 2.7 and ran True as one pass;
+    # int() ran 2.7 as two passes and "3" as three
+    inst = ms.generate_instance("coverage+uniform", 4, n=10)
+    mp, order = inst.build_matchoid(), ms.stream_order(inst.n)
+    for bad, reason in ((2.7, "passes must be integers"),
+                        (True, "passes must be integers"),
+                        ("3", "passes must be integers"),
+                        (0, "at least one pass is required")):
+        oracle = inst.build_oracle()
+        with pytest.raises(ms.PreconditionError, match=reason):
+            driver(oracle, mp, order, bad)
+        assert oracle.calls == 0, bad
+    assert driver(inst.build_oracle(), mp, order, 2.0) == 2
+
+
 def test_per_pass_shuffle_keeps_guarantees():
     # a fresh stream permutation every pass, each pass certified online
     inst = coverage_uniform(9)
@@ -370,11 +398,11 @@ def test_per_pass_shuffle_keeps_guarantees():
     order = ms.stream_order(inst.n)
     state, gamma = None, math.inf
     steps = ms.Schedule.matroid_harmonic().steps()
-    for i, (beta, _) in zip(range(1, 9), steps):
+    for _, (beta, _) in zip(range(8), steps):
         rng.shuffle(order)
         res = ms.streaming_pass(oracle, mp, order, state, 0.0, beta)
         state = res.state
-        gamma = ms.certified_gamma(i, gamma, beta, res.delta, mp.p)
+        gamma = ms.certified_gamma(gamma, beta, res.delta, mp.p)
         assert res.f_final > 0.0
         assert gamma * res.f_final >= opt - TOL
 

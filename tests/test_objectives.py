@@ -74,6 +74,12 @@ def test_non_finite_weights_rejected(kind, bad):
         build(bad)
 
 
+def test_custom_oracle_ids_must_be_non_negative():
+    with pytest.raises(ms.DomainError, match="must be non-negative integers"):
+        ms.SubmodularOracle([0, -1])
+    assert ms.SubmodularOracle([2, 0]).ground == {0, 2}
+
+
 def test_value_outside_ground_raises():
     oracle = _coverage_abc()
     with pytest.raises(ms.DomainError):
@@ -116,6 +122,12 @@ def test_cut_ids_must_be_integers(bad):
     # range(-2) is empty, so a negative count built an empty ground set
     with pytest.raises(ms.DomainError, match="vertex count must be non-negative"):
         ms.DirectedCutOracle(-2, [])
+    # an arc must join two distinct vertices of the graph
+    for arc in ((0, 3, 1.0), (-1, 0, 1.0)):
+        with pytest.raises(ms.DomainError, match=r"endpoint outside 0\.\.2"):
+            ms.DirectedCutOracle(3, [arc])
+    with pytest.raises(ms.DomainError, match="self-loop"):
+        ms.DirectedCutOracle(3, [(1, 1, 1.0)])
 
 
 def test_coverage_item_ids_must_be_integers():
@@ -146,6 +158,9 @@ def test_table_size_must_be_an_integer():
     # a negative size is refused before it reaches the table's 1 << n
     with pytest.raises(ms.DomainError, match="table size must be non-negative"):
         ms.TableOracle(-1, [0.0])
+    # one value per subset of the n elements
+    with pytest.raises(ms.DomainError, match="table must have 4 entries, got 3"):
+        ms.TableOracle(2, [0.0, 1.0, 1.0])
     assert ms.TableOracle(1.0, [0.0, 1.0]).ground == {0}
 
 

@@ -276,6 +276,13 @@ def test_unknown_offline_mode_is_rejected_before_any_call():
                                 ms.stream_order(inst.n), 0.5,
                                 offline_mode="annealing")
     assert oracle.calls == 0
+    # a single pass refuses it before it reads the stream, not in finish
+    inst = ms.generate_instance("directed-cut+matroid", 4, n=30, capacity=3)
+    oracle = inst.build_oracle()
+    with pytest.raises(ms.ConfigError, match="unknown offline mode"):
+        ms.randomized_pass(oracle, inst.build_matchoid(), ms.stream_order(inst.n),
+                           None, 0.0, 1.0, 4, Random(0), offline_mode="bogus")
+    assert oracle.calls == 0
 
 
 def test_heuristic_offline_is_greedy_on_a_sample():

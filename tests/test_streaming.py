@@ -346,9 +346,11 @@ def test_start_state_evaluator_must_hold_its_members(held):
     # pass from it would end at 2.0 for a solution worth 4.0
     oracle = ms.ModularOracle([2, 1, 1])
     mp = ms.PMatchoid(range(3), [ms.UniformMatroid(range(3), 3)])
-    state = ms.SolutionState(mp, {0: 2.0}, 0.0, oracle.running(held, meter=False))
+    state = ms.SolutionState(mp, {0: 2.0}, 0.0, oracle.running(held))
     with pytest.raises(ms.PreconditionError, match="another set"):
         ms.streaming_pass(oracle, mp, [0, 1, 2], state)
+    # the evaluator's own call; the pass refuses the state before any
+    assert oracle.calls == 1
 
 
 def test_debug_check_catches_a_stale_swap_pick():
