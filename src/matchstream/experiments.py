@@ -29,7 +29,7 @@ import time
 from collections import Counter
 
 from .baselines import brute_force_opt, check_exact_budget, greedy_basis
-from .errors import ConfigError, SizeError
+from .errors import ConfigError, SizeError, integer
 from .instances import load_instance, stream_order
 from .multipass import Schedule, multipass_run
 from .randomized import RandomizedPassRunner, multipass_randomized
@@ -67,14 +67,15 @@ class ExperimentConfig:
         self.instance = str(instance)
         self.algorithm = algorithm
         self.epsilon = None if epsilon is None else float(epsilon)
-        self.passes = None if passes is None else int(passes)
+        self.passes = None if passes is None else integer(passes, "passes", ConfigError)
         self.schedule = schedule
         self.alpha = float(alpha)
-        self.seed = int(seed)
-        self.replicates = int(replicates)
+        self.seed = integer(seed, "seed", ConfigError)
+        self.replicates = integer(replicates, "replicates", ConfigError)
         self.offline = offline
         self.target_gamma = None if target_gamma is None else float(target_gamma)
-        self.shuffle_seed = None if shuffle_seed is None else int(shuffle_seed)
+        self.shuffle_seed = (None if shuffle_seed is None
+                             else integer(shuffle_seed, "shuffle_seed", ConfigError))
         self.trace = trace
         self.summary = summary
 
@@ -178,6 +179,12 @@ def run_experiment(config):
     with "inf" for an infinite factor.
     """
     started = time.perf_counter()
+    if config.algorithm == "nonmonotone-randomized":
+        # refused before the instance is read and its optimum searched
+        if config.epsilon is None:
+            raise ConfigError("the randomized driver needs an epsilon")
+        if config.replicates < 1:
+            raise ConfigError("at least one replicate is required")
     inst = load_instance(config.instance)
     mp = inst.build_matchoid()
     stream = stream_order(inst.n, config.shuffle_seed)
@@ -222,10 +229,6 @@ def run_experiment(config):
         })
 
     else:
-        if config.epsilon is None:
-            raise ConfigError("the randomized driver needs an epsilon")
-        if config.replicates < 1:
-            raise ConfigError("at least one replicate is required")
         f_bars = []
         total_calls = shared_calls = peak_storage = 0
         for rep in range(config.replicates):

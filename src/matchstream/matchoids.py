@@ -5,24 +5,25 @@ set, with every element belonging to at most p of those subsets. A set
 is feasible when its restriction to each matroid's ground subset is
 independent there.
 
-Each matroid splits its ground subset into conflict classes,
-``Matroid.swap_classes()``: one class for a uniform matroid, one per
-part for a partition matroid (and one for the elements outside every
-part). Within a class, every element outside S has the same swap
-candidates. Kinds with no such split (graphic, transversal, custom)
-return None, and their elements get one class with key None, which
-shares nothing. ``PMatchoid`` indexes each element by its signature,
-``signature_of[e]``: the tuple of ``(matroid, class)`` slots of the
-matroids holding e, in instance order, shared by every element with
-the same slots. p is the longest signature. Only the matroids holding
-e can tell S from S + e, so ``exchange_set`` and ``PMatchoid.fitting``,
-the one incremental feasibility test, visit at most p matroids per
-element however many the instance has.
+Each matroid splits its ground subset into conflict classes with their
+capacities, ``Matroid.swap_classes()``: one class for a uniform matroid,
+one per part for a partition matroid (and one of capacity inf for the
+elements outside every part). Within a class, every element outside S
+has the same swap candidates. Kinds with no such split (graphic,
+transversal, custom) return None, and their elements get one class with
+key None, which shares nothing. ``PMatchoid`` indexes each element by its
+signature, ``signature_of[e]``: the tuple of ``(matroid, class)`` slots
+of the matroids holding e, in instance order, shared by every element
+with the same slots; ``capacity_of`` holds each capacity class's
+capacity. p is the longest signature. Only the matroids holding e can
+tell S from S + e, so ``exchange_set`` and ``PMatchoid.fitting``, the
+one incremental feasibility test, visit at most p matroids per element
+however many the instance has.
 
 ``exchange_set`` chooses, for each matroid an arrival x would make
 dependent, the member of S with the smallest cached nu among x's swap
 candidates. Every class with a non-None key is a capacity class
-(``Matroid.class_capacity``): S + x is dependent there exactly when S
+(``PMatchoid.capacity_of``): S + x is dependent there exactly when S
 holds at least the capacity of x's class, and the candidates are then
 S's members in that class. The ``ClassIndex`` kept beside S is the one
 owner of these answers. It keeps each slot's members of S as a sorted
@@ -45,6 +46,7 @@ independence test per slot, not per element.
 import functools
 import math
 from bisect import bisect_left, insort
+from collections import defaultdict
 
 from .baselines import compute_rank
 from .errors import InfeasibilityError, PreconditionError, integer, integers
@@ -82,30 +84,25 @@ class Matroid:
         return {y for y in s_l if self.independent((s_l - {y}) | {x})}
 
     def swap_classes(self):
-        """(key, elements) pairs partitioning the ground subset into
-        conflict classes, or None when this kind has none.
+        """(key, elements, capacity) triples partitioning the ground
+        subset into conflict classes, or None when this kind has none.
 
-        Contract: every key is hashable and not None, and each class is a
-        capacity class. For an independent set ``s_l`` and an x of the
-        class outside it, ``swap_candidates(s_l, x)`` is None when
-        s_l holds fewer than ``class_capacity(key)`` members of the
-        class, and is otherwise exactly those members. So two elements
-        of one class get the same candidates. ``element_index`` files
-        each element under its class; ``exchange_set`` relies on the
-        contract to keep each class's members of S sorted by nu in a
+        Contract: every key is hashable and not None, every capacity a
+        non-negative integer or ``math.inf``, and each class a capacity
+        class. For an independent set ``s_l`` and an x of the class
+        outside it, ``swap_candidates(s_l, x)`` is None when s_l holds
+        fewer than ``capacity`` members of the class, and is otherwise
+        exactly those members. So two elements of one class get the same
+        candidates. ``element_index`` files each element under its class
+        and records its capacity; ``exchange_set`` relies on the contract
+        to keep each class's members of S sorted by nu in a
         ``ClassIndex``, and to reuse one exchange set for every arrival
         with the same signature. It is read once, when a ``PMatchoid`` is
-        built, which refuses blocks that do not partition the ground
-        subset under distinct keys. This base form names no classes, so
-        its elements share nothing.
+        built, which refuses entries that are not such triples or do not
+        partition the ground subset under distinct keys. This base form
+        names no classes, so its elements share nothing.
         """
         return None
-
-    def class_capacity(self, key):
-        """The capacity of the ``swap_classes`` class ``key``: how many of
-        its members an independent set holds before every further member
-        is refused. A kind that names classes defines it."""
-        raise NotImplementedError
 
 
 class UniformMatroid(Matroid):
@@ -122,10 +119,7 @@ class UniformMatroid(Matroid):
 
     def swap_classes(self):
         """One class: every arrival competes for the same capacity."""
-        return ((0, self.ground_subset),)
-
-    def class_capacity(self, key):
-        return self.capacity
+        return ((0, self.ground_subset, self.capacity),)
 
 
 class PartitionMatroid(Matroid):
@@ -159,15 +153,11 @@ class PartitionMatroid(Matroid):
     def swap_classes(self):
         """One class per part, keyed by its index, and -1 for the elements
         outside every part, which never conflict."""
-        classes = list(enumerate(self.parts))
+        classes = list(zip(range(len(self.parts)), self.parts, self.capacities))
         free = self.ground_subset.difference(*self.parts)
         if free:
-            classes.append((-1, free))
+            classes.append((-1, free, math.inf))
         return classes
-
-    def class_capacity(self, key):
-        """The part's capacity; the free class never fills."""
-        return self.capacities[key] if key >= 0 else math.inf
 
 
 class GraphicMatroid(Matroid):
@@ -239,41 +229,51 @@ class TransversalMatroid(Matroid):
 
 
 def element_index(matroids):
-    """(index, p): ``index`` maps each element some matroid holds to its
-    signature, the tuple of its ``(matroid, class)`` slots in the order
-    of ``matroids``, where class is the key of the ``swap_classes`` block
-    holding it (None for a kind with no classes); p is the longest
-    signature, 1 if there is none. Blocks that do not partition a
-    matroid's ground subset under distinct non-None keys raise
-    ``PreconditionError``: an element missing from every block would
-    escape that matroid's feasibility and exchange tests."""
+    """(index, capacity_of, p): ``index`` maps each element some matroid
+    holds to its signature, the tuple of its ``(matroid, class)`` slots
+    in the order of ``matroids``, where class is the key of the
+    ``swap_classes`` block holding it (None for a kind with no classes);
+    ``capacity_of`` maps each slot with a non-None key to its capacity;
+    p is the longest signature, 1 if there is none. Entries that break
+    the ``swap_classes`` contract raise ``PreconditionError``: an element
+    missing from every block would escape that matroid's feasibility and
+    exchange tests."""
     # elements with one signature share one tuple, so the index
     # allocates per distinct signature, not per element
-    index, shared = {}, {}
+    index, shared, capacity_of = {}, {}, {}
     for m in matroids:
         classes = m.swap_classes()
         if classes is None:
-            classes = ((None, m.ground_subset),)
+            classes = ((None, m.ground_subset, None),)
         else:
-            classes = [(key, frozenset(block)) for key, block in classes]
-            _check_classes(m, classes)
-        for key, block in classes:
+            classes, capacities = _checked_classes(m, classes)
+            capacity_of.update(capacities)
+        for key, block, _ in classes:
             slot = ((m, key),)
             for e in block:
                 signature = index.get(e, ()) + slot
                 index[e] = shared.setdefault(signature, signature)
-    return index, max(map(len, index.values()), default=1)
+    return index, capacity_of, max(map(len, index.values()), default=1)
 
 
-def _check_classes(m, classes):
-    keys = {key for key, _ in classes}
-    blocks = [block for _, block in classes]
-    if (None in keys or len(keys) != len(classes)
-            or sum(map(len, blocks)) != len(m.ground_subset)
-            or frozenset().union(*blocks) != m.ground_subset):
-        raise PreconditionError(
-            f"{m.kind} swap classes must partition its ground subset under "
-            "distinct keys that are not None")
+def _checked_classes(m, classes):
+    try:
+        classes = [(key, frozenset(block),
+                    cap if cap == math.inf else integer(cap, "capacity"))
+                   for key, block, cap in classes]
+        capacities = {(m, key): cap for key, _, cap in classes}
+        blocks = [block for _, block, _ in classes]
+        if ((m, None) not in capacities and len(capacities) == len(classes)
+                and min(capacities.values(), default=0) >= 0
+                and sum(map(len, blocks)) == len(m.ground_subset)
+                and frozenset().union(*blocks) == m.ground_subset):
+            return classes, capacities
+    except (TypeError, ValueError):
+        pass  # not a triple, or a capacity neither inf nor an integer
+    raise PreconditionError(
+        f"{m.kind} swap classes must be (key, elements, capacity) triples "
+        "that partition its ground subset under distinct keys that are not "
+        "None, each capacity a non-negative integer or inf")
 
 
 class PMatchoid:
@@ -283,9 +283,10 @@ class PMatchoid:
     signature, the tuple of ``(matroid, class)`` slots naming the
     matroids that hold it, in instance order, and its conflict class in
     each (see ``element_index``); an element outside every matroid has
-    no entry. ``p`` is the longest signature (1 when there is none), not
-    declared. ``rank_k``, the size of a largest feasible set, is
-    ``rank`` when supplied, else ``compute_rank``'s on its first read (an
+    no entry. ``capacity_of`` maps each slot with a non-None key to its
+    class's capacity. ``p`` is the longest signature (1 when there is
+    none), not declared. ``rank_k``, the size of a largest feasible set,
+    is ``rank`` when supplied, else ``compute_rank``'s on its first read (an
     exact search at p >= 2, raising ``SizeError`` above its budget).
     """
 
@@ -294,7 +295,7 @@ class PMatchoid:
         self.matroids = list(matroids)
         if not all(m.ground_subset <= self.ground for m in self.matroids):
             raise PreconditionError("matroid ground subset leaves the instance ground set")
-        self.signature_of, self.p = element_index(self.matroids)
+        self.signature_of, self.capacity_of, self.p = element_index(self.matroids)
         if rank is not None:
             self.rank_k = integer(rank, "rank")
             if self.rank_k < 0:
@@ -351,14 +352,14 @@ class ClassIndex:
     """S's members per capacity class under one ``PMatchoid``, kept beside
     S as ``SolutionState.index``, and the exchange sets answered from it.
 
-    ``signature_of`` is the constraint's ``PMatchoid.signature_of``.
-    ``entry_of`` maps each member of S to its entry ``(nu, seq, member)``,
-    where seq is an arrival number, increasing in the key order of
-    ``state.nu``. ``classes`` maps a ``(matroid, class)`` slot with a
-    non-None key to ``(entries, capacity)``: the entries of exactly S's
-    members in that class, kept sorted, and the class capacity, read when
-    the class's first member is filed. So the first entry is the member
-    with the smallest nu, the earliest arrival among equals.
+    ``signature_of`` and ``capacity_of`` are the constraint's tables
+    (``PMatchoid``), so the index calls no matroid method. ``entry_of``
+    maps each member of S to its entry ``(nu, seq, member)``, where seq
+    is an arrival number, increasing in the key order of ``state.nu``.
+    ``classes`` maps a ``(matroid, class)`` slot with a non-None key to
+    the entries of exactly S's members in that class, kept sorted. So
+    the first entry is the member with the smallest nu, the earliest
+    arrival among equals.
     ``answers`` maps a signature whose keys are all non-None to the
     exchange set ``exchange_set`` found for it; ``add`` and ``remove``
     forget them all. Every change of S or nu must reach the index: a
@@ -366,12 +367,13 @@ class ClassIndex:
     removes and re-adds each member from the first whose nu it changes.
     """
 
-    __slots__ = ("signature_of", "entry_of", "classes", "answers", "next_seq")
+    __slots__ = ("signature_of", "capacity_of", "entry_of", "classes", "answers", "next_seq")
 
     def __init__(self, mp, nu):
         self.signature_of = mp.signature_of
+        self.capacity_of = mp.capacity_of
         self.entry_of = {}
-        self.classes = {}
+        self.classes = defaultdict(list)
         self.answers = {}
         self.next_seq = 0
         for e, v in nu.items():
@@ -384,23 +386,18 @@ class ClassIndex:
         self.answers.clear()
         entry = self.entry_of[e] = (v, self.next_seq, e)
         self.next_seq += 1
-        classes = self.classes
         for slot in self.signature_of.get(e, ()):
             if slot[1] is not None:
-                cls = classes.get(slot)
-                if cls is None:
-                    cls = classes[slot] = ([], slot[0].class_capacity(slot[1]))
-                insort(cls[0], entry)
+                insort(self.classes[slot], entry)
 
     def remove(self, e):
         """Unfile e, which leaves S or is refiled: per slot, O(log k)
         comparisons find its entry and an O(k) list shift deletes it."""
         self.answers.clear()
         entry = self.entry_of.pop(e)
-        classes = self.classes
         for slot in self.signature_of.get(e, ()):
             if slot[1] is not None:
-                entries = classes[slot][0]
+                entries = self.classes[slot]
                 del entries[bisect_left(entries, entry)]
 
     def pick(self, slot):
@@ -409,10 +406,8 @@ class ClassIndex:
         the earliest arrival among equals, as ``scan_pick`` finds it. A
         full class with no member (capacity 0) makes every arrival a
         loop, and gives ``LOOP``."""
-        # a class none of whose members was ever filed is empty
-        entries, capacity = (self.classes.get(slot)
-                             or ((), slot[0].class_capacity(slot[1])))
-        if len(entries) < capacity:
+        entries = self.classes[slot]
+        if len(entries) < self.capacity_of[slot]:
             return None
         return entries[0][2] if entries else LOOP
 

@@ -44,11 +44,36 @@ def test_config_round_trip():
             ms.ExperimentConfig(instance="x.json", algorithm=algorithm)
 
 
-def test_randomized_run_needs_an_epsilon(tmp_path):
-    config = ms.ExperimentConfig(instance=_write_instance(tmp_path, seed=1, n=6),
-                                 algorithm="nonmonotone-randomized", passes=1)
-    with pytest.raises(ms.ConfigError, match="needs an epsilon"):
-        ms.run_experiment(config)
+@pytest.mark.parametrize("field", ["passes", "seed", "replicates", "shuffle_seed"])
+def test_config_integer_fields_are_integers(field):
+    # a float, a bool or a string would reach the driver truncated or
+    # converted, as another pass count, seed or replicate count
+    for bad in (2.7, 1.9, True, "3"):
+        with pytest.raises(ms.ConfigError, match=f"{field} must be integers"):
+            ms.ExperimentConfig("x.json", "monotone-multipass", **{field: bad})
+    config = ms.ExperimentConfig("x.json", "monotone-multipass", **{field: 2.0})
+    assert getattr(config, field) == 2 and type(getattr(config, field)) is int
+    assert ms.ExperimentConfig(**config.to_dict()).to_dict() == config.to_dict()
+
+
+def test_randomized_run_needs_an_epsilon(tmp_path, monkeypatch):
+    # a config without an epsilon or a replicate is refused before the
+    # summary's exact optimum is searched
+    searches = []
+
+    def spy(*args, **kwargs):
+        searches.append(args)
+        return ms.brute_force_opt(*args, **kwargs)
+
+    monkeypatch.setattr(ms.experiments, "brute_force_opt", spy)
+    instance = _write_instance(tmp_path, seed=1, n=14)
+    for extra, message in (({}, "needs an epsilon"),
+                           ({"epsilon": 0.5, "replicates": 0}, "at least one replicate")):
+        config = ms.ExperimentConfig(instance=instance, algorithm="nonmonotone-randomized",
+                                     passes=1, **extra)
+        with pytest.raises(ms.ConfigError, match=message):
+            ms.run_experiment(config)
+    assert searches == []
 
 
 def test_default_pass_budgets():

@@ -186,7 +186,7 @@ def test_swap_candidates_match_the_definition():
     # any second copy of the capacity rule: the blocks partition the
     # ground subset under non-None keys, and for every class and every
     # outsider y of it, the definition names no swap while s_l holds
-    # fewer than class_capacity(key) members of the class, and exactly
+    # fewer members of the class than its capacity, and exactly
     # those members once it holds that many; the base swap_candidates,
     # which every kind uses, is the definition, also for the members of
     # s_l and the elements outside the ground subset
@@ -201,13 +201,13 @@ def test_swap_candidates_match_the_definition():
             if matroid.independent(s_l | {e}):
                 s_l.add(e)
         classes = matroid.swap_classes()
-        blocks = [block for _, block in classes]
+        blocks = [block for _, block, _ in classes]
         assert sum(map(len, blocks)) == len(frozenset().union(*blocks))
         assert frozenset().union(*blocks) == matroid.ground_subset
-        for key, block in classes:
+        for key, block, capacity in classes:
             assert key is not None
             inside = s_l & block
-            want = inside if len(inside) >= matroid.class_capacity(key) else None
+            want = inside if len(inside) >= capacity else None
             for y in block - s_l:
                 assert _swaps_by_definition(matroid, s_l, y) == want, (matroid.kind, s_l, key, y)
                 assert matroid.swap_candidates(s_l, y) == want, (matroid.kind, s_l, key, y)
@@ -250,20 +250,31 @@ class _CustomClasses(ms.UniformMatroid):
 
 
 @pytest.mark.parametrize("classes", [
-    [(0, {0, 1})],
-    [(0, {0, 1}), (1, {1, 2})],
-    [(0, {0, 1, 2, 3})],
-    [(0, {0}), (0, {1, 2})],
-    [(None, {0, 1, 2})],
-], ids=["missing element", "overlap", "outside element", "repeated key", "None key"])
+    [(0, {0, 1}, 1)],
+    [(0, {0, 1}, 1), (1, {1, 2}, 1)],
+    [(0, {0, 1, 2, 3}, 1)],
+    [(0, {0}, 1), (0, {1, 2}, 1)],
+    [(None, {0, 1, 2}, 1)],
+    [(0, {0, 1, 2})],
+    [(0, {0, 1, 2}, -1)],
+    [(0, {0, 1, 2}, 1.5)],
+], ids=["missing element", "overlap", "outside element", "repeated key", "None key",
+        "pair entry", "negative capacity", "fractional capacity"])
 def test_swap_classes_that_do_not_partition_are_refused(classes):
     # an element left out of every block would have no slot for the
-    # matroid, and fitting and exchange_set would skip it
-    with pytest.raises(ms.PreconditionError, match="partition"):
+    # matroid, and fitting and exchange_set would skip it; an entry must
+    # be a (key, elements, capacity) triple whose capacity is a
+    # non-negative integer or inf
+    with pytest.raises(ms.PreconditionError, match="triples that partition"):
         ms.PMatchoid(range(4), [_CustomClasses(range(3), 1, classes)])
-    good = ms.PMatchoid(range(3), [_CustomClasses(range(3), 1, [(0, [0, 2]), (1, [1])])])
+    custom = _CustomClasses(range(3), 1, [(0, [0, 2], 1), (1, [1], math.inf)])
+    good = ms.PMatchoid(range(3), [custom])
     assert good.fitting({0}, [1]) == []
     assert [key for _, key in good.signature_of[2]] == [0]
+    assert good.capacity_of == {(custom, 0): 1, (custom, 1): math.inf}
+    # an integral float is taken as its integer, as ids and capacities are
+    custom = _CustomClasses(range(3), 1, [(0, [0, 1, 2], 2.0)])
+    assert ms.PMatchoid(range(3), [custom]).capacity_of == {(custom, 0): 2}
 
 
 @pytest.mark.parametrize("loop_matroid, opt", [
@@ -557,20 +568,21 @@ def test_swap_picks_follow_the_state():
     assert mp.signature_of[3] is mp.signature_of[5] == signature
     assert state.index.answers == {signature: frozenset({0})}
     assert ms.exchange_set(5, state) is state.index.answers[signature]
-    assert state.index.classes[(uniform, 0)] == (entries, 2)
+    assert state.index.classes[(uniform, 0)] == entries
+    assert state.index.capacity_of is mp.capacity_of == {(uniform, 0): 2}
     # a copy builds its own index: the same members and nu, filed afresh
     # in arrival order, in lists of its own, and no answers yet
     copy = state.copy(mp)
     assert copy.index is not state.index and copy.index.answers == {}
-    assert copy.index.classes == {(uniform, 0): ([(3.0, 0, 0), (5.0, 1, 4)], 2)}
+    assert copy.index.classes == {(uniform, 0): [(3.0, 0, 0), (5.0, 1, 4)]}
     assert ms.exchange_set(5, copy) == {0}
     assert copy.index.answers == {signature: frozenset({0})}
     assert copy.index.answers is not state.index.answers
-    assert copy.index.classes[(uniform, 0)][0] is not state.index.classes[(uniform, 0)][0]
-    copy.index.classes[(uniform, 0)][0].insert(0, (0.0, 1, 4))
+    assert copy.index.classes[(uniform, 0)] is not state.index.classes[(uniform, 0)]
+    copy.index.classes[(uniform, 0)].insert(0, (0.0, 1, 4))
     copy.index.answers[signature] = frozenset({4})
     assert state.index.answers == {signature: frozenset({0})}
-    assert state.index.classes[(uniform, 0)] == (entries, 2)
+    assert state.index.classes[(uniform, 0)] == entries
     assert ms.exchange_set(3, state) == {0}
     # a public nu refresh that changes no nu keeps the index as it was,
     # answers included, since they are still exact
@@ -703,15 +715,17 @@ def test_signature_cache_answers_as_an_uncached_search(data):
 def _check_class_index(mp, state, n):
     """Every outsider's exchange set under ``mp`` is the definition's; then
     each member of S has one entry ``(nu, seq, member)`` with its nu,
-    seqs increasing in arrival order, and each class list of the state's
+    seqs increasing in arrival order, each class list of the state's
     index is exactly the sorted entries of S's members in that class,
-    beside the class's capacity."""
+    and the index reads each class's capacity from ``mp``'s table, which
+    holds the capacity the matroid's ``swap_classes`` names for it."""
     for y in range(n):
         if y not in state.nu:
             assert ms.exchange_set(y, state) == _exchange_by_definition(mp, y, state), y
     index = state.index
     signature_of = index.signature_of
     assert signature_of is mp.signature_of
+    assert index.capacity_of is mp.capacity_of
     assert index.entry_of.keys() == state.nu.keys()
     seq = {e: entry[1] for e, entry in index.entry_of.items()}
     assert [seq[e] for e in state.nu] == sorted(set(seq.values()))
@@ -719,10 +733,12 @@ def _check_class_index(mp, state, n):
     assert all(index.entry_of[e] == (v, seq[e], e) for e, v in state.nu.items())
     filed = {slot for e in state.nu for slot in signature_of.get(e, ()) if slot[1] is not None}
     assert filed <= index.classes.keys()
-    for slot, (entries, capacity) in index.classes.items():
+    for slot, entries in index.classes.items():
         assert entries == sorted((v, seq[e], e) for e, v in state.nu.items()
                                  if slot in signature_of.get(e, ())), slot
-        assert capacity == slot[0].class_capacity(slot[1]), slot
+        matroid, key = slot
+        named = [cap for k, _, cap in matroid.swap_classes() if k == key]
+        assert named == [mp.capacity_of[slot]], slot
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -805,8 +821,50 @@ def test_a_class_that_never_fills_holds_exactly_s_members():
         assert _accept(state, oracle, x) is (step > 0)
         _check_class_index(mp, state, n)
         assert list(state.nu) == [x]
-        assert state.index.classes == {(uniform, 0): ([(0.0, step, x)], 1),
-                                       (partition, -1): ([(0.0, step, x)], math.inf)}
+        assert state.index.classes == {(uniform, 0): [(0.0, step, x)],
+                                       (partition, -1): [(0.0, step, x)]}
+        assert mp.capacity_of == {(uniform, 0): 1, (partition, -1): math.inf}
+
+
+class _TwoBins(ms.Matroid):
+    """A class-naming kind of its own: at most two even elements and at
+    most one odd element, named as two capacity classes."""
+
+    kind = "two-bins"
+
+    def _independent(self, restricted):
+        odd = sum(e % 2 for e in restricted)
+        return odd <= 1 and len(restricted) - odd <= 2
+
+    def swap_classes(self):
+        evens = {e for e in self.ground_subset if e % 2 == 0}
+        return (("even", evens, 2), ("odd", self.ground_subset - evens, 1))
+
+
+def test_a_class_naming_kind_of_its_own_gets_its_capacities():
+    # swap_classes is all a kind defines for the index: the constraint
+    # reads both capacities from it once, and through a churn of accepts,
+    # alone and beside a uniform matroid, every outsider's exchange set is
+    # the definition's and each class evicts at its own capacity
+    n = 10
+    bins = _TwoBins(range(n))
+    rng = Random(67)
+    for matroids in ([bins], [bins, ms.UniformMatroid(range(2, n), 2)]):
+        mp = ms.PMatchoid(range(n), matroids)
+        assert {slot: cap for slot, cap in mp.capacity_of.items()
+                if slot[0] is bins} == {(bins, "even"): 2, (bins, "odd"): 1}
+        oracle = ms.ModularOracle([rng.randint(0, 3) for _ in range(n)])
+        state = ms.SolutionState.empty(oracle, mp)
+        evicted = {"even": 0, "odd": 0}
+        for _ in range(80):
+            x = rng.choice([y for y in range(n) if y not in state.nu])
+            cx = ms.exchange_set(x, state)
+            _accept(state, oracle, x)
+            for y in cx:
+                evicted["odd" if y % 2 else "even"] += 1
+            _check_class_index(mp, state, n)
+            assert mp.feasible(state.members)
+        assert min(evicted.values()) > 0, evicted
 
 
 # The element index: each arrival visits only the matroids holding it
@@ -849,9 +907,11 @@ def test_element_index_lists_the_matroids_in_instance_order():
             want = tuple(m for m in matroids if e in m.ground_subset)
             signature = mp.signature_of.get(e, ())
             assert tuple(m for m, _ in signature) == want
-            # each slot names the class block holding e
+            # each slot names the class block holding e, and the table
+            # holds that class's capacity
             for m, key in signature:
-                assert e in dict(m.swap_classes())[key]
+                (block, capacity), = [(b, c) for k, b, c in m.swap_classes() if k == key]
+                assert e in block and mp.capacity_of[m, key] == capacity
             # elements with one signature share one tuple
             assert shared.setdefault(signature, signature) is signature
         assert mp.p == max((len(v) for v in mp.signature_of.values()), default=1)
@@ -1004,10 +1064,6 @@ class _SpyPartition(ms.PartitionMatroid):
         self.touched.append(self)
         return super().swap_classes()
 
-    def class_capacity(self, key):
-        self.touched.append(self)
-        return super().class_capacity(key)
-
 
 def test_one_arrival_touches_at_most_p_of_a_thousand_matroids():
     # a matching on a 1,000-cycle: matroid j holds edges j and j + 1, so
@@ -1026,8 +1082,10 @@ def test_one_arrival_touches_at_most_p_of_a_thousand_matroids():
             index = runner.state.index
             before = set(index.classes)
             runner.process(x)
+            # the class index reads capacities from the constraint's
+            # table, so an arrival on capacity slots may touch no matroid
             assert set(touched) <= {m for m, _ in mp.signature_of[x]}
-            assert 0 < len(set(touched)) <= mp.p
+            assert len(set(touched)) <= mp.p
             # the runner's state is built with its index, and every arrival
             # keeps it, filing at most x's p slots; the last arrival's
             # exchange walks, which changes no nu here, as f is modular

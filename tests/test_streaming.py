@@ -365,11 +365,11 @@ def test_debug_check_catches_a_stale_swap_pick():
     def an_entry_with_a_wrong_nu(state):
         # a second entry for member 0, with its seq but not its nu, sorts
         # first in the class list
-        insort(state.index.classes[slot][0], (0.0, state.index.entry_of[0][1], 0))
+        insort(state.index.classes[slot], (0.0, state.index.entry_of[0][1], 0))
 
     def a_member_missing_from_its_class(state):
         # the class list loses member 0's entry, so it reads below capacity
-        state.index.classes[slot][0].remove(state.index.entry_of[0])
+        state.index.classes[slot].remove(state.index.entry_of[0])
 
     def stale_signature_answer(state):
         state.index.answers[mp.signature_of[2]] = frozenset({0})
@@ -379,7 +379,7 @@ def test_debug_check_catches_a_stale_swap_pick():
         runner = ms.PassRunner(oracle, mp, None, 0.0, 1.0, debug=True)
         for x in (0, 1):
             runner.process(x)
-        assert len(runner.state.index.classes[slot][0]) == 2
+        assert len(runner.state.index.classes[slot]) == 2
         corrupt(runner.state)
         with pytest.raises(AssertionError, match="cached exchange set"):
             runner.process(2)
