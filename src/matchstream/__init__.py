@@ -22,7 +22,6 @@ from .randomized import (BufferState, GuessGrid, LambdaCopyResult,
                          RandomizedPassRunner, RandomizedRunResult,
                          guess_grid, multipass_randomized, offline_solve,
                          randomized_pass)
-from .streaming import (PassRunner, SolutionState, nu_by_definition,
-                        recompute_nu, streaming_pass)
+from .streaming import PassRunner, SolutionState, recompute_nu, streaming_pass
 
 __version__ = "0.1.0"

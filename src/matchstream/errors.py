@@ -1,5 +1,9 @@
-"""Exception types shared across the package, and the integrality check
-that raises them for ids and capacities."""
+"""Exception types shared across the package, and the checks that raise
+them for integers (ids, capacities, counts) and finite reals (parameters
+such as beta and epsilon)."""
+
+import math
+from numbers import Real
 
 
 class MatchstreamError(ValueError):
@@ -46,6 +50,21 @@ def integers(values, what, error=PreconditionError):
 def integer(value, what, error=PreconditionError):
     """One value, checked as ``integers`` checks each."""
     return integers((value,), what, error)[0]
+
+
+def real(value, what, error=PreconditionError):
+    """``value`` as a finite float. A value is taken only when it is a real
+    number and not a bool, and its float is finite, so 2 is 2.0, while
+    True, "2.5", NaN and inf raise ``error`` naming ``what``, rather than
+    silently becoming another number."""
+    if isinstance(value, Real) and value.__class__ is not bool:
+        try:
+            out = float(value)
+        except OverflowError:
+            out = math.inf
+        if math.isfinite(out):
+            return out
+    raise error(f"{what} must be a finite real number, got {value!r}")
 
 
 def _integral(value):

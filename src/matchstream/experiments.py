@@ -29,7 +29,7 @@ import time
 from collections import Counter
 
 from .baselines import brute_force_opt, check_exact_budget, greedy_basis
-from .errors import ConfigError, SizeError, integer
+from .errors import ConfigError, SizeError, integer, real
 from .instances import load_instance, stream_order
 from .multipass import Schedule, multipass_run
 from .randomized import RandomizedPassRunner, multipass_randomized
@@ -66,14 +66,15 @@ class ExperimentConfig:
             raise ConfigError(f"unknown algorithm: {algorithm!r}")
         self.instance = str(instance)
         self.algorithm = algorithm
-        self.epsilon = None if epsilon is None else float(epsilon)
+        self.epsilon = None if epsilon is None else real(epsilon, "epsilon", ConfigError)
         self.passes = None if passes is None else integer(passes, "passes", ConfigError)
         self.schedule = schedule
-        self.alpha = float(alpha)
+        self.alpha = real(alpha, "alpha", ConfigError)
         self.seed = integer(seed, "seed", ConfigError)
         self.replicates = integer(replicates, "replicates", ConfigError)
         self.offline = offline
-        self.target_gamma = None if target_gamma is None else float(target_gamma)
+        self.target_gamma = (None if target_gamma is None
+                             else real(target_gamma, "target_gamma", ConfigError))
         self.shuffle_seed = (None if shuffle_seed is None
                              else integer(shuffle_seed, "shuffle_seed", ConfigError))
         self.trace = trace

@@ -76,8 +76,8 @@ class Matroid:
 
         This is the definition, one independence test per member, and
         every kind uses it. The searches never call it for a capacity
-        class, which the ``ClassIndex`` answers; it serves the slots
-        keyed None and the debug checks' reference scan (``scan_pick``).
+        class, which the ``ClassIndex`` answers; it serves ``scan_pick``,
+        the search for slots keyed None and the tests' reference scan.
         """
         if self.independent(s_l | {x}):
             return None
@@ -419,7 +419,8 @@ def scan_pick(matroid, x, nu):
     among the ``swap_candidates`` of S's members in the matroid. A
     matroid that names no swap for another x breaks the exchange axiom
     and raises ``InfeasibilityError``. This is the search for slots keyed
-    None, and the debug checks' reference for every slot."""
+    None, and the reference the tests check every slot's answer
+    against."""
     # iterates S, not the matroid's whole ground subset
     candidates = matroid.swap_candidates(
         matroid.ground_subset.intersection(nu), x)

@@ -27,14 +27,18 @@ early once it reaches a target.
 import math
 from itertools import count
 
-from .errors import ConfigError, PreconditionError, integer
+from .errors import ConfigError, PreconditionError, integer, real
 from .streaming import streaming_pass
 
 
 class Schedule:
     """Per-pass step sizes; ``p`` must match the constraint for the
     recurrence kind. ``for_matchoid`` chooses a constraint's schedule, and
-    ``steps`` is the one place that yields a step or a worst-case factor."""
+    ``steps`` is the one place that yields a step or a worst-case factor.
+
+    ``p`` is an integer of at least 1 (2.0 is 2; 2.7 and True are not), and
+    ``beta``, when given, a finite real that is not a bool; anything else
+    raises ``PreconditionError``."""
 
     __slots__ = ("kind", "p", "beta")
 
@@ -42,9 +46,11 @@ class Schedule:
         if kind not in ("matroid-harmonic", "matchoid-recurrence", "fixed"):
             raise PreconditionError(f"unknown schedule kind: {kind}")
         self.kind = kind
-        self.p = int(p)
-        self.beta = None if beta is None else float(beta)
-        if kind == "fixed" and (self.beta is None or not 0.0 <= self.beta < math.inf):
+        self.p = integer(p, "p")
+        if self.p < 1:
+            raise PreconditionError(f"p must be at least 1, got {self.p}")
+        self.beta = None if beta is None else real(beta, "beta")
+        if kind == "fixed" and (self.beta is None or self.beta < 0.0):
             raise PreconditionError("fixed schedule needs a finite beta >= 0")
 
     @staticmethod
@@ -155,7 +161,7 @@ class MultipassResult:
 
 
 def multipass_run(oracle, mp, stream, schedule, passes, alpha=0.0, *,
-                  target_gamma=None, debug=False, trace=None):
+                  target_gamma=None, trace=None):
     """Chain streaming passes, certifying a factor after each.
 
     The solution of each pass seeds the next, over the same stream order.
@@ -182,8 +188,7 @@ def multipass_run(oracle, mp, stream, schedule, passes, alpha=0.0, *,
     stored_peak = 0
 
     for i, (beta_i, _) in zip(range(1, passes + 1), schedule.steps()):
-        res = streaming_pass(oracle, mp, order, state, alpha, beta_i,
-                             debug=debug, trace=trace)
+        res = streaming_pass(oracle, mp, order, state, alpha, beta_i, trace=trace)
         state = res.state
         stored_peak = max(stored_peak, res.stored_peak)
         gamma_cert = (certified_gamma(gamma_cert, beta_i, res.delta, p)

@@ -4,8 +4,9 @@ Every objective evaluates f over subsets of a fixed ground set of integer
 element ids. ``value`` is the metered entry point: it increments the call
 counter by exactly one per invocation. ``marginal`` costs at most two
 counted evaluations. ``peek`` evaluates without counting and exists only
-for diagnostics and invariant checks, so that debug runs report the same
-oracle-call totals as plain runs.
+for diagnostics, such as the value the CLI's greedy baseline reports, and
+for invariant checks run from outside the drivers, so that a checked run
+reports the same oracle-call totals as a plain one.
 
 A running evaluator follows f over a growing set A without re-evaluating
 it from scratch. ``oracle.running(subset)`` returns one holding
@@ -94,7 +95,7 @@ class SubmodularOracle:
         return self.value(a | {e}) - self.value(a)
 
     def peek(self, subset):
-        """Uncounted evaluation, for assertions and debug traces only."""
+        """Uncounted evaluation, for reports and invariant checks only."""
         return self._evaluate(self._check_subset(subset))
 
     def running(self, subset=()):

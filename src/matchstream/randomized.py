@@ -123,12 +123,12 @@ class RandomizedPassRunner(PassRunner):
     solution ``s_prime`` worth ``f_s_prime``.
     """
 
-    def __init__(self, oracle, mp, s_init, alpha, beta, m, rng, *, debug=False):
+    def __init__(self, oracle, mp, s_init, alpha, beta, m, rng):
         if rng is None:
             raise ConfigError("a seeded random generator is required")
         if m < 1:
             raise PreconditionError("buffer capacity must be at least 1")
-        super().__init__(oracle, mp, s_init, alpha, beta, debug=debug)
+        super().__init__(oracle, mp, s_init, alpha, beta)
         self.m = m
         self.rng = rng
         self.buffer = BufferState({})
@@ -162,30 +162,17 @@ class RandomizedPassRunner(PassRunner):
         x, (gain, cx) = self.buffer.draw(self.rng)
         self._accept(x, gain, cx)
         before_sweep = self.buffer.members
-        state, debug = self.state, self.debug
+        state = self.state
         evaluator = state.evaluator
         total = evaluator.total
         survivors = {}
         for y, value in zip(before_sweep, evaluator.values_with(before_sweep)):
             cx = exchange_set(y, state)
-            if debug:
-                self._check_exchange(y, cx)
             gain = value - total
             if gain >= self._bar(cx):
                 survivors[y] = (gain, cx)
         self.buffer_drops += len(before_sweep) - len(survivors)
         self.buffer.members = survivors
-        if debug:
-            # the sweep outcome may not depend on its iteration order
-            replay = {y for y in reversed(before_sweep) if self._threshold_peek(y)}
-            if replay != set(survivors):
-                raise AssertionError("sweep outcome depended on iteration order")
-
-    def _threshold_peek(self, x):
-        """The threshold test again, with f(x | S) evaluated from scratch."""
-        cx = exchange_set(x, self.state)
-        gain = self.oracle.peek(self.state.members | {x}) - self.state.f_s
-        return gain >= self._bar(cx)
 
     def finish(self, offline_mode="exact"):
         """Close the pass: solve offline over the residual buffer and return
@@ -216,14 +203,13 @@ def _check_mode(mode):
 
 
 def randomized_pass(oracle, mp, stream, s_init, alpha, beta, m, rng, *,
-                    offline_mode="exact", debug=False):
+                    offline_mode="exact"):
     """Run one randomized buffered pass over a full stream; returns the
     finished ``RandomizedPassRunner``. An unknown ``offline_mode`` raises
     ``ConfigError`` before the stream is read."""
     _check_mode(offline_mode)
     order = validate_stream(stream, oracle.ground)
-    runner = RandomizedPassRunner(oracle, mp, s_init, alpha, beta, m, rng,
-                                  debug=debug)
+    runner = RandomizedPassRunner(oracle, mp, s_init, alpha, beta, m, rng)
     for x in order:
         runner.process(x)
     return runner.finish(offline_mode)
@@ -340,7 +326,7 @@ class RandomizedRunResult:
 
 
 def multipass_randomized(oracle, mp, stream, epsilon, passes=None, seed=0, *,
-                         offline_mode="exact", debug=False):
+                         offline_mode="exact"):
     """Full randomized driver for a non-negative objective.
 
     One copy runs per guess lambda with alpha = eps' * lambda / (2k) and
@@ -408,7 +394,7 @@ def multipass_randomized(oracle, mp, stream, epsilon, passes=None, seed=0, *,
     space_peak = shared_calls = 0
     for i, (beta_i, gamma_i) in zip(range(1, d + 1), schedule.steps()):
         runners = [RandomizedPassRunner(oracle, mp, copy.state, copy.alpha,
-                                        beta_i, m, copy.rng, debug=debug)
+                                        beta_i, m, copy.rng)
                    for copy in copies]
         # the offline solutions change only between passes
         held_offline = sum(len(copy.s_prime) for copy in copies)

@@ -33,17 +33,18 @@ its selection policy varies. Under the immediate policy (this module's
 ``streaming_pass``) an arrival that clears the threshold is exchanged in
 at once. Under the buffered policy (``randomized.RandomizedPassRunner``)
 it waits in a bounded buffer until a random draw selects it. Each runner
-meters its own oracle calls, debug checks and skipped walks, and the
-finished runner is the pass's record.
+meters its own oracle calls and skipped walks, and the finished runner
+is the pass's record. The runner checks none of the invariants above
+itself; the tests check them from outside it, around ``process``
+(``tests/_checked.py``).
 """
 
 import math
 
 from .errors import DomainError, PreconditionError, integers
-from .matchoids import LOOP, ClassIndex, exchange_set, scan_pick
+from .matchoids import ClassIndex, exchange_set
 
-# the debug checks' tolerance, relative to max(1, |f(S)|), and the
-# threshold screen's margin, relative to 1 + |f(S)|
+# the threshold screen's margin, relative to 1 + |f(S)|
 NU_TOL = 1e-9
 
 
@@ -162,19 +163,6 @@ def recompute_nu(state, oracle, start_pos=0):
     return state
 
 
-def nu_by_definition(state, oracle):
-    """Incremental values straight from the definition (uncounted)."""
-    out = {}
-    prefix = set()
-    running = oracle.peek(prefix)
-    for e in state.nu:
-        prefix.add(e)
-        nxt = oracle.peek(prefix)
-        out[e] = nxt - running
-        running = nxt
-    return out
-
-
 def validate_stream(stream, ground):
     order = integers(stream, "stream elements", DomainError)
     seen = set(order)
@@ -195,18 +183,16 @@ class PassRunner:
     The runner owns what every pass does per arrival: arrivals that are
     already in the initial solution are discarded, every other arrival x
     meets the exchange threshold, and the runner keeps the storage count,
-    the pass counters, the trace records and the debug checks. It also
-    meters its own oracle calls, so runners sharing one oracle each report
-    theirs; building the starting solution is not counted. Only the
-    selection policy for an arrival that clears the threshold varies.
+    the pass counters and the trace records. It also meters its own
+    oracle calls, so runners sharing one oracle each report theirs;
+    building the starting solution is not counted. Only the selection
+    policy for an arrival that clears the threshold varies.
     This class exchanges it in at once: a buffer of one whose only member
     is drawn as soon as it arrives. ``randomized.RandomizedPassRunner``
     holds it in a bounded buffer and draws at random instead.
 
     ``trace`` is any object with an ``append`` method (a list will do);
-    it gets one record per processed element. With ``debug``
-    the solution invariants are re-derived from the oracle after every
-    processed element (uncounted evaluations).
+    it gets one record per processed element.
 
     ``oracle`` and ``mp`` must have one ground set. The pass starts from a
     copy of ``s_init``, a finished pass's state on ``oracle`` that is
@@ -223,17 +209,15 @@ class PassRunner:
     and ``zero_gain_accepts`` the accepts whose measured gain was exactly 0;
     ``screened`` counts the threshold tests that a driver's shared
     f(x | empty) answered with no call of the runner's own (see
-    ``_threshold``; 0 when no driver passes one);
-    ``element_checks`` and ``accept_checks`` count the debug checks (zero
-    without debug). A finished runner refuses further arrivals and a
-    second finish, so a stored pass does not change.
+    ``_threshold``; 0 when no driver passes one). A finished runner
+    refuses further arrivals and a second finish, so a stored pass does
+    not change.
     """
 
     # admitted arrivals still waiting for selection
     waiting = ()
 
-    def __init__(self, oracle, mp, s_init, alpha, beta, *, debug=False,
-                 trace=None):
+    def __init__(self, oracle, mp, s_init, alpha, beta, *, trace=None):
         if not (0 <= alpha < math.inf and 0 <= beta < math.inf):
             raise PreconditionError("alpha and beta must be finite and non-negative")
         if oracle.ground != mp.ground:
@@ -252,9 +236,8 @@ class PassRunner:
         self.mp = mp
         self.alpha = alpha
         self.beta = beta
-        self.debug = debug
         self.trace = trace
-        self.oracle_calls = self.element_checks = self.accept_checks = 0
+        self.oracle_calls = 0
         self.init_ids = frozenset(self.state.members)
         self.accepted = set(self.init_ids)
         self.evicted = {}
@@ -299,12 +282,6 @@ class PassRunner:
                 self.reject_count += 1
                 if self.trace is not None:
                     _trace_write(self.trace, x, "reject", cx, self.state)
-        if self.debug:
-            state = self.state
-            _check_element(state, oracle, self.mp, self.alpha)
-            if len(self.init_ids | state.members) != self._held:
-                raise AssertionError("the held-element count drifted from init and S")
-            self.element_checks += 1
         self.oracle_calls += oracle._calls - calls
 
     def finish(self):
@@ -354,8 +331,6 @@ class PassRunner:
         """
         state = self.state
         cx = exchange_set(x, state)
-        if self.debug:
-            self._check_exchange(x, cx)
         if cx is None:
             return False, None, ()
         bar = self._bar(cx)
@@ -370,16 +345,6 @@ class PassRunner:
                 return False, None, cx
         gain = evaluator.value_with(x) - total
         return gain >= bar, gain, cx
-
-    def _check_exchange(self, x, cx):
-        """Debug check: ``cx``, served from the state's class index and
-        its answers, is the exchange set that scanning S with
-        independence tests gives slot by slot (``scan_pick``)."""
-        nu = self.state.nu
-        scanned = [scan_pick(m, x, nu) for m, _ in self.mp.signature_of.get(x, ())]
-        fresh = None if LOOP in scanned else frozenset(scanned) - {None}
-        if fresh != cx:
-            raise AssertionError(f"cached exchange set {cx} for {x}, not {fresh}")
 
     def _bar(self, cx):
         """The bar f(x | S) must reach: alpha + (1 + beta) * sum of nu
@@ -403,7 +368,6 @@ class PassRunner:
     def _accept(self, x, gain, cx):
         """S <- S - C_x + x, where ``gain`` is the current f(x | S)."""
         state = self.state
-        nu_before = dict(state.nu) if self.debug else None
         chi, skipped = state.accept(x, cx, self.oracle, gain)
         self.evicted.update(chi)
         self.shortcut_exchanges += skipped
@@ -413,18 +377,14 @@ class PassRunner:
         self.accept_count += 1
         if self.trace is not None:
             _trace_write(self.trace, x, "accept", cx, state)
-        if self.debug:
-            _check_accept(state, self.oracle, nu_before, cx)
-            self.accept_checks += 1
 
 
 def streaming_pass(oracle, mp, stream, s_init=None, alpha=0.0, beta=1.0, *,
-                   debug=False, trace=None):
+                   trace=None):
     """Process one pass of the stream against an optional initial solution
     with the immediate policy; returns the finished ``PassRunner``."""
     order = validate_stream(stream, oracle.ground)
-    runner = PassRunner(oracle, mp, s_init, alpha, beta, debug=debug,
-                        trace=trace)
+    runner = PassRunner(oracle, mp, s_init, alpha, beta, trace=trace)
     for x in order:
         runner.process(x)
     return runner.finish()
@@ -440,41 +400,3 @@ def _trace_write(sink, elem, action, cx, state):
     }
     sink.append(record)
 
-
-def _check_element(state, oracle, mp, alpha):
-    """Invariants that must hold after every processed element."""
-    if not mp.feasible(state.members):
-        raise AssertionError("solution left the feasible region")
-    held, exact = state.evaluator.total, oracle.peek(state.members)
-    tol = NU_TOL * max(1.0, abs(exact))
-    if abs(held - exact) > tol:
-        raise AssertionError(f"running evaluator holds {held}, f(S) is {exact}")
-    total = math.fsum(state.nu.values())
-    if abs(total - (state.f_s - state.f_empty)) > tol:
-        raise AssertionError(
-            f"incremental values sum to {total}, expected {state.f_s - state.f_empty}"
-        )
-    for e, v in state.nu.items():
-        if v < alpha - tol:
-            raise AssertionError(f"nu[{e}]={v} fell below alpha={alpha}")
-
-
-def _check_accept(state, oracle, nu_before, evicted_set):
-    """Extra invariants re-derived from the oracle after an acceptance."""
-    full = oracle.peek(state.members)
-    tol = NU_TOL * max(1.0, abs(full))
-    exact = nu_by_definition(state, oracle)
-    for e, v in exact.items():
-        if abs(v - state.nu[e]) > tol:
-            raise AssertionError(f"cached nu[{e}]={state.nu[e]} drifted from {v}")
-    for e, old in nu_before.items():
-        if e not in state.members or e in evicted_set:
-            continue
-        if evicted_set:
-            if state.nu[e] < old - tol:
-                raise AssertionError("an eviction decreased a survivor's nu")
-        elif abs(state.nu[e] - old) > tol:
-            raise AssertionError("a pure insertion changed a survivor's nu")
-    for t in state.nu:
-        if full - oracle.peek(state.members - {t}) > state.nu[t] + tol:
-            raise AssertionError("single-element residual exceeded its nu")

@@ -3,8 +3,8 @@
 Every test prints one pass/fail line (written to the real stdout so the
 lines show up under pytest's capture). Shared corpora are built once per
 session: 200 random monotone instances per constraint family, all run for
-16 passes with per-element invariant checks enabled, plus randomized
-sweeps on directed-cut instances.
+16 passes under ``_checked.checked``'s per-element invariant checks, plus
+randomized sweeps on directed-cut instances.
 """
 
 import hashlib
@@ -18,6 +18,7 @@ import pytest
 
 import matchstream as ms
 from matchstream.baselines import greedy_basis
+from _checked import checked
 from _corpus import (bipartite_matching, coverage_uniform, directed_cut,
                      enumerate_opt_unpruned, exact_opt, hypergraph_matching)
 from conftest import ACCEPTANCE_LINES
@@ -49,8 +50,14 @@ class _Record:
 
 
 @pytest.fixture(scope="session")
-def monotone_corpus():
-    """16-pass debug-mode runs over 200 instances per family."""
+def invariant_checks():
+    """The ``Tally`` of each checked fixture's runs, appended as it runs."""
+    return []
+
+
+@pytest.fixture(scope="session")
+def monotone_corpus(invariant_checks):
+    """16-pass checked runs over 200 instances per family."""
     corpora = {}
     for name, builder in (("p1", coverage_uniform),
                           ("p2", bipartite_matching),
@@ -61,9 +68,11 @@ def monotone_corpus():
             mp = inst.build_matchoid()
             schedule = ms.Schedule.for_matchoid(mp)
             opt = exact_opt(inst).opt_value
-            run = ms.multipass_run(inst.build_oracle(), mp,
-                                   ms.stream_order(inst.n), schedule,
-                                   MAX_PASSES, 0.0, debug=True)
+            with checked() as tally:
+                run = ms.multipass_run(inst.build_oracle(), mp,
+                                       ms.stream_order(inst.n), schedule,
+                                       MAX_PASSES, 0.0)
+            invariant_checks.append(tally)
             records.append(_Record(inst, mp, opt, run, schedule))
         corpora[name] = records
     return corpora
@@ -89,18 +98,20 @@ def randomized_sweep():
 
 
 @pytest.fixture(scope="session")
-def small_buffer_runs():
+def small_buffer_runs(invariant_checks):
     """Buffered passes with tiny capacities so selections and sweeps
-    actually fire, in debug mode, with a positive additive threshold."""
+    actually fire, checked, with a positive additive threshold."""
     records = []
     alpha = 0.5
     for seed in range(24):
         inst = directed_cut(seed % 3)
         mp = inst.build_matchoid()
         opt = exact_opt(inst).opt_value
-        out = ms.randomized_pass(inst.build_oracle(), mp,
-                                 ms.stream_order(inst.n), None, alpha, 1.0,
-                                 m=2 + seed % 3, rng=Random(seed), debug=True)
+        with checked() as tally:
+            out = ms.randomized_pass(inst.build_oracle(), mp,
+                                     ms.stream_order(inst.n), None, alpha, 1.0,
+                                     m=2 + seed % 3, rng=Random(seed))
+        invariant_checks.append(tally)
         records.append((mp, opt, out, alpha))
     return records
 
@@ -194,13 +205,12 @@ def test_05_per_pass_accounting(monotone_corpus, randomized_sweep,
                      ok, f"{passes} passes, {alpha_checks} positive-alpha checks")
 
 
-def test_06_per_element_invariants(monotone_corpus, small_buffer_runs):
-    # the debug-mode runs of these two fixtures count their own checks
-    results = [res for records in monotone_corpus.values() for rec in records
-               for res in rec.run.pass_results]
-    results += [out for _, _, out, _ in small_buffer_runs]
-    elements = sum(res.element_checks for res in results)
-    accepts = sum(res.accept_checks for res in results)
+def test_06_per_element_invariants(monotone_corpus, small_buffer_runs,
+                                   invariant_checks):
+    # every run of these two fixtures ran under ``checked``, which raises
+    # on the first violation; here are the checks they counted
+    elements = sum(tally.elements for tally in invariant_checks)
+    accepts = sum(tally.accepts for tally in invariant_checks)
     ok = elements > 0 and accepts > 0
     assert _announce(6, "per-element invariant checks clean across corpus", ok,
                      f"{elements} element checks, {accepts} acceptance checks, "

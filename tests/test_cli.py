@@ -291,7 +291,7 @@ def test_bad_fixed_schedule_shows_its_reason(tmp_path, capsys):
     main(["generate", "--family", "coverage+uniform", "--seed", "0",
           "--n", "9", "--out", cov])
     capsys.readouterr()
-    for token, reason in (("fixed:nan", "finite beta >= 0"),
+    for token, reason in (("fixed:nan", "beta must be a finite real number"),
                           ("fixed:-1", "finite beta >= 0"),
                           ("fixed:abc", "could not convert")):
         code = main(["run-monotone", "--instance", cov, "--schedule", token,

@@ -56,6 +56,17 @@ def test_config_integer_fields_are_integers(field):
     assert ms.ExperimentConfig(**config.to_dict()).to_dict() == config.to_dict()
 
 
+@pytest.mark.parametrize("field", ["epsilon", "alpha", "target_gamma"])
+def test_config_float_fields_are_finite_reals(field):
+    # float() would read True as 1.0 and "2.5" as 2.5, and take NaN
+    for bad in (True, False, "2.5", "nan", math.nan, math.inf):
+        with pytest.raises(ms.ConfigError, match=f"{field} must be a finite real"):
+            ms.ExperimentConfig("x.json", "monotone-multipass", **{field: bad})
+    config = ms.ExperimentConfig("x.json", "monotone-multipass", **{field: 2})
+    assert getattr(config, field) == 2.0 and type(getattr(config, field)) is float
+    assert ms.ExperimentConfig(**config.to_dict()).to_dict() == config.to_dict()
+
+
 def test_randomized_run_needs_an_epsilon(tmp_path, monkeypatch):
     # a config without an epsilon or a replicate is refused before the
     # summary's exact optimum is searched

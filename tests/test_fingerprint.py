@@ -3,15 +3,15 @@ corpus, and on one randomized run whose buffers fill.
 
 For every ``_corpus`` family and seeds 0-5 the test records
 
-* a debug ``multipass_run`` (3 passes, shuffled stream, alpha 0 and 1):
-  every trace record, each pass's row, solution in arrival order and
-  certificate, and the oracle's call count;
+* a ``multipass_run`` under ``_checked.checked`` (3 passes, shuffled
+  stream, alpha 0 and 1): every trace record, each pass's row, solution
+  in arrival order and certificate, and the oracle's call count;
 * ``multipass_randomized`` (epsilon 0.5, 2 passes) with the exact and
   the heuristic offline solver: every copy's pass rows, the solution,
   ``space_peak`` and the call count;
-* two chained debug ``randomized_pass`` runs for each buffer size
-  m in {1, 2, 3}: the solution in arrival order, the residual buffer,
-  the offline solution and its value, and the call count.
+* two chained ``randomized_pass`` runs under ``checked`` for each buffer
+  size m in {1, 2, 3}: the solution in arrival order, the residual
+  buffer, the offline solution and its value, and the call count.
 
 The records are split in two, and each field lands in exactly one hash:
 
@@ -49,6 +49,7 @@ from random import Random
 
 import matchstream as ms
 import _corpus
+from _checked import checked
 
 DECISIONS = "69fe4a10657a6531f3a4c13531b1232867ea0f4f97c924f092962326eaa3cf55"
 METERING = "6c310ca1fcc8487c3cd4de8a01754079af074ebc6d9139c628e15c9c785d3a0d"
@@ -79,8 +80,9 @@ def _multipass_records(inst, mp, stream):
     for alpha in (0.0, 1.0):
         oracle = inst.build_oracle()
         trace = []
-        res = ms.multipass_run(oracle, mp, stream, ms.Schedule.for_matchoid(mp),
-                               3, alpha, debug=True, trace=trace)
+        with checked():
+            res = ms.multipass_run(oracle, mp, stream, ms.Schedule.for_matchoid(mp),
+                                   3, alpha, trace=trace)
         passes = [{"row": run.row(cert.pass_index, cert.gamma_certified),
                    "solution": list(run.state.nu),
                    "gamma": cert.gamma_certified}
@@ -110,8 +112,8 @@ def _chained_records(inst, mp, stream):
         rng = Random(m)
         state = None
         for beta in (1.0, 0.5):
-            run = ms.randomized_pass(oracle, mp, stream, state, 0.5, beta, m,
-                                     rng, debug=True)
+            with checked():
+                run = ms.randomized_pass(oracle, mp, stream, state, 0.5, beta, m, rng)
             state = run.state
             out.append({"m": m, "solution": list(state.nu),
                         "buffer": list(run.buffer.members),

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import matchstream as ms
 import _corpus
+from _checked import checked
 
 
 def _state(mp, order, nu):
@@ -289,17 +290,17 @@ def test_loops_are_rejected_not_exchanged(loop_matroid, opt):
     assert ms.exchange_set(0, _state(mp, [], {})) is None
     assert ms.brute_force_opt(ms.ModularOracle([1, 2, 3]), mp).opt_value == opt
     trace = []
-    run = ms.multipass_run(ms.ModularOracle([1, 2, 3]), mp, [0, 1, 2],
-                           ms.Schedule.matroid_harmonic(), 2, debug=True,
-                           trace=trace)
+    with checked():
+        run = ms.multipass_run(ms.ModularOracle([1, 2, 3]), mp, [0, 1, 2],
+                               ms.Schedule.matroid_harmonic(), 2, trace=trace)
     assert run.f_final == opt
     assert {"elem": 0, "action": "reject", "C_x": []}.items() <= trace[0].items()
     for weights in ([1, 2, 3], [9, 9, 3]):
         for mode in ("exact", "heuristic"):
             oracle = ms.ModularOracle(weights)
-            rand = ms.multipass_randomized(oracle, mp, [0, 1, 2], 0.5,
-                                           passes=2, offline_mode=mode,
-                                           debug=True)
+            with checked():
+                rand = ms.multipass_randomized(oracle, mp, [0, 1, 2], 0.5,
+                                               passes=2, offline_mode=mode)
             assert mp.feasible(rand.solution)
             assert rand.f_solution == oracle.peek(rand.solution) <= opt
             # the guess grid brackets OPT from the best feasible singleton,

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import matchstream as ms
+from _checked import checked
 from _corpus import coverage_uniform, exact_opt, hypergraph_matching, oracles
 
 TOL = 1e-9
@@ -85,6 +86,20 @@ def test_fixed_and_custom_schedules():
     for kind in ("custom", "no-such-kind"):
         with pytest.raises(ms.PreconditionError):
             ms.Schedule(kind)
+
+
+def test_schedule_inputs_are_read_strictly():
+    # int() would read p = 2.7 as 2, a schedule a p = 2 run accepts, and
+    # True as 1; float() would read beta = True as 1.0
+    for bad in (2.7, True, "2", 0, -1):
+        with pytest.raises(ms.PreconditionError, match="p must be"):
+            ms.Schedule.matchoid_recurrence(bad)
+    for bad in (True, "0.5", math.nan, math.inf):
+        with pytest.raises(ms.PreconditionError, match="beta must be a finite real"):
+            ms.Schedule.fixed(bad)
+    recurrence, fixed = ms.Schedule.matchoid_recurrence(2.0), ms.Schedule.fixed(1)
+    assert recurrence.p == 2 and type(recurrence.p) is int
+    assert fixed.beta == 1.0 and type(fixed.beta) is float
 
 
 # (beta_i, worst-case gamma_i) for passes 1..16, recorded before the step
@@ -319,7 +334,8 @@ def _float_weight_runs(draw):
 def test_multipass_factors_hold_on_float_weights(case):
     oracle, mp, schedule, alpha, stream = case
     opt = ms.brute_force_opt(oracle, mp).opt_value
-    run = ms.multipass_run(oracle, mp, stream, schedule, 4, alpha, debug=True)
+    with checked():
+        run = ms.multipass_run(oracle, mp, stream, schedule, 4, alpha)
     tol = 1e-9 * max(1.0, opt)
     if alpha == 0.0:
         assert opt <= 4.0 * mp.p * run.pass_results[0].f_final + tol

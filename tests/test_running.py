@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import matchstream as ms
+from _checked import checked
 from _corpus import oracles
 
 # With float weights a running total may differ from a from-scratch sum
@@ -158,8 +159,8 @@ def test_custom_subclass_gets_generic_evaluator():
     assert evaluator.add(2) == 1.0
     assert evaluator.value_with(2) == 1.0
     assert oracle.calls == 4
-    run = ms.streaming_pass(oracle, ms.PMatchoid(range(4), [], rank=4),
-                            range(4), debug=True)
+    with checked():
+        run = ms.streaming_pass(oracle, ms.PMatchoid(range(4), [], rank=4), range(4))
     assert run.f_final == 2.0
 
 
@@ -171,14 +172,13 @@ def test_custom_subclass_gets_generic_evaluator():
 # scratch metering makes 588 calls here).
 
 
-def _multipass_pin_run(oracle_class=ms.CoverageOracle, debug=False, trace=None):
+def _multipass_pin_run(oracle_class=ms.CoverageOracle, trace=None):
     inst = ms.generate_instance("coverage+uniform", 7, n=40, items=6,
                                 capacity=8, max_weight=1)
     oracle = oracle_class(inst.objective["sets"], inst.objective["item_weights"])
     mp = inst.build_matchoid()
     run = ms.multipass_run(oracle, mp, ms.stream_order(inst.n, 7),
-                           ms.Schedule.matroid_harmonic(), 3, 0.0,
-                           debug=debug, trace=trace)
+                           ms.Schedule.matroid_harmonic(), 3, 0.0, trace=trace)
     return oracle, run
 
 
@@ -196,8 +196,9 @@ def test_nonmonotone_exchange_still_walks():
     oracle = ms.DirectedCutOracle(5, [(1, 2, 1), (1, 4, 2), (2, 1, 1),
                                       (3, 0, 3), (3, 1, 1), (3, 4, 2)])
     mp = ms.PMatchoid(range(5), [ms.UniformMatroid(range(5), 2)])
-    run = ms.multipass_run(oracle, mp, range(5), ms.Schedule.for_matchoid(mp),
-                           2, 0.0, debug=True)
+    with checked():
+        run = ms.multipass_run(oracle, mp, range(5), ms.Schedule.for_matchoid(mp),
+                               2, 0.0)
     assert [r.evicted for r in run.pass_results] == [{0: 0.0}, {}]
     assert run.solution == {1, 3} and run.f_final == 8.0
     assert run.state.nu == {1: 3.0, 3: 5.0}
@@ -245,9 +246,9 @@ def _agree(got, want, scale):
 
 def test_shortcut_decides_as_the_walk_on_the_pinned_instance():
     plain_trace, walked_trace = [], []
-    plain_oracle, plain = _multipass_pin_run(debug=True, trace=plain_trace)
-    walked_oracle, walked = _multipass_pin_run(_Walked, debug=True,
-                                               trace=walked_trace)
+    with checked():
+        plain_oracle, plain = _multipass_pin_run(trace=plain_trace)
+        walked_oracle, walked = _multipass_pin_run(_Walked, trace=walked_trace)
     assert _decided(plain, plain_trace) == _decided(walked, walked_trace)
     assert (plain_oracle.calls, walked_oracle.calls) == (105, 588)
     assert sum(r.shortcut_exchanges for r in walked.pass_results) == 0
@@ -288,8 +289,9 @@ def test_shortcut_decides_as_the_walk(case):
     decided, calls = [], []
     for cls in (plain_class, walked_class):
         oracle, trace = cls(*args), []
-        run = ms.multipass_run(oracle, mp, stream, ms.Schedule.for_matchoid(mp),
-                               3, 0.0, debug=True, trace=trace)
+        with checked():
+            run = ms.multipass_run(oracle, mp, stream, ms.Schedule.for_matchoid(mp),
+                                   3, 0.0, trace=trace)
         decided.append(_decided(run, trace))
         calls.append(oracle.calls)
     assert _agree(*decided, scale)
@@ -314,11 +316,11 @@ def test_debug_check_catches_a_drifted_evaluator():
     first = ms.streaming_pass(oracle, mp, [0, 1, 2])
     assert list(first.state.nu) == [1, 2]
     first.state.evaluator.total += 1.0
-    with pytest.raises(AssertionError, match="running evaluator"):
-        ms.streaming_pass(oracle, mp, [0, 1, 2], first.state, debug=True)
+    with checked(), pytest.raises(AssertionError, match="running evaluator"):
+        ms.streaming_pass(oracle, mp, [0, 1, 2], first.state)
 
 
-# Weights far above 1: the debug checks' tolerance is relative to f(S),
+# Weights far above 1: the checks' tolerance is relative to f(S),
 # so rounding in the last bits of a correct run is not a failure.
 LARGE_WEIGHTS = ([1e6 + .1, 2e6 + .2, 3e6 + .3, 4e6 + .4], [1e9, .1, .2, .3])
 
@@ -328,13 +330,13 @@ def test_debug_checks_scale_with_f(weights):
     mp = ms.PMatchoid(range(4), [ms.UniformMatroid(range(4), 3)])
     for order in ([0, 1, 2, 3], [3, 2, 1, 0], [1, 3, 0, 2]):
         oracle = ms.ModularOracle(weights)
-        run = ms.multipass_run(oracle, mp, order,
-                               ms.Schedule.matroid_harmonic(), 3, debug=True)
+        with checked():
+            run = ms.multipass_run(oracle, mp, order, ms.Schedule.matroid_harmonic(), 3)
         assert run.f_final == pytest.approx(sum(weights) - min(weights))
 
 
 def test_debug_checks_scale_with_f_on_a_large_cut():
-    # chained debug randomized passes on cuts with 1e6-scale float weights
+    # chained checked randomized passes on cuts with 1e6-scale float weights
     draws = 0
     for seed in range(40):
         rng = Random(seed)
@@ -345,8 +347,9 @@ def test_debug_checks_scale_with_f_on_a_large_cut():
         mp = ms.PMatchoid(range(8), [ms.UniformMatroid(range(8), 3)])
         state = None
         for i, beta in enumerate((1.0, 0.5)):
-            res = ms.randomized_pass(oracle, mp, range(8), state, 0.0, beta,
-                                     2, Random(seed + i), debug=True)
+            with checked():
+                res = ms.randomized_pass(oracle, mp, range(8), state, 0.0, beta,
+                                         2, Random(seed + i))
             state = res.state
             draws += res.accept_count
     assert draws > 0
@@ -358,8 +361,8 @@ def test_debug_check_catches_a_drift_at_large_scale():
     first = ms.streaming_pass(oracle, mp, [0, 1, 2, 3])
     assert list(first.state.nu) == [1, 2, 3]
     first.state.evaluator.total += 1.0
-    with pytest.raises(AssertionError, match="running evaluator"):
-        ms.streaming_pass(oracle, mp, [0, 1, 2, 3], first.state, debug=True)
+    with checked(), pytest.raises(AssertionError, match="running evaluator"):
+        ms.streaming_pass(oracle, mp, [0, 1, 2, 3], first.state)
 
 
 def test_zero_gain_accepts_are_counted():

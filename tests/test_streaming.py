@@ -7,6 +7,7 @@ from random import Random
 import pytest
 
 import matchstream as ms
+from _checked import checked, nu_by_definition
 from _corpus import bipartite_matching, coverage_uniform, exact_opt
 
 TOL = 1e-9
@@ -23,7 +24,8 @@ def test_hand_simulation_accept_and_evict():
     # weights 1 then 3 under a capacity-1 constraint with beta=1:
     # the second arrival pays (1+1)*nu(first)=2 and wins
     oracle, mp = _modular_setup([1, 3])
-    res = ms.streaming_pass(oracle, mp, [0, 1], None, 0.0, 1.0, debug=True)
+    with checked():
+        res = ms.streaming_pass(oracle, mp, [0, 1], None, 0.0, 1.0)
     assert res.solution == {1}
     assert res.f_final == 3.0
     assert res.evicted == {0: 1.0}
@@ -34,7 +36,8 @@ def test_hand_simulation_accept_and_evict():
 def test_hand_simulation_reject():
     # 1.5 < (1+1)*1, so the second arrival is rejected
     oracle, mp = _modular_setup([1, 1.5])
-    res = ms.streaming_pass(oracle, mp, [0, 1], None, 0.0, 1.0, debug=True)
+    with checked():
+        res = ms.streaming_pass(oracle, mp, [0, 1], None, 0.0, 1.0)
     assert res.solution == {0}
     assert res.f_final == 1.0
     assert res.evicted == {}
@@ -55,8 +58,8 @@ def test_converged_pass_is_a_fixed_point():
             converged = res
             break
     assert converged is not None, "no converged pass within 30 passes"
-    again = ms.streaming_pass(oracle, mp, stream, state, 0.0,
-                              converged.beta, debug=True)
+    with checked():
+        again = ms.streaming_pass(oracle, mp, stream, state, 0.0, converged.beta)
     assert again.accept_count == 0
     assert again.f_final == again.f_init
     assert again.discard_count == len(state.members)
@@ -88,7 +91,7 @@ def test_cached_nu_matches_definition_after_random_runs():
             res = ms.streaming_pass(oracle, mp, ms.stream_order(inst.n),
                                     state, 0.0, 1.0 / i)
             state = res.state
-            exact = ms.nu_by_definition(state, oracle)
+            exact = nu_by_definition(state, oracle)
             assert set(exact) == set(state.nu)
             for e, v in exact.items():
                 assert abs(v - state.nu[e]) <= TOL
@@ -109,16 +112,20 @@ def test_full_recompute_agrees_with_incremental_cache():
 
 def test_debug_mode_checks_every_element():
     inst = coverage_uniform(2)
-    res = ms.streaming_pass(inst.build_oracle(), inst.build_matchoid(),
-                            ms.stream_order(inst.n), None, 0.0, 1.0, debug=True)
-    assert res.element_checks == inst.n
-    assert res.accept_count > 0
+    with checked() as tally:
+        res = ms.streaming_pass(inst.build_oracle(), inst.build_matchoid(),
+                                ms.stream_order(inst.n), None, 0.0, 1.0)
+    assert (tally.elements, tally.exchanges) == (inst.n, inst.n)
+    assert tally.accepts == res.accept_count > 0
     # the buffered policy checks every arrival too, not only its draws
-    out = ms.randomized_pass(inst.build_oracle(), inst.build_matchoid(),
-                             ms.stream_order(inst.n), None, 0.0, 1.0, m=2,
-                             rng=Random(5), debug=True)
-    assert out.element_checks == inst.n
+    with checked() as tally:
+        out = ms.randomized_pass(inst.build_oracle(), inst.build_matchoid(),
+                                 ms.stream_order(inst.n), None, 0.0, 1.0, m=2,
+                                 rng=Random(5))
+    assert tally.elements == inst.n
+    assert tally.accepts == out.accept_count
     assert 0 < out.accept_count < inst.n
+    assert tally.swept > 0
 
 
 @pytest.mark.parametrize("buffered", [False, True])
@@ -171,18 +178,18 @@ def test_accepted_count_bounded_by_opt_over_alpha():
         inst = coverage_uniform(seed)
         opt = exact_opt(inst).opt_value
         alpha = 0.5
-        res = ms.streaming_pass(inst.build_oracle(), inst.build_matchoid(),
-                                ms.stream_order(inst.n), None, alpha, 1.0,
-                                debug=True)
+        with checked():
+            res = ms.streaming_pass(inst.build_oracle(), inst.build_matchoid(),
+                                    ms.stream_order(inst.n), None, alpha, 1.0)
         assert len(res.accepted) <= opt / alpha + TOL
 
 
 def test_nu_never_below_alpha():
     inst = coverage_uniform(6)
     alpha = 1.0
-    res = ms.streaming_pass(inst.build_oracle(), inst.build_matchoid(),
-                            ms.stream_order(inst.n), None, alpha, 1.0,
-                            debug=True)
+    with checked():
+        res = ms.streaming_pass(inst.build_oracle(), inst.build_matchoid(),
+                                ms.stream_order(inst.n), None, alpha, 1.0)
     for e in res.state.order:
         assert res.state.nu[e] >= alpha - TOL
 
@@ -329,13 +336,15 @@ def test_eviction_sets_never_exceed_p():
 
 
 def test_feasibility_after_every_element():
-    # debug mode re-checks feasibility per element and raises on violation
+    # the checked runner re-checks feasibility per element and raises on
+    # a violation
     rng = Random(3)
     for seed in range(5):
         inst = bipartite_matching(seed)
         beta = rng.choice([0.25, 0.5, 1.0])
-        ms.streaming_pass(inst.build_oracle(), inst.build_matchoid(),
-                          ms.stream_order(inst.n), None, 0.0, beta, debug=True)
+        with checked():
+            ms.streaming_pass(inst.build_oracle(), inst.build_matchoid(),
+                              ms.stream_order(inst.n), None, 0.0, beta)
 
 
 @pytest.mark.parametrize("held", [{1, 2}, {0, 1}, set()],
@@ -356,7 +365,7 @@ def test_start_state_evaluator_must_hold_its_members(held):
 def test_debug_check_catches_a_stale_swap_pick():
     # S = {0, 1} fills the uniform matroid, and arrival 2 should evict 1,
     # the smaller nu; each corruption below makes the state's answer name
-    # another set, which the debug check's scan of S catches
+    # another set, which the checked runner's scan of S catches
     oracle = ms.ModularOracle([3, 1, 2, 4])
     uniform = ms.UniformMatroid(range(4), 2)
     mp = ms.PMatchoid(range(4), [uniform])
@@ -376,13 +385,115 @@ def test_debug_check_catches_a_stale_swap_pick():
 
     for corrupt in (an_entry_with_a_wrong_nu, a_member_missing_from_its_class,
                     stale_signature_answer):
-        runner = ms.PassRunner(oracle, mp, None, 0.0, 1.0, debug=True)
-        for x in (0, 1):
-            runner.process(x)
-        assert len(runner.state.index.classes[slot]) == 2
-        corrupt(runner.state)
-        with pytest.raises(AssertionError, match="cached exchange set"):
-            runner.process(2)
+        runner = ms.PassRunner(oracle, mp, None, 0.0, 1.0)
+        with checked():
+            for x in (0, 1):
+                runner.process(x)
+            assert len(runner.state.index.classes[slot]) == 2
+            corrupt(runner.state)
+            with pytest.raises(AssertionError, match="cached exchange set"):
+                runner.process(2)
+
+
+def _planted(fault):
+    """A runner that applies ``fault(runner, x, cx)`` after each accept."""
+    class Planted(ms.PassRunner):
+        def _accept(self, x, gain, cx):
+            super()._accept(x, gain, cx)
+            fault(self, x, cx)
+    return Planted
+
+
+def _keep_evicted(runner, x, cx):
+    runner.state.nu.update(dict.fromkeys(cx, 0.0))
+
+
+def _inflate_nu(runner, x, cx):
+    runner.state.nu[x] += 1.0
+
+
+def _nu_below_alpha(runner, x, cx):
+    # x's nu and one more move onto S's first member: the sum holds
+    nu = runner.state.nu
+    first = next(iter(nu))
+    if first != x:
+        nu[first] += nu[x] + 1.0
+        nu[x] = -1.0
+
+
+def _miscount_held(runner, x, cx):
+    runner._held += 1
+
+
+def _swap_nu(runner, x, cx):
+    # S's first member and x trade nu values: the sum holds
+    nu = runner.state.nu
+    first = next(iter(nu))
+    nu[first], nu[x] = nu[x], nu[first]
+
+
+def _file_x_first(runner, x, cx):
+    # x is filed ahead of S instead of after it, and every nu re-walked,
+    # so each nu is exact for that order
+    nu = runner.state.nu
+    nu.update({e: nu.pop(e) for e in list(nu) if e != x})
+    ms.recompute_nu(runner.state, runner.oracle)
+
+
+class _RaisedBar(ms.RandomizedPassRunner):
+    """The engine's bar, admission and re-screen alike, one too high."""
+
+    def _bar(self, cx):
+        return super()._bar(cx) + 1.0
+
+
+def _uniform(n, capacity):
+    return ms.PMatchoid(range(n), [ms.UniformMatroid(range(n), capacity)])
+
+
+# Modular weights 3, 1, 2, 4 under capacity 2: 0 and 1 are inserted, 2
+# evicts 1 and 3 evicts 2. The coverage sets {a}, {b}, {b, c} (weights 1,
+# 2, 3) insert 0 and 1, then 2 evicts 0; {a}, {a, b} (unit weights)
+# insert both. Filing x first leaves the first run's survivor 1 with
+# nu 0 after 2 evicts 0, and the second run's 0 with nu 0 after 1 is
+# inserted. The table's f({0, 1}) = 5 > f({0}) + f({1}) leaves member 0
+# a residual of 4 over its nu of 1. Under the raised bar, the draw from
+# a full buffer of {a, b} and {a, c} (weights 1, 0.5 and 0.5) drops the
+# other member, whose gain of 0.5 still clears the true bar of 0.
+_MODULAR = (ms.ModularOracle([3, 1, 2, 4]), _uniform(4, 2))
+_PLANTED_FAULTS = {
+    "solution left the feasible region": (_planted(_keep_evicted), _MODULAR),
+    "incremental values sum to": (_planted(_inflate_nu), _MODULAR),
+    "fell below alpha": (_planted(_nu_below_alpha), _MODULAR),
+    "held-element count drifted": (_planted(_miscount_held), _MODULAR),
+    "cached nu\\[0\\]=1.0 drifted": (_planted(_swap_nu), _MODULAR),
+    "an eviction decreased a survivor's nu": (
+        _planted(_file_x_first),
+        (ms.CoverageOracle([{0}, {1}, {1, 2}], [1, 2, 3]), _uniform(3, 2))),
+    "a pure insertion changed a survivor's nu": (
+        _planted(_file_x_first),
+        (ms.CoverageOracle([{0}, {0, 1}], [1, 1]), _uniform(2, 2))),
+    "single-element residual exceeded its nu": (
+        ms.PassRunner, (ms.TableOracle(2, [0, 1, 1, 5]), _uniform(2, 2))),
+    "the sweep dropped": (
+        _RaisedBar,
+        (ms.CoverageOracle([{0, 1}, {0, 2}], [1, 0.5, 0.5]), _uniform(2, 2))),
+}
+
+
+@pytest.mark.parametrize("message", list(_PLANTED_FAULTS))
+def test_each_invariant_check_catches_its_planted_fault(message):
+    # each case plants one fault, in the runner or (for the residual) in
+    # the objective, that every check ahead of its own lets pass
+    runner_class, (oracle, mp) = _PLANTED_FAULTS[message]
+    if issubclass(runner_class, ms.RandomizedPassRunner):
+        runner = runner_class(oracle, mp, None, 0.0, 1.0, 2, Random(0))
+    else:
+        runner = runner_class(oracle, mp, None, 0.0, 1.0)
+    with checked():
+        with pytest.raises(AssertionError, match=message):
+            for x in sorted(oracle.ground):
+                runner.process(x)
 
 
 def test_bar_equals_its_fsum_form_bit_for_bit():
