@@ -57,9 +57,10 @@ def max_feasible_subset(oracle, mp, candidates):
     ``values_with`` measures every feasible child C + e, metering one
     call per child, so each feasible subset the search reaches costs one
     counted call, the empty set included. As C is feasible and the open
-    elements lie outside it, the screen tests each conflict slot of the
-    matroids holding them once and reuses the verdict across the slot's
-    class (per element for kinds without classes). The incumbent is updated in
+    elements lie outside it, the screen counts C's members in each
+    capacity class of the matroids holding them once, against the
+    class's capacity, and reuses the verdict across the class (a kind
+    without classes is asked per element). The incumbent is updated in
     preorder, child i's own value before its subtree, and only a strictly
     larger value replaces it, so ties keep the first maximizer in
     lexicographic order, as a walk over every feasible subset would.

@@ -15,10 +15,11 @@ key None, which shares nothing. ``PMatchoid`` indexes each element by its
 signature, ``signature_of[e]``: the tuple of ``(matroid, class)`` slots
 of the matroids holding e, in instance order, shared by every element
 with the same slots; ``capacity_of`` holds each capacity class's
-capacity. p is the longest signature. Only the matroids holding e can
-tell S from S + e, so ``exchange_set`` and ``PMatchoid.fitting``, the
-one incremental feasibility test, visit at most p matroids per element
-however many the instance has.
+capacity and ``block_of`` each slot's elements. p is the longest
+signature. Only the matroids holding e can tell S from S + e, so
+``exchange_set`` and ``PMatchoid.fitting``, the one incremental
+feasibility test, visit at most p slots per element however many
+matroids the instance has.
 
 ``exchange_set`` chooses, for each matroid an arrival x would make
 dependent, the member of S with the smallest cached nu among x's swap
@@ -38,9 +39,13 @@ constraint, and builds its index under it when the state is built:
 ``SolutionState.accept`` files every accept, and a nu walk refiles each
 member from the first whose nu it changes. Each forgets the answers.
 Slots keyed None are searched by ``scan_pick``, which scans S with
-``swap_candidates``. By the same contract, ``PMatchoid.fitting``
-screens a batch of elements against one feasible set with one
-independence test per slot, not per element.
+``swap_candidates``. The same table is the constraint's feasibility
+rule: ``PMatchoid.fitting`` screens a batch of elements against one
+feasible set by one count per capacity class, S's members in its block
+against its capacity, not one test per element, and
+``PMatchoid.feasible`` makes that count for every class. Only a slot
+keyed None asks its matroid's ``independent``, so no engine path calls
+``independent`` or ``swap_candidates`` on a kind that names classes.
 """
 
 import functools
@@ -87,20 +92,21 @@ class Matroid:
         """(key, elements, capacity) triples partitioning the ground
         subset into conflict classes, or None when this kind has none.
 
-        Contract: every key is hashable and not None, every capacity a
-        non-negative integer or ``math.inf``, and each class a capacity
-        class. For an independent set ``s_l`` and an x of the class
-        outside it, ``swap_candidates(s_l, x)`` is None when s_l holds
-        fewer than ``capacity`` members of the class, and is otherwise
-        exactly those members. So two elements of one class get the same
-        candidates. ``element_index`` files each element under its class
-        and records its capacity; ``exchange_set`` relies on the contract
-        to keep each class's members of S sorted by nu in a
-        ``ClassIndex``, and to reuse one exchange set for every arrival
-        with the same signature. It is read once, when a ``PMatchoid`` is
-        built, which refuses entries that are not such triples or do not
-        partition the ground subset under distinct keys. This base form
-        names no classes, so its elements share nothing.
+        Contract: every key is hashable and not None, and every capacity
+        a non-negative integer or ``math.inf``. To a ``PMatchoid``, a kind
+        that names classes is the partition matroid of those classes: a
+        set is independent exactly when it holds at most ``capacity``
+        members of each. So for an independent ``s_l`` and an x of a class
+        outside it, ``swap_candidates(s_l, x)`` is None while s_l holds
+        fewer than ``capacity`` members of the class, and otherwise
+        exactly those members. The classes are read once, when a
+        ``PMatchoid`` is built (``element_index``), which refuses entries
+        that are not such triples or do not partition the ground subset
+        under distinct keys. From then on ``fitting``, ``feasible`` and
+        ``exchange_set`` read them alone; the kind's ``independent`` and
+        ``swap_candidates`` stay its definition, the reference the tests
+        check the classes against. This base form names no classes, so
+        its elements share nothing.
         """
         return None
 
@@ -229,18 +235,19 @@ class TransversalMatroid(Matroid):
 
 
 def element_index(matroids):
-    """(index, capacity_of, p): ``index`` maps each element some matroid
-    holds to its signature, the tuple of its ``(matroid, class)`` slots
-    in the order of ``matroids``, where class is the key of the
+    """(index, capacity_of, block_of, p): ``index`` maps each element some
+    matroid holds to its signature, the tuple of its ``(matroid, class)``
+    slots in the order of ``matroids``, where class is the key of the
     ``swap_classes`` block holding it (None for a kind with no classes);
     ``capacity_of`` maps each slot with a non-None key to its capacity;
-    p is the longest signature, 1 if there is none. Entries that break
-    the ``swap_classes`` contract raise ``PreconditionError``: an element
-    missing from every block would escape that matroid's feasibility and
-    exchange tests."""
+    ``block_of`` maps every slot to its elements, the matroid's ground
+    subset for a slot keyed None; p is the longest signature, 1 if there
+    is none. Entries that break the ``swap_classes`` contract raise
+    ``PreconditionError``: an element missing from every block would
+    escape that matroid's feasibility and exchange tests."""
     # elements with one signature share one tuple, so the index
     # allocates per distinct signature, not per element
-    index, shared, capacity_of = {}, {}, {}
+    index, shared, capacity_of, block_of = {}, {}, {}, {}
     for m in matroids:
         classes = m.swap_classes()
         if classes is None:
@@ -249,11 +256,12 @@ def element_index(matroids):
             classes, capacities = _checked_classes(m, classes)
             capacity_of.update(capacities)
         for key, block, _ in classes:
+            block_of[m, key] = block
             slot = ((m, key),)
             for e in block:
                 signature = index.get(e, ()) + slot
                 index[e] = shared.setdefault(signature, signature)
-    return index, capacity_of, max(map(len, index.values()), default=1)
+    return index, capacity_of, block_of, max(map(len, index.values()), default=1)
 
 
 def _checked_classes(m, classes):
@@ -284,7 +292,11 @@ class PMatchoid:
     matroids that hold it, in instance order, and its conflict class in
     each (see ``element_index``); an element outside every matroid has
     no entry. ``capacity_of`` maps each slot with a non-None key to its
-    class's capacity. ``p`` is the longest signature (1 when there is
+    class's capacity, and ``block_of`` maps every slot to its elements:
+    a class's block, or the matroid's ground subset for a slot keyed
+    None. These tables are the constraint: ``feasible`` and ``fitting``
+    answer a capacity class from them alone and ask a matroid only for a
+    slot keyed None. ``p`` is the longest signature (1 when there is
     none), not declared. ``rank_k``, the size of a largest feasible set,
     is ``rank`` when supplied, else ``compute_rank``'s on its first read (an
     exact search at p >= 2, raising ``SizeError`` above its budget).
@@ -295,7 +307,8 @@ class PMatchoid:
         self.matroids = list(matroids)
         if not all(m.ground_subset <= self.ground for m in self.matroids):
             raise PreconditionError("matroid ground subset leaves the instance ground set")
-        self.signature_of, self.capacity_of, self.p = element_index(self.matroids)
+        (self.signature_of, self.capacity_of, self.block_of,
+         self.p) = element_index(self.matroids)
         if rank is not None:
             self.rank_k = integer(rank, "rank")
             if self.rank_k < 0:
@@ -306,25 +319,30 @@ class PMatchoid:
         return compute_rank(self)
 
     def feasible(self, subset):
-        a = frozenset(subset)
-        return all(m.independent(a) for m in self.matroids)
+        """Whether ``subset`` is feasible: each capacity class holds at most
+        its capacity of its members, and each slot keyed None's matroid
+        finds its restriction independent."""
+        a, capacity_of = frozenset(subset), self.capacity_of
+        return all(m.independent(a) if key is None else len(block & a) <= capacity_of[m, key]
+                   for (m, key), block in self.block_of.items())
 
     def fitting(self, subset, elems):
         """The members e of ``elems`` with ``subset`` + e feasible, in the
-        order given.
+        order given; ``subset`` is a collection, read once per slot.
 
         Sound only for a feasible ``subset`` and members outside it. Then
         a matroid not holding e sees the same restriction with e as
-        without it, so only the slots of e's signature are tested. And a
-        matroid's verdict on e depends on e only through e's class (the
-        ``swap_classes`` contract: ``swap_candidates`` is None exactly when
-        e fits), so each slot with a non-None key is tested once, for its
-        first member, and its verdict reused for the rest. A slot keyed
-        None is tested per element, and an element with no signature
-        always fits.
+        without it, so only the slots of e's signature are tested. A slot
+        with a non-None key is a capacity class, and e fits it exactly
+        when ``subset`` holds fewer than its capacity of the class: one
+        intersection with ``block_of``, O(min(|block|, |subset|)) for a
+        set, counts them once per call, and the verdict is reused for
+        every later member of the class. A slot keyed None asks its
+        matroid per element, and an element with no signature always
+        fits.
         """
-        signature_of = self.signature_of
-        a = set(subset)
+        signature_of, capacity_of, block_of = (
+            self.signature_of, self.capacity_of, self.block_of)
         verdicts = {}
         fits = []
         for e in elems:
@@ -332,11 +350,11 @@ class PMatchoid:
                 fit = verdicts.get(slot)
                 if fit is None:
                     m, key = slot
-                    a.add(e)
-                    fit = m.independent(a)
-                    a.discard(e)
-                    if key is not None:
-                        verdicts[slot] = fit
+                    if key is None:
+                        fit = m.independent({e, *subset})
+                    else:
+                        fit = verdicts[slot] = (
+                            len(block_of[slot].intersection(subset)) < capacity_of[slot])
                 if not fit:
                     break
             else:

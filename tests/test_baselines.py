@@ -11,7 +11,7 @@ import matchstream as ms
 from matchstream.baselines import EXACT_BUDGET, check_exact_budget
 from _corpus import (bipartite_matching, coverage_partition, coverage_uniform,
                      directed_cut, enumerate_opt_unpruned, exact_opt,
-                     hypergraph_matching, oracles)
+                     feasible_by_definition, hypergraph_matching, oracles)
 
 TOL = 1e-9
 
@@ -319,8 +319,9 @@ def test_child_evaluator_holds_the_value_measured_for_the_child(monkeypatch):
 
 
 def _per_element_fitting(mp, subset, elems):
-    """The search's child screen as one full feasibility test per element."""
-    return [e for e in elems if mp.feasible(set(subset) | {e})]
+    """The search's child screen as one full feasibility test per element,
+    each matroid's own."""
+    return [e for e in elems if feasible_by_definition(mp, set(subset) | {e})]
 
 
 def _screen_constraints(rng, n):

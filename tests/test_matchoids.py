@@ -268,9 +268,13 @@ def test_swap_classes_that_do_not_partition_are_refused(classes):
     # non-negative integer or inf
     with pytest.raises(ms.PreconditionError, match="triples that partition"):
         ms.PMatchoid(range(4), [_CustomClasses(range(3), 1, classes)])
+    # a partition is accepted, and the constraint then follows the
+    # classes, not the uniform matroid's own independence test
     custom = _CustomClasses(range(3), 1, [(0, [0, 2], 1), (1, [1], math.inf)])
     good = ms.PMatchoid(range(3), [custom])
-    assert good.fitting({0}, [1]) == []
+    assert good.fitting({0}, [1]) == [1] and good.fitting({0}, [2]) == []
+    assert good.feasible({0, 1}) and not good.feasible({0, 2})
+    assert not custom.independent({0, 1})
     assert [key for _, key in good.signature_of[2]] == [0]
     assert good.capacity_of == {(custom, 0): 1, (custom, 1): math.inf}
     # an integral float is taken as its integer, as ids and capacities are
@@ -371,9 +375,10 @@ def test_supplied_rank_skips_the_search(monkeypatch, tmp_path):
         mp.rank_k
 
 
-def _random_matroid(rng, n):
+def _random_matroid(rng, n, kind=None):
     ground = list(range(n))
-    kind = rng.choice(("uniform", "partition", "graphic", "transversal"))
+    if kind is None:
+        kind = rng.choice(("uniform", "partition", "graphic", "transversal"))
     if kind == "uniform":
         return ms.UniformMatroid(ground, rng.randint(0, n))
     if kind == "partition":
@@ -434,7 +439,7 @@ def test_rank_matches_unpruned_maximum():
         best = max(len(c)
                    for r in range(n + 1)
                    for c in combinations(range(n), r)
-                   if mp.feasible(c))
+                   if _corpus.feasible_by_definition(mp, c))
         assert ms.compute_rank(mp) == best
 
 
@@ -459,7 +464,7 @@ def test_p1_rank_is_the_greedy_basis_size():
         best = max(len(c)
                    for r in range(n + 1)
                    for c in combinations(range(n), r)
-                   if mp.feasible(c))
+                   if _corpus.feasible_by_definition(mp, c))
         assert mp.rank_k == ms.compute_rank(mp) == best
 
 
@@ -539,7 +544,7 @@ def test_cached_exchange_sets_match_the_definition():
             if skipped is None:
                 continue
             assert state.index is index and index.answers == {}
-            assert mp.feasible(state.members)
+            assert _corpus.feasible_by_definition(mp, state.members)
             branch = "shortcut" if skipped else "walk" if evicting else "insert"
             branches[branch] += 1
             _check_class_index(mp, state, 12)
@@ -706,7 +711,7 @@ def test_signature_cache_answers_as_an_uncached_search(data):
             if _accept(state, oracle, x) is not None:
                 # the accept keeps the state's index and forgets its answers
                 assert state.index is index and index.answers == {}
-                assert mp.feasible(state.members)
+                assert _corpus.feasible_by_definition(mp, state.members)
         # after every step, a loop's refusal included, the same index files
         # S and nu as they are now and serves only exact answers, including
         # those a refresh left
@@ -771,7 +776,7 @@ def test_class_index_follows_long_churn(data):
         outside = [y for y in range(n) if y not in state.nu]
         if step == "accept" and outside:
             _accept(state, oracle, data.draw(st.sampled_from(outside), label="x"))
-            assert mp.feasible(state.members)
+            assert _corpus.feasible_by_definition(mp, state.members)
         elif step == "refresh":
             # a walk from any position refiles its members from the first
             # whose nu it changes; those before keep their entries
@@ -843,12 +848,22 @@ class _TwoBins(ms.Matroid):
 
 
 def test_a_class_naming_kind_of_its_own_gets_its_capacities():
-    # swap_classes is all a kind defines for the index: the constraint
-    # reads both capacities from it once, and through a churn of accepts,
-    # alone and beside a uniform matroid, every outsider's exchange set is
-    # the definition's and each class evicts at its own capacity
+    # swap_classes is all a kind defines for the constraint: it reads both
+    # capacities from it once, and its feasibility test, which reads only
+    # the classes, says what the kind's own independence test says on every
+    # subset; through a churn of accepts, alone and beside a uniform
+    # matroid, every outsider's exchange set is the definition's and each
+    # class evicts at its own capacity
     n = 10
     bins = _TwoBins(range(n))
+    alone = ms.PMatchoid(range(n), [bins])
+    verdicts = set()
+    for mask in range(1 << n):
+        s = {e for e in range(n) if mask >> e & 1}
+        verdict = bins.independent(s)
+        assert alone.feasible(s) == verdict, s
+        verdicts.add(verdict)
+    assert verdicts == {False, True}
     rng = Random(67)
     for matroids in ([bins], [bins, ms.UniformMatroid(range(2, n), 2)]):
         mp = ms.PMatchoid(range(n), matroids)
@@ -864,7 +879,7 @@ def test_a_class_naming_kind_of_its_own_gets_its_capacities():
             for y in cx:
                 evicted["odd" if y % 2 else "even"] += 1
             _check_class_index(mp, state, n)
-            assert mp.feasible(state.members)
+            assert _corpus.feasible_by_definition(mp, state.members)
         assert min(evicted.values()) > 0, evicted
 
 
@@ -872,12 +887,13 @@ def test_a_class_naming_kind_of_its_own_gets_its_capacities():
 
 
 def _random_feasible(rng, mp, elems):
-    """A feasible subset grown in a random order by full feasibility tests."""
+    """A feasible subset grown in a random order by full feasibility tests,
+    each matroid's own."""
     order = list(elems)
     rng.shuffle(order)
     chosen = set()
     for e in order:
-        if rng.random() < 0.7 and mp.feasible(chosen | {e}):
+        if rng.random() < 0.7 and _corpus.feasible_by_definition(mp, chosen | {e}):
             chosen.add(e)
     return chosen
 
@@ -919,7 +935,9 @@ def test_element_index_lists_the_matroids_in_instance_order():
 
 
 def test_fitting_matches_feasible_on_every_family():
-    # one element at a time, as the greedy basis and the offline greedy ask
+    # one element at a time, as the greedy basis and the offline greedy
+    # ask; fitting and feasible read the class table, and both are checked
+    # against the matroids' own independence tests
     builders = (_corpus.coverage_uniform, _corpus.coverage_partition,
                 _corpus.bipartite_matching, _corpus.hypergraph_matching,
                 _corpus.directed_cut)
@@ -930,10 +948,12 @@ def test_fitting_matches_feasible_on_every_family():
         mp = builder(rng.randrange(1000)).build_matchoid()
         for _ in range(4):
             s = _random_feasible(rng, mp, mp.ground)
+            assert mp.feasible(s)
             for e in sorted(mp.ground - s):
                 got = mp.fitting(s, (e,))
-                assert got == ([e] if mp.feasible(s | {e}) else []), (
-                    builder.__name__, s, e)
+                want = _corpus.feasible_by_definition(mp, s | {e})
+                assert got == ([e] if want else []), (builder.__name__, s, e)
+                assert mp.feasible(s | {e}) == want, (builder.__name__, s, e)
                 checks[builder.__name__][bool(got)] += 1
     # every family answers both ways
     assert all(min(counts) > 0 for counts in checks.values()), checks
@@ -949,12 +969,20 @@ def test_fitting_on_free_elements_and_a_capacity_0_part():
                                2: ((partition, 1), (uniform, 0)),
                                3: ((partition, 2), (uniform, 0))}
     assert 4 not in mp.signature_of and mp.p == 2
+    by_definition = _corpus.feasible_by_definition
     for s in (set(), {0}, {1}, {2}, {0, 2}, {4}, {0, 4, 5}, {1, 4, 5}):
-        assert mp.feasible(s)
+        assert mp.feasible(s) and by_definition(mp, s)
         for e in sorted(set(range(6)) - s):
-            assert mp.fitting(s, (e,)) == ([e] if mp.feasible(s | {e}) else []), (s, e)
+            want = by_definition(mp, s | {e})
+            assert mp.fitting(s, (e,)) == ([e] if want else []), (s, e)
+            assert mp.feasible(s | {e}) == want, (s, e)
+    # every subset of the six, feasible or not, by both tests
+    for mask in range(1 << 6):
+        s = {e for e in range(6) if mask >> e & 1}
+        assert mp.feasible(s) == by_definition(mp, s), s
     assert mp.fitting({0, 2}, [5]) == [5] and mp.fitting(set(), [3]) == []
     assert ms.PMatchoid(range(3), []).fitting({0, 1}, [2]) == [2]
+    assert ms.PMatchoid(range(3), []).feasible({0, 1, 2})
 
 
 def test_fitting_is_feasible_per_element():
@@ -976,8 +1004,9 @@ def test_fitting_is_feasible_per_element():
             s = _random_feasible(rng, mp, mp.ground)
             outside = sorted(mp.ground - s)
             rng.shuffle(outside)
-            want = [e for e in outside if mp.feasible(s | {e})]
+            want = [e for e in outside if _corpus.feasible_by_definition(mp, s | {e})]
             assert mp.fitting(s, outside) == want, (s, outside)
+            assert [e for e in outside if mp.feasible(s | {e})] == want, (s, outside)
             answers[0] += len(outside) - len(want)
             answers[1] += len(want)
     assert min(answers) > 0, answers
@@ -1094,14 +1123,70 @@ def test_one_arrival_touches_at_most_p_of_a_thousand_matroids():
             assert set(index.classes) - before <= set(mp.signature_of[x])
         assert runner.evicted == {0: 1.0}
         s = set(runner.state.members)
+        answers = set()
         for x in (1, 500, 998):
             del touched[:]
             got = mp.fitting(s, (x,))
-            assert 0 < len(set(touched)) <= mp.p
-            assert set(touched) <= {m for m, _ in mp.signature_of[x]}
-            assert got == ([x] if mp.feasible(s | {x}) else [])
+            # fitting and feasible answer capacity classes from the
+            # constraint's table, so they touch no matroid at all
+            assert mp.feasible(s | {x}) == bool(got)
+            assert touched == []
+            assert got == ([x] if _corpus.feasible_by_definition(mp, s | {x}) else [])
+            answers.add(bool(got))
+        assert answers == {False, True}
     finally:
         del touched[:]
+
+
+def test_no_engine_path_asks_a_kind_that_names_classes(monkeypatch):
+    # the constraint's class table answers every capacity class, so the
+    # rank search at p = 1 and p = 2 and both drivers, the randomized one
+    # under either offline solver, make no independence test and no swap
+    # scan on a uniform, partition or matching matroid; a graphic or
+    # transversal matroid, whose slot is keyed None, is still asked
+    asked = {}
+    for name in ("independent", "swap_candidates"):
+        def spy(self, *args, _method=getattr(ms.Matroid, name)):
+            asked[self] = asked.get(self, 0) + 1
+            return _method(self, *args)
+        monkeypatch.setattr(ms.Matroid, name, spy)
+
+    def solve(oracle, mp):
+        order = ms.stream_order(len(mp.ground))
+        ms.compute_rank(mp)
+        if oracle.monotone:
+            ms.multipass_run(oracle, mp, order, ms.Schedule.for_matchoid(mp), 3)
+        for mode in ("exact", "heuristic"):
+            ms.multipass_randomized(oracle, mp, order, 0.5, passes=2, seed=0,
+                                    offline_mode=mode)
+
+    rng = Random(73)
+    class_kinds, p_seen = [], set()
+    for builder in (_corpus.coverage_uniform, _corpus.coverage_partition,
+                    _corpus.bipartite_matching, _corpus.directed_cut):
+        for seed in range(3):
+            inst = builder(seed)
+            mp = inst.build_matchoid()
+            solve(inst.build_oracle(), mp)
+            class_kinds += mp.matroids
+            p_seen.add(mp.p)
+    # uniform and partition at p = 2, partition beside graphic at p = 2,
+    # graphic and transversal alone at p = 1
+    n = 9
+    partition = ms.PartitionMatroid(range(n), [[0, 1, 2], [3, 4]], [1, 1])
+    uniform = ms.UniformMatroid(range(2, n), 3)
+    graphic = _random_matroid(rng, n, "graphic")
+    transversal = _random_matroid(rng, n, "transversal")
+    oracle = ms.ModularOracle([rng.randint(1, 5) for _ in range(n)])
+    for matroids in ([partition, uniform], [partition, graphic], [graphic], [transversal]):
+        mp = ms.PMatchoid(range(n), matroids)
+        solve(oracle, mp)
+        p_seen.add(mp.p)
+    class_kinds += [partition, uniform]
+    assert p_seen == {1, 2}
+    assert {m.kind for m in class_kinds} == {"uniform", "partition"}
+    assert [m.kind for m in class_kinds if m in asked] == []
+    assert graphic in asked and transversal in asked
 
 
 def test_a_runner_builds_at_most_one_class_index(monkeypatch):
