@@ -27,7 +27,7 @@ print("rank (max matching size):", matching.rank_k)
 # The exchange rule: for an arrival x, each violated matroid nominates
 # its cheapest resident (by cached incremental value) to make room. A
 # solution state serves one constraint and answers under it.
-state = ms.SolutionState(matching, {0: 2.0}, 0.0)
+state = ms.SolutionState(matching, {0: 2.0})
 print("to insert edge 1, evict:", ms.exchange_set(1, state))
 
 # Other matroid kinds: forests of a graph and matchable vertex sets.

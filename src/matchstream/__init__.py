@@ -12,7 +12,7 @@ from .experiments import (ExperimentConfig, build_schedule, report_rows,
 from .instances import (FAMILIES, Instance, generate_instance, load_instance,
                         save_instance, stream_order)
 from .matchoids import (GraphicMatroid, Matroid, PartitionMatroid, PMatchoid,
-                        TransversalMatroid, UniformMatroid, exchange_set)
+                        TransversalMatroid, UniformMatroid)
 from .multipass import (GuaranteeCertificate, MultipassResult, Schedule,
                         certified_gamma, multipass_run)
 from .objectives import (CoverageOracle, DirectedCutOracle, ModularOracle,
@@ -22,6 +22,7 @@ from .randomized import (BufferState, GuessGrid, LambdaCopyResult,
                          RandomizedPassRunner, RandomizedRunResult,
                          guess_grid, multipass_randomized, offline_solve,
                          randomized_pass)
-from .streaming import PassRunner, SolutionState, recompute_nu, streaming_pass
+from .streaming import (PassRunner, SolutionState, exchange_set, recompute_nu,
+                        streaming_pass)
 
 __version__ = "0.1.0"

@@ -189,7 +189,6 @@ def run_experiment(config):
     inst = load_instance(config.instance)
     mp = inst.build_matchoid()
     stream = stream_order(inst.n, config.shuffle_seed)
-    opt_value = _compute_opt(inst, mp)
     trace = config.trace
     if trace is not None and config.summary is not None and not os.path.isabs(trace):
         # recorded relative to the summary, where report_rows resolves it
@@ -204,7 +203,7 @@ def run_experiment(config):
         "p": mp.p,
         "rank_k": mp.rank_k,
         "seed": config.seed,
-        "opt_value": opt_value,
+        "opt_value": None,  # searched after the run, which may refuse the config
         "trace": trace,
         "config": config.to_dict(),
     }
@@ -264,6 +263,7 @@ def run_experiment(config):
         })
 
     summary.update(totals)
+    opt_value = summary["opt_value"] = _compute_opt(inst, mp)
     f_final = summary.get("f_final")
     summary["ratio"] = (opt_value / f_final
                         if opt_value is not None and f_final else None)
@@ -282,9 +282,11 @@ def report_rows(summary_paths):
     """Aggregate summaries (and their traces) into a factor-vs-pass table:
     a row per pass of the trace a summary names, read from the summary's
     directory when its path is relative, or for ``"trace": null`` one row,
-    its last pass, as a one-record trace. A summary, or the trace it names,
-    that is missing or cannot be read or parsed, or a summary that is not a
-    JSON object, raises ``ConfigError`` naming the summary (and the trace)."""
+    its last pass, as a one-record trace: pass d of a randomized summary,
+    whose ``passes`` also count the guess-grid pass. A summary, or the
+    trace it names, that is missing or cannot be read or parsed, or a
+    summary that is not a JSON object, raises ``ConfigError`` naming the
+    summary (and the trace)."""
     columns = ("instance", "algorithm", "pass", "f_S", "gamma_certified", "ratio")
     rows = []
     for path in summary_paths:
@@ -302,7 +304,10 @@ def report_rows(summary_paths):
                 with open(trace, "r", encoding="utf-8", newline="") as fh:
                     records = list(csv.DictReader(fh))
             else:
-                records = [{"pass": summary.get("passes", 1),
+                last = summary.get("passes", 1)
+                if summary.get("algorithm") == "nonmonotone-randomized":
+                    last -= 1  # its passes count the guess-grid pass
+                records = [{"pass": last,
                             "f_S": summary.get("f_final"),
                             "gamma_certified": summary.get("gamma_certified_final")}]
             for rec in records:

@@ -17,41 +17,27 @@ of the matroids holding e, in instance order, shared by every element
 with the same slots; ``capacity_of`` holds each capacity class's
 capacity and ``block_of`` each slot's elements. p is the longest
 signature. Only the matroids holding e can tell S from S + e, so
-``exchange_set`` and ``PMatchoid.fitting``, the one incremental
-feasibility test, visit at most p slots per element however many
-matroids the instance has.
+``streaming.exchange_set`` and ``PMatchoid.fitting``, the one
+incremental feasibility test, visit at most p slots per element however
+many matroids the instance has.
 
-``exchange_set`` chooses, for each matroid an arrival x would make
-dependent, the member of S with the smallest cached nu among x's swap
-candidates. Every class with a non-None key is a capacity class
-(``PMatchoid.capacity_of``): S + x is dependent there exactly when S
-holds at least the capacity of x's class, and the candidates are then
-S's members in that class. The ``ClassIndex`` kept beside S is the one
-owner of these answers. It keeps each slot's members of S as a sorted
-list of ``(nu, arrival seq, member)`` entries, so it answers "full?" and
-"which member?" from the list's length and first entry, with no scan of
-S; filing a member costs O(log k) comparisons plus an O(k) list shift
-per slot. The whole answer depends on x only through its signature when
-every key in it is non-None, and the index keeps it per signature in
-``ClassIndex.answers`` until S changes, so between two accepts each such
-signature is answered once, not once per arrival. A state serves one
-constraint, and builds its index under it when the state is built:
-``SolutionState.accept`` files every accept, and a nu walk refiles each
-member from the first whose nu it changes. Each forgets the answers.
-Slots keyed None are searched by ``scan_pick``, which scans S with
-``swap_candidates``. The same table is the constraint's feasibility
-rule: ``PMatchoid.fitting`` screens a batch of elements against one
+The same table is the constraint's feasibility rule and the exchange
+rule's. ``PMatchoid.fitting`` screens a batch of elements against one
 feasible set by one count per capacity class, S's members in its block
 against its capacity, not one test per element, and
-``PMatchoid.feasible`` makes that count for every class. Only a slot
-keyed None asks its matroid's ``independent``, so no engine path calls
-``independent`` or ``swap_candidates`` on a kind that names classes.
+``PMatchoid.feasible`` makes that count for every class. For an arrival
+x, S + x is dependent in a capacity class exactly when S holds at least
+the class's capacity, and x's swap candidates are then S's members in
+that class. The solution state keeps those members sorted by nu and
+answers from them (``streaming.exchange_set``); no function here reads
+a solution state. Slots keyed None are searched by ``scan_pick``,
+which scans S with ``swap_candidates``. Only a slot keyed None asks its
+matroid's ``independent``, so no engine path calls ``independent`` or
+``swap_candidates`` on a kind that names classes.
 """
 
 import functools
 import math
-from bisect import bisect_left, insort
-from collections import defaultdict
 
 from .baselines import compute_rank
 from .errors import InfeasibilityError, PreconditionError, integer, integers
@@ -81,7 +67,7 @@ class Matroid:
 
         This is the definition, one independence test per member, and
         every kind uses it. The searches never call it for a capacity
-        class, which the ``ClassIndex`` answers; it serves ``scan_pick``,
+        class, which the solution state answers; it serves ``scan_pick``,
         the search for slots keyed None and the tests' reference scan.
         """
         if self.independent(s_l | {x}):
@@ -103,10 +89,10 @@ class Matroid:
         ``PMatchoid`` is built (``element_index``), which refuses entries
         that are not such triples or do not partition the ground subset
         under distinct keys. From then on ``fitting``, ``feasible`` and
-        ``exchange_set`` read them alone; the kind's ``independent`` and
-        ``swap_candidates`` stay its definition, the reference the tests
-        check the classes against. This base form names no classes, so
-        its elements share nothing.
+        ``streaming.exchange_set`` read them alone; the kind's
+        ``independent`` and ``swap_candidates`` stay its definition, the
+        reference the tests check the classes against. This base form
+        names no classes, so its elements share nothing.
         """
         return None
 
@@ -366,70 +352,6 @@ class PMatchoid:
 LOOP = object()
 
 
-class ClassIndex:
-    """S's members per capacity class under one ``PMatchoid``, kept beside
-    S as ``SolutionState.index``, and the exchange sets answered from it.
-
-    ``signature_of`` and ``capacity_of`` are the constraint's tables
-    (``PMatchoid``), so the index calls no matroid method. ``entry_of``
-    maps each member of S to its entry ``(nu, seq, member)``, where seq
-    is an arrival number, increasing in the key order of ``state.nu``.
-    ``classes`` maps a ``(matroid, class)`` slot with a non-None key to
-    the entries of exactly S's members in that class, kept sorted. So
-    the first entry is the member with the smallest nu, the earliest
-    arrival among equals.
-    ``answers`` maps a signature whose keys are all non-None to the
-    exchange set ``exchange_set`` found for it; ``add`` and ``remove``
-    forget them all. Every change of S or nu must reach the index: a
-    member that leaves S is removed, one that joins is added, and a walk
-    removes and re-adds each member from the first whose nu it changes.
-    """
-
-    __slots__ = ("signature_of", "capacity_of", "entry_of", "classes", "answers", "next_seq")
-
-    def __init__(self, mp, nu):
-        self.signature_of = mp.signature_of
-        self.capacity_of = mp.capacity_of
-        self.entry_of = {}
-        self.classes = defaultdict(list)
-        self.answers = {}
-        self.next_seq = 0
-        for e, v in nu.items():
-            self.add(e, v)
-
-    def add(self, e, v):
-        """File e with nu = v after every filed member, as S's new last
-        member or a walk's next refile: per slot, O(log k) comparisons
-        and an O(k) list shift."""
-        self.answers.clear()
-        entry = self.entry_of[e] = (v, self.next_seq, e)
-        self.next_seq += 1
-        for slot in self.signature_of.get(e, ()):
-            if slot[1] is not None:
-                insort(self.classes[slot], entry)
-
-    def remove(self, e):
-        """Unfile e, which leaves S or is refiled: per slot, O(log k)
-        comparisons find its entry and an O(k) list shift deletes it."""
-        self.answers.clear()
-        entry = self.entry_of.pop(e)
-        for slot in self.signature_of.get(e, ()):
-            if slot[1] is not None:
-                entries = self.classes[slot]
-                del entries[bisect_left(entries, entry)]
-
-    def pick(self, slot):
-        """An outsider's pick in its class ``slot``: None when S holds fewer
-        than the class capacity, else the member with the smallest nu,
-        the earliest arrival among equals, as ``scan_pick`` finds it. A
-        full class with no member (capacity 0) makes every arrival a
-        loop, and gives ``LOOP``."""
-        entries = self.classes[slot]
-        if len(entries) < self.capacity_of[slot]:
-            return None
-        return entries[0][2] if entries else LOOP
-
-
 def scan_pick(matroid, x, nu):
     """x's pick in ``matroid`` by a scan of S, the keys of ``nu``: None
     when S + x stays independent there, ``LOOP`` when {x} is dependent,
@@ -452,56 +374,3 @@ def scan_pick(matroid, x, nu):
         )
     # the first minimum in arrival order
     return min(filter(candidates.__contains__, nu), key=nu.__getitem__)
-
-
-def exchange_set(x, state):
-    """Candidate eviction set making room for x in the current solution,
-    under the constraint the state serves, as a frozenset.
-
-    For each matroid containing x whose restriction becomes dependent when
-    x is added, the swap candidate with the smallest cached incremental
-    value is chosen; ties go to the earliest arrival, i.e. the first
-    minimum in the key order of ``state.nu``. Only the slots of x's
-    signature, ``signature_of[x]``, are visited, in instance order,
-    and the same element may be chosen for several matroids (it is added
-    once). Returns None for a loop x ({x} dependent), which no exchange
-    admits; a matroid naming no swap for another x breaks the exchange
-    axiom and raises ``InfeasibilityError``.
-
-    A slot with a non-None key is answered by the state's
-    ``ClassIndex`` (``state.index``, built with the state) in O(1), from
-    the length and first entry of the class's sorted list, with no scan
-    of S. A slot keyed None is searched by
-    ``scan_pick``. The answer is a function of (the state's constraint,
-    x, S, nu) alone, and by the ``swap_classes`` contract it depends on x
-    only through x's signature once every key in it is non-None; the
-    index keeps such an answer in its ``answers`` under the signature
-    until S or nu changes, so a full buffer under one uniform matroid
-    costs one search per state, not one per element.
-    Loops and the ``InfeasibilityError`` path are not cached.
-    """
-    nu = state.nu
-    if x in nu:
-        raise PreconditionError(f"element {x} is already in the solution")
-    index = state.index
-    signature = index.signature_of.get(x, ())
-    answer = index.answers.get(signature)
-    if answer is not None:
-        return answer
-    shared = True
-    chosen = set()
-    for slot in signature:
-        matroid, key = slot
-        if key is None:
-            shared = False
-            pick = scan_pick(matroid, x, nu)
-        else:
-            pick = index.pick(slot)
-        if pick is LOOP:
-            return None
-        if pick is not None:
-            chosen.add(pick)
-    answer = frozenset(chosen)
-    if shared:
-        index.answers[signature] = answer
-    return answer

@@ -433,8 +433,13 @@ class TableOracle(SubmodularOracle):
         return self._table[mask]
 
 
-def brute_force_check_submodular(oracle, tol=1e-9):
-    """True iff f(A)+f(B) >= f(A|B)+f(A&B) for every pair of subsets.
+# the rounding slack the exhaustive submodularity check allows per pair
+SUBMODULAR_TOL = 1e-9
+
+
+def brute_force_check_submodular(oracle):
+    """True iff f(A)+f(B) >= f(A|B)+f(A&B) for every pair of subsets, up
+    to ``SUBMODULAR_TOL``.
 
     Checked through the equivalent pairwise diminishing-returns condition
     f(e | A) >= f(e | A + e') for all A and distinct e, e' outside A,
@@ -455,6 +460,7 @@ def brute_force_check_submodular(oracle, tol=1e-9):
             for l in range(n):
                 if l == j or mask >> l & 1:
                     continue
-                if with_j < vals[mask | 1 << j | 1 << l] - vals[mask | 1 << l] - tol:
+                if (with_j < vals[mask | 1 << j | 1 << l] - vals[mask | 1 << l]
+                        - SUBMODULAR_TOL):
                     return False
     return True

@@ -11,7 +11,7 @@ solution; a buffer of one is the immediate policy. S does not change
 during a re-screen, so it measures f(y | S) for the whole buffer with
 one batched ``RunningValue.values_with`` call (metered as one
 ``value_with`` per member), and the exchange sets come from the answers
-the state's class index keeps per signature (``ClassIndex.answers``):
+the state keeps per signature (``SolutionState.answers``):
 under one uniform matroid the sweep makes one exchange search, not one
 per member, and so do the arrivals between two draws.
 What survives in the buffer at the end of the pass feeds an offline
@@ -48,10 +48,9 @@ from random import Random
 
 from .baselines import check_exact_budget, greedy_basis, max_feasible_subset, offline_greedy
 from .errors import ConfigError, PreconditionError, integer
-from .matchoids import exchange_set
 from .multipass import Schedule
 # streaming_pass is unused here, but perfbench's tracer wraps this binding
-from .streaming import PassRunner, streaming_pass, validate_stream
+from .streaming import PassRunner, exchange_set, streaming_pass, validate_stream
 
 OFFLINE_MODES = ("exact", "heuristic")
 
@@ -286,7 +285,8 @@ class LambdaCopyResult:
         self.state = runner.state
         self.pass_results.append(runner)
         if self.f_s_prime is None:
-            self.f_s_prime = runner.state.f_empty
+            # every copy starts empty, so its first pass starts at f(empty)
+            self.f_s_prime = runner.f_init
         if runner.f_s_prime > self.f_s_prime:
             self.f_s_prime, self.s_prime = runner.f_s_prime, runner.s_prime
         self.pass_rows.append({

@@ -12,14 +12,18 @@ then re-walks the suffix from the first evicted position, unless f is
 monotone and every evicted member has nu exactly 0: no survivor's nu
 can then change, and the walk is skipped (``SolutionState.accept``).
 
-A state serves one constraint. Beside S it keeps what ``exchange_set``
-needs (see ``matchoids``): a ``ClassIndex`` of S's members per capacity
-class under that constraint, which also holds the answers per
-signature. The state is built with its index, and a ``copy`` builds its
-own: every accept files its evictions and x, each in O(log k)
-comparisons plus an O(k) list shift per slot of its signature, and a
-walk refiles its members from the first whose nu it changes. Only
-``accept`` and ``recompute_nu`` change S or nu.
+For an arrival x, ``exchange_set`` picks one swap per matroid that x
+would make dependent: the member of smallest nu among x's swap
+candidates. A state serves one constraint, and it owns what
+``exchange_set`` reads beside S: for each capacity class of that
+constraint (see ``matchoids``), the sorted ``(nu, seq, member)`` entries
+of exactly S's members in it, and the exchange sets answered per
+signature. Two methods write S and nu: ``SolutionState._file``
+appends a member and files its entry, and ``_unfile`` removes one. Each
+costs O(log k) comparisons plus an O(k) list shift per slot of the
+member's signature, and each forgets the answers. ``accept`` changes S and nu only through
+them, and so does ``recompute_nu``, which refiles the walked members
+from the first whose nu it changes. A ``copy`` files its members afresh.
 
 A non-initial arrival x clears the threshold whenever
 
@@ -40,39 +44,56 @@ itself; the tests check them from outside it, around ``process``
 """
 
 import math
+from bisect import bisect_left, insort
+from collections import defaultdict
 
 from .errors import DomainError, PreconditionError, integers
-from .matchoids import ClassIndex, exchange_set
+from .matchoids import LOOP, scan_pick
 
 # the threshold screen's margin, relative to 1 + |f(S)|
 NU_TOL = 1e-9
 
 
 class SolutionState:
-    """Arrival-ordered solution with cached incremental values.
+    """Arrival-ordered solution with cached incremental values, and the
+    exchange rule's view of it under one constraint.
 
     ``nu`` maps each member to its incremental value, and its key order is
     the arrival order over the whole run. ``evaluator``, the oracle's
-    running evaluator of S (see ``objectives``), holds f(S) as ``f_s``;
-    ``f_empty`` is f(empty). A pass cannot start from a hand-built state.
-    ``index`` is ``exchange_set``'s ``ClassIndex`` of S under the
-    constraint ``mp``, built with the state; ``accept`` and
-    ``recompute_nu`` keep it up to date. It also holds ``exchange_set``'s
-    answers, so no other cache needs resetting when S or nu changes.
+    running evaluator of S (see ``objectives``), holds f(S) as ``f_s``.
+    A pass cannot start from a hand-built state.
+
+    ``signature_of`` and ``capacity_of`` are the tables of ``mp``, the
+    constraint the state serves (``PMatchoid``), so the state calls no
+    matroid method. ``entry_of`` maps each member to its entry
+    ``(nu, seq, member)``, where seq is a filing number, increasing in
+    the key order of ``nu``. ``classes`` maps each ``(matroid, class)``
+    slot with a non-None key to the entries of exactly S's members in
+    that class, kept sorted, so the first entry is the member with the
+    smallest nu, the earliest arrival among equals. ``answers`` maps a
+    signature whose keys are all non-None to the exchange set
+    ``exchange_set`` found for it. ``_file`` and ``_unfile`` are the
+    only writers of ``nu`` and the entries, and each forgets the answers.
     """
 
-    __slots__ = ("nu", "f_empty", "evaluator", "index")
+    __slots__ = ("nu", "evaluator", "signature_of", "capacity_of", "entry_of",
+                 "classes", "answers", "next_seq")
 
-    def __init__(self, mp, nu, f_empty, evaluator=None):
-        self.nu = dict(nu)
-        self.f_empty = float(f_empty)
+    def __init__(self, mp, nu, evaluator=None):
+        self.nu = {}
         self.evaluator = evaluator
-        self.index = ClassIndex(mp, self.nu)
+        self.signature_of = mp.signature_of
+        self.capacity_of = mp.capacity_of
+        self.entry_of = {}
+        self.classes = defaultdict(list)
+        self.answers = {}
+        self.next_seq = 0
+        for e, v in nu.items():
+            self._file(e, v)
 
     @classmethod
     def empty(cls, oracle, mp):
-        evaluator = oracle.running(())
-        return cls(mp, {}, evaluator.total, evaluator)
+        return cls(mp, {}, oracle.running(()))
 
     @property
     def f_s(self):
@@ -90,15 +111,39 @@ class SolutionState:
         return list(self.nu)
 
     def copy(self, mp):
-        """A copy with its own running evaluator, and its own class index
+        """A copy with its own running evaluator, its members filed afresh
         under ``mp``, the constraint the copy serves."""
-        return SolutionState(mp, self.nu, self.f_empty, self.evaluator.copy())
+        return SolutionState(mp, self.nu, self.evaluator.copy())
+
+    def _file(self, e, v):
+        """Append e to S with nu = v and file its entry after every filed
+        one, as S's new last member or a walk's next refile: per slot,
+        O(log k) comparisons and an O(k) list shift."""
+        self.answers.clear()
+        self.nu[e] = v
+        entry = self.entry_of[e] = (v, self.next_seq, e)
+        self.next_seq += 1
+        for slot in self.signature_of.get(e, ()):
+            if slot[1] is not None:
+                insort(self.classes[slot], entry)
+
+    def _unfile(self, e):
+        """Remove e, which leaves S or is refiled, and return its nu: per
+        slot, O(log k) comparisons find its entry and an O(k) list shift
+        deletes it."""
+        self.answers.clear()
+        entry = self.entry_of.pop(e)
+        for slot in self.signature_of.get(e, ()):
+            if slot[1] is not None:
+                entries = self.classes[slot]
+                del entries[bisect_left(entries, entry)]
+        return self.nu.pop(e)
 
     def accept(self, x, evict, oracle, gain):
         """Apply S <- S \\ evict + x and refresh the nu cache, where ``gain``
         is f(x | S), which the caller has measured. An insertion appends
-        x with nu = gain; an exchange deletes the evicted keys, appends x
-        and re-walks nu from the first evicted position, unless it can
+        x with nu = gain; an exchange unfiles the evicted members, appends
+        x and re-walks nu from the first evicted position, unless it can
         skip the walk.
 
         The walk is skipped when f is monotone and every evicted member
@@ -110,9 +155,6 @@ class SolutionState:
         forgets the evicted members (see ``RunningValue.forget``) and
         takes x unmetered, as an insertion does.
 
-        Every accept files its change in the class index the same way:
-        the evicted members leave it, and x joins with ``gain``.
-
         Returns the evicted elements mapped to their incremental value at
         removal, and whether the walk was skipped.
         """
@@ -121,12 +163,8 @@ class SolutionState:
             oracle.monotone and all(nu[c] == 0.0 for c in evict))
         if walk:
             cut = next(i for i, e in enumerate(nu) if e in evict)
-        chi = {c: nu.pop(c) for c in evict}
-        nu[x] = gain  # exact unless a walk rewrites the suffix
-        index = self.index
-        for c in chi:
-            index.remove(c)
-        index.add(x, gain)
+        chi = {c: self._unfile(c) for c in evict}
+        self._file(x, gain)  # exact unless a walk rewrites the suffix
         if walk:
             recompute_nu(self, oracle, cut)
             return chi, False
@@ -142,25 +180,82 @@ def recompute_nu(state, oracle, start_pos=0):
     position have a changed prefix. A running evaluator of the unchanged
     prefix walks the suffix, one metered call per walked prefix, and then
     serves as S's evaluator. From the first member whose nu it changes,
-    the walk refiles each in the state's class index, in arrival order;
-    the entries before it stay exact and ahead in seq order.
+    the walk refiles each, in arrival order, so the arrival order
+    survives; the entries before it stay exact and ahead in seq order.
     """
-    order = list(state.nu)
+    nu = state.nu
+    order = list(nu)
     evaluator = oracle.running(order[:start_pos])
     running = evaluator.total
-    index = state.index
     refile = False
     for e in order[start_pos:]:
         nxt = evaluator.add(e)
         v = nxt - running
         running = nxt
-        if refile or v != state.nu[e]:
+        if refile or v != nu[e]:
             refile = True
-            index.remove(e)
-            index.add(e, v)
-        state.nu[e] = v
+            state._unfile(e)
+            state._file(e, v)
     state.evaluator = evaluator
     return state
+
+
+def exchange_set(x, state):
+    """Candidate eviction set making room for x in the current solution,
+    under the constraint the state serves, as a frozenset.
+
+    For each matroid containing x whose restriction becomes dependent when
+    x is added, the swap candidate with the smallest cached incremental
+    value is chosen; ties go to the earliest arrival, i.e. the first
+    minimum in the key order of ``state.nu``. Only the slots of x's
+    signature, ``signature_of[x]``, are visited, in instance order,
+    and the same element may be chosen for several matroids (it is added
+    once). Returns None for a loop x ({x} dependent), which no exchange
+    admits; a matroid naming no swap for another x breaks the exchange
+    axiom and raises ``InfeasibilityError``.
+
+    A slot with a non-None key is a capacity class, answered in O(1)
+    from the length and first entry of the state's sorted list for it:
+    no pick while S holds fewer members than the capacity, else the
+    first entry's member, and a loop for a full class with no member
+    (capacity 0). A slot keyed None is searched by ``scan_pick``. The
+    answer is a function of (the state's constraint, x, S, nu) alone,
+    and by the ``swap_classes`` contract it depends on x only through
+    x's signature once every key in it is non-None; the state keeps such
+    an answer in its ``answers`` under the signature until S or nu
+    changes, so a full buffer under one uniform matroid costs one search
+    per state, not one per element. Loops and the
+    ``InfeasibilityError`` path are not cached.
+    """
+    nu = state.nu
+    if x in nu:
+        raise PreconditionError(f"element {x} is already in the solution")
+    signature = state.signature_of.get(x, ())
+    answer = state.answers.get(signature)
+    if answer is not None:
+        return answer
+    shared = True
+    chosen = set()
+    for slot in signature:
+        matroid, key = slot
+        if key is None:
+            shared = False
+            pick = scan_pick(matroid, x, nu)
+            if pick is LOOP:
+                return None
+        else:
+            entries = state.classes[slot]
+            if len(entries) < state.capacity_of[slot]:
+                continue
+            if not entries:
+                return None  # a full class of capacity 0: x is a loop
+            pick = entries[0][2]
+        if pick is not None:
+            chosen.add(pick)
+    answer = frozenset(chosen)
+    if shared:
+        state.answers[signature] = answer
+    return answer
 
 
 def validate_stream(stream, ground):
@@ -197,7 +292,7 @@ class PassRunner:
     ``oracle`` and ``mp`` must have one ground set. The pass starts from a
     copy of ``s_init``, a finished pass's state on ``oracle`` that is
     feasible under ``mp`` and whose evaluator holds exactly its members,
-    or from the empty solution, with its class index built under ``mp``.
+    or from the empty solution, a state serving ``mp``.
 
     ``finish`` closes the pass and returns the runner itself as the pass
     record: its ``state``, the acceptance set ``accepted`` (initial

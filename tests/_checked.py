@@ -9,11 +9,12 @@ tests, raises ``AssertionError`` on the first violation, and makes no
 metered call, so a checked run decides and meters as a plain one.
 
 * Before an arrival that is not an initial member: its exchange set,
-  served from the state's class index and its answers, is the one that
+  served from the state's class lists and its answers, is the one that
   scanning S slot by slot gives (``scan_pick``).
 * After every arrival: S is feasible, the running evaluator holds f(S),
-  the nu sum to f(S) - f(empty), every nu is at least alpha, and the
-  runner's held-element count is |init | S|.
+  the nu sum to f(S) - f(empty), with f(empty) from ``peek`` once per
+  runner, every nu is at least alpha, and the runner's held-element
+  count is |init | S|.
 * After an accept: each cached nu is its definition, an eviction only
   raises a survivor's nu and a pure insertion changes none, and no
   member's single-element residual f(S) - f(S - t) exceeds its nu.
@@ -37,6 +38,7 @@ non-zero on a violation.
 
 import math
 import sys
+import weakref
 from contextlib import contextmanager
 
 import matchstream as ms
@@ -86,6 +88,7 @@ def checked():
 
 def _checked_process(engine, tally):
     """``engine``, a runner's ``process``, with the checks around it."""
+    f_empty = weakref.WeakKeyDictionary()  # per runner
 
     def process(runner, x, single=None):
         if runner._finished:
@@ -99,7 +102,9 @@ def _checked_process(engine, tally):
         waiting_before = list(runner.waiting)
         accepts = runner.accept_count
         engine(runner, x, single)
-        _check_element(runner)
+        if runner not in f_empty:
+            f_empty[runner] = runner.oracle.peek(())
+        _check_element(runner, f_empty[runner])
         tally.elements += 1
         if runner.accept_count == accepts:
             return
@@ -140,8 +145,9 @@ def _check_exchange(x, cx, fresh):
         raise AssertionError(f"cached exchange set {cx} for {x}, not {fresh}")
 
 
-def _check_element(runner):
-    """Invariants that must hold after every processed element."""
+def _check_element(runner, f_empty):
+    """Invariants that must hold after every processed element, where
+    ``f_empty`` is f(empty)."""
     state, oracle, alpha = runner.state, runner.oracle, runner.alpha
     if not feasible_by_definition(runner.mp, state.members):
         raise AssertionError("solution left the feasible region")
@@ -150,9 +156,9 @@ def _check_element(runner):
     if abs(held - exact) > tol:
         raise AssertionError(f"running evaluator holds {held}, f(S) is {exact}")
     total = math.fsum(state.nu.values())
-    if abs(total - (state.f_s - state.f_empty)) > tol:
+    if abs(total - (state.f_s - f_empty)) > tol:
         raise AssertionError(
-            f"incremental values sum to {total}, expected {state.f_s - state.f_empty}"
+            f"incremental values sum to {total}, expected {state.f_s - f_empty}"
         )
     for e, v in state.nu.items():
         if v < alpha - tol:

@@ -126,6 +126,26 @@ def test_report_prints_table(tmp_path, capsys):
     assert table.read_text(encoding="utf-8").splitlines() == out
 
 
+def test_a_randomized_report_ends_on_pass_d_with_or_without_a_trace(tmp_path, capsys):
+    # a randomized summary's passes also count the guess-grid pass, d + 1;
+    # the one row a summary without a trace gives is pass d, whose factor
+    # it prints, as the traced report's last row is
+    instance = str(tmp_path / "cut.json")
+    main(["generate", "--family", "directed-cut+matroid", "--seed", "0",
+          "--n", "10", "--out", instance])
+    ends = []
+    for name, extra in (("traced", ["--trace", str(tmp_path / "t.csv")]), ("plain", [])):
+        summary = str(tmp_path / f"{name}.json")
+        assert main(["run-nonmonotone", "--instance", instance, "--epsilon", "0.5",
+                     "--passes", "2", "--summary", summary, *extra]) == 0
+        assert json.loads(Path(summary).read_text(encoding="utf-8"))["passes"] == 3
+        capsys.readouterr()
+        assert main(["report", summary]) == 0
+        last = capsys.readouterr().out.splitlines()[-1].split(",")
+        ends.append((last[2], last[4]))
+    assert ends == [("2", "3.0")] * 2
+
+
 def test_report_finds_a_relative_trace_from_any_directory(tmp_path, capsys, monkeypatch):
     instance = str(tmp_path / "inst.json")
     main(["generate", "--family", "coverage+uniform", "--seed", "2",

@@ -58,8 +58,9 @@ def test_config_integer_fields_are_integers(field):
 
 @pytest.mark.parametrize("field", ["epsilon", "alpha", "target_gamma"])
 def test_config_float_fields_are_finite_reals(field):
-    # float() would read True as 1.0 and "2.5" as 2.5, and take NaN
-    for bad in (True, False, "2.5", "nan", math.nan, math.inf):
+    # float() would read True as 1.0 and "2.5" as 2.5, and take NaN; an
+    # integer too large for a float overflows, and is refused as not finite
+    for bad in (True, False, "2.5", "nan", math.nan, math.inf, 10 ** 400):
         with pytest.raises(ms.ConfigError, match=f"{field} must be a finite real"):
             ms.ExperimentConfig("x.json", "monotone-multipass", **{field: bad})
     config = ms.ExperimentConfig("x.json", "monotone-multipass", **{field: 2})
@@ -85,6 +86,38 @@ def test_randomized_run_needs_an_epsilon(tmp_path, monkeypatch):
         with pytest.raises(ms.ConfigError, match=message):
             ms.run_experiment(config)
     assert searches == []
+
+
+def test_a_refused_config_searches_no_optimum(tmp_path, monkeypatch):
+    # the summary's exact optimum is searched after the run, so a config
+    # that a driver or its schedule refuses pays for no search; on 16
+    # elements the search is within its budget, and an accepted config
+    # makes it once
+    searches = []
+
+    def spy(*args, **kwargs):
+        searches.append(args)
+        return ms.brute_force_opt(*args, **kwargs)
+
+    monkeypatch.setattr(ms.experiments, "brute_force_opt", spy)
+    instance = _write_instance(tmp_path, seed=1, n=16)
+    mono, rand = "monotone-multipass", "nonmonotone-randomized"
+    for algorithm, fields, message in (
+            (mono, {}, "epsilon > 0 is needed"),
+            (mono, {"epsilon": -1}, "epsilon > 0 is needed"),
+            (mono, {"passes": 0}, "at least one pass"),
+            (rand, {"epsilon": 0.5, "passes": 0}, "at least one pass"),
+            (rand, {"epsilon": 0.9, "passes": 1}, "epsilon must lie in"),
+            (rand, {"epsilon": 0.5, "passes": 1, "offline": "annealing"},
+             "unknown offline mode"),
+            (mono, {"passes": 2, "schedule": "bogus"}, "unknown schedule"),
+            (mono, {"passes": 2, "schedule": "fixed:-1"}, "bad fixed schedule")):
+        config = ms.ExperimentConfig(instance, algorithm, **fields)
+        with pytest.raises((ms.ConfigError, ms.PreconditionError), match=message):
+            ms.run_experiment(config)
+    assert searches == []
+    summary = ms.run_experiment(ms.ExperimentConfig(instance, mono, passes=1))
+    assert len(searches) == 1 and summary["opt_value"] is not None
 
 
 def test_default_pass_budgets():

@@ -13,7 +13,7 @@ from _checked import checked
 
 
 def _state(mp, order, nu):
-    return ms.SolutionState(mp, {e: nu[e] for e in order}, 0.0)
+    return ms.SolutionState(mp, {e: nu[e] for e in order})
 
 
 def test_uniform_matroid():
@@ -482,7 +482,7 @@ class _Relabeled(ms.Matroid):
         return self.inner.independent({self.back[e] for e in restricted})
 
 
-# The exchange sets that the class index answers beside the state
+# The exchange sets that the state answers from its class lists
 
 
 def _exchange_by_definition(mp, x, state):
@@ -518,8 +518,8 @@ def test_cached_exchange_sets_match_the_definition():
     # and intersected in pairs, under accept sequences that take all three
     # branches; every non-member is asked twice after every step, the
     # second time from the signature cache when its keys are all non-None;
-    # every accept keeps the index the state was built with, a walk's
-    # included, and leaves each class list holding exactly S's members
+    # every accept refiles in the class lists the state was built with, a
+    # walk's included, and leaves each holding exactly S's members
     rng = Random(43)
     branches = {"insert": 0, "shortcut": 0, "walk": 0}
     hits = 0
@@ -535,15 +535,15 @@ def test_cached_exchange_sets_match_the_definition():
             for y in outside:
                 want = _exchange_by_definition(mp, y, state)
                 assert ms.exchange_set(y, state) == want, (trial, step, y)
-                hits += mp.signature_of.get(y, ()) in state.index.answers
+                hits += mp.signature_of.get(y, ()) in state.answers
                 assert ms.exchange_set(y, state) == want, (trial, step, y)
             x = rng.choice(outside)
             evicting = bool(ms.exchange_set(x, state))
-            index = state.index
+            classes = state.classes
             skipped = _accept(state, oracle, x)
             if skipped is None:
                 continue
-            assert state.index is index and index.answers == {}
+            assert state.classes is classes and state.answers == {}
             assert _corpus.feasible_by_definition(mp, state.members)
             branch = "shortcut" if skipped else "walk" if evicting else "insert"
             branches[branch] += 1
@@ -557,13 +557,13 @@ def test_swap_picks_follow_the_state():
     uniform = ms.UniformMatroid(range(6), 2)
     mp = ms.PMatchoid(range(6), [uniform])
     state = ms.SolutionState.empty(oracle, mp)
-    index = state.index
+    classes = state.classes
     for x, branch in ((0, False), (1, False), (2, True), (4, False)):
         # insert, insert, shortcut (evicts 1 at nu 0), walk (evicts 2)
         ms.exchange_set(x, state)
-        assert index.answers
+        assert state.answers
         assert _accept(state, oracle, x) is branch
-        assert state.index is index and index.answers == {}
+        assert state.classes is classes and state.answers == {}
     assert list(state.nu) == [0, 4]
     assert ms.exchange_set(3, state) == {0}
     # the answer for the signature, and the sorted class list behind it:
@@ -572,29 +572,29 @@ def test_swap_picks_follow_the_state():
     signature = ((uniform, 0),)
     entries = [(3.0, 0, 0), (5.0, 3, 4)]
     assert mp.signature_of[3] is mp.signature_of[5] == signature
-    assert state.index.answers == {signature: frozenset({0})}
-    assert ms.exchange_set(5, state) is state.index.answers[signature]
-    assert state.index.classes[(uniform, 0)] == entries
-    assert state.index.capacity_of is mp.capacity_of == {(uniform, 0): 2}
-    # a copy builds its own index: the same members and nu, filed afresh
-    # in arrival order, in lists of its own, and no answers yet
+    assert state.answers == {signature: frozenset({0})}
+    assert ms.exchange_set(5, state) is state.answers[signature]
+    assert state.classes[(uniform, 0)] == entries
+    assert state.capacity_of is mp.capacity_of == {(uniform, 0): 2}
+    # a copy files its own class lists: the same members and nu, filed
+    # afresh in arrival order, in lists of its own, and no answers yet
     copy = state.copy(mp)
-    assert copy.index is not state.index and copy.index.answers == {}
-    assert copy.index.classes == {(uniform, 0): [(3.0, 0, 0), (5.0, 1, 4)]}
+    assert copy.classes is not state.classes and copy.answers == {}
+    assert copy.classes == {(uniform, 0): [(3.0, 0, 0), (5.0, 1, 4)]}
     assert ms.exchange_set(5, copy) == {0}
-    assert copy.index.answers == {signature: frozenset({0})}
-    assert copy.index.answers is not state.index.answers
-    assert copy.index.classes[(uniform, 0)] is not state.index.classes[(uniform, 0)]
-    copy.index.classes[(uniform, 0)].insert(0, (0.0, 1, 4))
-    copy.index.answers[signature] = frozenset({4})
-    assert state.index.answers == {signature: frozenset({0})}
-    assert state.index.classes[(uniform, 0)] == entries
+    assert copy.answers == {signature: frozenset({0})}
+    assert copy.answers is not state.answers
+    assert copy.classes[(uniform, 0)] is not state.classes[(uniform, 0)]
+    copy.classes[(uniform, 0)].insert(0, (0.0, 1, 4))
+    copy.answers[signature] = frozenset({4})
+    assert state.answers == {signature: frozenset({0})}
+    assert state.classes[(uniform, 0)] == entries
     assert ms.exchange_set(3, state) == {0}
-    # a public nu refresh that changes no nu keeps the index as it was,
-    # answers included, since they are still exact
+    # a public nu refresh that changes no nu keeps the class lists as they
+    # were, answers included, since they are still exact
     ms.recompute_nu(state, oracle)
-    assert state.index is index and index.entry_of == {0: entries[0], 4: entries[1]}
-    assert index.answers == {signature: frozenset({0})}
+    assert state.classes is classes and state.entry_of == {0: entries[0], 4: entries[1]}
+    assert state.answers == {signature: frozenset({0})}
     _check_class_index(mp, state, 6)
 
 
@@ -604,20 +604,18 @@ def test_class_index_add_and_remove_forget_the_answers():
     signature = mp.signature_of[2]
     state = _state(mp, [0, 1], {0: 1.0, 1: 2.0})
     assert ms.exchange_set(2, state) == {0}
-    index = state.index
-    assert index.answers == {signature: frozenset({0})}
+    classes = state.classes
+    assert state.answers == {signature: frozenset({0})}
     # 0 leaves S: the class is no longer full
-    del state.nu[0]
-    index.remove(0)
-    assert index.answers == {}
+    assert state._unfile(0) == 1.0
+    assert state.answers == {}
     assert ms.exchange_set(2, state) == set()
-    assert index.answers == {signature: frozenset()}
+    assert state.answers == {signature: frozenset()}
     # 3 joins S with the smallest nu: the class is full again
-    state.nu[3] = 0.5
-    index.add(3, 0.5)
-    assert index.answers == {}
+    state._file(3, 0.5)
+    assert state.answers == {}
     assert ms.exchange_set(2, state) == {3}
-    assert state.index is index and index.answers == {signature: frozenset({3})}
+    assert state.classes is classes and state.answers == {signature: frozenset({3})}
 
 
 def test_graphic_matchoid_caches_nothing():
@@ -629,7 +627,7 @@ def test_graphic_matchoid_caches_nothing():
     state = _state(mp, [0, 1], {0: 2.0, 1: 1.0})
     assert ms.exchange_set(2, state) == {1}
     assert ms.exchange_set(3, state) == set()
-    assert state.index.classes == {} and state.index.answers == {}
+    assert state.classes == {} and state.answers == {}
 
 
 def test_one_state_under_two_matchoids():
@@ -642,19 +640,19 @@ def test_one_state_under_two_matchoids():
     by_part = ms.PMatchoid(range(4), [
         ms.PartitionMatroid(range(4), [[1, 2], [0, 3]], [1, 1])])
     evaluator = ms.ModularOracle([1, 2, 3, 4]).running((0, 1))
-    state = ms.SolutionState(by_capacity, {0: 1.0, 1: 2.0}, 0.0, evaluator)
+    state = ms.SolutionState(by_capacity, {0: 1.0, 1: 2.0}, evaluator)
     assert ms.exchange_set(2, state) == {0}
     other = state.copy(by_part)
-    assert other.index.signature_of is by_part.signature_of
-    assert other.index.answers == {}
+    assert other.signature_of is by_part.signature_of
+    assert other.answers == {}
     for _ in range(2):
         assert ms.exchange_set(2, other) == {1}
-        assert other.index.answers == {by_part.signature_of[2]: {1}}
+        assert other.answers == {by_part.signature_of[2]: {1}}
         assert ms.exchange_set(2, state) == {0}
-        assert state.index.signature_of is by_capacity.signature_of
-        assert state.index.answers == {by_capacity.signature_of[2]: {0}}
+        assert state.signature_of is by_capacity.signature_of
+        assert state.answers == {by_capacity.signature_of[2]: {0}}
         # a repeat is served from the state's own answers
-        assert ms.exchange_set(2, other) is other.index.answers[by_part.signature_of[2]]
+        assert ms.exchange_set(2, other) is other.answers[by_part.signature_of[2]]
     # a copy back under the first constraint answers as the original does
     assert ms.exchange_set(2, other.copy(by_capacity)) == {0}
 
@@ -698,48 +696,48 @@ def test_signature_cache_answers_as_an_uncached_search(data):
         for y in queries:
             if y not in state.nu:
                 assert ms.exchange_set(y, state) == _exchange_by_definition(mp, y, state)
-        index = state.index
+        classes = state.classes
         step = data.draw(st.sampled_from(("accept", "refresh")), label="step")
         if step == "refresh":
             ms.recompute_nu(state, oracle)
-            assert state.index is index
+            assert state.classes is classes
         else:
             outside = [y for y in range(n) if y not in state.nu]
             if not outside:
                 break
             x = data.draw(st.sampled_from(outside), label="x")
             if _accept(state, oracle, x) is not None:
-                # the accept keeps the state's index and forgets its answers
-                assert state.index is index and index.answers == {}
+                # the accept keeps the state's class lists and forgets its
+                # answers
+                assert state.classes is classes and state.answers == {}
                 assert _corpus.feasible_by_definition(mp, state.members)
-        # after every step, a loop's refusal included, the same index files
-        # S and nu as they are now and serves only exact answers, including
-        # those a refresh left
+        # after every step, a loop's refusal included, the same class lists
+        # file S and nu as they are now and the state serves only exact
+        # answers, including those a refresh left
         _check_class_index(mp, state, n)
 
 
 def _check_class_index(mp, state, n):
     """Every outsider's exchange set under ``mp`` is the definition's; then
     each member of S has one entry ``(nu, seq, member)`` with its nu,
-    seqs increasing in arrival order, each class list of the state's
-    index is exactly the sorted entries of S's members in that class,
-    and the index reads each class's capacity from ``mp``'s table, which
-    holds the capacity the matroid's ``swap_classes`` names for it."""
+    seqs increasing in arrival order, each class list of the state is
+    exactly the sorted entries of S's members in that class, and the
+    state reads each class's capacity from ``mp``'s table, which holds
+    the capacity the matroid's ``swap_classes`` names for it."""
     for y in range(n):
         if y not in state.nu:
             assert ms.exchange_set(y, state) == _exchange_by_definition(mp, y, state), y
-    index = state.index
-    signature_of = index.signature_of
+    signature_of = state.signature_of
     assert signature_of is mp.signature_of
-    assert index.capacity_of is mp.capacity_of
-    assert index.entry_of.keys() == state.nu.keys()
-    seq = {e: entry[1] for e, entry in index.entry_of.items()}
+    assert state.capacity_of is mp.capacity_of
+    assert state.entry_of.keys() == state.nu.keys()
+    seq = {e: entry[1] for e, entry in state.entry_of.items()}
     assert [seq[e] for e in state.nu] == sorted(set(seq.values()))
-    assert all(seq[e] < index.next_seq for e in state.nu)
-    assert all(index.entry_of[e] == (v, seq[e], e) for e, v in state.nu.items())
+    assert all(seq[e] < state.next_seq for e in state.nu)
+    assert all(state.entry_of[e] == (v, seq[e], e) for e, v in state.nu.items())
     filed = {slot for e in state.nu for slot in signature_of.get(e, ()) if slot[1] is not None}
-    assert filed <= index.classes.keys()
-    for slot, entries in index.classes.items():
+    assert filed <= state.classes.keys()
+    for slot, entries in state.classes.items():
         assert entries == sorted((v, seq[e], e) for e, v in state.nu.items()
                                  if slot in signature_of.get(e, ())), slot
         matroid, key = slot
@@ -781,19 +779,19 @@ def test_class_index_follows_long_churn(data):
             # a walk from any position refiles its members from the first
             # whose nu it changes; those before keep their entries
             start = data.draw(st.integers(0, len(state.nu)), label="start_pos")
-            index = state.index
+            classes = state.classes
             before = dict(state.nu)
-            entries = dict(index.entry_of)
+            entries = dict(state.entry_of)
             seqs = [entry[1] for entry in entries.values()]
             ms.recompute_nu(state, oracle, start)
-            assert state.index is index
+            assert state.classes is classes
             order = list(state.nu)
             first = next((i for i, e in enumerate(order) if state.nu[e] != before[e]),
                          len(order))
             assert first >= start
-            assert all(index.entry_of[e] is entries[e] for e in order[:first])
-            assert all(index.entry_of[e][1] > max(seqs) for e in order[first:])
-            assert first == len(order) or index.answers == {}
+            assert all(state.entry_of[e] is entries[e] for e in order[:first])
+            assert all(state.entry_of[e][1] > max(seqs) for e in order[first:])
+            assert first == len(order) or state.answers == {}
         elif step == "copy" and outside:
             # the copy goes its own way; the original must not follow it
             copy = state.copy(mp)
@@ -804,7 +802,7 @@ def test_class_index_follows_long_churn(data):
         elif step == "other":
             # S just fills one uniform matroid of new slots: under it, every
             # outsider must evict its smallest nu from a copy of the state,
-            # whatever the state's own index holds
+            # whatever the state's own class lists hold
             other = ms.PMatchoid(range(n), [ms.UniformMatroid(range(n), len(state.nu))])
             _check_class_index(other, state.copy(other), n)
         _check_class_index(mp, state, n)
@@ -827,8 +825,8 @@ def test_a_class_that_never_fills_holds_exactly_s_members():
         assert _accept(state, oracle, x) is (step > 0)
         _check_class_index(mp, state, n)
         assert list(state.nu) == [x]
-        assert state.index.classes == {(uniform, 0): [(0.0, step, x)],
-                                       (partition, -1): [(0.0, step, x)]}
+        assert state.classes == {(uniform, 0): [(0.0, step, x)],
+                                 (partition, -1): [(0.0, step, x)]}
         assert mp.capacity_of == {(uniform, 0): 1, (partition, -1): math.inf}
 
 
@@ -1109,18 +1107,19 @@ def test_one_arrival_touches_at_most_p_of_a_thousand_matroids():
     try:
         for x in range(0, n, 3):
             del touched[:]
-            index = runner.state.index
-            before = set(index.classes)
+            classes = runner.state.classes
+            before = set(classes)
             runner.process(x)
-            # the class index reads capacities from the constraint's
-            # table, so an arrival on capacity slots may touch no matroid
+            # the state reads capacities from the constraint's table, so
+            # an arrival on capacity slots may touch no matroid
             assert set(touched) <= {m for m, _ in mp.signature_of[x]}
             assert len(set(touched)) <= mp.p
-            # the runner's state is built with its index, and every arrival
-            # keeps it, filing at most x's p slots; the last arrival's
-            # exchange walks, which changes no nu here, as f is modular
-            assert runner.state.index is index
-            assert set(index.classes) - before <= set(mp.signature_of[x])
+            # the runner's state is built with its class lists, and every
+            # arrival keeps them, filing at most x's p slots; the last
+            # arrival's exchange walks, which changes no nu here, as f is
+            # modular
+            assert runner.state.classes is classes
+            assert set(classes) - before <= set(mp.signature_of[x])
         assert runner.evicted == {0: 1.0}
         s = set(runner.state.members)
         answers = set()
@@ -1190,20 +1189,20 @@ def test_no_engine_path_asks_a_kind_that_names_classes(monkeypatch):
 
 
 def test_a_runner_builds_at_most_one_class_index(monkeypatch):
-    # a runner's state builds its index as the runner starts and keeps it
-    # through every accept and nu walk of the pass, so each runner builds
-    # exactly one; counted on the binding ``SolutionState`` builds it
-    # through, on a p = 2 matching under the deterministic driver, and on a
-    # directed cut whose buffer fills under the randomized one, where
-    # every exchange walks
+    # a runner builds its state, and with it the class lists, as the
+    # runner starts and keeps it through every accept and nu walk of the
+    # pass, so each runner builds exactly one; counted on the binding the
+    # runner and ``SolutionState.copy`` build it through, on a p = 2
+    # matching under the deterministic driver, and on a directed cut whose
+    # buffer fills under the randomized one, where every exchange walks
     builds, walks = [], []
 
-    class CountingIndex(ms.matchoids.ClassIndex):
+    class CountingState(ms.SolutionState):
         __slots__ = ()
 
-        def __init__(self, mp, nu):
+        def __init__(self, mp, nu, evaluator=None):
             builds.append(mp)
-            super().__init__(mp, nu)
+            super().__init__(mp, nu, evaluator)
 
     walk = ms.streaming.recompute_nu
 
@@ -1211,7 +1210,7 @@ def test_a_runner_builds_at_most_one_class_index(monkeypatch):
         walks.append(args)
         return walk(*args)
 
-    monkeypatch.setattr(ms.streaming, "ClassIndex", CountingIndex)
+    monkeypatch.setattr(ms.streaming, "SolutionState", CountingState)
     monkeypatch.setattr(ms.streaming, "recompute_nu", counting_walk)
     inst = ms.generate_instance("bipartite-matching", 0, left=12, right=12, edges=90)
     built = inst.build_matchoid()

@@ -367,6 +367,14 @@ def test_early_stop_on_target_gamma():
                            target_gamma=2.6)
     assert run.passes_run < 16
     assert run.certificates[-1].gamma_certified <= 2.6
+    # no certificate reaches a NaN target, nor stops short of an infinite
+    # one: both are refused before any oracle call
+    for bad in (math.nan, math.inf):
+        oracle = inst.build_oracle()
+        with pytest.raises(ms.PreconditionError, match="target_gamma must be a finite"):
+            ms.multipass_run(oracle, inst.build_matchoid(), ms.stream_order(inst.n),
+                             ms.Schedule.matroid_harmonic(), 16, target_gamma=bad)
+        assert oracle.calls == 0, bad
 
 
 def test_recurrence_schedule_requires_matching_p():

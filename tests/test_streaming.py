@@ -96,7 +96,7 @@ def test_cached_nu_matches_definition_after_random_runs():
             for e, v in exact.items():
                 assert abs(v - state.nu[e]) <= TOL
             total = math.fsum(state.nu.values())
-            assert abs(total - (state.f_s - state.f_empty)) <= TOL
+            assert abs(total - (state.f_s - oracle.peek(()))) <= TOL
 
 
 def test_full_recompute_agrees_with_incremental_cache():
@@ -276,7 +276,7 @@ def test_negative_parameters_rejected():
 
 def test_infeasible_initial_solution_rejected():
     oracle, mp = _modular_setup([1, 2])
-    bad = ms.SolutionState(mp, {0: 1.0, 1: 2.0}, 0.0)
+    bad = ms.SolutionState(mp, {0: 1.0, 1: 2.0})
     with pytest.raises(ms.PreconditionError):
         ms.streaming_pass(oracle, mp, [0, 1], bad)
 
@@ -288,7 +288,7 @@ def test_start_state_needs_an_evaluator_on_the_pass_oracle():
     oracle = ms.ModularOracle([2, 1, 1])
     mp = ms.PMatchoid(range(3), [ms.UniformMatroid(range(3), 3)])
     with pytest.raises(ms.PreconditionError):
-        ms.streaming_pass(oracle, mp, [0, 1, 2], ms.SolutionState(mp, {0: 2.0}, 0.0))
+        ms.streaming_pass(oracle, mp, [0, 1, 2], ms.SolutionState(mp, {0: 2.0}))
     # alpha = 1.5 keeps element 0 (gain 2) alone: S = {0}, f(S) = 2
     first = ms.streaming_pass(ms.ModularOracle([2, 1, 1]), mp, [0, 1, 2], None, 1.5)
     with pytest.raises(ms.PreconditionError):
@@ -355,7 +355,7 @@ def test_start_state_evaluator_must_hold_its_members(held):
     # pass from it would end at 2.0 for a solution worth 4.0
     oracle = ms.ModularOracle([2, 1, 1])
     mp = ms.PMatchoid(range(3), [ms.UniformMatroid(range(3), 3)])
-    state = ms.SolutionState(mp, {0: 2.0}, 0.0, oracle.running(held))
+    state = ms.SolutionState(mp, {0: 2.0}, oracle.running(held))
     with pytest.raises(ms.PreconditionError, match="another set"):
         ms.streaming_pass(oracle, mp, [0, 1, 2], state)
     # the evaluator's own call; the pass refuses the state before any
@@ -374,14 +374,14 @@ def test_debug_check_catches_a_stale_swap_pick():
     def an_entry_with_a_wrong_nu(state):
         # a second entry for member 0, with its seq but not its nu, sorts
         # first in the class list
-        insort(state.index.classes[slot], (0.0, state.index.entry_of[0][1], 0))
+        insort(state.classes[slot], (0.0, state.entry_of[0][1], 0))
 
     def a_member_missing_from_its_class(state):
         # the class list loses member 0's entry, so it reads below capacity
-        state.index.classes[slot].remove(state.index.entry_of[0])
+        state.classes[slot].remove(state.entry_of[0])
 
     def stale_signature_answer(state):
-        state.index.answers[mp.signature_of[2]] = frozenset({0})
+        state.answers[mp.signature_of[2]] = frozenset({0})
 
     for corrupt in (an_entry_with_a_wrong_nu, a_member_missing_from_its_class,
                     stale_signature_answer):
@@ -389,7 +389,7 @@ def test_debug_check_catches_a_stale_swap_pick():
         with checked():
             for x in (0, 1):
                 runner.process(x)
-            assert len(runner.state.index.classes[slot]) == 2
+            assert len(runner.state.classes[slot]) == 2
             corrupt(runner.state)
             with pytest.raises(AssertionError, match="cached exchange set"):
                 runner.process(2)
