@@ -34,12 +34,13 @@ print("  offline over leftover pool:", sorted(out.s_prime),
       "f =", out.f_s_prime)
 
 # The full driver guesses the optimum's scale with a one-pass singleton
-# scan, runs one copy per guess, and returns the best answer found.
+# scan (``run.grid`` is the tuple of guesses, powers of two), runs one copy
+# per guess, and returns the best answer found.
 eps = 0.25
 run = ms.multipass_randomized(inst.build_oracle(), inst.build_matchoid(),
                               ms.stream_order(inst.n), epsilon=eps, seed=0)
 print()
-print(f"full driver: guesses {run.grid.lambdas}, {run.d} passes "
+print(f"full driver: guesses {run.grid}, {run.d} passes "
       f"(+1 scan), pool capacity {run.m}")
 print(f"  best value {run.f_solution} vs optimum {opt.opt_value}"
       f"  (feasible: {mp.feasible(run.solution)})")

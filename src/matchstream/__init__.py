@@ -18,10 +18,9 @@ from .multipass import (GuaranteeCertificate, MultipassResult, Schedule,
 from .objectives import (CoverageOracle, DirectedCutOracle, ModularOracle,
                          RunningValue, SubmodularOracle, TableOracle,
                          brute_force_check_submodular)
-from .randomized import (BufferState, GuessGrid, LambdaCopyResult,
-                         RandomizedPassRunner, RandomizedRunResult,
-                         guess_grid, multipass_randomized, offline_solve,
-                         randomized_pass)
+from .randomized import (BufferState, LambdaCopyResult, RandomizedPassRunner,
+                         RandomizedRunResult, guess_grid, multipass_randomized,
+                         offline_solve, randomized_pass)
 from .streaming import (PassRunner, SolutionState, exchange_set, recompute_nu,
                         streaming_pass)
 

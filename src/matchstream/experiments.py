@@ -8,8 +8,9 @@ records, and a trace row, a finished runner's ``row`` (and a guess
 copy's columns), gets schema_version as the trace is written. The trace
 header is schema_version and the first row's keys, so the row owns the
 trace schema. A run builds its constraint once, which the driver, every
-replicate and the exact optimum share; each driver run and the optimum
-get a fresh oracle, since an oracle carries the call counter.
+replicate and the exact optimum share; each driver run gets a fresh
+oracle, since an oracle carries the call counter, and the optimum is
+searched on the run's last oracle once the summary has read its count.
 
 Traces are CSV (``csv.writer`` writes None as "" and inf as "inf") with
 a schema_version column; summaries are JSON. Given the same config (seed
@@ -112,15 +113,16 @@ def write_trace(path, columns, rows):
     return text
 
 
-def _compute_opt(inst, mp):
-    """The exact optimum, or None when its search could pass
+def _compute_opt(oracle, mp):
+    """The exact optimum, searched on the run's ``oracle`` once the summary
+    has read its count, or None when its search could pass
     ``SUMMARY_OPT_BUDGET`` subsets, which is checked before any oracle
     call with the size cut the exact solver applies."""
+    n = len(oracle.ground)
     try:
-        check_exact_budget(inst.n, mp.p * len(greedy_basis(mp, range(inst.n))),
+        check_exact_budget(n, mp.p * len(greedy_basis(mp, range(n))),
                            budget=SUMMARY_OPT_BUDGET)
-        # separate oracle instance so the run's call counters stay clean
-        return brute_force_opt(inst.build_oracle(), mp).opt_value
+        return brute_force_opt(oracle, mp).opt_value
     except SizeError:
         return None
 
@@ -253,7 +255,7 @@ def run_experiment(config):
             "replicates": config.replicates,
             "gamma_certified_final": run.copies[0].pass_rows[-1]["gamma_certified"],
             "passes": run.passes_used,
-            "lambda_grid": list(run.grid.lambdas),
+            "lambda_grid": list(run.grid),
             "m": run.m,
             "gamma_off": run.gamma_off,
             "space_bound": run.space_bound,
@@ -263,7 +265,7 @@ def run_experiment(config):
         })
 
     summary.update(totals)
-    opt_value = summary["opt_value"] = _compute_opt(inst, mp)
+    opt_value = summary["opt_value"] = _compute_opt(oracle, mp)
     f_final = summary.get("f_final")
     summary["ratio"] = (opt_value / f_final
                         if opt_value is not None and f_final else None)
@@ -278,15 +280,32 @@ def run_experiment(config):
     return summary
 
 
+def _best_copy_rows(records, summary):
+    """A randomized trace as one record per pass of its first replicate:
+    the replicates' rows follow one another, each guess copy's passes in
+    order, so the first replicate's are the first len(grid) * d rows, and
+    a pass's record is its best copy's, with ``f_S_bar`` (the better of
+    the copy's streaming and offline solutions) as its ``f_S``. Rows are
+    taken in ascending ``f_S_bar``, so the best copy's row of a pass is
+    the one kept."""
+    best = {}
+    for rec in sorted(records[:len(summary["lambda_grid"]) * (summary["passes"] - 1)],
+                      key=lambda rec: float(rec["f_S_bar"])):
+        best[rec["pass"]] = {**rec, "f_S": rec["f_S_bar"]}
+    return sorted(best.values(), key=lambda rec: int(rec["pass"]))
+
+
 def report_rows(summary_paths):
     """Aggregate summaries (and their traces) into a factor-vs-pass table:
     a row per pass of the trace a summary names, read from the summary's
     directory when its path is relative, or for ``"trace": null`` one row,
     its last pass, as a one-record trace: pass d of a randomized summary,
-    whose ``passes`` also count the guess-grid pass. A summary, or the
-    trace it names, that is missing or cannot be read or parsed, or a
-    summary that is not a JSON object, raises ``ConfigError`` naming the
-    summary (and the trace)."""
+    whose ``passes`` also count the guess-grid pass. A randomized trace
+    gives one row per pass of its first replicate, at the best guess
+    copy's ``f_S_bar``, so its last row is the summary's ``f_final``. A
+    summary, or the trace it names, that is missing or cannot be read or
+    parsed, or a summary that is not a JSON object, raises
+    ``ConfigError`` naming the summary (and the trace)."""
     columns = ("instance", "algorithm", "pass", "f_S", "gamma_certified", "ratio")
     rows = []
     for path in summary_paths:
@@ -303,6 +322,8 @@ def report_rows(summary_paths):
                     raise ValueError(f"the trace it names, {trace}, is not a file")
                 with open(trace, "r", encoding="utf-8", newline="") as fh:
                     records = list(csv.DictReader(fh))
+                if records and "f_S_bar" in records[0]:
+                    records = _best_copy_rows(records, summary)
             else:
                 last = summary.get("passes", 1)
                 if summary.get("algorithm") == "nonmonotone-randomized":

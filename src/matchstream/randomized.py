@@ -56,14 +56,15 @@ OFFLINE_MODES = ("exact", "heuristic")
 
 
 class BufferState:
-    """Bounded candidate pool: ``members`` maps each buffered element to
-    its threshold data ``(gain, C_x)``, in stream-arrival order."""
+    """Bounded candidate pool, empty at the start: ``members`` maps each
+    buffered element to its threshold data ``(gain, C_x)``, in
+    stream-arrival order, and ``peak`` is the most it has held."""
 
     __slots__ = ("members", "peak")
 
-    def __init__(self, members):
-        self.members = dict(members)
-        self.peak = len(self.members)
+    def __init__(self):
+        self.members = {}
+        self.peak = 0
 
     def draw(self, rng):
         """Remove a uniformly random member; returns it with its data."""
@@ -72,20 +73,11 @@ class BufferState:
         return x, members.pop(x)
 
 
-class GuessGrid:
-    """Powers of two bracketing the optimum value within a factor two."""
-
-    __slots__ = ("tau", "lambdas")
-
-    def __init__(self, tau, lambdas):
-        self.tau = float(tau)
-        self.lambdas = tuple(float(v) for v in lambdas)
-
-
 def guess_grid(oracle, stream, rank_k):
-    """One dedicated pass for the best singleton value tau, then the grid
-    {2^i : tau <= 2^i <= min(k * tau, 2^1023)}, read off the binary
-    exponents of tau and k * tau, so no power is rounded or overflows.
+    """One dedicated pass for the best singleton value tau, then the tuple
+    of float guesses {2^i : tau <= 2^i <= min(k * tau, 2^1023)}, read off
+    the binary exponents of tau and k * tau, so no power is rounded or
+    overflows.
 
     All-zero singletons degenerate to a single zero guess (the run then
     proceeds with alpha = 0). When no power of two lands in the interval
@@ -96,13 +88,12 @@ def guess_grid(oracle, stream, rank_k):
     for e in stream:
         tau = max(tau, oracle.value({e}))
     if tau <= 0.0:
-        return GuessGrid(0.0, (0.0,))
+        return (0.0,)
     mantissa, exp = math.frexp(tau)  # tau = mantissa * 2^exp, 1/2 <= mantissa < 1
     low = exp - 1 if mantissa == 0.5 else exp
     # k * tau may overflow to inf: the largest float caps the top at 2^1023
     high = math.frexp(min(rank_k * tau, sys.float_info.max))[1] - 1
-    lambdas = [math.ldexp(1.0, i) for i in range(low, high + 1)]
-    return GuessGrid(tau, lambdas or [math.ldexp(0.5, exp)])
+    return tuple(math.ldexp(1.0, i) for i in range(low, high + 1)) or (math.ldexp(0.5, exp),)
 
 
 class RandomizedPassRunner(PassRunner):
@@ -130,7 +121,7 @@ class RandomizedPassRunner(PassRunner):
         super().__init__(oracle, mp, s_init, alpha, beta)
         self.m = m
         self.rng = rng
-        self.buffer = BufferState({})
+        self.buffer = BufferState()
         self.buffer_drops = 0
         self.subsets_examined = self.bound_prunes = 0
 
@@ -176,21 +167,20 @@ class RandomizedPassRunner(PassRunner):
     def finish(self, offline_mode="exact"):
         """Close the pass: solve offline over the residual buffer and return
         the runner as its record. The call count includes the offline
-        solve and the evaluation of its solution, and the exact solver's
-        effort is kept as ``subsets_examined`` and ``bound_prunes`` (0 in
-        heuristic mode). The buffer keeps its members, each mapped to None
-        in place of its threshold data."""
+        solve and the evaluation of its solution, and the effort of the
+        exact search ``offline_solve`` returns is kept as
+        ``subsets_examined`` and ``bound_prunes`` (0 in heuristic mode).
+        The buffer keeps its members, each mapped to None in place of its
+        threshold data."""
         if self._finished:
             raise PreconditionError("runner already finished")
         calls = self.oracle.calls
-        searches = []
-        s_prime = offline_solve(self.oracle, self.mp, self.buffer.members,
-                                mode=offline_mode, rng=self.rng, searches=searches)
-        self.f_s_prime = self.oracle.value(s_prime)
-        self.s_prime = frozenset(s_prime)
-        for search in searches:
-            self.subsets_examined += search.subsets_examined
-            self.bound_prunes += search.bound_prunes
+        self.s_prime, search = offline_solve(self.oracle, self.mp, self.buffer.members,
+                                             mode=offline_mode, rng=self.rng)
+        self.f_s_prime = self.oracle.value(self.s_prime)
+        if search is not None:
+            self.subsets_examined = search.subsets_examined
+            self.bound_prunes = search.bound_prunes
         self.oracle_calls += self.oracle.calls - calls
         self.buffer.members = dict.fromkeys(self.buffer.members)
         return super().finish()
@@ -214,11 +204,11 @@ def randomized_pass(oracle, mp, stream, s_init, alpha, beta, m, rng, *,
     return runner.finish(offline_mode)
 
 
-def offline_solve(oracle, mp, candidates, mode="exact", rng=None, *, searches=None):
+def offline_solve(oracle, mp, candidates, mode="exact", rng=None):
     """Best feasible subset of the candidate pool, exactly or by Sample
-    Greedy, as a frozenset. When ``searches`` is a list, the exact
-    search's ``ExactResult`` (with its effort, ``subsets_examined`` and
-    ``bound_prunes``) is appended to it; the heuristic appends nothing.
+    Greedy: returns ``(solution, search)``, the solution a frozenset and
+    ``search`` the exact search's ``ExactResult`` (with its effort,
+    ``subsets_examined`` and ``bound_prunes``), or None for the heuristic.
 
     ``exact`` is ``max_feasible_subset``'s branch-and-bound, within its work
     budget. ``heuristic`` is Sample Greedy (Feldman, Harshaw and Karbasi
@@ -234,12 +224,11 @@ def offline_solve(oracle, mp, candidates, mode="exact", rng=None, *, searches=No
     pool = sorted(set(candidates))
     if mode == "exact":
         search = max_feasible_subset(oracle, mp, pool)
-        if searches is not None:
-            searches.append(search)
-        return search.opt_set
+        return search.opt_set, search
     if rng is None:
         raise ConfigError("the heuristic offline mode needs a seeded random generator")
-    return offline_greedy(oracle, mp, [e for e in pool if rng.random() < 1.0 / (mp.p + 1)])
+    sample = [e for e in pool if rng.random() < 1.0 / (mp.p + 1)]
+    return offline_greedy(oracle, mp, sample), None
 
 
 class LambdaCopyResult:
@@ -301,10 +290,11 @@ class LambdaCopyResult:
 
 
 class RandomizedRunResult:
-    """The randomized driver's answer and its copies. ``shared_calls``
-    counts the per-arrival f(x | empty) measurements the copies shared
-    (0 when they share none); the empty evaluator they are taken on
-    costs one more call."""
+    """The randomized driver's answer, its copies and its guesses (``grid``,
+    the tuple ``guess_grid`` returned). ``shared_calls`` counts the
+    per-arrival f(x | empty) measurements the copies shared (0 when they
+    share none); the empty evaluator they are taken on costs one more
+    call."""
 
     __slots__ = ("solution", "f_solution", "copies", "grid", "passes_used",
                  "space_peak", "space_bound", "d", "m", "gamma_off",
@@ -384,7 +374,7 @@ def multipass_randomized(oracle, mp, stream, epsilon, passes=None, seed=0, *,
 
     grid = guess_grid(oracle, mp.fitting((), order), k)
     copies = []
-    for idx, lam in enumerate(grid.lambdas):
+    for idx, lam in enumerate(grid):
         alpha = eps_prime * lam / (2.0 * k) if (lam > 0.0 and k > 0) else 0.0
         copies.append(LambdaCopyResult(lam, alpha, seed ^ idx))
 
@@ -416,7 +406,7 @@ def multipass_randomized(oracle, mp, stream, epsilon, passes=None, seed=0, *,
     return RandomizedRunResult(
         solution=best.solution, f_solution=best.f_best, copies=copies,
         grid=grid, passes_used=d + 1, space_peak=space_peak,
-        space_bound=len(grid.lambdas) * (m + 3 * k), d=d, m=m,
+        space_bound=len(grid) * (m + 3 * k), d=d, m=m,
         gamma_off=1.0 if offline_mode == "exact" else (p + 1) ** 2 / p,
         shared_calls=shared_calls,
     )

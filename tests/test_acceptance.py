@@ -268,7 +268,7 @@ def test_09_exact_solvers_agree_with_independent_enumeration():
         mp = inst.build_matchoid()
         pool = sorted(rng.sample(sorted(oracle.ground),
                                  rng.randint(0, min(12, inst.n))))
-        got = ms.offline_solve(oracle, mp, pool)
+        got, _ = ms.offline_solve(oracle, mp, pool)
         best = max((oracle.peek(c)
                     for r in range(len(pool) + 1)
                     for c in combinations(pool, r)

@@ -1,5 +1,6 @@
 """Command-line surface: generate, run, solve, report."""
 
+import csv
 import json
 import subprocess
 import sys
@@ -144,6 +145,36 @@ def test_a_randomized_report_ends_on_pass_d_with_or_without_a_trace(tmp_path, ca
         last = capsys.readouterr().out.splitlines()[-1].split(",")
         ends.append((last[2], last[4]))
     assert ends == [("2", "3.0")] * 2
+
+
+def test_a_randomized_trace_reports_one_row_per_pass_at_the_best_copy(tmp_path):
+    # a randomized trace holds a row per replicate, guess copy and pass,
+    # each with that copy's streaming f_S; the report gives one row per
+    # pass of the first replicate at its best copy's f_S_bar, so its last
+    # row is the summary's f_final
+    instance = str(tmp_path / "cut.json")
+    trace, summary_path, table = (str(tmp_path / name)
+                                  for name in ("t.csv", "s.json", "r.csv"))
+    main(["generate", "--family", "directed-cut+matroid", "--seed", "0",
+          "--n", "10", "--out", instance])
+    assert main(["run-nonmonotone", "--instance", instance, "--epsilon", "0.5",
+                 "--passes", "2", "--replicates", "2", "--trace", trace,
+                 "--summary", summary_path]) == 0
+    summary = json.loads(Path(summary_path).read_text(encoding="utf-8"))
+    with open(trace, encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    first = rows[:len(summary["lambda_grid"]) * 2]
+    assert len(rows) == 2 * len(first) == 8
+    assert main(["report", summary_path, "--out", table]) == 0
+    with open(table, encoding="utf-8", newline="") as fh:
+        report = list(csv.DictReader(fh))
+    assert [r["pass"] for r in report] == ["1", "2"]
+    for r in report:
+        same_pass = [row for row in first if row["pass"] == r["pass"]]
+        assert float(r["f_S"]) == max(float(row["f_S_bar"]) for row in same_pass)
+        assert r["gamma_certified"] == same_pass[0]["gamma_certified"]
+    assert float(report[-1]["f_S"]) == summary["f_final"] == 28.0
+    assert float(report[-1]["ratio"]) == summary["ratio"] == 1.0
 
 
 def test_report_finds_a_relative_trace_from_any_directory(tmp_path, capsys, monkeypatch):

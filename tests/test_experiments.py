@@ -120,6 +120,38 @@ def test_a_refused_config_searches_no_optimum(tmp_path, monkeypatch):
     assert len(searches) == 1 and summary["opt_value"] is not None
 
 
+def test_each_driver_run_builds_one_oracle(tmp_path, monkeypatch):
+    # the summary's optimum is searched on the run's last oracle once the
+    # summary has read its count, so a run builds one oracle per driver
+    # run: one for the monotone driver, and one per randomized replicate;
+    # the count is the direct drivers' and holds none of the search's calls
+    builds = []
+    build_oracle = ms.Instance.build_oracle
+
+    def spy(self):
+        builds.append(self)
+        return build_oracle(self)
+
+    instance = _write_instance(tmp_path, seed=1, n=14)
+    inst = ms.load_instance(instance)
+    mp = inst.build_matchoid()
+    opt = ms.brute_force_opt(inst.build_oracle(), mp).opt_value
+    mono = inst.build_oracle()
+    ms.multipass_run(mono, mp, range(inst.n), ms.Schedule.for_matchoid(mp), 2)
+    rand = [inst.build_oracle() for _ in range(3)]
+    for rep, oracle in enumerate(rand):
+        ms.multipass_randomized(oracle, mp, range(inst.n), 0.5, 1, seed=rep)
+    monkeypatch.setattr(ms.Instance, "build_oracle", spy)
+    for algorithm, fields, oracles in (
+            ("monotone-multipass", {"passes": 2}, [mono]),
+            ("nonmonotone-randomized", {"epsilon": 0.5, "passes": 1, "replicates": 3}, rand)):
+        builds.clear()
+        summary = ms.run_experiment(ms.ExperimentConfig(instance, algorithm, **fields))
+        assert len(builds) == len(oracles)
+        assert summary["oracle_calls"] == sum(oracle.calls for oracle in oracles)
+        assert summary["opt_value"] == opt
+
+
 def test_default_pass_budgets():
     harmonic = ms.Schedule.matroid_harmonic()
     assert harmonic.default_passes(0.5) == 4

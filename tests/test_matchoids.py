@@ -308,8 +308,8 @@ def test_loops_are_rejected_not_exchanged(loop_matroid, opt):
             assert mp.feasible(rand.solution)
             assert rand.f_solution == oracle.peek(rand.solution) <= opt
             # the guess grid brackets OPT from the best feasible singleton,
-            # however heavy the loops are
-            assert rand.grid.tau == opt
+            # however heavy the loops are: the grid of one element worth OPT
+            assert rand.grid == ms.guess_grid(ms.ModularOracle([opt]), [0], mp.rank_k)
 
 
 def test_rank_examples():

@@ -263,6 +263,8 @@ def test_first_pass_certificate_is_4p():
         assert mp.p == expect_p
         assert run.certificates[0].gamma_certified == pytest.approx(4.0 * mp.p)
         assert run.certificates[0].k_alpha_slack == 0.0
+        assert repr(run.certificates[0]) == (
+            f"GuaranteeCertificate(pass=1, beta=1, delta=0, gamma={4 * mp.p})")
 
 
 def test_degenerate_zero_objective_reports_infinite_factor():

@@ -18,28 +18,28 @@ TOL = 1e-9
 def test_guess_grid_examples():
     oracle = ms.ModularOracle([5, 2])
     grid = ms.guess_grid(oracle, [0, 1], rank_k=4)
-    assert grid.tau == 5.0
-    assert grid.lambdas == (8.0, 16.0)
+    assert grid == (8.0, 16.0)
+    assert type(grid) is tuple and all(type(lam) is float for lam in grid)
 
     unit = ms.ModularOracle([1])
-    assert ms.guess_grid(unit, [0], rank_k=1).lambdas == (1.0,)
+    assert ms.guess_grid(unit, [0], rank_k=1) == (1.0,)
 
     oracle3 = ms.ModularOracle([3, 1])
-    assert ms.guess_grid(oracle3, [0, 1], rank_k=8).lambdas == (4.0, 8.0, 16.0)
+    assert ms.guess_grid(oracle3, [0, 1], rank_k=8) == (4.0, 8.0, 16.0)
 
 
 def test_guess_grid_degenerate_and_rank_one():
     zero = ms.ModularOracle([0, 0])
-    assert ms.guess_grid(zero, [0, 1], rank_k=2).lambdas == (0.0,)
+    assert ms.guess_grid(zero, [0, 1], rank_k=2) == (0.0,)
     # no power of two inside [5, 5]; the bracket below tau still works
     oracle = ms.ModularOracle([5])
-    assert ms.guess_grid(oracle, [0], rank_k=1).lambdas == (4.0,)
+    assert ms.guess_grid(oracle, [0], rank_k=1) == (4.0,)
     # one ulp below 16: the largest power of two at most tau is 8, not 16
     below = ms.ModularOracle([15.999999999999998])
-    assert ms.guess_grid(below, [0], rank_k=1).lambdas == (8.0,)
+    assert ms.guess_grid(below, [0], rank_k=1) == (8.0,)
     # no float power of two is at least 1.5e308: the one guess is 2^1023
     top = ms.ModularOracle([1.5e308])
-    assert ms.guess_grid(top, [0], rank_k=1).lambdas == (2.0 ** 1023,)
+    assert ms.guess_grid(top, [0], rank_k=1) == (2.0 ** 1023,)
 
 
 @settings(max_examples=300, deadline=None)
@@ -47,7 +47,7 @@ def test_guess_grid_degenerate_and_rank_one():
                      allow_nan=False, allow_infinity=False),
        k=st.integers(min_value=1, max_value=10 ** 12))
 def test_guess_grid_is_doubling_powers_for_every_finite_tau(tau, k):
-    lambdas = ms.guess_grid(ms.ModularOracle([tau]), [0], rank_k=k).lambdas
+    lambdas = ms.guess_grid(ms.ModularOracle([tau]), [0], rank_k=k)
     if tau == 0.0:
         assert lambdas == (0.0,)
         return
@@ -64,8 +64,8 @@ def test_guess_grid_copy_count_at_large_rank():
     # rank 64 with tau=1 brackets [1, 64]: seven powers of two
     oracle = ms.ModularOracle([1, 1])
     grid = ms.guess_grid(oracle, [0, 1], rank_k=64)
-    assert len(grid.lambdas) == 7
-    assert grid.lambdas[0] == 1.0 and grid.lambdas[-1] == 64.0
+    assert len(grid) == 7
+    assert grid[0] == 1.0 and grid[-1] == 64.0
 
 
 def test_guess_grid_size_and_bracket():
@@ -77,9 +77,9 @@ def test_guess_grid_size_and_bracket():
         oracle = inst.build_oracle()
         mp = inst.build_matchoid()
         grid = ms.guess_grid(oracle, range(n), mp.rank_k)
-        assert len(grid.lambdas) <= math.ceil(math.log2(max(2, mp.rank_k))) + 1
+        assert len(grid) <= math.ceil(math.log2(max(2, mp.rank_k))) + 1
         opt = exact_opt(inst).opt_value
-        assert any(opt / 2 - TOL <= lam <= opt + TOL for lam in grid.lambdas)
+        assert any(opt / 2 - TOL <= lam <= opt + TOL for lam in grid)
 
 
 def test_buffer_draw_is_uniform():
@@ -88,7 +88,8 @@ def test_buffer_draw_is_uniform():
     counts = [0] * 8
     draws = 10_000
     for _ in range(draws):
-        buf = ms.BufferState(dict.fromkeys(range(8)))
+        buf = ms.BufferState()
+        buf.members.update(dict.fromkeys(range(8)))
         counts[buf.draw(rng)[0]] += 1
     expected = draws / 8
     for c in counts:
@@ -191,10 +192,10 @@ def test_runner_rejects_bad_configuration():
 def test_offline_solve_trivial_pools():
     oracle = ms.ModularOracle([2, 3])
     mp = _uniform_mp(2, 1)
-    assert ms.offline_solve(oracle, mp, []) == frozenset()
-    assert ms.offline_solve(oracle, mp, [0]) == {0}
+    assert ms.offline_solve(oracle, mp, [])[0] == frozenset()
+    assert ms.offline_solve(oracle, mp, [0])[0] == {0}
     zero = ms.ModularOracle([0.0, 1.0])
-    assert ms.offline_solve(zero, _uniform_mp(2, 1), [0]) == frozenset()
+    assert ms.offline_solve(zero, _uniform_mp(2, 1), [0])[0] == frozenset()
 
 
 def test_offline_solve_exact_matches_exhaustive_enumeration():
@@ -205,7 +206,7 @@ def test_offline_solve_exact_matches_exhaustive_enumeration():
         mp = inst.build_matchoid()
         pool = sorted(rng.sample(sorted(oracle.ground),
                                  rng.randint(0, min(10, inst.n))))
-        got = ms.offline_solve(oracle, mp, pool)
+        got, _ = ms.offline_solve(oracle, mp, pool)
         best = max((oracle.peek(c)
                     for r in range(len(pool) + 1)
                     for c in combinations(pool, r)
@@ -225,13 +226,11 @@ def test_offline_solve_size_cap_and_unknown_mode():
     assert oracle.calls == 0
     oracle = ms.ModularOracle(range(60))
     mp = ms.PMatchoid(range(60), [ms.UniformMatroid(range(60), 3)])
-    searches = []
-    assert ms.offline_solve(oracle, mp, range(60), searches=searches) == {57, 58, 59}
-    (search,) = searches
+    solution, search = ms.offline_solve(oracle, mp, range(60))
+    assert solution == {57, 58, 59}
     assert search.opt_set == {57, 58, 59} and search.subsets_examined > 0
-    ms.offline_solve(oracle, mp, range(60), mode="heuristic", rng=Random(1),
-                     searches=searches)
-    assert searches == [search]
+    _, search = ms.offline_solve(oracle, mp, range(60), mode="heuristic", rng=Random(1))
+    assert search is None
     with pytest.raises(ms.ConfigError):
         ms.offline_solve(oracle, mp, range(3), mode="annealing")
 
@@ -299,8 +298,8 @@ def test_heuristic_offline_is_greedy_on_a_sample():
     pool = list(range(inst.n))
     sizes = set()
     for seed in range(10):
-        got = ms.offline_solve(oracle, mp, reversed(pool), mode="heuristic",
-                               rng=Random(seed))
+        got, _ = ms.offline_solve(oracle, mp, reversed(pool), mode="heuristic",
+                                  rng=Random(seed))
         draws = Random(seed)
         sample = [e for e in pool if draws.random() < 1.0 / 3.0]
         assert got == ms.offline_greedy(oracle, mp, sample)
@@ -332,7 +331,7 @@ def test_heuristic_offline_needs_a_generator():
 def _sample_greedy_mean(oracle, mp, pool, draws):
     """Mean and standard error of f(heuristic solve) over ``draws`` seeds."""
     values = [oracle.peek(ms.offline_solve(oracle, mp, pool, mode="heuristic",
-                                           rng=Random(seed)))
+                                           rng=Random(seed))[0])
               for seed in range(draws)]
     mean = sum(values) / draws
     se = math.sqrt(sum((v - mean) ** 2 for v in values) / (draws - 1) / draws)
@@ -392,9 +391,9 @@ def test_offline_heuristic_is_feasible_and_never_beats_exact():
         oracle = inst.build_oracle()
         mp = inst.build_matchoid()
         pool = sorted(rng.sample(range(inst.n), rng.randint(2, inst.n)))
-        heur = ms.offline_solve(oracle, mp, pool, mode="heuristic",
-                                rng=Random(len(pool)))
-        exact = ms.offline_solve(oracle, mp, pool, mode="exact")
+        heur, _ = ms.offline_solve(oracle, mp, pool, mode="heuristic",
+                                   rng=Random(len(pool)))
+        exact, _ = ms.offline_solve(oracle, mp, pool, mode="exact")
         assert mp.feasible(heur)
         assert heur <= set(pool)
         assert oracle.peek(heur) <= oracle.peek(exact) + TOL
@@ -433,7 +432,7 @@ def test_driver_solution_feasible_and_space_bounded():
                                       ms.stream_order(inst.n), 0.25, seed=seed)
         assert mp.feasible(run.solution)
         assert run.space_peak <= run.space_bound
-        assert len(run.grid.lambdas) <= math.ceil(math.log2(max(2, mp.rank_k))) + 1
+        assert len(run.grid) <= math.ceil(math.log2(max(2, mp.rank_k))) + 1
 
 
 def test_driver_epsilon_domain():
@@ -681,7 +680,7 @@ def _guess_copy_passes(oracle, mp, order, epsilon, d, m, seed, shared):
     grid = ms.guess_grid(oracle, mp.fitting((), order), k)
     copies = [ms.LambdaCopyResult(lam, eps_prime * lam / (2.0 * k)
                                   if lam > 0.0 and k > 0 else 0.0, seed ^ idx)
-              for idx, lam in enumerate(grid.lambdas)]
+              for idx, lam in enumerate(grid)]
     empty = oracle.running(()) if shared else None
     single = None
     steps = ms.Schedule.for_matchoid(mp).steps()
